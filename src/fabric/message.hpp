@@ -5,14 +5,15 @@
 // rendezvous envelope is the RTS: it carries a shared RndvState pointing at
 // the sender's buffer; the *receiver* performs the transfer at match time
 // (exactly how CMA works: process_vm_readv is issued by the destination) and
-// then reports the sender's completion time back through the state.
+// then reports the sender's completion time back through the state. The
+// state only holds the outcome; it never blocks anyone. The receiver wakes a
+// blocked sender by poking the sender's matcher right after complete(), the
+// same wake-up path a delivery takes.
 #pragma once
 
-#include <chrono>
-#include <condition_variable>
+#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <vector>
 
@@ -31,61 +32,28 @@ enum class Protocol : std::uint8_t { Eager, Rendezvous };
 /// Shared sender/receiver state of one rendezvous transfer.
 class RndvState {
  public:
-  RndvState(std::span<const std::byte> src_view, const osl::SimProcess* sender,
-            Micros rts_sent_at)
-      : src_view_(src_view), sender_(sender), rts_sent_at_(rts_sent_at) {}
+  RndvState(std::span<const std::byte> src_view, const osl::SimProcess* sender)
+      : src_view_(src_view), sender_(sender) {}
 
   std::span<const std::byte> source() const { return src_view_; }
   const osl::SimProcess& sender_process() const { return *sender_; }
-  Micros rts_sent_at() const { return rts_sent_at_; }
 
-  /// Receiver side: publish the outcome and wake the sender.
-  void complete(Micros sender_complete_at, osl::cma::Result result) {
-    {
-      const std::scoped_lock lock(mutex_);
-      sender_complete_at_ = sender_complete_at;
-      result_ = result;
-      done_ = true;
-    }
-    cv_.notify_all();
+  /// Receiver side: publish the sender's virtual completion time.
+  void complete(Micros sender_complete_at) {
+    sender_complete_at_ = sender_complete_at;
+    done_ = true;
   }
 
-  /// Sender side: block (wall-clock) until the receiver finished the pull;
-  /// returns the sender's virtual completion time.
-  Micros wait_sender_complete() {
-    std::unique_lock lock(mutex_);
-    cv_.wait(lock, [&] { return done_; });
-    return sender_complete_at_;
-  }
+  bool done() const { return done_; }
 
-  /// Bounded wait; returns true once done. Lets blocked senders poll an
-  /// abort flag between waits.
-  bool wait_done_for(std::chrono::milliseconds timeout) {
-    std::unique_lock lock(mutex_);
-    return cv_.wait_for(lock, timeout, [&] { return done_; });
-  }
-
-  bool done() const {
-    const std::scoped_lock lock(mutex_);
-    return done_;
-  }
-
-  /// Valid once done(): how the data move went (CMA can be refused).
-  osl::cma::Result result() const {
-    const std::scoped_lock lock(mutex_);
-    return result_;
-  }
+  /// Valid once done(): the sender's virtual completion time.
+  Micros sender_complete_at() const { return sender_complete_at_; }
 
  private:
   std::span<const std::byte> src_view_;
   const osl::SimProcess* sender_;
-  Micros rts_sent_at_;
-
-  mutable std::mutex mutex_;
-  std::condition_variable cv_;
-  bool done_ = false;
   Micros sender_complete_at_ = 0.0;
-  osl::cma::Result result_ = osl::cma::Result::Ok;
+  std::atomic<bool> done_{false};
 };
 
 struct Envelope {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <sstream>
+#include <tuple>
 
 #include "common/error.hpp"
 
@@ -179,7 +180,7 @@ Request Adi3Engine::start_send(std::span<const std::byte> data, int dst_world, i
       if (look.evictions > 0) obs_.reg_evictions->add(look.evictions);
     }
   }
-  auto rndv = std::make_shared<fabric::RndvState>(data, proc_, clock().now());
+  auto rndv = std::make_shared<fabric::RndvState>(data, proc_);
   env.sent_at = clock().now();
   env.available_at = clock().now();
   env.rndv = rndv;
@@ -204,70 +205,48 @@ Request Adi3Engine::post_recv(std::span<std::byte> buffer, int src_world, int ta
   request->comm_id = comm_id;
   request->posted_at = clock().now();
   posted_.push_back(request);
-  if (immediate) {
-    // A matching message may already be waiting in the unexpected queue.
-    try_complete_recv(*request);
-    if (request->complete)
-      posted_.erase(std::remove(posted_.begin(), posted_.end(), request),
-                    posted_.end());
-  }
+  // A matching message may already be waiting in the unexpected queue.
+  if (immediate) progress_posted();
   return request;
 }
 
 void Adi3Engine::complete_in_arrival_order(std::span<const Request> recvs) {
-  std::vector<RequestState*> pending;
-  pending.reserve(recvs.size());
+  std::vector<Request> unmatched;
+  unmatched.reserve(recvs.size());
   for (const auto& request : recvs) {
     CBMPI_REQUIRE(request != nullptr && request->kind == RequestState::Kind::Recv,
                   "complete_in_arrival_order needs receive requests");
     CBMPI_REQUIRE(request->src_world != kAnySource,
                   "complete_in_arrival_order cannot order wildcard receives");
-    if (!request->complete) pending.push_back(request.get());
+    if (!request->complete) unmatched.push_back(request);
   }
 
   // Phase 1: collect every envelope without completing anything — which
   // messages have arrived at any instant is wall-clock noise.
-  std::vector<std::optional<fabric::Envelope>> matched(pending.size());
-  std::size_t remaining = pending.size();
-  while (remaining > 0) {
-    check_abort();
-    const std::uint64_t seen = job_->matcher(rank_).version();
-    bool any = false;
-    for (std::size_t i = 0; i < pending.size(); ++i) {
-      if (matched[i]) continue;
-      auto env = job_->matcher(rank_).try_match(pending[i]->src_world,
-                                                pending[i]->tag,
-                                                pending[i]->comm_id);
-      if (env) {
-        matched[i] = std::move(env);
-        --remaining;
-        any = true;
-      }
-    }
-    if (!any && remaining > 0) job_->matcher(rank_).wait_past(seen);
-  }
+  std::vector<std::pair<Request, fabric::Envelope>> matched;
+  block_until([&] {
+    for (auto& pair : job_->matcher(rank_).match_posted(unmatched))
+      matched.push_back(std::move(pair));
+    return unmatched.empty();
+  });
 
   // Phase 2: process in virtual arrival order, so the receiver busy chain
   // is a pure function of the envelopes' timestamps.
-  std::vector<std::size_t> order(pending.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    const auto& ea = *matched[a];
-    const auto& eb = *matched[b];
-    if (ea.available_at != eb.available_at) return ea.available_at < eb.available_at;
-    if (ea.src != eb.src) return ea.src < eb.src;
-    return ea.seq < eb.seq;
+  std::sort(matched.begin(), matched.end(), [](const auto& a, const auto& b) {
+    return std::tie(a.second.available_at, a.second.src, a.second.seq) <
+           std::tie(b.second.available_at, b.second.src, b.second.seq);
   });
-  for (const std::size_t i : order) {
-    RequestState& request = *pending[i];
-    if (matched[i]->protocol == fabric::Protocol::Eager)
-      complete_eager(request, *matched[i]);
-    else
-      complete_rendezvous(request, *matched[i]);
-    posted_.erase(std::remove_if(posted_.begin(), posted_.end(),
-                                 [&](const Request& r) { return r.get() == &request; }),
-                  posted_.end());
+  for (auto& [request, env] : matched) {
+    complete_recv(*request, env);
+    posted_.erase(std::remove(posted_.begin(), posted_.end(), request), posted_.end());
   }
+}
+
+void Adi3Engine::complete_recv(RequestState& request, fabric::Envelope& env) {
+  if (env.protocol == fabric::Protocol::Eager)
+    complete_eager(request, env);
+  else
+    complete_rendezvous(request, env);
 }
 
 void Adi3Engine::complete_eager(RequestState& request, fabric::Envelope& env) {
@@ -318,17 +297,17 @@ void Adi3Engine::complete_rendezvous(RequestState& request, fabric::Envelope& en
   (void)match_at;
 
   fabric::RndvTimes times{};
-  auto result = osl::cma::Result::Ok;
   switch (env.channel) {
-    case fabric::ChannelKind::Cma:
+    case fabric::ChannelKind::Cma: {
       times = job_->cma->rndv_times(env.size, env.same_socket, env.available_at,
                                     match_at);
-      result = job_->cma->pull(*proc_, rndv, dst);
+      const auto result = job_->cma->pull(*proc_, rndv, dst);
       CBMPI_REQUIRE(result == osl::cma::Result::Ok,
                     "CMA transfer failed: ", osl::cma::to_string(result),
                     " — containers must share the host PID namespace "
                     "(--pid=host) for the CMA channel");
       break;
+    }
     case fabric::ChannelKind::Shm:
       times = job_->shm->rndv_times(env.size, env.same_socket, env.available_at,
                                     match_at);
@@ -381,7 +360,9 @@ void Adi3Engine::complete_rendezvous(RequestState& request, fabric::Envelope& en
                                                      : times.receiver_done;
   request.status = Status{env.src, env.tag, env.size};
   request.complete = true;
-  rndv.complete(times.sender_done, result);
+  rndv.complete(times.sender_done);
+  // The sender may be blocked waiting on this transfer: wake it.
+  job_->matcher(env.src).poke();
 
   if (job_->trace) {
     job_->trace->record({sim::TraceKind::RecvRndvCts, rank_, env.src, 0,
@@ -413,76 +394,44 @@ void Adi3Engine::complete_rendezvous(RequestState& request, fabric::Envelope& en
         static_cast<std::uint64_t>(request.complete_at - request.posted_at));
 }
 
-bool Adi3Engine::try_complete_recv(RequestState& request) {
-  if (request.complete) return true;
-  auto env = job_->matcher(rank_).try_match(request.src_world, request.tag,
-                                            request.comm_id);
-  if (!env) return false;
-  if (env->protocol == fabric::Protocol::Eager)
-    complete_eager(request, *env);
-  else
-    complete_rendezvous(request, *env);
-  return true;
-}
-
 void Adi3Engine::progress_posted() {
-  auto it = posted_.begin();
-  while (it != posted_.end()) {
-    if (try_complete_recv(**it))
-      it = posted_.erase(it);
-    else
-      ++it;
-  }
+  for (auto& [request, env] : job_->matcher(rank_).match_posted(posted_))
+    complete_recv(*request, env);
 }
 
-bool Adi3Engine::test(const Request& request) {
-  CBMPI_REQUIRE(request != nullptr, "test on null request");
-  switch (request->kind) {
+bool Adi3Engine::poll(RequestState& request) {
+  switch (request.kind) {
     case RequestState::Kind::SendEager:
       break;  // complete since start_send
     case RequestState::Kind::SendRndv:
-      if (!request->complete && request->rndv->done()) {
-        request->complete_at = request->rndv->wait_sender_complete();
-        request->complete = true;
+      if (!request.complete && request.rndv->done()) {
+        request.complete_at = request.rndv->sender_complete_at();
+        request.complete = true;
       }
       break;
     case RequestState::Kind::Recv:
       progress_posted();
       break;
   }
-  if (request->complete) clock().advance_to(request->complete_at);
-  return request->complete;
+  return request.complete;
+}
+
+bool Adi3Engine::test(const Request& request) {
+  CBMPI_REQUIRE(request != nullptr, "test on null request");
+  if (!poll(*request)) return false;
+  clock().advance_to(request->complete_at);
+  return true;
 }
 
 Status Adi3Engine::wait(const Request& request) {
   CBMPI_REQUIRE(request != nullptr, "wait on null request");
-  switch (request->kind) {
-    case RequestState::Kind::SendEager:
-      break;
-    case RequestState::Kind::SendRndv:
-      while (!request->complete) {
-        check_abort();
-        if (request->rndv->wait_done_for(std::chrono::milliseconds(20))) {
-          request->complete_at = request->rndv->wait_sender_complete();
-          request->complete = true;
-        }
-        // While blocked in a rendezvous send, keep progressing posted
-        // receives so head-to-head large transfers cannot deadlock the way
-        // a progress-less implementation would.
-        progress_posted();
-      }
-      break;
-    case RequestState::Kind::Recv: {
-      while (!request->complete) {
-        check_abort();
-        const std::uint64_t seen = job_->matcher(rank_).version();
-        progress_posted();
-        if (request->complete) break;
-        job_->matcher(rank_).wait_past(seen);
-      }
-      break;
-    }
-  }
+  block_until([&] {
+    // While blocked in a rendezvous send, keep progressing posted receives
+    // so head-to-head large transfers cannot deadlock the way a
+    // progress-less implementation would.
+    if (request->kind == RequestState::Kind::SendRndv) progress_posted();
+    return poll(*request);
+  });
   clock().advance_to(request->complete_at);
   check_crash();
   return request->status;

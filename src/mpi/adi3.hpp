@@ -9,7 +9,9 @@
 // call (and every test) progresses *all* posted receives, not just the one
 // being waited on — that is what lets a peer's blocking rendezvous send
 // complete while this rank waits on an unrelated request, exactly like a
-// real progress engine.
+// real progress engine. Posted receives are matched in post order (see
+// Matcher::match_posted), and every blocking call parks the rank in the one
+// blocking step, block_until().
 //
 // Virtual-time rules:
 //   * eager completion  = max(posted_at, available_at) + receiver_cost
@@ -51,8 +53,9 @@ class Adi3Engine {
                      std::uint64_t comm_id);
 
   /// Posts a receive. The buffer must stay valid until completion.
-  /// With immediate=false the engine skips the match attempt against
-  /// already-arrived messages at post time; pair with
+  /// With immediate=true the engine progresses every posted receive right
+  /// away, so this one completes at once if its message already arrived.
+  /// With immediate=false nothing is matched at post time; pair with
   /// complete_in_arrival_order().
   Request post_recv(std::span<std::byte> buffer, int src_world, int tag,
                     std::uint64_t comm_id, bool immediate = true);
@@ -82,6 +85,22 @@ class Adi3Engine {
   /// MPI_Iprobe: is a matching message pending? (world-relative source)
   std::optional<Status> iprobe(int src_world, int tag, std::uint64_t comm_id);
 
+  /// The one blocking step: returns once `done()` holds, sleeping on this
+  /// rank's matcher in between. It reads the matcher version before it
+  /// checks for abort and evaluates `done`, so an event that lands after the
+  /// check still bumps the version and ends the sleep — no wake-up is lost
+  /// and no timed poll is needed. Throws AbortedError once the job aborts.
+  template <typename Done>
+  void block_until(Done&& done) {
+    const Matcher& matcher = job_->matcher(rank_);
+    while (true) {
+      const std::uint64_t seen = matcher.version();
+      check_abort();
+      if (done()) return;
+      matcher.wait_past(seen);
+    }
+  }
+
   /// Crash injection: throws faults::CrashedError once this rank's virtual
   /// clock crosses its scheduled crash time (JobState::crash_at). Checked at
   /// op boundaries (send start, wait completion, compute, phase alignment),
@@ -97,8 +116,13 @@ class Adi3Engine {
   /// jitter — and throws (per-rank abort, failing rank identified) once the
   /// retry budget is exhausted. No-op when no injector is attached.
   void charge_hca_retries(int dst_world, std::uint64_t seq, Bytes size);
+  /// Completes every posted receive whose message has arrived, in post order.
   void progress_posted();
-  bool try_complete_recv(RequestState& request);
+  /// Non-blocking completion check without the clock advance: progresses
+  /// posted receives for a receive request, picks up a finished rendezvous
+  /// for a send request.
+  bool poll(RequestState& request);
+  void complete_recv(RequestState& request, fabric::Envelope& env);
   void complete_eager(RequestState& request, fabric::Envelope& env);
   void complete_rendezvous(RequestState& request, fabric::Envelope& env);
   std::uint64_t queue_pair_key(int dst_world) const;

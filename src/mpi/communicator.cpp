@@ -67,14 +67,13 @@ void Communicator::wait_all(std::span<const Request> requests) {
 std::size_t Communicator::wait_any(std::span<const Request> requests) {
   CBMPI_REQUIRE(!requests.empty(), "wait_any on an empty request set");
   const ProfiledCall prof_scope(*engine_, prof::CallKind::Wait);
-  while (true) {
-    const std::uint64_t seen = engine_->job().matcher(engine_->world_rank()).version();
-    for (std::size_t i = 0; i < requests.size(); ++i)
-      if (engine_->test(requests[i])) return i;
-    engine_->job().matcher(engine_->world_rank()).wait_past(seen);
-    if (engine_->job().aborted.load(std::memory_order_acquire))
-      throw AbortedError("job aborted: another rank raised an error");
-  }
+  std::size_t index = 0;
+  engine_->block_until([&] {
+    for (index = 0; index < requests.size(); ++index)
+      if (engine_->test(requests[index])) return true;
+    return false;
+  });
+  return index;
 }
 
 std::optional<std::size_t> Communicator::test_any(std::span<const Request> requests) {
@@ -95,17 +94,13 @@ bool Communicator::test_all(std::span<const Request> requests) {
 Status Communicator::probe(int src, int tag) {
   const ProfiledCall prof_scope(*engine_, prof::CallKind::Probe);
   const int src_world = src == kAnySource ? kAnySource : to_world(src);
-  while (true) {
-    const std::uint64_t seen = engine_->job().matcher(engine_->world_rank()).version();
-    auto status = engine_->iprobe(src_world, tag, id_);
-    if (status) {
-      status->source = from_world(status->source);
-      return *status;
-    }
-    engine_->job().matcher(engine_->world_rank()).wait_past(seen);
-    if (engine_->job().aborted.load(std::memory_order_acquire))
-      throw AbortedError("job aborted: another rank raised an error");
-  }
+  std::optional<Status> status;
+  engine_->block_until([&] {
+    status = engine_->iprobe(src_world, tag, id_);
+    return status.has_value();
+  });
+  status->source = from_world(status->source);
+  return *status;
 }
 
 std::optional<Status> Communicator::iprobe(int src, int tag) {

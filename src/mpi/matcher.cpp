@@ -1,9 +1,8 @@
 #include "mpi/matcher.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <tuple>
-#include <vector>
+#include <utility>
 
 namespace cbmpi::mpi {
 
@@ -25,9 +24,8 @@ bool matches(const fabric::Envelope& env, int src_world, int tag, std::uint64_t 
 }
 }  // namespace
 
-std::optional<fabric::Envelope> Matcher::try_match(int src_world, int tag,
-                                                   std::uint64_t comm_id) {
-  const std::scoped_lock lock(mutex_);
+Matcher::Queue::iterator Matcher::find_locked(int src_world, int tag,
+                                              std::uint64_t comm_id) {
   auto best = unexpected_.end();
   // Per-sender candidates are the *first* matching envelope from each sender
   // (delivery order == sender program order, so taking the first preserves
@@ -36,10 +34,7 @@ std::optional<fabric::Envelope> Matcher::try_match(int src_world, int tag,
   std::vector<int> seen_sources;
   for (auto it = unexpected_.begin(); it != unexpected_.end(); ++it) {
     if (!matches(*it, src_world, tag, comm_id)) continue;
-    if (src_world != kAnySource) {
-      best = it;
-      break;
-    }
+    if (src_world != kAnySource) return it;
     if (std::find(seen_sources.begin(), seen_sources.end(), it->src) !=
         seen_sources.end())
       continue;
@@ -50,10 +45,35 @@ std::optional<fabric::Envelope> Matcher::try_match(int src_world, int tag,
       best = it;
     }
   }
-  if (best == unexpected_.end()) return std::nullopt;
-  fabric::Envelope env = std::move(*best);
-  unexpected_.erase(best);
+  return best;
+}
+
+std::optional<fabric::Envelope> Matcher::try_match(int src_world, int tag,
+                                                   std::uint64_t comm_id) {
+  const std::scoped_lock lock(mutex_);
+  const auto it = find_locked(src_world, tag, comm_id);
+  if (it == unexpected_.end()) return std::nullopt;
+  fabric::Envelope env = std::move(*it);
+  unexpected_.erase(it);
   return env;
+}
+
+std::vector<std::pair<Request, fabric::Envelope>> Matcher::match_posted(
+    std::vector<Request>& posted) {
+  std::vector<std::pair<Request, fabric::Envelope>> matched;
+  const std::scoped_lock lock(mutex_);
+  auto keep = posted.begin();
+  for (auto& request : posted) {
+    const auto it = find_locked(request->src_world, request->tag, request->comm_id);
+    if (it == unexpected_.end()) {
+      std::swap(*keep++, request);
+      continue;
+    }
+    matched.emplace_back(std::move(request), std::move(*it));
+    unexpected_.erase(it);
+  }
+  posted.erase(keep, posted.end());
+  return matched;
 }
 
 std::optional<Status> Matcher::peek(int src_world, int tag, std::uint64_t comm_id) const {
@@ -72,7 +92,7 @@ std::uint64_t Matcher::version() const {
 
 void Matcher::wait_past(std::uint64_t seen) const {
   std::unique_lock lock(mutex_);
-  cv_.wait_for(lock, std::chrono::milliseconds(20), [&] { return version_ != seen; });
+  cv_.wait(lock, [&] { return version_ != seen; });
 }
 
 void Matcher::poke() {

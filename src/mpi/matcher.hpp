@@ -1,12 +1,20 @@
-// Per-rank message matcher: the unexpected-message queue.
+// Per-rank message matcher: the unexpected-message queue and the rank's
+// one wake-up point.
 //
 // Senders (other threads) deliver envelopes; the owning rank matches them
 // against receives by (source, tag, communicator). Matching preserves the
-// MPI non-overtaking rule: envelopes from one sender are scanned in delivery
-// order, which equals that sender's program order. For wildcard receives the
-// match picks the candidate with the earliest virtual availability (ties
-// broken by source rank, then sequence number) to keep simulations as
-// deterministic as possible.
+// MPI non-overtaking rule on both sides: envelopes from one sender are
+// scanned in delivery order, which equals that sender's program order, and
+// posted receives are matched in post order under one lock, so a later
+// receive never takes a message an earlier one matches. For wildcard
+// receives the match picks the candidate with the earliest virtual
+// availability (ties broken by source rank, then sequence number) to keep
+// simulations as deterministic as possible.
+//
+// Wake-up rule: every event that can unblock the owning rank bumps
+// version() — a delivery, a rendezvous completion (the receiver pokes the
+// sender's matcher) and a job abort (the runtime pokes every matcher). A
+// blocked rank therefore sleeps in wait_past() without a timeout.
 #pragma once
 
 #include <condition_variable>
@@ -14,6 +22,8 @@
 #include <deque>
 #include <mutex>
 #include <optional>
+#include <utility>
+#include <vector>
 
 #include "fabric/message.hpp"
 #include "mpi/types.hpp"
@@ -30,26 +40,36 @@ class Matcher {
   std::optional<fabric::Envelope> try_match(int src_world, int tag,
                                             std::uint64_t comm_id);
 
+  /// Pairs the posted receives, in post order, with the envelopes try_match
+  /// would return for them, all inside one critical section. Matched
+  /// receives leave `posted`; the pairs come back in post order.
+  std::vector<std::pair<Request, fabric::Envelope>> match_posted(
+      std::vector<Request>& posted);
+
   /// Non-destructive variant for MPI_Iprobe.
   std::optional<Status> peek(int src_world, int tag, std::uint64_t comm_id) const;
 
-  /// Monotone counter incremented on every delivery; used by blocking ops to
-  /// sleep until something new arrives.
+  /// Monotone counter bumped by every event that can unblock the owning
+  /// rank: a delivery or a poke().
   std::uint64_t version() const;
 
-  /// Blocks (wall-clock) until version() != seen, or ~20 ms elapse (the
-  /// timeout lets blocked ranks observe a job abort).
+  /// Blocks (wall-clock) until version() != seen.
   void wait_past(std::uint64_t seen) const;
 
-  /// Wakes all waiters without delivering anything (abort propagation).
+  /// Bumps version() without delivering anything: a rendezvous completion
+  /// or a job abort.
   void poke();
 
   std::size_t pending() const;
 
  private:
+  using Queue = std::deque<fabric::Envelope>;
+  /// The envelope try_match would take; end() if none. Caller holds mutex_.
+  Queue::iterator find_locked(int src_world, int tag, std::uint64_t comm_id);
+
   mutable std::mutex mutex_;
   mutable std::condition_variable cv_;
-  std::deque<fabric::Envelope> unexpected_;
+  Queue unexpected_;
   std::uint64_t version_ = 0;
 };
 

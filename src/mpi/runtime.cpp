@@ -605,6 +605,15 @@ JobResult run_job_attempt(const JobConfig& config,
     Micros at = 0.0;
   };
   std::vector<RankFailure> failures(static_cast<std::size_t>(nranks));
+  // Unblocks every rank that may be waiting on a failed one — in its
+  // matcher's blocking step or at the phase barrier; each observes the
+  // abort and raises AbortedError. The flag is set before the pokes, so a
+  // rank that reads its matcher version after a poke also sees the flag.
+  auto abort_job = [&] {
+    job.aborted.store(true, std::memory_order_release);
+    for (auto& matcher : job.matchers) matcher->poke();
+    phase_barrier.abort_all();
+  };
   std::vector<std::thread> threads;
   threads.reserve(static_cast<std::size_t>(nranks));
   {
@@ -620,20 +629,13 @@ JobResult run_job_attempt(const JobConfig& config,
             auto& failure = failures[static_cast<std::size_t>(r)];
             failure.error = std::current_exception();
             failure.at = processes[static_cast<std::size_t>(r)]->clock().now();
-            // Unblock peers that may be blocked waiting on this rank — in a
-            // matcher wait or at the phase barrier; they will observe the
-            // abort and raise. The root cause is rethrown below.
-            job.aborted.store(true, std::memory_order_release);
-            for (auto& matcher : job.matchers) matcher->poke();
-            phase_barrier.abort_all();
+            abort_job();  // the root cause is rethrown below
           }
         });
       } catch (...) {
         // Thread startup failed: abort the ranks already running so the
         // joiner's joins return, then surface the startup failure.
-        job.aborted.store(true, std::memory_order_release);
-        for (auto& matcher : job.matchers) matcher->poke();
-        phase_barrier.abort_all();
+        abort_job();
         throw;
       }
     }

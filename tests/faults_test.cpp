@@ -5,9 +5,11 @@
 
 #include <algorithm>
 #include <array>
+#include <chrono>
 #include <cstring>
 #include <memory>
 #include <stdexcept>
+#include <thread>
 
 #include "common/error.hpp"
 #include "mpi/job_registry.hpp"
@@ -260,6 +262,50 @@ TEST(Faults, RankBodyErrorsCarryRankAndTimestamp) {
     // The bystander's "job aborted" echo must not mask the root cause.
     EXPECT_EQ(what.find("job aborted"), std::string::npos) << what;
   }
+}
+
+TEST(Faults, AbortWakesRanksBlockedInSendWaitAnyAndProbe) {
+  // Ranks 0-2 park in three different blocking calls on rank 3, which never
+  // receives and throws instead. The abort must wake all three bystanders
+  // and run_job must surface rank 3's error, not a bystander's echo.
+  JobConfig config;
+  config.deployment = DeploymentSpec::native_hosts(1, 4);
+  std::chrono::steady_clock::time_point thrown_at;  // read after the joins
+  try {
+    run_job(config, [&](mpi::Process& p) {
+      std::vector<std::uint8_t> buf(256_KiB);  // rendezvous
+      auto& world = p.world();
+      switch (p.rank()) {
+        case 0:
+          world.send(std::span<const std::uint8_t>(buf), 3);
+          break;
+        case 1: {
+          const std::vector<mpi::Request> reqs{
+              world.isend(std::span<const std::uint8_t>(buf), 3)};
+          world.wait_any(reqs);
+          break;
+        }
+        case 2:
+          world.probe(3);
+          break;
+        default:
+          // Both rendezvous RTSs have arrived, so ranks 0 and 1 are in (or
+          // about to enter) their waits; give all three time to park.
+          world.probe(0);
+          world.probe(1);
+          std::this_thread::sleep_for(std::chrono::milliseconds(20));
+          thrown_at = std::chrono::steady_clock::now();
+          throw std::runtime_error("boom");
+      }
+    });
+    FAIL() << "expected rank 3's failure to propagate";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("rank 3"), std::string::npos) << what;
+    EXPECT_NE(what.find("boom"), std::string::npos) << what;
+  }
+  // Waking is event-driven: the job ends right after the throw.
+  EXPECT_LT(std::chrono::steady_clock::now() - thrown_at, std::chrono::seconds(2));
 }
 
 TEST(Faults, ConfigValidationRejectsBadConfigs) {

@@ -4,6 +4,7 @@
 // trace protocol structure).
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <numeric>
 
 #include "mpi/runtime.hpp"
@@ -224,6 +225,60 @@ TEST(Pt2PtEdge, ManyOutstandingRequestsDrainCorrectly) {
         ASSERT_EQ(bufs[static_cast<std::size_t>(m)][3], m);
     }
   });
+}
+
+TEST(Pt2PtEdge, PostedReceivesMatchInPostOrder) {
+  // Receive A is posted before both messages arrive, receive B after: B must
+  // not overtake A, whichever receive the engine happens to look at first.
+  JobConfig cfg;
+  cfg.deployment = DeploymentSpec::native_hosts(1, 2);
+  mpi::run_job(cfg, [](mpi::Process& p) {
+    if (p.rank() == 0) {
+      p.sync_time();
+      for (int m = 0; m < 2; ++m) p.world().send_value(m, 1, 6);
+      p.sync_time();
+    } else {
+      int a = -1;
+      int b = -1;
+      const auto req_a = p.world().irecv(std::span<int>(&a, 1), 0, 6);
+      p.sync_time();
+      p.sync_time();  // rank 0 sent both messages before it arrived here
+      const auto req_b = p.world().irecv(std::span<int>(&b, 1), 0, 6);
+      p.world().wait(req_a);
+      p.world().wait(req_b);
+      EXPECT_EQ(a, 0);
+      EXPECT_EQ(b, 1);
+    }
+  });
+}
+
+TEST(Pt2PtEdge, WaitAnyOnRendezvousSendWakesOnCompletion) {
+  // The receiver's completion of a rendezvous pull must wake a sender parked
+  // in wait_any at once; wait_any on one request costs what wait costs.
+  auto run = [](bool use_wait_any) {
+    JobConfig cfg;
+    cfg.deployment = DeploymentSpec::native_hosts(1, 2);
+    return mpi::run_job(cfg, [use_wait_any](mpi::Process& p) {
+      std::vector<std::uint8_t> buf(256_KiB);
+      for (int i = 0; i < 20; ++i) {
+        if (p.rank() == 0) {
+          const std::vector<mpi::Request> reqs{
+              p.world().isend(std::span<const std::uint8_t>(buf), 1)};
+          if (use_wait_any)
+            EXPECT_EQ(p.world().wait_any(reqs), 0u);
+          else
+            p.world().wait(reqs[0]);
+        } else {
+          p.world().recv(std::span<std::uint8_t>(buf), 0);
+        }
+      }
+    });
+  };
+  const auto start = std::chrono::steady_clock::now();
+  const auto with_wait_any = run(true);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_LT(elapsed, std::chrono::milliseconds(200));
+  EXPECT_EQ(with_wait_any.job_time, run(false).job_time);
 }
 
 TEST(Determinism, VirtualTimeReproducible) {
