@@ -10,6 +10,7 @@
 #include "fabric/shm_channel.hpp"
 #include "mpi/locality.hpp"
 #include "mpi/matcher.hpp"
+#include "net/fabric.hpp"
 #include "osl/machine.hpp"
 
 namespace {
@@ -140,6 +141,46 @@ void BM_ShmEagerCostEval(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ShmEagerCostEval);
+
+/// The fabric-contention settle of one record pass, on a flow set shaped
+/// like a Fig. 12 job on the fat-tree: fattree:4 with 4 hosts of 8 ranks
+/// each, two alltoall rounds of 64 KiB per peer. Every rank posts its
+/// inter-host sends one post overhead apart; the second round starts once
+/// the first has drained.
+void BM_Settle(benchmark::State& state) {
+  constexpr int kHosts = 4, kRanksPerHost = 8, kRanks = kHosts * kRanksPerHost;
+  const topo::MachineProfile profile;
+  const net::Fabric fabric(net::FabricConfig::parse("fattree:4"), profile,
+                           std::vector<int>(kHosts, 1));
+  const auto& topology = fabric.topology();
+  std::vector<double> caps;
+  for (int l = 0; l < topology.num_links(); ++l) caps.push_back(topology.link(l).bw);
+
+  std::vector<net::Flow> flows;
+  std::vector<std::uint64_t> seq(kRanks, 0);
+  for (int round = 0; round < 2; ++round)
+    for (int rank = 0; rank < kRanks; ++rank)
+      for (int step = 1; step < kRanks; ++step) {
+        const int peer = (rank + step) % kRanks;
+        const int src = rank / kRanksPerHost, dst = peer / kRanksPerHost;
+        if (src == dst) continue;
+        net::Flow f;
+        f.key = {rank, seq[static_cast<std::size_t>(rank)]++};
+        f.path = topology.route(src, dst);
+        f.bytes = static_cast<double>(64_KiB);
+        f.start = 2500.0 * round + 0.05 * rank +
+                  profile.hca_post_overhead * static_cast<double>(step);
+        f.rate_cap = fabric.flow_rate_cap(src, dst, false);
+        flows.push_back(std::move(f));
+      }
+
+  for (auto _ : state) {
+    auto settled = net::settle(flows, caps);
+    benchmark::DoNotOptimize(settled);
+  }
+  state.counters["flows"] = static_cast<double>(flows.size());
+}
+BENCHMARK(BM_Settle)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

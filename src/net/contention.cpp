@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <limits>
+#include <map>
+#include <span>
 
 #include "common/error.hpp"
 
@@ -13,77 +15,134 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 /// Relative tolerance for "this constraint is exhausted" during filling.
 constexpr double kEps = 1e-12;
 
-struct ActiveFlow {
-  std::size_t index = 0;  ///< into the sorted flow vector
-  double remaining = 0.0;
-  double rate = 0.0;
-};
-
 /// Max-min fair allocation with per-flow rate caps (progressive filling):
 /// all unfrozen flows grow together; a flow freezes when it reaches its own
-/// cap or when a link on its path saturates. Returns per-link allocations
-/// for the utilization bookkeeping.
-void fill_rates(std::vector<ActiveFlow>& active, const std::vector<Flow>& flows,
-                const std::vector<double>& caps, std::vector<double>& link_alloc,
-                std::vector<int>& link_flows, std::vector<int>& touched) {
-  touched.clear();
-  for (auto& a : active) {
-    a.rate = 0.0;
-    for (const int l : flows[a.index].path) {
-      const auto lu = static_cast<std::size_t>(l);
-      if (link_flows[lu] == 0) touched.push_back(l);
-      ++link_flows[lu];
-      link_alloc[lu] = 0.0;
-    }
+/// cap or when a link on its path saturates.
+///
+/// The fill runs over *path classes* — flows with the same route and rate
+/// cap — instead of over flows. Every unfrozen flow has the same rate (the
+/// running `level`), and a class's freeze test reads only that level, its
+/// cap and its links, so all members freeze in the same round at the same
+/// rate. Each link still receives one addition of each round's delta per
+/// unfrozen flow crossing it, so allocations match a per-flow fill bit for
+/// bit (DESIGN.md §14).
+class PathFill {
+ public:
+  explicit PathFill(const std::vector<double>& caps)
+      : caps_(caps), alloc_(caps.size(), 0.0), work_(caps.size(), 0) {}
+
+  /// Registers a class with `f`'s route and rate cap; returns its id.
+  std::size_t add_class(const Flow& f) {
+    links_.insert(links_.end(), f.path.begin(), f.path.end());
+    begin_.push_back(links_.size());
+    cap_.push_back(f.rate_cap);
+    active_.push_back(0);
+    rate_.push_back(0.0);
+    return cap_.size() - 1;
   }
 
-  std::vector<std::uint8_t> frozen(active.size(), 0);
-  std::size_t unfrozen = active.size();
-  while (unfrozen > 0) {
-    double delta = kInf;
-    for (std::size_t j = 0; j < active.size(); ++j)
-      if (!frozen[j])
-        delta = std::min(delta, flows[active[j].index].rate_cap - active[j].rate);
-    for (const int l : touched) {
-      const auto lu = static_cast<std::size_t>(l);
-      if (link_flows[lu] > 0)
-        delta = std::min(delta, (caps[lu] - link_alloc[lu]) /
-                                    static_cast<double>(link_flows[lu]));
-    }
-    delta = std::max(delta, 0.0);
+  void admit(std::size_t c) {
+    if (active_[c]++ == 0) live_.push_back(c);
+  }
+  void retire(std::size_t c) {
+    if (--active_[c] == 0) std::erase(live_, c);
+  }
 
-    for (std::size_t j = 0; j < active.size(); ++j) {
-      if (frozen[j]) continue;
-      active[j].rate += delta;
-      for (const int l : flows[active[j].index].path)
-        link_alloc[static_cast<std::size_t>(l)] += delta;
-    }
+  /// Per-flow rate of class `c` as of the last fill().
+  double rate(std::size_t c) const { return rate_[c]; }
+  /// Links carrying an active flow, and their allocation, as of the last fill().
+  const std::vector<int>& touched() const { return touched_; }
+  double alloc(int l) const { return alloc_[static_cast<std::size_t>(l)]; }
 
-    // Freeze cap-limited flows, then every flow on a saturated link. The
-    // constraint that produced `delta` freezes at least one flow, so the
-    // loop terminates.
-    for (std::size_t j = 0; j < active.size(); ++j) {
-      if (frozen[j]) continue;
-      const Flow& f = flows[active[j].index];
-      bool freeze = active[j].rate >= f.rate_cap * (1.0 - kEps);
-      if (!freeze)
-        for (const int l : f.path) {
-          const auto lu = static_cast<std::size_t>(l);
-          if (caps[lu] - link_alloc[lu] <= caps[lu] * kEps) {
-            freeze = true;
-            break;
-          }
+  /// Recomputes every active class's rate.
+  void fill() {
+    touched_.clear();
+    std::size_t widest = 0;
+    for (const std::size_t c : live_)
+      for (const int l : path(c)) {
+        const auto lu = static_cast<std::size_t>(l);
+        if (work_[lu] == 0) {
+          touched_.push_back(l);
+          alloc_[lu] = 0.0;
         }
-      if (freeze) {
-        frozen[j] = 1;
-        --unfrozen;
-        for (const int l : f.path) --link_flows[static_cast<std::size_t>(l)];
+        work_[lu] += active_[c];
+        widest = std::max(widest, work_[lu]);
       }
+
+    unfrozen_ = live_;
+    double level = 0.0;
+    bool first_round = true;
+    while (!unfrozen_.empty()) {
+      double delta = kInf;
+      for (const std::size_t c : unfrozen_) delta = std::min(delta, cap_[c] - level);
+      for (const int l : touched_) {
+        const auto lu = static_cast<std::size_t>(l);
+        if (work_[lu] > 0)
+          delta = std::min(delta, (caps_[lu] - alloc_[lu]) /
+                                      static_cast<double>(work_[lu]));
+      }
+      delta = std::max(delta, 0.0);
+      level += delta;
+
+      // Link l gains delta once per unfrozen flow crossing it. In the first
+      // round every link starts from 0.0, so one chain of sums serves all.
+      if (first_round) {
+        chain_.assign(widest + 1, 0.0);
+        for (std::size_t n = 1; n <= widest; ++n) chain_[n] = chain_[n - 1] + delta;
+        for (const int l : touched_) {
+          const auto lu = static_cast<std::size_t>(l);
+          alloc_[lu] = chain_[work_[lu]];
+        }
+        first_round = false;
+      } else {
+        for (const int l : touched_) {
+          const auto lu = static_cast<std::size_t>(l);
+          for (std::size_t n = work_[lu]; n > 0; --n) alloc_[lu] += delta;
+        }
+      }
+
+      // Freeze cap-limited classes, then every class on a saturated link.
+      // The constraint that produced `delta` freezes at least one class, so
+      // the loop terminates.
+      std::size_t kept = 0;
+      for (const std::size_t c : unfrozen_) {
+        const auto links = path(c);
+        const bool freeze =
+            level >= cap_[c] * (1.0 - kEps) ||
+            std::any_of(links.begin(), links.end(), [&](int l) {
+              const auto lu = static_cast<std::size_t>(l);
+              return caps_[lu] - alloc_[lu] <= caps_[lu] * kEps;
+            });
+        if (!freeze) {
+          unfrozen_[kept++] = c;
+          continue;
+        }
+        rate_[c] = level;
+        for (const int l : links) work_[static_cast<std::size_t>(l)] -= active_[c];
+      }
+      unfrozen_.resize(kept);
     }
   }
-  // Restore link_flows to zero for the next recompute (all flows frozen).
-  for (const int l : touched) link_flows[static_cast<std::size_t>(l)] = 0;
-}
+
+ private:
+  std::span<const int> path(std::size_t c) const {
+    return {links_.data() + begin_[c], begin_[c + 1] - begin_[c]};
+  }
+
+  const std::vector<double>& caps_;
+  // Class c's route is links_[begin_[c], begin_[c + 1]).
+  std::vector<int> links_;
+  std::vector<std::size_t> begin_{0};
+  std::vector<double> cap_;
+  std::vector<std::size_t> active_;    ///< active flows per class
+  std::vector<double> rate_;
+  std::vector<std::size_t> live_;      ///< classes with active flows
+  std::vector<std::size_t> unfrozen_;  ///< reused by fill()
+  std::vector<double> chain_;          ///< reused by fill()
+  std::vector<double> alloc_;          ///< per link
+  std::vector<std::size_t> work_;      ///< per link: unfrozen flow crossings
+  std::vector<int> touched_;
+};
 
 }  // namespace
 
@@ -106,14 +165,27 @@ SettleResult settle(std::vector<Flow> flows, const std::vector<double>& link_cap
     return a.key < b.key;
   });
 
+  PathFill fill(link_caps);
+  std::vector<std::size_t> class_of(flows.size());
+  {
+    const auto same_class_less = [&](std::size_t a, std::size_t b) {
+      if (flows[a].rate_cap != flows[b].rate_cap)
+        return flows[a].rate_cap < flows[b].rate_cap;
+      return flows[a].path < flows[b].path;
+    };
+    std::map<std::size_t, std::size_t, decltype(same_class_less)> first_of_class(
+        same_class_less);
+    for (std::size_t i = 0; i < flows.size(); ++i) {
+      const auto [it, fresh] = first_of_class.try_emplace(i, 0);
+      if (fresh) it->second = fill.add_class(flows[i]);
+      class_of[i] = it->second;
+    }
+  }
+
   out.busy_begin = flows.front().start;
   out.busy_end = flows.front().start;
   out.flows.reserve(flows.size());
 
-  std::vector<ActiveFlow> active;
-  std::vector<double> link_alloc(link_caps.size(), 0.0);
-  std::vector<int> link_flows(link_caps.size(), 0);
-  std::vector<int> touched;
   std::vector<double> mean_accum(link_caps.size(), 0.0);
 
   auto record_outcome = [&](const Flow& f, Micros finish) {
@@ -130,9 +202,15 @@ SettleResult settle(std::vector<Flow> flows, const std::vector<double>& link_cap
     out.flows.push_back(o);
   };
 
+  // Active flows, one entry per array: flow index, class, bytes left, and
+  // the finish time projected at the current event.
+  std::vector<std::size_t> act_flow, act_class;
+  std::vector<double> act_left;
+  std::vector<Micros> act_finish;
+
   std::size_t next = 0;
   Micros t = flows.front().start;
-  while (next < flows.size() || !active.empty()) {
+  while (next < flows.size() || !act_flow.empty()) {
     // Admit every flow starting now, then rebalance.
     bool admitted = false;
     while (next < flows.size() && flows[next].start <= t) {
@@ -142,49 +220,57 @@ SettleResult settle(std::vector<Flow> flows, const std::vector<double>& link_cap
         // and never contends.
         record_outcome(f, f.start);
       } else {
-        active.push_back({next, f.bytes, 0.0});
+        fill.admit(class_of[next]);
+        act_flow.push_back(next);
+        act_class.push_back(class_of[next]);
+        act_left.push_back(f.bytes);
         admitted = true;
       }
       ++next;
     }
-    if (active.empty()) {
+    if (act_flow.empty()) {
       if (next < flows.size()) t = flows[next].start;
       continue;
     }
-    if (admitted)
-      fill_rates(active, flows, link_caps, link_alloc, link_flows, touched);
+    if (admitted) fill.fill();
 
     // Next event: the earliest finish among active flows or the next start.
+    const std::size_t n = act_flow.size();
+    act_finish.resize(n);
     Micros finish_at = kInf;
-    for (const auto& a : active)
-      finish_at = std::min(finish_at, t + a.remaining / a.rate);
+    for (std::size_t j = 0; j < n; ++j) {
+      act_finish[j] = t + act_left[j] / fill.rate(act_class[j]);
+      finish_at = std::min(finish_at, act_finish[j]);
+    }
     const Micros start_at = next < flows.size() ? flows[next].start : kInf;
     const Micros te = std::min(finish_at, start_at);
 
     // Utilization bookkeeping over [t, te): rates are constant here.
-    for (const int l : touched) {
+    for (const int l : fill.touched()) {
       const auto lu = static_cast<std::size_t>(l);
-      const double util = link_alloc[lu] / link_caps[lu];
+      const double util = fill.alloc(l) / link_caps[lu];
       out.links[lu].peak = std::max(out.links[lu].peak, util);
       mean_accum[lu] += util * (te - t);
     }
 
-    bool finished = false;
-    for (std::size_t j = 0; j < active.size();) {
-      const Micros fin = t + active[j].remaining / active[j].rate;
-      if (fin <= te) {
-        record_outcome(flows[active[j].index], te);
-        active[j] = active.back();
-        active.pop_back();
-        finished = true;
-      } else {
-        active[j].remaining -= active[j].rate * (te - t);
-        ++j;
+    std::size_t kept = 0;
+    for (std::size_t j = 0; j < n; ++j) {
+      if (act_finish[j] <= te) {
+        record_outcome(flows[act_flow[j]], te);
+        fill.retire(act_class[j]);
+        continue;
       }
+      act_flow[kept] = act_flow[j];
+      act_class[kept] = act_class[j];
+      act_left[kept] = act_left[j] - fill.rate(act_class[j]) * (te - t);
+      ++kept;
     }
+    const bool finished = kept < n;
+    act_flow.resize(kept);
+    act_class.resize(kept);
+    act_left.resize(kept);
     t = te;
-    if (finished && !active.empty())
-      fill_rates(active, flows, link_caps, link_alloc, link_flows, touched);
+    if (finished && kept > 0) fill.fill();
   }
 
   const Micros span = out.busy_end - out.busy_begin;
@@ -194,6 +280,11 @@ SettleResult settle(std::vector<Flow> flows, const std::vector<double>& link_cap
 
   std::sort(out.flows.begin(), out.flows.end(),
             [](const FlowOutcome& a, const FlowOutcome& b) { return a.key < b.key; });
+  const auto dup = std::adjacent_find(
+      out.flows.begin(), out.flows.end(),
+      [](const FlowOutcome& a, const FlowOutcome& b) { return a.key == b.key; });
+  CBMPI_REQUIRE(dup == out.flows.end(), "two flows share the key (rank ",
+                dup->key.src_rank, ", seq ", dup->key.seq, ")");
   return out;
 }
 

@@ -68,7 +68,8 @@ struct SettleResult {
 };
 
 /// Runs the fluid simulation over one job's flows. `link_caps[l]` is link
-/// l's capacity in bytes/us; every path entry must index into it.
+/// l's capacity in bytes/us; every path entry must index into it. Throws
+/// cbmpi::Error when two flows share a key.
 SettleResult settle(std::vector<Flow> flows, const std::vector<double>& link_caps);
 
 }  // namespace cbmpi::net

@@ -21,14 +21,10 @@ Topology Topology::flat(int hosts, BytesPerMicro link_bw, Micros link_latency,
   Topology t;
   t.num_hosts_ = hosts;
   t.num_switches_ = 1;
-  t.switch_latency_ = switch_latency;
   const int sw = hosts;  // the single crossbar's node id
   for (int h = 0; h < hosts; ++h)
     add_duplex(t.links_, h, sw, link_bw, link_latency);
-  t.links_from_.resize(static_cast<std::size_t>(hosts + 1));
-  for (int id = 0; id < t.num_links(); ++id)
-    t.links_from_[static_cast<std::size_t>(t.links_[static_cast<std::size_t>(id)].from)]
-        .push_back(id);
+  t.build_routes(switch_latency);
   return t;
 }
 
@@ -52,7 +48,6 @@ Topology Topology::fattree(int arity, int hosts, BytesPerMicro link_bw,
   Topology t;
   t.num_hosts_ = hosts;
   t.arity_ = k;
-  t.switch_latency_ = switch_latency;
   t.edge0_ = hosts;
   t.agg0_ = t.edge0_ + k * half;
   t.core0_ = t.agg0_ + k * half;
@@ -78,31 +73,11 @@ Topology Topology::fattree(int arity, int hosts, BytesPerMicro link_bw,
       for (int c = 0; c < half; ++c)
         add_duplex(t.links_, t.agg0_ + pod * half + a, t.core0_ + a * half + c,
                    link_bw, link_latency);
-
-  t.links_from_.resize(static_cast<std::size_t>(t.core0_ + half * half));
-  for (int id = 0; id < t.num_links(); ++id)
-    t.links_from_[static_cast<std::size_t>(t.links_[static_cast<std::size_t>(id)].from)]
-        .push_back(id);
-  for (auto& out : t.links_from_)
-    std::sort(out.begin(), out.end(), [&](LinkId x, LinkId y) {
-      return t.links_[static_cast<std::size_t>(x)].to <
-             t.links_[static_cast<std::size_t>(y)].to;
-    });
+  t.build_routes(switch_latency);
   return t;
 }
 
-LinkId Topology::link_between(int from, int to) const {
-  for (const LinkId id : links_from_[static_cast<std::size_t>(from)])
-    if (links_[static_cast<std::size_t>(id)].to == to) return id;
-  CBMPI_REQUIRE(false, "no link between nodes ", from, " and ", to);
-  return -1;
-}
-
 std::vector<int> Topology::route_nodes(int src_host, int dst_host) const {
-  CBMPI_REQUIRE(src_host >= 0 && src_host < num_hosts_, "bad src host ", src_host);
-  CBMPI_REQUIRE(dst_host >= 0 && dst_host < num_hosts_, "bad dst host ", dst_host);
-  if (src_host == dst_host) return {src_host};
-
   if (arity_ == 0) {  // flat: host -> crossbar -> host
     return {src_host, num_hosts_, dst_host};
   }
@@ -128,56 +103,62 @@ std::vector<int> Topology::route_nodes(int src_host, int dst_host) const {
   return {src_host, src_edge, src_agg, core, dst_agg, dst_edge, dst_host};
 }
 
-std::vector<LinkId> Topology::route(int src_host, int dst_host) const {
-  const auto nodes = route_nodes(src_host, dst_host);
-  std::vector<LinkId> path;
-  path.reserve(nodes.size() - 1);
-  for (std::size_t i = 0; i + 1 < nodes.size(); ++i)
-    path.push_back(link_between(nodes[i], nodes[i + 1]));
-  return path;
+void Topology::build_routes(Micros switch_latency) {
+  std::vector<std::vector<LinkId>> links_from(
+      static_cast<std::size_t>(num_hosts_ + num_switches_));
+  for (int id = 0; id < num_links(); ++id)
+    links_from[static_cast<std::size_t>(links_[static_cast<std::size_t>(id)].from)]
+        .push_back(id);
+  const auto link_between = [&](int from, int to) {
+    for (const LinkId id : links_from[static_cast<std::size_t>(from)])
+      if (links_[static_cast<std::size_t>(id)].to == to) return id;
+    CBMPI_REQUIRE(false, "no link between nodes ", from, " and ", to);
+    return -1;
+  };
+
+  routes_.reserve(static_cast<std::size_t>(num_hosts_) *
+                  static_cast<std::size_t>(num_hosts_));
+  for (int src = 0; src < num_hosts_; ++src)
+    for (int dst = 0; dst < num_hosts_; ++dst) {
+      Route& r = routes_.emplace_back();
+      if (src == dst) continue;  // empty route, zero latency
+      const auto nodes = route_nodes(src, dst);
+      for (std::size_t i = 0; i + 1 < nodes.size(); ++i)
+        r.links.push_back(link_between(nodes[i], nodes[i + 1]));
+      r.min_bw = links_[static_cast<std::size_t>(r.links.front())].bw;
+      for (const LinkId id : r.links) {
+        const Link& link = links_[static_cast<std::size_t>(id)];
+        r.latency += link.latency;
+        r.min_bw = std::min(r.min_bw, link.bw);
+      }
+      r.latency += static_cast<double>(r.links.size() - 1) * switch_latency;
+    }
+}
+
+const Topology::Route& Topology::entry(int src_host, int dst_host) const {
+  CBMPI_REQUIRE(src_host >= 0 && src_host < num_hosts_, "bad src host ", src_host);
+  CBMPI_REQUIRE(dst_host >= 0 && dst_host < num_hosts_, "bad dst host ", dst_host);
+  return routes_[static_cast<std::size_t>(src_host) *
+                     static_cast<std::size_t>(num_hosts_) +
+                 static_cast<std::size_t>(dst_host)];
+}
+
+const std::vector<LinkId>& Topology::route(int src_host, int dst_host) const {
+  return entry(src_host, dst_host).links;
 }
 
 int Topology::hops(int src_host, int dst_host) const {
-  if (src_host == dst_host) return 0;
-  if (arity_ == 0) return 2;
-  const int half = arity_ / 2;
-  const int src_pod = src_host / (half * half);
-  const int dst_pod = dst_host / (half * half);
-  if (src_pod != dst_pod) return 6;
-  const int src_edge = (src_host % (half * half)) / half;
-  const int dst_edge = (dst_host % (half * half)) / half;
-  return src_edge == dst_edge ? 2 : 4;
+  return static_cast<int>(route(src_host, dst_host).size());
 }
 
 Micros Topology::path_latency(int src_host, int dst_host) const {
-  if (src_host == dst_host) return 0.0;
-  const auto path = route(src_host, dst_host);
-  Micros total = 0.0;
-  for (const LinkId id : path) total += links_[static_cast<std::size_t>(id)].latency;
-  total += static_cast<double>(path.size() - 1) * switch_latency_;
-  return total;
+  return entry(src_host, dst_host).latency;
 }
 
 BytesPerMicro Topology::min_path_bw(int src_host, int dst_host) const {
-  const auto path = route(src_host, dst_host);
-  CBMPI_REQUIRE(!path.empty(), "no fabric path from host to itself");
-  BytesPerMicro bw = links_[static_cast<std::size_t>(path.front())].bw;
-  for (const LinkId id : path)
-    bw = std::min(bw, links_[static_cast<std::size_t>(id)].bw);
-  return bw;
-}
-
-LinkId Topology::host_uplink(int host) const {
-  CBMPI_REQUIRE(host >= 0 && host < num_hosts_, "bad host ", host);
-  const auto& out = links_from_[static_cast<std::size_t>(host)];
-  CBMPI_REQUIRE(out.size() == 1, "host ", host, " must have exactly one uplink");
-  return out.front();
-}
-
-LinkId Topology::host_downlink(int host) const {
-  const LinkId up = host_uplink(host);
-  const auto& link = links_[static_cast<std::size_t>(up)];
-  return link_between(link.to, link.from);
+  const Route& r = entry(src_host, dst_host);
+  CBMPI_REQUIRE(!r.links.empty(), "no fabric path from host to itself");
+  return r.min_bw;
 }
 
 }  // namespace cbmpi::net

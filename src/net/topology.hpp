@@ -54,8 +54,9 @@ class Topology {
   const Link& link(LinkId id) const { return links_[static_cast<std::size_t>(id)]; }
 
   /// Ordered directed link ids from src host to dst host; empty when
-  /// src == dst. Deterministic: depends only on (src, dst).
-  std::vector<LinkId> route(int src_host, int dst_host) const;
+  /// src == dst. Deterministic: depends only on (src, dst). Memoized: every
+  /// route is computed once, when the topology is built.
+  const std::vector<LinkId>& route(int src_host, int dst_host) const;
 
   /// Number of links on the route (0 for src == dst).
   int hops(int src_host, int dst_host) const;
@@ -67,24 +68,26 @@ class Topology {
   /// Narrowest link bandwidth along the route.
   BytesPerMicro min_path_bw(int src_host, int dst_host) const;
 
-  /// Uplink (host egress) and downlink (host ingress) of one host.
-  LinkId host_uplink(int host) const;
-  LinkId host_downlink(int host) const;
-
   /// Empty placeholder; every real topology comes from flat() / fattree().
   Topology() = default;
 
  private:
-  std::vector<int> route_nodes(int src_host, int dst_host) const;
-  LinkId link_between(int from, int to) const;
+  struct Route {
+    std::vector<LinkId> links;
+    Micros latency = 0.0;
+    BytesPerMicro min_bw = 0.0;  ///< 0 for src == dst
+  };
+
+  const Route& entry(int src_host, int dst_host) const;
+  std::vector<int> route_nodes(int src_host, int dst_host) const;  // src != dst
+  void build_routes(Micros switch_latency);
 
   int num_hosts_ = 0;
   int num_switches_ = 0;
   int arity_ = 0;  // 0 = flat
-  Micros switch_latency_ = 0.0;
   std::vector<Link> links_;
-  // links_from_[node] lists outgoing link ids sorted by destination node id.
-  std::vector<std::vector<LinkId>> links_from_;
+  // routes_[src * num_hosts_ + dst], filled by build_routes().
+  std::vector<Route> routes_;
 
   // Node-id layout (fat-tree): hosts [0, H), then per-pod edge switches,
   // per-pod aggregation switches, then core switches.

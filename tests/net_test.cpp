@@ -4,10 +4,16 @@
 // congested jobs (DESIGN.md §14).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cstring>
+#include <limits>
 #include <mutex>
 #include <numeric>
 #include <vector>
 
+#include "common/error.hpp"
+#include "common/rng.hpp"
 #include "mpi/runtime.hpp"
 #include "net/contention.hpp"
 #include "net/fabric.hpp"
@@ -131,6 +137,308 @@ TEST(NetContention, SharesNeverExceedCapacityUnderChurn) {
     EXPECT_LE(link.mean, link.peak + 1e-9);
   }
   for (const auto& flow : result.flows) EXPECT_GE(flow.factor, 1.0);
+}
+
+TEST(NetContention, DuplicateFlowKeyIsRejected) {
+  // Outcomes are sorted by key; two flows under one key would make their
+  // order (and so every consumer's view) depend on the engine's internals.
+  std::vector<net::Flow> flows;
+  flows.push_back({{3, 7}, {0}, 100.0, 0.0, 5.0});
+  flows.push_back({{3, 7}, {0}, 100.0, 2.0, 5.0});
+  EXPECT_THROW(net::settle(std::move(flows), {10.0}), Error);
+}
+
+// --- differential: net::settle vs the per-flow reference engine -------------
+
+namespace reference {
+
+// The per-flow progressive-filling engine that net::settle's path-class fill
+// replaced, kept verbatim as the oracle: settle must match it bit for bit.
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr double kEps = 1e-12;
+
+struct ActiveFlow {
+  std::size_t index = 0;  ///< into the sorted flow vector
+  double remaining = 0.0;
+  double rate = 0.0;
+};
+
+void fill_rates(std::vector<ActiveFlow>& active, const std::vector<net::Flow>& flows,
+                const std::vector<double>& caps, std::vector<double>& link_alloc,
+                std::vector<int>& link_flows, std::vector<int>& touched) {
+  touched.clear();
+  for (auto& a : active) {
+    a.rate = 0.0;
+    for (const int l : flows[a.index].path) {
+      const auto lu = static_cast<std::size_t>(l);
+      if (link_flows[lu] == 0) touched.push_back(l);
+      ++link_flows[lu];
+      link_alloc[lu] = 0.0;
+    }
+  }
+
+  std::vector<std::uint8_t> frozen(active.size(), 0);
+  std::size_t unfrozen = active.size();
+  while (unfrozen > 0) {
+    double delta = kInf;
+    for (std::size_t j = 0; j < active.size(); ++j)
+      if (!frozen[j])
+        delta = std::min(delta, flows[active[j].index].rate_cap - active[j].rate);
+    for (const int l : touched) {
+      const auto lu = static_cast<std::size_t>(l);
+      if (link_flows[lu] > 0)
+        delta = std::min(delta, (caps[lu] - link_alloc[lu]) /
+                                    static_cast<double>(link_flows[lu]));
+    }
+    delta = std::max(delta, 0.0);
+
+    for (std::size_t j = 0; j < active.size(); ++j) {
+      if (frozen[j]) continue;
+      active[j].rate += delta;
+      for (const int l : flows[active[j].index].path)
+        link_alloc[static_cast<std::size_t>(l)] += delta;
+    }
+
+    for (std::size_t j = 0; j < active.size(); ++j) {
+      if (frozen[j]) continue;
+      const net::Flow& f = flows[active[j].index];
+      bool freeze = active[j].rate >= f.rate_cap * (1.0 - kEps);
+      if (!freeze)
+        for (const int l : f.path) {
+          const auto lu = static_cast<std::size_t>(l);
+          if (caps[lu] - link_alloc[lu] <= caps[lu] * kEps) {
+            freeze = true;
+            break;
+          }
+        }
+      if (freeze) {
+        frozen[j] = 1;
+        --unfrozen;
+        for (const int l : f.path) --link_flows[static_cast<std::size_t>(l)];
+      }
+    }
+  }
+  for (const int l : touched) link_flows[static_cast<std::size_t>(l)] = 0;
+}
+
+net::SettleResult settle(std::vector<net::Flow> flows,
+                         const std::vector<double>& link_caps) {
+  net::SettleResult out;
+  out.links.assign(link_caps.size(), {});
+  if (flows.empty()) return out;
+
+  std::sort(flows.begin(), flows.end(), [](const net::Flow& a, const net::Flow& b) {
+    if (a.start != b.start) return a.start < b.start;
+    return a.key < b.key;
+  });
+
+  out.busy_begin = flows.front().start;
+  out.busy_end = flows.front().start;
+  out.flows.reserve(flows.size());
+
+  std::vector<ActiveFlow> active;
+  std::vector<double> link_alloc(link_caps.size(), 0.0);
+  std::vector<int> link_flows(link_caps.size(), 0);
+  std::vector<int> touched;
+  std::vector<double> mean_accum(link_caps.size(), 0.0);
+
+  auto record_outcome = [&](const net::Flow& f, Micros finish) {
+    net::FlowOutcome o;
+    o.key = f.key;
+    o.finish = finish;
+    o.hops = static_cast<int>(f.path.size());
+    const double uncontended = f.bytes / f.rate_cap;
+    o.factor = uncontended > 0.0 ? (finish - f.start) / uncontended : 1.0;
+    if (o.factor <= 1.0 + 1e-9) o.factor = 1.0;
+    out.busy_end = std::max(out.busy_end, finish);
+    out.flows.push_back(o);
+  };
+
+  std::size_t next = 0;
+  Micros t = flows.front().start;
+  while (next < flows.size() || !active.empty()) {
+    bool admitted = false;
+    while (next < flows.size() && flows[next].start <= t) {
+      const net::Flow& f = flows[next];
+      if (f.bytes <= 0.0 || f.path.empty()) {
+        record_outcome(f, f.start);
+      } else {
+        active.push_back({next, f.bytes, 0.0});
+        admitted = true;
+      }
+      ++next;
+    }
+    if (active.empty()) {
+      if (next < flows.size()) t = flows[next].start;
+      continue;
+    }
+    if (admitted)
+      fill_rates(active, flows, link_caps, link_alloc, link_flows, touched);
+
+    Micros finish_at = kInf;
+    for (const auto& a : active)
+      finish_at = std::min(finish_at, t + a.remaining / a.rate);
+    const Micros start_at = next < flows.size() ? flows[next].start : kInf;
+    const Micros te = std::min(finish_at, start_at);
+
+    for (const int l : touched) {
+      const auto lu = static_cast<std::size_t>(l);
+      const double util = link_alloc[lu] / link_caps[lu];
+      out.links[lu].peak = std::max(out.links[lu].peak, util);
+      mean_accum[lu] += util * (te - t);
+    }
+
+    bool finished = false;
+    for (std::size_t j = 0; j < active.size();) {
+      const Micros fin = t + active[j].remaining / active[j].rate;
+      if (fin <= te) {
+        record_outcome(flows[active[j].index], te);
+        active[j] = active.back();
+        active.pop_back();
+        finished = true;
+      } else {
+        active[j].remaining -= active[j].rate * (te - t);
+        ++j;
+      }
+    }
+    t = te;
+    if (finished && !active.empty())
+      fill_rates(active, flows, link_caps, link_alloc, link_flows, touched);
+  }
+
+  const Micros span = out.busy_end - out.busy_begin;
+  if (span > 0.0)
+    for (std::size_t l = 0; l < out.links.size(); ++l)
+      out.links[l].mean = mean_accum[l] / span;
+
+  std::sort(out.flows.begin(), out.flows.end(),
+            [](const net::FlowOutcome& a, const net::FlowOutcome& b) {
+              return a.key < b.key;
+            });
+  return out;
+}
+
+}  // namespace reference
+
+bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+/// Which shapes one random flow set exercised.
+struct FlowSetShape {
+  bool shared_path = false;    ///< two flows on one route
+  bool mixed_caps = false;     ///< ... with different rate caps
+  bool zero_bytes = false;
+  bool empty_path = false;
+  bool same_start = false;     ///< two flows starting at one instant
+  bool repeated_link = false;  ///< a route crossing one link twice
+};
+
+/// A seeded random flow set over a few links. Routes and caps come from
+/// small pools so flows share them; keys are unique and input order is
+/// shuffled.
+std::vector<net::Flow> random_flow_set(std::uint64_t seed, std::vector<double>& caps,
+                                       FlowSetShape& shape) {
+  Xoshiro256 rng(seed);
+  const std::size_t links = 1 + rng.below(6);
+  caps.clear();
+  for (std::size_t l = 0; l < links; ++l) {
+    const double pool[] = {10.0, 15.0, 7.5, 0.5 + 20.0 * rng.uniform()};
+    caps.push_back(pool[rng.below(4)]);
+  }
+  const auto any_link = [&] { return static_cast<int>(rng.below(links)); };
+
+  std::vector<std::vector<int>> routes;
+  const std::size_t num_routes = 1 + rng.below(4);
+  for (std::size_t r = 0; r < num_routes; ++r) {
+    std::vector<int> route(1 + rng.below(4));
+    for (auto& l : route) l = any_link();
+    routes.push_back(std::move(route));
+  }
+  if (rng.below(4) == 0) {
+    const int l = any_link();
+    routes.push_back({l, any_link(), l});
+  }
+  if (rng.below(6) == 0) routes.emplace_back();
+  const double rate_caps[] = {5.0, 5.0 + 10.0 * rng.uniform(), 1e9};
+
+  std::vector<net::Flow> flows(1 + rng.below(24));
+  std::vector<std::uint64_t> seq(4, 0);
+  std::vector<std::size_t> route_of(flows.size());
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    auto& f = flows[i];
+    const int src = static_cast<int>(rng.below(4));
+    f.key = {src, seq[static_cast<std::size_t>(src)]++};
+    route_of[i] = rng.below(routes.size());
+    f.path = routes[route_of[i]];
+    f.rate_cap = rate_caps[rng.below(3)];
+    f.bytes = rng.below(8) == 0 ? 0.0 : static_cast<double>(1 + rng.below(400));
+    f.start = rng.below(2) == 0 ? 1.5 * static_cast<double>(rng.below(6))
+                                : 30.0 * rng.uniform();
+  }
+  for (std::size_t i = flows.size(); i > 1; --i) {
+    const std::size_t j = rng.below(i);
+    std::swap(flows[i - 1], flows[j]);
+    std::swap(route_of[i - 1], route_of[j]);
+  }
+
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    const auto& f = flows[i];
+    shape.zero_bytes |= f.bytes == 0.0;
+    shape.empty_path |= f.path.empty();
+    for (std::size_t a = 0; a < f.path.size(); ++a)
+      for (std::size_t b = a + 1; b < f.path.size(); ++b)
+        shape.repeated_link |= f.path[a] == f.path[b];
+    for (std::size_t j = i + 1; j < flows.size(); ++j) {
+      shape.same_start |= f.start == flows[j].start;
+      if (route_of[i] == route_of[j] && !f.path.empty()) {
+        shape.shared_path = true;
+        shape.mixed_caps |= f.rate_cap != flows[j].rate_cap;
+      }
+    }
+  }
+  return flows;
+}
+
+TEST(NetContention, SettleMatchesPerFlowReferenceBitForBit) {
+  constexpr std::uint64_t kSets = 12000;
+  std::array<std::uint64_t, 6> covered{};
+  std::vector<double> caps;
+  for (std::uint64_t seed = 1; seed <= kSets; ++seed) {
+    FlowSetShape shape;
+    const auto flows = random_flow_set(seed, caps, shape);
+    const auto want = reference::settle(flows, caps);
+    const auto got = net::settle(flows, caps);
+
+    ASSERT_EQ(got.flows.size(), want.flows.size()) << "seed " << seed;
+    for (std::size_t i = 0; i < want.flows.size(); ++i) {
+      const auto& g = got.flows[i];
+      const auto& w = want.flows[i];
+      ASSERT_TRUE(g.key == w.key) << "seed " << seed << " flow " << i;
+      ASSERT_TRUE(same_bits(g.finish, w.finish))
+          << "seed " << seed << " flow " << i << ": " << g.finish << " vs " << w.finish;
+      ASSERT_TRUE(same_bits(g.factor, w.factor))
+          << "seed " << seed << " flow " << i << ": " << g.factor << " vs " << w.factor;
+      ASSERT_EQ(g.hops, w.hops) << "seed " << seed << " flow " << i;
+    }
+    ASSERT_EQ(got.links.size(), want.links.size()) << "seed " << seed;
+    for (std::size_t l = 0; l < want.links.size(); ++l) {
+      ASSERT_TRUE(same_bits(got.links[l].peak, want.links[l].peak))
+          << "seed " << seed << " link " << l;
+      ASSERT_TRUE(same_bits(got.links[l].mean, want.links[l].mean))
+          << "seed " << seed << " link " << l;
+    }
+    ASSERT_TRUE(same_bits(got.busy_begin, want.busy_begin)) << "seed " << seed;
+    ASSERT_TRUE(same_bits(got.busy_end, want.busy_end)) << "seed " << seed;
+
+    covered[0] += shape.shared_path;
+    covered[1] += shape.mixed_caps;
+    covered[2] += shape.zero_bytes;
+    covered[3] += shape.empty_path;
+    covered[4] += shape.same_start;
+    covered[5] += shape.repeated_link;
+  }
+  // Every shape the fill could treat differently appears in many sets.
+  for (const auto count : covered) EXPECT_GT(count, kSets / 20);
 }
 
 // --- fabric + runtime -------------------------------------------------------

@@ -15,8 +15,9 @@ metric regressed beyond tolerance:
 
 The simulator is deterministic in virtual time, so on an unchanged model
 fresh == baseline exactly and any delta at all is a model change. The
-default ±10% tolerance is headroom for *intentional* model tuning; a PR
-that shifts a metric past it must regenerate the baseline and say why.
+default tolerance is therefore 0: any worse value fails. A model change
+regenerates the baseline and says why; --tol is an explicit opt-in for one
+invocation, never a standing allowance.
 
 Usage:
   check_regress.py --fresh fig08.json --baseline BENCH_fig08_pt2pt.json
@@ -65,8 +66,8 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--fresh", required=True, help="artifact from this build")
     ap.add_argument("--baseline", required=True, help="committed BENCH_*.json")
-    ap.add_argument("--tol", type=float, default=0.10,
-                    help="relative tolerance per metric (default 0.10)")
+    ap.add_argument("--tol", type=float, default=0.0,
+                    help="relative tolerance per metric (default 0: exact)")
     args = ap.parse_args()
     if args.tol < 0.0:
         ap.error("--tol must be >= 0")
