@@ -118,7 +118,7 @@ ChannelSelector::Decision ChannelSelector::select(int src, int dst, Bytes size) 
     return d;
   }
 
-  if (tuning_.use_shm && co_resident(src, dst)) {
+  if (co_resident(src, dst)) {
     // Fallback chain, evaluated per pair: CMA -> SHM -> HCA. An injected CMA
     // EPERM demotes large transfers to SHM rendezvous; an injected /dev/shm
     // failure on either endpoint knocks out both SHM paths and drops the

@@ -26,10 +26,6 @@ struct TuningParams {
   /// Enables the CMA channel for large intra-host messages.
   bool use_cma = true;
 
-  /// Enables the SHM channel (turning it off forces everything onto HCA,
-  /// used by the forced-channel comparison of Fig. 3).
-  bool use_shm = true;
-
   /// Enables two-level (leader-based) collective algorithms on top of the
   /// detected locality groups.
   bool two_level_collectives = true;
@@ -76,9 +72,6 @@ struct TuningParams {
   int hca_max_retries = 6;
   Micros hca_retry_backoff = 4.0;
   double hca_retry_backoff_factor = 2.0;
-
-  /// Paper defaults for container deployments (Sec. IV-C/D optima).
-  static TuningParams container_optimized() { return TuningParams{}; }
 };
 
 }  // namespace cbmpi::fabric

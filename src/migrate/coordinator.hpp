@@ -5,8 +5,11 @@
 // Coordinator in the JobConfig; every rank's checkpoint() call then asks
 // decide() whether this round boundary is the quiesce point. The decision
 // is memoized per round, so all ranks — already aligned to one virtual
-// instant by the phase barrier, with every in-flight send drained through
-// the matcher — give the same answer. On the firing round each rank saves
+// instant by the runtime's phase alignment (JobState::phase), with every
+// in-flight send drained through the matcher — give the same answer. A
+// rank released from that alignment returns from it even if a faster
+// peer's QuiesceInterrupt has already aborted the job, so every rank
+// reaches the save below. On the firing round each rank saves
 // its state here and unwinds with QuiesceInterrupt; once all ranks have
 // saved, fired() flips and the engine builds the resume segment from the
 // captured image.

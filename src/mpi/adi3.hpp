@@ -87,16 +87,18 @@ class Adi3Engine {
 
   /// The one blocking step: returns once `done()` holds, sleeping on this
   /// rank's matcher in between. It reads the matcher version before it
-  /// checks for abort and evaluates `done`, so an event that lands after the
+  /// evaluates `done` and checks for abort, so an event that lands after the
   /// check still bumps the version and ends the sleep — no wake-up is lost
-  /// and no timed poll is needed. Throws AbortedError once the job aborts.
+  /// and no timed poll is needed. Throws AbortedError once the job aborts
+  /// and `done` still fails: an event that already happened (a released
+  /// phase alignment, say) wins over a later abort.
   template <typename Done>
   void block_until(Done&& done) {
     const Matcher& matcher = job_->matcher(rank_);
     while (true) {
       const std::uint64_t seen = matcher.version();
-      check_abort();
       if (done()) return;
+      check_abort();
       matcher.wait_past(seen);
     }
   }

@@ -42,14 +42,13 @@ class Engine {
   /// the collective runs over (sub-phases pass their sub-list size).
   Algo choose(Coll coll, Bytes bytes, int ranks, bool two_level_available) const;
 
-  /// The Auto fallback alone — exposed so benches can display what an empty
-  /// table would do.
-  Algo heuristic(Coll coll, Bytes bytes, int ranks) const;
-
   const TuningTable& table() const { return table_; }
   int containers_per_host() const { return cph_; }
 
  private:
+  /// The Auto fallback (step 3 of choose()).
+  Algo heuristic(Coll coll, Bytes bytes, int ranks) const;
+
   TuningTable table_;
   fabric::TuningParams params_;
   int cph_;

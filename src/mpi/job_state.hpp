@@ -9,7 +9,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <shared_mutex>
 #include <span>
 #include <vector>
 
@@ -42,9 +41,21 @@ struct WindowInfo {
   Bytes elem_size = 1;
   std::vector<std::span<std::byte>> spans;          // indexed by comm rank
   std::vector<std::unique_ptr<std::mutex>> locks;   // per-op serialization
-  /// Passive-target epoch locks (MPI_Win_lock): EXCLUSIVE takes the writer
-  /// side, SHARED the reader side.
-  std::vector<std::unique_ptr<std::shared_mutex>> epoch_locks;
+  /// Passive-target epoch holders per target (MPI_Win_lock), guarded by
+  /// locks[t]: -1 = one exclusive holder, n >= 0 = n shared holders.
+  std::vector<int> epoch_holders;
+};
+
+/// Out-of-band phase alignment (Process::sync_time and the checkpoint /
+/// quiesce round boundary). Each rank arrives with its clock; the last
+/// arrival publishes the max, bumps the generation and pokes every matcher,
+/// and the others wait in Adi3Engine::block_until until the generation moves.
+struct PhaseAlignment {
+  std::mutex mutex;
+  int arrived = 0;
+  Micros running_max = 0.0;
+  Micros published_max = 0.0;
+  std::uint64_t generation = 0;
 };
 
 struct JobState {
@@ -108,6 +119,8 @@ struct JobState {
 
   std::mutex windows_mutex;
   std::map<std::uint64_t, std::shared_ptr<WindowInfo>> windows;
+
+  PhaseAlignment phase;
 
   int nranks = 0;
   std::uint64_t seed = 0;

@@ -13,8 +13,10 @@
 //
 // Wake-up rule: every event that can unblock the owning rank bumps
 // version() — a delivery, a rendezvous completion (the receiver pokes the
-// sender's matcher) and a job abort (the runtime pokes every matcher). A
-// blocked rank therefore sleeps in wait_past() without a timeout.
+// sender's matcher), the last arrival at a phase alignment (it pokes every
+// matcher), an RMA epoch unlock (it pokes the window's ranks) and a job
+// abort (the runtime pokes every matcher). A blocked rank therefore sleeps
+// in wait_past() without a timeout.
 #pragma once
 
 #include <condition_variable>
@@ -56,8 +58,8 @@ class Matcher {
   /// Blocks (wall-clock) until version() != seen.
   void wait_past(std::uint64_t seen) const;
 
-  /// Bumps version() without delivering anything: a rendezvous completion
-  /// or a job abort.
+  /// Bumps version() without delivering anything: a rendezvous completion,
+  /// a released phase alignment, an epoch unlock or a job abort.
   void poke();
 
   std::size_t pending() const;

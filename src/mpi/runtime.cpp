@@ -1,5 +1,6 @@
 #include "mpi/runtime.hpp"
 
+#include <algorithm>
 #include <exception>
 #include <limits>
 #include <numeric>
@@ -15,12 +16,10 @@
 namespace cbmpi::mpi {
 
 Process::Process(JobState& job, int rank, osl::SimProcess& proc,
-                 TimeBarrier& phase_barrier,
                  std::shared_ptr<const CommGroup> world_group)
     : os_(&proc),
       engine_(job, rank, proc),
-      world_(engine_, std::move(world_group), /*id=*/0),
-      phase_barrier_(&phase_barrier) {}
+      world_(engine_, std::move(world_group), /*id=*/0) {}
 
 void Process::compute(double ops) {
   const Micros before = os_->clock().now();
@@ -42,9 +41,36 @@ Xoshiro256 Process::make_rng(std::uint64_t salt) const {
             (static_cast<std::uint64_t>(rank()) * std::uint64_t{0x9e3779b97f4a7c15})));
 }
 
-void Process::sync_time() {
-  const Micros aligned = phase_barrier_->arrive_and_wait(os_->clock().now());
+Micros Process::align_clocks() {
+  auto& job = engine_.job();
+  auto& phase = job.phase;
+  std::unique_lock lock(phase.mutex);
+  phase.running_max = std::max(phase.running_max, now());
+  Micros aligned = phase.running_max;
+  if (++phase.arrived == job.nranks) {
+    phase.published_max = aligned;
+    phase.running_max = 0.0;
+    phase.arrived = 0;
+    ++phase.generation;
+    lock.unlock();
+    for (auto& matcher : job.matchers) matcher->poke();
+  } else {
+    // No rank re-arrives before it has read this generation's max, so
+    // published_max is stable once the generation has moved.
+    const std::uint64_t mine = phase.generation;
+    lock.unlock();
+    engine_.block_until([&] {
+      const std::scoped_lock guard(phase.mutex);
+      aligned = phase.published_max;
+      return phase.generation != mine;
+    });
+  }
   os_->clock().advance_to(aligned);
+  return aligned;
+}
+
+void Process::sync_time() {
+  align_clocks();
   engine_.check_crash();
 }
 
@@ -69,8 +95,7 @@ bool Process::checkpoint(int completed_rounds, std::span<const std::uint8_t> sta
   if (!taking && quiesce == nullptr) return false;
   // Quiesce: align every rank to one virtual instant. All ranks then hold
   // the same `aligned`, so the store's take/skip decision is uniform.
-  const Micros aligned = phase_barrier_->arrive_and_wait(os_->clock().now());
-  os_->clock().advance_to(aligned);
+  const Micros aligned = align_clocks();
   // A rank whose crash time lies at or before the aligned instant dies here,
   // before saving — the snapshot for this round then never commits and the
   // previous one stays the restart point (all-or-nothing commit).
@@ -599,20 +624,18 @@ JobResult run_job_attempt(const JobConfig& config,
     return CommGroup::make(std::move(ranks));
   }();
 
-  TimeBarrier phase_barrier(nranks);
   struct RankFailure {
     std::exception_ptr error;
     Micros at = 0.0;
   };
   std::vector<RankFailure> failures(static_cast<std::size_t>(nranks));
-  // Unblocks every rank that may be waiting on a failed one — in its
-  // matcher's blocking step or at the phase barrier; each observes the
-  // abort and raises AbortedError. The flag is set before the pokes, so a
-  // rank that reads its matcher version after a poke also sees the flag.
+  // Unblocks every rank that may be waiting on a failed one: each sleeps in
+  // its matcher's blocking step, observes the abort and raises
+  // AbortedError. The flag is set before the pokes, so a rank that reads
+  // its matcher version after a poke also sees the flag.
   auto abort_job = [&] {
     job.aborted.store(true, std::memory_order_release);
     for (auto& matcher : job.matchers) matcher->poke();
-    phase_barrier.abort_all();
   };
   std::vector<std::thread> threads;
   threads.reserve(static_cast<std::size_t>(nranks));
@@ -623,7 +646,7 @@ JobResult run_job_attempt(const JobConfig& config,
         threads.emplace_back([&, r] {
           try {
             Process process(job, r, *processes[static_cast<std::size_t>(r)],
-                            phase_barrier, world_group);
+                            world_group);
             body(process);
           } catch (...) {
             auto& failure = failures[static_cast<std::size_t>(r)];

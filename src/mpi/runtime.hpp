@@ -26,7 +26,6 @@
 #include "mpi/checkpoint.hpp"
 #include "mpi/coll/tuning_table.hpp"
 #include "mpi/communicator.hpp"
-#include "mpi/time_barrier.hpp"
 #include "net/fabric.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
@@ -154,7 +153,7 @@ struct JobResult {
 /// The per-rank handle passed to the job body.
 class Process {
  public:
-  Process(JobState& job, int rank, osl::SimProcess& proc, TimeBarrier& phase_barrier,
+  Process(JobState& job, int rank, osl::SimProcess& proc,
           std::shared_ptr<const CommGroup> world_group);
 
   Process(const Process&) = delete;
@@ -211,10 +210,13 @@ class Process {
   const osl::SimProcess& os() const { return *os_; }
 
  private:
+  /// Waits for every rank at the job's PhaseAlignment, advances this clock
+  /// to the max over all ranks' clocks and returns that instant.
+  Micros align_clocks();
+
   osl::SimProcess* os_;
   Adi3Engine engine_;
   Communicator world_;
-  TimeBarrier* phase_barrier_;
 };
 
 /// Runs one MPI job in the simulated cluster. Blocks until all ranks finish;

@@ -29,8 +29,7 @@ WindowHandle::WindowHandle(Communicator& comm, std::span<std::byte> local,
       slot->spans.resize(static_cast<std::size_t>(comm.size()));
       slot->locks.resize(static_cast<std::size_t>(comm.size()));
       for (auto& l : slot->locks) l = std::make_unique<std::mutex>();
-      slot->epoch_locks.resize(static_cast<std::size_t>(comm.size()));
-      for (auto& l : slot->epoch_locks) l = std::make_unique<std::shared_mutex>();
+      slot->epoch_holders.assign(static_cast<std::size_t>(comm.size()), 0);
     }
     CBMPI_REQUIRE(slot->elem_size == elem_size, "window element size mismatch");
     slot->spans[static_cast<std::size_t>(comm.rank())] = local;
@@ -139,16 +138,20 @@ void WindowHandle::flush_all() {
 
 void WindowHandle::lock(LockKind kind, int target) {
   CBMPI_REQUIRE(target >= 0 && target < comm_->size(), "lock target out of range");
-  auto& held = held_[static_cast<std::size_t>(target)];
+  const auto t = static_cast<std::size_t>(target);
+  auto& held = held_[t];
   CBMPI_REQUIRE(held == 0, "window already locked for target ", target);
-  auto& epoch = *info_->epoch_locks[static_cast<std::size_t>(target)];
-  if (kind == LockKind::Exclusive)
-    epoch.lock();
-  else
-    epoch.lock_shared();
+  auto& engine = comm_->engine();
+  // Epochs are granted in wall-clock order; unlock() pokes the waiters.
+  engine.block_until([&] {
+    const std::scoped_lock guard(*info_->locks[t]);
+    int& holders = info_->epoch_holders[t];
+    if (kind == LockKind::Exclusive ? holders != 0 : holders < 0) return false;
+    holders = kind == LockKind::Exclusive ? -1 : holders + 1;
+    return true;
+  });
   held = kind == LockKind::Exclusive ? 2 : 1;
   // Acquiring a remote lock costs about one small one-sided round trip.
-  auto& engine = comm_->engine();
   const auto decision =
       engine.job().selector->select(engine.world_rank(), comm_->to_world(target), 8);
   fabric::OneSidedCosts costs;
@@ -167,15 +170,19 @@ void WindowHandle::lock(LockKind kind, int target) {
 }
 
 void WindowHandle::unlock(int target) {
-  auto& held = held_[static_cast<std::size_t>(target)];
+  const auto t = static_cast<std::size_t>(target);
+  auto& held = held_[t];
   CBMPI_REQUIRE(held != 0, "window not locked for target ", target);
   flush(target);  // unlock completes the epoch's operations at the origin
-  auto& epoch = *info_->epoch_locks[static_cast<std::size_t>(target)];
-  if (held == 2)
-    epoch.unlock();
-  else
-    epoch.unlock_shared();
+  {
+    const std::scoped_lock guard(*info_->locks[t]);
+    int& holders = info_->epoch_holders[t];
+    holders = held == 2 ? 0 : holders - 1;
+  }
   held = 0;
+  // Any rank of this window may be waiting for the epoch in lock().
+  auto& job = comm_->engine().job();
+  for (int r = 0; r < comm_->size(); ++r) job.matcher(comm_->to_world(r)).poke();
 }
 
 void WindowHandle::fetch_rmw_bytes(

@@ -48,6 +48,7 @@ class WindowHandle {
 
   /// Passive-target epoch (MPI_Win_lock / MPI_Win_unlock): Exclusive blocks
   /// other epochs on the same target; Shared admits concurrent readers.
+  /// lock() waits in the rank's one blocking step, so a job abort wakes it.
   /// unlock() completes all ops of the epoch at the origin.
   void lock(LockKind kind, int target);
   void unlock(int target);

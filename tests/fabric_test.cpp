@@ -14,21 +14,19 @@ namespace {
 
 const topo::MachineProfile kProfile = topo::MachineProfile::chameleon_fdr();
 
-TuningParams tuned() { return TuningParams::container_optimized(); }
-
 double eager_half_latency(const ShmChannel& shm, Bytes size) {
   const auto c = shm.eager_costs(size, true);
   return c.sender + c.delivery + c.receiver;
 }
 
 TEST(ShmChannel, SmallMessageLatencyIsSubMicrosecond) {
-  const ShmChannel shm(kProfile, tuned());
+  const ShmChannel shm(kProfile, TuningParams{});
   EXPECT_LT(eager_half_latency(shm, 1), 0.8);
   EXPECT_GT(eager_half_latency(shm, 1), 0.05);
 }
 
 TEST(ShmChannel, CostsMonotoneInSize) {
-  const ShmChannel shm(kProfile, tuned());
+  const ShmChannel shm(kProfile, TuningParams{});
   double prev = 0.0;
   for (Bytes size : {1ull, 64ull, 1024ull, 4096ull, 8192ull}) {
     const double cost = eager_half_latency(shm, size);
@@ -38,15 +36,15 @@ TEST(ShmChannel, CostsMonotoneInSize) {
 }
 
 TEST(ShmChannel, InterSocketSlower) {
-  const ShmChannel shm(kProfile, tuned());
+  const ShmChannel shm(kProfile, TuningParams{});
   EXPECT_GT(shm.eager_costs(4096, false).sender, shm.eager_costs(4096, true).sender);
   EXPECT_GT(shm.eager_costs(1, false).delivery, shm.eager_costs(1, true).delivery);
 }
 
 TEST(ShmChannel, SmallerQueueMeansMoreStall) {
-  auto small_queue = tuned();
+  auto small_queue = TuningParams{};
   small_queue.smpi_length_queue = 16_KiB;
-  auto big_queue = tuned();
+  auto big_queue = TuningParams{};
   big_queue.smpi_length_queue = 128_KiB;
   const ShmChannel small(kProfile, small_queue);
   const ShmChannel big(kProfile, big_queue);
@@ -54,21 +52,21 @@ TEST(ShmChannel, SmallerQueueMeansMoreStall) {
 }
 
 TEST(ShmChannel, OversizedQueuePaysCacheDerate) {
-  auto huge_queue = tuned();
+  auto huge_queue = TuningParams{};
   huge_queue.smpi_length_queue = 4_MiB;
   const ShmChannel huge(kProfile, huge_queue);
-  const ShmChannel normal(kProfile, tuned());
+  const ShmChannel normal(kProfile, TuningParams{});
   EXPECT_GT(huge.eager_costs(4096, true).sender,
             normal.eager_costs(4096, true).sender);
 }
 
 TEST(ShmChannel, QueueCellsFollowTuning) {
-  const ShmChannel shm(kProfile, tuned());
+  const ShmChannel shm(kProfile, TuningParams{});
   EXPECT_DOUBLE_EQ(shm.queue_cells(), 16.0);  // 128K / 8K
 }
 
 TEST(ShmChannel, RndvTimesRespectMatchOrdering) {
-  const ShmChannel shm(kProfile, tuned());
+  const ShmChannel shm(kProfile, TuningParams{});
   const auto early_match = shm.rndv_times(64_KiB, true, 10.0, 5.0);
   const auto late_match = shm.rndv_times(64_KiB, true, 10.0, 50.0);
   EXPECT_GT(late_match.receiver_done, early_match.receiver_done);
@@ -80,7 +78,7 @@ TEST(ShmChannel, StageMovesBytesThroughQueue) {
   auto& host = machine.host_os(0);
   osl::SimProcess a(host, host.root_namespaces(), topo::CoreId{0, 0});
   osl::SimProcess b(host, host.root_namespaces(), topo::CoreId{0, 1});
-  const ShmChannel shm(kProfile, tuned());
+  const ShmChannel shm(kProfile, TuningParams{});
   std::vector<std::byte> data(3000);
   for (std::size_t i = 0; i < data.size(); ++i)
     data[i] = static_cast<std::byte>(i % 251);
@@ -97,14 +95,14 @@ TEST(ShmChannel, StageRefusedAcrossIpcNamespaces) {
   other.set(osl::NamespaceType::Ipc, host.make_namespace(osl::NamespaceType::Ipc));
   osl::SimProcess a(host, host.root_namespaces(), topo::CoreId{0, 0});
   osl::SimProcess b(host, other, topo::CoreId{0, 1});
-  const ShmChannel shm(kProfile, tuned());
+  const ShmChannel shm(kProfile, TuningParams{});
   std::vector<std::byte> data(16);
   std::vector<std::byte> out;
   EXPECT_THROW(shm.stage(a, b, 1, data, out), Error);
 }
 
 TEST(CmaChannel, LosesToShmBelow8K_WinsAbove) {
-  const ShmChannel shm(kProfile, tuned());
+  const ShmChannel shm(kProfile, TuningParams{});
   const CmaChannel cma(kProfile);
   // Below the paper's 8 K optimum the double copy is cheaper than a syscall.
   for (Bytes size : {256ull, 1024ull, 4096ull}) {
@@ -126,8 +124,8 @@ TEST(CmaChannel, SyscallOverheadDominatesSmall) {
 }
 
 TEST(HcaChannel, LoopbackWorseThanShm) {
-  const ShmChannel shm(kProfile, tuned());
-  const HcaChannel hca(kProfile, tuned());
+  const ShmChannel shm(kProfile, TuningParams{});
+  const HcaChannel hca(kProfile, TuningParams{});
   for (Bytes size : {1ull, 1024ull, 4096ull}) {
     const auto h = hca.eager_costs(size, true);
     EXPECT_GT(h.sender + h.delivery + h.receiver, eager_half_latency(shm, size))
@@ -139,8 +137,8 @@ TEST(HcaChannel, PaperLatencyCalibration) {
   // Paper Sec. V-B: 1 KiB intra-socket latency — default (HCA loopback)
   // ~2.26 us vs optimized (SHM) ~0.47 us vs native ~0.44 us. Check our
   // channel models sit in those neighbourhoods (±40%).
-  const ShmChannel shm(kProfile, tuned());
-  const HcaChannel hca(kProfile, tuned());
+  const ShmChannel shm(kProfile, TuningParams{});
+  const HcaChannel hca(kProfile, TuningParams{});
   const auto h = hca.eager_costs(1024, true);
   const double hca_latency = h.sender + h.delivery + h.receiver;
   EXPECT_GT(hca_latency, 1.5);
@@ -151,7 +149,7 @@ TEST(HcaChannel, PaperLatencyCalibration) {
 }
 
 TEST(HcaChannel, RemotePathPaysWireAndSwitch) {
-  const HcaChannel hca(kProfile, tuned());
+  const HcaChannel hca(kProfile, TuningParams{});
   EXPECT_GT(hca.control_latency(false), hca.control_latency(true));
   EXPECT_GT(hca.eager_costs(1024, false).delivery,
             hca.eager_costs(1024, true).delivery);
@@ -160,7 +158,7 @@ TEST(HcaChannel, RemotePathPaysWireAndSwitch) {
 }
 
 TEST(HcaChannel, QueuePairsCreatedLazilyAndDeduplicated) {
-  HcaChannel hca(kProfile, tuned());
+  HcaChannel hca(kProfile, TuningParams{});
   EXPECT_EQ(hca.queue_pairs(), 0u);
   hca.ensure_connected(0, 1);
   hca.ensure_connected(1, 0);
@@ -171,7 +169,7 @@ TEST(HcaChannel, QueuePairsCreatedLazilyAndDeduplicated) {
 TEST(HcaChannel, RndvBeatsEagerAboveThreshold) {
   // The 17 K eager threshold trade-off: around the threshold the two
   // protocols should be competitive; far above it rendezvous must win.
-  const HcaChannel hca(kProfile, tuned());
+  const HcaChannel hca(kProfile, TuningParams{});
   const Bytes big = 256_KiB;
   const auto eager = hca.eager_costs(big, false);
   const double eager_total = eager.sender + eager.delivery + eager.receiver;
@@ -182,8 +180,8 @@ TEST(HcaChannel, RndvBeatsEagerAboveThreshold) {
 TEST(OneSided, MessageRateGapMatchesPaperRatio) {
   // Paper: put bandwidth at 4 B — 15.73 MB/s (default/HCA loopback) vs
   // 147.99 MB/s (optimized/SHM): a ~9.4x gap. Check ours is in 6x-13x.
-  const ShmChannel shm(kProfile, tuned());
-  const HcaChannel hca(kProfile, tuned());
+  const ShmChannel shm(kProfile, TuningParams{});
+  const HcaChannel hca(kProfile, TuningParams{});
   const double shm_rate = 4.0 / shm.one_sided_costs(4, true).gap;
   const double hca_rate = 4.0 / hca.one_sided_costs(4, true).gap;
   const double ratio = shm_rate / hca_rate;
@@ -211,7 +209,7 @@ struct SelectorFixture {
     endpoints.push_back({procs.back().get(), procs.back()->hostname(), true});
   }
 
-  ChannelSelector make(LocalityPolicy policy, TuningParams tuning = tuned()) {
+  ChannelSelector make(LocalityPolicy policy, TuningParams tuning = TuningParams{}) {
     return ChannelSelector(policy, tuning, endpoints);
   }
 };
@@ -262,7 +260,7 @@ TEST(Selector, CmaDisabledFallsBackToShmRendezvous) {
   SelectorFixture fx;
   fx.add_container_proc(0, "cont-a", true, true, 0);
   fx.add_container_proc(0, "cont-b", true, true, 1);
-  auto tuning = tuned();
+  auto tuning = TuningParams{};
   tuning.use_cma = false;
   auto selector = fx.make(LocalityPolicy::ContainerAware, tuning);
   selector.set_detected_locality({{1, 1}, {1, 1}});

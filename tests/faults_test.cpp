@@ -6,7 +6,10 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <future>
 #include <memory>
 #include <stdexcept>
 #include <thread>
@@ -14,6 +17,7 @@
 #include "common/error.hpp"
 #include "mpi/job_registry.hpp"
 #include "mpi/runtime.hpp"
+#include "mpi/window.hpp"
 
 namespace cbmpi {
 namespace {
@@ -305,6 +309,51 @@ TEST(Faults, AbortWakesRanksBlockedInSendWaitAnyAndProbe) {
     EXPECT_NE(what.find("boom"), std::string::npos) << what;
   }
   // Waking is event-driven: the job ends right after the throw.
+  EXPECT_LT(std::chrono::steady_clock::now() - thrown_at, std::chrono::seconds(2));
+}
+
+TEST(Faults, AbortWakesRanksBlockedInWinLockAndSyncTime) {
+  // Rank 0 holds an exclusive epoch on target 1 and throws; rank 2 waits for
+  // that epoch and ranks 1 and 3 wait at the phase alignment rank 0 never
+  // reaches. The abort must wake all three bystanders.
+  JobConfig config;
+  config.deployment = DeploymentSpec::native_hosts(1, 4);
+  std::chrono::steady_clock::time_point thrown_at;  // read after the joins
+  // A lost wake-up hangs run_job; fail fast instead of stalling the suite.
+  auto job = std::async(std::launch::async, [&] {
+    run_job(config, [&](mpi::Process& p) {
+      std::vector<int> memory(4);
+      mpi::Window<int> window(p.world(), std::span<int>(memory));
+      switch (p.rank()) {
+        case 0:
+          window.lock(mpi::LockKind::Exclusive, 1);
+          p.world().send_value<int>(1, 2);
+          std::this_thread::sleep_for(std::chrono::milliseconds(20));
+          thrown_at = std::chrono::steady_clock::now();
+          throw std::runtime_error("boom");
+        case 2:
+          (void)p.world().recv_value<int>(0);
+          window.lock(mpi::LockKind::Exclusive, 1);
+          break;
+        default:
+          p.sync_time();
+      }
+    });
+  });
+  if (job.wait_for(std::chrono::seconds(10)) != std::future_status::ready) {
+    std::fprintf(stderr, "run_job hung: a rank blocked in Win_lock or "
+                         "sync_time was never woken by the abort\n");
+    std::_Exit(1);
+  }
+  try {
+    job.get();
+    FAIL() << "expected rank 0's failure to propagate";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("rank 0"), std::string::npos) << what;
+    EXPECT_NE(what.find("boom"), std::string::npos) << what;
+    EXPECT_EQ(what.find("job aborted"), std::string::npos) << what;
+  }
   EXPECT_LT(std::chrono::steady_clock::now() - thrown_at, std::chrono::seconds(2));
 }
 

@@ -2,6 +2,11 @@
 // (fetch_and_add, compare_and_swap), and the request-set / probe additions.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
+#include <future>
+
 #include "mpi/runtime.hpp"
 #include "mpi/window.hpp"
 
@@ -66,6 +71,61 @@ TEST(RmaPassive, UnlockWithoutLockThrows) {
                                 p.world().barrier();
                             }),
                Error);
+}
+
+TEST(RmaPassive, ExclusiveEpochsSerializeReadModifyWrite) {
+  // A non-atomic get/put increment is safe only inside an exclusive epoch:
+  // any overlap of two epochs would lose an update.
+  mpi::run_job(cfg(4), [](mpi::Process& p) {
+    std::vector<std::int64_t> memory(1, 0);
+    mpi::Window<std::int64_t> window(p.world(), std::span<std::int64_t>(memory));
+    for (int round = 0; round < 25; ++round) {
+      window.lock(LockKind::Exclusive, 0);
+      std::int64_t value = 0;
+      window.get(std::span<std::int64_t>(&value, 1), 0, 0);
+      window.flush(0);
+      ++value;
+      window.put(std::span<const std::int64_t>(&value, 1), 0, 0);
+      window.unlock(0);
+    }
+    p.world().barrier();
+    if (p.rank() == 0) {
+      EXPECT_EQ(memory[0], 100);
+    }
+    p.world().barrier();
+  });
+}
+
+TEST(RmaPassive, SharedEpochsOverlap) {
+  // Ranks 1 and 2 pass a token back and forth while both hold a shared
+  // epoch on target 0; if shared epochs excluded each other this would
+  // deadlock, so a watchdog turns a hang into a failure.
+  auto job = std::async(std::launch::async, [] {
+    mpi::run_job(cfg(4), [](mpi::Process& p) {
+      std::vector<int> memory(1, 7);
+      mpi::Window<int> window(p.world(), std::span<int>(memory));
+      if (p.rank() == 1 || p.rank() == 2) {
+        const int peer = 3 - p.rank();
+        window.lock(LockKind::Shared, 0);
+        for (int hop = 0; hop < 6; ++hop) {
+          if ((hop % 2 == 0) == (p.rank() == 1))
+            p.world().send_value<int>(hop, peer);
+          else
+            EXPECT_EQ(p.world().recv_value<int>(peer), hop);
+        }
+        int value = 0;
+        window.get(std::span<int>(&value, 1), 0, 0);
+        window.unlock(0);
+        EXPECT_EQ(value, 7);
+      }
+      p.world().barrier();
+    });
+  });
+  if (job.wait_for(std::chrono::seconds(10)) != std::future_status::ready) {
+    std::fprintf(stderr, "shared epochs on one target did not overlap\n");
+    std::_Exit(1);
+  }
+  job.get();
 }
 
 TEST(RmaAtomics, FetchAndAddIsGloballyAtomic) {

@@ -5,9 +5,10 @@
    file (anchors and external http(s)/mailto links are skipped).
 2. Every directory under src/ is documented in docs/ARCHITECTURE.md.
 3. docs/TUNING.md stays in sync with the knobs the code registers: every
-   cbmpirun flag and every CBMPI_* env var read anywhere in src/ or tools/
-   must be documented, and every flag/env var the doc mentions must still
-   exist (no stale rows).
+   cbmpirun flag, every CBMPI_* env var read anywhere in src/ or tools/ and
+   every fabric::TuningParams field declared in src/fabric/tuning.hpp must
+   be documented, and every flag/env var the doc mentions and every field
+   in its "Programmatic knobs" table must still exist (no stale rows).
 4. Build wiring is consistent: every src/ subdirectory with .cpp files has
    a CMakeLists.txt and an add_subdirectory entry in src/CMakeLists.txt
    (header-only directories, e.g. src/pgas, are exempt from build wiring
@@ -34,6 +35,7 @@ DOCS = [
 ]
 
 TUNING_DOC = "docs/TUNING.md"
+TUNING_HPP = "src/fabric/tuning.hpp"
 
 # opts.get("name", ...) / get_int / get_double / get_flag — the name may sit
 # on the line after the open paren, so match across whitespace.
@@ -42,6 +44,13 @@ FLAG_REG_RE = re.compile(
 ENV_VAR_RE = re.compile(r'"(CBMPI_[A-Z0-9_]+)"')
 DOC_FLAG_RE = re.compile(r"`--([a-z0-9-]+)(?:=[^`]*)?`")
 DOC_ENV_RE = re.compile(r"`(CBMPI_[A-Z0-9_]+)`")
+# `  Bytes smp_eager_size = 8_KiB;` inside struct TuningParams { ... };
+TUNING_STRUCT_RE = re.compile(r"struct TuningParams \{(.*?)^\};", re.S | re.M)
+FIELD_DECL_RE = re.compile(r"^\s*[A-Za-z_:]+\s+([a-z_][a-z0-9_]*)\s*(?:=[^;]*)?;",
+                           re.M)
+# `field`, `TuningParams::field` or `fabric::TuningParams::field`.
+DOC_FIELD_RE = re.compile(r"`(?:fabric::)?(?:TuningParams::)?([a-z_][a-z0-9_]*)`")
+KNOB_TABLE_ROW_RE = re.compile(r"^\| `([a-z_][a-z0-9_]*)` \|", re.M)
 
 # [text](target) — excludes images' leading "!" handling (images are links
 # to files too, so check them the same way).
@@ -134,6 +143,27 @@ def registered_env_vars():
     return found
 
 
+def tuning_fields():
+    """Data members of fabric::TuningParams, comments stripped."""
+    with open(os.path.join(REPO, TUNING_HPP), encoding="utf-8") as f:
+        body = TUNING_STRUCT_RE.search(f.read()).group(1)
+    body = re.sub(r"//.*", "", body)
+    return set(FIELD_DECL_RE.findall(body))
+
+
+def check_tuning_fields(doc, problems):
+    fields = tuning_fields()
+    table = doc.split("## Programmatic knobs", 1)[-1].split("\n## ", 1)[0]
+    for field in sorted(fields - set(DOC_FIELD_RE.findall(doc))):
+        problems.append(
+            f"{TUNING_DOC}: TuningParams::{field} is undocumented")
+    for field in sorted(set(KNOB_TABLE_ROW_RE.findall(table)) - fields):
+        problems.append(
+            f"{TUNING_DOC}: documents TuningParams::{field}, which "
+            f"{TUNING_HPP} does not declare (stale)")
+    return len(fields)
+
+
 def check_tuning_knobs(problems):
     with open(os.path.join(REPO, "tools", "cbmpirun.cpp"),
               encoding="utf-8") as f:
@@ -156,7 +186,7 @@ def check_tuning_knobs(problems):
     for var in sorted(doc_env - env_vars):
         problems.append(
             f"{TUNING_DOC}: documents {var}, which nothing reads (stale)")
-    return len(flags), len(env_vars)
+    return len(flags), len(env_vars), check_tuning_fields(doc, problems)
 
 
 def main():
@@ -168,13 +198,14 @@ def main():
         check_links(doc, problems)
     check_architecture_covers_src(problems)
     check_build_coverage(problems)
-    nflags, nenv = check_tuning_knobs(problems)
+    nflags, nenv, nfields = check_tuning_knobs(problems)
     for problem in problems:
         print(problem)
     if not problems:
         print(f"docs OK: {len(DOCS)} files, all links resolve, "
               "all src/ subsystems documented and build-wired, "
-              f"{nflags} flags + {nenv} env vars in sync with {TUNING_DOC}")
+              f"{nflags} flags + {nenv} env vars + {nfields} TuningParams "
+              f"fields in sync with {TUNING_DOC}")
     return len(problems)
 
 
