@@ -1,13 +1,13 @@
 #include "obs/json.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <iterator>
 
 namespace cbmpi::obs {
 
-std::string escape_json(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
+void append_escaped(std::string& out, std::string_view text) {
   for (const char c : text) {
     switch (c) {
       case '"': out += "\\\""; break;
@@ -29,21 +29,37 @@ std::string escape_json(std::string_view text) {
       }
     }
   }
+}
+
+void append_number(std::string& out, double value) {
+  if (!std::isfinite(value)) {
+    out += '0';
+    return;
+  }
+  // Integers (within uint53-ish range) render without a decimal point so
+  // counters passed as doubles stay readable; everything else gets 10
+  // significant digits.
+  char buf[32];
+  const bool integral = value == std::floor(value) && std::fabs(value) < 9.0e15;
+  const auto result =
+      integral ? std::to_chars(std::begin(buf), std::end(buf), value,
+                               std::chars_format::fixed, 0)
+               : std::to_chars(std::begin(buf), std::end(buf), value,
+                               std::chars_format::general, 10);
+  out.append(std::begin(buf), result.ptr);
+}
+
+std::string escape_json(std::string_view text) {
+  std::string out;
+  out.reserve(text.size());
+  append_escaped(out, text);
   return out;
 }
 
 std::string format_double(double value) {
-  if (!std::isfinite(value)) return "0";
-  // Integers (within uint53-ish range) render without a decimal point so
-  // counters passed as doubles stay readable; everything else gets %.10g.
-  if (value == std::floor(value) && std::fabs(value) < 9.0e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.0f", value);
-    return buf;
-  }
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.10g", value);
-  return buf;
+  std::string out;
+  append_number(out, value);
+  return out;
 }
 
 void JsonWriter::separate() {
@@ -52,71 +68,75 @@ void JsonWriter::separate() {
     return;
   }
   if (!has_elements_.empty()) {
-    if (has_elements_.back()) os_ << ",";
+    if (has_elements_.back()) out_ += ',';
     has_elements_.back() = true;
   }
 }
 
 JsonWriter& JsonWriter::begin_object() {
   separate();
-  os_ << "{";
+  out_ += '{';
   has_elements_.push_back(false);
   return *this;
 }
 
 JsonWriter& JsonWriter::end_object() {
-  os_ << "}";
+  out_ += '}';
   has_elements_.pop_back();
   return *this;
 }
 
 JsonWriter& JsonWriter::begin_array() {
   separate();
-  os_ << "[";
+  out_ += '[';
   has_elements_.push_back(false);
   return *this;
 }
 
 JsonWriter& JsonWriter::end_array() {
-  os_ << "]";
+  out_ += ']';
   has_elements_.pop_back();
   return *this;
 }
 
 JsonWriter& JsonWriter::key(std::string_view name) {
   separate();
-  os_ << "\"" << escape_json(name) << "\":";
+  out_ += '"';
+  append_escaped(out_, name);
+  out_ += "\":";
   after_key_ = true;
   return *this;
 }
 
 JsonWriter& JsonWriter::value(std::string_view text) {
   separate();
-  os_ << "\"" << escape_json(text) << "\"";
+  out_ += '"';
+  append_escaped(out_, text);
+  out_ += '"';
   return *this;
 }
 
 JsonWriter& JsonWriter::value(double number) {
   separate();
-  os_ << format_double(number);
+  append_number(out_, number);
   return *this;
 }
 
 JsonWriter& JsonWriter::value(std::uint64_t number) {
   separate();
-  os_ << number;
+  out_ += std::to_string(number);
   return *this;
 }
 
 JsonWriter& JsonWriter::value(std::int64_t number) {
   separate();
-  os_ << number;
+  out_ += std::to_string(number);
   return *this;
 }
 
 JsonWriter& JsonWriter::value(bool boolean) {
   separate();
-  os_ << (boolean ? "true" : "false");
+  out_ += boolean ? "true" : "false";
   return *this;
 }
 

@@ -2,29 +2,38 @@
 // (run reports, Perfetto traces, bench --json output).
 //
 // Determinism contract: the writer itself imposes no ordering, but number
-// formatting is fixed (shortest round-trip via %.17g collapsed to %g-style
-// text through a single snprintf call), so two runs that feed identical
-// values and key orders produce byte-identical documents. Callers are
-// responsible for iterating containers in a deterministic order (sorted
-// names, virtual-time order) before writing.
+// formatting is fixed and locale-independent: append_number renders a double
+// through std::to_chars, byte for byte what snprintf's "%.0f" (integral
+// values below 9e15) or "%.10g" (everything else) would print, so two runs
+// that feed identical values and key orders produce byte-identical documents.
+// Callers are responsible for iterating containers in a deterministic order
+// (sorted names, virtual-time order) before writing.
+//
+// Every emitter appends to one std::string through the two append helpers
+// below; escape_json and format_double are their string-returning forms.
 #pragma once
 
 #include <cstdint>
-#include <sstream>
 #include <string>
 #include <string_view>
 #include <vector>
 
 namespace cbmpi::obs {
 
-/// Escapes `text` for inclusion inside a JSON string literal: quotes,
+/// Appends `text` escaped for inclusion inside a JSON string literal: quotes,
 /// backslashes, and every control character below 0x20 (the common ones as
 /// two-character escapes, the rest as \u00XX).
+void append_escaped(std::string& out, std::string_view text);
+
+/// Appends the fixed rendering of a double: integral values below 9e15 in
+/// magnitude with no decimal point ("%.0f"), everything else as "%.10g";
+/// NaN/Inf become 0 since JSON has no spelling for them.
+void append_number(std::string& out, double value);
+
+/// append_escaped into a fresh string.
 std::string escape_json(std::string_view text);
 
-/// Fixed, locale-independent rendering of a double (no trailing noise for
-/// integers, "%.10g" otherwise; NaN/Inf become 0 since JSON has no spelling
-/// for them).
+/// append_number into a fresh string.
 std::string format_double(double value);
 
 /// Streaming writer with automatic comma placement. Usage:
@@ -62,12 +71,12 @@ class JsonWriter {
     return value(v);
   }
 
-  std::string str() const { return os_.str(); }
+  std::string str() const { return out_; }
 
  private:
   void separate();
 
-  std::ostringstream os_;
+  std::string out_;
   /// One entry per open container: true once the first element was written.
   std::vector<bool> has_elements_;
   bool after_key_ = false;

@@ -1,7 +1,9 @@
 #include "obs/report.hpp"
 
+#include <algorithm>
 #include <array>
 #include <sstream>
+#include <string_view>
 
 #include "common/table.hpp"
 #include "sim/trace_export.hpp"
@@ -403,29 +405,47 @@ std::string to_perfetto(std::span<const Span> spans,
   constexpr int kChannelPidBase = 1000;
   constexpr int kPathPid = 2000;
 
-  std::vector<Span> sorted(spans.begin(), spans.end());
-  sort_spans(sorted);
+  std::vector<const Span*> sorted;
+  sorted.reserve(spans.size());
+  for (const auto& span : spans) sorted.push_back(&span);
+  std::sort(sorted.begin(), sorted.end(),
+            [](const Span* a, const Span* b) { return span_less(*a, *b); });
 
   // Name every track we are about to emit (process_name metadata events).
   std::array<bool, fabric::kChannelKinds> channel_seen{};
   int max_rank = -1;
-  for (const auto& span : sorted) {
-    if (span.cat == SpanCat::Proto && span.channel >= 0 &&
-        span.channel < static_cast<int>(fabric::kChannelKinds))
-      channel_seen[static_cast<std::size_t>(span.channel)] = true;
-    max_rank = std::max(max_rank, span.rank);
+  for (const Span* span : sorted) {
+    if (span->cat == SpanCat::Proto && span->channel >= 0 &&
+        span->channel < static_cast<int>(fabric::kChannelKinds))
+      channel_seen[static_cast<std::size_t>(span->channel)] = true;
+    max_rank = std::max(max_rank, span->rank);
   }
   for (const auto& event : events)
     if (event.src >= 0) max_rank = std::max(max_rank, event.src);
 
-  std::ostringstream os;
-  os << "{\"traceEvents\":[";
+  std::string out = "{\"traceEvents\":[";
   bool first = true;
-  auto meta = [&](int pid, const std::string& name) {
-    if (!first) os << ",";
+  auto open_event = [&](std::string_view name) {
+    if (!first) out += ',';
     first = false;
-    os << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" << pid
-       << ",\"tid\":0,\"args\":{\"name\":\"" << escape_json(name) << "\"}}";
+    out += "{\"name\":\"";
+    append_escaped(out, name);
+    out += '"';
+  };
+  auto int_field = [&](std::string_view key, std::int64_t v) {
+    out += key;
+    out += std::to_string(v);
+  };
+  auto number_field = [&](std::string_view key, double v) {
+    out += key;
+    append_number(out, v);
+  };
+  auto meta = [&](int pid, const std::string& name) {
+    open_event("process_name");
+    int_field(",\"ph\":\"M\",\"pid\":", pid);
+    out += ",\"tid\":0,\"args\":{\"name\":\"";
+    append_escaped(out, name);
+    out += "\"}}";
   };
   for (int r = 0; r <= max_rank; ++r) meta(r, "rank " + std::to_string(r));
   for (std::size_t c = 0; c < fabric::kChannelKinds; ++c)
@@ -436,30 +456,41 @@ std::string to_perfetto(std::span<const Span> spans,
   if (analysis != nullptr && !analysis->segments.empty())
     meta(kPathPid, "critical path");
 
-  for (const auto& span : sorted) {
-    const bool channel_track = span.cat == SpanCat::Proto && span.channel >= 0;
-    const int pid = channel_track ? kChannelPidBase + span.channel : span.rank;
-    if (!first) os << ",";
-    first = false;
-    os << "{\"name\":\"" << escape_json(span.name) << "\",\"cat\":\""
-       << to_string(span.cat) << "\",\"ph\":\"X\",\"pid\":" << pid
-       << ",\"tid\":" << span.rank << ",\"ts\":" << format_double(span.begin)
-       << ",\"dur\":" << format_double(span.duration()) << ",\"args\":{\"bytes\":"
-       << span.bytes << ",\"peer\":" << span.peer;
-    if (!span.note.empty()) os << ",\"note\":\"" << escape_json(span.note) << "\"";
-    os << "}}";
+  for (const Span* span : sorted) {
+    const bool channel_track = span->cat == SpanCat::Proto && span->channel >= 0;
+    const int pid = channel_track ? kChannelPidBase + span->channel : span->rank;
+    open_event(span->name);
+    out += ",\"cat\":\"";
+    out += to_string(span->cat);
+    int_field("\",\"ph\":\"X\",\"pid\":", pid);
+    int_field(",\"tid\":", span->rank);
+    number_field(",\"ts\":", span->begin);
+    number_field(",\"dur\":", span->duration());
+    out += ",\"args\":{\"bytes\":";
+    out += std::to_string(span->bytes);
+    int_field(",\"peer\":", span->peer);
+    if (!span->note.empty()) {
+      out += ",\"note\":\"";
+      append_escaped(out, span->note);
+      out += '"';
+    }
+    out += "}}";
     // Flow arrow: sender's hand-off ("s" on the sender's rank track) binds
     // to this receive-side transfer slice ("f", enclosing-slice binding).
-    const bool transfer = span.cat == SpanCat::Proto && span.xfer >= 0 &&
-                          (span.name == "eager" || span.name == "rndv") &&
-                          span.sent_at >= 0.0 && span.peer >= 0;
+    const bool transfer = span->cat == SpanCat::Proto && span->xfer >= 0 &&
+                          (span->name == "eager" || span->name == "rndv") &&
+                          span->sent_at >= 0.0 && span->peer >= 0;
     if (transfer) {
-      os << ",{\"name\":\"xfer\",\"cat\":\"flow\",\"ph\":\"s\",\"id\":"
-         << span.xfer << ",\"pid\":" << span.peer << ",\"tid\":" << span.peer
-         << ",\"ts\":" << format_double(span.sent_at) << "}";
-      os << ",{\"name\":\"xfer\",\"cat\":\"flow\",\"ph\":\"f\",\"bp\":\"e\","
-         << "\"id\":" << span.xfer << ",\"pid\":" << pid << ",\"tid\":"
-         << span.rank << ",\"ts\":" << format_double(span.begin) << "}";
+      int_field(",{\"name\":\"xfer\",\"cat\":\"flow\",\"ph\":\"s\",\"id\":", span->xfer);
+      int_field(",\"pid\":", span->peer);
+      int_field(",\"tid\":", span->peer);
+      number_field(",\"ts\":", span->sent_at);
+      int_field("},{\"name\":\"xfer\",\"cat\":\"flow\",\"ph\":\"f\",\"bp\":\"e\",\"id\":",
+                span->xfer);
+      int_field(",\"pid\":", pid);
+      int_field(",\"tid\":", span->rank);
+      number_field(",\"ts\":", span->begin);
+      out += '}';
     }
   }
 
@@ -468,19 +499,21 @@ std::string to_perfetto(std::span<const Span> spans,
     // drop zero-width segments so the track stays strictly renderable.
     for (const auto& seg : analysis->segments) {
       if (seg.duration() <= 0.0) continue;
-      if (!first) os << ",";
-      first = false;
-      os << "{\"name\":\"" << escape_json(seg.name) << "\",\"cat\":\""
-         << "critical-path\",\"ph\":\"X\",\"pid\":" << kPathPid
-         << ",\"tid\":0,\"ts\":" << format_double(seg.begin) << ",\"dur\":"
-         << format_double(seg.duration()) << ",\"args\":{\"rank\":" << seg.rank
-         << ",\"category\":\"" << analysis::to_string(seg.blame) << "\"}}";
+      open_event(seg.name);
+      int_field(",\"cat\":\"critical-path\",\"ph\":\"X\",\"pid\":", kPathPid);
+      out += ",\"tid\":0";
+      number_field(",\"ts\":", seg.begin);
+      number_field(",\"dur\":", seg.duration());
+      int_field(",\"args\":{\"rank\":", seg.rank);
+      out += ",\"category\":\"";
+      out += analysis::to_string(seg.blame);
+      out += "\"}}";
     }
   }
 
-  sim::append_chrome_events(os, events, first);
-  os << "],\"displayTimeUnit\":\"ns\"}";
-  return os.str();
+  sim::append_chrome_events(out, events, first);
+  out += "],\"displayTimeUnit\":\"ns\"}";
+  return out;
 }
 
 std::string metrics_summary(const MetricsSnapshot& snapshot) {

@@ -50,19 +50,23 @@ void SpanRecorder::clear() {
   spans_.clear();
 }
 
+bool span_less(const Span& a, const Span& b) {
+  // end sorts descending so an enclosing span precedes its children when
+  // they share a begin time; everything after is a deterministic tiebreak
+  // over the span's virtual-time payload.
+  if (a.begin != b.begin) return a.begin < b.begin;
+  if (a.end != b.end) return a.end > b.end;
+  if (a.cat != b.cat) return static_cast<int>(a.cat) < static_cast<int>(b.cat);
+  if (a.rank != b.rank) return a.rank < b.rank;
+  if (a.peer != b.peer) return a.peer < b.peer;
+  if (a.name != b.name) return a.name < b.name;
+  return a.note < b.note;
+}
+
 void sort_spans(std::vector<Span>& spans) {
-  std::sort(spans.begin(), spans.end(), [](const Span& a, const Span& b) {
-    // end sorts descending so an enclosing span precedes its children when
-    // they share a begin time; everything after is a deterministic
-    // tiebreak over the span's virtual-time payload.
-    if (a.begin != b.begin) return a.begin < b.begin;
-    if (a.end != b.end) return a.end > b.end;
-    if (a.cat != b.cat) return static_cast<int>(a.cat) < static_cast<int>(b.cat);
-    if (a.rank != b.rank) return a.rank < b.rank;
-    if (a.peer != b.peer) return a.peer < b.peer;
-    if (a.name != b.name) return a.name < b.name;
-    return a.note < b.note;
-  });
+  // A lambda rather than the function pointer, so the comparison inlines.
+  std::sort(spans.begin(), spans.end(),
+            [](const Span& a, const Span& b) { return span_less(a, b); });
 }
 
 }  // namespace cbmpi::obs

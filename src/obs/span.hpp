@@ -87,6 +87,9 @@ class SpanRecorder {
 
 /// Canonical exporter order: (begin asc, end desc, cat, rank, peer, name,
 /// note) — outer spans sort before the spans they contain.
+bool span_less(const Span& a, const Span& b);
+
+/// Sorts `spans` by span_less.
 void sort_spans(std::vector<Span>& spans);
 
 }  // namespace cbmpi::obs

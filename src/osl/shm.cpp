@@ -1,39 +1,64 @@
 #include "osl/shm.hpp"
 
+#include <sys/mman.h>
+
+#include <atomic>
+#include <cerrno>
+#include <cstring>
+
 #include "common/error.hpp"
 
 namespace cbmpi::osl {
 
-ShmSegment::ShmSegment(Bytes size) : bytes_(size) {
+namespace {
+
+/// A private anonymous mapping: the kernel hands out zero-filled pages on
+/// first touch, so nothing is zeroed up front.
+std::uint8_t* map_zeroed(Bytes size) {
   CBMPI_REQUIRE(size > 0, "zero-sized shm segment");
+  void* mem = ::mmap(nullptr, size, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  CBMPI_REQUIRE(mem != MAP_FAILED, "shm segment mapping of ", size,
+                " bytes failed: ", std::strerror(errno));
+  return static_cast<std::uint8_t*>(mem);
 }
+
+/// `n` bytes at `offset` fit a segment of `size` bytes (no wrap-around for
+/// huge offsets).
+bool fits(Bytes offset, std::size_t n, Bytes size) {
+  return offset <= size && n <= size - offset;
+}
+
+}  // namespace
+
+ShmSegment::ShmSegment(Bytes size) : size_(size), bytes_(map_zeroed(size)) {}
+
+ShmSegment::~ShmSegment() { ::munmap(bytes_, size_); }
 
 void ShmSegment::store_byte(Bytes offset, std::uint8_t value) {
   CBMPI_REQUIRE(offset < size(), "shm store out of range: ", offset, " >= ", size());
-  bytes_[offset].store(value, std::memory_order_release);
+  std::atomic_ref<std::uint8_t>(bytes_[offset]).store(value, std::memory_order_release);
 }
 
 std::uint8_t ShmSegment::load_byte(Bytes offset) const {
   CBMPI_REQUIRE(offset < size(), "shm load out of range: ", offset, " >= ", size());
-  return bytes_[offset].load(std::memory_order_acquire);
+  return std::atomic_ref<std::uint8_t>(bytes_[offset]).load(std::memory_order_acquire);
 }
 
 void ShmSegment::write(Bytes offset, std::span<const std::byte> data) {
-  CBMPI_REQUIRE(offset + data.size() <= size(), "shm bulk write out of range");
+  CBMPI_REQUIRE(fits(offset, data.size(), size()), "shm bulk write out of range: ",
+                data.size(), " bytes at ", offset, " in ", size());
+  if (data.empty()) return;  // an empty span may hold a null pointer memcpy rejects
   const std::scoped_lock lock(bulk_mutex_);
-  for (std::size_t i = 0; i < data.size(); ++i)
-    bytes_[offset + i].store(static_cast<std::uint8_t>(data[i]), std::memory_order_relaxed);
+  std::memcpy(bytes_ + offset, data.data(), data.size());
 }
 
 void ShmSegment::read(Bytes offset, std::span<std::byte> out) const {
-  CBMPI_REQUIRE(offset + out.size() <= size(), "shm bulk read out of range");
+  CBMPI_REQUIRE(fits(offset, out.size(), size()), "shm bulk read out of range: ",
+                out.size(), " bytes at ", offset, " in ", size());
+  if (out.empty()) return;  // see write()
   const std::scoped_lock lock(bulk_mutex_);
-  for (std::size_t i = 0; i < out.size(); ++i)
-    out[i] = static_cast<std::byte>(bytes_[offset + i].load(std::memory_order_relaxed));
-}
-
-void ShmSegment::clear() {
-  for (auto& b : bytes_) b.store(0, std::memory_order_release);
+  std::memcpy(out.data(), bytes_ + offset, out.size());
 }
 
 std::shared_ptr<ShmSegment> SharedMemoryManager::open(NamespaceId ipc_ns,

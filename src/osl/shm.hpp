@@ -4,23 +4,26 @@
 // segment created in its own IPC namespace, which is exactly why the paper's
 // container list requires containers to share the host's IPC namespace.
 //
-// ShmSegment offers two access granularities:
+// Each ShmSegment is backed by its own anonymous mapping, so like the tmpfs
+// pages behind a real /dev/shm segment its memory exists only once touched:
+// a fresh segment reads as all zeros, and a 128 KiB length queue that only
+// ever stages eager messages costs the pages those messages reach. It offers
+// two access granularities, used on different segments:
 //   * lock-free byte ops — the container list protocol writes one byte per
 //     rank concurrently with no locks ("the byte is the smallest granularity
 //     of memory access without the lock", Sec. IV-B);
 //   * bulk read/write — used by the SHM channel's length queue to stage real
-//     payload bytes; internally serialized (the channel protocol provides its
-//     own ordering, the lock only keeps the simulation free of data races).
+//     payload bytes with memcpy; internally serialized (the channel protocol
+//     provides its own ordering, the lock only keeps the simulation free of
+//     data races). Bulk ops must not race with byte ops on the same bytes.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <span>
 #include <string>
-#include <vector>
 
 #include "common/units.hpp"
 #include "osl/namespaces.hpp"
@@ -29,9 +32,14 @@ namespace cbmpi::osl {
 
 class ShmSegment {
  public:
+  /// Maps `size` zero-filled bytes; throws cbmpi::Error if the mapping fails.
   explicit ShmSegment(Bytes size);
+  ~ShmSegment();
 
-  Bytes size() const { return static_cast<Bytes>(bytes_.size()); }
+  ShmSegment(const ShmSegment&) = delete;
+  ShmSegment& operator=(const ShmSegment&) = delete;
+
+  Bytes size() const { return size_; }
 
   /// Lock-free single-byte access (release/acquire so readers see writes
   /// published before a synchronisation point).
@@ -42,11 +50,9 @@ class ShmSegment {
   void write(Bytes offset, std::span<const std::byte> data);
   void read(Bytes offset, std::span<std::byte> out) const;
 
-  /// Zeroes the whole segment (lock-free byte stores).
-  void clear();
-
  private:
-  std::vector<std::atomic<std::uint8_t>> bytes_;
+  Bytes size_;
+  std::uint8_t* bytes_;  ///< owned mapping of size_ bytes
   mutable std::mutex bulk_mutex_;
 };
 

@@ -1,33 +1,51 @@
 #include "sim/trace_export.hpp"
 
-#include <sstream>
+#include <charconv>
+#include <iterator>
 
 #include "obs/json.hpp"
 
 namespace cbmpi::sim {
 
-void append_chrome_events(std::ostream& os, std::span<const TraceEvent> events,
+void append_chrome_events(std::string& out, std::span<const TraceEvent> events,
                           bool& first) {
   for (const auto& event : events) {
-    if (!first) os << ",";
+    if (!first) out += ',';
     first = false;
     // Instant events ("ph":"i") at the event's virtual timestamp; the source
     // rank is the process row so per-rank timelines line up.
-    os << "{\"name\":\"" << obs::escape_json(to_string(event.kind));
-    if (!event.note.empty()) os << " [" << obs::escape_json(event.note) << "]";
-    os << "\",\"ph\":\"i\",\"s\":\"t\",\"pid\":" << event.src
-       << ",\"tid\":" << event.dst << ",\"ts\":" << event.at
-       << ",\"args\":{\"bytes\":" << event.size << ",\"dst\":" << event.dst << "}}";
+    out += "{\"name\":\"";
+    obs::append_escaped(out, to_string(event.kind));
+    if (!event.note.empty()) {
+      out += " [";
+      obs::append_escaped(out, event.note);
+      out += ']';
+    }
+    out += "\",\"ph\":\"i\",\"s\":\"t\",\"pid\":";
+    out += std::to_string(event.src);
+    out += ",\"tid\":";
+    out += std::to_string(event.dst);
+    // Instant timestamps use 6 significant digits (std::ostream's default,
+    // "%.6g"), not append_number's 10.
+    out += ",\"ts\":";
+    char ts[32];
+    const auto result = std::to_chars(std::begin(ts), std::end(ts), event.at,
+                                      std::chars_format::general, 6);
+    out.append(std::begin(ts), result.ptr);
+    out += ",\"args\":{\"bytes\":";
+    out += std::to_string(event.size);
+    out += ",\"dst\":";
+    out += std::to_string(event.dst);
+    out += "}}";
   }
 }
 
 std::string to_chrome_trace(std::span<const TraceEvent> events) {
-  std::ostringstream os;
-  os << "{\"traceEvents\":[";
+  std::string out = "{\"traceEvents\":[";
   bool first = true;
-  append_chrome_events(os, events, first);
-  os << "],\"displayTimeUnit\":\"ns\"}";
-  return os.str();
+  append_chrome_events(out, events, first);
+  out += "],\"displayTimeUnit\":\"ns\"}";
+  return out;
 }
 
 }  // namespace cbmpi::sim

@@ -12,7 +12,6 @@
 // two documents render the instant events identically.
 #pragma once
 
-#include <ostream>
 #include <span>
 #include <string>
 
@@ -27,7 +26,7 @@ std::string to_chrome_trace(std::span<const TraceEvent> events);
 /// array: comma-separated, `first` tracking whether a separator is needed
 /// (shared between this and any objects the caller already wrote). All
 /// strings are fully JSON-escaped, including control characters.
-void append_chrome_events(std::ostream& os, std::span<const TraceEvent> events,
+void append_chrome_events(std::string& out, std::span<const TraceEvent> events,
                           bool& first);
 
 }  // namespace cbmpi::sim

@@ -7,10 +7,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cctype>
+#include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <limits>
 #include <numeric>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -220,6 +224,70 @@ TEST(ObsJson, FormatDoubleIsFixed) {
   EXPECT_EQ(obs::format_double(0.5), "0.5");
   EXPECT_EQ(obs::format_double(std::numeric_limits<double>::quiet_NaN()), "0");
   EXPECT_EQ(obs::format_double(std::numeric_limits<double>::infinity()), "0");
+}
+
+// Reference renderings through snprintf: "%.0f"/"%.10g" is the documented
+// JSON number format, "%.6g" what std::ostream prints for a legacy instant's
+// timestamp.
+std::string snprintf_json_number(double value) {
+  if (!std::isfinite(value)) return "0";
+  char buf[64];
+  if (value == std::floor(value) && std::fabs(value) < 9.0e15)
+    std::snprintf(buf, sizeof(buf), "%.0f", value);
+  else
+    std::snprintf(buf, sizeof(buf), "%.10g", value);
+  return buf;
+}
+
+std::string snprintf_g6(double value) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.6g", value);
+  return buf;
+}
+
+/// Edge cases plus seeded doubles: raw bit patterns (NaN payloads,
+/// subnormals, huge exponents), integers straddling the 9e15 cutoff,
+/// virtual-time-like values and short decimals at every scale.
+std::vector<double> differential_doubles() {
+  using lim = std::numeric_limits<double>;
+  std::vector<double> values = {
+      0.0, -0.0, 9e15, -9e15, std::nextafter(9e15, 0.0), std::nextafter(-9e15, 0.0),
+      std::nextafter(9e15, 1e16), 1e-5, -1e-5, lim::denorm_min(), -lim::denorm_min(),
+      lim::min() / 3.0, lim::min(), 1e300, -1e300, lim::max(), lim::lowest(),
+      lim::quiet_NaN(), -lim::quiet_NaN(), lim::infinity(), -lim::infinity(), 0.5,
+      2.5, 0.1, 999999.5, 9999999999.5, 123456.7890123, 1e16, 1e21};
+  std::mt19937_64 rng(20161016);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  std::uniform_int_distribution<int> exponent(-30, 30);
+  while (values.size() < 120000) {
+    switch (values.size() % 4) {
+      case 0: values.push_back(std::bit_cast<double>(rng())); break;
+      case 1:
+        values.push_back(static_cast<double>(
+            static_cast<std::int64_t>(rng() % 20'000'000'000'000'000ULL) -
+            10'000'000'000'000'000LL));
+        break;
+      case 2: values.push_back(unit(rng) * 1e7); break;
+      default:
+        values.push_back(std::round(unit(rng) * 1e6) / 1e3 *
+                         std::pow(10.0, exponent(rng)));
+    }
+  }
+  return values;
+}
+
+TEST(ObsJson, NumberFormattingMatchesSnprintf) {
+  for (const double v : differential_doubles()) {
+    std::string number;
+    obs::append_number(number, v);
+    ASSERT_EQ(number, snprintf_json_number(v)) << std::hexfloat << v;
+
+    // A legacy instant renders its ts between "ts": and the next comma.
+    const sim::TraceEvent event{sim::TraceKind::SendEager, 0, 1, 8, v, ""};
+    const std::string doc = sim::to_chrome_trace(std::span(&event, 1));
+    const auto at = doc.find("\"ts\":") + 5;
+    ASSERT_EQ(doc.substr(at, doc.find(',', at) - at), snprintf_g6(v)) << std::hexfloat << v;
+  }
 }
 
 TEST(ObsJson, WriterEmitsValidNestedDocument) {

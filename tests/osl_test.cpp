@@ -2,6 +2,11 @@
 // namespace scoping), processes, CMA permission semantics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <thread>
+#include <vector>
+
 #include "osl/cma.hpp"
 #include "osl/machine.hpp"
 #include "osl/process.hpp"
@@ -59,11 +64,48 @@ TEST(Shm, BulkRoundTrip) {
   EXPECT_EQ(in, out);
 }
 
-TEST(Shm, ClearZeroes) {
-  ShmSegment segment(8);
-  segment.store_byte(3, 9);
-  segment.clear();
-  EXPECT_EQ(segment.load_byte(3), 0);
+TEST(Shm, FreshQueueSegmentReadsZero) {
+  constexpr Bytes kQueue = 128_KiB;  // the tuned SMPI_LENGTH_QUEUE
+  ShmSegment segment(kQueue);
+  std::vector<std::byte> out(kQueue, std::byte{0xff});
+  segment.read(0, out);
+  EXPECT_TRUE(std::all_of(out.begin(), out.end(), [](std::byte b) { return b == std::byte{0}; }));
+  EXPECT_EQ(segment.load_byte(kQueue - 1), 0);
+}
+
+TEST(Shm, BulkRoundTripEndingAtSegmentEnd) {
+  ShmSegment segment(256);
+  std::vector<std::byte> in(56);
+  for (std::size_t i = 0; i < in.size(); ++i) in[i] = static_cast<std::byte>(i + 1);
+  segment.write(200, in);
+  std::vector<std::byte> out(56);
+  segment.read(200, out);
+  EXPECT_EQ(in, out);
+  EXPECT_EQ(segment.load_byte(255), 56);
+}
+
+TEST(Shm, BulkOutOfRangeThrows) {
+  ShmSegment segment(64);
+  std::vector<std::byte> buf(16);
+  EXPECT_THROW(segment.write(49, buf), Error);
+  EXPECT_THROW(segment.read(49, buf), Error);
+  // offset + size would wrap around to a small value; must still throw.
+  constexpr Bytes kHuge = std::numeric_limits<Bytes>::max();
+  EXPECT_THROW(segment.write(kHuge, buf), Error);
+  EXPECT_THROW(segment.read(kHuge, buf), Error);
+}
+
+TEST(Shm, ConcurrentByteStoresAllVisible) {
+  // The container-list protocol: every rank announces itself with one
+  // lock-free byte store, concurrently with the others.
+  constexpr int kThreads = 16;
+  ShmSegment segment(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&segment, t] { segment.store_byte(static_cast<Bytes>(t), 1); });
+  for (auto& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t)
+    EXPECT_EQ(segment.load_byte(static_cast<Bytes>(t)), 1) << "byte " << t;
 }
 
 TEST(Shm, OpenIsCreateOrAttach) {
