@@ -9,7 +9,7 @@
 #include "bench_util.hpp"
 
 #include "apps/osu/microbench.hpp"
-#include "sim/trace_export.hpp"
+#include "obs/report.hpp"
 
 using namespace cbmpi;
 using namespace cbmpi::bench;
@@ -52,7 +52,7 @@ int main(int argc, char** argv) {
   const std::uint64_t seed = declare_seed(opts);
   const std::string json_file = declare_json(opts);
   const std::string trace_file = opts.get(
-      "trace-out", "", "write a chrome://tracing JSON of one run to this file");
+      "trace-out", "", "write a Perfetto trace of one observed run to this file");
   if (opts.finish("Figure 8: two-sided pt2pt latency/bw/bibw, Def vs Opt vs Native"))
     return 0;
 
@@ -151,7 +151,7 @@ int main(int argc, char** argv) {
     print_shape_check(overhead < 0.05, "observability costs <5% virtual time");
     if (!trace_file.empty()) {
       std::ofstream(trace_file, std::ios::binary)
-          << sim::to_chrome_trace(observed.result.trace);
+          << obs::to_perfetto(observed.result.spans, observed.result.trace);
       std::printf("trace written to %s\n", trace_file.c_str());
     }
   }

@@ -18,13 +18,12 @@ class JsonValue {
   enum class Kind : std::uint8_t { Null, Bool, Number, String, Array, Object };
 
   Kind kind() const { return kind_; }
-  bool is_null() const { return kind_ == Kind::Null; }
 
   bool as_bool() const { return bool_; }
   double as_number() const { return number_; }
-  std::int64_t as_int() const { return static_cast<std::int64_t>(number_); }
   const std::string& as_string() const { return string_; }
   const std::vector<JsonValue>& as_array() const { return array_; }
+  const std::map<std::string, JsonValue>& as_object() const { return object_; }
 
   /// Object member by key; a shared Null sentinel when absent (so lookups
   /// chain without null checks: doc["job"]["seed"].as_int()).

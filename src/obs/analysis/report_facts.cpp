@@ -1,137 +1,66 @@
 #include "obs/analysis/report_facts.hpp"
 
-#include <cmath>
 #include <fstream>
 #include <sstream>
 
 #include "common/table.hpp"
-#include "obs/json.hpp"
+#include "obs/analysis/report_schema.hpp"
 
 namespace cbmpi::obs::analysis {
-
-namespace {
-
-/// Percentile over a parsed "buckets" array (le/count objects) — the same
-/// upper-bound rule as HistogramSnapshot::percentile, usable on v4 reports
-/// that predate the inline p50/p95/p99 fields.
-double bucket_percentile(const JsonValue& buckets, double total, double q) {
-  if (total <= 0.0 || buckets.size() == 0) return 0.0;
-  const double target = std::max(1.0, std::ceil(q * total));
-  double running = 0.0;
-  for (std::size_t i = 0; i < buckets.size(); ++i) {
-    running += buckets[i]["count"].as_number();
-    if (running >= target) return buckets[i]["le"].as_number();
-  }
-  return buckets[buckets.size() - 1]["le"].as_number();
-}
-
-void extract_metrics(const JsonValue& metrics,
-                     std::map<std::string, double>& out) {
-  const auto& counters = metrics["counters"].as_array();
-  for (const auto& c : counters)
-    out["counter." + c["name"].as_string()] = c["value"].as_number();
-  struct Quantile {
-    double q;
-    const char* key;
-  };
-  static constexpr Quantile kQuantiles[] = {
-      {0.50, "p50"}, {0.95, "p95"}, {0.99, "p99"}};
-  const auto& hists = metrics["histograms"].as_array();
-  for (const auto& h : hists) {
-    const std::string name = "hist." + h["name"].as_string();
-    out[name + ".count"] = h["count"].as_number();
-    for (const auto& [q, key] : kQuantiles) {
-      // v5 reports carry the percentiles inline; v4 predates them, so fall
-      // back to the same upper-bound rule over the bucket array.
-      out[name + "." + key] =
-          h.has(key) ? h[key].as_number()
-                     : bucket_percentile(h["buckets"], h["count"].as_number(),
-                                         q);
-    }
-  }
-}
-
-void extract_analysis(const JsonValue& analysis, ReportFacts& facts) {
-  if (analysis.kind() != JsonValue::Kind::Object) return;
-  facts.has_analysis = true;
-  auto& out = facts.scalars;
-  out["analysis.critical_path_us"] = analysis["critical_path_us"].as_number();
-  for (const auto& b : analysis["blame"].as_array())
-    out["analysis.blame." + b["category"].as_string() + "_us"] =
-        b["time_us"].as_number();
-  double late_sender = 0, late_receiver = 0, coll = 0, cont = 0, reg = 0;
-  for (const auto& ws : analysis["wait_states"].as_array()) {
-    late_sender += ws["late_sender_us"].as_number();
-    late_receiver += ws["late_receiver_us"].as_number();
-    coll += ws["coll_imbalance_us"].as_number();
-    cont += ws["contention_us"].as_number();
-    reg += ws["registration_us"].as_number();
-  }
-  out["analysis.wait.late_sender_us"] = late_sender;
-  out["analysis.wait.late_receiver_us"] = late_receiver;
-  out["analysis.wait.coll_imbalance_us"] = coll;
-  out["analysis.wait.contention_us"] = cont;
-  out["analysis.wait.registration_us"] = reg;
-}
-
-}  // namespace
 
 ReportFacts parse_report_facts(const JsonValue& doc, std::string label) {
   ReportFacts facts;
   facts.label = std::move(label);
-  if (doc["schema"].as_string() != "cbmpi.run_report") {
-    facts.error = facts.label + ": not a cbmpi.run_report document";
-    return facts;
-  }
-  facts.version = static_cast<int>(doc["version"].as_int());
+  facts.problems = check_report(doc);
+  if (!facts.ok()) return facts;
   facts.mode = doc["mode"].as_string();
   facts.app = doc["job"]["app"].as_string();
   facts.deployment = doc["job"]["deployment"].as_string();
   facts.policy = doc["job"]["policy"].as_string();
 
+  // A path of the other mode resolves to null and is skipped.
   auto& out = facts.scalars;
-  if (doc.has("result")) {
-    out["result.job_time_us"] = doc["result"]["job_time_us"].as_number();
-    out["result.hca_queue_pairs"] =
-        doc["result"]["hca_queue_pairs"].as_number();
+  for (const auto& field : report_fields()) {
+    if (field.type != FieldType::Number || field.path.find("[]") != std::string::npos) continue;
+    const JsonValue* value = &doc;
+    for (std::size_t begin = 0, end = 0; end != std::string::npos; begin = end + 1) {
+      end = field.path.find('.', begin);
+      value = &(*value)[field.path.substr(begin, end - begin)];
+    }
+    if (value->kind() == JsonValue::Kind::Number) out[field.path] = value->as_number();
   }
-  if (doc.has("profile")) {
-    const auto& p = doc["profile"];
-    out["profile.comm_time_us"] = p["comm_time_us"].as_number();
-    out["profile.compute_time_us"] = p["compute_time_us"].as_number();
-    out["profile.recovery_time_us"] = p["recovery_time_us"].as_number();
-    out["profile.comm_fraction"] = p["comm_fraction"].as_number();
+  for (const auto& c : doc["metrics"]["counters"].as_array())
+    out["counter." + c["name"].as_string()] = c["value"].as_number();
+  for (const auto& h : doc["metrics"]["histograms"].as_array())
+    for (const char* key : {"count", "p50", "p95", "p99"})
+      out["hist." + h["name"].as_string() + "." + key] = h[key].as_number();
+  facts.has_analysis = doc.has("analysis");
+  if (!facts.has_analysis) return facts;
+  const auto& analysis = doc["analysis"];
+  for (const auto& b : analysis["blame"].as_array())
+    out["analysis.blame." + b["category"].as_string() + "_us"] = b["time_us"].as_number();
+  for (const char* key : {"late_sender_us", "late_receiver_us", "coll_imbalance_us",
+                          "contention_us", "registration_us"}) {
+    double& total = out[std::string("analysis.wait.") + key];
+    for (const auto& ws : analysis["wait_states"].as_array()) total += ws[key].as_number();
   }
-  if (doc.has("metrics")) extract_metrics(doc["metrics"], out);
-  if (doc.has("reg_cache")) {
-    out["reg_cache.hits"] = doc["reg_cache"]["hits"].as_number();
-    out["reg_cache.misses"] = doc["reg_cache"]["misses"].as_number();
-    out["reg_cache.registered_bytes"] =
-        doc["reg_cache"]["registered_bytes"].as_number();
-  }
-  if (doc.has("cluster"))
-    out["cluster.makespan_us"] = doc["cluster"]["makespan_us"].as_number();
-  if (doc.has("analysis")) extract_analysis(doc["analysis"], facts);
-  facts.ok = true;
   return facts;
 }
 
 ReportFacts load_report_facts(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
+  ReportFacts facts;
+  facts.label = path;
   if (!in) {
-    ReportFacts facts;
-    facts.label = path;
-    facts.error = path + ": cannot open";
+    facts.problems.push_back("cannot open");
     return facts;
   }
   std::ostringstream buffer;
   buffer << in.rdbuf();
   std::string parse_error;
   const JsonValue doc = JsonValue::parse(buffer.str(), &parse_error);
-  if (doc.is_null()) {
-    ReportFacts facts;
-    facts.label = path;
-    facts.error = path + ": " + parse_error;
+  if (!parse_error.empty()) {
+    facts.problems.push_back(parse_error);
     return facts;
   }
   return parse_report_facts(doc, path);
@@ -139,7 +68,7 @@ ReportFacts load_report_facts(const std::string& path) {
 
 std::string render_report(const ReportFacts& facts) {
   std::ostringstream os;
-  os << facts.label << ": " << facts.mode << " run report v" << facts.version
+  os << facts.label << ": " << facts.mode << " run report v" << kRunReportVersion
      << ", app=" << facts.app << ", deployment=" << facts.deployment
      << ", policy=" << facts.policy << "\n";
   if (!facts.has_analysis)

@@ -1,39 +1,39 @@
-// Offline view of a run report for tools/cbmpi-analyze: loads any v4/v5
-// "cbmpi.run_report" JSON document into a flat, comparable fact table
-// (scalar metrics keyed by dotted names), renders a one-report summary and
-// a two-report diff ("analysis.blame.registration_us +38.2% vs baseline").
+// Offline view of a run report for tools/cbmpi-analyze: checks a
+// "cbmpi.run_report" document (report_schema.hpp), loads it into a flat,
+// comparable fact table (scalars keyed by dotted names), renders a summary
+// and a two-report diff ("analysis.blame.registration_us +38.2%").
 #pragma once
 
 #include <map>
 #include <string>
+#include <vector>
 
 #include "obs/analysis/json_read.hpp"
 
 namespace cbmpi::obs::analysis {
 
 struct ReportFacts {
-  bool ok = false;
-  std::string error;  ///< set when !ok (unreadable file, bad JSON, schema)
   std::string label;  ///< display name (the file path)
+  /// Unreadable file, bad JSON, or one "path: message" per check_report
+  /// violation; nothing below is loaded when any is set.
+  std::vector<std::string> problems;
+  bool ok() const { return problems.empty(); }
 
-  int version = 0;
   std::string mode;  ///< "single" or "schedule"
   std::string app, deployment, policy;
 
-  /// Every comparable scalar, dotted-name -> value. Includes result times,
-  /// profile aggregates, counters, histogram percentiles (computed from the
-  /// buckets for v4 reports that predate the p50/p95/p99 fields), reg-cache
-  /// stats, and — for v5 reports run with --analyze — the analysis blame
-  /// table and wait-state totals.
+  /// Every numeric field the schema declares outside an array, plus
+  /// counter.NAME, hist.NAME.{count,p50,p95,p99} and, with --analyze,
+  /// analysis.blame.CATEGORY_us and the whole-run analysis.wait.*_us.
   std::map<std::string, double> scalars;
 
   bool has_analysis = false;
 };
 
-/// Reads and parses one report file.
+/// Reads, parses and checks one report file.
 ReportFacts load_report_facts(const std::string& path);
 
-/// Parses an already-loaded document (tests).
+/// Checks and loads an already-parsed document.
 ReportFacts parse_report_facts(const JsonValue& doc, std::string label);
 
 /// Human summary of one report.

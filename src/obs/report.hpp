@@ -7,8 +7,8 @@
 // a name-sorted MetricsSnapshot, spans are sorted into canonical
 // virtual-time order, and numbers use obs::format_double — so the same job
 // config and seed produce byte-identical documents (the acceptance test for
-// the whole observability layer). The JSON schema is documented in
-// DESIGN.md §12 and validated in CI by tools/check_report.py.
+// the whole observability layer). Every field is declared, and reports are
+// checked, in obs/analysis/report_schema.hpp.
 #pragma once
 
 #include <map>
@@ -17,6 +17,7 @@
 
 #include "mpi/runtime.hpp"
 #include "obs/analysis/analysis.hpp"
+#include "obs/analysis/report_schema.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
@@ -24,28 +25,6 @@
 #include "sim/trace.hpp"
 
 namespace cbmpi::obs {
-
-/// v2: adds the "recovery" section (checkpoints, restarts) to single
-/// reports, the cluster "recovery" aggregates and per-job attempt/outcome
-/// (+ crash attribution) rows to schedule reports.
-/// v3: adds the "net" section (fabric model, per-link peak/mean utilization,
-/// congested-transfer count, hop histogram) to single reports run under a
-/// non-Ideal fabric; absent under FabricModel::Ideal.
-/// v4: adds the "reg_cache" section (pin-down cache capacity, hit/miss/evict
-/// counts, pinned-byte gauges) to single reports run with --reg-cache on;
-/// absent when the registration model is off.
-/// v5: adds p50/p95/p99 percentile fields to every metrics histogram, and —
-/// only when the run was analyzed (--analyze) — the "analysis" section
-/// (critical-path length, top-k segments, per-category blame, per-rank
-/// wait-state table); schedule reports gain the same object per job row.
-/// v6: adds the "migration" section. Single reports driven by
-/// migrate::Engine get policy, proposal/execution counts, the cost gate's
-/// prediction (pause + re-reg vs locality win) and one record per executed
-/// move (quiesce round, drained messages, pause, pair locality delta,
-/// invalidated pin-down entries); absent without a migration engine.
-/// Schedule reports gain the same section whenever a migration policy is
-/// on, aggregated across jobs plus per-job records.
-inline constexpr int kRunReportVersion = 6;
 
 /// What the emitter cannot read off a JobResult: how the job was launched.
 struct ReportContext {

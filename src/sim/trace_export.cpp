@@ -40,12 +40,4 @@ void append_chrome_events(std::string& out, std::span<const TraceEvent> events,
   }
 }
 
-std::string to_chrome_trace(std::span<const TraceEvent> events) {
-  std::string out = "{\"traceEvents\":[";
-  bool first = true;
-  append_chrome_events(out, events, first);
-  out += "],\"displayTimeUnit\":\"ns\"}";
-  return out;
-}
-
 }  // namespace cbmpi::sim

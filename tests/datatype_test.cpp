@@ -1,5 +1,5 @@
 // Tests for derived datatypes (strided vectors), persistent requests, the
-// Chrome-trace exporter, and the LU wavefront kernel.
+// trace exporter's instant events, and the LU wavefront kernel.
 #include <gtest/gtest.h>
 
 #include <numeric>
@@ -7,7 +7,7 @@
 #include "apps/npb/npb.hpp"
 #include "mpi/datatype.hpp"
 #include "mpi/runtime.hpp"
-#include "sim/trace_export.hpp"
+#include "obs/report.hpp"
 
 namespace cbmpi {
 namespace {
@@ -143,7 +143,7 @@ TEST(TraceExport, ProducesLoadableChromeJson) {
       p.world().recv_value<int>(0);
     p.compute(100.0);
   });
-  const std::string json = sim::to_chrome_trace(result.trace);
+  const std::string json = obs::to_perfetto(result.spans, result.trace);
   EXPECT_NE(json.find("\"traceEvents\":["), std::string::npos);
   EXPECT_NE(json.find("send-eager"), std::string::npos);
   EXPECT_NE(json.find("compute"), std::string::npos);
@@ -156,7 +156,7 @@ TEST(TraceExport, ProducesLoadableChromeJson) {
 }
 
 TEST(TraceExport, EmptyTraceIsValid) {
-  const std::string json = sim::to_chrome_trace({});
+  const std::string json = obs::to_perfetto({}, {});
   EXPECT_EQ(json, "{\"traceEvents\":[],\"displayTimeUnit\":\"ns\"}");
 }
 

@@ -2,7 +2,8 @@
 // formatting, structural validity), metrics registry semantics, log2
 // histogram bucket boundaries, canonical span ordering and nesting, the
 // versioned run report (golden shape, Table-I consistency, byte-identical
-// reruns), the Perfetto export, and the zero-virtual-time-overhead
+// reruns), the declared report schema and its checker, the report fact
+// reader, the Perfetto export, and the zero-virtual-time-overhead
 // guarantee.
 #include <gtest/gtest.h>
 
@@ -15,17 +16,20 @@
 #include <limits>
 #include <numeric>
 #include <random>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "common/error.hpp"
+#include "migrate_fixture.hpp"
 #include "mpi/runtime.hpp"
+#include "obs/analysis/report_facts.hpp"
+#include "obs/analysis/report_schema.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
 #include "obs/span.hpp"
 #include "sched/scheduler.hpp"
-#include "sim/trace_export.hpp"
 
 namespace cbmpi {
 namespace {
@@ -284,7 +288,7 @@ TEST(ObsJson, NumberFormattingMatchesSnprintf) {
 
     // A legacy instant renders its ts between "ts": and the next comma.
     const sim::TraceEvent event{sim::TraceKind::SendEager, 0, 1, 8, v, ""};
-    const std::string doc = sim::to_chrome_trace(std::span(&event, 1));
+    const std::string doc = obs::to_perfetto({}, std::span(&event, 1));
     const auto at = doc.find("\"ts\":") + 5;
     ASSERT_EQ(doc.substr(at, doc.find(',', at) - at), snprintf_g6(v)) << std::hexfloat << v;
   }
@@ -575,7 +579,7 @@ TEST(ObsTrace, ChromeTraceEscapesNastyNotes) {
                     "quote \" backslash \\ newline \n tab \t"});
   events.push_back({sim::TraceKind::RecvComplete, 1, 0, 64, 2.0,
                     std::string("ctrl \x01\x02\x1f end")});
-  const std::string doc = sim::to_chrome_trace(events);
+  const std::string doc = obs::to_perfetto({}, events);
   EXPECT_TRUE(JsonChecker(doc).valid()) << doc;
   EXPECT_NE(doc.find("\\\""), std::string::npos);
   EXPECT_NE(doc.find("\\\\"), std::string::npos);
@@ -587,7 +591,6 @@ TEST(ObsTrace, ChromeTraceEscapesNastyNotes) {
 }
 
 TEST(ObsTrace, EmptyInputsStillValid) {
-  EXPECT_TRUE(JsonChecker(sim::to_chrome_trace({})).valid());
   EXPECT_TRUE(JsonChecker(obs::to_perfetto({}, {})).valid());
 }
 
@@ -749,6 +752,359 @@ TEST(ObsReport, MetricsSummaryMentionsEveryInstrument) {
   EXPECT_NE(text.find("ops.total"), std::string::npos);
   EXPECT_NE(text.find("load"), std::string::npos);
   EXPECT_NE(text.find("sizes"), std::string::npos);
+}
+
+// ---- declared report schema ------------------------------------------------
+
+using obs::analysis::JsonValue;
+using obs::analysis::ReportMode;
+
+JsonValue parse_json(const std::string& text) {
+  std::string error;
+  JsonValue doc = JsonValue::parse(text, &error);
+  EXPECT_TRUE(error.empty()) << error;
+  return doc;
+}
+
+/// obs_job_body plus a cross-host rendezvous (HCA path, pin-down cache) and
+/// checkpointed rounds.
+void schema_body(mpi::Process& p) {
+  obs_job_body(p);
+  std::vector<double> big(64 * 1024);
+  if (p.rank() == 0) p.world().send(std::span<const double>(big), 2, 6);
+  if (p.rank() == 2) p.world().recv(std::span<double>(big), 0, 6);
+  checkpointing_body(p);
+}
+
+/// A single report with every optional single-mode section but migration:
+/// fat-tree net, the reg-cache model, checkpoints, analysis and cluster.
+std::string full_single_report() {
+  auto config = obs_job_config(true);
+  config.fabric = net::FabricConfig::parse("fattree:4");
+  config.tuning.reg_model = true;
+  config.checkpoint_interval = 5.0;
+  const auto result = mpi::run_job(config, schema_body);
+  const auto analysis = obs::analysis::analyze(
+      result.spans, static_cast<int>(result.rank_times.size()), result.rank_times);
+  const sched::ClusterMetrics cluster;
+  auto ctx = test_context();
+  ctx.analysis = &analysis;
+  ctx.cluster = &cluster;
+  return obs::run_report_json(ctx, result);
+}
+
+std::string migrated_single_report() {
+  const auto job = ring_job(6, 16_KiB);
+  return obs::run_report_json(
+      test_context(),
+      run_migrated(job, config_for(job, two_host_placement()), defrag_plan()));
+}
+
+/// A schedule report with crash rows, restored progress, per-job analyses
+/// and a migration section with executed moves.
+std::string full_schedule_report() {
+  auto config = spread_cluster(migrate::MigrationPolicy::Defrag);
+  config.observe = true;
+  config.checkpoint_interval = 10.0;
+  config.max_restarts = 4;
+  sched::Scheduler scheduler(config);
+  auto mix = fragmented_mix();
+  mix[1].faults.rank_crash_prob = 1.0;
+  mix[1].faults.crash_horizon = 60.0;
+  for (auto& job : mix) scheduler.submit(std::move(job));
+  scheduler.run();
+  std::map<std::string, obs::analysis::Analysis> analyses;
+  for (const auto& job : scheduler.jobs())
+    if (!job.result.rank_times.empty())
+      analyses.emplace(job.spec.name,
+                       obs::analysis::analyze(job.result.spans,
+                                              static_cast<int>(job.result.rank_times.size()),
+                                              job.result.rank_times));
+  auto ctx = test_context();
+  ctx.cluster = &scheduler.metrics();
+  ctx.job_analyses = &analyses;
+  return obs::schedule_report_json(ctx, scheduler);
+}
+
+struct SchemaReports {
+  std::string single = full_single_report();
+  std::string migrated = migrated_single_report();
+  std::string schedule = full_schedule_report();
+};
+
+const SchemaReports& schema_reports() {
+  static const SchemaReports reports;
+  return reports;
+}
+
+/// Every table path a document emits: dotted, "x[]" for array elements.
+void collect_paths(const JsonValue& value, const std::string& path,
+                   std::set<std::string>& out) {
+  if (!path.empty()) out.insert(path);
+  const auto members = [&](const JsonValue& obj, const std::string& prefix) {
+    for (const auto& [key, member] : obj.as_object())
+      collect_paths(member, prefix.empty() ? key : prefix + "." + key, out);
+  };
+  if (value.kind() == JsonValue::Kind::Object) members(value, path);
+  for (const auto& element : value.as_array())
+    if (element.kind() == JsonValue::Kind::Object) members(element, path + "[]");
+}
+
+TEST(ReportSchema, EmitterAndTableDeclareTheSameFields) {
+  const auto& reports = schema_reports();
+  std::set<std::pair<ReportMode, std::string>> emitted;
+  for (const auto& [mode, text] :
+       {std::pair{ReportMode::Single, reports.single},
+        std::pair{ReportMode::Single, reports.migrated},
+        std::pair{ReportMode::Schedule, reports.schedule}}) {
+    const auto doc = parse_json(text);
+    EXPECT_EQ(obs::analysis::check_report(doc), std::vector<std::string>{});
+    std::set<std::string> paths;
+    collect_paths(doc, "", paths);
+    for (const auto& path : paths) emitted.insert({mode, path});
+  }
+  std::set<std::pair<ReportMode, std::string>> declared;
+  for (const auto& field : obs::analysis::report_fields())
+    declared.insert({field.mode, field.path});
+  for (const auto& [mode, path] : emitted)
+    EXPECT_TRUE(declared.contains({mode, path}) ||
+                declared.contains({ReportMode::Both, path}))
+        << "emitted but undeclared: " << path;
+  for (const auto& field : obs::analysis::report_fields()) {
+    const bool seen = field.mode == ReportMode::Both
+                          ? emitted.contains({ReportMode::Single, field.path}) ||
+                                emitted.contains({ReportMode::Schedule, field.path})
+                          : emitted.contains({field.mode, field.path});
+    EXPECT_TRUE(seen) << "declared but never emitted: " << field.path;
+  }
+}
+
+/// One past the JSON value starting at text[i] (compact emitter output).
+std::size_t skip_value(const std::string& text, std::size_t i) {
+  if (text[i] == '"') {
+    for (++i; text[i] != '"'; ++i)
+      if (text[i] == '\\') ++i;
+    return i + 1;
+  }
+  if (text[i] == '{' || text[i] == '[') {
+    int depth = 0;
+    do {
+      if (text[i] == '"') {
+        i = skip_value(text, i);
+        continue;
+      }
+      if (text[i] == '{' || text[i] == '[') ++depth;
+      if (text[i] == '}' || text[i] == ']') --depth;
+      ++i;
+    } while (depth > 0);
+    return i;
+  }
+  while (text[i] != ',' && text[i] != '}' && text[i] != ']') ++i;
+  return i;
+}
+
+/// Replaces the value at `path` ("net.link_utils[0].peak") in a compact
+/// document, or removes the member when `value` is null.
+std::string edit_report(std::string text, const std::string& path, const char* value) {
+  std::size_t at = 0, key_begin = 0;  // `at`: start of the current value
+  for (std::size_t begin = 0, end = 0; end != std::string::npos; begin = end + 1) {
+    end = path.find('.', begin);
+    std::string step = path.substr(begin, end - begin);
+    int index = -1;
+    if (const auto bracket = step.find('['); bracket != std::string::npos) {
+      index = std::stoi(step.substr(bracket + 1));
+      step.resize(bracket);
+    }
+    for (std::size_t i = at + 1;; ++i) {
+      const std::size_t colon = skip_value(text, i);
+      if (text.compare(i, colon - i, "\"" + step + "\"") == 0) {
+        key_begin = i;
+        at = colon + 1;
+        break;
+      }
+      i = skip_value(text, colon + 1);
+      if (text[i] != ',') {
+        ADD_FAILURE() << "no " << path << " in the report";
+        return text;
+      }
+    }
+    if (index < 0) continue;
+    std::size_t i = at + 1;
+    for (int e = 0; e < index; ++e) i = skip_value(text, i) + 1;
+    at = i;
+  }
+  const std::size_t value_end = skip_value(text, at);
+  if (value != nullptr) return text.replace(at, value_end - at, value);
+  if (text[value_end] == ',') return text.erase(key_begin, value_end + 1 - key_begin);
+  return text.erase(key_begin - 1, value_end + 1 - key_begin);
+}
+
+/// One hand edit of an emitted report and the problem check_report must
+/// report for it (a prefix of "path: message").
+struct ReportEdit {
+  char report;  ///< 'S' full single, 'C' full schedule
+  const char* path;
+  const char* value;  ///< replacement JSON; null removes the member
+  const char* problem;
+};
+
+constexpr const char* kLowSumHistogram =
+    R"({"name":"h","count":5,"sum":3,"p50":1023,"p95":1023,"p99":1023,)"
+    R"("buckets":[{"le":1023,"count":5}]})";
+
+const ReportEdit kReportEdits[] = {
+    // Per-field rules: type, missing key, undeclared key, fraction,
+    // non-negative, positive, one-of, and the version.
+    {'S', "result.job_time_us", "\"fast\"", "result.job_time_us: is not a number"},
+    {'S', "recovery.restored", "0", "recovery.restored: is not a bool"},
+    {'S', "profile", "[]", "profile: is not an object"},
+    {'S', "result.rank_times_us[1]", "\"x\"", "result.rank_times_us[1]: is not a number"},
+    {'S', "result.hca_queue_pairs", nullptr, "result.hca_queue_pairs: missing"},
+    {'S', "spans", nullptr, "spans: missing"},
+    {'C', "cluster", nullptr, "cluster: missing"},
+    {'C', "jobs[0].crash", "{}", "jobs[0].crash.kind: missing"},
+    {'S', "job", R"({"app":"a","deployment":"d","policy":"p","seed":1,"user":2})",
+     "job.user: undeclared field"},
+    {'S', "profile.comm_fraction", "7.5", "profile.comm_fraction: 7.5 is not a fraction"},
+    {'S', "net.link_utils[0].peak", "1.5", "net.link_utils[0].peak: 1.5 is not a fraction"},
+    {'S', "faults.time_lost_us", "-1", "faults.time_lost_us: -1 is negative"},
+    {'S', "net.hop_histogram[0]", "-1", "net.hop_histogram[0]: -1 is negative"},
+    {'C', "migration.records[0].quiesce_round", "0",
+     "migration.records[0].quiesce_round: 0 is not positive"},
+    {'C', "jobs[0].outcome", "\"vanished\"", "jobs[0].outcome: 'vanished' is not one of"},
+    {'S', "schema", "\"other\"", "schema: 'other' is not one of"},
+    {'S', "version", "5", "version: 5 is not 6"},
+    // Cross-field invariants, one edit each.
+    {'S', "result.job_time_us", "1e9", "result.job_time_us: is not the max"},
+    {'S', "metrics.histograms[0]", kLowSumHistogram, "metrics.histograms[0].sum: 3 outside"},
+    {'S', "metrics.histograms[0].buckets[0].le", "1000",
+     "metrics.histograms[0].buckets[0].le: 1000 is not 0 or 2^i - 1"},
+    {'S', "metrics.histograms[0].buckets",
+     R"([{"le":1023,"count":1},{"le":511,"count":1}])",
+     "metrics.histograms[0].buckets[1].le: bounds not ascending"},
+    {'S', "metrics.histograms[0].count", "1e9", "metrics.histograms[0].count:"},
+    {'S', "metrics.histograms[0].p50", "1e18", "metrics.histograms[0].p50: p50 <= p95"},
+    {'S', "metrics.histograms[0].p99", "5", "metrics.histograms[0].p99: 5 is not a bucket"},
+    {'S', "profile.channels[0].ops", "1e9", "metrics.counters: channel.* counters"},
+    {'S', "metrics.counters[0].value", "1e9", "metrics.counters: adi3.eager_sends"},
+    {'S', "spans.count", "1", "spans.count:"},
+    {'S', "recovery.checkpoints", "99", "recovery.checkpoints:"},
+    {'S', "recovery.events[1].round", "0", "recovery.events[1].round:"},
+    {'S', "recovery.events[1].at_us", "0", "recovery.events[1].at_us:"},
+    {'S', "recovery.restore_round", "3", "recovery.restore_round:"},
+    {'S', "net.congested_transfers", "1e12", "net.congested_transfers:"},
+    {'S', "net.max_factor", "0.5", "net.max_factor:"},
+    {'S', "net.transfers", "0", "net.hop_histogram: does not sum"},
+    {'S', "net.link_utils[0].peak", "0", "net.link_utils[0].mean: exceeds peak"},
+    {'S', "net.links", "0", "net.link_utils: more rows"},
+    {'S', "reg_cache.peak_pinned_bytes", "0", "reg_cache.pinned_bytes: exceeds peak"},
+    {'S', "reg_cache.capacity_bytes", "0", "reg_cache.peak_pinned_bytes: exceeds capacity"},
+    {'S', "reg_cache.registered_bytes", "1", "reg_cache.pinned_bytes: exceeds registered"},
+    {'S', "reg_cache.misses", "0", "reg_cache.misses: 0 although"},
+    {'S', "reg_cache.hits", "1e9", "reg_cache.hits: differs from counter"},
+    {'S', "analysis.critical_path_us", "1e9", "analysis.blame: does not sum"},
+    {'S', "analysis.blame[0].category", "\"eager\"", "analysis.blame: categories"},
+    {'S', "analysis.top_segments[0].end_us", "-1", "analysis.top_segments[0]: begin_us"},
+    {'S', "analysis.top_segments[0].time_us", "1e9", "analysis.top_segments[0].time_us:"},
+    {'C', "jobs[2].analysis.critical_path_us", "1e9", "jobs[2].analysis.blame: does not sum"},
+    {'C', "migration.proposed", "0", "migration.executed: rejected + executed"},
+    {'C', "migration.executed", "99", "migration.records:"},
+    {'C', "migration.records[0].move.ranks", "[]", "migration.records[0].move.ranks:"},
+    {'C', "migration.records[0].resume_at_us", "0", "migration.records[0].resume_at_us:"},
+    {'C', "migration.total_pause_us", "1e9", "migration.total_pause_us:"},
+    {'C', "cluster.recovery.restarts_from_checkpoint", "1e9",
+     "cluster.recovery.restarts_from_checkpoint:"},
+    {'C', "cluster.recovery.requeues", "1e9", "cluster.recovery.requeues:"},
+    {'C', "cluster.recovery.crashes", "0", "jobs:"},
+    {'C', "jobs[1].submit_us", "1e9", "jobs[1].start_us: before submit_us"},
+    {'C', "jobs[0].start_us", "1e9", "jobs[0].end_us: before start_us"},
+};
+
+TEST(ReportSchema, EveryRuleAndInvariantNamesTheBrokenPath) {
+  const auto& reports = schema_reports();
+  for (const auto& edit : kReportEdits) {
+    const std::string text = edit_report(
+        edit.report == 'S' ? reports.single : reports.schedule, edit.path, edit.value);
+    const auto problems = obs::analysis::check_report(parse_json(text));
+    EXPECT_TRUE(std::any_of(problems.begin(), problems.end(),
+                            [&](const std::string& p) { return p.starts_with(edit.problem); }))
+        << edit.path << " = " << (edit.value ? edit.value : "(removed)") << " should report '"
+        << edit.problem << "'; got:\n"
+        << testing::PrintToString(problems);
+  }
+}
+
+TEST(ReportSchema, CheckerRejectsAnUnknownMode) {
+  const auto problems = obs::analysis::check_report(
+      parse_json(edit_report(schema_reports().single, "mode", "\"batch\"")));
+  EXPECT_EQ(problems, std::vector<std::string>{"mode: 'batch' is not single|schedule"});
+}
+
+// ---- report facts -------------------------------------------------------------
+
+/// 1 MiB messages, one buffer reused, rank 0 on host 0 to rank 1 on host 1:
+/// every transfer is an HCA rendezvous against the pin-down cache.
+obs::analysis::ReportFacts reg_cache_facts(Bytes cache_bytes) {
+  mpi::JobConfig config;
+  config.deployment = DeploymentSpec::containers(2, 1, 1);
+  config.policy = fabric::LocalityPolicy::ContainerAware;
+  config.observe = true;
+  config.tuning.reg_model = true;
+  config.tuning.reg_cache_bytes = cache_bytes;
+  const auto result = mpi::run_job(config, [](mpi::Process& p) {
+    std::vector<std::uint8_t> buf(1_MiB);
+    for (int i = 0; i < 8; ++i) {
+      if (p.rank() == 0) p.world().send(std::span<const std::uint8_t>(buf), 1, i);
+      if (p.rank() == 1) p.world().recv(std::span<std::uint8_t>(buf), 0, i);
+    }
+  });
+  const auto analysis = obs::analysis::analyze(
+      result.spans, static_cast<int>(result.rank_times.size()), result.rank_times);
+  auto ctx = test_context();
+  ctx.analysis = &analysis;
+  return obs::analysis::parse_report_facts(
+      parse_json(obs::run_report_json(ctx, result)),
+      cache_bytes == 0 ? "cold.json" : "warm.json");
+}
+
+TEST(ReportFacts, ColdVersusWarmPinDownCacheDiff) {
+  const auto cold = reg_cache_facts(0);
+  const auto warm = reg_cache_facts(64_MiB);
+  ASSERT_TRUE(cold.ok()) << testing::PrintToString(cold.problems);
+  ASSERT_TRUE(warm.ok()) << testing::PrintToString(warm.problems);
+  EXPECT_TRUE(cold.has_analysis);
+  EXPECT_EQ(cold.mode, "single");
+  // Table-declared scalars and the counter/histogram/blame/wait expansions.
+  for (const char* name :
+       {"result.job_time_us", "profile.comm_fraction", "reg_cache.misses",
+        "counter.hca.reg_cache.hits", "hist.adi3.message_bytes.p99",
+        "analysis.critical_path_us", "analysis.blame.registration_us",
+        "analysis.wait.registration_us"})
+    EXPECT_TRUE(cold.scalars.contains(name)) << name;
+  EXPECT_EQ(cold.scalars.at("reg_cache.hits"), 0.0);
+  EXPECT_GT(warm.scalars.at("reg_cache.hits"), 0.0);
+  EXPECT_GT(cold.scalars.at("analysis.blame.registration_us"),
+            warm.scalars.at("analysis.blame.registration_us"));
+
+  const std::string diff = obs::analysis::render_diff(cold, warm);
+  EXPECT_NE(diff.find("cold.json vs baseline warm.json"), std::string::npos);
+  const auto row = diff.find("analysis.blame.registration_us");
+  ASSERT_NE(row, std::string::npos) << diff;
+  const std::string line = diff.substr(row, diff.find('\n', row) - row);
+  EXPECT_NE(line.find("%"), std::string::npos) << line;
+  EXPECT_EQ(line.find("-"), std::string::npos) << "cold must blame more: " << line;
+}
+
+TEST(ReportFacts, UntrustedReportLoadsNoFacts) {
+  const std::string bad = edit_report(
+      edit_report(edit_report(schema_reports().single, "version", "99"), "result", nullptr),
+      "profile.comm_fraction", "7.5");
+  const auto facts = obs::analysis::parse_report_facts(parse_json(bad), "bad.json");
+  EXPECT_FALSE(facts.ok());
+  EXPECT_TRUE(facts.scalars.empty());
+  EXPECT_EQ(facts.problems,
+            (std::vector<std::string>{"profile.comm_fraction: 7.5 is not a fraction in [0, 1]",
+                                      "result: missing", "version: 99 is not 6"}));
 }
 
 }  // namespace

@@ -1,16 +1,17 @@
-// cbmpi-analyze — offline run-report inspector and differ.
+// cbmpi-analyze — offline run-report checker, inspector and differ.
 //
 //   cbmpi-analyze report.json              # one report: metrics + blame
 //   cbmpi-analyze fresh.json base.json     # diff: relative deltas vs base
 //
-// Reads any v4/v5 "cbmpi.run_report" document (v4 percentiles are derived
-// from the histogram buckets). With two reports it prints the relative
-// change of every scalar the documents share — e.g. the registration-blame
-// delta between a cold and a warm pin-down-cache run:
+// Each report is first checked against its declared schema
+// (obs/analysis/report_schema.hpp), printing `file: path: message` per
+// problem. With two reports it prints the relative change of every scalar
+// they share — e.g. the registration blame of a cold vs a warm cache run:
 //
 //   analysis.blame.registration_us   812.430   31.207   +2503.4%
 //
-// Exit status: 0 on success, 2 on usage/parse errors.
+// Exit status: 0 on success, 1 when a report is unreadable or fails its
+// checks, 2 on usage errors.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -24,9 +25,10 @@ int main(int argc, char** argv) {
     if (arg == "--help" || arg == "-h") {
       std::printf(
           "usage: cbmpi-analyze <report.json> [baseline.json]\n\n"
-          "Prints the comparable scalar facts of one cbmpi run report\n"
-          "(critical-path blame, wait states, percentiles, counters), or\n"
-          "the relative delta of every scalar two reports share.\n");
+          "Checks each cbmpi run report against the declared schema, then\n"
+          "prints its comparable scalar facts (critical-path blame, wait\n"
+          "states, percentiles, counters), or the relative delta of every\n"
+          "scalar two reports share.\n");
       return 0;
     }
     paths.push_back(arg);
@@ -36,22 +38,18 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  using cbmpi::obs::analysis::load_report_facts;
-  const auto fresh = load_report_facts(paths[0]);
-  if (!fresh.ok) {
-    std::fprintf(stderr, "cbmpi-analyze: %s\n", fresh.error.c_str());
-    return 2;
+  std::vector<cbmpi::obs::analysis::ReportFacts> reports;
+  bool ok = true;
+  for (const auto& path : paths) {
+    reports.push_back(cbmpi::obs::analysis::load_report_facts(path));
+    for (const auto& problem : reports.back().problems)
+      std::fprintf(stderr, "%s: %s\n", path.c_str(), problem.c_str());
+    ok = ok && reports.back().ok();
   }
-  if (paths.size() == 1) {
-    std::fputs(cbmpi::obs::analysis::render_report(fresh).c_str(), stdout);
-    return 0;
-  }
-  const auto baseline = load_report_facts(paths[1]);
-  if (!baseline.ok) {
-    std::fprintf(stderr, "cbmpi-analyze: %s\n", baseline.error.c_str());
-    return 2;
-  }
-  std::fputs(
-      cbmpi::obs::analysis::render_diff(fresh, baseline).c_str(), stdout);
+  if (!ok) return 1;
+  std::fputs(reports.size() == 1
+                 ? cbmpi::obs::analysis::render_report(reports[0]).c_str()
+                 : cbmpi::obs::analysis::render_diff(reports[0], reports[1]).c_str(),
+             stdout);
   return 0;
 }

@@ -14,6 +14,8 @@
    (header-only directories, e.g. src/pgas, are exempt from build wiring
    but still need the ARCHITECTURE.md coverage of check 2), and every
    add_subdirectory entry points at a directory that still exists.
+5. DESIGN.md §12 lists exactly the top-level run-report sections that
+   src/obs/analysis/report_schema.cpp declares.
 
 Exit status is the number of problems found; each problem is printed as
 `file: message` so editors can jump to it.
@@ -51,6 +53,10 @@ FIELD_DECL_RE = re.compile(r"^\s*[A-Za-z_:]+\s+([a-z_][a-z0-9_]*)\s*(?:=[^;]*)?;
 # `field`, `TuningParams::field` or `fabric::TuningParams::field`.
 DOC_FIELD_RE = re.compile(r"`(?:fabric::)?(?:TuningParams::)?([a-z_][a-z0-9_]*)`")
 KNOB_TABLE_ROW_RE = re.compile(r"^\| `([a-z_][a-z0-9_]*)` \|", re.M)
+
+REPORT_SCHEMA = "src/obs/analysis/report_schema.cpp"
+# `    {"net", kSingle, true,` in kSections; nested ones ("jobs[].crash") skip.
+REPORT_SECTION_RE = re.compile(r'^\s*\{"([a-z_]+)(?:\[\])?", k(?:Single|Schedule|Both),', re.M)
 
 # [text](target) — excludes images' leading "!" handling (images are links
 # to files too, so check them the same way).
@@ -189,6 +195,21 @@ def check_tuning_knobs(problems):
     return len(flags), len(env_vars), check_tuning_fields(doc, problems)
 
 
+def check_report_sections(problems):
+    """The section table of DESIGN.md §12 against the declared report."""
+    with open(os.path.join(REPO, REPORT_SCHEMA), encoding="utf-8") as f:
+        declared = set(REPORT_SECTION_RE.findall(f.read()))
+    with open(os.path.join(REPO, "DESIGN.md"), encoding="utf-8") as f:
+        design = f.read()
+    section12 = design.split("\n## 12.", 1)[-1].split("\n## 13.", 1)[0]
+    listed = set(KNOB_TABLE_ROW_RE.findall(section12))
+    for name in sorted(declared - listed):
+        problems.append(f"DESIGN.md: §12 misses report section '{name}'")
+    for name in sorted(listed - declared):
+        problems.append(f"DESIGN.md: §12 lists '{name}', not in {REPORT_SCHEMA}")
+    return len(declared)
+
+
 def main():
     problems = []
     for doc in DOCS:
@@ -199,13 +220,15 @@ def main():
     check_architecture_covers_src(problems)
     check_build_coverage(problems)
     nflags, nenv, nfields = check_tuning_knobs(problems)
+    nsections = check_report_sections(problems)
     for problem in problems:
         print(problem)
     if not problems:
         print(f"docs OK: {len(DOCS)} files, all links resolve, "
               "all src/ subsystems documented and build-wired, "
               f"{nflags} flags + {nenv} env vars + {nfields} TuningParams "
-              f"fields in sync with {TUNING_DOC}")
+              f"fields in sync with {TUNING_DOC}, {nsections} report "
+              "sections in sync with DESIGN.md §12")
     return len(problems)
 
 
