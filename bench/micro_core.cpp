@@ -68,47 +68,17 @@ void BM_ShmBulkStage(benchmark::State& state) {
   osl::SimProcess a(host, host.root_namespaces(), topo::CoreId{0, 0});
   osl::SimProcess b(host, host.root_namespaces(), topo::CoreId{0, 1});
   const fabric::ShmChannel shm(machine.profile(), fabric::TuningParams{});
+  const auto queue = shm.open_queue(a, 0);
   std::vector<std::byte> data(size);
   for (auto _ : state) {
     std::vector<std::byte> out;
-    shm.stage(a, b, 7, data, out);
+    shm.stage(a, b, *queue, data, out);
     benchmark::DoNotOptimize(out);
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(size));
 }
 BENCHMARK(BM_ShmBulkStage)->Arg(1024)->Arg(8192)->Arg(65536);
-
-/// What the first message of every SHM pair pays: open the pair's fresh
-/// 128 KiB length queue and stage one 1 KiB eager message through it. The
-/// argument is how many pairs hold their queues at once before the job's
-/// teardown releases them all: 1 reuses one queue's memory over and over,
-/// 240 is one 16-rank host of coll_wide (30 MiB of queues).
-void BM_ShmQueueFirstMessage(benchmark::State& state) {
-  const auto pairs = static_cast<std::uint64_t>(state.range(0));
-  osl::Machine machine(topo::ClusterBuilder().hosts(1).build());
-  auto& host = machine.host_os(0);
-  osl::SimProcess a(host, host.root_namespaces(), topo::CoreId{0, 0});
-  osl::SimProcess b(host, host.root_namespaces(), topo::CoreId{0, 1});
-  const fabric::TuningParams tuning;
-  const fabric::ShmChannel shm(machine.profile(), tuning);
-  const auto ipc_ns = a.namespaces().get(osl::NamespaceType::Ipc);
-  std::vector<std::byte> data(1_KiB);
-  for (auto _ : state) {
-    for (std::uint64_t pair = 0; pair < pairs; ++pair) {
-      std::vector<std::byte> out;
-      shm.stage(a, b, pair, data, out);
-      benchmark::DoNotOptimize(out.data());
-      benchmark::ClobberMemory();
-    }
-    for (std::uint64_t pair = 0; pair < pairs; ++pair)
-      host.shm().unlink(ipc_ns, "cbmpi_shmq_" + std::to_string(pair));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(pairs));
-  state.counters["queue_bytes"] = static_cast<double>(tuning.smpi_length_queue);
-}
-BENCHMARK(BM_ShmQueueFirstMessage)->Arg(1)->Arg(240);
 
 // --- detector ablation: byte-list (paper) vs lock-based ---------------------
 

@@ -73,9 +73,10 @@ EagerCosts HcaChannel::eager_costs(Bytes size, bool loopback, bool sriov,
   return costs;
 }
 
-RndvTimes HcaChannel::rndv_times(Bytes size, bool loopback, Micros rts_sent_at,
-                                 Micros posted_at, Micros busy_until, bool sriov,
-                                 const net::TransferCtx* ctx) const {
+RndvTimes HcaChannel::unpinned_rndv_times(Bytes size, bool loopback,
+                                          Micros rts_sent_at, Micros posted_at,
+                                          Micros busy_until, bool sriov,
+                                          const net::TransferCtx* ctx) const {
   const auto& p = *profile_;
   const Micros trip = p.hca_rndv_trip + delivery_latency(loopback, ctx) +
                       (sriov ? p.sriov_latency_overhead : 0.0);
@@ -109,8 +110,8 @@ RndvTimes HcaChannel::rndv_times(Bytes size, bool loopback, Micros rts_sent_at,
                                  const net::TransferCtx* ctx,
                                  const RegPlan& reg) const {
   if (!tuning_.reg_model)
-    return rndv_times(size, loopback, rts_sent_at, posted_at, busy_until, sriov,
-                      ctx);
+    return unpinned_rndv_times(size, loopback, rts_sent_at, posted_at, busy_until,
+                               sriov, ctx);
   const auto& p = *profile_;
   const Micros trip = p.hca_rndv_trip + delivery_latency(loopback, ctx) +
                       (sriov ? p.sriov_latency_overhead : 0.0);

@@ -49,7 +49,9 @@ class HcaChannel {
     congestion_ = congestion;
   }
 
-  /// Lazily establishes the queue pair between two world ranks.
+  /// Lazily establishes the queue pair between two world ranks. Callers go
+  /// through Adi3Engine::connect_hca, which reaches here only on a rank's
+  /// first transfer to each peer, not on every message.
   void ensure_connected(int a, int b);
 
   /// Number of queue pairs created so far.
@@ -63,16 +65,12 @@ class HcaChannel {
   /// transfer-bound (busy_until dominates) the RTS/CTS handshake of this
   /// message overlapped with the previous transfer and only a small residue
   /// remains on the critical path.
-  RndvTimes rndv_times(Bytes size, bool loopback, Micros rts_sent_at,
-                       Micros posted_at, Micros busy_until = 0.0,
-                       bool sriov = false,
-                       const net::TransferCtx* ctx = nullptr) const;
-
-  /// Registration-model rendezvous: both endpoints pin their buffers per
-  /// `reg`, chunked at TuningParams::rndv_chunk so registration of chunk
-  /// k+1 overlaps the RDMA of chunk k. The receiver's chunk-0 pin delays
-  /// the CTS; the sender's overlaps the handshake. Falls back to the plain
-  /// overload bit-identically when the model is off.
+  ///
+  /// Under the registration model (TuningParams::reg_model) both endpoints
+  /// pin their buffers per `reg`, chunked at TuningParams::rndv_chunk so
+  /// registration of chunk k+1 overlaps the RDMA of chunk k. The receiver's
+  /// chunk-0 pin delays the CTS; the sender's overlaps the handshake. With
+  /// the model off `reg` is ignored and the times are the unpinned ones.
   RndvTimes rndv_times(Bytes size, bool loopback, Micros rts_sent_at,
                        Micros posted_at, Micros busy_until, bool sriov,
                        const net::TransferCtx* ctx, const RegPlan& reg) const;
@@ -123,6 +121,10 @@ class HcaChannel {
 
  private:
   BytesPerMicro injection_bw(bool loopback, bool sriov) const;
+  /// rndv_times without the registration model.
+  RndvTimes unpinned_rndv_times(Bytes size, bool loopback, Micros rts_sent_at,
+                                Micros posted_at, Micros busy_until, bool sriov,
+                                const net::TransferCtx* ctx) const;
   /// Fabric-aware variants: fall back to the flat model without a ctx.
   bool routed(bool loopback, const net::TransferCtx* ctx) const {
     return fabric_ != nullptr && ctx != nullptr && !loopback &&

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "common/error.hpp"
 
@@ -88,19 +89,21 @@ OneSidedCosts ShmChannel::one_sided_costs(Bytes size, bool same_socket) const {
   return costs;
 }
 
+std::shared_ptr<osl::ShmSegment> ShmChannel::open_queue(const osl::SimProcess& sender,
+                                                        int sender_rank) const {
+  return sender.host().shm().open(sender.namespaces().get(osl::NamespaceType::Ipc),
+                                  "cbmpi_shmq_" + std::to_string(sender_rank),
+                                  tuning_.smpi_length_queue);
+}
+
 void ShmChannel::stage(const osl::SimProcess& sender, const osl::SimProcess& receiver,
-                       std::uint64_t pair_key, std::span<const std::byte> data,
+                       osl::ShmSegment& queue, std::span<const std::byte> data,
                        std::vector<std::byte>& out) const {
   CBMPI_REQUIRE(sender.same_host(receiver),
                 "SHM channel selected across hosts — selector bug");
   CBMPI_REQUIRE(sender.namespaces().shares(osl::NamespaceType::Ipc, receiver.namespaces()),
                 "SHM channel requires a shared IPC namespace (containers must be "
                 "started with --ipc=host)");
-
-  auto& shm = sender.host().shm();
-  const auto ipc_ns = sender.namespaces().get(osl::NamespaceType::Ipc);
-  const std::string name = "cbmpi_shmq_" + std::to_string(pair_key);
-  auto queue = shm.open(ipc_ns, name, tuning_.smpi_length_queue);
 
   // Stage through the bounded queue chunk by chunk: write in, read out. The
   // double copy is real; only its *duration* comes from the cost model.
@@ -111,8 +114,8 @@ void ShmChannel::stage(const osl::SimProcess& sender, const osl::SimProcess& rec
   Bytes offset = 0;
   while (offset < data.size()) {
     const Bytes chunk = std::min<Bytes>(chunk_max, data.size() - offset);
-    queue->write(0, data.subspan(offset, chunk));
-    queue->read(0, dst.subspan(offset, chunk));
+    queue.write(0, data.subspan(offset, chunk));
+    queue.read(0, dst.subspan(offset, chunk));
     offset += chunk;
   }
 }

@@ -1,10 +1,14 @@
 // SHM channel: user-space shared-memory communication between co-resident
-// processes (double copy through a per-pair length queue).
+// processes (double copy through a length queue).
 //
-// Eager protocol: the sender copies the message into the pair's shared queue
-// (a real osl::ShmSegment — opening it fails across IPC namespaces, which is
-// the enforcement point for the paper's namespace-sharing precondition) and
-// the receiver copies it out. Cost model highlights:
+// Eager protocol: the sender copies the message into a shared queue and the
+// receiver copies it out. The *cost model* is MVAPICH2's per-pair length
+// queue of SMPI_LENGTH_QUEUE bytes; the real bytes pass through one staging
+// segment per sending rank (a real osl::ShmSegment in the sender's IPC
+// namespace, opened once by its engine), and every staged message re-checks
+// that both processes share the host and its IPC namespace — the enforcement
+// point for the paper's namespace-sharing precondition. Cost model
+// highlights:
 //   * each message pays a fixed cell overhead on both sides;
 //   * the sender pays a stall penalty inversely proportional to the number of
 //     queue cells (small SMPI_LENGTH_QUEUE => frequent flow-control stalls);
@@ -14,6 +18,7 @@
 //     memory bus), partially recovered by pipelining overlap.
 #pragma once
 
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -42,12 +47,19 @@ class ShmChannel {
   /// Latency of a small control message (RTS/CTS/FIN riding the queue).
   Micros control_latency(bool same_socket) const;
 
-  /// Stages `data` through the pair's shared queue segment and appends it to
-  /// `out`. Both processes must share an IPC namespace on the same host
-  /// (throws cbmpi::Error otherwise — the caller is expected to have selected
-  /// channels correctly).
+  /// Opens `sender`'s staging segment — SMPI_LENGTH_QUEUE bytes in its
+  /// host's /dev/shm, in its own IPC namespace, named after `sender_rank` —
+  /// or returns it if it already exists. One per sending rank; every
+  /// message that rank sends over SHM passes through it.
+  std::shared_ptr<osl::ShmSegment> open_queue(const osl::SimProcess& sender,
+                                              int sender_rank) const;
+
+  /// Stages `data` through `queue` (the sender's segment from open_queue)
+  /// and appends it to `out`. Both processes must share an IPC namespace on
+  /// the same host (throws cbmpi::Error otherwise — the caller is expected
+  /// to have selected channels correctly).
   void stage(const osl::SimProcess& sender, const osl::SimProcess& receiver,
-             std::uint64_t pair_key, std::span<const std::byte> data,
+             osl::ShmSegment& queue, std::span<const std::byte> data,
              std::vector<std::byte>& out) const;
 
   /// Number of queue cells implied by the current tuning.

@@ -2,7 +2,7 @@
 //
 // The paper re-tunes three of these for container environments (Sec. IV-C/D):
 //   SMP_EAGER_SIZE          = 8 K   (SHM eager / CMA rendezvous switch point)
-//   SMPI_LENGTH_QUEUE       = 128 K (per-pair shared buffer for eager msgs)
+//   SMPI_LENGTH_QUEUE       = 128 K (per-pair shared eager queue, as costed)
 //   MV2_IBA_EAGER_THRESHOLD = 17 K  (HCA eager / rendezvous switch point)
 #pragma once
 
@@ -15,8 +15,9 @@ struct TuningParams {
   /// use the rendezvous protocol (CMA single copy when available).
   Bytes smp_eager_size = 8_KiB;
 
-  /// Size of the shared-memory queue between every pair of co-resident
-  /// processes; eager messages are staged through it.
+  /// Size of the shared-memory eager queue between every pair of co-resident
+  /// processes in the SHM cost model (cell count, cache derate). The real
+  /// bytes pass through one staging segment of this size per sending rank.
   Bytes smpi_length_queue = 128_KiB;
 
   /// HCA switch point between eager (receiver-side copy) and rendezvous

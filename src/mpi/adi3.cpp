@@ -31,7 +31,10 @@ std::int64_t transfer_id(const fabric::Envelope& env) {
 // just like mpiP attributes polling time in the real library.
 
 Adi3Engine::Adi3Engine(JobState& job, int world_rank, osl::SimProcess& proc)
-    : job_(&job), rank_(world_rank), proc_(&proc) {
+    : job_(&job),
+      rank_(world_rank),
+      proc_(&proc),
+      hca_connected_(static_cast<std::size_t>(job.nranks)) {
   CBMPI_REQUIRE(world_rank >= 0 && world_rank < job.nranks, "bad world rank");
   if (job.metrics != nullptr) {
     obs_.eager_sends = &job.metrics->counter("adi3.eager_sends");
@@ -55,9 +58,12 @@ std::uint64_t Adi3Engine::reg_buffer_id(const void* base) {
       .first->second;
 }
 
-std::uint64_t Adi3Engine::queue_pair_key(int dst_world) const {
-  return static_cast<std::uint64_t>(rank_) * static_cast<std::uint64_t>(job_->nranks) +
-         static_cast<std::uint64_t>(dst_world);
+void Adi3Engine::connect_hca(int dst_world) {
+  std::vector<bool>::reference connected =
+      hca_connected_[static_cast<std::size_t>(dst_world)];
+  if (connected) return;
+  connected = true;
+  job_->hca->ensure_connected(rank_, dst_world);
 }
 
 const net::TransferCtx* Adi3Engine::fabric_ctx(int src_rank, int dst_rank,
@@ -100,7 +106,7 @@ Request Adi3Engine::start_send(std::span<const std::byte> data, int dst_world, i
   }
   const std::uint64_t seq = next_seq_++;
   if (decision.channel == fabric::ChannelKind::Hca) {
-    job_->hca->ensure_connected(rank_, dst_world);
+    connect_hca(dst_world);
     // Transient send/completion failures (injected) retry here, before the
     // successful attempt's cost is charged; the backoff time lands on the
     // sender's clock and therefore delays available_at for the receiver.
@@ -128,7 +134,8 @@ Request Adi3Engine::start_send(std::span<const std::byte> data, int dst_world, i
       case fabric::ChannelKind::Shm: {
         costs = job_->shm->eager_costs(size, decision.same_socket);
         const auto* peer = job_->selector->endpoint(dst_world).process;
-        job_->shm->stage(*proc_, *peer, queue_pair_key(dst_world), data, env.payload);
+        if (shm_queue_ == nullptr) shm_queue_ = job_->shm->open_queue(*proc_, rank_);
+        job_->shm->stage(*proc_, *peer, *shm_queue_, data, env.payload);
         break;
       }
       case fabric::ChannelKind::Hca: {
@@ -316,35 +323,32 @@ void Adi3Engine::complete_rendezvous(RequestState& request, fabric::Envelope& en
     case fabric::ChannelKind::Hca: {
       net::TransferCtx ctx;
       const auto* ctxp = fabric_ctx(env.src, rank_, env.seq, env.loopback, ctx);
-      if (job_->hca->reg_model()) {
-        fabric::RegPlan plan;
+      fabric::RegPlan plan;
+      const bool reg = job_->hca->reg_model();
+      fabric::HcaChannel::RegLookup look;
+      if (reg) {
         plan.sender_hit = env.reg_sender_hit;
         plan.sender_extra = env.reg_sender_extra;
-        const auto look =
-            job_->hca->reg_lookup(rank_, reg_buffer_id(dst.data()), env.size);
+        look = job_->hca->reg_lookup(rank_, reg_buffer_id(dst.data()), env.size);
         plan.receiver_hit = look.hit;
         plan.receiver_extra = look.extra;
         if (obs_.reg_hits != nullptr) {
           (look.hit ? obs_.reg_hits : obs_.reg_misses)->add(1);
           if (look.evictions > 0) obs_.reg_evictions->add(look.evictions);
         }
-        times = job_->hca->rndv_times(env.size, env.loopback, env.available_at,
-                                      request.posted_at, recv_busy_until_,
-                                      env.sriov, ctxp, plan);
-        if (job_->spans) {
-          // Receiver-side pin window: it gates the CTS, so it renders right
-          // at the front of the enclosing "rndv" span.
-          obs::Span reg{"rndv-reg", obs::SpanCat::Proto, rank_, env.src,
-                        static_cast<int>(env.channel), env.size,
-                        times.recv_reg_begin, times.recv_reg_end,
-                        look.hit ? "hit" : "miss"};
-          reg.xfer = transfer_id(env);
-          job_->spans->record(std::move(reg));
-        }
-      } else {
-        times = job_->hca->rndv_times(env.size, env.loopback, env.available_at,
-                                      request.posted_at, recv_busy_until_,
-                                      env.sriov, ctxp);
+      }
+      times = job_->hca->rndv_times(env.size, env.loopback, env.available_at,
+                                    request.posted_at, recv_busy_until_, env.sriov,
+                                    ctxp, plan);
+      if (reg && job_->spans) {
+        // Receiver-side pin window: it gates the CTS, so it renders right
+        // at the front of the enclosing "rndv" span.
+        obs::Span reg_span{"rndv-reg", obs::SpanCat::Proto, rank_, env.src,
+                           static_cast<int>(env.channel), env.size,
+                           times.recv_reg_begin, times.recv_reg_end,
+                           look.hit ? "hit" : "miss"};
+        reg_span.xfer = transfer_id(env);
+        job_->spans->record(std::move(reg_span));
       }
       if (ctxp != nullptr && job_->net_log != nullptr)
         job_->net_log->record({ctx.key, ctx.src_host, ctx.dst_host, env.size,

@@ -22,6 +22,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
@@ -29,6 +30,7 @@
 #include "mpi/job_state.hpp"
 #include "mpi/types.hpp"
 #include "osl/process.hpp"
+#include "osl/shm.hpp"
 
 namespace cbmpi::mpi {
 
@@ -110,6 +112,10 @@ class Adi3Engine {
   /// No-op (one empty-vector test) when no crash faults are planned.
   void check_crash();
 
+  /// Connects this rank's HCA queue pair to `dst_world` on first use; later
+  /// calls only test this engine's bit for that peer.
+  void connect_hca(int dst_world);
+
  private:
   void check_abort() const;
   [[noreturn]] void raise_crash();
@@ -127,7 +133,6 @@ class Adi3Engine {
   void complete_recv(RequestState& request, fabric::Envelope& env);
   void complete_eager(RequestState& request, fabric::Envelope& env);
   void complete_rendezvous(RequestState& request, fabric::Envelope& env);
-  std::uint64_t queue_pair_key(int dst_world) const;
   /// Fills `ctx` and returns its address when this inter-host HCA transfer
   /// must be routed through the attached fabric; null otherwise (Ideal
   /// model, loopback, or co-located hosts).
@@ -169,6 +174,13 @@ class Adi3Engine {
   /// rank's program — never of pointer values or thread scheduling.
   std::uint64_t reg_buffer_id(const void* base);
   std::map<const void*, std::uint64_t> reg_buffer_ids_;
+
+  /// This rank's SHM staging segment, opened on its first SHM eager send;
+  /// only this rank's thread writes it.
+  std::shared_ptr<osl::ShmSegment> shm_queue_;
+  /// Destinations this rank already has an HCA queue pair to (one bit per
+  /// world rank), so only the first transfer to a peer reaches the channel.
+  std::vector<bool> hca_connected_;
 
   std::uint64_t next_seq_ = 0;
   std::vector<Request> posted_;

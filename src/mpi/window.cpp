@@ -68,7 +68,7 @@ fabric::OneSidedCosts WindowHandle::account_op(int target, Bytes size,
       costs = job.cma->one_sided_costs(size, decision.same_socket);
       break;
     case fabric::ChannelKind::Hca: {
-      job.hca->ensure_connected(me_world, target_world);
+      engine.connect_hca(target_world);
       // One-sided ops see the routed path latency and static VF-capped
       // bandwidth; they carry no flow identity, so the contention engine
       // never stretches them (see HcaChannel::one_sided_costs).

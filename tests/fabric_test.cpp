@@ -2,6 +2,8 @@
 // down the qualitative shapes the paper's figures depend on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "container/engine.hpp"
 #include "fabric/cma_channel.hpp"
 #include "fabric/hca_channel.hpp"
@@ -83,8 +85,38 @@ TEST(ShmChannel, StageMovesBytesThroughQueue) {
   for (std::size_t i = 0; i < data.size(); ++i)
     data[i] = static_cast<std::byte>(i % 251);
   std::vector<std::byte> out;
-  shm.stage(a, b, 42, data, out);
+  const auto queue = shm.open_queue(a, 42);
+  shm.stage(a, b, *queue, data, out);
   EXPECT_EQ(out, data);
+  EXPECT_EQ(host.shm().segment_count(), 1u);
+  EXPECT_EQ(shm.open_queue(a, 42), queue);  // opened once, then reused
+}
+
+TEST(ShmChannel, OneQueueCarriesEverySendOfItsRank) {
+  osl::Machine machine(topo::ClusterBuilder().hosts(1).build());
+  auto& host = machine.host_os(0);
+  osl::SimProcess a(host, host.root_namespaces(), topo::CoreId{0, 0});
+  osl::SimProcess b(host, host.root_namespaces(), topo::CoreId{0, 1});
+  osl::SimProcess c(host, host.root_namespaces(), topo::CoreId{0, 2});
+  TuningParams tuning;
+  tuning.smpi_length_queue = 1_KiB;  // a 3000-byte message takes three chunks
+  const ShmChannel shm(kProfile, tuning);
+  const auto queue = shm.open_queue(a, 0);
+  std::vector<std::byte> to_b(3000);
+  std::vector<std::byte> to_c(700);
+  for (std::size_t i = 0; i < to_b.size(); ++i)
+    to_b[i] = static_cast<std::byte>(i % 253);
+  for (std::size_t i = 0; i < to_c.size(); ++i)
+    to_c[i] = static_cast<std::byte>(255 - i % 241);
+  std::vector<std::byte> at_b;
+  std::vector<std::byte> at_c;
+  shm.stage(a, b, *queue, to_b, at_b);
+  shm.stage(a, c, *queue, to_c, at_c);
+  shm.stage(a, b, *queue, to_c, at_b);  // appends behind the first message
+  EXPECT_EQ(at_c, to_c);
+  ASSERT_EQ(at_b.size(), to_b.size() + to_c.size());
+  EXPECT_TRUE(std::equal(to_b.begin(), to_b.end(), at_b.begin()));
+  EXPECT_TRUE(std::equal(to_c.begin(), to_c.end(), at_b.begin() + 3000));
   EXPECT_EQ(host.shm().segment_count(), 1u);
 }
 
@@ -98,7 +130,21 @@ TEST(ShmChannel, StageRefusedAcrossIpcNamespaces) {
   const ShmChannel shm(kProfile, TuningParams{});
   std::vector<std::byte> data(16);
   std::vector<std::byte> out;
-  EXPECT_THROW(shm.stage(a, b, 1, data, out), Error);
+  const auto queue = shm.open_queue(a, 1);
+  EXPECT_THROW(shm.stage(a, b, *queue, data, out), Error);
+}
+
+TEST(ShmChannel, StageRefusedAcrossHosts) {
+  osl::Machine machine(topo::ClusterBuilder().hosts(2).build());
+  auto& host0 = machine.host_os(0);
+  auto& host1 = machine.host_os(1);
+  osl::SimProcess a(host0, host0.root_namespaces(), topo::CoreId{0, 0});
+  osl::SimProcess b(host1, host1.root_namespaces(), topo::CoreId{0, 0});
+  const ShmChannel shm(kProfile, TuningParams{});
+  std::vector<std::byte> data(16);
+  std::vector<std::byte> out;
+  const auto queue = shm.open_queue(a, 0);
+  EXPECT_THROW(shm.stage(a, b, *queue, data, out), Error);
 }
 
 TEST(CmaChannel, LosesToShmBelow8K_WinsAbove) {
@@ -173,7 +219,7 @@ TEST(HcaChannel, RndvBeatsEagerAboveThreshold) {
   const Bytes big = 256_KiB;
   const auto eager = hca.eager_costs(big, false);
   const double eager_total = eager.sender + eager.delivery + eager.receiver;
-  const auto rndv = hca.rndv_times(big, false, 0.0, 0.0);
+  const auto rndv = hca.rndv_times(big, false, 0.0, 0.0, 0.0, false, nullptr, RegPlan{});
   EXPECT_LT(rndv.receiver_done, eager_total);
 }
 

@@ -3,6 +3,7 @@
 // channel behaviour the paper is about.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <numeric>
 
 #include "mpi/runtime.hpp"
@@ -114,6 +115,99 @@ TEST(Runtime, LocalityAwarePolicyUsesShmAcrossContainers) {
   });
   EXPECT_GE(result.profile.total.channel_ops(ChannelKind::Shm), 1u);
   EXPECT_EQ(result.profile.total.channel_ops(ChannelKind::Hca), 0u);
+}
+
+TEST(Runtime, ShmStagingUsesOneQueuePerSendingRank) {
+  // 2 hosts x 2 containers x 2 ranks, all sharing each host's IPC namespace:
+  // the even ranks send a 1 KiB SHM eager message to every co-resident peer,
+  // the odd ranks only receive.
+  JobConfig config;
+  config.deployment = DeploymentSpec::containers(2, 2, 4);
+  config.policy = LocalityPolicy::ContainerAware;
+  constexpr int kRanks = 8;
+  constexpr int kPerHost = 4;
+  std::array<std::size_t, kRanks> segments{};
+  std::array<int, kRanks> received{};
+  const auto result = run_job(config, [&](mpi::Process& p) {
+    const int me = p.rank();
+    const int base = me / kPerHost * kPerHost;
+    auto pattern = [](int src, int dst) {
+      std::vector<std::uint8_t> bytes(1_KiB);
+      for (std::size_t i = 0; i < bytes.size(); ++i)
+        bytes[i] = static_cast<std::uint8_t>((i * 7 + static_cast<std::size_t>(src) * 31 +
+                                              static_cast<std::size_t>(dst)) % 251);
+      return bytes;
+    };
+    std::vector<std::vector<std::uint8_t>> outgoing;
+    std::vector<std::vector<std::uint8_t>> incoming;
+    std::vector<int> sources;
+    std::vector<mpi::Request> requests;
+    outgoing.reserve(kPerHost);
+    incoming.reserve(kPerHost);
+    for (int peer = base; peer < base + kPerHost; ++peer) {
+      if (peer == me) continue;
+      if (peer % 2 == 0) {
+        incoming.emplace_back(1_KiB);
+        sources.push_back(peer);
+        requests.push_back(
+            p.world().irecv(std::span<std::uint8_t>(incoming.back()), peer, 9));
+      }
+      if (me % 2 == 0) {
+        outgoing.push_back(pattern(me, peer));
+        requests.push_back(
+            p.world().isend(std::span<const std::uint8_t>(outgoing.back()), peer, 9));
+      }
+    }
+    p.world().wait_all(requests);
+    for (std::size_t i = 0; i < incoming.size(); ++i)
+      if (incoming[i] == pattern(sources[i], me)) ++received[static_cast<std::size_t>(me)];
+    p.sync_time();  // every send has been staged; no message follows
+    segments[static_cast<std::size_t>(me)] = p.os().host().shm().segment_count();
+  });
+  EXPECT_GE(result.profile.total.channel_ops(ChannelKind::Shm), 12u);
+  EXPECT_EQ(result.profile.total.channel_ops(ChannelKind::Hca), 0u);
+  for (int r = 0; r < kRanks; ++r) {
+    // Each rank hears from the co-resident even ranks other than itself.
+    EXPECT_EQ(received[static_cast<std::size_t>(r)], r % 2 == 0 ? 1 : 2) << "rank " << r;
+    // Two sending ranks per host, plus the host's container locality list.
+    EXPECT_EQ(segments[static_cast<std::size_t>(r)], 3u) << "rank " << r;
+  }
+}
+
+TEST(Runtime, HcaQueuePairsCountDistinctPairsExactly) {
+  // Hostname-based locality over 2 hosts x 2 containers x 2 ranks: only
+  // container mates (same hostname) share SHM; every other pair talks over
+  // the HCA — loopback within a host, the wire across hosts. Several rounds
+  // of an all-to-all exchange, eager and rendezvous, reuse each pair's queue
+  // pair in both directions.
+  JobConfig config;
+  config.deployment = DeploymentSpec::containers(2, 2, 4);
+  config.policy = LocalityPolicy::HostnameBased;
+  constexpr int kRanks = 8;
+  const auto result = run_job(config, [&](mpi::Process& p) {
+    const int me = p.rank();
+    for (int round = 0; round < 3; ++round) {
+      const std::size_t size = round == 1 ? 64_KiB : 1_KiB;
+      std::vector<std::uint8_t> out(size, static_cast<std::uint8_t>(me));
+      std::vector<std::vector<std::uint8_t>> in(kRanks, std::vector<std::uint8_t>(size));
+      std::vector<mpi::Request> requests;
+      for (int peer = 0; peer < kRanks; ++peer) {
+        if (peer == me) continue;
+        requests.push_back(p.world().irecv(
+            std::span<std::uint8_t>(in[static_cast<std::size_t>(peer)]), peer, round));
+        requests.push_back(
+            p.world().isend(std::span<const std::uint8_t>(out), peer, round));
+      }
+      p.world().wait_all(requests);
+    }
+  });
+  std::size_t hca_pairs = 0;
+  for (int a = 0; a < kRanks; ++a)
+    for (int b = a + 1; b < kRanks; ++b)
+      if (a / 2 != b / 2) ++hca_pairs;  // not container mates
+  EXPECT_EQ(hca_pairs, 24u);
+  EXPECT_EQ(result.hca_queue_pairs, hca_pairs);
+  EXPECT_EQ(result.profile.total.channel_ops(ChannelKind::Hca), 3u * 8u * 6u);
 }
 
 TEST(Runtime, LocalityAwareIsFasterAcrossContainers) {
