@@ -140,13 +140,13 @@ void engine_sweep(int hosts, int procs, int iters, bool emit_table) {
     base.policy = fabric::LocalityPolicy::ContainerAware;
     const int ranks = base.deployment.total_ranks();
     const coll::Engine shipped_engine(coll::TuningTable::container_defaults(),
-                                      base.tuning, cph);
+                                      cph);
     for (const SweepPoint& point : sweep_points()) {
       std::map<coll::Algo, Micros> times;
       for (const coll::Algo algo : coll::algorithms_for(point.coll)) {
         if (algo == coll::Algo::Auto) continue;
         auto config = base;
-        config.coll_tuning.set_override(point.coll, algo);
+        config.coll_tuning.add({.coll = point.coll, .algo = algo});
         times[algo] = engine_collective_time(config, point.coll, point.size, iters);
       }
       const auto best = std::min_element(
@@ -233,9 +233,9 @@ int main(int argc, char** argv) {
     // for some of these points, and this section is about the hierarchy.
     for (const auto c : {coll::Coll::Bcast, coll::Coll::Allreduce,
                          coll::Coll::Allgather})
-      base.coll_tuning.set_override(c, coll::Algo::TwoLevel);
+      base.coll_tuning.add({.coll = c, .algo = coll::Algo::TwoLevel});
     auto flat = base;
-    flat.tuning.two_level_collectives = false;  // demotes the pins to Auto
+    flat.tuning.two_level_collectives = false;  // two_level rows -> Auto
 
     Table table({"collective @ 1K", "flat (us)", "two-level (us)", "delta"});
     double worst_ratio = 1.0;
@@ -271,9 +271,9 @@ int main(int argc, char** argv) {
   {
     mpi::JobConfig tree;
     tree.deployment = container::DeploymentSpec::native_hosts(hosts, 4);
-    tree.coll_tuning.set_override(coll::Coll::Bcast, coll::Algo::Binomial);
+    tree.coll_tuning.add({.coll = coll::Coll::Bcast, .algo = coll::Algo::Binomial});
     auto ring = tree;
-    ring.coll_tuning.set_override(coll::Coll::Bcast, coll::Algo::VanDeGeijn);
+    ring.coll_tuning.add({.coll = coll::Coll::Bcast, .algo = coll::Algo::VanDeGeijn});
 
     Table table({"size", "binomial (us)", "scatter+allgather (us)", "winner"});
     bool small_tree = false, large_ring = false;
@@ -300,10 +300,11 @@ int main(int argc, char** argv) {
   {
     mpi::JobConfig recdbl;
     recdbl.deployment = container::DeploymentSpec::native_hosts(hosts, 4);
-    recdbl.coll_tuning.set_override(coll::Coll::Allreduce,
-                                    coll::Algo::RecursiveDoubling);
+    recdbl.coll_tuning.add(
+        {.coll = coll::Coll::Allreduce, .algo = coll::Algo::RecursiveDoubling});
     auto raben = recdbl;
-    raben.coll_tuning.set_override(coll::Coll::Allreduce, coll::Algo::Rabenseifner);
+    raben.coll_tuning.add(
+        {.coll = coll::Coll::Allreduce, .algo = coll::Algo::Rabenseifner});
 
     Table table({"size", "rec-doubling (us)", "Rabenseifner (us)", "winner"});
     bool small_recdbl = false, large_raben = false;

@@ -31,14 +31,6 @@ struct TuningParams {
   /// detected locality groups.
   bool two_level_collectives = true;
 
-  /// Payloads at or above this switch MPI_Bcast from the binomial tree to
-  /// the bandwidth-optimal scatter + ring-allgather (van de Geijn) scheme.
-  Bytes bcast_large_threshold = 64_KiB;
-
-  /// Payloads at or above this switch MPI_Allreduce from recursive doubling
-  /// to Rabenseifner's reduce-scatter + allgather scheme.
-  Bytes allreduce_large_threshold = 32_KiB;
-
   /// Pin-down (memory-registration) model for the HCA rendezvous path. Off
   /// by default: buffer registration costs nothing and the rendezvous math
   /// is bit-identical to the pre-cache model. When on, every rendezvous
@@ -65,14 +57,6 @@ struct TuningParams {
   /// message size to force serial register-then-send. Only consulted under
   /// the registration model.
   Bytes rndv_chunk = 512_KiB;
-
-  /// Fault recovery: how many times an HCA transfer is retried after a
-  /// transient send/completion failure before the rank aborts. Retry i
-  /// backs off hca_retry_backoff * hca_retry_backoff_factor^i (plus
-  /// deterministic jitter), charged to the sender's virtual clock.
-  int hca_max_retries = 6;
-  Micros hca_retry_backoff = 4.0;
-  double hca_retry_backoff_factor = 2.0;
 };
 
 }  // namespace cbmpi::fabric

@@ -13,6 +13,14 @@ namespace {
 /// CPU cost of posting an RTS descriptor.
 constexpr Micros kRtsPostOverhead = 0.10;
 
+/// Fault recovery: an HCA transfer that hits a transient send/completion
+/// failure is retried up to kHcaMaxRetries times before the rank aborts.
+/// Retry i backs off kHcaRetryBackoff * kHcaRetryBackoffFactor^i (plus
+/// deterministic jitter), charged to the sender's virtual clock.
+constexpr int kHcaMaxRetries = 6;
+constexpr Micros kHcaRetryBackoff = 4.0;
+constexpr double kHcaRetryBackoffFactor = 2.0;
+
 /// Job-unique transfer id: seq is per-sender-engine, so (src, seq) names one
 /// message. Links the sender's hand-off to the receiver-side Proto span for
 /// the analysis engine and Perfetto flow arrows.
@@ -444,7 +452,6 @@ Status Adi3Engine::wait(const Request& request) {
 void Adi3Engine::charge_hca_retries(int dst_world, std::uint64_t seq, Bytes size) {
   const auto* inj = job_->faults;
   if (inj == nullptr) return;
-  const auto& tuning = job_->tuning;
   for (int attempt = 0;; ++attempt) {
     const auto outcome = inj->hca_attempt(rank_, dst_world, seq, attempt, clock().now());
     if (outcome == faults::FaultInjector::HcaOutcome::Ok) return;
@@ -458,7 +465,7 @@ void Adi3Engine::charge_hca_retries(int dst_world, std::uint64_t seq, Bytes size
       job_->trace->record({sim::TraceKind::FaultInject, rank_, dst_world, size,
                            clock().now(), to_string(kind)});
 
-    if (attempt >= tuning.hca_max_retries) {
+    if (attempt >= kHcaMaxRetries) {
       std::ostringstream os;
       os << "rank " << rank_ << ": HCA transfer to rank " << dst_world
          << " abandoned after " << (attempt + 1) << " attempts ("
@@ -467,8 +474,8 @@ void Adi3Engine::charge_hca_retries(int dst_world, std::uint64_t seq, Bytes size
     }
 
     const Micros delay =
-        inj->backoff_delay(rank_, dst_world, seq, attempt, tuning.hca_retry_backoff,
-                           tuning.hca_retry_backoff_factor);
+        inj->backoff_delay(rank_, dst_world, seq, attempt, kHcaRetryBackoff,
+                           kHcaRetryBackoffFactor);
     clock().advance(delay);
     profile().add_recovery(delay);
     job_->fault_log->add_retry(rank_, kind);

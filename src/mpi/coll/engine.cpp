@@ -18,7 +18,7 @@ Algo Engine::heuristic(Coll coll, Bytes bytes, int ranks) const {
     case Coll::Barrier:
       return Algo::Dissemination;
     case Coll::Bcast:
-      return (bytes >= params_.bcast_large_threshold && ranks >= 4)
+      return (bytes >= kBcastLargeThreshold && ranks >= 4)
                  ? Algo::VanDeGeijn
                  : Algo::Binomial;
     case Coll::Reduce:
@@ -26,7 +26,7 @@ Algo Engine::heuristic(Coll coll, Bytes bytes, int ranks) const {
     case Coll::Allreduce: {
       const bool pow2 = ranks > 0 && (ranks & (ranks - 1)) == 0;
       if (!pow2) return Algo::ReduceBcast;
-      return (bytes >= params_.allreduce_large_threshold && ranks >= 4)
+      return (bytes >= kAllreduceLargeThreshold && ranks >= 4)
                  ? Algo::Rabenseifner
                  : Algo::RecursiveDoubling;
     }

@@ -5,17 +5,17 @@
 // algorithm templates on Communicator) from *how* it executes (which
 // algorithm runs for this message size / rank count / locality shape). It
 // owns the job's TuningTable — shipped container defaults, merged with an
-// optional `--tuning=<file>` table and CBMPI_*_ALGORITHM env pins — plus the
-// channel-layer TuningParams whose thresholds drive the Auto heuristic, and
-// the job's containers-per-host figure from the placement.
+// optional `--tuning=<file>` table — the only source of an algorithm choice,
+// plus the job's containers-per-host figure from the placement.
 //
 // `choose()` resolves a call site to a concrete algorithm:
-//   1. table/env selection (TuningTable::select);
+//   1. table selection (TuningTable::select);
 //   2. TwoLevel demoted to Auto when the caller has no usable locality
 //      hierarchy (trivial groups, feature disabled, or a sub-phase);
 //   3. Auto resolved through the same size/rank heuristics the collectives
-//      hard-wired before the engine existed, so an empty table reproduces
-//      the legacy behaviour bit-for-bit.
+//      hard-wired before the engine existed (switching at
+//      kBcastLargeThreshold / kAllreduceLargeThreshold), so an empty table
+//      reproduces the legacy behaviour bit-for-bit.
 //
 // The returned algorithm may still be *downgraded* at the dispatch site for
 // datatype/shape reasons the engine cannot see (e.g. Rabenseifner needs a
@@ -24,7 +24,6 @@
 #pragma once
 
 #include "common/units.hpp"
-#include "fabric/tuning.hpp"
 #include "mpi/coll/tuning_table.hpp"
 #include "mpi/coll/types.hpp"
 
@@ -34,8 +33,8 @@ class Engine {
  public:
   /// `cph` is the job's containers-per-host (max over hosts, >= 1), the
   /// locality-shape key of the tuning table.
-  Engine(TuningTable table, fabric::TuningParams params, int cph)
-      : table_(std::move(table)), params_(params), cph_(cph < 1 ? 1 : cph) {}
+  Engine(TuningTable table, int cph)
+      : table_(std::move(table)), cph_(cph < 1 ? 1 : cph) {}
 
   /// Resolves the call site to a concrete algorithm (never Auto; TwoLevel
   /// only when `two_level_available`). `ranks` is the size of the rank list
@@ -50,7 +49,6 @@ class Engine {
   Algo heuristic(Coll coll, Bytes bytes, int ranks) const;
 
   TuningTable table_;
-  fabric::TuningParams params_;
   int cph_;
 };
 

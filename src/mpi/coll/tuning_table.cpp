@@ -1,12 +1,10 @@
 #include "mpi/coll/tuning_table.hpp"
 
 #include <cctype>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
 #include "common/error.hpp"
-#include "fabric/tuning.hpp"
 
 namespace cbmpi::coll {
 
@@ -95,8 +93,8 @@ TuningTable TuningTable::container_defaults() {
   //     block-contiguous placement their low-order exchange rounds are
   //     already intra-host, so the extra leader hop only adds latency
   //     (ring allgather, recursive-doubling / Rabenseifner allreduce split
-  //     at the channel layer's allreduce_large_threshold, van de Geijn
-  //     bcast past bcast_large_threshold).
+  //     at kAllreduceLargeThreshold, van de Geijn bcast past
+  //     kBcastLargeThreshold).
   //   * Alltoall has no hierarchical variant; the fully concurrent spread
   //     beats Bruck and pairwise at both probed size classes.
   //
@@ -110,25 +108,24 @@ TuningTable TuningTable::container_defaults() {
     e.algo = a;
     return e;
   };
-  const fabric::TuningParams params;
   t.add(all(Coll::Barrier, Algo::TwoLevel));
   t.add(all(Coll::Reduce, Algo::TwoLevel));
   t.add(all(Coll::Allgather, Algo::Ring));
   t.add(all(Coll::Alltoall, Algo::Spread));
   {
     TuningEntry small = all(Coll::Bcast, Algo::TwoLevel);
-    small.max_size = params.bcast_large_threshold - 1;
+    small.max_size = kBcastLargeThreshold - 1;
     t.add(small);
     TuningEntry large = all(Coll::Bcast, Algo::VanDeGeijn);
-    large.min_size = params.bcast_large_threshold;
+    large.min_size = kBcastLargeThreshold;
     t.add(large);
   }
   {
     TuningEntry small = all(Coll::Allreduce, Algo::RecursiveDoubling);
-    small.max_size = params.allreduce_large_threshold - 1;
+    small.max_size = kAllreduceLargeThreshold - 1;
     t.add(small);
     TuningEntry large = all(Coll::Allreduce, Algo::Rabenseifner);
-    large.min_size = params.allreduce_large_threshold;
+    large.min_size = kAllreduceLargeThreshold;
     t.add(large);
   }
   return t;
@@ -192,51 +189,23 @@ TuningTable TuningTable::load_file(const std::string& path) {
   return parse(text.str(), path);
 }
 
+void TuningTable::add(TuningEntry entry) {
+  CBMPI_REQUIRE(valid_for(entry.coll, entry.algo), "algorithm ",
+                to_string(entry.algo), " is not valid for collective ",
+                to_string(entry.coll));
+  entries_.push_back(entry);
+}
+
 void TuningTable::merge(const TuningTable& other) {
   entries_.insert(entries_.end(), other.entries_.begin(), other.entries_.end());
-  for (std::size_t i = 0; i < kColls; ++i) {
-    if (other.overrides_[i]) overrides_[i] = other.overrides_[i];
-  }
-}
-
-void TuningTable::set_override(Coll coll, Algo algo) {
-  CBMPI_REQUIRE(valid_for(coll, algo), "algorithm ", to_string(algo),
-                " is not valid for collective ", to_string(coll));
-  auto& slot = overrides_[static_cast<std::size_t>(coll)];
-  if (algo == Algo::Auto) {
-    slot.reset();
-  } else {
-    slot = algo;
-  }
-}
-
-void TuningTable::apply_env() {
-  for (std::size_t i = 0; i < kColls; ++i) {
-    const auto coll = static_cast<Coll>(i);
-    const char* value = std::getenv(env_var_for(coll));
-    if (value == nullptr || *value == '\0') continue;
-    const auto algo = parse_algo(value);
-    if (!algo || !valid_for(coll, *algo)) {
-      throw Error(std::string(env_var_for(coll)) + ": unknown or invalid " +
-                  "algorithm '" + value + "' (valid: see `cbmpirun --help`)");
-    }
-    set_override(coll, *algo);
-  }
 }
 
 Algo TuningTable::select(Coll coll, Bytes size, int ranks, int cph) const {
-  if (const auto pinned = overrides_[static_cast<std::size_t>(coll)]) {
-    return *pinned;
-  }
   Algo chosen = Algo::Auto;
   for (const TuningEntry& e : entries_) {
     if (e.matches(coll, size, ranks, cph)) chosen = e.algo;  // last match wins
   }
   return chosen;
-}
-
-std::optional<Algo> TuningTable::override_for(Coll coll) const {
-  return overrides_[static_cast<std::size_t>(coll)];
 }
 
 std::string TuningTable::serialize() const {

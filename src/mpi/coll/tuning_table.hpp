@@ -4,9 +4,8 @@
 // count, containers-per-host, message size) region and naming the algorithm
 // to run there. Selection scans the entries in order and the *last* match
 // wins, so a table reads like a layered config: broad defaults first, narrow
-// overrides after. On top of the entries sit per-collective env-var pins
-// (`CBMPI_BCAST_ALGORITHM=flat_tree` and friends, in the spirit of the MV2_*
-// channel knobs) which beat every file/table entry.
+// overrides after. Pinning one collective to one algorithm is a catch-all
+// entry (`bcast * * * flat_tree`) appended last.
 //
 // Text format (one entry per line, '#' starts a comment):
 //
@@ -27,7 +26,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -35,6 +33,17 @@
 #include "mpi/coll/types.hpp"
 
 namespace cbmpi::coll {
+
+/// Payloads at or above this switch MPI_Bcast from the binomial tree to the
+/// bandwidth-optimal scatter + ring-allgather (van de Geijn) scheme, both in
+/// the shipped table and in the engine's Auto heuristic
+/// (MV2_KNOMIAL_2LEVEL_BCAST_THRESHOLD analogue).
+inline constexpr Bytes kBcastLargeThreshold = 64_KiB;
+
+/// Payloads at or above this switch MPI_Allreduce from recursive doubling to
+/// Rabenseifner's reduce-scatter + allgather scheme, in the same two places
+/// (MV2_ALLREDUCE_SHORT_MSG analogue).
+inline constexpr Bytes kAllreduceLargeThreshold = 32_KiB;
 
 /// One selection rule. All bounds are inclusive; the defaults match anything.
 struct TuningEntry {
@@ -69,34 +78,25 @@ class TuningTable {
   /// Reads and parses a tuning file; throws Error if unreadable or malformed.
   static TuningTable load_file(const std::string& path);
 
-  /// Appends one rule; later rules beat earlier ones.
-  void add(TuningEntry entry) { entries_.push_back(entry); }
+  /// Appends one rule; later rules beat earlier ones. Throws Error if the
+  /// rule names an algorithm that is not valid for its collective.
+  void add(TuningEntry entry);
 
-  /// Appends all of `other`'s entries after ours and adopts its env pins —
-  /// i.e. `other` wins wherever both tables speak.
+  /// Appends all of `other`'s entries after ours — i.e. `other` wins
+  /// wherever both tables speak.
   void merge(const TuningTable& other);
 
-  /// Pins one collective to `algo` regardless of entries (what the env vars
-  /// install). Algo::Auto clears the pin.
-  void set_override(Coll coll, Algo algo);
-
-  /// Reads the CBMPI_<COLL>_ALGORITHM env vars and installs the pins; throws
-  /// Error on an unknown or invalid algorithm name.
-  void apply_env();
-
-  /// The algorithm for this call site: env pin if set, else the last matching
-  /// entry, else Algo::Auto. `cph` is containers per host (1 = native).
+  /// The algorithm for this call site: the last matching entry, else
+  /// Algo::Auto. `cph` is containers per host (1 = native).
   Algo select(Coll coll, Bytes size, int ranks, int cph) const;
 
-  /// Emits the parseable text form (entries only; pins are env-scoped).
+  /// Emits the parseable text form.
   std::string serialize() const;
 
   const std::vector<TuningEntry>& entries() const { return entries_; }
-  std::optional<Algo> override_for(Coll coll) const;
 
  private:
   std::vector<TuningEntry> entries_;
-  std::optional<Algo> overrides_[kColls]{};
 };
 
 }  // namespace cbmpi::coll

@@ -91,17 +91,4 @@ bool valid_for(Coll coll, Algo algo) {
   return false;
 }
 
-const char* env_var_for(Coll coll) {
-  switch (coll) {
-    case Coll::Barrier: return "CBMPI_BARRIER_ALGORITHM";
-    case Coll::Bcast: return "CBMPI_BCAST_ALGORITHM";
-    case Coll::Reduce: return "CBMPI_REDUCE_ALGORITHM";
-    case Coll::Allreduce: return "CBMPI_ALLREDUCE_ALGORITHM";
-    case Coll::Allgather: return "CBMPI_ALLGATHER_ALGORITHM";
-    case Coll::Alltoall: return "CBMPI_ALLTOALL_ALGORITHM";
-    case Coll::Count_: break;
-  }
-  return "";
-}
-
 }  // namespace cbmpi::coll

@@ -47,7 +47,7 @@ enum class Algo : std::uint8_t {
 
 inline constexpr std::size_t kAlgos = static_cast<std::size_t>(Algo::Count_);
 
-/// Lower-case token used in tuning files and env vars (e.g. "flat_tree").
+/// Lower-case token used in tuning files (e.g. "flat_tree").
 const char* to_string(Coll coll);
 const char* to_string(Algo algo);
 
@@ -60,8 +60,5 @@ std::optional<Algo> parse_algo(std::string_view token);
 std::span<const Algo> algorithms_for(Coll coll);
 
 bool valid_for(Coll coll, Algo algo);
-
-/// Env var that pins one collective's algorithm, e.g. "CBMPI_BCAST_ALGORITHM".
-const char* env_var_for(Coll coll);
 
 }  // namespace cbmpi::coll

@@ -63,11 +63,10 @@ struct JobState {
   fabric::TuningParams tuning;
 
   /// Collective-algorithm engine; the runtime rebuilds it from the job's
-  /// tuning table, TuningParams and placement before any rank starts.
+  /// tuning table and placement before any rank starts.
   /// (Fully qualified: the member name shadows the `coll` namespace inside
   /// this class scope.)
-  cbmpi::coll::Engine coll{cbmpi::coll::TuningTable::container_defaults(),
-                           fabric::TuningParams{}, 1};
+  cbmpi::coll::Engine coll{cbmpi::coll::TuningTable::container_defaults(), 1};
 
   std::unique_ptr<fabric::ShmChannel> shm;
   std::unique_ptr<fabric::CmaChannel> cma;

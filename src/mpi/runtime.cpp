@@ -175,18 +175,6 @@ void validate_config(const JobConfig& config) {
   CBMPI_REQUIRE(tuning.smpi_length_queue > 0, "SMPI_LENGTH_QUEUE must be positive");
   CBMPI_REQUIRE(tuning.iba_eager_threshold > 0,
                 "MV2_IBA_EAGER_THRESHOLD must be positive");
-  CBMPI_REQUIRE(tuning.bcast_large_threshold > 0,
-                "bcast_large_threshold must be positive");
-  CBMPI_REQUIRE(tuning.allreduce_large_threshold > 0,
-                "allreduce_large_threshold must be positive");
-  CBMPI_REQUIRE(tuning.hca_max_retries >= 0,
-                "hca_max_retries must be >= 0, got ", tuning.hca_max_retries);
-  CBMPI_REQUIRE(tuning.hca_retry_backoff > 0.0,
-                "hca_retry_backoff must be positive, got ",
-                tuning.hca_retry_backoff);
-  CBMPI_REQUIRE(tuning.hca_retry_backoff_factor >= 1.0,
-                "hca_retry_backoff_factor must be >= 1, got ",
-                tuning.hca_retry_backoff_factor);
   CBMPI_REQUIRE(tuning.rndv_chunk > 0,
                 "rndv_chunk must be positive, got ", tuning.rndv_chunk);
   CBMPI_REQUIRE(tuning.reg_cost_scale >= 0.0,
@@ -354,9 +342,7 @@ JobResult run_job_attempt(const JobConfig& config,
     int cph = 1;
     for (int h = 0; h < placement.num_hosts(); ++h)
       cph = std::max(cph, placement.containers_on(h));
-    coll::TuningTable table = config.coll_tuning;
-    table.apply_env();  // CBMPI_<COLL>_ALGORITHM pins beat every table entry
-    job.coll = coll::Engine(std::move(table), config.tuning, cph);
+    job.coll = coll::Engine(config.coll_tuning, cph);
   }
   job.shm = std::make_unique<fabric::ShmChannel>(machine.profile(), config.tuning);
   job.cma = std::make_unique<fabric::CmaChannel>(machine.profile());

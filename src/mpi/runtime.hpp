@@ -49,10 +49,10 @@ struct JobConfig {
   std::optional<container::JobPlacement> placement;
   fabric::TuningParams tuning{};
 
-  /// Collective-algorithm selection rules. Ships the paper-derived container
-  /// defaults; merge a parsed file over them (`cbmpirun --tuning=<file>`) to
-  /// re-tune without a recompile. CBMPI_<COLL>_ALGORITHM env pins are applied
-  /// on top at job start and beat every table entry.
+  /// Collective-algorithm selection rules, the only source of a collective's
+  /// algorithm. Ships the paper-derived container defaults; merge a parsed
+  /// file over them (`cbmpirun --tuning=<file>`) to re-tune without a
+  /// recompile, or `add()` a catch-all entry to pin one collective.
   coll::TuningTable coll_tuning = coll::TuningTable::container_defaults();
   fabric::LocalityPolicy policy = fabric::LocalityPolicy::HostnameBased;
   topo::MachineProfile profile = topo::MachineProfile::chameleon_fdr();

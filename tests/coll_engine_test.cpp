@@ -1,7 +1,8 @@
 // The collective-algorithm engine: every algorithm of every collective gives
 // the reference result at every containers-per-host shape, the tuning-file
 // parser round-trips and rejects garbage with line numbers, and selection
-// precedence (env pin > file entry > shipped default > heuristic) holds.
+// precedence (file entry > shipped default > heuristic) holds with the table
+// as the only source of a choice.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -41,7 +42,7 @@ class CollEngineShapes : public testing::TestWithParam<int> {};  // cph
 void check_collective(const JobConfig& base, coll::Coll c, coll::Algo algo,
                       std::size_t elems) {
   auto cfg = base;
-  cfg.coll_tuning.set_override(c, algo);
+  cfg.coll_tuning.add({.coll = c, .algo = algo});
   const int n = cfg.deployment.total_ranks();
   run_job(cfg, [&, n](mpi::Process& p) {
     auto& comm = p.world();
@@ -145,7 +146,7 @@ INSTANTIATE_TEST_SUITE_P(ContainersPerHost, CollEngineShapes,
 
 TEST(CollEngineObservability, PinnedAlgorithmShowsInProfileAndTrace) {
   auto cfg = config_for(2, 2, 4);
-  cfg.coll_tuning.set_override(coll::Coll::Bcast, coll::Algo::FlatTree);
+  cfg.coll_tuning.add({.coll = coll::Coll::Bcast, .algo = coll::Algo::FlatTree});
   cfg.record_trace = true;
   const auto result = run_job(cfg, [](mpi::Process& p) {
     std::vector<int> data(64, p.rank() == 0 ? 7 : 0);
@@ -220,44 +221,34 @@ TEST(CollTuningTable, LastMatchWinsAndRangesFilter) {
   EXPECT_EQ(t.select(coll::Coll::Bcast, 64_KiB, 4, 1), coll::Algo::FlatTree);
   // no entry for other collectives -> Auto.
   EXPECT_EQ(t.select(coll::Coll::Reduce, 1_KiB, 8, 1), coll::Algo::Auto);
+  // Appended rows are held to the same collective/algorithm pairing.
+  coll::TuningTable pinned;
+  EXPECT_THROW(pinned.add({.coll = coll::Coll::Bcast, .algo = coll::Algo::Ring}),
+               Error);
 }
 
-TEST(CollTuningTable, EnvOverridesBeatFileEntries) {
-  auto t = coll::TuningTable::parse("allreduce * * * reduce_bcast\n");
-  ASSERT_EQ(setenv("CBMPI_ALLREDUCE_ALGORITHM", "recursive_doubling", 1), 0);
-  t.apply_env();
-  unsetenv("CBMPI_ALLREDUCE_ALGORITHM");
-  EXPECT_EQ(t.select(coll::Coll::Allreduce, 1_MiB, 64, 4),
-            coll::Algo::RecursiveDoubling);
-  // Clearing the pin (Auto) re-exposes the file entry.
-  t.set_override(coll::Coll::Allreduce, coll::Algo::Auto);
-  EXPECT_EQ(t.select(coll::Coll::Allreduce, 1_MiB, 64, 4),
-            coll::Algo::ReduceBcast);
-}
-
-TEST(CollTuningTable, EnvRejectsAlgorithmsInvalidForTheCollective) {
-  auto t = coll::TuningTable::container_defaults();
-  ASSERT_EQ(setenv("CBMPI_BCAST_ALGORITHM", "ring", 1), 0);
-  EXPECT_THROW(t.apply_env(), Error);
-  unsetenv("CBMPI_BCAST_ALGORITHM");
-}
-
-TEST(CollEngineEndToEnd, EnvPinBeatsFileEntryInsideAJob) {
-  auto cfg = config_for(2, 2, 4);
-  cfg.coll_tuning.merge(
-      coll::TuningTable::parse("allreduce * * * reduce_bcast\n"));
-  ASSERT_EQ(setenv("CBMPI_ALLREDUCE_ALGORITHM", "recursive_doubling", 1), 0);
-  const auto result = run_job(cfg, [](mpi::Process& p) {
+TEST(CollEngineEndToEnd, AmbientEnvironmentDoesNotChangeTheJob) {
+  // The job's tuning table is the only source of an algorithm: a variable
+  // named like an MVAPICH2-style algorithm pin changes neither the choice
+  // nor the job time.
+  const auto cfg = config_for(2, 2, 4);
+  const auto body = [](mpi::Process& p) {
     const auto sum = p.world().allreduce_value<std::int64_t>(1, ReduceOp::Sum);
     ASSERT_EQ(sum, p.size());
-  });
+  };
+  const auto clean = run_job(cfg, body);
+  ASSERT_EQ(setenv("CBMPI_ALLREDUCE_ALGORITHM", "reduce_bcast", 1), 0);
+  const auto ambient = run_job(cfg, body);
   unsetenv("CBMPI_ALLREDUCE_ALGORITHM");
-  EXPECT_GT(result.profile.total.coll_algo(coll::Coll::Allreduce,
-                                           coll::Algo::RecursiveDoubling),
+  const auto table_algo = cfg.coll_tuning.select(
+      coll::Coll::Allreduce, sizeof(std::int64_t), 8, 2);
+  ASSERT_EQ(table_algo, coll::Algo::RecursiveDoubling);
+  EXPECT_EQ(ambient.profile.total.coll_algo(coll::Coll::Allreduce, table_algo),
+            8u);  // one per rank
+  EXPECT_EQ(ambient.profile.total.coll_algo(coll::Coll::Allreduce,
+                                            coll::Algo::ReduceBcast),
             0u);
-  EXPECT_EQ(result.profile.total.coll_algo(coll::Coll::Allreduce,
-                                           coll::Algo::ReduceBcast),
-            0u);
+  EXPECT_EQ(ambient.job_time, clean.job_time);
 }
 
 // ---------------------------------------------------------------------------
@@ -266,8 +257,7 @@ TEST(CollEngineEndToEnd, EnvPinBeatsFileEntryInsideAJob) {
 // ---------------------------------------------------------------------------
 
 TEST(CollEngine, TwoLevelDemotesToHeuristicWhenUnavailable) {
-  const coll::Engine engine(coll::TuningTable::container_defaults(),
-                            fabric::TuningParams{}, 2);
+  const coll::Engine engine(coll::TuningTable::container_defaults(), 2);
   EXPECT_EQ(engine.choose(coll::Coll::Barrier, 0, 8, true),
             coll::Algo::TwoLevel);
   EXPECT_EQ(engine.choose(coll::Coll::Barrier, 0, 8, false),
@@ -277,14 +267,13 @@ TEST(CollEngine, TwoLevelDemotesToHeuristicWhenUnavailable) {
 TEST(CollEngine, EmptyTableFallsBackToLegacyHeuristic) {
   // Bcast heuristic: binomial small, van de Geijn large (>= threshold, >= 4
   // ranks), never van de Geijn on tiny communicators.
-  const fabric::TuningParams params;
-  const coll::Engine engine(coll::TuningTable{}, params, 1);
+  const coll::Engine engine(coll::TuningTable{}, 1);
   EXPECT_EQ(engine.choose(coll::Coll::Bcast, 1_KiB, 8, false),
             coll::Algo::Binomial);
-  EXPECT_EQ(engine.choose(coll::Coll::Bcast, params.bcast_large_threshold, 8,
+  EXPECT_EQ(engine.choose(coll::Coll::Bcast, coll::kBcastLargeThreshold, 8,
                           false),
             coll::Algo::VanDeGeijn);
-  EXPECT_EQ(engine.choose(coll::Coll::Bcast, params.bcast_large_threshold, 2,
+  EXPECT_EQ(engine.choose(coll::Coll::Bcast, coll::kBcastLargeThreshold, 2,
                           false),
             coll::Algo::Binomial);
   EXPECT_EQ(engine.choose(coll::Coll::Allreduce, 1_KiB, 8, false),
@@ -292,7 +281,7 @@ TEST(CollEngine, EmptyTableFallsBackToLegacyHeuristic) {
   EXPECT_EQ(engine.choose(coll::Coll::Allreduce, 1_KiB, 6, false),
             coll::Algo::ReduceBcast);  // non-pow2
   EXPECT_EQ(engine.choose(coll::Coll::Allreduce,
-                          params.allreduce_large_threshold, 8, false),
+                          coll::kAllreduceLargeThreshold, 8, false),
             coll::Algo::Rabenseifner);
   EXPECT_EQ(engine.choose(coll::Coll::Allgather, 1_KiB, 8, false),
             coll::Algo::Ring);

@@ -184,13 +184,13 @@ INSTANTIATE_TEST_SUITE_P(
                     ExtCase{3, 1, 3, LocalityPolicy::HostnameBased}));
 
 TEST(LargeAlgorithms, BcastVanDeGeijnMatchesBinomial) {
-  // Same payload, thresholds flipped: results must be identical, and the
-  // ring-based algorithm should be faster for large payloads.
-  auto run_with = [&](Bytes threshold) {
+  // Same payload, each algorithm pinned by a catch-all table row: results
+  // must be identical, and the ring-based algorithm should be faster for
+  // large payloads.
+  auto run_with = [&](coll::Algo algo) {
     JobConfig cfg;
     cfg.deployment = DeploymentSpec::native_hosts(4, 2);
-    cfg.coll_tuning = {};  // empty table: Auto heuristic, honours the threshold
-    cfg.tuning.bcast_large_threshold = threshold;
+    cfg.coll_tuning.add({.coll = coll::Coll::Bcast, .algo = algo});
     Micros time = 0.0;
     std::uint64_t checksum = 0;
     run_job(cfg, [&](mpi::Process& p) {
@@ -211,19 +211,18 @@ TEST(LargeAlgorithms, BcastVanDeGeijnMatchesBinomial) {
     });
     return std::pair{time, checksum};
   };
-  const auto [ring_time, ring_sum] = run_with(64_KiB);       // van de Geijn
-  const auto [tree_time, tree_sum] = run_with(1_GiB);        // binomial only
+  const auto [ring_time, ring_sum] = run_with(coll::Algo::VanDeGeijn);
+  const auto [tree_time, tree_sum] = run_with(coll::Algo::Binomial);
   EXPECT_EQ(ring_sum, tree_sum);
   EXPECT_LT(ring_time, tree_time)
       << "scatter+allgather must beat the binomial tree at 512 KiB";
 }
 
 TEST(LargeAlgorithms, AllreduceRabenseifnerMatchesRecursiveDoubling) {
-  auto run_with = [&](Bytes threshold) {
+  auto run_with = [&](coll::Algo algo) {
     JobConfig cfg;
     cfg.deployment = DeploymentSpec::native_hosts(4, 2);
-    cfg.coll_tuning = {};  // empty table: Auto heuristic, honours the threshold
-    cfg.tuning.allreduce_large_threshold = threshold;
+    cfg.coll_tuning.add({.coll = coll::Coll::Allreduce, .algo = algo});
     Micros time = 0.0;
     double checksum = 0.0;
     run_job(cfg, [&](mpi::Process& p) {
@@ -244,8 +243,9 @@ TEST(LargeAlgorithms, AllreduceRabenseifnerMatchesRecursiveDoubling) {
     });
     return std::pair{time, checksum};
   };
-  const auto [raben_time, raben_sum] = run_with(32_KiB);
-  const auto [recdbl_time, recdbl_sum] = run_with(1_GiB);
+  const auto [raben_time, raben_sum] = run_with(coll::Algo::Rabenseifner);
+  const auto [recdbl_time, recdbl_sum] =
+      run_with(coll::Algo::RecursiveDoubling);
   EXPECT_DOUBLE_EQ(raben_sum, recdbl_sum);
   EXPECT_LT(raben_time, recdbl_time)
       << "reduce-scatter + allgather must beat recursive doubling at 256 KiB";

@@ -223,7 +223,6 @@ TEST(Faults, LinkFlapRetriesThroughDownWindows) {
   config.deployment = DeploymentSpec::native_hosts(2, 1);
   config.faults.hca_link_flap_period = 200.0;
   config.faults.hca_link_flap_duration = 30.0;
-  config.tuning.hca_retry_backoff = 8.0;  // escape a 30 us window quickly
 
   const auto result = run_job(config, pairwise_exchange(16 * 1024));
   // Attempts that land in a down window retry until the link is back.
@@ -236,7 +235,6 @@ TEST(Faults, PersistentHcaFailureEscalatesToAbortWithRankId) {
   JobConfig config;
   config.deployment = DeploymentSpec::native_hosts(2, 1);
   config.faults.hca_transient_prob = 1.0;  // every attempt fails
-  config.tuning.hca_max_retries = 3;
 
   try {
     run_job(config, pairwise_exchange(4096));
@@ -245,7 +243,8 @@ TEST(Faults, PersistentHcaFailureEscalatesToAbortWithRankId) {
     const std::string what = e.what();
     EXPECT_NE(what.find("rank 0"), std::string::npos) << what;
     EXPECT_NE(what.find("abandoned"), std::string::npos) << what;
-    EXPECT_NE(what.find("4 attempts"), std::string::npos) << what;
+    // The first attempt plus the six retries of the fixed budget.
+    EXPECT_NE(what.find("7 attempts"), std::string::npos) << what;
   }
 }
 
@@ -373,11 +372,6 @@ TEST(Faults, ConfigValidationRejectsBadConfigs) {
   JobConfig uneven;
   uneven.deployment = DeploymentSpec::containers(1, 2, 3);  // 3 % 2 != 0
   EXPECT_THROW(run_job(uneven, noop), Error);
-
-  JobConfig bad_retry;
-  bad_retry.deployment = DeploymentSpec::native_hosts(1, 1);
-  bad_retry.tuning.hca_retry_backoff = 0.0;
-  EXPECT_THROW(run_job(bad_retry, noop), Error);
 }
 
 TEST(Faults, PlanValidationRejectsBadProbabilities) {

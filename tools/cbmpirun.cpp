@@ -179,58 +179,17 @@ int run_osu(const LaunchPlan& plan) {
   return 0;
 }
 
-/// Crash/recovery knobs forwarded into schedule mode (all off by default).
-struct RecoveryOptions {
-  double crash_rate = 0.0;       ///< per-rank crash probability per job
-  double host_crash_rate = 0.0;  ///< per-host crash probability per job
-  Micros checkpoint_interval = 0.0;
-  int max_restarts = 3;
-  int blacklist_threshold = 3;
-};
-
-/// Live-migration knobs forwarded into schedule mode (off by default).
-struct MigrateOptions {
-  std::string policy = "off";  ///< off | defrag | evacuate | colocate
-  double cost_margin = 1.0;    ///< win must beat cost x margin
-  int precopy_rounds = 2;      ///< pre-copy iterations before stop-and-copy
-};
-
 /// Multi-job mode: submit a deterministic mix of registry jobs to the
 /// cluster scheduler and report the per-job schedule plus cluster metrics.
-int run_schedule(const std::string& policy_name, int hosts, int jobs,
-                 bool backfill, std::uint64_t seed,
-                 const std::string& report_file, const RecoveryOptions& rec,
-                 const MigrateOptions& mig, const net::FabricConfig& fabric,
-                 bool analyze) {
-  const auto policy = sched::parse_policy(policy_name);
-  if (!policy) {
-    std::fprintf(stderr,
-                 "unknown --schedule policy '%s'; use packed | spread | "
-                 "random | locality | topology\n",
-                 policy_name.c_str());
-    return 2;
-  }
-
-  sched::SchedulerConfig config;
-  config.cluster_hosts = hosts;
-  config.policy = *policy;
-  config.backfill = backfill;
-  config.seed = seed;
-  config.checkpoint_interval = rec.checkpoint_interval;
-  config.max_restarts = rec.max_restarts;
-  config.blacklist_threshold = rec.blacklist_threshold;
-  config.fabric = fabric;
-  config.observe = analyze;
-  try {
-    config.migrate_policy = migrate::parse_policy(mig.policy);
-  } catch (const Error& e) {
-    std::fprintf(stderr, "cbmpirun: %s\n", e.what());
-    return 2;
-  }
-  config.migrate_cost.cost_margin = mig.cost_margin;
-  config.migrate_cost.precopy_rounds = mig.precopy_rounds;
+/// Every job carries `crash` as its fault plan (no faults by default).
+int run_schedule(const sched::SchedulerConfig& config,
+                 const std::string& policy_name, int jobs,
+                 const faults::FaultPlan& crash,
+                 const std::string& report_file) {
   sched::Scheduler scheduler(config);
 
+  const int hosts = config.cluster_hosts;
+  const std::uint64_t seed = config.seed;
   const int cores = hosts * config.host_shape.total_cores();
   const auto bodies = mpi::JobBodyRegistry::instance().names();
   Xoshiro256 rng(mix64(seed));
@@ -245,20 +204,18 @@ int run_schedule(const std::string& policy_name, int hosts, int jobs,
     job.params.rounds = 2 + static_cast<int>(rng.below(3));
     job.submit_time = t;
     job.est_runtime = millis(50.0);
-    job.faults.rank_crash_prob = rec.crash_rate;
-    job.faults.host_crash_prob = rec.host_crash_rate;
-    if (rec.crash_rate > 0.0 || rec.host_crash_rate > 0.0)
-      job.faults.crash_horizon = 100.0;
+    job.faults = crash;
     if (i >= jobs / 3) t += 10.0 + 10.0 * static_cast<double>(rng.below(4));
     scheduler.submit(job);
   }
 
   std::printf("scheduling %d jobs on %d hosts (%d cores), policy %s%s, seed "
               "%llu\n\n",
-              jobs, hosts, cores, sched::to_string(*policy),
-              backfill ? " + backfill" : "", static_cast<unsigned long long>(seed));
+              jobs, hosts, cores, sched::to_string(config.policy),
+              config.backfill ? " + backfill" : "",
+              static_cast<unsigned long long>(seed));
 
-  const bool recovery_on = rec.crash_rate > 0.0 || rec.host_crash_rate > 0.0;
+  const bool recovery_on = crash.crashes_enabled();
   std::vector<std::string> columns = {"job", "body", "ranks", "hosts",
                                       "submit (us)", "start (us)", "end (us)",
                                       "wait (us)", "intra-host", "backfilled"};
@@ -325,7 +282,7 @@ int run_schedule(const std::string& policy_name, int hosts, int jobs,
                 metrics.migration_win_us, metrics.migration_cost_us);
   }
   std::map<std::string, obs::analysis::Analysis> job_analyses;
-  if (analyze) {
+  if (config.observe) {
     // Per-job critical paths: each job's spans live in their own virtual
     // timeline starting at 0, so each is analyzed independently.
     for (const auto& job : scheduler.jobs()) {
@@ -346,7 +303,7 @@ int run_schedule(const std::string& policy_name, int hosts, int jobs,
     ctx.policy = policy_name;
     ctx.seed = seed;
     ctx.cluster = &metrics;
-    if (analyze) ctx.job_analyses = &job_analyses;
+    if (config.observe) ctx.job_analyses = &job_analyses;
     write_text_file(report_file, obs::schedule_report_json(ctx, scheduler));
     std::printf("schedule report written to %s\n", report_file.c_str());
   }
@@ -416,27 +373,27 @@ int main(int argc, char** argv) {
       static_cast<int>(opts.get_int("jobs", 12, "jobs to schedule (--schedule)"));
   const bool no_backfill =
       opts.get_flag("no-backfill", "pure FIFO, no EASY backfill (--schedule)");
-  RecoveryOptions rec;
-  rec.crash_rate = opts.get_double(
+  sched::SchedulerConfig sched_config;
+  faults::FaultPlan crash;
+  crash.rank_crash_prob = opts.get_double(
       "crash-rate", 0.0, "per-rank crash probability per job (--schedule)");
-  rec.host_crash_rate = opts.get_double(
+  crash.host_crash_prob = opts.get_double(
       "host-crash-rate", 0.0, "per-host crash probability per job (--schedule)");
-  rec.checkpoint_interval = opts.get_double(
+  sched_config.checkpoint_interval = opts.get_double(
       "checkpoint-interval", 0.0,
       "coordinated checkpoint interval in virtual us, 0 = off (--schedule)");
-  rec.max_restarts = static_cast<int>(opts.get_int(
+  sched_config.max_restarts = static_cast<int>(opts.get_int(
       "max-restarts", 3, "requeue budget per crashed job (--schedule)"));
-  rec.blacklist_threshold = static_cast<int>(opts.get_int(
+  sched_config.blacklist_threshold = static_cast<int>(opts.get_int(
       "blacklist-threshold", 3,
       "crashed attempts before a host is blacklisted, 0 = never (--schedule)"));
-  MigrateOptions mig;
-  mig.policy = opts.get(
+  const std::string migrate_policy = opts.get(
       "migrate", "off",
       "live-migration policy: off | defrag | evacuate | colocate (--schedule)");
-  mig.cost_margin = opts.get_double(
+  sched_config.migrate_cost.cost_margin = opts.get_double(
       "migrate-cost", 1.0,
       "cost-gate margin: locality win must exceed cost x this (--schedule)");
-  mig.precopy_rounds = static_cast<int>(opts.get_int(
+  sched_config.migrate_cost.precopy_rounds = static_cast<int>(opts.get_int(
       "precopy-rounds", 2,
       "pre-copy iterations before the stop-and-copy pause (--schedule)"));
   if (opts.finish("cbmpirun — launch an application on the simulated "
@@ -452,18 +409,66 @@ int main(int argc, char** argv) {
   }
   fabric.link_bw_gbps = link_bw;
   fabric.vf_limit = vf_limit;
-  plan.config.fabric = fabric;
 
-  if (!schedule.empty())
-    return run_schedule(schedule, std::max(hosts, 2), jobs, !no_backfill,
-                        plan.config.seed, plan.report_file, rec, mig, fabric,
-                        plan.analyze);
+  // One TuningParams for both modes: a single job runs with it, a schedule
+  // forwards it to every job it launches.
+  fabric::TuningParams tuning;
+  tuning.use_cma = !no_cma;
+  tuning.two_level_collectives = !flat;
+  if (reg_cache != "off") {
+    try {
+      tuning.reg_model = true;
+      tuning.reg_cache_bytes = parse_size(reg_cache);
+      tuning.reg_cost_scale = reg_cost;
+      tuning.rndv_chunk = parse_size(rndv_chunk);
+    } catch (const Error& e) {
+      std::fprintf(stderr, "cbmpirun: %s\n", e.what());
+      return 2;
+    }
+    if (tuning.rndv_chunk == 0) {
+      std::fprintf(stderr, "cbmpirun: --rndv-chunk must be positive\n");
+      return 2;
+    }
+  }
+
+  if (!schedule.empty()) {
+    if (!tuning_file.empty()) {
+      std::fprintf(stderr, "cbmpirun: --tuning applies to single-job runs; "
+                           "--schedule has no tuning-table slot\n");
+      return 2;
+    }
+    const auto placement = sched::parse_policy(schedule);
+    if (!placement) {
+      std::fprintf(stderr,
+                   "unknown --schedule policy '%s'; use packed | spread | "
+                   "random | locality | topology\n",
+                   schedule.c_str());
+      return 2;
+    }
+    try {
+      sched_config.migrate_policy = migrate::parse_policy(migrate_policy);
+    } catch (const Error& e) {
+      std::fprintf(stderr, "cbmpirun: %s\n", e.what());
+      return 2;
+    }
+    sched_config.cluster_hosts = std::max(hosts, 2);
+    sched_config.policy = *placement;
+    sched_config.backfill = !no_backfill;
+    sched_config.seed = plan.config.seed;
+    sched_config.tuning = tuning;
+    sched_config.fabric = fabric;
+    sched_config.observe = plan.analyze;
+    if (crash.crashes_enabled()) crash.crash_horizon = 100.0;
+    return run_schedule(sched_config, schedule, jobs, crash, plan.report_file);
+  }
 
   // Observability costs nothing in virtual time, so any output flag simply
   // switches it on; --trace-out additionally records the instant events.
   plan.config.observe = plan.show_metrics || plan.analyze ||
                         !plan.report_file.empty() || !plan.trace_file.empty();
   plan.config.record_trace = !plan.trace_file.empty();
+  plan.config.fabric = fabric;
+  plan.config.tuning = tuning;
   plan.policy_name = policy == "default" ? "default" : "aware";
 
   if (containers == 0) {
@@ -479,27 +484,10 @@ int main(int argc, char** argv) {
   }
   plan.config.policy = policy == "default" ? fabric::LocalityPolicy::HostnameBased
                                            : fabric::LocalityPolicy::ContainerAware;
-  plan.config.tuning.use_cma = !no_cma;
-  plan.config.tuning.two_level_collectives = !flat;
-  if (reg_cache != "off") {
-    try {
-      plan.config.tuning.reg_model = true;
-      plan.config.tuning.reg_cache_bytes = parse_size(reg_cache);
-      plan.config.tuning.reg_cost_scale = reg_cost;
-      plan.config.tuning.rndv_chunk = parse_size(rndv_chunk);
-    } catch (const Error& e) {
-      std::fprintf(stderr, "cbmpirun: %s\n", e.what());
-      return 2;
-    }
-    if (plan.config.tuning.rndv_chunk == 0) {
-      std::fprintf(stderr, "cbmpirun: --rndv-chunk must be positive\n");
-      return 2;
-    }
-  }
   if (!tuning_file.empty()) {
     // User entries append after the shipped container defaults, so a file
     // overrides exactly the (collective, size, ranks, cph) regions it names —
-    // last match wins. CBMPI_*_ALGORITHM env pins still beat both.
+    // last match wins.
     try {
       plan.config.coll_tuning.merge(coll::TuningTable::load_file(tuning_file));
     } catch (const Error& e) {

@@ -9,6 +9,8 @@
    every fabric::TuningParams field declared in src/fabric/tuning.hpp must
    be documented, and every flag/env var the doc mentions and every field
    in its "Programmatic knobs" table must still exist (no stale rows).
+   Every TuningParams field must also be assigned (`.field = ...`)
+   somewhere outside tests/: a knob that only tests turn is a constant.
 4. Build wiring is consistent: every src/ subdirectory with .cpp files has
    a CMakeLists.txt and an add_subdirectory entry in src/CMakeLists.txt
    (header-only directories, e.g. src/pgas, are exempt from build wiring
@@ -53,6 +55,8 @@ FIELD_DECL_RE = re.compile(r"^\s*[A-Za-z_:]+\s+([a-z_][a-z0-9_]*)\s*(?:=[^;]*)?;
 # `field`, `TuningParams::field` or `fabric::TuningParams::field`.
 DOC_FIELD_RE = re.compile(r"`(?:fabric::)?(?:TuningParams::)?([a-z_][a-z0-9_]*)`")
 KNOB_TABLE_ROW_RE = re.compile(r"^\| `([a-z_][a-z0-9_]*)` \|", re.M)
+# Where a knob may be turned for real: everything but tests/.
+KNOB_USER_ROOTS = ("src", "tools", "bench", "examples")
 
 REPORT_SCHEMA = "src/obs/analysis/report_schema.cpp"
 # `    {"net", kSingle, true,` in kSections; nested ones ("jobs[].crash") skip.
@@ -136,16 +140,22 @@ def check_build_coverage(problems):
                 f"directory that does not exist (stale)")
 
 
+def cpp_sources(roots):
+    """Contents of every C++ source file under the given repo directories."""
+    for root in roots:
+        for dirpath, _dirs, files in os.walk(os.path.join(REPO, root)):
+            for name in files:
+                if name.endswith((".cpp", ".hpp")):
+                    with open(os.path.join(dirpath, name),
+                              encoding="utf-8") as f:
+                        yield f.read()
+
+
 def registered_env_vars():
     """CBMPI_* string literals anywhere in src/ or tools/ C++ sources."""
     found = set()
-    for root in ("src", "tools"):
-        for dirpath, _dirs, files in os.walk(os.path.join(REPO, root)):
-            for name in files:
-                if not name.endswith((".cpp", ".hpp")):
-                    continue
-                with open(os.path.join(dirpath, name), encoding="utf-8") as f:
-                    found.update(ENV_VAR_RE.findall(f.read()))
+    for text in cpp_sources(("src", "tools")):
+        found.update(ENV_VAR_RE.findall(text))
     return found
 
 
@@ -167,7 +177,18 @@ def check_tuning_fields(doc, problems):
         problems.append(
             f"{TUNING_DOC}: documents TuningParams::{field}, which "
             f"{TUNING_HPP} does not declare (stale)")
+    check_knobs_used(fields, problems)
     return len(fields)
+
+
+def check_knobs_used(fields, problems):
+    """Flags TuningParams fields that nothing outside tests/ assigns."""
+    code = "\n".join(cpp_sources(KNOB_USER_ROOTS))
+    for field in sorted(fields):
+        if not re.search(rf"\.{field}\s*=(?!=)", code):
+            problems.append(
+                f"{TUNING_HPP}: TuningParams::{field} is assigned nowhere "
+                f"outside tests/ — make it a constant")
 
 
 def check_tuning_knobs(problems):
@@ -227,7 +248,8 @@ def main():
         print(f"docs OK: {len(DOCS)} files, all links resolve, "
               "all src/ subsystems documented and build-wired, "
               f"{nflags} flags + {nenv} env vars + {nfields} TuningParams "
-              f"fields in sync with {TUNING_DOC}, {nsections} report "
+              f"fields in sync with {TUNING_DOC} and set outside tests/, "
+              f"{nsections} report "
               "sections in sync with DESIGN.md §12")
     return len(problems)
 
