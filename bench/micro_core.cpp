@@ -3,11 +3,15 @@
 // lock-based alternative.
 #include <benchmark/benchmark.h>
 
+#include <array>
+#include <atomic>
+#include <cstdlib>
 #include <mutex>
 
 #include "apps/graph500/kronecker.hpp"
 #include "container/engine.hpp"
 #include "fabric/shm_channel.hpp"
+#include "mpi/fiber.hpp"
 #include "mpi/locality.hpp"
 #include "mpi/matcher.hpp"
 #include "net/fabric.hpp"
@@ -49,6 +53,48 @@ void BM_MatcherWildcardScan(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MatcherWildcardScan)->Arg(4)->Arg(64)->Arg(512);
+
+// Park/wake round trip of the rank engine. Arg 1: one rank parks and its own
+// publish hook wakes it, so the round trip stays on one worker. Arg 2: two
+// ranks on two workers ping-pong through their matchers, the path
+// Adi3Engine::block_until takes; one iteration is a full 0 -> 1 -> 0 trip.
+void BM_FiberHandoff(benchmark::State& state) {
+  const auto nranks = static_cast<int>(state.range(0));
+  std::array<mpi::Matcher, 2> matchers;
+  std::atomic<bool> done{false};
+  auto wait_past = [&](mpi::Matcher& matcher, std::uint64_t seen) {
+    while (matcher.version() == seen)
+      mpi::RankScheduler::park(
+          [&](mpi::Fiber* self) { return matcher.park_past(seen, self); });
+  };
+  mpi::RankScheduler scheduler([] { std::abort(); });
+  scheduler.run(nranks, [&](int rank) {
+    if (nranks == 1) {
+      for (auto _ : state)
+        mpi::RankScheduler::park([](mpi::Fiber* self) {
+          mpi::RankScheduler::wake(self);
+          return true;
+        });
+    } else if (rank == 0) {
+      for (auto _ : state) {
+        const std::uint64_t seen = matchers[0].version();
+        matchers[1].poke();
+        wait_past(matchers[0], seen);
+      }
+      done.store(true);
+      matchers[1].poke();
+    } else {
+      std::uint64_t seen = 0;
+      while (true) {
+        wait_past(matchers[1], seen);
+        seen = matchers[1].version();  // before the poke: rank 0 waits for it
+        if (done.load()) return;
+        matchers[0].poke();
+      }
+    }
+  });
+}
+BENCHMARK(BM_FiberHandoff)->Arg(1)->Arg(2);
 
 void BM_ShmByteStoreLoad(benchmark::State& state) {
   osl::ShmSegment segment(4096);

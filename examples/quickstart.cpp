@@ -24,7 +24,7 @@ int main() {
   config.policy = fabric::LocalityPolicy::ContainerAware;
 
   // 3. Run the job. The lambda is the "MPI program"; every rank executes it
-  //    on its own thread with its own virtual clock.
+  //    as its own fiber with its own virtual clock.
   const auto result = mpi::run_job(config, [](mpi::Process& p) {
     auto& world = p.world();
 

@@ -1,7 +1,6 @@
 #include "apps/graph500/bfs.hpp"
 
 #include <algorithm>
-#include <thread>
 
 #include "common/error.hpp"
 
@@ -158,15 +157,10 @@ BfsResult run_bfs(mpi::Process& p, const DistGraph& graph, std::uint64_t root,
             return false;
         return true;
       };
-      while (!all_received()) {
-        if (!poll_receives(level + 1)) std::this_thread::yield();
-      }
+      while (!all_received()) poll_receives(level + 1);
       std::fill(sent_counts.begin(), sent_counts.end(), 0);
       std::fill(received_counts.begin(), received_counts.end(), 0);
-      while (!in_flight.empty()) {
-        prune_sends();
-        std::this_thread::yield();
-      }
+      while (!in_flight.empty()) prune_sends();
     }
 
     const auto next_global = comm.allreduce_value(

@@ -27,6 +27,14 @@ class AbortedError : public Error {
   explicit AbortedError(std::string what) : Error(std::move(what)) {}
 };
 
+/// Every rank still running its body is blocked, and none of them can wake
+/// another. The message names each blocked rank and the oldest receive it
+/// has posted.
+class DeadlockError : public Error {
+ public:
+  explicit DeadlockError(std::string what) : Error(std::move(what)) {}
+};
+
 namespace detail {
 template <typename... Args>
 [[noreturn]] void raise(const char* cond, const char* file, int line, Args&&... args) {

@@ -90,7 +90,7 @@ class HcaChannel {
   bool reg_model() const { return tuning_.reg_model; }
 
   /// Creates the per-rank pin-down cache; the runtime calls it once before
-  /// rank threads start, with capacities already scaled by each host's
+  /// any rank starts, with capacities already scaled by each host's
   /// SR-IOV VF share. No-op cost-wise when the model is off.
   void init_reg_cache(std::vector<Bytes> per_rank_capacity);
 
@@ -99,7 +99,7 @@ class HcaChannel {
   RegCosts reg_costs(Bytes size) const;
 
   /// Cache consultation for one endpoint of a rendezvous: mutates `rank`'s
-  /// shard (only that rank's thread may call it) and converts any eviction
+  /// shard (only that rank's fiber may call it) and converts any eviction
   /// or transient-unpin work into a virtual-time charge for the RegPlan.
   struct RegLookup {
     bool hit = false;

@@ -6,14 +6,17 @@
 // the sender's buffer; the *receiver* performs the transfer at match time
 // (exactly how CMA works: process_vm_readv is issued by the destination) and
 // then reports the sender's completion time back through the state. The
-// state only holds the outcome; it never blocks anyone. The receiver wakes a
+// state only holds the outcome and never blocks a wait. The receiver wakes a
 // blocked sender by poking the sender's matcher right after complete(), the
-// same wake-up path a delivery takes.
+// same wake-up path a delivery takes. A sender that aborts or crashes
+// withdraws its unfinished sends before it unwinds and frees the buffers; a
+// receiver's copy and the withdrawal exclude each other.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <vector>
 
@@ -38,6 +41,24 @@ class RndvState {
   std::span<const std::byte> source() const { return src_view_; }
   const osl::SimProcess& sender_process() const { return *sender_; }
 
+  /// Receiver side: runs copy() while the sender cannot withdraw, so the
+  /// source buffer stays alive throughout. Returns false, without running
+  /// copy(), once the sender has withdrawn.
+  template <typename Copy>
+  bool read_source(Copy&& copy) {
+    const std::scoped_lock lock(mutex_);
+    if (withdrawn_) return false;
+    copy();
+    return true;
+  }
+
+  /// Sender side, right before a failing rank unwinds and frees its send
+  /// buffers: from here on no receiver reads the source.
+  void withdraw() {
+    const std::scoped_lock lock(mutex_);
+    withdrawn_ = true;
+  }
+
   /// Receiver side: publish the sender's virtual completion time.
   void complete(Micros sender_complete_at) {
     sender_complete_at_ = sender_complete_at;
@@ -54,6 +75,8 @@ class RndvState {
   const osl::SimProcess* sender_;
   Micros sender_complete_at_ = 0.0;
   std::atomic<bool> done_{false};
+  std::mutex mutex_;
+  bool withdrawn_ = false;  // guarded by mutex_
 };
 
 struct Envelope {

@@ -9,8 +9,8 @@
 // buffer skip the cost entirely (MVAPICH2's lazy-unregister scheme).
 //
 // Determinism: the cache is sharded per rank. Each rank's shard is touched
-// only by that rank's own thread, in the rank's deterministic program
-// order — a job-shared LRU would be ordered by wall-clock thread
+// only by that rank's own fiber, in the rank's deterministic program
+// order — a job-shared LRU would be ordered by wall-clock fiber
 // interleaving and break bit-identical reruns. Buffer ids are assigned by
 // the ADI3 engine in per-rank first-use order for the same reason.
 //
@@ -76,17 +76,17 @@ class RegistrationCache {
   /// Looks `buffer_id` up in `rank`'s shard and registers it on a miss,
   /// evicting least-recently-used entries until it fits. A hit on an entry
   /// smaller than `bytes` (the buffer grew) re-registers: old entry evicted,
-  /// new one pinned. Only `rank`'s own thread may call this for `rank`.
+  /// new one pinned. Only `rank`'s own fiber may call this for `rank`.
   Lookup lookup(int rank, std::uint64_t buffer_id, Bytes bytes);
 
   Bytes pinned(int rank) const;
   Bytes capacity(int rank) const;
 
-  /// Aggregated over ranks. Call only after rank threads joined.
+  /// Aggregated over ranks. Call only after every rank finished.
   RegCacheStats stats() const;
 
-  /// Every shard's live entries, MRU first. Call only after rank threads
-  /// joined (migration-segment export).
+  /// Every shard's live entries, MRU first. Call only after every rank
+  /// finished (migration-segment export).
   std::vector<std::vector<RegCacheEntry>> snapshot_entries() const;
 
   /// Pre-pins `entries` (MRU first) into `rank`'s shard before the job body

@@ -247,7 +247,7 @@ class FaultInjector {
 
 /// Collects fault/degradation observations while the job runs and folds them
 /// into a canonical FaultReport. Writes go to per-rank slots owned by that
-/// rank's thread (the init thread before ranks start), so recording is
+/// rank's fiber (the init thread before ranks start), so recording is
 /// race-free and totals fold deterministically in rank order.
 class FaultLog {
  public:

@@ -196,6 +196,8 @@ Request Adi3Engine::start_send(std::span<const std::byte> data, int dst_world, i
     }
   }
   auto rndv = std::make_shared<fabric::RndvState>(data, proc_);
+  std::erase_if(rndv_sends_, [](const auto& sent) { return sent->done(); });
+  rndv_sends_.push_back(rndv);
   env.sent_at = clock().now();
   env.available_at = clock().now();
   env.rndv = rndv;
@@ -310,13 +312,21 @@ void Adi3Engine::complete_rendezvous(RequestState& request, fabric::Envelope& en
   // Back-to-back rendezvous pulls serialize on the receiving CPU/NIC.
   const Micros match_at = std::max(request.posted_at, recv_busy_until_);
   (void)match_at;
+  // A sender that aborted or crashed withdrew the send before freeing the
+  // buffer; this receiver then aborts too instead of reading freed memory.
+  const auto read_source = [&](auto&& copy) {
+    if (!rndv.read_source(copy))
+      throw AbortedError("job aborted: rank " + std::to_string(env.src) +
+                         " failed before its rendezvous send completed");
+  };
 
   fabric::RndvTimes times{};
   switch (env.channel) {
     case fabric::ChannelKind::Cma: {
       times = job_->cma->rndv_times(env.size, env.same_socket, env.available_at,
                                     match_at);
-      const auto result = job_->cma->pull(*proc_, rndv, dst);
+      auto result = osl::cma::Result::Ok;
+      read_source([&] { result = job_->cma->pull(*proc_, rndv, dst); });
       CBMPI_REQUIRE(result == osl::cma::Result::Ok,
                     "CMA transfer failed: ", osl::cma::to_string(result),
                     " — containers must share the host PID namespace "
@@ -326,7 +336,9 @@ void Adi3Engine::complete_rendezvous(RequestState& request, fabric::Envelope& en
     case fabric::ChannelKind::Shm:
       times = job_->shm->rndv_times(env.size, env.same_socket, env.available_at,
                                     match_at);
-      if (env.size > 0) std::memcpy(dst.data(), rndv.source().data(), env.size);
+      read_source([&] {
+        if (env.size > 0) std::memcpy(dst.data(), rndv.source().data(), env.size);
+      });
       break;
     case fabric::ChannelKind::Hca: {
       net::TransferCtx ctx;
@@ -362,7 +374,9 @@ void Adi3Engine::complete_rendezvous(RequestState& request, fabric::Envelope& en
         job_->net_log->record({ctx.key, ctx.src_host, ctx.dst_host, env.size,
                                times.inject_begin, env.sriov});
       trace_congestion(ctxp, env.src, rank_, env.size, times.inject_begin);
-      if (env.size > 0) std::memcpy(dst.data(), rndv.source().data(), env.size);
+      read_source([&] {
+        if (env.size > 0) std::memcpy(dst.data(), rndv.source().data(), env.size);
+      });
       break;
     }
   }
@@ -490,9 +504,14 @@ void Adi3Engine::charge_hca_retries(int dst_world, std::uint64_t seq, Bytes size
   }
 }
 
-void Adi3Engine::check_abort() const {
-  if (job_->aborted.load(std::memory_order_acquire))
-    throw AbortedError("job aborted: another rank raised an error");
+void Adi3Engine::check_abort() {
+  if (!job_->aborted.load(std::memory_order_acquire)) return;
+  withdraw_sends();
+  throw AbortedError("job aborted: another rank raised an error");
+}
+
+void Adi3Engine::withdraw_sends() {
+  for (const auto& sent : rndv_sends_) sent->withdraw();
 }
 
 void Adi3Engine::check_crash() {
@@ -529,6 +548,7 @@ void Adi3Engine::raise_crash() {
   info.rank = rank_;
   info.host = host;
   info.at = when;
+  withdraw_sends();
   throw faults::CrashedError(os.str(), info);
 }
 

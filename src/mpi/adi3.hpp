@@ -1,6 +1,6 @@
 // ADI3-like progress engine: byte-level point-to-point protocols.
 //
-// One engine per rank, driven by that rank's thread. It owns the list of
+// One engine per rank, driven by that rank's fiber. It owns the list of
 // posted (pending) receives and implements the eager and rendezvous
 // protocols over whichever channel the selector picked.
 //
@@ -16,7 +16,7 @@
 // Virtual-time rules:
 //   * eager completion  = max(posted_at, available_at) + receiver_cost
 //   * rendezvous times come from the channel's rndv_times(rts_sent, posted_at)
-// Completion times depend only on post/send times (not on when the thread
+// Completion times depend only on post/send times (not on when the fiber
 // happens to run), which keeps results reproducible.
 #pragma once
 
@@ -27,6 +27,7 @@
 #include <span>
 #include <vector>
 
+#include "mpi/fiber.hpp"
 #include "mpi/job_state.hpp"
 #include "mpi/types.hpp"
 #include "osl/process.hpp"
@@ -87,22 +88,30 @@ class Adi3Engine {
   /// MPI_Iprobe: is a matching message pending? (world-relative source)
   std::optional<Status> iprobe(int src_world, int tag, std::uint64_t comm_id);
 
-  /// The one blocking step: returns once `done()` holds, sleeping on this
-  /// rank's matcher in between. It reads the matcher version before it
-  /// evaluates `done` and checks for abort, so an event that lands after the
-  /// check still bumps the version and ends the sleep — no wake-up is lost
-  /// and no timed poll is needed. Throws AbortedError once the job aborts
-  /// and `done` still fails: an event that already happened (a released
-  /// phase alignment, say) wins over a later abort.
+  /// The one blocking step: returns once `done()` holds, parking this
+  /// rank's fiber on its matcher in between. It reads the matcher version
+  /// before it evaluates `done` and checks for abort, and the park only
+  /// sticks if the version has not moved since, so an event that lands after
+  /// the check still ends the wait — no wake-up is lost and no timed poll is
+  /// needed. Throws AbortedError once the job aborts and `done` still fails:
+  /// an event that already happened (a released phase alignment, say) wins
+  /// over a later abort.
   template <typename Done>
   void block_until(Done&& done) {
-    const Matcher& matcher = job_->matcher(rank_);
+    Matcher& matcher = job_->matcher(rank_);
     while (true) {
       const std::uint64_t seen = matcher.version();
       if (done()) return;
       check_abort();
-      matcher.wait_past(seen);
+      RankScheduler::park(
+          [&](Fiber* self) { return matcher.park_past(seen, self); });
     }
+  }
+
+  /// The oldest posted receive that has not completed; null if none. Only
+  /// safe to read while this rank is parked.
+  const RequestState* oldest_posted() const {
+    return posted_.empty() ? nullptr : posted_.front().get();
   }
 
   /// Crash injection: throws faults::CrashedError once this rank's virtual
@@ -117,8 +126,12 @@ class Adi3Engine {
   void connect_hca(int dst_world);
 
  private:
-  void check_abort() const;
+  /// Throws AbortedError once the job aborted, after withdraw_sends().
+  void check_abort();
   [[noreturn]] void raise_crash();
+  /// Withdraws this rank's unfinished rendezvous sends before a failure
+  /// unwinds the rank and frees their buffers.
+  void withdraw_sends();
   /// Fault injection: charges the sender for transient HCA failures of this
   /// transfer — bounded retries with exponential backoff and deterministic
   /// jitter — and throws (per-rank abort, failing rank identified) once the
@@ -176,7 +189,7 @@ class Adi3Engine {
   std::map<const void*, std::uint64_t> reg_buffer_ids_;
 
   /// This rank's SHM staging segment, opened on its first SHM eager send;
-  /// only this rank's thread writes it.
+  /// only this rank's fiber writes it.
   std::shared_ptr<osl::ShmSegment> shm_queue_;
   /// Destinations this rank already has an HCA queue pair to (one bit per
   /// world rank), so only the first transfer to a peer reaches the channel.
@@ -184,6 +197,8 @@ class Adi3Engine {
 
   std::uint64_t next_seq_ = 0;
   std::vector<Request> posted_;
+  /// Rendezvous sends whose receiver may still read the source buffer.
+  std::vector<std::shared_ptr<fabric::RndvState>> rndv_sends_;
   /// Receiver-side copies/pulls serialize on this rank's CPU: the next
   /// incoming payload cannot start processing before the previous one
   /// finished. This is what bounds windowed bandwidth to the per-message

@@ -48,7 +48,7 @@ struct CheckpointEvent {
   Bytes bytes = 0;
 };
 
-/// Per-job checkpoint coordinator, shared by all rank threads.
+/// Per-job checkpoint coordinator, shared by all ranks of the job.
 class CheckpointStore {
  public:
   /// `interval` <= 0 disables new checkpoints (restore-only store).

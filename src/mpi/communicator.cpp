@@ -46,9 +46,19 @@ int Communicator::from_world(int world_rank) const {
   return it->second;
 }
 
+namespace {
+/// Ends a poll that found nothing: yields the rank's fiber, so a rank that
+/// polls in a loop cannot hold its worker. Returns `found`.
+template <typename Found>
+Found yield_unless(Found found) {
+  if (!found) RankScheduler::yield();
+  return found;
+}
+}  // namespace
+
 bool Communicator::test(const Request& request) {
   const ProfiledCall prof_scope(*engine_, prof::CallKind::Test);
-  return engine_->test(request);
+  return yield_unless(engine_->test(request));
 }
 
 Status Communicator::wait(const Request& request) {
@@ -80,7 +90,7 @@ std::optional<std::size_t> Communicator::test_any(std::span<const Request> reque
   const ProfiledCall prof_scope(*engine_, prof::CallKind::Test);
   for (std::size_t i = 0; i < requests.size(); ++i)
     if (engine_->test(requests[i])) return i;
-  return std::nullopt;
+  return yield_unless(std::optional<std::size_t>());
 }
 
 bool Communicator::test_all(std::span<const Request> requests) {
@@ -88,7 +98,7 @@ bool Communicator::test_all(std::span<const Request> requests) {
   bool all = true;
   for (const auto& request : requests)
     all = engine_->test(request) && all;
-  return all;
+  return yield_unless(all);
 }
 
 Status Communicator::probe(int src, int tag) {
@@ -108,7 +118,7 @@ std::optional<Status> Communicator::iprobe(int src, int tag) {
   const int src_world = src == kAnySource ? kAnySource : to_world(src);
   auto status = engine_->iprobe(src_world, tag, id_);
   if (status) status->source = from_world(status->source);
-  return status;
+  return yield_unless(status);
 }
 
 int Communicator::begin_collective() {

@@ -121,6 +121,9 @@ class Communicator {
   template <typename T>
   Request irecv(std::span<T> buffer, int src = kAnySource, int tag = kAnyTag);
 
+  /// Non-blocking completion check (MPI_Test). Like test_any, test_all and
+  /// iprobe, an unsuccessful poll yields the rank's fiber to the other ranks
+  /// on its worker, so a rank polling in a loop cannot starve them.
   bool test(const Request& request);
   Status wait(const Request& request);
   void wait_all(std::span<const Request> requests);

@@ -27,7 +27,7 @@ struct JobBodyParams {
   double compute_ops = 0.0;    ///< abstract work units per rank per round
 };
 
-/// What every rank executes; the closure run_job() hands each rank thread.
+/// What every rank executes; the closure run_job() runs as each rank's fiber.
 using JobBody = std::function<void(Process&)>;
 /// Symmetric nranks x nranks relative traffic weight per rank pair.
 using TrafficMatrix = std::vector<std::vector<double>>;

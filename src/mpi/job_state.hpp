@@ -1,6 +1,6 @@
 // Internal per-job shared state: channels, selector, matchers, profiles.
 //
-// Created by the runtime before rank threads start; immutable topology-wise
+// Created by the runtime before any rank starts; immutable topology-wise
 // while the job runs. Matchers and profiles are per-rank; channels and the
 // selector are shared (internally synchronized where needed).
 #pragma once
@@ -102,7 +102,7 @@ struct JobState {
   /// Crash schedule (empty when no crash-class faults are planned): per rank,
   /// the virtual time its crash fires (infinity = survives), what kind of
   /// unit failure it is, and the rank's (physical) host for the CrashInfo.
-  /// Computed once from the placement before rank threads start; each rank
+  /// Computed once from the placement before any rank starts; each rank
   /// checks its own entry at op boundaries, so detection is deterministic.
   std::vector<Micros> crash_at;
   std::vector<faults::FaultKind> crash_kind;

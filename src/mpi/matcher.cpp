@@ -6,13 +6,19 @@
 
 namespace cbmpi::mpi {
 
+Fiber* Matcher::bump_locked() {
+  ++version_;
+  return std::exchange(waiter_, nullptr);
+}
+
 void Matcher::deliver(fabric::Envelope envelope) {
+  Fiber* waiter = nullptr;
   {
     const std::scoped_lock lock(mutex_);
     unexpected_.push_back(std::move(envelope));
-    ++version_;
+    waiter = bump_locked();
   }
-  cv_.notify_all();
+  if (waiter != nullptr) RankScheduler::wake(waiter);
 }
 
 namespace {
@@ -90,17 +96,20 @@ std::uint64_t Matcher::version() const {
   return version_;
 }
 
-void Matcher::wait_past(std::uint64_t seen) const {
-  std::unique_lock lock(mutex_);
-  cv_.wait(lock, [&] { return version_ != seen; });
+bool Matcher::park_past(std::uint64_t seen, Fiber* fiber) {
+  const std::scoped_lock lock(mutex_);
+  if (version_ != seen) return false;
+  waiter_ = fiber;
+  return true;
 }
 
 void Matcher::poke() {
+  Fiber* waiter = nullptr;
   {
     const std::scoped_lock lock(mutex_);
-    ++version_;
+    waiter = bump_locked();
   }
-  cv_.notify_all();
+  if (waiter != nullptr) RankScheduler::wake(waiter);
 }
 
 std::size_t Matcher::pending() const {

@@ -1,7 +1,7 @@
 // Per-rank message matcher: the unexpected-message queue and the rank's
 // one wake-up point.
 //
-// Senders (other threads) deliver envelopes; the owning rank matches them
+// Senders (other ranks) deliver envelopes; the owning rank matches them
 // against receives by (source, tag, communicator). Matching preserves the
 // MPI non-overtaking rule on both sides: envelopes from one sender are
 // scanned in delivery order, which equals that sender's program order, and
@@ -15,11 +15,10 @@
 // version() — a delivery, a rendezvous completion (the receiver pokes the
 // sender's matcher), the last arrival at a phase alignment (it pokes every
 // matcher), an RMA epoch unlock (it pokes the window's ranks) and a job
-// abort (the runtime pokes every matcher). A blocked rank therefore sleeps
-// in wait_past() without a timeout.
+// abort (the runtime pokes every matcher). A blocked rank therefore parks
+// its fiber here (park_past) without a timeout, and the next bump wakes it.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <mutex>
@@ -28,6 +27,7 @@
 #include <vector>
 
 #include "fabric/message.hpp"
+#include "mpi/fiber.hpp"
 #include "mpi/types.hpp"
 
 namespace cbmpi::mpi {
@@ -55,8 +55,10 @@ class Matcher {
   /// rank: a delivery or a poke().
   std::uint64_t version() const;
 
-  /// Blocks (wall-clock) until version() != seen.
-  void wait_past(std::uint64_t seen) const;
+  /// Runs on the worker after the owning rank's fiber parked: publishes
+  /// `fiber` as the waiter the next deliver() or poke() wakes, unless
+  /// version() already moved past `seen`. Returns whether it parked.
+  bool park_past(std::uint64_t seen, Fiber* fiber);
 
   /// Bumps version() without delivering anything: a rendezvous completion,
   /// a released phase alignment, an epoch unlock or a job abort.
@@ -69,10 +71,13 @@ class Matcher {
   /// The envelope try_match would take; end() if none. Caller holds mutex_.
   Queue::iterator find_locked(int src_world, int tag, std::uint64_t comm_id);
 
+  /// Bumps version_ and takes the parked owner, if any. Caller holds mutex_.
+  Fiber* bump_locked();
+
   mutable std::mutex mutex_;
-  mutable std::condition_variable cv_;
   Queue unexpected_;
   std::uint64_t version_ = 0;
+  Fiber* waiter_ = nullptr;
 };
 
 }  // namespace cbmpi::mpi

@@ -1,14 +1,16 @@
 #include "mpi/runtime.hpp"
 
+#include <malloc.h>
+
 #include <algorithm>
 #include <exception>
 #include <limits>
 #include <numeric>
 #include <sstream>
-#include <thread>
 
 #include "container/engine.hpp"
 #include "migrate/coordinator.hpp"
+#include "mpi/fiber.hpp"
 #include "mpi/locality.hpp"
 #include "osl/machine.hpp"
 #include "topo/hardware.hpp"
@@ -181,21 +183,49 @@ void validate_config(const JobConfig& config) {
                 "reg_cost_scale must be >= 0, got ", tuning.reg_cost_scale);
 }
 
-/// Joins every started rank thread on scope exit. If thread startup itself
-/// fails mid-way, siblings are aborted and joined, never abandoned.
-class ThreadJoiner {
- public:
-  explicit ThreadJoiner(std::vector<std::thread>& threads) : threads_(&threads) {}
-  ~ThreadJoiner() {
-    for (auto& thread : *threads_)
-      if (thread.joinable()) thread.join();
-  }
-  ThreadJoiner(const ThreadJoiner&) = delete;
-  ThreadJoiner& operator=(const ThreadJoiner&) = delete;
+/// Heap policy, set once per process before the first job. Rank buffers come
+/// from the few malloc arenas of the worker threads; a 32 MiB mmap threshold
+/// (glibc's ceiling for its dynamic one) keeps large buffers there too, and
+/// with trimming off the pages a job freed stay mapped for the next job
+/// instead of going back to the kernel at every job end.
+void keep_rank_memory_between_jobs() {
+#if defined(__GLIBC__)
+  static const bool once = [] {
+    mallopt(M_MMAP_THRESHOLD, 32 << 20);
+    mallopt(M_TRIM_THRESHOLD, -1);
+    return true;
+  }();
+  (void)once;
+#endif
+}
 
- private:
-  std::vector<std::thread>* threads_;
-};
+/// DeadlockError text. Runs while every live rank is parked, so the engines
+/// of the ranks still inside their bodies hold still.
+std::string describe_deadlock(const std::vector<const Adi3Engine*>& engines) {
+  std::ostringstream os;
+  const auto field = [&](int value, int wildcard) {
+    if (value == wildcard)
+      os << "any";
+    else
+      os << value;
+  };
+  os << "deadlock: every running rank is blocked and none can wake another";
+  for (std::size_t r = 0; r < engines.size(); ++r) {
+    if (engines[r] == nullptr) continue;
+    os << "\n  rank " << r;
+    const RequestState* recv = engines[r]->oldest_posted();
+    if (recv == nullptr) {
+      os << " is blocked with no posted receive";
+      continue;
+    }
+    os << " waits in recv(source=";
+    field(recv->src_world, kAnySource);
+    os << ", tag=";
+    field(recv->tag, kAnyTag);
+    os << ", comm=" << recv->comm_id << ")";
+  }
+  return os.str();
+}
 
 container::ContainerSpec container_spec_for(const container::DeploymentSpec& spec,
                                             const container::JobPlacement& placement,
@@ -232,6 +262,7 @@ JobResult run_job_attempt(const JobConfig& config,
 }  // namespace
 
 JobResult run_job(const JobConfig& config, const std::function<void(Process&)>& body) {
+  keep_rank_memory_between_jobs();
   if (!config.fabric.enabled()) return run_job_attempt(config, body, nullptr);
   // Two-pass congestion refinement: pass 1 records every inter-host HCA
   // payload while running on hop latencies and static VF caps (all pure
@@ -603,7 +634,7 @@ JobResult run_job_attempt(const JobConfig& config,
     job.selector->set_detected_locality(std::move(matrix));
   }
 
-  // --- run rank threads ----------------------------------------------------
+  // --- run rank fibers -----------------------------------------------------
   auto world_group = [&] {
     std::vector<int> ranks(static_cast<std::size_t>(nranks));
     std::iota(ranks.begin(), ranks.end(), 0);
@@ -615,40 +646,35 @@ JobResult run_job_attempt(const JobConfig& config,
     Micros at = 0.0;
   };
   std::vector<RankFailure> failures(static_cast<std::size_t>(nranks));
-  // Unblocks every rank that may be waiting on a failed one: each sleeps in
-  // its matcher's blocking step, observes the abort and raises
+  // Unblocks every rank that may be waiting on a failed one: each is parked
+  // on its matcher in the blocking step, observes the abort and raises
   // AbortedError. The flag is set before the pokes, so a rank that reads
   // its matcher version after a poke also sees the flag.
   auto abort_job = [&] {
     job.aborted.store(true, std::memory_order_release);
     for (auto& matcher : job.matchers) matcher->poke();
   };
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(nranks));
-  {
-    ThreadJoiner joiner(threads);
-    for (int r = 0; r < nranks; ++r) {
-      try {
-        threads.emplace_back([&, r] {
-          try {
-            Process process(job, r, *processes[static_cast<std::size_t>(r)],
-                            world_group);
-            body(process);
-          } catch (...) {
-            auto& failure = failures[static_cast<std::size_t>(r)];
-            failure.error = std::current_exception();
-            failure.at = processes[static_cast<std::size_t>(r)]->clock().now();
-            abort_job();  // the root cause is rethrown below
-          }
-        });
-      } catch (...) {
-        // Thread startup failed: abort the ranks already running so the
-        // joiner's joins return, then surface the startup failure.
-        abort_job();
-        throw;
-      }
+  // Each rank's engine while its body runs, for the deadlock report.
+  std::vector<const Adi3Engine*> engines(static_cast<std::size_t>(nranks), nullptr);
+  std::string deadlock;
+  RankScheduler scheduler([&] {
+    deadlock = describe_deadlock(engines);
+    abort_job();
+  });
+  scheduler.run(nranks, [&](int r) {
+    const auto idx = static_cast<std::size_t>(r);
+    try {
+      Process process(job, r, *processes[idx], world_group);
+      engines[idx] = &process.engine();
+      body(process);
+    } catch (...) {
+      failures[idx].error = std::current_exception();
+      failures[idx].at = processes[idx]->clock().now();
+      abort_job();  // the root cause is rethrown below
     }
-  }
+    engines[idx] = nullptr;
+  });
+  if (!deadlock.empty()) throw DeadlockError(deadlock);
 
   // Rethrow the *root cause*: the earliest-failing rank whose exception is a
   // genuine failure — a crash (CrashedError) or any non-AbortedError — not a

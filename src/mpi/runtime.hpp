@@ -1,6 +1,6 @@
-// Job runtime: builds the simulated cluster, deploys containers, spawns one
-// thread per rank, runs the Container Locality Detector, and executes the
-// user's per-rank function.
+// Job runtime: builds the simulated cluster, deploys containers, runs the
+// Container Locality Detector, and executes the user's per-rank function as
+// one fiber per rank on one worker thread per core (mpi/fiber.hpp).
 //
 //   mpi::JobConfig config;
 //   config.deployment = container::DeploymentSpec::containers(1, 2, 16);
@@ -100,8 +100,8 @@ struct JobConfig {
   migrate::Coordinator* quiesce = nullptr;
 
   /// Pin-down cache state carried across migration segments
-  /// (engine-installed): entries warmed into the fresh cache before rank
-  /// threads start, and the final cache exported back at job end.
+  /// (engine-installed): entries warmed into the fresh cache before any
+  /// rank starts, and the final cache exported back at job end.
   std::shared_ptr<fabric::RegCacheWarmState> reg_warm;
 
   bool record_trace = false;
@@ -220,7 +220,8 @@ class Process {
 };
 
 /// Runs one MPI job in the simulated cluster. Blocks until all ranks finish;
-/// exceptions thrown by any rank are rethrown here.
+/// exceptions thrown by any rank are rethrown here. Throws DeadlockError
+/// once every rank still running is blocked and none can wake another.
 JobResult run_job(const JobConfig& config,
                   const std::function<void(Process&)>& body);
 

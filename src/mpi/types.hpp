@@ -65,7 +65,7 @@ void apply_reduce(ReduceOp op, std::span<const T> in, std::span<T> inout) {
 }
 
 /// Request shared state. A request is produced by isend/irecv and consumed by
-/// test/wait on the owning rank's thread; only the rendezvous sub-state is
+/// test/wait on the owning rank's fiber; only the rendezvous sub-state is
 /// shared with the peer (and is internally synchronized).
 struct RequestState {
   enum class Kind : std::uint8_t { SendEager, SendRndv, Recv };

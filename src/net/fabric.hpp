@@ -71,7 +71,7 @@ struct FlowRecord {
 };
 
 /// Thread-safe append log; canonical order is imposed at settle time, so the
-/// wall-clock interleaving of rank threads cannot leak into results.
+/// wall-clock interleaving of rank fibers cannot leak into results.
 class FlowLog {
  public:
   void record(const FlowRecord& flow) {

@@ -2,7 +2,7 @@
 // histograms, sampled in *virtual* time so reruns with the same seed are
 // bit-identical.
 //
-// Concurrency model: many rank threads bump the same instrument
+// Concurrency model: rank fibers on several worker threads bump the same instrument
 // concurrently. Counters and histograms only ever *add* unsigned integers
 // (addition commutes, so the final totals are independent of thread
 // interleaving); gauges are set from one thread (usually the runtime at job

@@ -13,7 +13,7 @@
 //   Migrate  live-migration time (quiesce snapshot, image transfer, resume),
 //            rank track
 //
-// Recorder appends are thread-safe; append order across rank threads is
+// Recorder appends are thread-safe; append order across rank fibers is
 // wall-clock noise, so exporters call sorted_spans() which orders by
 // (begin, end desc, cat, rank, peer, name, note) — a total order over the
 // deterministic virtual-time payload, making exports bit-identical across

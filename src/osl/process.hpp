@@ -1,6 +1,6 @@
 // SimProcess: one simulated OS process (== one MPI rank at the mpi layer).
 //
-// Each SimProcess runs on a dedicated std::thread but all *measured* time is
+// Each SimProcess runs as one rank fiber (mpi/fiber.hpp) but all *measured* time is
 // its VirtualClock, advanced by channel/compute cost models. The process
 // carries the namespace set of the container (or host) it was spawned in and
 // a core binding (the launcher pins ranks to cores like the paper pins

@@ -32,7 +32,7 @@ struct CallStats {
   Micros time = 0.0;
 };
 
-/// Per-rank accumulator; owned and written by exactly one rank thread.
+/// Per-rank accumulator; owned and written by exactly one rank's fiber.
 class RankProfile {
  public:
   void add_call(CallKind kind, Micros elapsed);

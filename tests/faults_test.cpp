@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -309,6 +310,45 @@ TEST(Faults, AbortWakesRanksBlockedInSendWaitAnyAndProbe) {
   }
   // Waking is event-driven: the job ends right after the throw.
   EXPECT_LT(std::chrono::steady_clock::now() - thrown_at, std::chrono::seconds(2));
+}
+
+TEST(Faults, AbortedSenderWithdrawsItsRendezvousSend) {
+  // Rank 0 posts a rendezvous send to rank 1, then aborts when rank 2 throws
+  // and frees the send buffer as it unwinds. Rank 1 receives only after
+  // that: it must abort too, not read the freed buffer.
+  JobConfig config;
+  config.deployment = DeploymentSpec::native_hosts(1, 3);
+  struct SetOnExit {
+    std::atomic<bool>* flag;
+    ~SetOnExit() { flag->store(true); }
+  };
+  std::atomic<bool> sender_gone{false};
+  std::atomic<bool> receiver_aborted{false};
+  EXPECT_THROW(
+      run_job(config,
+              [&](mpi::Process& p) {
+                auto& world = p.world();
+                if (p.rank() == 0) {
+                  const SetOnExit gone{&sender_gone};  // runs after `out` is freed
+                  std::vector<std::uint8_t> out(256_KiB, 7);
+                  auto request = world.isend(std::span<const std::uint8_t>(out), 1);
+                  (void)world.recv_value<int>(2);
+                  world.wait(request);
+                } else if (p.rank() == 1) {
+                  while (!sender_gone.load()) (void)world.iprobe(2);
+                  std::vector<std::uint8_t> in(256_KiB);
+                  try {
+                    world.recv(std::span<std::uint8_t>(in), 0);
+                  } catch (const AbortedError&) {
+                    receiver_aborted = true;
+                    throw;
+                  }
+                } else {
+                  throw std::runtime_error("boom");
+                }
+              }),
+      Error);
+  EXPECT_TRUE(receiver_aborted.load());
 }
 
 TEST(Faults, AbortWakesRanksBlockedInWinLockAndSyncTime) {

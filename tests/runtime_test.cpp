@@ -4,7 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
+#include <filesystem>
+#include <future>
 #include <numeric>
+#include <string>
+#include <thread>
 
 #include "mpi/runtime.hpp"
 #include "mpi/window.hpp"
@@ -403,6 +410,134 @@ TEST(Runtime, JobTimeIsMaxOfRankTimes) {
   EXPECT_DOUBLE_EQ(result.job_time,
                    std::max(result.rank_times[0], result.rank_times[1]));
   EXPECT_GT(result.rank_times[0], result.rank_times[1]);
+}
+
+// ---- rank engine: ranks run as fibers on one worker thread per core --------
+
+/// Runs `job` on another thread; a hang fails the whole binary fast instead
+/// of stalling the suite until the ctest timeout.
+template <typename Job>
+void within_10s(const char* what, Job job) {
+  auto done = std::async(std::launch::async, std::move(job));
+  if (done.wait_for(std::chrono::seconds(10)) != std::future_status::ready) {
+    std::fprintf(stderr, "%s\n", what);
+    std::_Exit(1);
+  }
+  done.get();
+}
+
+int hardware_threads() {
+  return static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
+}
+
+TEST(RankEngine, MutualRecvThrowsDeadlockErrorNamingBothRanks) {
+  within_10s("a two-rank recv cycle hung instead of raising DeadlockError", [] {
+    const auto start = std::chrono::steady_clock::now();
+    try {
+      run_job(two_rank_native(), [](mpi::Process& p) {
+        const int other = 1 - p.rank();
+        (void)p.world().recv_value<int>(other, 3);
+        p.world().send_value<int>(p.rank(), other, 3);
+      });
+      ADD_FAILURE() << "expected a DeadlockError";
+    } catch (const DeadlockError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("rank 0 waits in recv(source=1, tag=3, comm=0)"),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find("rank 1 waits in recv(source=0, tag=3, comm=0)"),
+                std::string::npos)
+          << what;
+    }
+    EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(1));
+  });
+}
+
+TEST(RankEngine, DeadlockNamesOnlyTheRanksStillBlocked) {
+  // Rank 0 returns without sending; rank 1 then waits forever on it.
+  JobConfig config;
+  config.deployment = DeploymentSpec::native_hosts(1, 3);
+  within_10s("a rank waiting on a finished peer hung", [&] {
+    try {
+      run_job(config, [](mpi::Process& p) {
+        if (p.rank() == 1) (void)p.world().recv_value<int>(mpi::kAnySource);
+        if (p.rank() == 2) p.world().barrier();
+      });
+      ADD_FAILURE() << "expected a DeadlockError";
+    } catch (const DeadlockError& e) {
+      const std::string what = e.what();
+      EXPECT_EQ(what.find("rank 0"), std::string::npos) << what;
+      EXPECT_NE(what.find("rank 1 waits in recv(source=any, tag=any, comm=0)"),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find("rank 2 waits in recv("), std::string::npos) << what;
+    }
+  });
+}
+
+TEST(RankEngine, DeadlockOfManyRanksNamesEveryRank) {
+  // More ranks than workers: while the abort wakes the blocked ranks, the
+  // first ones to unwind must not look like a second deadlock.
+  JobConfig config;
+  config.deployment = DeploymentSpec::native_hosts(2, 16);
+  within_10s("a 32-rank recv cycle hung instead of raising DeadlockError", [&] {
+    for (int attempt = 0; attempt < 20; ++attempt) {
+      try {
+        run_job(config, [](mpi::Process& p) {
+          (void)p.world().recv_value<int>((p.rank() + 1) % p.size(), 1);
+        });
+        ADD_FAILURE() << "expected a DeadlockError";
+      } catch (const DeadlockError& e) {
+        const std::string what = e.what();
+        for (int r = 0; r < 32; ++r)
+          EXPECT_NE(what.find("rank " + std::to_string(r) + " waits in recv(source=" +
+                              std::to_string((r + 1) % 32) + ", tag=1, comm=0)"),
+                    std::string::npos)
+              << what;
+      }
+    }
+  });
+}
+
+TEST(RankEngine, AtMostOneWorkerPerCore) {
+  JobConfig config;
+  config.deployment = DeploymentSpec::native_hosts(4, 16);
+  int threads = 0;
+  run_job(config, [&](mpi::Process& p) {
+    p.world().barrier();
+    if (p.rank() != 0) return;
+    for (const auto& entry : std::filesystem::directory_iterator("/proc/self/task")) {
+      (void)entry;
+      ++threads;
+    }
+  });
+  EXPECT_GT(threads, 0);
+  EXPECT_LE(threads, hardware_threads() + 1);
+}
+
+TEST(RankEngine, PollingRankYields) {
+  // More ranks than workers: rank 0 shares its worker with rank n - 1, the
+  // rank it polls for. Without a yield in test() that worker livelocks.
+  const int nranks = hardware_threads() + 1;
+  JobConfig config;
+  config.deployment = DeploymentSpec::native_hosts(nranks, 1);
+  within_10s("a rank polling with test() never let its worker run another rank",
+             [&] {
+               run_job(config, [nranks](mpi::Process& p) {
+                 auto& world = p.world();
+                 const int next = (p.rank() + 1) % nranks;
+                 const int prev = (p.rank() + nranks - 1) % nranks;
+                 int token = 0;
+                 if (p.rank() == 0) world.send_value<int>(1, next);
+                 auto request = world.irecv(std::span<int>(&token, 1), prev);
+                 while (!world.test(request)) {
+                 }
+                 if (p.rank() == 0)
+                   EXPECT_EQ(token, nranks);
+                 else
+                   world.send_value<int>(token + 1, next);
+               });
+             });
 }
 
 }  // namespace
