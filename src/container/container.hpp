@@ -61,9 +61,6 @@ class Container {
     return spec_.privileged && host_->hardware().shape().has_hca;
   }
 
-  /// Does HCA traffic from this environment pay the SR-IOV VF overhead?
-  bool uses_sriov() const { return spec_.virtual_machine; }
-
   /// Picks the n-th core of the cpuset (wraps around if oversubscribed).
   topo::CoreId core_for(int slot) const;
 

@@ -7,20 +7,15 @@
 namespace cbmpi::container {
 
 int JobPlacement::containers_on(topo::HostId host) const {
-  if (heterogeneous()) {
-    CBMPI_REQUIRE(host >= 0 && host < num_hosts(), "placement has no host ", host);
-    return static_cast<int>(host_cpusets[static_cast<std::size_t>(host)].size());
-  }
-  return spec.native() ? 0 : spec.containers_per_host;
+  CBMPI_REQUIRE(host >= 0 && host < num_hosts(), "placement has no host ", host);
+  return static_cast<int>(host_cpusets[static_cast<std::size_t>(host)].size());
 }
 
 const std::vector<int>& JobPlacement::cpuset_of(topo::HostId host, int index) const {
   CBMPI_REQUIRE(index >= 0 && index < containers_on(host), "host ", host,
                 " has no container ", index);
-  if (heterogeneous())
-    return host_cpusets[static_cast<std::size_t>(host)]
-                       [static_cast<std::size_t>(index)];
-  return container_cpusets[static_cast<std::size_t>(index)];
+  return host_cpusets[static_cast<std::size_t>(host)]
+                     [static_cast<std::size_t>(index)];
 }
 
 void validate_placement(const topo::Cluster& cluster, const JobPlacement& placement) {
@@ -164,7 +159,9 @@ JobPlacement plan_deployment(const topo::Cluster& cluster, const DeploymentSpec&
   const auto& shape = cluster.host(0).shape();
   JobPlacement placement;
   placement.spec = spec;
-  if (!spec.native()) placement.container_cpusets = carve_cpusets(shape, spec);
+  const std::vector<std::vector<int>> cpusets =
+      spec.native() ? std::vector<std::vector<int>>{} : carve_cpusets(shape, spec);
+  placement.host_cpusets.assign(static_cast<std::size_t>(spec.num_hosts), cpusets);
 
   placement.slots.reserve(static_cast<std::size_t>(spec.total_ranks()));
   for (int h = 0; h < spec.num_hosts; ++h) {
@@ -192,7 +189,7 @@ JobPlacement plan_deployment(const topo::Cluster& cluster, const DeploymentSpec&
         slot.container_index = p / per_cont;
         slot.core_slot = p % per_cont;
         const auto& cpuset =
-            placement.container_cpusets[static_cast<std::size_t>(slot.container_index)];
+            cpusets[static_cast<std::size_t>(slot.container_index)];
         slot.core = cluster.host(h).core_at(
             cpuset[static_cast<std::size_t>(slot.core_slot) % cpuset.size()]);
       }

@@ -67,23 +67,17 @@ struct RankSlot {
 struct JobPlacement {
   DeploymentSpec spec;
   std::vector<RankSlot> slots;  ///< indexed by rank (block distribution)
-  /// cpuset (flat core indices) for each container on a host, same for all
-  /// hosts; empty when native.
-  std::vector<std::vector<int>> container_cpusets;
-  /// Heterogeneous placements (scheduler-emitted): cpusets per host, indexed
-  /// [host][container]. When non-empty this overrides `container_cpusets`
-  /// and the spec's homogeneous per-host counts; hosts may then carry
-  /// different container/rank counts (e.g. a 6-rank job split 4+2).
+  /// Container cpusets (flat core indices), indexed [host][container]: one
+  /// entry per host the placement spans, an empty list where the host runs
+  /// its ranks natively. plan_deployment gives every host the same list;
+  /// scheduler-emitted placements may differ per host (e.g. a 6-rank job
+  /// split 4+2).
   std::vector<std::vector<std::vector<int>>> host_cpusets;
 
-  bool heterogeneous() const { return !host_cpusets.empty(); }
   int total_ranks() const { return static_cast<int>(slots.size()); }
 
   /// Hosts the placement spans (dense ids 0..num_hosts()-1).
-  int num_hosts() const {
-    return heterogeneous() ? static_cast<int>(host_cpusets.size())
-                           : spec.num_hosts;
-  }
+  int num_hosts() const { return static_cast<int>(host_cpusets.size()); }
 
   /// Containers deployed on one host (0 when the placement is native there).
   int containers_on(topo::HostId host) const;

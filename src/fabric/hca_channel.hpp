@@ -109,8 +109,8 @@ class HcaChannel {
   RegLookup reg_lookup(int rank, std::uint64_t buffer_id, Bytes size);
 
   const RegistrationCache* reg_cache() const { return reg_cache_.get(); }
-  /// Pre-start warming hook for migration-carried registrations; call only
-  /// between init_reg_cache() and the first rank-thread lookup.
+  /// Pre-start warming hook (JobConfig::reg_warm); call only between
+  /// init_reg_cache() and the first lookup by a rank fiber.
   RegistrationCache* mutable_reg_cache() { return reg_cache_.get(); }
 
   /// Job-level outcome; `enabled` is false when the model is off.

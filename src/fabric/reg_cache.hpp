@@ -40,19 +40,11 @@ struct RegCacheStats {
 };
 
 /// One pinned region, as exported by snapshot_entries() / re-pinned by
-/// warm(): the buffer id the ADI3 engine assigned plus its pinned size.
+/// warm(): the buffer id the ADI3 engine assigned plus its pinned size. A
+/// stopped job's entries (mpi::StopImage) warm the job that resumes it.
 struct RegCacheEntry {
   std::uint64_t id = 0;
   Bytes bytes = 0;
-};
-
-/// Pin-down state carried across the segments of a live migration
-/// (src/migrate/): per-rank entry lists in MRU-first order. The migration
-/// engine clears the moved ranks' lists — their registrations die with the
-/// source container, so the resumed segment re-registers cold — and warms
-/// every other rank's shard so unaffected ranks keep their hits.
-struct RegCacheWarmState {
-  std::vector<std::vector<RegCacheEntry>> entries;  ///< [rank][MRU..LRU]
 };
 
 class RegistrationCache {
@@ -86,7 +78,7 @@ class RegistrationCache {
   RegCacheStats stats() const;
 
   /// Every shard's live entries, MRU first. Call only after every rank
-  /// finished (migration-segment export).
+  /// finished (a stopped job's export).
   std::vector<std::vector<RegCacheEntry>> snapshot_entries() const;
 
   /// Pre-pins `entries` (MRU first) into `rank`'s shard before the job body

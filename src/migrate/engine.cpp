@@ -6,7 +6,6 @@
 #include <sstream>
 
 #include "common/error.hpp"
-#include "migrate/coordinator.hpp"
 #include "topo/hardware.hpp"
 
 namespace cbmpi::migrate {
@@ -130,21 +129,20 @@ mpi::JobResult Engine::run(const mpi::JobConfig& config,
                            const std::function<void(mpi::Process&)>& body,
                            const MigrationPlan& plan) {
   const MoveSpec& move = plan.move;
-  CBMPI_REQUIRE(config.quiesce == nullptr && !config.reg_warm,
+  CBMPI_REQUIRE(config.stop_at == 0.0 && config.reg_warm.empty(),
                 "migration engines cannot nest");
+  CBMPI_REQUIRE(plan.epoch > 0.0, "quiesce epoch must be positive, got ",
+                plan.epoch);
   CBMPI_REQUIRE(!move.ranks.empty(), "a migration moves at least one rank");
   CBMPI_REQUIRE(move.dst_cores.size() == move.ranks.size(),
                 "need one destination core per moved rank (",
                 move.dst_cores.size(), " cores for ", move.ranks.size(),
                 " ranks)");
 
-  // --- segment 1: original placement, quiesce armed -------------------------
-  Coordinator coord(plan.epoch);
+  // --- segment 1: original placement, stopping at the epoch -----------------
   mpi::JobConfig seg1_config = config;
-  seg1_config.quiesce = &coord;
-  auto warm = std::make_shared<fabric::RegCacheWarmState>();
-  if (config.tuning.reg_model) seg1_config.reg_warm = warm;
-  // A crash before the quiesce propagates unchanged: the scheduler's normal
+  seg1_config.stop_at = plan.epoch;
+  // A crash before the stop propagates unchanged: the scheduler's normal
   // requeue path handles it and may re-propose the move on the next attempt.
   mpi::JobResult seg1 = mpi::run_job(seg1_config, body);
 
@@ -155,17 +153,18 @@ mpi::JobResult Engine::run(const mpi::JobConfig& config,
   report.predicted_win_us = plan.estimate.predicted_win_us;
   report.predicted_cost_us = plan.estimate.total_us;
 
-  if (!coord.fired()) {
+  if (!seg1.stop) {
     // The job finished before the epoch (or its body never checkpoints):
     // there was nothing left to migrate.
     seg1.migration = std::move(report);
     return seg1;
   }
+  mpi::StopImage image = std::move(*seg1.stop);
 
   // --- mutate the placement: move the container ------------------------------
   const int hosts_needed = config.placement ? config.placement->num_hosts()
                                             : config.deployment.num_hosts;
-  container::JobPlacement base =
+  const container::JobPlacement base =
       config.placement
           ? *config.placement
           : container::plan_deployment(
@@ -173,18 +172,6 @@ mpi::JobResult Engine::run(const mpi::JobConfig& config,
                     .hosts(std::max(config.cluster_hosts, hosts_needed))
                     .build(),
                 config.deployment);
-  if (!base.heterogeneous()) {
-    // Normalize to the host_cpusets representation so one host can gain or
-    // lose a container.
-    std::vector<std::vector<std::vector<int>>> host_cpusets;
-    for (int h = 0; h < base.num_hosts(); ++h) {
-      std::vector<std::vector<int>> on_host;
-      for (int c = 0; c < base.containers_on(h); ++c)
-        on_host.push_back(base.cpuset_of(h, c));
-      host_cpusets.push_back(std::move(on_host));
-    }
-    base.host_cpusets = std::move(host_cpusets);
-  }
 
   CBMPI_REQUIRE(move.src_host >= 0 && move.src_host < base.num_hosts(),
                 "move source host ", move.src_host, " outside the placement");
@@ -259,7 +246,7 @@ mpi::JobResult Engine::run(const mpi::JobConfig& config,
   }
 
   // --- the stop-and-copy pause ----------------------------------------------
-  const Bytes image_bytes = coord.total_bytes();
+  const Bytes image_bytes = image.checkpoint.total_bytes();
   double dirty = 1.0;
   for (int i = 0; i < plan.cost.precopy_rounds; ++i) dirty *= plan.cost.dirty_rate;
   const Bytes stop_copy_bytes =
@@ -290,36 +277,28 @@ mpi::JobResult Engine::run(const mpi::JobConfig& config,
   seg2_config.physical_hosts = physical;
   seg2_config.cluster_hosts =
       std::max(config.cluster_hosts, mutated.num_hosts());
-  auto snapshot = std::make_shared<mpi::CheckpointData>();
-  snapshot->round = coord.round();
-  snapshot->at = coord.at();
-  snapshot->progress_us =
-      (config.restore ? config.restore->progress_us : 0.0) + coord.at();
-  snapshot->rank_state = coord.take_state();
-  seg2_config.restore = snapshot;
-
   MigrationRecord record;
   record.move = move;
   record.cost = plan.estimate;
-  record.quiesce_round = coord.round();
-  record.quiesce_at = coord.at();
+  record.quiesce_round = image.checkpoint.round;
+  record.quiesce_at = image.checkpoint.at;
   record.resume_at = offset;
   record.snapshot_bytes = image_bytes;
-  record.drained_msgs = coord.drained_pending();
-  if (config.tuning.reg_model) {
-    // The moved ranks' registrations die with the source container; their
-    // cold re-registration on the destination is the blame delta ISSUE 9's
-    // analyzer attributes to the migration.
-    for (const int r : move.ranks) {
-      if (r >= static_cast<int>(warm->entries.size())) continue;
-      auto& entries = warm->entries[static_cast<std::size_t>(r)];
-      record.invalidated_reg_entries += entries.size();
-      for (const auto& entry : entries)
-        record.invalidated_reg_bytes += entry.bytes;
-      entries.clear();
-    }
-    seg2_config.reg_warm = warm;
+  record.drained_msgs = image.pending_msgs;
+  // The moved ranks' registrations die with the source container; their cold
+  // re-registration on the destination is the blame delta the analyzer
+  // attributes to the migration. Every other rank resumes warm.
+  for (const int r : move.ranks) {
+    if (r >= static_cast<int>(image.reg_entries.size())) continue;
+    auto& entries = image.reg_entries[static_cast<std::size_t>(r)];
+    record.invalidated_reg_entries += entries.size();
+    for (const auto& entry : entries) record.invalidated_reg_bytes += entry.bytes;
+    entries.clear();
   }
+  seg2_config.reg_warm = std::move(image.reg_entries);
+  const auto snapshot =
+      std::make_shared<const mpi::CheckpointData>(std::move(image.checkpoint));
+  seg2_config.restore = snapshot;
 
   mpi::JobResult seg2;
   try {

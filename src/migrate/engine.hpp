@@ -1,18 +1,19 @@
 // Live-migration engine: runs one job as two segments around a container
 // move (DESIGN.md §17).
 //
-//   segment 1   the job under its original placement, with a quiesce
-//               Coordinator installed; at the epoch's round boundary every
-//               rank drains, snapshots (checkpoint machinery) and unwinds
+//   segment 1   the job under its original placement with
+//               JobConfig::stop_at = the epoch: at the first round boundary
+//               past it the job's CheckpointStore stops every rank (drained,
+//               snapshot saved, unwound) and JobResult::stop holds the image
 //   transfer    the stop-and-copy residue of the image crosses the fabric
 //               (src/net/ path latency + rate cap; flat HCA model without a
 //               fabric) — the migration pause, charged to virtual time
-//   segment 2   the same body resumed from the snapshot under the mutated
+//   segment 2   the same body restored from the image under the mutated
 //               placement: locality re-detected, channels re-picked, fabric
 //               routes and VF shares recomputed, and the moved ranks'
-//               pin-down entries invalidated (cold re-registration, visible
-//               in the registration blame) while every other rank's cache
-//               arrives warm
+//               pin-down entries dropped from JobConfig::reg_warm (cold
+//               re-registration, visible in the registration blame) while
+//               every other rank's cache arrives warm
 //
 // The two segments are stitched into one JobResult on a shared virtual
 // timeline (segment 2 shifted by segment 1's end + the pause), so reports,

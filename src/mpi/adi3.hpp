@@ -66,7 +66,7 @@ class Adi3Engine {
   /// Completes every receive in `recvs`, processing messages in *virtual*
   /// arrival order (available_at, src, seq) rather than wall-clock arrival
   /// order — the receiver busy chain then serializes identically
-  /// run-to-run no matter how sender threads were scheduled. Blocks until
+  /// run-to-run no matter how sender fibers were scheduled. Blocks until
   /// all matching messages have been delivered, so every matching send
   /// must already be started and non-blocking (e.g. alltoall, where each
   /// rank posts all transfers before waiting). Wildcard receives are not

@@ -21,10 +21,11 @@ Micros CheckpointStore::snapshot_cost(Bytes bytes) {
   return kSnapshotBaseCost + kSnapshotUsPerByte * static_cast<double>(bytes);
 }
 
-CheckpointStore::CheckpointStore(int nranks, Micros interval,
+CheckpointStore::CheckpointStore(int nranks, Micros interval, Micros stop_at,
                                  std::shared_ptr<const CheckpointData> restore)
     : nranks_(nranks),
       interval_(interval),
+      stop_at_(stop_at),
       restore_(std::move(restore)),
       next_due_(interval) {
   CBMPI_REQUIRE(nranks > 0, "checkpoint store needs at least one rank");
@@ -34,25 +35,34 @@ CheckpointStore::CheckpointStore(int nranks, Micros interval,
                   " rank states, the job has ", nranks, " ranks");
 }
 
-bool CheckpointStore::decide(int round, Micros aligned) {
-  if (interval_ <= 0.0) return false;
+CheckpointStore::Verdict CheckpointStore::decide(int round, Micros aligned) {
+  if (!active()) return Verdict::Skip;
   std::lock_guard lock(mutex_);
-  const auto [it, inserted] = decisions_.try_emplace(round, false);
-  if (inserted && aligned >= next_due_) {
-    it->second = true;
+  const auto [it, inserted] = decisions_.try_emplace(round, Verdict::Skip);
+  if (!inserted) return it->second;
+  if (stop_at_ > 0.0 && !stop_decided_ && round >= 1 && aligned >= stop_at_) {
+    it->second = Verdict::Stop;
+    stop_decided_ = true;
+  } else if (interval_ > 0.0 && aligned >= next_due_) {
+    it->second = Verdict::Take;
     next_due_ = aligned + interval_;
-    pending_ = std::make_unique<CheckpointData>();
-    pending_->round = round;
-    pending_->at = aligned;
-    pending_->progress_us = (restore_ ? restore_->progress_us : 0.0) + aligned;
-    pending_->rank_state.resize(static_cast<std::size_t>(nranks_));
-    pending_saves_ = 0;
+  } else {
+    return Verdict::Skip;
   }
+  pending_ = std::make_unique<CheckpointData>();
+  pending_->round = round;
+  pending_->at = aligned;
+  pending_->progress_us = (restore_ ? restore_->progress_us : 0.0) + aligned;
+  pending_->rank_state.resize(static_cast<std::size_t>(nranks_));
+  pending_saves_ = 0;
+  pending_stop_ = it->second == Verdict::Stop;
+  pending_msgs_ = 0;
   return it->second;
 }
 
 void CheckpointStore::save(int rank, int round, Micros aligned,
-                           std::vector<std::uint8_t> state) {
+                           std::vector<std::uint8_t> state,
+                           std::uint64_t pending_msgs) {
   std::lock_guard lock(mutex_);
   CBMPI_REQUIRE(pending_ && pending_->round == round,
                 "checkpoint save for round ", round,
@@ -62,10 +72,30 @@ void CheckpointStore::save(int rank, int round, Micros aligned,
   CBMPI_REQUIRE(slot.empty() || state.empty(),
                 "rank ", rank, " saved twice for round ", round);
   slot = std::move(state);
-  if (++pending_saves_ == nranks_) {
-    committed_ = std::shared_ptr<const CheckpointData>(std::move(pending_));
-    events_.push_back({round, aligned, committed_->total_bytes()});
+  pending_msgs_ += pending_msgs;
+  if (++pending_saves_ < nranks_) return;
+  if (pending_stop_) {
+    stopped_ = std::make_unique<StopImage>();
+    stopped_->checkpoint = std::move(*pending_);
+    stopped_->pending_msgs = pending_msgs_;
+    pending_.reset();
+    return;
   }
+  committed_ = std::shared_ptr<const CheckpointData>(std::move(pending_));
+  events_.push_back({round, aligned, committed_->total_bytes()});
+}
+
+bool CheckpointStore::stopped() const {
+  std::lock_guard lock(mutex_);
+  return stopped_ != nullptr;
+}
+
+StopImage CheckpointStore::take_stop() {
+  std::lock_guard lock(mutex_);
+  CBMPI_REQUIRE(stopped_, "take_stop before every rank saved the stop image");
+  StopImage image = std::move(*stopped_);
+  stopped_.reset();
+  return image;
 }
 
 std::shared_ptr<const CheckpointData> CheckpointStore::committed() const {

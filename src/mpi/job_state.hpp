@@ -27,10 +27,6 @@
 #include "sim/trace.hpp"
 #include "topo/calibration.hpp"
 
-namespace cbmpi::migrate {
-class Coordinator;
-}
-
 namespace cbmpi::mpi {
 
 class CheckpointStore;
@@ -46,8 +42,8 @@ struct WindowInfo {
   std::vector<int> epoch_holders;
 };
 
-/// Out-of-band phase alignment (Process::sync_time and the checkpoint /
-/// quiesce round boundary). Each rank arrives with its clock; the last
+/// Out-of-band phase alignment (Process::sync_time and the checkpoint round
+/// boundary). Each rank arrives with its clock; the last
 /// arrival publishes the max, bumps the generation and pokes every matcher,
 /// and the others wait in Adi3Engine::block_until until the generation moves.
 struct PhaseAlignment {
@@ -108,13 +104,10 @@ struct JobState {
   std::vector<faults::FaultKind> crash_kind;
   std::vector<int> crash_host;
 
-  /// Coordinated checkpoint coordinator (null when checkpointing is off and
-  /// the job is not a restore — Process::checkpoint is then a free no-op).
+  /// Coordinated checkpoint store: null unless the job checkpoints, stops
+  /// at JobConfig::stop_at or restores. Process::checkpoint is a free no-op
+  /// unless the store is active().
   CheckpointStore* checkpoint = nullptr;
-
-  /// Live-migration quiesce coordinator (JobConfig::quiesce pass-through;
-  /// null on every ordinary run).
-  migrate::Coordinator* quiesce = nullptr;
 
   std::mutex windows_mutex;
   std::map<std::uint64_t, std::shared_ptr<WindowInfo>> windows;

@@ -34,7 +34,7 @@ namespace cbmpi::mpi {
 
 class Matcher {
  public:
-  /// Called by sender threads.
+  /// Called by the sending rank's fiber, possibly on another worker.
   void deliver(fabric::Envelope envelope);
 
   /// Removes and returns the first envelope matching (src, tag, comm);

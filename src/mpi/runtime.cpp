@@ -9,7 +9,6 @@
 #include <sstream>
 
 #include "container/engine.hpp"
-#include "migrate/coordinator.hpp"
 #include "mpi/fiber.hpp"
 #include "mpi/locality.hpp"
 #include "osl/machine.hpp"
@@ -92,46 +91,33 @@ bool Process::fabric_probe() const { return engine_.job().net_probe; }
 
 bool Process::checkpoint(int completed_rounds, std::span<const std::uint8_t> state) {
   auto* store = engine_.job().checkpoint;
-  auto* quiesce = engine_.job().quiesce;
-  const bool taking = store && store->taking();
-  if (!taking && quiesce == nullptr) return false;
+  if (store == nullptr || !store->active()) return false;
   // Quiesce: align every rank to one virtual instant. All ranks then hold
-  // the same `aligned`, so the store's take/skip decision is uniform.
+  // the same `aligned`, so the store's verdict is uniform.
   const Micros aligned = align_clocks();
   // A rank whose crash time lies at or before the aligned instant dies here,
   // before saving — the snapshot for this round then never commits and the
   // previous one stays the restart point (all-or-nothing commit).
   engine_.check_crash();
-  if (quiesce != nullptr && quiesce->decide(completed_rounds, aligned)) {
-    // Live-migration quiesce: every in-flight send was drained through the
-    // matcher before the barrier (the round's receives completed), so the
-    // pending depth recorded here is the drain evidence. Snapshot, charge
-    // the same cost as a coordinated checkpoint, and unwind the segment.
-    const std::uint64_t pending = engine_.job().matcher(rank()).pending();
-    quiesce->save(rank(), completed_rounds, aligned,
-                  std::vector<std::uint8_t>(state.begin(), state.end()), pending);
-    const Micros cost = CheckpointStore::snapshot_cost(state.size());
-    os_->clock().advance(cost);
-    engine_.profile().add_recovery(cost);
-    if (engine_.job().spans)
-      engine_.job().spans->record(
-          {"migrate-quiesce", obs::SpanCat::Migrate, rank(), -1, -1,
-           static_cast<Bytes>(state.size()), aligned, os_->clock().now(),
-           "round " + std::to_string(completed_rounds)});
-    throw migrate::QuiesceInterrupt{};
-  }
-  if (!taking) return false;
-  if (!store->decide(completed_rounds, aligned)) return false;
+  const auto verdict = store->decide(completed_rounds, aligned);
+  if (verdict == CheckpointStore::Verdict::Skip) return false;
+  // On a stop every in-flight send was drained through the matcher before
+  // the barrier (the round's receives completed), so the pending depth
+  // recorded with the image is the drain evidence.
+  const bool stop = verdict == CheckpointStore::Verdict::Stop;
   store->save(rank(), completed_rounds, aligned,
-              std::vector<std::uint8_t>(state.begin(), state.end()));
+              std::vector<std::uint8_t>(state.begin(), state.end()),
+              stop ? engine_.job().matcher(rank()).pending() : 0);
   const Micros cost = CheckpointStore::snapshot_cost(state.size());
   os_->clock().advance(cost);
   engine_.profile().add_recovery(cost);
   if (engine_.job().spans)
     engine_.job().spans->record(
-        {"checkpoint", obs::SpanCat::Fault, rank(), -1, -1,
+        {stop ? "migrate-quiesce" : "checkpoint",
+         stop ? obs::SpanCat::Migrate : obs::SpanCat::Fault, rank(), -1, -1,
          static_cast<Bytes>(state.size()), aligned, os_->clock().now(),
          "round " + std::to_string(completed_rounds)});
+  if (stop) throw QuiesceInterrupt{};
   return true;
 }
 
@@ -181,6 +167,8 @@ void validate_config(const JobConfig& config) {
                 "rndv_chunk must be positive, got ", tuning.rndv_chunk);
   CBMPI_REQUIRE(tuning.reg_cost_scale >= 0.0,
                 "reg_cost_scale must be >= 0, got ", tuning.reg_cost_scale);
+  CBMPI_REQUIRE(config.stop_at >= 0.0,
+                "stop_at must be >= 0 (0 = never), got ", config.stop_at);
 }
 
 /// Heap policy, set once per process before the first job. Rank buffers come
@@ -381,15 +369,6 @@ JobResult run_job_attempt(const JobConfig& config,
   job.nranks = nranks;
   job.seed = config.seed;
 
-  // --- live-migration quiesce ----------------------------------------------
-  // Like the per-attempt CheckpointStore below, the coordinator restarts for
-  // every attempt: the fabric model's record and apply passes each quiesce
-  // from scratch, and the apply pass's snapshot is the one that stands.
-  if (config.quiesce != nullptr) {
-    config.quiesce->begin_attempt(nranks);
-    job.quiesce = config.quiesce;
-  }
-
   // --- fabric model ---------------------------------------------------------
   if (net != nullptr) {
     // Every rank's cluster-wide host id: scheduler-placed jobs see the full
@@ -453,16 +432,14 @@ JobResult run_job_attempt(const JobConfig& config,
             job.fabric->vf_share(
                 job.rank_phys_host[static_cast<std::size_t>(r)]));
     job.hca->init_reg_cache(std::move(capacity));
-    // A migration's resume segment starts with the previous segment's cache
+    // A migration's resume segment starts with the stopped segment's cache
     // warm for every rank that did not move (the engine clears the moved
-    // ranks' entry lists before handing the carry over).
-    if (config.reg_warm && !config.reg_warm->entries.empty()) {
-      auto* cache = job.hca->mutable_reg_cache();
-      const int carried = std::min(
-          nranks, static_cast<int>(config.reg_warm->entries.size()));
-      for (int r = 0; r < carried; ++r)
-        cache->warm(r, config.reg_warm->entries[static_cast<std::size_t>(r)]);
-    }
+    // ranks' entry lists before handing them over).
+    const int carried =
+        std::min(nranks, static_cast<int>(config.reg_warm.size()));
+    for (int r = 0; r < carried; ++r)
+      job.hca->mutable_reg_cache()->warm(
+          r, config.reg_warm[static_cast<std::size_t>(r)]);
   }
   if (inject) {
     job.faults = &injector;
@@ -505,13 +482,16 @@ JobResult run_job_attempt(const JobConfig& config,
   }
 
   // --- coordinated checkpoints ---------------------------------------------
+  // Only periodic checkpoints and restores make a "recovery" outcome; a
+  // stop-only store reports nothing but the stop image.
+  const bool recovery = config.checkpoint_interval > 0.0 || config.restore;
   std::unique_ptr<CheckpointStore> checkpoint_store;
-  if (config.checkpoint_interval > 0.0 || config.restore) {
+  if (recovery || config.stop_at > 0.0) {
     CBMPI_REQUIRE(config.checkpoint_interval >= 0.0,
                   "checkpoint_interval must be >= 0, got ",
                   config.checkpoint_interval);
     checkpoint_store = std::make_unique<CheckpointStore>(
-        nranks, config.checkpoint_interval, config.restore);
+        nranks, config.checkpoint_interval, config.stop_at, config.restore);
     job.checkpoint = checkpoint_store.get();
   }
 
@@ -682,11 +662,11 @@ JobResult run_job_attempt(const JobConfig& config,
   const RankFailure* root = nullptr;
   int root_rank = -1;
   bool any_crash = false;
-  // A fired quiesce means every rank unwound with QuiesceInterrupt — a clean
-  // segment end, not a failure; the bystander pass must not pick one up.
-  const bool quiesced = config.quiesce != nullptr && config.quiesce->fired();
+  // A completed stop means every rank unwound with QuiesceInterrupt — a clean
+  // end, not a failure; the bystander pass must not pick one up.
+  const bool stopped = checkpoint_store && checkpoint_store->stopped();
   for (int pass = 0; pass < 2 && !root; ++pass) {
-    if (pass == 1 && quiesced) break;
+    if (pass == 1 && stopped) break;
     for (int r = 0; r < nranks; ++r) {
       const auto& failure = failures[static_cast<std::size_t>(r)];
       if (!failure.error) continue;
@@ -698,8 +678,8 @@ JobResult run_job_attempt(const JobConfig& config,
           continue;
         } catch (const AbortedError&) {
           continue;  // secondary casualty, keep looking
-        } catch (const migrate::QuiesceInterrupt&) {
-          continue;  // clean quiesce unwind, never a root cause
+        } catch (const QuiesceInterrupt&) {
+          continue;  // clean stop unwind, never a root cause
         } catch (...) {
         }
       }
@@ -772,14 +752,14 @@ JobResult run_job_attempt(const JobConfig& config,
   }
   result.hca_queue_pairs = job.hca->queue_pairs();
   result.reg_cache = job.hca->reg_cache_stats();
-  // Export the final pin-down state for the migration engine's next segment
-  // — only from the pass whose results stand (never the record pass).
-  if (config.reg_warm && config.tuning.reg_model &&
-      (net == nullptr || net->apply))
-    config.reg_warm->entries = job.hca->reg_cache()->snapshot_entries();
+  if (stopped) {
+    result.stop = checkpoint_store->take_stop();
+    if (config.tuning.reg_model)
+      result.stop->reg_entries = job.hca->reg_cache()->snapshot_entries();
+  }
   if (config.record_trace) result.trace = recorder.events();
   result.fault_report = fault_log.finalize();
-  if (checkpoint_store) {
+  if (recovery) {
     result.checkpoints = checkpoint_store->events();
     result.restored = config.restore != nullptr;
     if (config.restore) {
@@ -788,7 +768,7 @@ JobResult run_job_attempt(const JobConfig& config,
     }
   }
   if (config.observe) {
-    if (checkpoint_store) {
+    if (recovery) {
       metrics_registry.counter("recovery.checkpoints")
           .add(static_cast<std::uint64_t>(result.checkpoints.size()));
       if (!result.checkpoints.empty())

@@ -33,10 +33,6 @@
 #include "sim/trace.hpp"
 #include "topo/calibration.hpp"
 
-namespace cbmpi::migrate {
-class Coordinator;
-}
-
 namespace cbmpi::mpi {
 
 struct JobConfig {
@@ -93,16 +89,18 @@ struct JobConfig {
   /// functions of (config, seed) and rerun bit-identically.
   net::FabricConfig fabric{};
 
-  /// Live-migration quiesce hook (engine-installed, never user-set): when
-  /// non-null, Process::checkpoint consults it at every round boundary and
-  /// the job segment ends with a QuiesceInterrupt on the firing round. Null
-  /// on every ordinary run — the added cost is one pointer test.
-  migrate::Coordinator* quiesce = nullptr;
+  /// Stops the job at the first checkpoint boundary (Process::checkpoint)
+  /// after at least one completed round whose aligned time reaches this many
+  /// virtual microseconds: every rank saves its state through the checkpoint
+  /// path and unwinds, and JobResult::stop carries the image. 0 (default) =
+  /// never. migrate::Engine sets it to the move's epoch.
+  Micros stop_at = 0.0;
 
-  /// Pin-down cache state carried across migration segments
-  /// (engine-installed): entries warmed into the fresh cache before any
-  /// rank starts, and the final cache exported back at job end.
-  std::shared_ptr<fabric::RegCacheWarmState> reg_warm;
+  /// Pin-down entries pre-pinned per rank ([rank][MRU..LRU]) before any rank
+  /// starts, under TuningParams::reg_model. A migration's resume segment
+  /// passes the stopped segment's entries minus the moved ranks'; empty (the
+  /// default) = every cache starts cold.
+  std::vector<std::vector<fabric::RegCacheEntry>> reg_warm;
 
   bool record_trace = false;
 
@@ -148,6 +146,10 @@ struct JobResult {
   /// Live-migration outcome (report v6 "migration" section). `enabled` is
   /// false unless a migrate::Engine drove this job.
   migrate::MigrationReport migration;
+
+  /// Set when JobConfig::stop_at stopped the job: the image it resumes from.
+  /// Comes from the run whose results stand (the fabric model's apply pass).
+  std::optional<StopImage> stop;
 };
 
 /// The per-rank handle passed to the job body.
@@ -199,11 +201,13 @@ class Process {
   /// Coordinated maybe-checkpoint, called by recoverable bodies once per
   /// round with `completed_rounds` rounds done and the rank's serialized
   /// state. Collective: every rank must call it the same number of times.
-  /// When checkpointing is off this returns false at the cost of one pointer
-  /// test; when on, all ranks quiesce (align clocks), make one uniform
-  /// take/skip decision from the aligned time, and on "take" each rank saves
-  /// its state and is charged the modelled snapshot cost (Fault/"checkpoint"
-  /// span). Returns true when a checkpoint was taken this round.
+  /// When neither checkpointing nor JobConfig::stop_at is on this returns
+  /// false at the cost of one pointer test; otherwise all ranks quiesce
+  /// (align clocks) and make one uniform skip/take/stop decision from the
+  /// aligned time. On take or stop each rank saves its state and is charged
+  /// the modelled snapshot cost (a Fault/"checkpoint" or
+  /// Migrate/"migrate-quiesce" span); on stop it then throws
+  /// QuiesceInterrupt. Returns true when a checkpoint was taken this round.
   bool checkpoint(int completed_rounds, std::span<const std::uint8_t> state);
 
   Adi3Engine& engine() { return engine_; }

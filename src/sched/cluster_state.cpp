@@ -15,11 +15,6 @@ ClusterState::ClusterState(const topo::Cluster& cluster) {
   }
 }
 
-int ClusterState::cores_per_host(topo::HostId host) const {
-  CBMPI_REQUIRE(host >= 0 && host < num_hosts(), "no host ", host);
-  return static_cast<int>(hosts_[static_cast<std::size_t>(host)].owner.size());
-}
-
 int ClusterState::free_count(topo::HostId host) const {
   CBMPI_REQUIRE(host >= 0 && host < num_hosts(), "no host ", host);
   const auto& cores = hosts_[static_cast<std::size_t>(host)];

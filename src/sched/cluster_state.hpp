@@ -15,7 +15,6 @@ class ClusterState {
   explicit ClusterState(const topo::Cluster& cluster);
 
   int num_hosts() const { return static_cast<int>(hosts_.size()); }
-  int cores_per_host(topo::HostId host) const;
   int total_cores() const { return total_cores_; }
 
   /// Free cores on `host`; 0 when the host is blacklisted (placers then

@@ -26,7 +26,8 @@
 //
 // A placement maps onto the runtime as one container per `ranks_per_container`
 // chunk per host with an explicit disjoint cpuset — i.e. placers ultimately
-// emit a DeploymentSpec + heterogeneous JobPlacement pair for mpi::run_job.
+// emit a DeploymentSpec + JobPlacement pair whose hosts may carry different
+// container counts, for mpi::run_job.
 #pragma once
 
 #include <memory>

@@ -83,13 +83,6 @@ Scheduler::Scheduler(SchedulerConfig config)
     rebalancer_ = std::make_unique<ElasticRebalancer>(config_.migrate_policy,
                                                       config_.migrate_cost);
   }
-  migrate_runner_ = [](const mpi::JobConfig& job_config, const JobSpec& job,
-                       const migrate::MigrationPlan& plan) {
-    return migrate::Engine::run(job_config,
-                                mpi::JobBodyRegistry::instance().make(
-                                    job.body, job.params),
-                                plan);
-  };
 }
 
 int Scheduler::submit(JobSpec spec) {
@@ -185,8 +178,12 @@ bool Scheduler::try_start(const JobSpec& job, Micros now, bool backfilled) {
   record.attempt = job.attempt;
   record.restored_progress = job.restore ? job.restore->progress_us : 0.0;
   try {
-    record.result = migration ? migrate_runner_(job_config, job, *migration)
-                              : runner_(job_config, job);
+    record.result =
+        migration ? migrate::Engine::run(job_config,
+                                         mpi::JobBodyRegistry::instance().make(
+                                             job.body, job.params),
+                                         *migration)
+                  : runner_(job_config, job);
     record.end_time = now + record.result.job_time;
     const auto& mig = record.result.migration;
     migrations_executed_ += mig.executed;

@@ -113,14 +113,6 @@ class Scheduler {
   using Runner = std::function<mpi::JobResult(const mpi::JobConfig&, const JobSpec&)>;
   void set_runner(Runner runner) { runner_ = std::move(runner); }
 
-  /// Test seam for accepted migrations. The default runs the job through
-  /// migrate::Engine::run with the rebalancer's plan.
-  using MigrateRunner = std::function<mpi::JobResult(
-      const mpi::JobConfig&, const JobSpec&, const migrate::MigrationPlan&)>;
-  void set_migrate_runner(MigrateRunner runner) {
-    migrate_runner_ = std::move(runner);
-  }
-
  private:
   struct Running {
     int job_id = 0;
@@ -151,7 +143,6 @@ class Scheduler {
   std::unique_ptr<Placer> placer_;
   Runner runner_;
   std::unique_ptr<ElasticRebalancer> rebalancer_;  ///< null when policy Off
-  MigrateRunner migrate_runner_;
 
   std::vector<JobSpec> pending_;   ///< submitted, not yet started
   std::vector<Running> running_;

@@ -1,4 +1,4 @@
-// Live-migration tests: the quiesce protocol drains in-flight traffic at a
+// Live-migration tests: the checkpoint stop rule drains in-flight traffic at a
 // round boundary, the engine's two-segment execution re-detects locality and
 // re-picks channels on the destination, pin-down cache entries of moved
 // ranks go cold (visible as extra registration misses), the rebalancer
@@ -7,8 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 
-#include "migrate/coordinator.hpp"
 #include "migrate_fixture.hpp"
 #include "obs/report.hpp"
 #include "sched/rebalancer.hpp"
@@ -23,6 +23,34 @@ std::string report_of(const mpi::JobResult& result) {
   ctx.policy = "aware";
   ctx.seed = 42;
   return obs::run_report_json(ctx, result);
+}
+
+/// A 6-rank ring whose one-word parcel folds in every hop: each rank's final
+/// value depends on every round, so it shows that a resumed run continued
+/// exactly where the stopped one left off. Restorable; checkpoints the word.
+mpi::JobBody folding_ring(int rounds, std::vector<std::uint64_t>& finals) {
+  return [rounds, &finals](mpi::Process& p) {
+    std::uint64_t acc = static_cast<std::uint64_t>(p.rank()) + 1;
+    const auto saved = p.restored_state();
+    if (!saved.empty()) std::memcpy(&acc, saved.data(), sizeof acc);
+    std::vector<std::uint8_t> out(16_KiB), in(16_KiB);
+    const int next = (p.rank() + 1) % p.size();
+    const int prev = (p.rank() + p.size() - 1) % p.size();
+    for (int round = p.start_round(); round < rounds; ++round) {
+      std::memcpy(out.data(), &acc, sizeof acc);
+      auto req = p.world().isend(std::span<const std::uint8_t>(out), next, round);
+      p.world().recv(std::span<std::uint8_t>(in), prev, round);
+      p.world().wait(req);
+      std::uint64_t got = 0;
+      std::memcpy(&got, in.data(), sizeof got);
+      acc = acc * 31 + got + static_cast<std::uint64_t>(round);
+      p.world().barrier();
+      p.checkpoint(round + 1,
+                   std::span<const std::uint8_t>(
+                       reinterpret_cast<const std::uint8_t*>(&acc), sizeof acc));
+    }
+    finals[static_cast<std::size_t>(p.rank())] = acc;
+  };
 }
 
 // ---- engine ----------------------------------------------------------------
@@ -129,7 +157,7 @@ TEST(MigrateEngine, EpochPastJobEndNeverMigrates) {
   EXPECT_EQ(result.migration.executed, 0);
   EXPECT_TRUE(result.migration.records.empty());
   EXPECT_GT(result.job_time, 0.0);
-  // Still deterministic with the never-firing coordinator installed.
+  // Still deterministic with a stop that never fires.
   const auto again = run_migrated(job, config, plan);
   EXPECT_EQ(result.job_time, again.job_time);
 }
@@ -143,6 +171,39 @@ TEST(MigrateEngine, SurvivesAnHcaLinkFlap) {
   ASSERT_EQ(a.migration.executed, 1);
   const auto b = run_migrated(job, config, defrag_plan());
   EXPECT_EQ(report_of(a), report_of(b));
+}
+
+TEST(MigrateEngine, PeriodicCheckpointsAndTheMoveShareOneStore) {
+  constexpr int kRounds = 12;
+  const auto job = ring_job(kRounds, 16_KiB);
+  auto config = config_for(job, two_host_placement());
+  config.checkpoint_interval = 20.0;
+  auto plan = defrag_plan();
+  plan.epoch = 50.0;  // mid-job: periodic checkpoints on both sides of it
+  std::vector<std::uint64_t> plain_finals(6), finals(6), again_finals(6);
+  mpi::run_job(config, folding_ring(kRounds, plain_finals));
+  const auto migrated =
+      migrate::Engine::run(config, folding_ring(kRounds, finals), plan);
+  ASSERT_EQ(migrated.migration.executed, 1);
+  const auto& rec = migrated.migration.records[0];
+  int before = 0, after = 0;
+  for (const auto& event : migrated.checkpoints) {
+    // The stop image is the move's, never a committed checkpoint.
+    EXPECT_NE(event.round, rec.quiesce_round);
+    if (event.at < rec.quiesce_at) ++before;
+    // Segment 2's checkpoints sit on the stitched timeline, past the resume.
+    if (event.at > rec.resume_at) ++after;
+  }
+  EXPECT_GE(before, 1);
+  EXPECT_GE(after, 1);
+  EXPECT_EQ(before + after, static_cast<int>(migrated.checkpoints.size()));
+  // Resuming from the stop image continues the computation exactly.
+  EXPECT_EQ(finals, plain_finals);
+  const auto again =
+      migrate::Engine::run(config, folding_ring(kRounds, again_finals), plan);
+  EXPECT_EQ(again_finals, finals);
+  EXPECT_EQ(again.job_time, migrated.job_time);
+  EXPECT_EQ(report_of(again), report_of(migrated));
 }
 
 TEST(MigrateEngine, CostGateArithmetic) {
@@ -252,29 +313,46 @@ TEST(Rebalancer, OffAndNativeJobsNeverPropose) {
                               small_shape()).proposed);
 }
 
-// ---- coordinator -----------------------------------------------------------
+// ---- stop rule -------------------------------------------------------------
 
-TEST(MigrateCoordinator, FiresOncePerAttemptAtTheEpoch) {
-  migrate::Coordinator coord(/*epoch=*/5.0);
-  coord.begin_attempt(2);
-  EXPECT_FALSE(coord.decide(1, 3.0));   // before the epoch
-  EXPECT_TRUE(coord.decide(2, 6.0));    // first boundary past it
-  EXPECT_TRUE(coord.decide(2, 6.0));    // memoized for the firing round
-  coord.save(0, 2, 6.0, {1, 2, 3}, 0);
-  EXPECT_FALSE(coord.fired());
-  coord.save(1, 2, 6.0, {4}, 2);
-  EXPECT_TRUE(coord.fired());
-  EXPECT_EQ(coord.round(), 2);
-  EXPECT_EQ(coord.at(), 6.0);
-  EXPECT_EQ(coord.drained_pending(), 2u);
-  EXPECT_FALSE(coord.decide(3, 9.0));   // never fires twice
-  const auto state = coord.take_state();
-  ASSERT_EQ(state.size(), 2u);
-  EXPECT_EQ(state[0], (std::vector<std::uint8_t>{1, 2, 3}));
-  // A new attempt (crash recovery re-runs the segment) resets everything.
-  coord.begin_attempt(2);
-  EXPECT_FALSE(coord.fired());
-  EXPECT_TRUE(coord.decide(2, 6.0));
+TEST(CheckpointStore, StopFiresOncePerAttemptAtTheEpoch) {
+  using Verdict = mpi::CheckpointStore::Verdict;
+  // Periodic checkpoints due every 4 us, and a stop at 5 us.
+  mpi::CheckpointStore store(/*nranks=*/2, /*interval=*/4.0, /*stop_at=*/5.0,
+                             nullptr);
+  EXPECT_EQ(store.decide(1, 3.0), Verdict::Skip);  // before the epoch
+  EXPECT_EQ(store.decide(2, 6.0), Verdict::Stop);  // first boundary past it
+  EXPECT_EQ(store.decide(2, 6.0), Verdict::Stop);  // memoized for the round
+  store.save(0, 2, 6.0, {1, 2, 3}, 0);
+  EXPECT_FALSE(store.stopped());
+  store.save(1, 2, 6.0, {4}, 2);
+  EXPECT_TRUE(store.stopped());
+  // The stop image is never a committed checkpoint.
+  EXPECT_TRUE(store.events().empty());
+  EXPECT_EQ(store.committed(), nullptr);
+  const auto image = store.take_stop();
+  EXPECT_EQ(image.checkpoint.round, 2);
+  EXPECT_EQ(image.checkpoint.at, 6.0);
+  EXPECT_EQ(image.checkpoint.progress_us, 6.0);
+  EXPECT_EQ(image.pending_msgs, 2u);
+  ASSERT_EQ(image.checkpoint.rank_state.size(), 2u);
+  EXPECT_EQ(image.checkpoint.rank_state[0], (std::vector<std::uint8_t>{1, 2, 3}));
+  // Never stops twice, and the periodic rule is untouched: its first
+  // checkpoint was due at 4 us and is taken at the next boundary (a stop
+  // that rescheduled it to 6 + 4 us would skip this one).
+  EXPECT_EQ(store.decide(3, 7.0), Verdict::Take);
+  store.save(0, 3, 7.0, {5}, 9);
+  store.save(1, 3, 7.0, {6}, 9);
+  ASSERT_EQ(store.events().size(), 1u);
+  EXPECT_EQ(store.events()[0].round, 3);
+  ASSERT_NE(store.committed(), nullptr);
+  EXPECT_EQ(store.committed()->at, 7.0);
+  EXPECT_EQ(store.decide(4, 9.0), Verdict::Skip);   // next due at 11 us
+  EXPECT_EQ(store.decide(5, 20.0), Verdict::Take);  // a take, not a stop
+  // A new attempt (crash recovery re-runs the job) builds a new store, which
+  // stops again at the same boundary.
+  mpi::CheckpointStore retry(2, 4.0, 5.0, nullptr);
+  EXPECT_EQ(retry.decide(2, 6.0), Verdict::Stop);
 }
 
 // ---- scheduler integration -------------------------------------------------

@@ -138,23 +138,32 @@ TEST(Deployment, NativeHasNoContainers) {
   const auto cluster = topo::ClusterBuilder().hosts(1).build();
   const auto placement = container::plan_deployment(
       cluster, container::DeploymentSpec::native_hosts(1, 4));
-  EXPECT_TRUE(placement.container_cpusets.empty());
+  // The host is still listed, with no containers on it.
+  ASSERT_EQ(placement.host_cpusets.size(), 1u);
+  EXPECT_TRUE(placement.host_cpusets[0].empty());
+  EXPECT_EQ(placement.containers_on(0), 0);
   for (const auto& slot : placement.slots) EXPECT_EQ(slot.container_index, -1);
 }
 
 TEST(Deployment, PackPolicyGivesDisjointCpusets) {
-  const auto cluster = topo::ClusterBuilder().hosts(1).build();
-  auto spec = container::DeploymentSpec::containers(1, 4, 16);
+  const auto cluster = topo::ClusterBuilder().hosts(2).build();
+  auto spec = container::DeploymentSpec::containers(2, 4, 16);
   const auto placement = container::plan_deployment(cluster, spec);
-  ASSERT_EQ(placement.container_cpusets.size(), 4u);
-  std::vector<int> all;
-  for (const auto& cpuset : placement.container_cpusets) {
-    EXPECT_EQ(cpuset.size(), 4u);
-    all.insert(all.end(), cpuset.begin(), cpuset.end());
+  ASSERT_EQ(placement.host_cpusets.size(), 2u);
+  for (int h = 0; h < 2; ++h) {
+    ASSERT_EQ(placement.containers_on(h), 4);
+    std::vector<int> all;
+    for (int c = 0; c < 4; ++c) {
+      const auto& cpuset = placement.cpuset_of(h, c);
+      EXPECT_EQ(cpuset.size(), 4u);
+      all.insert(all.end(), cpuset.begin(), cpuset.end());
+    }
+    std::sort(all.begin(), all.end());
+    EXPECT_EQ(std::adjacent_find(all.begin(), all.end()), all.end())
+        << "containers must not share cores";
   }
-  std::sort(all.begin(), all.end());
-  EXPECT_EQ(std::adjacent_find(all.begin(), all.end()), all.end())
-      << "containers must not share cores";
+  // Every host gets the same carving.
+  EXPECT_EQ(placement.host_cpusets[0], placement.host_cpusets[1]);
 }
 
 TEST(Deployment, SocketPolicies) {
