@@ -247,16 +247,22 @@ void Adi3Engine::complete_in_arrival_order(std::span<const Request> recvs) {
     return unmatched.empty();
   });
 
+  // The matched receives leave the posted queue in one pass before any of
+  // them completes, so a rank that throws in phase 2 leaves only receives
+  // still waiting for a message behind for oldest_posted().
+  const auto request_of = [](const auto& pair) { return pair.first.get(); };
+  std::ranges::sort(matched, {}, request_of);
+  std::erase_if(posted_, [&](const Request& request) {
+    return std::ranges::binary_search(matched, request.get(), {}, request_of);
+  });
+
   // Phase 2: process in virtual arrival order, so the receiver busy chain
   // is a pure function of the envelopes' timestamps.
   std::sort(matched.begin(), matched.end(), [](const auto& a, const auto& b) {
     return std::tie(a.second.available_at, a.second.src, a.second.seq) <
            std::tie(b.second.available_at, b.second.src, b.second.seq);
   });
-  for (auto& [request, env] : matched) {
-    complete_recv(*request, env);
-    posted_.erase(std::remove(posted_.begin(), posted_.end(), request), posted_.end());
-  }
+  for (auto& [request, env] : matched) complete_recv(*request, env);
 }
 
 void Adi3Engine::complete_recv(RequestState& request, fabric::Envelope& env) {

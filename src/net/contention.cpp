@@ -44,9 +44,12 @@ class PathFill {
   void admit(std::size_t c) {
     if (active_[c]++ == 0) live_.push_back(c);
   }
-  void retire(std::size_t c) {
-    if (--active_[c] == 0) std::erase(live_, c);
+  void retire(std::size_t c, std::size_t n) {
+    if ((active_[c] -= n) == 0) std::erase(live_, c);
   }
+
+  /// Classes with active flows.
+  const std::vector<std::size_t>& live() const { return live_; }
 
   /// Per-flow rate of class `c` as of the last fill().
   double rate(std::size_t c) const { return rate_[c]; }
@@ -165,8 +168,16 @@ SettleResult settle(std::vector<Flow> flows, const std::vector<double>& link_cap
     return a.key < b.key;
   });
 
+  // One class's active flows, sorted by bytes left, so the next to finish
+  // form a prefix (DESIGN.md §14).
+  struct ClassFlows {
+    std::vector<double> left;
+    std::vector<std::size_t> flow;  ///< index into flows
+  };
+
   PathFill fill(link_caps);
   std::vector<std::size_t> class_of(flows.size());
+  std::vector<ClassFlows> active;  // per class
   {
     const auto same_class_less = [&](std::size_t a, std::size_t b) {
       if (flows[a].rate_cap != flows[b].rate_cap)
@@ -177,7 +188,10 @@ SettleResult settle(std::vector<Flow> flows, const std::vector<double>& link_cap
         same_class_less);
     for (std::size_t i = 0; i < flows.size(); ++i) {
       const auto [it, fresh] = first_of_class.try_emplace(i, 0);
-      if (fresh) it->second = fill.add_class(flows[i]);
+      if (fresh) {
+        it->second = fill.add_class(flows[i]);
+        active.emplace_back();
+      }
       class_of[i] = it->second;
     }
   }
@@ -202,15 +216,9 @@ SettleResult settle(std::vector<Flow> flows, const std::vector<double>& link_cap
     out.flows.push_back(o);
   };
 
-  // Active flows, one entry per array: flow index, class, bytes left, and
-  // the finish time projected at the current event.
-  std::vector<std::size_t> act_flow, act_class;
-  std::vector<double> act_left;
-  std::vector<Micros> act_finish;
-
   std::size_t next = 0;
   Micros t = flows.front().start;
-  while (next < flows.size() || !act_flow.empty()) {
+  while (next < flows.size() || !fill.live().empty()) {
     // Admit every flow starting now, then rebalance.
     bool admitted = false;
     while (next < flows.size() && flows[next].start <= t) {
@@ -220,28 +228,28 @@ SettleResult settle(std::vector<Flow> flows, const std::vector<double>& link_cap
         // and never contends.
         record_outcome(f, f.start);
       } else {
-        fill.admit(class_of[next]);
-        act_flow.push_back(next);
-        act_class.push_back(class_of[next]);
-        act_left.push_back(f.bytes);
+        const std::size_t c = class_of[next];
+        fill.admit(c);
+        auto& set = active[c];
+        const auto at = std::upper_bound(set.left.begin(), set.left.end(), f.bytes) -
+                        set.left.begin();
+        set.left.insert(set.left.begin() + at, f.bytes);
+        set.flow.insert(set.flow.begin() + at, next);
         admitted = true;
       }
       ++next;
     }
-    if (act_flow.empty()) {
+    if (fill.live().empty()) {
       if (next < flows.size()) t = flows[next].start;
       continue;
     }
     if (admitted) fill.fill();
 
-    // Next event: the earliest finish among active flows or the next start.
-    const std::size_t n = act_flow.size();
-    act_finish.resize(n);
+    // Next event: the earliest finish or the next start. A class's earliest
+    // finish is its head's, since t + left / rate is monotone in left.
     Micros finish_at = kInf;
-    for (std::size_t j = 0; j < n; ++j) {
-      act_finish[j] = t + act_left[j] / fill.rate(act_class[j]);
-      finish_at = std::min(finish_at, act_finish[j]);
-    }
+    for (const std::size_t c : fill.live())
+      finish_at = std::min(finish_at, t + active[c].left.front() / fill.rate(c));
     const Micros start_at = next < flows.size() ? flows[next].start : kInf;
     const Micros te = std::min(finish_at, start_at);
 
@@ -253,24 +261,29 @@ SettleResult settle(std::vector<Flow> flows, const std::vector<double>& link_cap
       mean_accum[lu] += util * (te - t);
     }
 
-    std::size_t kept = 0;
-    for (std::size_t j = 0; j < n; ++j) {
-      if (act_finish[j] <= te) {
-        record_outcome(flows[act_flow[j]], te);
-        fill.retire(act_class[j]);
-        continue;
-      }
-      act_flow[kept] = act_flow[j];
-      act_class[kept] = act_class[j];
-      act_left[kept] = act_left[j] - fill.rate(act_class[j]) * (te - t);
-      ++kept;
+    // Per class: pop the finishing prefix, then drain the rest by one common
+    // amount, which keeps them sorted. Walk backwards: retire() may erase
+    // the current class from live().
+    bool finished = false;
+    for (std::size_t i = fill.live().size(); i-- > 0;) {
+      const std::size_t c = fill.live()[i];
+      auto& set = active[c];
+      const double rate = fill.rate(c);
+      const std::size_t n = set.left.size();
+      std::size_t done = 0;
+      while (done < n && t + set.left[done] / rate <= te)
+        record_outcome(flows[set.flow[done++]], te);
+      const double drained = rate * (te - t);
+      for (std::size_t j = done; j < n; ++j) set.left[j - done] = set.left[j] - drained;
+      if (done == 0) continue;
+      set.left.resize(n - done);
+      set.flow.erase(set.flow.begin(),
+                     set.flow.begin() + static_cast<std::ptrdiff_t>(done));
+      fill.retire(c, done);
+      finished = true;
     }
-    const bool finished = kept < n;
-    act_flow.resize(kept);
-    act_class.resize(kept);
-    act_left.resize(kept);
     t = te;
-    if (finished && kept > 0) fill.fill();
+    if (finished && !fill.live().empty()) fill.fill();
   }
 
   const Micros span = out.busy_end - out.busy_begin;

@@ -83,6 +83,15 @@ Fabric::Fabric(const FabricConfig& config, const topo::MachineProfile& profile,
     link_caps_.push_back(topology_.link(l).bw);
 }
 
+CongestionMap::CongestionMap(std::vector<std::pair<FlowKey, double>> factors)
+    : factors_(std::move(factors)) {
+  const auto unsorted = std::adjacent_find(
+      factors_.begin(), factors_.end(),
+      [](const auto& a, const auto& b) { return !(a.first < b.first); });
+  CBMPI_REQUIRE(unsorted == factors_.end(),
+                "congestion factors must be sorted by strictly increasing key");
+}
+
 double Fabric::vf_share(int host) const {
   if (config_.vf_limit <= 0) return 1.0;
   CBMPI_REQUIRE(host >= 0 && host < topology_.num_hosts(), "bad host ", host);
@@ -121,12 +130,13 @@ FabricSettle Fabric::settle(std::vector<FlowRecord> records) const {
   out.report.links = topology_.num_links();
   out.report.transfers = settled.flows.size();
 
-  std::map<FlowKey, double> factors;
+  // settled.flows is sorted by key, so the congested ones are too.
+  std::vector<std::pair<FlowKey, double>> factors;
   for (const auto& flow : settled.flows) {
     if (flow.factor > 1.0) {
       ++out.report.congested_transfers;
       out.report.max_factor = std::max(out.report.max_factor, flow.factor);
-      factors.emplace(flow.key, flow.factor);
+      factors.emplace_back(flow.key, flow.factor);
     }
     const auto hops = static_cast<std::size_t>(flow.hops);
     if (out.report.hop_histogram.size() <= hops)

@@ -17,11 +17,12 @@
 // pre-fabric flat cost model exactly.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "net/contention.hpp"
@@ -92,22 +93,27 @@ class FlowLog {
   std::vector<FlowRecord> flows_;
 };
 
-/// Immutable per-flow slowdown factors from the settle step. Unknown keys
-/// (e.g. transfers that only exist in the apply pass) default to 1.0.
+/// Immutable per-flow slowdown factors from the settle step, as one vector
+/// sorted by key. Unknown keys (e.g. transfers that only exist in the apply
+/// pass) default to 1.0.
 class CongestionMap {
  public:
   CongestionMap() = default;
-  explicit CongestionMap(std::map<FlowKey, double> factors)
-      : factors_(std::move(factors)) {}
+  /// `factors` must be sorted by strictly increasing key. Throws otherwise.
+  explicit CongestionMap(std::vector<std::pair<FlowKey, double>> factors);
 
   double factor(const FlowKey& key) const {
-    const auto it = factors_.find(key);
-    return it == factors_.end() ? 1.0 : it->second;
+    const auto it = std::lower_bound(
+        factors_.begin(), factors_.end(), key,
+        [](const std::pair<FlowKey, double>& entry, const FlowKey& k) {
+          return entry.first < k;
+        });
+    return it == factors_.end() || !(it->first == key) ? 1.0 : it->second;
   }
   std::size_t size() const { return factors_.size(); }
 
  private:
-  std::map<FlowKey, double> factors_;
+  std::vector<std::pair<FlowKey, double>> factors_;
 };
 
 /// Utilization of one link that carried traffic (report section).

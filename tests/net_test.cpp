@@ -331,7 +331,43 @@ struct FlowSetShape {
   bool empty_path = false;
   bool same_start = false;     ///< two flows starting at one instant
   bool repeated_link = false;  ///< a route crossing one link twice
+  bool front_insert = false;   ///< a flow admitted with fewer bytes than an
+                               ///< active flow of its class has left
+  bool left_tie = false;       ///< two flows of one class with equal bytes left
+  bool joint_finish = false;   ///< two flows of one class finish at one event
 };
+
+bool same_class(const net::Flow& a, const net::Flow& b) {
+  return a.path == b.path && a.rate_cap == b.rate_cap;
+}
+
+/// No flow drains faster than its rate cap or the narrowest link it crosses.
+double max_rate(const net::Flow& f, const std::vector<double>& caps) {
+  double rate = f.rate_cap;
+  for (const int l : f.path) rate = std::min(rate, caps[static_cast<std::size_t>(l)]);
+  return rate;
+}
+
+/// Do two flows of one class (both draining) finish at the same event?
+bool finish_together(const std::vector<net::Flow>& flows,
+                     const net::SettleResult& settled) {
+  const auto finish_of = [&](const net::FlowKey& key) {
+    return std::lower_bound(settled.flows.begin(), settled.flows.end(), key,
+                            [](const net::FlowOutcome& o, const net::FlowKey& k) {
+                              return o.key < k;
+                            })
+        ->finish;
+  };
+  for (std::size_t i = 0; i < flows.size(); ++i)
+    for (std::size_t j = i + 1; j < flows.size(); ++j) {
+      const auto& a = flows[i];
+      const auto& b = flows[j];
+      if (same_class(a, b) && !a.path.empty() && a.bytes > 0.0 && b.bytes > 0.0 &&
+          same_bits(finish_of(a.key), finish_of(b.key)))
+        return true;
+    }
+  return false;
+}
 
 /// A seeded random flow set over a few links. Routes and caps come from
 /// small pools so flows share them; keys are unique and input order is
@@ -375,6 +411,15 @@ std::vector<net::Flow> random_flow_set(std::uint64_t seed, std::vector<double>& 
     f.start = rng.below(2) == 0 ? 1.5 * static_cast<double>(rng.below(6))
                                 : 30.0 * rng.uniform();
   }
+  if (rng.below(4) == 0) {
+    // A twin: same class, start and bytes, so the two drain in a tie.
+    const std::size_t of = rng.below(flows.size());
+    net::Flow twin = flows[of];
+    const int src = static_cast<int>(rng.below(4));
+    twin.key = {src, seq[static_cast<std::size_t>(src)]++};
+    flows.push_back(std::move(twin));
+    route_of.push_back(route_of[of]);
+  }
   for (std::size_t i = flows.size(); i > 1; --i) {
     const std::size_t j = rng.below(i);
     std::swap(flows[i - 1], flows[j]);
@@ -394,6 +439,17 @@ std::vector<net::Flow> random_flow_set(std::uint64_t seed, std::vector<double>& 
         shape.shared_path = true;
         shape.mixed_caps |= f.rate_cap != flows[j].rate_cap;
       }
+      const auto& g = flows[j];
+      if (!same_class(f, g) || f.path.empty() || f.bytes <= 0.0 || g.bytes <= 0.0)
+        continue;
+      shape.left_tie |= f.start == g.start && f.bytes == g.bytes;
+      // The earlier flow still has more than the later one's bytes left
+      // when the later one is admitted, even draining at its fastest (one
+      // byte of slack covers float residue in the drain).
+      const auto& [early, late] = f.start < g.start ? std::tie(f, g) : std::tie(g, f);
+      const double drained_by_then = max_rate(early, caps) * (late.start - early.start);
+      shape.front_insert |= early.start < late.start &&
+                            late.bytes + 1.0 <= early.bytes - drained_by_then;
     }
   }
   return flows;
@@ -401,7 +457,7 @@ std::vector<net::Flow> random_flow_set(std::uint64_t seed, std::vector<double>& 
 
 TEST(NetContention, SettleMatchesPerFlowReferenceBitForBit) {
   constexpr std::uint64_t kSets = 12000;
-  std::array<std::uint64_t, 6> covered{};
+  std::array<std::uint64_t, 9> covered{};
   std::vector<double> caps;
   for (std::uint64_t seed = 1; seed <= kSets; ++seed) {
     FlowSetShape shape;
@@ -436,6 +492,10 @@ TEST(NetContention, SettleMatchesPerFlowReferenceBitForBit) {
     covered[3] += shape.empty_path;
     covered[4] += shape.same_start;
     covered[5] += shape.repeated_link;
+    covered[6] += shape.front_insert;
+    covered[7] += shape.left_tie;
+    shape.joint_finish = finish_together(flows, want);
+    covered[8] += shape.joint_finish;
   }
   // Every shape the fill could treat differently appears in many sets.
   for (const auto count : covered) EXPECT_GT(count, kSets / 20);
@@ -456,6 +516,68 @@ void send_one(mpi::Process& p, Bytes bytes, int src, int dst) {
     p.world().send(std::span<const std::uint8_t>(buf), dst);
   else if (p.rank() == dst)
     p.world().recv(std::span<std::uint8_t>(buf), src);
+}
+
+TEST(NetFabric, CongestionMapLooksUpFactorsByKey) {
+  const net::CongestionMap map({{{0, 1}, 1.5}, {{0, 7}, 2.0}, {{2, 1}, 3.0}});
+  EXPECT_EQ(map.size(), 3u);
+  EXPECT_EQ(map.factor({0, 1}), 1.5);
+  EXPECT_EQ(map.factor({0, 7}), 2.0);
+  EXPECT_EQ(map.factor({2, 1}), 3.0);
+  // Missing keys read 1.0: same rank with another seq, the same seq on
+  // another rank, and keys before, between and after every entry.
+  EXPECT_EQ(map.factor({0, 2}), 1.0);
+  EXPECT_EQ(map.factor({1, 1}), 1.0);
+  EXPECT_EQ(map.factor({2, 7}), 1.0);
+  EXPECT_EQ(map.factor({-1, 0}), 1.0);
+  EXPECT_EQ(map.factor({0, 0}), 1.0);
+  EXPECT_EQ(map.factor({3, 0}), 1.0);
+  EXPECT_EQ(net::CongestionMap().factor({0, 1}), 1.0);
+  // Lookup is a binary search, so the entries must come sorted by key.
+  EXPECT_THROW(net::CongestionMap({{{0, 7}, 2.0}, {{0, 1}, 1.5}}), Error);
+  EXPECT_THROW(net::CongestionMap({{{0, 1}, 2.0}, {{0, 1}, 1.5}}), Error);
+}
+
+TEST(NetFabric, CongestionMapHoldsTheSettledFactorsBitForBit) {
+  // Three hosts of a fat-tree pod send into host 3 at overlapping times and
+  // share its downlink; each then sends one transfer alone, long after.
+  const topo::MachineProfile profile;
+  const net::Fabric fabric(net::FabricConfig::parse("fattree:4"), profile,
+                           std::vector<int>(4, 1));
+  std::vector<net::FlowRecord> records;
+  std::vector<net::Flow> flows;
+  for (int src = 0; src < 3; ++src)
+    for (std::uint64_t seq = 0; seq < 7; ++seq) {
+      net::FlowRecord r;
+      r.key = {src, seq};
+      r.src_host = src;
+      r.dst_host = 3;
+      r.bytes = (seq + 1) * 96_KiB;
+      r.start = seq < 6 ? 40.0 * static_cast<double>(seq) + 7.0 * src : 1e5 * (src + 1);
+      records.push_back(r);
+      net::Flow f;
+      f.key = r.key;
+      f.path = fabric.topology().route(r.src_host, r.dst_host);
+      f.bytes = static_cast<double>(r.bytes);
+      f.start = r.start;
+      f.rate_cap = fabric.flow_rate_cap(r.src_host, r.dst_host, r.sriov);
+      flows.push_back(std::move(f));
+    }
+  std::vector<double> caps;
+  for (int l = 0; l < fabric.topology().num_links(); ++l)
+    caps.push_back(fabric.topology().link(l).bw);
+
+  const auto settled = net::settle(flows, caps);
+  const auto congestion = fabric.settle(records).congestion;
+  std::size_t congested = 0;
+  for (const auto& flow : settled.flows) {
+    congested += flow.factor > 1.0;
+    EXPECT_TRUE(same_bits(congestion.factor(flow.key), flow.factor))
+        << "rank " << flow.key.src_rank << " seq " << flow.key.seq;
+  }
+  EXPECT_GT(congested, 0u);
+  EXPECT_LT(congested, settled.flows.size());
+  EXPECT_EQ(congestion.size(), congested);
 }
 
 TEST(NetFabric, FlatUncontendedMatchesIdealBitIdentically) {

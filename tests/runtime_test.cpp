@@ -499,6 +499,39 @@ TEST(RankEngine, DeadlockOfManyRanksNamesEveryRank) {
   });
 }
 
+TEST(RankEngine, ArrivalOrderCompletionLeavesOnlyUnmatchedReceivesPosted) {
+  // Rank 0 completes receives A and B in arrival order while C stays posted.
+  // Whether A completes or throws on truncation, C must be the oldest posted
+  // receive afterwards: no matched receive lingers in the posted queue.
+  for (const std::size_t first_bytes : {4u, 16u}) {
+    run_job(two_rank_native(), [&](mpi::Process& p) {
+      auto& world = p.world();
+      if (p.rank() == 1) {
+        const std::vector<std::byte> out(16);
+        for (const auto& [bytes, tag] : {std::pair{first_bytes, 1}, {4, 2}, {4, 3}})
+          world.send(std::span<const std::byte>(out.data(), bytes), 0, tag);
+        return;
+      }
+      auto& engine = world.engine();
+      std::array<std::array<std::byte, 4>, 3> in{};
+      std::vector<mpi::Request> recvs;
+      for (int tag = 1; tag <= 3; ++tag)
+        recvs.push_back(engine.post_recv(in[static_cast<std::size_t>(tag - 1)], 1, tag,
+                                         world.id(), /*immediate=*/false));
+      bool truncated = false;
+      try {
+        engine.complete_in_arrival_order(std::span(recvs).first(2));
+      } catch (const Error&) {
+        truncated = true;
+      }
+      EXPECT_EQ(truncated, first_bytes > 4);
+      EXPECT_EQ(engine.oldest_posted(), recvs[2].get());
+      engine.wait(recvs[2]);
+      EXPECT_EQ(engine.oldest_posted(), nullptr);
+    });
+  }
+}
+
 TEST(RankEngine, AtMostOneWorkerPerCore) {
   JobConfig config;
   config.deployment = DeploymentSpec::native_hosts(4, 16);
