@@ -1,6 +1,9 @@
 #include "fabric/selector.hpp"
 
 #include <algorithm>
+#include <limits>
+#include <string_view>
+#include <unordered_map>
 
 #include "common/error.hpp"
 
@@ -24,8 +27,15 @@ ChannelSelector::ChannelSelector(LocalityPolicy policy, TuningParams tuning,
       faults_(faults != nullptr && faults->enabled() ? faults : nullptr),
       fault_log_(fault_log) {
   CBMPI_REQUIRE(!endpoints_.empty(), "selector needs at least one endpoint");
-  for (const auto& ep : endpoints_)
+  std::unordered_map<std::string_view, int> first_with_hostname;
+  host_key_.reserve(endpoints_.size());
+  for (int r = 0; r < num_ranks(); ++r) {
+    const auto& ep = endpoints_[static_cast<std::size_t>(r)];
     CBMPI_REQUIRE(ep.process != nullptr, "endpoint without a process");
+    host_key_.push_back(first_with_hostname.try_emplace(ep.hostname, r).first->second);
+  }
+  if (policy_ == LocalityPolicy::HostnameBased)
+    list_key_.assign(endpoints_.size(), -1);
   if (faults_ != nullptr) {
     // Resolve every rank's /dev/shm verdict once up front: the probes are
     // pure functions of (seed, rank), and a degraded pair would otherwise
@@ -48,11 +58,12 @@ bool ChannelSelector::cma_denied(int a, int b) const {
   return denied;
 }
 
-void ChannelSelector::set_detected_locality(
-    std::vector<std::vector<std::uint8_t>> co_resident) {
-  CBMPI_REQUIRE(co_resident.size() == endpoints_.size(),
-                "locality matrix rank count mismatch");
-  detected_ = std::move(co_resident);
+void ChannelSelector::set_detected_locality(std::vector<int> list_keys) {
+  CBMPI_REQUIRE(list_keys.size() == endpoints_.size(),
+                "locality key count mismatch");
+  for (const int key : list_keys)
+    CBMPI_REQUIRE(key >= -1 && key < num_ranks(), "list key out of range: ", key);
+  list_key_ = std::move(list_keys);
 }
 
 const RankEndpoint& ChannelSelector::endpoint(int rank) const {
@@ -69,17 +80,46 @@ bool ChannelSelector::same_socket(int a, int b) const {
 }
 
 bool ChannelSelector::co_resident(int a, int b) const {
-  if (a == b) return true;
-  switch (policy_) {
-    case LocalityPolicy::HostnameBased:
-      return endpoint(a).hostname == endpoint(b).hostname;
-    case LocalityPolicy::ContainerAware: {
-      CBMPI_REQUIRE(!detected_.empty(),
-                    "ContainerAware policy used before locality detection ran");
-      return detected_[static_cast<std::size_t>(a)][static_cast<std::size_t>(b)] != 0;
-    }
+  CBMPI_REQUIRE(!list_key_.empty(),
+                "ContainerAware policy used before locality detection ran");
+  const int la = list_key_[static_cast<std::size_t>(a)];
+  const int lb = list_key_[static_cast<std::size_t>(b)];
+  if (la >= 0 && lb >= 0) return la == lb;
+  return host_key_[static_cast<std::size_t>(a)] ==
+         host_key_[static_cast<std::size_t>(b)];
+}
+
+std::vector<int> ChannelSelector::lowest_co_resident(
+    const std::vector<int>& ranks) const {
+  CBMPI_REQUIRE(!list_key_.empty(),
+                "ContainerAware policy used before locality detection ran");
+  // co_resident() read as tables over the keys (all world ranks, so every
+  // key indexes a table directly): a keyed member's lowest partner is the
+  // lowest member with its list key or the lowest keyless member on its
+  // host; a keyless member's is the lowest member on its host.
+  const auto n = endpoints_.size();
+  constexpr int kNone = std::numeric_limits<int>::max();
+  std::vector<int> by_list(n, kNone), keyless_by_host(n, kNone), by_host(n, kNone);
+  auto lower = [](int& slot, int i) { slot = std::min(slot, i); };
+  for (int i = 0; i < static_cast<int>(ranks.size()); ++i) {
+    const auto r = static_cast<std::size_t>(ranks[static_cast<std::size_t>(i)]);
+    const auto host = static_cast<std::size_t>(host_key_[r]);
+    lower(by_host[host], i);
+    if (list_key_[r] >= 0)
+      lower(by_list[static_cast<std::size_t>(list_key_[r])], i);
+    else
+      lower(keyless_by_host[host], i);
   }
-  return false;
+  std::vector<int> lowest(ranks.size());
+  for (std::size_t i = 0; i < ranks.size(); ++i) {
+    const auto r = static_cast<std::size_t>(ranks[i]);
+    const auto host = static_cast<std::size_t>(host_key_[r]);
+    lowest[i] = list_key_[r] >= 0
+                    ? std::min(by_list[static_cast<std::size_t>(list_key_[r])],
+                               keyless_by_host[host])
+                    : by_host[host];
+  }
+  return lowest;
 }
 
 bool ChannelSelector::cma_usable(int a, int b) const {

@@ -57,9 +57,10 @@ class ChannelSelector {
                   faults::FaultLog* fault_log = nullptr);
 
   /// Installs the Container Locality Detector's result (required before the
-  /// first select() under ContainerAware). co[i][j] != 0 iff ranks i and j
-  /// found each other in the same container list.
-  void set_detected_locality(std::vector<std::vector<std::uint8_t>> co_resident);
+  /// first select() under ContainerAware): each rank's list key, the lowest
+  /// rank announced in the container list it scanned, or -1 for a rank that
+  /// fell back to hostname locality.
+  void set_detected_locality(std::vector<int> list_keys);
 
   struct Decision {
     ChannelKind channel = ChannelKind::Hca;
@@ -71,8 +72,15 @@ class ChannelSelector {
 
   Decision select(int src, int dst, Bytes size) const;
 
-  /// Does the policy consider these ranks co-resident?
+  /// Does the policy consider these ranks co-resident? Two ranks with list
+  /// keys are iff the keys match; a pair with a -1 key on either side (every
+  /// pair under HostnameBased) is iff the hostnames match.
   bool co_resident(int a, int b) const;
+
+  /// For each member of `ranks` (world ranks), the index in `ranks` of the
+  /// lowest-indexed member co-resident with it, read from min-per-key tables
+  /// in O(num_ranks()).
+  std::vector<int> lowest_co_resident(const std::vector<int>& ranks) const;
 
   /// Physical truth, independent of policy.
   bool same_host(int a, int b) const;
@@ -100,7 +108,11 @@ class ChannelSelector {
   LocalityPolicy policy_;
   TuningParams tuning_;
   std::vector<RankEndpoint> endpoints_;
-  std::vector<std::vector<std::uint8_t>> detected_;
+  /// Per rank: the detector's list key (all -1 under HostnameBased; empty
+  /// under ContainerAware until detection ran) and the lowest rank sharing
+  /// its hostname.
+  std::vector<int> list_key_;
+  std::vector<int> host_key_;
   std::optional<ChannelKind> forced_;
   const faults::FaultInjector* faults_;
   faults::FaultLog* fault_log_;

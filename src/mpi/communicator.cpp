@@ -245,31 +245,19 @@ void Communicator::raw_barrier() {
 const LocalityGroups& Communicator::locality_groups() {
   if (locality_) return *locality_;
 
-  const auto& selector = *engine_->job().selector;
   const int n = size();
   LocalityGroups groups;
-  groups.leader_of.resize(static_cast<std::size_t>(n));
-
   // leader_of[j] = smallest comm rank co-resident with j. With homogeneous
   // detection co-residency is transitive (same hostname / same container
   // list) and this is already a partition — but fault degradation can mix
-  // container-aware and hostname-fallback rows in one job, breaking
+  // container-aware and hostname-fallback ranks in one job, breaking
   // transitivity (j~k and k~i without j~i). Grouping must then still be a
   // partition that every rank derives identically, or ranks disagree about
   // who gathers whom and the collective deadlocks.
-  for (int j = 0; j < n; ++j) {
-    int leader = j;
-    for (int k = 0; k < n; ++k) {
-      if (selector.co_resident(to_world(j), to_world(k))) {
-        leader = k;
-        break;  // ranks scanned ascending: first hit is the minimum
-      }
-    }
-    groups.leader_of[static_cast<std::size_t>(j)] = leader;
-  }
+  groups.leader_of = engine_->job().selector->lowest_co_resident(group_->world_ranks);
   // Path-compress leader chains (leader_of[j] <= j, so chains strictly
   // descend and terminate) into that partition. Under a non-transitive
-  // matrix a member may reach its leader over a non-co-resident (HCA) link;
+  // mix a member may reach its leader over a non-co-resident (HCA) link;
   // that costs time, never correctness.
   for (int j = 0; j < n; ++j) {
     int leader = groups.leader_of[static_cast<std::size_t>(j)];

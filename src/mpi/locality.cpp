@@ -21,35 +21,11 @@ void ContainerLocalityDetector::announce(const osl::SimProcess& proc, int rank) 
   list_for(proc)->store_byte(static_cast<Bytes>(rank), 1);
 }
 
-std::vector<std::uint8_t> ContainerLocalityDetector::co_resident_row(
-    const osl::SimProcess& proc) const {
+int ContainerLocalityDetector::list_key(const osl::SimProcess& proc) const {
   auto list = list_for(proc);
-  std::vector<std::uint8_t> row(static_cast<std::size_t>(nranks_));
   for (int j = 0; j < nranks_; ++j)
-    row[static_cast<std::size_t>(j)] = list->load_byte(static_cast<Bytes>(j));
-  return row;
-}
-
-std::vector<int> ContainerLocalityDetector::local_ranks(
-    const osl::SimProcess& proc) const {
-  const auto row = co_resident_row(proc);
-  std::vector<int> ranks;
-  for (int j = 0; j < nranks_; ++j)
-    if (row[static_cast<std::size_t>(j)] != 0) ranks.push_back(j);
-  return ranks;
-}
-
-std::vector<std::uint8_t> ContainerLocalityDetector::hostname_fallback_row(
-    const osl::SimProcess& proc,
-    const std::vector<const osl::SimProcess*>& all) const {
-  CBMPI_REQUIRE(static_cast<int>(all.size()) == nranks_,
-                "fallback row needs one process per rank");
-  const std::string hostname = proc.hostname();
-  std::vector<std::uint8_t> row(static_cast<std::size_t>(nranks_));
-  for (int j = 0; j < nranks_; ++j)
-    row[static_cast<std::size_t>(j)] =
-        all[static_cast<std::size_t>(j)]->hostname() == hostname ? 1 : 0;
-  return row;
+    if (list->load_byte(static_cast<Bytes>(j)) != 0) return j;
+  return -1;
 }
 
 Micros ContainerLocalityDetector::detection_cost() const {

@@ -14,13 +14,12 @@
 //     therefore never detect each other (the fix requires --ipc=host);
 //   * ranks on different hosts never see each other's lists.
 //
-// A lock-based variant is provided for the ablation benchmark.
+// The lock-based alternative the byte list avoids exists only as the
+// BM_DetectorLockBased ablation in bench/micro_core.
 #pragma once
 
-#include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "osl/process.hpp"
 #include "osl/shm.hpp"
@@ -36,25 +35,19 @@ class ContainerLocalityDetector {
   /// Lock-free: one release-store of one byte.
   void announce(const osl::SimProcess& proc, int rank);
 
-  /// Scans the list visible to `proc`: row[j] != 0 iff rank j announced into
-  /// the same list (=> co-resident and SHM/CMA-reachable).
-  std::vector<std::uint8_t> co_resident_row(const osl::SimProcess& proc) const;
-
-  /// Local ordering: ranks in the same list, ascending (paper: positions in
-  /// the container list maintain local ordering). Used by two-level
-  /// collectives to pick leaders.
-  std::vector<int> local_ranks(const osl::SimProcess& proc) const;
-
-  /// Graceful degradation when a rank's /dev/shm segment open fails (fault
-  /// injection, or a real deployment without a usable /dev/shm): the rank
-  /// cannot announce or scan, so it falls back to the only locality signal
-  /// that needs no shared memory — hostname comparison, exactly what the
-  /// default MVAPICH2 runtime uses. row[j] = 1 iff all[j] reports the same
-  /// hostname as proc (its own container at worst, never a false positive
-  /// across containers since container hostnames are unique).
-  std::vector<std::uint8_t> hostname_fallback_row(
-      const osl::SimProcess& proc,
-      const std::vector<const osl::SimProcess*>& all) const;
+  /// Scans the list visible to `proc` and returns its list key: the lowest
+  /// rank announced in it, or -1 if none is. Ranks scanning the same list
+  /// get the same key (=> co-resident and SHM/CMA-reachable); ranks on other
+  /// hosts or in other IPC namespaces scan other lists, whose announced ranks
+  /// are disjoint, so their keys differ. The ascending list order is the
+  /// local ordering the paper keeps: the key is the list's first rank.
+  ///
+  /// A rank whose /dev/shm segment open fails (fault injection, or a real
+  /// deployment without a usable /dev/shm) cannot announce or scan; it gets
+  /// no key and falls back to the only locality signal that needs no shared
+  /// memory — hostname comparison, exactly what the default MVAPICH2 runtime
+  /// uses (ChannelSelector::co_resident).
+  int list_key(const osl::SimProcess& proc) const;
 
   /// Virtual-time cost of the announce+scan protocol for one rank: one byte
   /// store plus a scan of nranks bytes. Tiny by design — 1 M ranks cost ~1 MB

@@ -548,11 +548,12 @@ JobResult run_job_attempt(const JobConfig& config,
   if (config.policy == fabric::LocalityPolicy::ContainerAware) {
     ContainerLocalityDetector detector("job" + std::to_string(config.seed), nranks);
     // A rank whose /dev/shm segment open fails (injected) cannot announce or
-    // scan; it degrades to hostname-based locality instead of crashing.
-    std::vector<bool> shm_failed(static_cast<std::size_t>(nranks), false);
+    // scan; it keeps list key -1 and degrades to hostname-based locality
+    // instead of crashing.
+    std::vector<int> list_keys(static_cast<std::size_t>(nranks), 0);
     for (int r = 0; r < nranks; ++r) {
       if (inject && injector.shm_segment_fails(r)) {
-        shm_failed[static_cast<std::size_t>(r)] = true;
+        list_keys[static_cast<std::size_t>(r)] = -1;
         fault_log.record_fault(
             r, {faults::FaultKind::ShmSegmentFail, r, -1, 0.0,
                 "/dev/shm open of '" + detector.segment_name() +
@@ -562,21 +563,14 @@ JobResult run_job_attempt(const JobConfig& config,
       detector.announce(*processes[static_cast<std::size_t>(r)], r);
     }
 
-    std::vector<const osl::SimProcess*> all_procs;
-    all_procs.reserve(static_cast<std::size_t>(nranks));
-    for (int r = 0; r < nranks; ++r)
-      all_procs.push_back(processes[static_cast<std::size_t>(r)].get());
-
-    std::vector<std::vector<std::uint8_t>> matrix;
-    matrix.reserve(static_cast<std::size_t>(nranks));
     for (int r = 0; r < nranks; ++r) {
       auto& proc = *processes[static_cast<std::size_t>(r)];
-      if (!shm_failed[static_cast<std::size_t>(r)]) {
-        matrix.push_back(detector.co_resident_row(proc));
+      auto& key = list_keys[static_cast<std::size_t>(r)];
+      if (key >= 0) {
+        key = detector.list_key(proc);
         proc.clock().advance(detector.detection_cost());
         continue;
       }
-      matrix.push_back(detector.hostname_fallback_row(proc, all_procs));
       proc.clock().advance(detector.detection_cost() + detector.fallback_cost());
       fault_log.add_retry(r, faults::FaultKind::ShmSegmentFail);
       fault_log.add_time_lost(r, detector.fallback_cost());
@@ -591,15 +585,6 @@ JobResult run_job_attempt(const JobConfig& config,
                            proc.clock().now() - detector.fallback_cost(),
                            proc.clock().now(), "hostname-locality-fallback"});
     }
-    // Peers cannot see a degraded rank's (missing) announcement; give them
-    // the same hostname-based view of it so the matrix stays symmetric.
-    for (int r = 0; r < nranks; ++r) {
-      if (!shm_failed[static_cast<std::size_t>(r)]) continue;
-      for (int j = 0; j < nranks; ++j)
-        if (j != r)
-          matrix[static_cast<std::size_t>(j)][static_cast<std::size_t>(r)] =
-              matrix[static_cast<std::size_t>(r)][static_cast<std::size_t>(j)];
-    }
     // Containers injected with a private IPC namespace detect only their own
     // ranks — the cross-container peers they lost go over the HCA loopback.
     for (int r = 0; r < nranks; ++r) {
@@ -611,7 +596,7 @@ JobResult run_job_attempt(const JobConfig& config,
                            processes[static_cast<std::size_t>(r)]->clock().now(),
                            "isolated-ipc-locality"});
     }
-    job.selector->set_detected_locality(std::move(matrix));
+    job.selector->set_detected_locality(std::move(list_keys));
   }
 
   // --- run rank fibers -----------------------------------------------------

@@ -276,7 +276,7 @@ TEST(Selector, ContainerAwareUsesDetectedLocality) {
   fx.add_container_proc(0, "cont-a", true, true, 0);
   fx.add_container_proc(0, "cont-b", true, true, 1);
   auto selector = fx.make(LocalityPolicy::ContainerAware);
-  selector.set_detected_locality({{1, 1}, {1, 1}});
+  selector.set_detected_locality({0, 0});
   EXPECT_TRUE(selector.co_resident(0, 1));
   EXPECT_EQ(selector.select(0, 1, 1024).channel, ChannelKind::Shm);
   EXPECT_EQ(selector.select(0, 1, 64_KiB).channel, ChannelKind::Cma);
@@ -288,6 +288,9 @@ TEST(Selector, ContainerAwareRequiresDetection) {
   fx.add_container_proc(0, "cont-b", true, true, 1);
   auto selector = fx.make(LocalityPolicy::ContainerAware);
   EXPECT_THROW(selector.co_resident(0, 1), Error);
+  EXPECT_THROW(selector.set_detected_locality({0}), Error);
+  EXPECT_THROW(selector.set_detected_locality({0, 2}), Error);
+  EXPECT_THROW(selector.set_detected_locality({-2, 0}), Error);
 }
 
 TEST(Selector, EagerThresholdSplitsShmAndCma) {
@@ -295,7 +298,7 @@ TEST(Selector, EagerThresholdSplitsShmAndCma) {
   fx.add_container_proc(0, "cont-a", true, true, 0);
   fx.add_container_proc(0, "cont-b", true, true, 1);
   auto selector = fx.make(LocalityPolicy::ContainerAware);
-  selector.set_detected_locality({{1, 1}, {1, 1}});
+  selector.set_detected_locality({0, 0});
   EXPECT_EQ(selector.select(0, 1, 8_KiB - 1).channel, ChannelKind::Shm);
   EXPECT_EQ(selector.select(0, 1, 8_KiB - 1).protocol, Protocol::Eager);
   EXPECT_EQ(selector.select(0, 1, 8_KiB).channel, ChannelKind::Cma);
@@ -309,7 +312,7 @@ TEST(Selector, CmaDisabledFallsBackToShmRendezvous) {
   auto tuning = TuningParams{};
   tuning.use_cma = false;
   auto selector = fx.make(LocalityPolicy::ContainerAware, tuning);
-  selector.set_detected_locality({{1, 1}, {1, 1}});
+  selector.set_detected_locality({0, 0});
   const auto d = selector.select(0, 1, 64_KiB);
   EXPECT_EQ(d.channel, ChannelKind::Shm);
   EXPECT_EQ(d.protocol, Protocol::Rendezvous);
@@ -320,7 +323,7 @@ TEST(Selector, UnsharedPidNamespaceBlocksCma) {
   fx.add_container_proc(0, "cont-a", true, false, 0);
   fx.add_container_proc(0, "cont-b", true, false, 1);
   auto selector = fx.make(LocalityPolicy::ContainerAware);
-  selector.set_detected_locality({{1, 1}, {1, 1}});
+  selector.set_detected_locality({0, 0});
   EXPECT_EQ(selector.select(0, 1, 64_KiB).channel, ChannelKind::Shm);
 }
 

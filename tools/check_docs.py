@@ -13,8 +13,8 @@
    somewhere outside tests/: a knob that only tests turn is a constant.
 4. Build wiring is consistent: every src/ subdirectory with .cpp files has
    a CMakeLists.txt and an add_subdirectory entry in src/CMakeLists.txt
-   (header-only directories, e.g. src/pgas, are exempt from build wiring
-   but still need the ARCHITECTURE.md coverage of check 2), and every
+   (header-only directories are exempt from build wiring but still need
+   the ARCHITECTURE.md coverage of check 2), and every
    add_subdirectory entry points at a directory that still exists.
 5. DESIGN.md §12 lists exactly the top-level run-report sections that
    src/obs/analysis/report_schema.cpp declares.
@@ -125,7 +125,7 @@ def check_build_coverage(problems):
             continue
         has_cpp = any(name.endswith(".cpp") for name in os.listdir(subdir))
         if not has_cpp:
-            continue  # header-only (e.g. src/pgas): nothing to compile
+            continue  # header-only: nothing to compile
         if not os.path.exists(os.path.join(subdir, "CMakeLists.txt")):
             problems.append(
                 f"src/{entry}: has .cpp sources but no CMakeLists.txt")
