@@ -51,9 +51,10 @@ struct RndvTimes {
   /// When the sender starts injecting the payload (CTS received, descriptor
   /// posted). The fabric model records the flow from this instant.
   Micros inject_begin = 0.0;
-  /// Registration model only (all zero when off): the receiver-side chunk-0
-  /// pin window — it delays the CTS, so it sits on the critical path — and
-  /// the total registration time that survived pipelining.
+  /// HCA only: the receiver-side chunk-0 pin window — it delays the CTS, so
+  /// it sits on the critical path — and the total registration time that
+  /// survived pipelining. Without the registration model the window is empty
+  /// (begin == end) and reg_stall is zero.
   Micros recv_reg_begin = 0.0;
   Micros recv_reg_end = 0.0;
   Micros reg_stall = 0.0;

@@ -73,55 +73,26 @@ EagerCosts HcaChannel::eager_costs(Bytes size, bool loopback, bool sriov,
   return costs;
 }
 
-RndvTimes HcaChannel::unpinned_rndv_times(Bytes size, bool loopback,
-                                          Micros rts_sent_at, Micros posted_at,
-                                          Micros busy_until, bool sriov,
-                                          const net::TransferCtx* ctx) const {
-  const auto& p = *profile_;
-  const Micros trip = p.hca_rndv_trip + delivery_latency(loopback, ctx) +
-                      (sriov ? p.sriov_latency_overhead : 0.0);
-  const Micros rts_arrive = rts_sent_at + trip;
-  const Micros handshake_done = std::max(posted_at, rts_arrive) + trip;
-  // Pipelining: if the receiver was still moving the previous payload when
-  // this handshake completed, the handshake cost is hidden behind it.
-  const Micros cts_at_sender = busy_until > handshake_done
-                                   ? busy_until + p.hca_rndv_pipeline_residue
-                                   : handshake_done;
-
-  RndvTimes times;
-  times.inject_begin = cts_at_sender + p.hca_post_overhead;
-  // Zero-copy RDMA write: the sender injects straight from the user buffer,
-  // the last byte lands one wire latency after injection completes.
-  times.sender_done = cts_at_sender + p.hca_post_overhead +
-                      static_cast<double>(size) / payload_bw(loopback, sriov, ctx) *
-                          contention_factor(ctx);
-  // Loopback ingress re-crosses the host PCIe (see eager_costs); it is part
-  // of the serialized receive path. The final control latency is pure wire
-  // time and pipelines across back-to-back transfers.
-  Micros ingress =
-      loopback ? static_cast<double>(size) / injection_bw(true, sriov) : 0.0;
-  times.receiver_busy_until = times.sender_done + ingress;
-  times.receiver_done = times.receiver_busy_until + delivery_latency(loopback, ctx);
-  return times;
-}
-
 RndvTimes HcaChannel::rndv_times(Bytes size, bool loopback, Micros rts_sent_at,
                                  Micros posted_at, Micros busy_until, bool sriov,
                                  const net::TransferCtx* ctx,
                                  const RegPlan& reg) const {
-  if (!tuning_.reg_model)
-    return unpinned_rndv_times(size, loopback, rts_sent_at, posted_at, busy_until,
-                               sriov, ctx);
   const auto& p = *profile_;
   const Micros trip = p.hca_rndv_trip + delivery_latency(loopback, ctx) +
                       (sriov ? p.sriov_latency_overhead : 0.0);
-  const Bytes chunk = std::max<Bytes>(tuning_.rndv_chunk, 1);
+  // Without the registration model nothing is pinned and the payload moves
+  // as one chunk: the pin windows are empty and the loop below runs once.
+  const bool model = tuning_.reg_model;
+  const Bytes chunk = std::max<Bytes>(model ? tuning_.rndv_chunk : size, 1);
   const Micros hit_cost = p.hca_reg_cache_hit * tuning_.reg_cost_scale;
   const Bytes first = std::min<Bytes>(size, chunk);
   const Micros send_reg0 =
-      (reg.sender_hit ? hit_cost : reg_costs(first).reg) + reg.sender_extra;
+      model ? (reg.sender_hit ? hit_cost : reg_costs(first).reg) + reg.sender_extra
+            : 0.0;
   const Micros recv_reg0 =
-      (reg.receiver_hit ? hit_cost : reg_costs(first).reg) + reg.receiver_extra;
+      model ? (reg.receiver_hit ? hit_cost : reg_costs(first).reg) +
+                  reg.receiver_extra
+            : 0.0;
 
   const Micros rts_arrive = rts_sent_at + trip;
   // The receiver pins its chunk-0 landing region before it can advertise the
@@ -133,6 +104,8 @@ RndvTimes HcaChannel::rndv_times(Bytes size, bool loopback, Micros rts_sent_at,
   // The sender pins chunk 0 concurrently with the handshake, starting the
   // moment it posted the RTS — a miss only shows when it outlasts the trips.
   const Micros sender_ready = std::max(handshake_done, rts_sent_at + send_reg0);
+  // Pipelining: if the receiver was still moving the previous payload when
+  // this handshake completed, the handshake cost is hidden behind it.
   const Micros cts_at_sender = busy_until > sender_ready
                                    ? busy_until + p.hca_rndv_pipeline_residue
                                    : sender_ready;
@@ -159,6 +132,9 @@ RndvTimes HcaChannel::rndv_times(Bytes size, bool loopback, Micros rts_sent_at,
   }
   times.sender_done = t;
 
+  // Loopback ingress re-crosses the host PCIe (see eager_costs); it is part
+  // of the serialized receive path. The final control latency is pure wire
+  // time and pipelines across back-to-back transfers.
   const Micros ingress =
       loopback ? static_cast<double>(size) / injection_bw(true, sriov) : 0.0;
   times.receiver_busy_until = times.sender_done + ingress;
@@ -188,7 +164,6 @@ HcaChannel::RegLookup HcaChannel::reg_lookup(int rank, std::uint64_t buffer_id,
   const auto& p = *profile_;
   const auto look = reg_cache_->lookup(rank, buffer_id, size);
   out.hit = look.hit;
-  out.evictions = look.evictions;
   if (look.evictions > 0)
     out.extra += (p.hca_dereg_base * static_cast<double>(look.evictions) +
                   static_cast<double>(look.evicted_bytes) / p.hca_dereg_bw) *

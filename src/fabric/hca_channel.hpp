@@ -70,7 +70,8 @@ class HcaChannel {
   /// pin their buffers per `reg`, chunked at TuningParams::rndv_chunk so
   /// registration of chunk k+1 overlaps the RDMA of chunk k. The receiver's
   /// chunk-0 pin delays the CTS; the sender's overlaps the handshake. With
-  /// the model off `reg` is ignored and the times are the unpinned ones.
+  /// the model off `reg` is ignored, both pin windows are empty and the
+  /// payload moves as one chunk — the same timeline, nothing pinned.
   RndvTimes rndv_times(Bytes size, bool loopback, Micros rts_sent_at,
                        Micros posted_at, Micros busy_until, bool sriov,
                        const net::TransferCtx* ctx, const RegPlan& reg) const;
@@ -103,7 +104,6 @@ class HcaChannel {
   /// or transient-unpin work into a virtual-time charge for the RegPlan.
   struct RegLookup {
     bool hit = false;
-    std::uint64_t evictions = 0;
     Micros extra = 0.0;  ///< dereg time folded into the reg window
   };
   RegLookup reg_lookup(int rank, std::uint64_t buffer_id, Bytes size);
@@ -121,10 +121,6 @@ class HcaChannel {
 
  private:
   BytesPerMicro injection_bw(bool loopback, bool sriov) const;
-  /// rndv_times without the registration model.
-  RndvTimes unpinned_rndv_times(Bytes size, bool loopback, Micros rts_sent_at,
-                                Micros posted_at, Micros busy_until, bool sriov,
-                                const net::TransferCtx* ctx) const;
   /// Fabric-aware variants: fall back to the flat model without a ctx.
   bool routed(bool loopback, const net::TransferCtx* ctx) const {
     return fabric_ != nullptr && ctx != nullptr && !loopback &&

@@ -32,8 +32,9 @@ struct TuningParams {
   bool two_level_collectives = true;
 
   /// Pin-down (memory-registration) model for the HCA rendezvous path. Off
-  /// by default: buffer registration costs nothing and the rendezvous math
-  /// is bit-identical to the pre-cache model. When on, every rendezvous
+  /// by default: buffer registration costs nothing, so HcaChannel::rndv_times
+  /// runs with empty pin windows and the payload as one chunk (rndv_chunk
+  /// and reg_cost_scale are then inert). When on, every rendezvous
   /// endpoint must have its buffer registered — reg/dereg costs come from
   /// the MachineProfile's hca_reg_* terms — and an LRU pin-down cache of
   /// `reg_cache_bytes` pinned capacity per rank amortizes them across

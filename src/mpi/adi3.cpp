@@ -53,11 +53,6 @@ Adi3Engine::Adi3Engine(JobState& job, int world_rank, osl::SimProcess& proc)
           fabric::to_string(static_cast<fabric::ChannelKind>(c)) + ".ops");
     obs_.msg_size = &job.metrics->histogram("adi3.message_bytes");
     obs_.recv_latency = &job.metrics->histogram("adi3.recv_latency_us");
-    if (job.tuning.reg_model) {
-      obs_.reg_hits = &job.metrics->counter("hca.reg_cache.hits");
-      obs_.reg_misses = &job.metrics->counter("hca.reg_cache.misses");
-      obs_.reg_evictions = &job.metrics->counter("hca.reg_cache.evictions");
-    }
   }
 }
 
@@ -190,10 +185,6 @@ Request Adi3Engine::start_send(std::span<const std::byte> data, int dst_world, i
         job_->hca->reg_lookup(rank_, reg_buffer_id(data.data()), size);
     env.reg_sender_hit = look.hit;
     env.reg_sender_extra = look.extra;
-    if (obs_.reg_hits != nullptr) {
-      (look.hit ? obs_.reg_hits : obs_.reg_misses)->add(1);
-      if (look.evictions > 0) obs_.reg_evictions->add(look.evictions);
-    }
   }
   auto rndv = std::make_shared<fabric::RndvState>(data, proc_);
   std::erase_if(rndv_sends_, [](const auto& sent) { return sent->done(); });
@@ -266,41 +257,68 @@ void Adi3Engine::complete_in_arrival_order(std::span<const Request> recvs) {
 }
 
 void Adi3Engine::complete_recv(RequestState& request, fabric::Envelope& env) {
-  if (env.protocol == fabric::Protocol::Eager)
-    complete_eager(request, env);
-  else
-    complete_rendezvous(request, env);
-}
+  if (env.size > request.buffer.size()) {
+    std::ostringstream os;
+    os << "message truncation: rank " << rank_ << " recv(source=" << env.src
+       << ", tag=" << env.tag << ", comm=" << env.comm_id << ") got " << env.size
+       << " bytes into a " << request.buffer.size() << "-byte buffer";
+    throw Error(os.str());
+  }
+  const bool eager = env.protocol == fabric::Protocol::Eager;
+  net::TransferCtx ctx;
+  const net::TransferCtx* ctxp =
+      env.channel == fabric::ChannelKind::Hca
+          ? fabric_ctx(env.src, rank_, env.seq, env.loopback, ctx)
+          : nullptr;
 
-void Adi3Engine::complete_eager(RequestState& request, fabric::Envelope& env) {
-  CBMPI_REQUIRE(env.size <= request.buffer.size(),
-                "message truncation: incoming ", env.size, " bytes into ",
-                request.buffer.size(), "-byte receive buffer");
-  if (env.size > 0)
-    std::memcpy(request.buffer.data(), env.payload.data(), env.size);
-  const Micros start =
-      std::max({request.posted_at, env.available_at, recv_busy_until_});
-  request.complete_at = start + env.receiver_cost;
-  recv_busy_until_ = request.complete_at;
+  // Eager: the payload already sits in the envelope; the receiver copies it
+  // out once its CPU is free. Rendezvous: the span covers the whole
+  // handshake, from RTS availability on.
+  fabric::RndvTimes times;
+  Micros begin = env.available_at;
+  if (eager) {
+    if (env.size > 0)
+      std::memcpy(request.buffer.data(), env.payload.data(), env.size);
+    begin = std::max({request.posted_at, env.available_at, recv_busy_until_});
+    times.receiver_done = begin + env.receiver_cost;
+  } else {
+    times = pull(request, env, ctxp);
+  }
+  request.complete_at = times.receiver_done;
+  recv_busy_until_ = times.receiver_busy_until > 0.0 ? times.receiver_busy_until
+                                                     : times.receiver_done;
   request.status = Status{env.src, env.tag, env.size};
   request.complete = true;
-  if (job_->trace)
-    job_->trace->record({sim::TraceKind::RecvComplete, env.src, rank_, env.size,
-                         request.complete_at, fabric::to_string(env.channel)});
+  if (!eager) {
+    env.rndv->complete(times.sender_done);
+    // The sender may be blocked waiting on this transfer: wake it.
+    job_->matcher(env.src).poke();
+  }
+
+  if (job_->trace) {
+    const char* channel = fabric::to_string(env.channel);
+    if (eager) {
+      job_->trace->record({sim::TraceKind::RecvComplete, env.src, rank_, env.size,
+                           request.complete_at, channel});
+    } else {
+      job_->trace->record({sim::TraceKind::RecvRndvCts, rank_, env.src, 0,
+                           request.posted_at, channel});
+      job_->trace->record({sim::TraceKind::SendRndvData, env.src, rank_, env.size,
+                           request.complete_at, channel});
+    }
+  }
   if (job_->spans) {
-    obs::Span span{"eager", obs::SpanCat::Proto, rank_, env.src,
-                   static_cast<int>(env.channel), env.size, start,
+    obs::Span span{eager ? "eager" : "rndv", obs::SpanCat::Proto, rank_, env.src,
+                   static_cast<int>(env.channel), env.size, begin,
                    request.complete_at, fabric::to_string(env.channel)};
     span.xfer = transfer_id(env);
     span.posted_at = request.posted_at;
     span.sent_at = env.sent_at;
     span.avail_at = env.available_at;
-    if (env.channel == fabric::ChannelKind::Hca) {
-      net::TransferCtx ctx;
-      const auto* ctxp = fabric_ctx(env.src, rank_, env.seq, env.loopback, ctx);
+    span.reg_stall = times.reg_stall;
+    if (ctxp != nullptr)
       span.stall =
           job_->hca->contention_stall(env.size, env.loopback, env.sriov, ctxp);
-    }
     job_->spans->record(std::move(span));
   }
   if (obs_.recv_latency != nullptr)
@@ -308,16 +326,13 @@ void Adi3Engine::complete_eager(RequestState& request, fabric::Envelope& env) {
         static_cast<std::uint64_t>(request.complete_at - request.posted_at));
 }
 
-void Adi3Engine::complete_rendezvous(RequestState& request, fabric::Envelope& env) {
-  CBMPI_REQUIRE(env.size <= request.buffer.size(),
-                "message truncation: incoming ", env.size, " bytes into ",
-                request.buffer.size(), "-byte receive buffer");
+fabric::RndvTimes Adi3Engine::pull(const RequestState& request,
+                                   fabric::Envelope& env,
+                                   const net::TransferCtx* ctxp) {
   auto& rndv = *env.rndv;
-  std::span<std::byte> dst = request.buffer.subspan(0, env.size);
-
+  const std::span<std::byte> dst = request.buffer.subspan(0, env.size);
   // Back-to-back rendezvous pulls serialize on the receiving CPU/NIC.
   const Micros match_at = std::max(request.posted_at, recv_busy_until_);
-  (void)match_at;
   // A sender that aborted or crashed withdrew the send before freeing the
   // buffer; this receiver then aborts too instead of reading freed memory.
   const auto read_source = [&](auto&& copy) {
@@ -325,8 +340,11 @@ void Adi3Engine::complete_rendezvous(RequestState& request, fabric::Envelope& en
       throw AbortedError("job aborted: rank " + std::to_string(env.src) +
                          " failed before its rendezvous send completed");
   };
+  const auto copy_source = [&] {
+    if (env.size > 0) std::memcpy(dst.data(), rndv.source().data(), env.size);
+  };
 
-  fabric::RndvTimes times{};
+  fabric::RndvTimes times;
   switch (env.channel) {
     case fabric::ChannelKind::Cma: {
       times = job_->cma->rndv_times(env.size, env.same_socket, env.available_at,
@@ -342,26 +360,18 @@ void Adi3Engine::complete_rendezvous(RequestState& request, fabric::Envelope& en
     case fabric::ChannelKind::Shm:
       times = job_->shm->rndv_times(env.size, env.same_socket, env.available_at,
                                     match_at);
-      read_source([&] {
-        if (env.size > 0) std::memcpy(dst.data(), rndv.source().data(), env.size);
-      });
+      read_source(copy_source);
       break;
     case fabric::ChannelKind::Hca: {
-      net::TransferCtx ctx;
-      const auto* ctxp = fabric_ctx(env.src, rank_, env.seq, env.loopback, ctx);
       fabric::RegPlan plan;
       const bool reg = job_->hca->reg_model();
-      fabric::HcaChannel::RegLookup look;
       if (reg) {
         plan.sender_hit = env.reg_sender_hit;
         plan.sender_extra = env.reg_sender_extra;
-        look = job_->hca->reg_lookup(rank_, reg_buffer_id(dst.data()), env.size);
+        const auto look =
+            job_->hca->reg_lookup(rank_, reg_buffer_id(dst.data()), env.size);
         plan.receiver_hit = look.hit;
         plan.receiver_extra = look.extra;
-        if (obs_.reg_hits != nullptr) {
-          (look.hit ? obs_.reg_hits : obs_.reg_misses)->add(1);
-          if (look.evictions > 0) obs_.reg_evictions->add(look.evictions);
-        }
       }
       times = job_->hca->rndv_times(env.size, env.loopback, env.available_at,
                                     request.posted_at, recv_busy_until_, env.sriov,
@@ -372,58 +382,19 @@ void Adi3Engine::complete_rendezvous(RequestState& request, fabric::Envelope& en
         obs::Span reg_span{"rndv-reg", obs::SpanCat::Proto, rank_, env.src,
                            static_cast<int>(env.channel), env.size,
                            times.recv_reg_begin, times.recv_reg_end,
-                           look.hit ? "hit" : "miss"};
+                           plan.receiver_hit ? "hit" : "miss"};
         reg_span.xfer = transfer_id(env);
         job_->spans->record(std::move(reg_span));
       }
       if (ctxp != nullptr && job_->net_log != nullptr)
-        job_->net_log->record({ctx.key, ctx.src_host, ctx.dst_host, env.size,
+        job_->net_log->record({ctxp->key, ctxp->src_host, ctxp->dst_host, env.size,
                                times.inject_begin, env.sriov});
       trace_congestion(ctxp, env.src, rank_, env.size, times.inject_begin);
-      read_source([&] {
-        if (env.size > 0) std::memcpy(dst.data(), rndv.source().data(), env.size);
-      });
+      read_source(copy_source);
       break;
     }
   }
-
-  request.complete_at = times.receiver_done;
-  recv_busy_until_ = times.receiver_busy_until > 0.0 ? times.receiver_busy_until
-                                                     : times.receiver_done;
-  request.status = Status{env.src, env.tag, env.size};
-  request.complete = true;
-  rndv.complete(times.sender_done);
-  // The sender may be blocked waiting on this transfer: wake it.
-  job_->matcher(env.src).poke();
-
-  if (job_->trace) {
-    job_->trace->record({sim::TraceKind::RecvRndvCts, rank_, env.src, 0,
-                         request.posted_at, fabric::to_string(env.channel)});
-    job_->trace->record({sim::TraceKind::SendRndvData, env.src, rank_, env.size,
-                         times.receiver_done, fabric::to_string(env.channel)});
-  }
-  if (job_->spans) {
-    // The whole handshake: RTS availability through receiver-side
-    // completion, on the channel's track.
-    obs::Span span{"rndv", obs::SpanCat::Proto, rank_, env.src,
-                   static_cast<int>(env.channel), env.size, env.available_at,
-                   times.receiver_done, fabric::to_string(env.channel)};
-    span.xfer = transfer_id(env);
-    span.posted_at = request.posted_at;
-    span.sent_at = env.sent_at;
-    span.avail_at = env.available_at;
-    span.reg_stall = times.reg_stall;
-    if (env.channel == fabric::ChannelKind::Hca) {
-      net::TransferCtx ctx;
-      const auto* ctxp = fabric_ctx(env.src, rank_, env.seq, env.loopback, ctx);
-      span.stall =
-          job_->hca->contention_stall(env.size, env.loopback, env.sriov, ctxp);
-    }
-    job_->spans->record(std::move(span));
-  }
-  if (obs_.recv_latency != nullptr)
-    obs_.recv_latency->observe(
-        static_cast<std::uint64_t>(request.complete_at - request.posted_at));
+  return times;
 }
 
 void Adi3Engine::progress_posted() {

@@ -125,6 +125,14 @@ class Adi3Engine {
   /// calls only test this engine's bit for that peer.
   void connect_hca(int dst_world);
 
+  /// Fills `ctx` and returns its address when an inter-host HCA transfer
+  /// must be routed through the attached fabric; null otherwise (Ideal
+  /// model, loopback, or co-located hosts). `seq` keys the flow for the
+  /// contention engine.
+  const net::TransferCtx* fabric_ctx(int src_rank, int dst_rank,
+                                     std::uint64_t seq, bool loopback,
+                                     net::TransferCtx& ctx) const;
+
  private:
   /// Throws AbortedError once the job aborted, after withdraw_sends().
   void check_abort();
@@ -143,15 +151,15 @@ class Adi3Engine {
   /// posted receives for a receive request, picks up a finished rendezvous
   /// for a send request.
   bool poll(RequestState& request);
+  /// Completes a matched receive under either protocol: the one truncation
+  /// check, the eager copy-out (or pull() for a rendezvous), the status and
+  /// busy chain, the Proto span and the recv-latency histogram.
   void complete_recv(RequestState& request, fabric::Envelope& env);
-  void complete_eager(RequestState& request, fabric::Envelope& env);
-  void complete_rendezvous(RequestState& request, fabric::Envelope& env);
-  /// Fills `ctx` and returns its address when this inter-host HCA transfer
-  /// must be routed through the attached fabric; null otherwise (Ideal
-  /// model, loopback, or co-located hosts).
-  const net::TransferCtx* fabric_ctx(int src_rank, int dst_rank,
-                                     std::uint64_t seq, bool loopback,
-                                     net::TransferCtx& ctx) const;
+  /// Rendezvous only: prices the transfer on its channel (with the pin-down
+  /// lookup and the "rndv-reg" span on the HCA), records the fabric flow and
+  /// copies the payload out of the sender's buffer.
+  fabric::RndvTimes pull(const RequestState& request, fabric::Envelope& env,
+                         const net::TransferCtx* ctxp);
   /// NetCongest trace breadcrumb in the apply pass for transfers the settle
   /// step slowed down.
   void trace_congestion(const net::TransferCtx* ctx, int src, int dst,
@@ -164,7 +172,9 @@ class Adi3Engine {
   /// Observability handles, resolved once at construction when the job has a
   /// metrics registry attached (all null otherwise, so the hot path is one
   /// pointer test). Values are virtual-time-deterministic, so concurrent
-  /// atomic bumps still yield bit-identical snapshots.
+  /// atomic bumps still yield bit-identical snapshots. The pin-down cache
+  /// counts its own hits, misses and evictions; run_job copies them into the
+  /// registry at job end.
   struct ObsHandles {
     obs::Counter* eager_sends = nullptr;
     obs::Counter* rndv_sends = nullptr;
@@ -174,11 +184,6 @@ class Adi3Engine {
     /// microseconds. Derived from virtual timestamps only — never from queue
     /// occupancy, which depends on wall-clock drain order.
     obs::Histogram* recv_latency = nullptr;
-    /// Pin-down cache outcomes (resolved only under TuningParams::reg_model,
-    /// so reports without the model stay byte-identical).
-    obs::Counter* reg_hits = nullptr;
-    obs::Counter* reg_misses = nullptr;
-    obs::Counter* reg_evictions = nullptr;
   };
   ObsHandles obs_;
 

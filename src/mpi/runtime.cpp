@@ -762,6 +762,11 @@ JobResult run_job_attempt(const JobConfig& config,
       if (result.restored) metrics_registry.counter("recovery.restarts").add(1);
     }
     if (result.reg_cache.enabled) {
+      // The cache's own stats: every rendezvous lookup, none for warm().
+      metrics_registry.counter("hca.reg_cache.hits").add(result.reg_cache.hits);
+      metrics_registry.counter("hca.reg_cache.misses").add(result.reg_cache.misses);
+      metrics_registry.counter("hca.reg_cache.evictions")
+          .add(result.reg_cache.evictions);
       metrics_registry.gauge("hca.reg_cache.pinned_bytes")
           .set(static_cast<double>(result.reg_cache.pinned_bytes));
       metrics_registry.gauge("hca.reg_cache.peak_pinned_bytes")

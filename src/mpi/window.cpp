@@ -70,15 +70,12 @@ fabric::OneSidedCosts WindowHandle::account_op(int target, Bytes size,
     case fabric::ChannelKind::Hca: {
       engine.connect_hca(target_world);
       // One-sided ops see the routed path latency and static VF-capped
-      // bandwidth; they carry no flow identity, so the contention engine
-      // never stretches them (see HcaChannel::one_sided_costs).
+      // bandwidth; they carry no flow identity (the ctx key stays unread),
+      // so the contention engine never stretches them (see
+      // HcaChannel::one_sided_costs).
       net::TransferCtx ctx;
-      const net::TransferCtx* ctxp = nullptr;
-      if (job.fabric != nullptr && !decision.loopback) {
-        ctx.src_host = job.rank_phys_host[static_cast<std::size_t>(me_world)];
-        ctx.dst_host = job.rank_phys_host[static_cast<std::size_t>(target_world)];
-        if (ctx.src_host != ctx.dst_host) ctxp = &ctx;
-      }
+      const auto* ctxp =
+          engine.fabric_ctx(me_world, target_world, 0, decision.loopback, ctx);
       costs = job.hca->one_sided_costs(size, decision.loopback, decision.sriov, ctxp);
       break;
     }

@@ -160,7 +160,7 @@ bool Scheduler::try_start(const JobSpec& job, Micros now, bool backfilled) {
     auto decision = rebalancer_->propose(job, *placement, job_config, state_,
                                          host_crashes_, config_.host_shape);
     if (decision.proposed) {
-      ++migrations_proposed_;
+      ++metrics_.migrations_proposed;
       if (decision.accepted) {
         const auto claimed = state_.claim(
             decision.plan.move.dst_phys_host,
@@ -170,7 +170,7 @@ bool Scheduler::try_start(const JobSpec& job, Micros now, bool backfilled) {
                       decision.plan.move.dst_phys_host, " for job ", job.id);
         migration = std::move(decision.plan);
       } else {
-        ++migrations_rejected_;
+        ++metrics_.migrations_rejected;
       }
     }
   }
@@ -186,15 +186,16 @@ bool Scheduler::try_start(const JobSpec& job, Micros now, bool backfilled) {
                   : runner_(job_config, job);
     record.end_time = now + record.result.job_time;
     const auto& mig = record.result.migration;
-    migrations_executed_ += mig.executed;
-    migration_pause_us_ += mig.total_pause_us;
+    metrics_.migrations_executed += mig.executed;
+    metrics_.migration_pause_us += mig.total_pause_us;
     if (mig.executed > 0) {
-      migration_win_us_ += mig.predicted_win_us;
-      migration_cost_us_ += mig.predicted_cost_us;
+      metrics_.migration_win_us += mig.predicted_win_us;
+      metrics_.migration_cost_us += mig.predicted_cost_us;
     }
-    checkpoints_committed_ += static_cast<int>(record.result.checkpoints.size());
-    completed_work_us_ += static_cast<double>(job.ranks) *
-                          (record.restored_progress + record.result.job_time);
+    metrics_.checkpoints += static_cast<int>(record.result.checkpoints.size());
+    metrics_.completed_work_us +=
+        static_cast<double>(job.ranks) *
+        (record.restored_progress + record.result.job_time);
   } catch (const mpi::JobCrashedError& e) {
     handle_crash(record, job, now, e.info(), e.checkpoint(),
                  e.checkpoints_committed());
@@ -216,12 +217,12 @@ void Scheduler::handle_crash(ScheduledJob& record, const JobSpec& job,
   record.outcome = JobOutcome::Crashed;
   record.crash = info;
   record.end_time = now + info.at;  // cores were held until the crash
-  ++crashes_;
-  checkpoints_committed_ += checkpoints_committed;
+  ++metrics_.crashes;
+  metrics_.checkpoints += checkpoints_committed;
   // Work thrown away: everything past the attempt's last committed snapshot
   // (the whole attempt when none committed), across all its ranks.
-  lost_work_us_ += static_cast<double>(job.ranks) *
-                   std::max(0.0, info.at - info.last_checkpoint);
+  metrics_.lost_work_us += static_cast<double>(job.ranks) *
+                           std::max(0.0, info.at - info.last_checkpoint);
 
   if (info.host >= 0 && info.host < state_.num_hosts()) {
     auto& crash_count = host_crashes_[static_cast<std::size_t>(info.host)];
@@ -242,8 +243,8 @@ void Scheduler::handle_crash(ScheduledJob& record, const JobSpec& job,
         config_.requeue_backoff *
         std::pow(config_.requeue_backoff_factor, static_cast<double>(job.attempt));
     retry.submit_time = record.end_time + backoff;
-    ++requeues_;
-    if (retry.restore) ++restarts_from_checkpoint_;
+    ++metrics_.requeues;
+    if (retry.restore) ++metrics_.restarts_from_checkpoint;
     // Keep pending_ sorted by the same (submit_time, priority) order run()
     // established; upper_bound preserves FIFO among equal keys.
     const auto pos = std::upper_bound(
@@ -256,7 +257,7 @@ void Scheduler::handle_crash(ScheduledJob& record, const JobSpec& job,
     pending_.insert(pos, std::move(retry));
   } else {
     record.outcome = JobOutcome::Failed;  // crash details stay in record.crash
-    ++jobs_failed_;
+    ++metrics_.jobs_failed;
   }
 }
 
@@ -268,7 +269,7 @@ void Scheduler::fail_unplaceable(JobSpec job, Micros now) {
   record.start_time = now;
   record.end_time = now;
   record.spec = std::move(job);
-  ++jobs_failed_;
+  ++metrics_.jobs_failed;
   done_.push_back(std::move(record));
 }
 
@@ -405,7 +406,6 @@ const std::vector<ScheduledJob>& Scheduler::run() {
             });
 
   // --- cluster metrics -----------------------------------------------------
-  metrics_ = ClusterMetrics{};
   Micros last_end = first_submit;
   double busy_core_time = 0.0;
   for (const auto& job : done_) {
@@ -428,21 +428,7 @@ const std::vector<ScheduledJob>& Scheduler::run() {
         busy_core_time /
         (static_cast<double>(state_.total_cores()) * metrics_.makespan);
 
-  // Recovery aggregates accumulated incrementally during the run.
-  metrics_.crashes = crashes_;
-  metrics_.requeues = requeues_;
-  metrics_.restarts_from_checkpoint = restarts_from_checkpoint_;
-  metrics_.checkpoints = checkpoints_committed_;
-  metrics_.jobs_failed = jobs_failed_;
   metrics_.blacklisted_hosts = state_.blacklisted_hosts();
-  metrics_.lost_work_us = lost_work_us_;
-  metrics_.completed_work_us = completed_work_us_;
-  metrics_.migrations_proposed = migrations_proposed_;
-  metrics_.migrations_rejected = migrations_rejected_;
-  metrics_.migrations_executed = migrations_executed_;
-  metrics_.migration_pause_us = migration_pause_us_;
-  metrics_.migration_win_us = migration_win_us_;
-  metrics_.migration_cost_us = migration_cost_us_;
   return done_;
 }
 

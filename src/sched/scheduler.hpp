@@ -147,28 +147,13 @@ class Scheduler {
   std::vector<JobSpec> pending_;   ///< submitted, not yet started
   std::vector<Running> running_;
   std::vector<ScheduledJob> done_;
-  ClusterMetrics metrics_{};
+  ClusterMetrics metrics_{};  ///< accumulated during run(), finished at its end
   int next_id_ = 0;
   bool ran_ = false;
 
-  // Recovery bookkeeping, folded into metrics_ at the end of run().
+  // Recovery bookkeeping; the aggregates accumulate in metrics_ directly.
   std::vector<int> host_crashes_;  ///< crashed attempts per physical host
   std::vector<BlacklistEvent> blacklist_events_;
-  int crashes_ = 0;
-  int requeues_ = 0;
-  int restarts_from_checkpoint_ = 0;
-  int checkpoints_committed_ = 0;
-  int jobs_failed_ = 0;
-  Micros lost_work_us_ = 0.0;
-  Micros completed_work_us_ = 0.0;
-
-  // Migration bookkeeping, folded into metrics_ at the end of run().
-  int migrations_proposed_ = 0;
-  int migrations_rejected_ = 0;
-  int migrations_executed_ = 0;
-  Micros migration_pause_us_ = 0.0;
-  Micros migration_win_us_ = 0.0;
-  Micros migration_cost_us_ = 0.0;
 };
 
 }  // namespace cbmpi::sched

@@ -3,12 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <vector>
 
+#include "common/rng.hpp"
 #include "container/engine.hpp"
 #include "fabric/cma_channel.hpp"
 #include "fabric/hca_channel.hpp"
 #include "fabric/selector.hpp"
 #include "fabric/shm_channel.hpp"
+#include "net/fabric.hpp"
 #include "osl/machine.hpp"
 
 namespace cbmpi::fabric {
@@ -221,6 +226,133 @@ TEST(HcaChannel, RndvBeatsEagerAboveThreshold) {
   const double eager_total = eager.sender + eager.delivery + eager.receiver;
   const auto rndv = hca.rndv_times(big, false, 0.0, 0.0, 0.0, false, nullptr, RegPlan{});
   EXPECT_LT(rndv.receiver_done, eager_total);
+}
+
+/// The HCA rendezvous timeline as it stood before the pin-down model, kept
+/// verbatim as the oracle for the model-off path of rndv_times: RTS/CTS
+/// trips, the pipelining residue, then the whole payload as one RDMA write.
+RndvTimes unpinned_oracle(const topo::MachineProfile& p, const net::Fabric* fabric,
+                          const net::CongestionMap* congestion, Bytes size,
+                          bool loopback, Micros rts_sent_at, Micros posted_at,
+                          Micros busy_until, bool sriov, const net::TransferCtx* ctx) {
+  const bool routed = fabric != nullptr && ctx != nullptr && !loopback &&
+                      ctx->src_host != ctx->dst_host;
+  const auto injection_bw = [&](bool lb) {
+    const BytesPerMicro base = lb ? p.hca_loopback_bw : p.hca_link_bw;
+    return sriov ? base * p.sriov_bw_derate : base;
+  };
+  const Micros delivery =
+      routed ? fabric->path_latency(ctx->src_host, ctx->dst_host)
+             : (loopback ? p.hca_loopback_latency
+                         : p.hca_wire_latency + p.hca_switch_latency);
+  const BytesPerMicro bw =
+      routed ? fabric->flow_rate_cap(ctx->src_host, ctx->dst_host, sriov)
+             : injection_bw(loopback);
+  const double cf =
+      congestion == nullptr || ctx == nullptr ? 1.0 : congestion->factor(ctx->key);
+
+  const Micros trip =
+      p.hca_rndv_trip + delivery + (sriov ? p.sriov_latency_overhead : 0.0);
+  const Micros rts_arrive = rts_sent_at + trip;
+  const Micros handshake_done = std::max(posted_at, rts_arrive) + trip;
+  const Micros cts_at_sender = busy_until > handshake_done
+                                   ? busy_until + p.hca_rndv_pipeline_residue
+                                   : handshake_done;
+  RndvTimes times;
+  times.inject_begin = cts_at_sender + p.hca_post_overhead;
+  times.sender_done = cts_at_sender + p.hca_post_overhead +
+                      static_cast<double>(size) / bw * cf;
+  const Micros ingress =
+      loopback ? static_cast<double>(size) / injection_bw(true) : 0.0;
+  times.receiver_busy_until = times.sender_done + ingress;
+  times.receiver_done = times.receiver_busy_until + delivery;
+  return times;
+}
+
+TEST(HcaChannel, ModelOffTimelineMatchesUnpinnedOracleBitForBit) {
+  // With the registration model off, rndv_times runs its pinned body with
+  // empty pin windows and one chunk. Every double must equal the unpinned
+  // formula's bit for bit, whatever rndv_chunk, reg_cost_scale and RegPlan
+  // say, on every path: loopback, SR-IOV, routed fat-tree, congested.
+  const net::Fabric fabric(net::FabricConfig::parse("fattree:4"), kProfile,
+                           std::vector<int>(8, 1));
+  // Flows of rank 1 with an odd seq are congested.
+  std::vector<std::pair<net::FlowKey, double>> factors;
+  for (std::uint64_t seq = 1; seq < 64; seq += 2)
+    factors.push_back({{1, seq}, 1.0 + 0.37 * static_cast<double>(seq)});
+  const net::CongestionMap congestion(std::move(factors));
+
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  Xoshiro256 rng(0x7e57);
+  int cases = 0;
+  int congested_cases = 0;
+  for (const Bytes chunk : {Bytes{4099}, Bytes{100001}, 512_KiB}) {
+    for (const double scale : {0.37, 1.0, 3.3}) {
+      TuningParams tuning;
+      tuning.reg_model = false;
+      tuning.rndv_chunk = chunk;
+      tuning.reg_cost_scale = scale;
+      HcaChannel routed(kProfile, tuning);
+      routed.attach_fabric(&fabric, nullptr);
+      HcaChannel congested(kProfile, tuning);
+      congested.attach_fabric(&fabric, &congestion);
+      const HcaChannel flat(kProfile, tuning);
+      for (int i = 0; i < 64; ++i) {
+        const Bytes sizes[] = {0, 1, chunk - 1, chunk, chunk + 1, 3 * chunk + 7,
+                               rng.below(4_MiB)};
+        const Bytes size = sizes[rng.below(std::size(sizes))];
+        const bool loopback = rng.below(2) == 1;
+        const bool sriov = rng.below(2) == 1;
+        const Micros rts_sent_at = 1000.0 * rng.uniform();
+        const Micros posted_at = 1000.0 * rng.uniform();
+        // busy_until lands before or after the handshake completes.
+        const Micros busy_until = rng.below(2) == 1
+                                      ? 0.5 * rts_sent_at
+                                      : rts_sent_at + 5000.0 * rng.uniform();
+        net::TransferCtx ctx;
+        ctx.src_host = static_cast<int>(rng.below(8));
+        ctx.dst_host = static_cast<int>(rng.below(8));
+        ctx.key = {static_cast<int>(rng.below(3)), rng.below(64)};
+        RegPlan plan;
+        plan.sender_hit = rng.below(2) == 1;
+        plan.receiver_hit = rng.below(2) == 1;
+        plan.sender_extra = 10.0 * rng.uniform();
+        plan.receiver_extra = 10.0 * rng.uniform();
+
+        struct Arm {
+          const HcaChannel* hca;
+          const net::Fabric* fabric;
+          const net::CongestionMap* congestion;
+          const net::TransferCtx* ctx;
+        };
+        for (const Arm& arm : {Arm{&flat, nullptr, nullptr, nullptr},
+                               Arm{&routed, &fabric, nullptr, &ctx},
+                               Arm{&congested, &fabric, &congestion, &ctx}}) {
+          const auto got = arm.hca->rndv_times(size, loopback, rts_sent_at, posted_at,
+                                               busy_until, sriov, arm.ctx, plan);
+          const auto want =
+              unpinned_oracle(kProfile, arm.fabric, arm.congestion, size, loopback,
+                              rts_sent_at, posted_at, busy_until, sriov, arm.ctx);
+          SCOPED_TRACE(testing::Message()
+                       << "size " << size << " chunk " << chunk << " scale " << scale
+                       << " loopback " << loopback << " sriov " << sriov
+                       << " hosts " << ctx.src_host << "->" << ctx.dst_host);
+          EXPECT_EQ(bits(got.receiver_done), bits(want.receiver_done));
+          EXPECT_EQ(bits(got.sender_done), bits(want.sender_done));
+          EXPECT_EQ(bits(got.receiver_busy_until), bits(want.receiver_busy_until));
+          EXPECT_EQ(bits(got.inject_begin), bits(want.inject_begin));
+          EXPECT_EQ(bits(got.reg_stall), bits(0.0));
+          EXPECT_EQ(bits(got.recv_reg_begin), bits(got.recv_reg_end));
+          ++cases;
+          congested_cases += arm.congestion != nullptr && !loopback &&
+                             ctx.src_host != ctx.dst_host &&
+                             congestion.factor(ctx.key) > 1.0;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, 3 * 3 * 64 * 3);
+  EXPECT_GT(congested_cases, 0);
 }
 
 TEST(OneSided, MessageRateGapMatchesPaperRatio) {

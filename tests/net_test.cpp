@@ -15,6 +15,7 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "mpi/runtime.hpp"
+#include "mpi/window.hpp"
 #include "net/contention.hpp"
 #include "net/fabric.hpp"
 #include "net/topology.hpp"
@@ -637,6 +638,45 @@ TEST(NetFabric, TwoStreamsHalveTheSharedUplink) {
   // (much) faster than running the two transfers back to back with no
   // overlap would be under a per-pair model charged twice.
   EXPECT_GT(both.job_time, single.job_time);
+}
+
+TEST(NetFabric, OneSidedPutOnRoutedPathPaysPathLatencyAndRateCap) {
+  // A put to a rank in another fat-tree pod, then a flush: the origin waits
+  // for the descriptor post, the payload at the route's VF-capped rate and
+  // the routed path latency; the contention engine never stretches it.
+  constexpr int kHosts = 8;
+  constexpr Bytes kSize = 64_KiB;
+  JobConfig config;
+  config.deployment = DeploymentSpec::native_hosts(kHosts, 1);
+  config.fabric = net::FabricConfig::parse("fattree:4");
+  net::FabricConfig fabric_config = config.fabric;
+  fabric_config.hosts = kHosts;
+  const net::Fabric fabric(fabric_config, config.profile,
+                           std::vector<int>(kHosts, 1));
+  const int target = kHosts - 1;
+  const Micros expected = config.profile.hca_post_overhead +
+                          static_cast<double>(kSize) /
+                              fabric.flow_rate_cap(0, target, false) +
+                          fabric.path_latency(0, target);
+  // The routed cost is not the flat model's.
+  EXPECT_NE(fabric.path_latency(0, target),
+            config.profile.hca_wire_latency + config.profile.hca_switch_latency);
+
+  Micros issued = -1.0;
+  Micros flushed = -1.0;
+  run_job(config, [&](mpi::Process& p) {
+    std::vector<std::uint8_t> memory(kSize);
+    mpi::Window<std::uint8_t> window(p.world(), std::span<std::uint8_t>(memory));
+    if (p.rank() == 0) {
+      auto& clock = p.world().engine().clock();
+      issued = clock.now();
+      window.put(std::span<const std::uint8_t>(memory), target, 0);
+      window.flush(target);
+      flushed = clock.now();
+    }
+    p.world().barrier();
+  });
+  EXPECT_EQ(flushed, issued + expected);
 }
 
 TEST(NetFabric, VfLimitSplitsTheHostHca) {

@@ -499,6 +499,35 @@ TEST(RankEngine, DeadlockOfManyRanksNamesEveryRank) {
   });
 }
 
+TEST(RankEngine, TruncationNamesTheReceiveAndBothSizes) {
+  // One check covers both protocols: an eager-sized and a rendezvous-sized
+  // message, each over SHM/CMA (one host) and over the HCA (two hosts).
+  for (const int hosts : {1, 2}) {
+    JobConfig config;
+    config.deployment = DeploymentSpec::native_hosts(hosts, 2 / hosts);
+    for (const std::size_t bytes : {std::size_t{64}, std::size_t{64} * 1024}) {
+      try {
+        run_job(config, [&](mpi::Process& p) {
+          if (p.rank() == 1) {
+            const std::vector<std::byte> out(bytes);
+            p.world().send(std::span<const std::byte>(out), 0, 9);
+          } else {
+            std::array<std::byte, 16> in{};
+            p.world().recv(std::span<std::byte>(in), 1, 9);
+          }
+        });
+        ADD_FAILURE() << "expected a truncation error for " << bytes << " bytes";
+      } catch (const Error& e) {
+        const std::string what = e.what();
+        const std::string expected =
+            "message truncation: rank 0 recv(source=1, tag=9, comm=0) got " +
+            std::to_string(bytes) + " bytes into a 16-byte buffer";
+        EXPECT_NE(what.find(expected), std::string::npos) << what;
+      }
+    }
+  }
+}
+
 TEST(RankEngine, ArrivalOrderCompletionLeavesOnlyUnmatchedReceivesPosted) {
   // Rank 0 completes receives A and B in arrival order while C stays posted.
   // Whether A completes or throws on truncation, C must be the oldest posted
