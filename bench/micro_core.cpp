@@ -1,12 +1,16 @@
-// google-benchmark microbenchmarks of core primitives, including the
-// DESIGN.md ablation: the paper's lock-free byte-list locality detector vs a
-// lock-based alternative.
+// google-benchmark microbenchmarks of core primitives, including JSON number
+// and Perfetto emission and the DESIGN.md ablation: the paper's lock-free
+// byte-list locality detector vs a lock-based alternative.
 #include <benchmark/benchmark.h>
 
 #include <array>
 #include <atomic>
+#include <cmath>
 #include <cstdlib>
 #include <mutex>
+#include <random>
+#include <string>
+#include <vector>
 
 #include "apps/graph500/kronecker.hpp"
 #include "container/engine.hpp"
@@ -15,6 +19,9 @@
 #include "mpi/locality.hpp"
 #include "mpi/matcher.hpp"
 #include "net/fabric.hpp"
+#include "obs/json.hpp"
+#include "obs/report.hpp"
+#include "obs/span.hpp"
 #include "osl/machine.hpp"
 
 namespace {
@@ -230,6 +237,67 @@ void BM_Settle(benchmark::State& state) {
   state.counters["flows"] = static_cast<double>(flows.size());
 }
 BENCHMARK(BM_Settle)->Unit(benchmark::kMicrosecond);
+
+/// One JSON number on virtual-time-like doubles (log-uniform over 0.1 us to
+/// 10 s, so ten significant digits each): the per-timestamp cost of every
+/// run report and Perfetto export.
+void BM_AppendNumber(benchmark::State& state) {
+  std::mt19937_64 rng(8);
+  std::uniform_real_distribution<double> log_us(-1.0, 7.0);
+  std::vector<double> values(4096);
+  for (double& v : values) v = std::pow(10.0, log_us(rng));
+  std::string out;
+  out.reserve(32 * values.size());
+  std::size_t i = 0;
+  for (auto _ : state) {
+    if (i == values.size()) {
+      i = 0;
+      out.clear();
+    }
+    obs::append_number(out, values[i++]);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_AppendNumber);
+
+/// to_perfetto over a synthetic ~10k-span job already in canonical order:
+/// 64 ranks, each a run of MPI_Send/MPI_Recv calls where every receive
+/// carries an eager transfer span and its flow arrow.
+void BM_ToPerfetto(benchmark::State& state) {
+  constexpr int kRanks = 64, kCallsPerRank = 104;
+  std::mt19937_64 rng(9);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  std::vector<obs::Span> spans;
+  for (int r = 0; r < kRanks; ++r) {
+    const int peer = r ^ 1;
+    Micros t = 0.0;
+    for (int call = 0; call < kCallsPerRank; ++call) {
+      const Micros dur = 0.5 + 20.0 * unit(rng);
+      const bool recv = call % 2 == 1;
+      spans.push_back({recv ? "MPI_Recv" : "MPI_Send", obs::SpanCat::Mpi, r, peer, -1,
+                       4096, t, t + dur, ""});
+      if (recv) {
+        obs::Span xfer{"eager", obs::SpanCat::Proto, r, peer, 0, 4096,
+                       t + 0.3 * dur, t + dur, ""};
+        xfer.xfer = (static_cast<std::int64_t>(peer) << 32) | call;
+        xfer.sent_at = t;
+        spans.push_back(std::move(xfer));
+      }
+      t += dur + 5.0 * unit(rng);
+    }
+  }
+  obs::sort_spans(spans);
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    const std::string doc = obs::to_perfetto(spans, {});
+    bytes = doc.size();
+    benchmark::DoNotOptimize(doc.data());
+  }
+  state.counters["spans"] = static_cast<double>(spans.size());
+  state.counters["bytes"] = static_cast<double>(bytes);
+}
+BENCHMARK(BM_ToPerfetto)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

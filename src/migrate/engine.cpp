@@ -366,8 +366,12 @@ mpi::JobResult Engine::run(const mpi::JobConfig& config,
                            stop_copy_bytes, seg1.job_time, offset,
                            std::string("host ") + std::to_string(src_phys) +
                                " -> " + std::to_string(move.dst_phys_host)});
-    for (const obs::Span& span : seg2.spans)
-      out.spans.push_back(shift_span(span, offset));
+    for (obs::Span& span : seg2.spans)
+      out.spans.push_back(shift_span(std::move(span), offset));
+    // Each segment is canonical, but a segment-1 span can begin at the stop
+    // where the transfer spans begin, and the shift can round two distinct
+    // segment-2 begins together.
+    obs::sort_spans(out.spans);
     out.metrics = merge_metrics(seg1.metrics, seg2.metrics);
     for (auto& [name, value] : out.metrics.gauges)
       if (name == "job.virtual_time_us") value = out.job_time;

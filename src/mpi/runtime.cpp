@@ -778,7 +778,7 @@ JobResult run_job_attempt(const JobConfig& config,
     metrics_registry.gauge("job.comm_fraction").set(result.profile.comm_fraction());
     metrics_registry.counter("job.ranks").add(static_cast<std::uint64_t>(nranks));
     result.metrics = metrics_registry.snapshot();
-    result.spans = span_recorder.spans();
+    result.spans = span_recorder.take_sorted();
   }
   return result;
 }

@@ -122,8 +122,9 @@ struct JobResult {
   /// Empty when the job's FaultPlan is the default.
   faults::FaultReport fault_report;
   /// Observability (empty unless JobConfig::observe): the job's metrics
-  /// registry snapshot and the recorded spans in append order. Feed both to
-  /// obs::run_report_json / obs::to_perfetto.
+  /// registry snapshot and the recorded spans in canonical obs::span_less
+  /// order, so every consumer (obs::run_report_json, obs::to_perfetto,
+  /// obs::analysis::analyze) reads them in place.
   obs::MetricsSnapshot metrics;
   std::vector<obs::Span> spans;
 

@@ -353,8 +353,8 @@ Analysis analyze(std::span<const Span> spans, int nranks,
   a.wait_states.resize(static_cast<std::size_t>(a.nranks));
   if (a.nranks == 0) return a;
 
-  std::vector<Span> sorted(spans.begin(), spans.end());
-  sort_spans(sorted);
+  std::vector<Span> storage;
+  const std::span<const Span> sorted = canonical_spans(spans, storage);
 
   // The walk starts where the job ended: the last rank to finish (ties go
   // to the lowest rank for determinism).

@@ -3,9 +3,12 @@
 //
 // Determinism contract: the writer itself imposes no ordering, but number
 // formatting is fixed and locale-independent: append_number renders a double
-// through std::to_chars, byte for byte what snprintf's "%.0f" (integral
-// values below 9e15) or "%.10g" (everything else) would print, so two runs
-// that feed identical values and key orders produce byte-identical documents.
+// byte for byte as snprintf's "%.0f" (integral values below 9e15) or "%.10g"
+// (everything else) would print, so two runs that feed identical values and
+// key orders produce byte-identical documents. Integral values go through
+// integer std::to_chars and non-integral ones with 1e-4 <= |v| < 1e10 through
+// an exact 128-bit digit path (round half to even, as printf), the rest
+// through std::to_chars; all three are exact.
 // Callers are responsible for iterating containers in a deterministic order
 // (sorted names, virtual-time order) before writing.
 //
@@ -13,6 +16,8 @@
 // below; escape_json and format_double are their string-returning forms.
 #pragma once
 
+#include <charconv>
+#include <concepts>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -29,6 +34,14 @@ void append_escaped(std::string& out, std::string_view text);
 /// magnitude with no decimal point ("%.0f"), everything else as "%.10g";
 /// NaN/Inf become 0 since JSON has no spelling for them.
 void append_number(std::string& out, double value);
+
+/// Appends the decimal spelling of an integer through std::to_chars.
+template <std::integral T>
+void append_integer(std::string& out, T value) {
+  char buf[24];
+  const auto result = std::to_chars(buf, buf + sizeof(buf), value);
+  out.append(buf, result.ptr);
+}
 
 /// append_escaped into a fresh string.
 std::string escape_json(std::string_view text);

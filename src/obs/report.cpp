@@ -307,9 +307,8 @@ std::string run_report_json(const ReportContext& ctx, const mpi::JobResult& resu
   write_profile(w, result.profile);
   write_metrics(w, result.metrics);
   {
-    auto spans = result.spans;
-    sort_spans(spans);
-    write_span_summary(w, spans);
+    std::vector<Span> storage;
+    write_span_summary(w, canonical_spans(result.spans, storage));
   }
   write_faults(w, result.fault_report);
   write_recovery(w, result);
@@ -405,25 +404,28 @@ std::string to_perfetto(std::span<const Span> spans,
   constexpr int kChannelPidBase = 1000;
   constexpr int kPathPid = 2000;
 
-  std::vector<const Span*> sorted;
-  sorted.reserve(spans.size());
-  for (const auto& span : spans) sorted.push_back(&span);
-  std::sort(sorted.begin(), sorted.end(),
-            [](const Span* a, const Span* b) { return span_less(*a, *b); });
+  std::vector<Span> storage;
+  const std::span<const Span> sorted = canonical_spans(spans, storage);
 
   // Name every track we are about to emit (process_name metadata events).
   std::array<bool, fabric::kChannelKinds> channel_seen{};
   int max_rank = -1;
-  for (const Span* span : sorted) {
-    if (span->cat == SpanCat::Proto && span->channel >= 0 &&
-        span->channel < static_cast<int>(fabric::kChannelKinds))
-      channel_seen[static_cast<std::size_t>(span->channel)] = true;
-    max_rank = std::max(max_rank, span->rank);
+  for (const Span& span : sorted) {
+    if (span.cat == SpanCat::Proto && span.channel >= 0 &&
+        span.channel < static_cast<int>(fabric::kChannelKinds))
+      channel_seen[static_cast<std::size_t>(span.channel)] = true;
+    max_rank = std::max(max_rank, span.rank);
   }
   for (const auto& event : events)
     if (event.src >= 0) max_rank = std::max(max_rank, event.src);
 
-  std::string out = "{\"traceEvents\":[";
+  // Upper-end bytes per span (a transfer slice is ~170 plus ~110 for its two
+  // flow events), per legacy instant and per path segment, so the document
+  // is built without reallocating.
+  std::string out;
+  out.reserve(4096 + 320 * sorted.size() + 128 * events.size() +
+              (analysis != nullptr ? 160 * analysis->segments.size() : 0));
+  out += "{\"traceEvents\":[";
   bool first = true;
   auto open_event = [&](std::string_view name) {
     if (!first) out += ',';
@@ -434,7 +436,7 @@ std::string to_perfetto(std::span<const Span> spans,
   };
   auto int_field = [&](std::string_view key, std::int64_t v) {
     out += key;
-    out += std::to_string(v);
+    append_integer(out, v);
   };
   auto number_field = [&](std::string_view key, double v) {
     out += key;
@@ -456,40 +458,40 @@ std::string to_perfetto(std::span<const Span> spans,
   if (analysis != nullptr && !analysis->segments.empty())
     meta(kPathPid, "critical path");
 
-  for (const Span* span : sorted) {
-    const bool channel_track = span->cat == SpanCat::Proto && span->channel >= 0;
-    const int pid = channel_track ? kChannelPidBase + span->channel : span->rank;
-    open_event(span->name);
+  for (const Span& span : sorted) {
+    const bool channel_track = span.cat == SpanCat::Proto && span.channel >= 0;
+    const int pid = channel_track ? kChannelPidBase + span.channel : span.rank;
+    open_event(span.name);
     out += ",\"cat\":\"";
-    out += to_string(span->cat);
+    out += to_string(span.cat);
     int_field("\",\"ph\":\"X\",\"pid\":", pid);
-    int_field(",\"tid\":", span->rank);
-    number_field(",\"ts\":", span->begin);
-    number_field(",\"dur\":", span->duration());
+    int_field(",\"tid\":", span.rank);
+    number_field(",\"ts\":", span.begin);
+    number_field(",\"dur\":", span.duration());
     out += ",\"args\":{\"bytes\":";
-    out += std::to_string(span->bytes);
-    int_field(",\"peer\":", span->peer);
-    if (!span->note.empty()) {
+    append_integer(out, span.bytes);
+    int_field(",\"peer\":", span.peer);
+    if (!span.note.empty()) {
       out += ",\"note\":\"";
-      append_escaped(out, span->note);
+      append_escaped(out, span.note);
       out += '"';
     }
     out += "}}";
     // Flow arrow: sender's hand-off ("s" on the sender's rank track) binds
     // to this receive-side transfer slice ("f", enclosing-slice binding).
-    const bool transfer = span->cat == SpanCat::Proto && span->xfer >= 0 &&
-                          (span->name == "eager" || span->name == "rndv") &&
-                          span->sent_at >= 0.0 && span->peer >= 0;
+    const bool transfer = span.cat == SpanCat::Proto && span.xfer >= 0 &&
+                          (span.name == "eager" || span.name == "rndv") &&
+                          span.sent_at >= 0.0 && span.peer >= 0;
     if (transfer) {
-      int_field(",{\"name\":\"xfer\",\"cat\":\"flow\",\"ph\":\"s\",\"id\":", span->xfer);
-      int_field(",\"pid\":", span->peer);
-      int_field(",\"tid\":", span->peer);
-      number_field(",\"ts\":", span->sent_at);
+      int_field(",{\"name\":\"xfer\",\"cat\":\"flow\",\"ph\":\"s\",\"id\":", span.xfer);
+      int_field(",\"pid\":", span.peer);
+      int_field(",\"tid\":", span.peer);
+      number_field(",\"ts\":", span.sent_at);
       int_field("},{\"name\":\"xfer\",\"cat\":\"flow\",\"ph\":\"f\",\"bp\":\"e\",\"id\":",
-                span->xfer);
+                span.xfer);
       int_field(",\"pid\":", pid);
-      int_field(",\"tid\":", span->rank);
-      number_field(",\"ts\":", span->begin);
+      int_field(",\"tid\":", span.rank);
+      number_field(",\"ts\":", span.begin);
       out += '}';
     }
   }

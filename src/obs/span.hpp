@@ -14,14 +14,16 @@
 //            rank track
 //
 // Recorder appends are thread-safe; append order across rank fibers is
-// wall-clock noise, so exporters call sorted_spans() which orders by
-// (begin, end desc, cat, rank, peer, name, note) — a total order over the
-// deterministic virtual-time payload, making exports bit-identical across
-// reruns.
+// wall-clock noise, so mpi::run_job hands its spans out through
+// take_sorted(), already in the canonical order (begin, end desc, cat, rank,
+// peer, name, note) — a total order over the deterministic virtual-time
+// payload, making exports bit-identical across reruns. Consumers view their
+// input through canonical_spans(), which reads canonical input in place.
 #pragma once
 
 #include <cstdint>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -69,11 +71,9 @@ class SpanRecorder {
  public:
   void record(Span span);
 
-  /// Snapshot in append order (wall-clock dependent; tests only).
-  std::vector<Span> spans() const;
-
-  /// Snapshot in the canonical deterministic order used by every exporter.
-  std::vector<Span> sorted_spans() const;
+  /// Moves every span out in canonical span_less order, leaving the
+  /// recorder empty.
+  std::vector<Span> take_sorted();
 
   std::size_t count() const;
   std::size_t count(SpanCat cat) const;
@@ -89,7 +89,14 @@ class SpanRecorder {
 /// note) — outer spans sort before the spans they contain.
 bool span_less(const Span& a, const Span& b);
 
-/// Sorts `spans` by span_less.
+/// Sorts `spans` by span_less; spans that tie keep their relative order.
+/// Sorts a compact key of everything but the names and moves each span once.
 void sort_spans(std::vector<Span>& spans);
+
+/// `spans` in canonical order: the input itself when it already is (one O(n)
+/// pass), otherwise a sorted copy held in `storage`. The view lives as long
+/// as both `spans` and `storage`.
+std::span<const Span> canonical_spans(std::span<const Span> spans,
+                                      std::vector<Span>& storage);
 
 }  // namespace cbmpi::obs

@@ -22,9 +22,9 @@ void append_chrome_events(std::string& out, std::span<const TraceEvent> events,
       out += ']';
     }
     out += "\",\"ph\":\"i\",\"s\":\"t\",\"pid\":";
-    out += std::to_string(event.src);
+    obs::append_integer(out, event.src);
     out += ",\"tid\":";
-    out += std::to_string(event.dst);
+    obs::append_integer(out, event.dst);
     // Instant timestamps use 6 significant digits (std::ostream's default,
     // "%.6g"), not append_number's 10.
     out += ",\"ts\":";
@@ -33,9 +33,9 @@ void append_chrome_events(std::string& out, std::span<const TraceEvent> events,
                                       std::chars_format::general, 6);
     out.append(std::begin(ts), result.ptr);
     out += ",\"args\":{\"bytes\":";
-    out += std::to_string(event.size);
+    obs::append_integer(out, event.size);
     out += ",\"dst\":";
-    out += std::to_string(event.dst);
+    obs::append_integer(out, event.dst);
     out += "}}";
   }
 }

@@ -13,13 +13,16 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <limits>
 #include <numeric>
 #include <random>
 #include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
+#include "apps/osu/microbench.hpp"
 #include "common/error.hpp"
 #include "migrate_fixture.hpp"
 #include "mpi/runtime.hpp"
@@ -249,9 +252,12 @@ std::string snprintf_g6(double value) {
   return buf;
 }
 
-/// Edge cases plus seeded doubles: raw bit patterns (NaN payloads,
+/// Edge cases plus 2^20 seeded doubles: raw bit patterns (NaN payloads,
 /// subnormals, huge exponents), integers straddling the 9e15 cutoff,
-/// virtual-time-like values and short decimals at every scale.
+/// virtual-time-like values, short decimals at every scale, and the edges of
+/// append_number's exact "%.10g" path (1e-4 <= |v| < 1e10): decade
+/// boundaries, exact ties at the tenth significant digit and roll-overs into
+/// the next decade, each with neighbouring doubles and both signs.
 std::vector<double> differential_doubles() {
   using lim = std::numeric_limits<double>;
   std::vector<double> values = {
@@ -259,12 +265,53 @@ std::vector<double> differential_doubles() {
       std::nextafter(9e15, 1e16), 1e-5, -1e-5, lim::denorm_min(), -lim::denorm_min(),
       lim::min() / 3.0, lim::min(), 1e300, -1e300, lim::max(), lim::lowest(),
       lim::quiet_NaN(), -lim::quiet_NaN(), lim::infinity(), -lim::infinity(), 0.5,
-      2.5, 0.1, 999999.5, 9999999999.5, 123456.7890123, 1e16, 1e21};
+      2.5, 0.1, 999999.5, 9999999999.5, -9999999999.5, 999999999.96, 0.99999999996,
+      123456.7890123, 1e16, 1e21};
+  // v and its three nearest doubles on each side, with both signs.
+  const auto around = [&values](double v) {
+    double up = v;
+    double down = v;
+    for (int i = 0; i < 4; ++i) {
+      for (const double x : {up, down}) {
+        values.push_back(x);
+        values.push_back(-x);
+      }
+      up = std::nextafter(up, lim::infinity());
+      down = std::nextafter(down, 0.0);
+    }
+  };
+  const auto decimal = [](const char* mantissa, int exp10) {
+    char text[32];
+    std::snprintf(text, sizeof(text), "%se%d", mantissa, exp10);
+    return std::strtod(text, nullptr);
+  };
+  for (int m = -6; m <= 12; ++m) {
+    around(decimal("1", m));             // decade edge, 1e-4 and 1e10 too
+    around(decimal("9.9999999995", m));  // rolls over into the next decade
+    around(decimal("9.999999999", m));
+  }
+  // x.5 at the tenth digit, exactly: odd * 5^k / 2 in [1e9, 1e10) makes
+  // odd / 2^(k+1) a double whose scaled value v * 10^k ends in .5.
   std::mt19937_64 rng(20161016);
+  const auto tie = [&rng](int k) {
+    const double pow5 = std::pow(5.0, k);
+    const auto lo = static_cast<std::uint64_t>(std::ceil(2e9 / pow5));
+    const auto hi = static_cast<std::uint64_t>(2e10 / pow5);
+    const std::uint64_t odd = (lo + rng() % (hi - lo)) | 1;
+    return std::ldexp(static_cast<double>(odd), -(k + 1));
+  };
+  for (int k = 0; k <= 13; ++k)
+    for (int i = 0; i < 200; ++i) {
+      const double v = tie(k);
+      values.push_back(v);
+      values.push_back(-v);
+    }
   std::uniform_real_distribution<double> unit(0.0, 1.0);
+  std::uniform_real_distribution<double> log_scale(-5.0, 11.0);
   std::uniform_int_distribution<int> exponent(-30, 30);
-  while (values.size() < 120000) {
-    switch (values.size() % 4) {
+  std::uniform_int_distribution<int> tie_k(0, 13);
+  while (values.size() < (1u << 20)) {
+    switch (values.size() % 6) {
       case 0: values.push_back(std::bit_cast<double>(rng())); break;
       case 1:
         values.push_back(static_cast<double>(
@@ -272,6 +319,8 @@ std::vector<double> differential_doubles() {
             10'000'000'000'000'000LL));
         break;
       case 2: values.push_back(unit(rng) * 1e7); break;
+      case 3: values.push_back(std::pow(10.0, log_scale(rng))); break;
+      case 4: values.push_back((rng() & 1 ? -1.0 : 1.0) * tie(tie_k(rng))); break;
       default:
         values.push_back(std::round(unit(rng) * 1e6) / 1e3 *
                          std::pow(10.0, exponent(rng)));
@@ -739,6 +788,80 @@ TEST(ObsSched, CrashRecoveryScheduleReportIsByteIdenticalAcrossReruns) {
         "\"outcome\":\"crashed\"", "\"crash\":", "\"kind\":", "\"rank\":",
         "\"at_us\":", "\"attempt\":1"})
     EXPECT_NE(a.find(key), std::string::npos) << key;
+}
+
+// ---- canonical span order at the source ------------------------------------
+
+auto span_fields(const obs::Span& s) {
+  return std::tie(s.name, s.cat, s.rank, s.peer, s.channel, s.bytes, s.begin,
+                  s.end, s.note, s.xfer, s.posted_at, s.sent_at, s.avail_at,
+                  s.stall, s.reg_stall);
+}
+
+void expect_same_spans(const std::vector<obs::Span>& a,
+                       const std::vector<obs::Span>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i)
+    ASSERT_TRUE(span_fields(a[i]) == span_fields(b[i]))
+        << "span " << i << ": " << a[i].name << " vs " << b[i].name;
+}
+
+/// JobResult::spans must already be in sort_spans order, so consumers can
+/// read it in place.
+void expect_canonical(const mpi::JobResult& result) {
+  ASSERT_FALSE(result.spans.empty());
+  auto sorted = result.spans;
+  obs::sort_spans(sorted);
+  expect_same_spans(result.spans, sorted);
+}
+
+TEST(ObsSpan, JobResultSpansAreCanonical) {
+  expect_canonical(mpi::run_job(obs_job_config(true), obs_job_body));
+
+  auto fattree = obs_job_config(true);
+  fattree.fabric = net::FabricConfig::parse("fattree:4");
+  const auto two_pass = mpi::run_job(fattree, obs_job_body);
+  EXPECT_TRUE(two_pass.net.enabled);
+  expect_canonical(two_pass);
+
+  auto crashy = obs_job_config(true);
+  crashy.checkpoint_interval = 5.0;
+  crashy.faults.rank_crash_prob = 1.0;
+  crashy.faults.crash_horizon = 5000.0;  // first crash after a checkpoint
+  std::shared_ptr<const mpi::CheckpointData> snapshot;
+  try {
+    mpi::run_job(crashy, checkpointing_body);
+    FAIL() << "expected a crash";
+  } catch (const mpi::JobCrashedError& e) {
+    snapshot = e.checkpoint();
+  }
+  ASSERT_NE(snapshot, nullptr) << "no checkpoint committed before the crash";
+  auto resume = obs_job_config(true);
+  resume.checkpoint_interval = 5.0;
+  resume.restore = snapshot;
+  const auto restarted = mpi::run_job(resume, checkpointing_body);
+  EXPECT_TRUE(restarted.restored);
+  expect_canonical(restarted);
+
+  const auto job = ring_job(6, 16_KiB);
+  const auto migrated =
+      run_migrated(job, config_for(job, two_host_placement()), defrag_plan());
+  EXPECT_EQ(migrated.migration.executed, 1);
+  expect_canonical(migrated);
+}
+
+TEST(ObsSpan, OsuAllreduceSpansRerunFieldForField) {
+  mpi::JobConfig config;
+  config.deployment = DeploymentSpec::containers(2, 2, 4);
+  config.policy = fabric::LocalityPolicy::ContainerAware;
+  config.observe = true;
+  const auto body = [](mpi::Process& p) {
+    apps::osu::collective_latency(p, apps::osu::Collective::Allreduce, 8_KiB);
+  };
+  const auto a = mpi::run_job(config, body);
+  const auto b = mpi::run_job(config, body);
+  ASSERT_FALSE(a.spans.empty());
+  expect_same_spans(a.spans, b.spans);
 }
 
 // ---- metrics summary rendering ---------------------------------------------

@@ -9,9 +9,12 @@ checked by `cbmpi-analyze` against src/obs/analysis/report_schema.cpp.
     a span that begins inside an open span must end within it
   * flow events ('s' -> 'f') pair up by id: every flow finish has a
     matching start and ids are not reused
+  * with --same-as, the trace equals another one (a rerun of the same job)
+    event for event once legacy instants ('i') are dropped: those keep the
+    recorder's wall-clock append order, everything else is canonical
 
 Usage:
-  tools/check_report.py --trace trace.json
+  tools/check_report.py --trace trace.json [--same-as rerun_trace.json]
 
 Exit status is the number of problems found; each problem is printed as
 `file: message`.
@@ -117,12 +120,32 @@ def check_trace(path):
                       f"(e.g. id {sorted(dangling)[0]!r})")
 
 
+def check_same(path, other):
+    docs = [load(p) for p in (path, other)]
+    if None in docs:
+        return
+    a, b = ([ev for ev in doc.get("traceEvents", []) if ev.get("ph") != "i"]
+            for doc in docs)
+    for i, (x, y) in enumerate(zip(a, b)):
+        if x != y:
+            problem(path, f"non-instant event {i} differs from {other}: "
+                          f"{x!r} vs {y!r}")
+            return
+    if len(a) != len(b):
+        problem(path, f"{len(a)} non-instant events, {other} has {len(b)}")
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--trace", required=True,
                         help="Perfetto trace JSON to validate")
+    parser.add_argument("--same-as", metavar="TRACE",
+                        help="rerun of the same job whose non-instant events "
+                             "must equal the trace's")
     args = parser.parse_args()
     check_trace(args.trace)
+    if args.same_as:
+        check_same(args.trace, args.same_as)
     for p in problems:
         print(p)
     if not problems:
