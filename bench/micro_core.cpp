@@ -61,6 +61,29 @@ void BM_MatcherWildcardScan(benchmark::State& state) {
 }
 BENCHMARK(BM_MatcherWildcardScan)->Arg(4)->Arg(64)->Arg(512);
 
+// One pending envelope from each of Arg sources; a specific-source receive
+// takes the last source's envelope and the sender re-delivers it, so the
+// queue keeps its shape. Per-source bins cost a binary search here where a
+// single queue scans every envelope.
+void BM_MatcherManySources(benchmark::State& state) {
+  const auto sources = static_cast<int>(state.range(0));
+  mpi::Matcher matcher;
+  fabric::Envelope env;
+  env.dst = 0;
+  env.tag = 3;
+  env.comm_id = 0;
+  for (int src = 0; src < sources; ++src) {
+    env.src = src;
+    matcher.deliver(env);
+  }
+  for (auto _ : state) {
+    auto matched = matcher.try_match(sources - 1, 3, 0);
+    benchmark::DoNotOptimize(matched);
+    matcher.deliver(std::move(*matched));
+  }
+}
+BENCHMARK(BM_MatcherManySources)->Arg(64)->Arg(1024);
+
 // Park/wake round trip of the rank engine. Arg 1: one rank parks and its own
 // publish hook wakes it, so the round trip stays on one worker. Arg 2: two
 // ranks on two workers ping-pong through their matchers, the path

@@ -336,7 +336,9 @@ void RankScheduler::run(int nranks, const std::function<void(int)>& body) {
   std::vector<Fiber> fibers(static_cast<std::size_t>(nranks));
   for (int r = 0; r < nranks; ++r) {
     Fiber& fiber = fibers[static_cast<std::size_t>(r)];
-    fiber.worker = workers_[static_cast<std::size_t>(r % nworkers)].get();
+    // Contiguous blocks keep co-resident ranks on one worker (fiber.hpp).
+    const auto w = static_cast<std::int64_t>(r) * nworkers / nranks;
+    fiber.worker = workers_[static_cast<std::size_t>(w)].get();
     fiber.rank = r;
     start_context(fiber.context, fiber.stack);
   }

@@ -1,8 +1,12 @@
 // Rank execution: every rank body of a job runs as a stackful fiber on one of
 // W = min(nranks, hardware threads) worker threads.
 //
-// Rank r always runs on worker r % W, which owns one ready queue, so a fiber
-// never changes OS thread. A fiber leaves its worker only at two points:
+// Rank r always runs on worker floor(r * W / nranks), which owns one ready
+// queue, so a fiber never changes OS thread. The workers take contiguous
+// blocks of ranks whose sizes differ by at most one; ranks are numbered host
+// by host and container by container, so co-resident ranks, which talk
+// through shared memory, mostly share a worker and wake each other without
+// crossing threads. A fiber leaves its worker only at two points:
 //   * park(publish): the rank waits for an event. The fiber switches to its
 //     worker first; only then does the worker run `publish`, which either
 //     resumes the fiber at once (the event already happened) or makes it

@@ -1,15 +1,24 @@
 // Per-rank message matcher: the unexpected-message queue and the rank's
 // one wake-up point.
 //
+// The queue keeps one FIFO per source rank (per-source bins, as in
+// Flajslik, Dinan and Underwood, "Mitigating MPI Message Matching Misery",
+// ISC 2016). Envelopes live in one slab, vectors of slots with a free list;
+// each source's envelopes form a singly linked chain through it, and
+// a vector sorted by source holds a {head, tail} pair for each source that
+// has envelopes pending. A specific-source receive binary-searches its bin
+// and walks only that chain; memory stays proportional to what is pending.
+//
 // Senders (other ranks) deliver envelopes; the owning rank matches them
 // against receives by (source, tag, communicator). Matching preserves the
 // MPI non-overtaking rule on both sides: envelopes from one sender are
 // scanned in delivery order, which equals that sender's program order, and
 // posted receives are matched in post order under one lock, so a later
 // receive never takes a message an earlier one matches. For wildcard
-// receives the match picks the candidate with the earliest virtual
-// availability (ties broken by source rank, then sequence number) to keep
-// simulations as deterministic as possible.
+// receives the match takes the first match of every bin and picks the one
+// with the earliest virtual availability (ties broken by source rank, then
+// sequence number) to keep simulations as deterministic as possible. peek()
+// reports matches in delivery order, through a per-matcher arrival stamp.
 //
 // Wake-up rule: every event that can unblock the owning rank bumps
 // version() — a delivery, a rendezvous completion (the receiver pokes the
@@ -20,7 +29,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <mutex>
 #include <optional>
 #include <utility>
@@ -67,15 +75,48 @@ class Matcher {
   std::size_t pending() const;
 
  private:
-  using Queue = std::deque<fabric::Envelope>;
-  /// The envelope try_match would take; end() if none. Caller holds mutex_.
-  Queue::iterator find_locked(int src_world, int tag, std::uint64_t comm_id);
+  static constexpr std::uint32_t kNone = UINT32_MAX;
+
+  /// The matching keys and chain link of one slab slot, kept apart from the
+  /// envelopes so a chain walk stays in a few cache lines.
+  struct Link {
+    std::uint32_t next = kNone;  ///< next slot of the bin, or of the free list
+    int tag = 0;
+    std::uint64_t comm_id = 0;
+    std::uint64_t stamp = 0;     ///< delivery order within this matcher
+  };
+  /// The pending envelopes of one source, oldest first.
+  struct Bin {
+    int src;
+    std::uint32_t head;
+    std::uint32_t tail;
+  };
+  /// A matched node and what unlinking it needs.
+  struct Hit {
+    std::size_t bin;
+    std::uint32_t prev;  ///< predecessor in the bin's chain, or kNone
+    std::uint32_t node;
+  };
+
+  /// The envelope try_match would take. Caller holds mutex_.
+  std::optional<Hit> find_locked(int src_world, int tag, std::uint64_t comm_id) const;
+  /// The first envelope of bin `b` matching (tag, comm). Caller holds mutex_.
+  std::optional<Hit> first_in_bin(std::size_t b, int tag, std::uint64_t comm_id) const;
+  /// Unlinks the hit's node, frees its slot and returns its envelope.
+  /// Caller holds mutex_.
+  fabric::Envelope take_locked(const Hit& hit);
 
   /// Bumps version_ and takes the parked owner, if any. Caller holds mutex_.
   Fiber* bump_locked();
 
   mutable std::mutex mutex_;
-  Queue unexpected_;
+  // The slab: slot i holds links_[i] and envelopes_[i].
+  std::vector<Link> links_;
+  std::vector<fabric::Envelope> envelopes_;
+  std::uint32_t free_ = kNone;
+  std::vector<Bin> bins_;  ///< sorted by src; only sources with envelopes
+  std::size_t pending_ = 0;
+  std::uint64_t arrivals_ = 0;
   std::uint64_t version_ = 0;
   Fiber* waiter_ = nullptr;
 };

@@ -3,13 +3,17 @@
 // channel behaviour the paper is about.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <future>
+#include <map>
 #include <numeric>
+#include <ranges>
 #include <string>
 #include <thread>
 
@@ -578,8 +582,11 @@ TEST(RankEngine, AtMostOneWorkerPerCore) {
 }
 
 TEST(RankEngine, PollingRankYields) {
-  // More ranks than workers: rank 0 shares its worker with rank n - 1, the
-  // rank it polls for. Without a yield in test() that worker livelocks.
+  // One rank more than workers: the workers take contiguous blocks of ranks,
+  // so worker 0 runs ranks 0 and 1 and every other worker one rank. Rank 0
+  // runs first, sends the token to rank 1 and polls for it to come back
+  // round the ring, which needs rank 1 to run on the worker rank 0 holds.
+  // Without a yield in test() that worker livelocks.
   const int nranks = hardware_threads() + 1;
   JobConfig config;
   config.deployment = DeploymentSpec::native_hosts(nranks, 1);
@@ -600,6 +607,43 @@ TEST(RankEngine, PollingRankYields) {
                    world.send_value<int>(token + 1, next);
                });
              });
+}
+
+TEST(RankEngine, CoResidentRanksShareAWorker) {
+  // Ranks are numbered host by host and container by container, and rank r
+  // runs on worker floor(r * W / n): contiguous blocks, so co-resident ranks
+  // share a worker thread and their traffic stays on it.
+  JobConfig config;
+  config.deployment = DeploymentSpec::containers(4, 4, 16);
+  const int nranks = config.deployment.total_ranks();
+  const int nworkers = std::min(nranks, hardware_threads());
+  std::vector<std::thread::id> thread_of(static_cast<std::size_t>(nranks));
+  run_job(config, [&](mpi::Process& p) {
+    thread_of[static_cast<std::size_t>(p.rank())] = std::this_thread::get_id();
+    p.world().barrier();
+  });
+  const auto worker_of = [&](int r) {
+    return static_cast<int>(static_cast<std::int64_t>(r) * nworkers / nranks);
+  };
+  for (int a = 0; a < nranks; ++a) {
+    for (int b = a + 1; b < nranks; ++b) {
+      EXPECT_EQ(thread_of[static_cast<std::size_t>(a)] == thread_of[static_cast<std::size_t>(b)],
+                worker_of(a) == worker_of(b))
+          << "ranks " << a << " and " << b << " with " << nworkers << " workers";
+    }
+  }
+  std::map<std::thread::id, int> load;
+  for (const auto id : thread_of) ++load[id];
+  EXPECT_EQ(static_cast<int>(load.size()), nworkers);
+  const auto [least, most] = std::ranges::minmax(load | std::views::values);
+  EXPECT_LE(most - least, 1);
+  // With whole hosts per worker, every host's 16 ranks run on one thread.
+  if (config.deployment.num_hosts % nworkers == 0) {
+    for (int r = 0; r < nranks; ++r)
+      EXPECT_EQ(thread_of[static_cast<std::size_t>(r)],
+                thread_of[static_cast<std::size_t>(r - r % 16)])
+          << "rank " << r;
+  }
 }
 
 }  // namespace
