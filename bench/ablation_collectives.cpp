@@ -33,16 +33,17 @@ using namespace cbmpi::bench;
 
 namespace {
 
-Micros collective_time(mpi::JobConfig config, apps::osu::Collective coll, Bytes size,
-                       int iters) {
+/// OSU collective latency, recorded as a row labelled "<label>/<collective>".
+Micros collective_time(Figure& fig, const std::string& label,
+                       const mpi::JobConfig& config, apps::osu::Collective coll,
+                       Bytes size, int iters) {
   apps::osu::PairOptions osu_opts;
   osu_opts.iterations = iters;
   osu_opts.warmup = 1;
-  double value = 0.0;
-  mpi::run_job(config, [&](mpi::Process& p) {
-    const double v = apps::osu::collective_latency(p, coll, size, osu_opts);
-    if (p.rank() == 0) value = v;
+  const Micros value = run_rank0(config, [&](mpi::Process& p) {
+    return apps::osu::collective_latency(p, coll, size, osu_opts);
   });
+  fig.row(label + "/" + apps::osu::to_string(coll), size, value, 0.0);
   return value;
 }
 
@@ -50,10 +51,9 @@ Micros collective_time(mpi::JobConfig config, apps::osu::Collective coll, Bytes 
 /// averaged over iterations). `size` is the engine's tuning key for the
 /// collective: payload bytes for bcast/reduce/allreduce, per-rank block for
 /// allgather, per-peer block for alltoall, ignored for barrier.
-Micros engine_collective_time(mpi::JobConfig config, coll::Coll c, Bytes size,
+Micros engine_collective_time(const mpi::JobConfig& config, coll::Coll c, Bytes size,
                               int iters) {
-  Micros value = 0.0;
-  mpi::run_job(config, [&](mpi::Process& p) {
+  return run_rank0(config, [&](mpi::Process& p) {
     auto& comm = p.world();
     const auto n = static_cast<std::size_t>(comm.size());
     const Bytes per_rank = std::max<Bytes>(size, 1);
@@ -97,9 +97,8 @@ Micros engine_collective_time(mpi::JobConfig config, coll::Coll c, Bytes size,
       one();
       total += comm.allreduce_value(p.now() - start, mpi::ReduceOp::Max);
     }
-    if (p.rank() == 0) value = total / static_cast<double>(iters);
+    return total / static_cast<double>(iters);
   });
-  return value;
 }
 
 struct SweepPoint {
@@ -123,11 +122,8 @@ std::vector<SweepPoint> sweep_points() {
 /// measured winners go to stdout in tuning-file format and everything
 /// human-readable moves to stderr, so `--autotune > my.tuning` yields a file
 /// cbmpirun can parse as-is.
-void engine_sweep(int hosts, int procs, int iters, bool emit_table) {
+void engine_sweep(Figure& fig, int hosts, int procs, int iters, bool emit_table) {
   std::FILE* info = emit_table ? stderr : stdout;
-  const auto shape_check = [info](bool ok, const char* what) {
-    std::fprintf(info, "[%s] %s\n", ok ? "SHAPE-OK" : "SHAPE-MISMATCH", what);
-  };
   const double tolerance = 1.10;
   Table table({"cph", "collective", "size", "winner", "best (us)", "shipped",
                "shipped (us)", "spread"});
@@ -148,6 +144,9 @@ void engine_sweep(int hosts, int procs, int iters, bool emit_table) {
         auto config = base;
         config.coll_tuning.add({.coll = point.coll, .algo = algo});
         times[algo] = engine_collective_time(config, point.coll, point.size, iters);
+        fig.row("d/cph=" + std::to_string(cph) + "/" + to_string(point.coll) + "/" +
+                    to_string(algo),
+                point.size, times[algo], 0.0);
       }
       const auto best = std::min_element(
           times.begin(), times.end(),
@@ -184,11 +183,10 @@ void engine_sweep(int hosts, int procs, int iters, bool emit_table) {
   } else {
     table.print(std::cout);
   }
-  shape_check(max_spread > 1.10,
-              "algorithms measurably apart somewhere (spread > 1.10x)");
-  shape_check(shipped_ok,
-              "shipped container table picks the winner at every swept "
-              "point (within 1.10x)");
+  fig.check(max_spread > 1.10, "algorithms measurably apart somewhere (spread > 1.10x)");
+  fig.check(shipped_ok,
+            "shipped container table picks the winner at every swept "
+            "point (within 1.10x)");
 }
 
 }  // namespace
@@ -203,14 +201,18 @@ int main(int argc, char** argv) {
       opts.get_int("sweep-procs", 8, "procs per host for the (d) engine sweep"));
   const bool autotune = opts.get_flag(
       "autotune", "run only the engine sweep and emit a best-of tuning file");
+  Figure fig(opts, "ablation_collectives",
+             std::to_string(hosts) + " hosts; (d) " + std::to_string(sweep_hosts) +
+                 " hosts x " + std::to_string(sweep_procs) + " procs");
   if (opts.finish("Ablation: collective algorithm choices")) return 0;
 
   if (autotune) {
+    fig.print_to(stderr);
     std::fprintf(stderr, "=== Autotune — per-size-class algorithm sweep ===\n"
                          "(progress and tables on stderr; the tuning file on "
                          "stdout)\n\n");
-    engine_sweep(sweep_hosts, sweep_procs, iters, /*emit_table=*/true);
-    return 0;
+    engine_sweep(fig, sweep_hosts, sweep_procs, iters, /*emit_table=*/true);
+    return fig.finish();
   }
 
   // ---- (a) two-level vs flat ------------------------------------------------
@@ -223,8 +225,8 @@ int main(int argc, char** argv) {
   // actual comparison — the locality *view* (Def vs Opt in Fig. 10), where
   // both modes run identical algorithms. This ablation documents that the
   // topology term is second-order next to the channel term.
-  print_banner("Ablation (a)", "two-level vs flat collectives (locality view fixed)",
-               "channel selection, not collective topology, carries the gains");
+  fig.banner("Ablation (a)", "two-level vs flat collectives (locality view fixed)",
+             "channel selection, not collective topology, carries the gains");
   {
     mpi::JobConfig base;
     base.deployment = container::DeploymentSpec::containers(hosts, 4, 8);
@@ -241,8 +243,9 @@ int main(int argc, char** argv) {
     double worst_ratio = 1.0;
     for (auto coll : {apps::osu::Collective::Bcast, apps::osu::Collective::Allreduce,
                       apps::osu::Collective::Allgather}) {
-      const Micros flat_time = collective_time(flat, coll, 1_KiB, iters);
-      const Micros two_level_time = collective_time(base, coll, 1_KiB, iters);
+      const Micros flat_time = collective_time(fig, "a/flat", flat, coll, 1_KiB, iters);
+      const Micros two_level_time =
+          collective_time(fig, "a/two-level", base, coll, 1_KiB, iters);
       worst_ratio = std::max(worst_ratio, two_level_time / flat_time);
       table.add_row({apps::osu::to_string(coll), Table::num(flat_time, 1),
                      Table::num(two_level_time, 1),
@@ -252,22 +255,20 @@ int main(int argc, char** argv) {
     // The channel term: the same collectives, Def vs Opt policy (two-level on).
     auto def = base;
     def.policy = fabric::LocalityPolicy::HostnameBased;
-    const Micros def_ag =
-        collective_time(def, apps::osu::Collective::Allgather, 1_KiB, iters);
-    const Micros opt_ag =
-        collective_time(base, apps::osu::Collective::Allgather, 1_KiB, iters);
+    const Micros def_ag = collective_time(
+        fig, "a/def", def, apps::osu::Collective::Allgather, 1_KiB, iters);
+    const Micros opt_ag = collective_time(
+        fig, "a/opt", base, apps::osu::Collective::Allgather, 1_KiB, iters);
     std::printf("channel term (allgather @1K, Def vs Opt, both two-level): "
                 "%.1f vs %.1f us\n", def_ag, opt_ag);
-    print_shape_check(opt_ag < def_ag * 0.8,
-                      "locality view dominates (channel term large)");
-    print_shape_check(worst_ratio < 2.0,
-                      "topology term is second-order (within 2x either way)");
+    fig.check(opt_ag < def_ag * 0.8, "locality view dominates (channel term large)");
+    fig.check(worst_ratio < 2.0, "topology term is second-order (within 2x either way)");
   }
 
   // ---- (b) bcast: binomial vs van de Geijn ----------------------------------
   std::printf("\n");
-  print_banner("Ablation (b)", "broadcast algorithm vs payload size",
-               "binomial wins small, scatter+allgather wins large");
+  fig.banner("Ablation (b)", "broadcast algorithm vs payload size",
+             "binomial wins small, scatter+allgather wins large");
   {
     mpi::JobConfig tree;
     tree.deployment = container::DeploymentSpec::native_hosts(hosts, 4);
@@ -278,10 +279,10 @@ int main(int argc, char** argv) {
     Table table({"size", "binomial (us)", "scatter+allgather (us)", "winner"});
     bool small_tree = false, large_ring = false;
     for (const Bytes size : {1_KiB, 16_KiB, 128_KiB, 1_MiB}) {
-      const Micros tree_time =
-          collective_time(tree, apps::osu::Collective::Bcast, size, iters);
-      const Micros ring_time =
-          collective_time(ring, apps::osu::Collective::Bcast, size, iters);
+      const Micros tree_time = collective_time(
+          fig, "b/binomial", tree, apps::osu::Collective::Bcast, size, iters);
+      const Micros ring_time = collective_time(
+          fig, "b/scatter+allgather", ring, apps::osu::Collective::Bcast, size, iters);
       if (size == 1_KiB) small_tree = tree_time < ring_time;
       if (size == 1_MiB) large_ring = ring_time < tree_time;
       table.add_row({format_size(size), Table::num(tree_time, 1),
@@ -289,14 +290,14 @@ int main(int argc, char** argv) {
                      tree_time < ring_time ? "binomial" : "scatter+allgather"});
     }
     table.print(std::cout);
-    print_shape_check(small_tree, "binomial wins at 1K");
-    print_shape_check(large_ring, "scatter+allgather wins at 1M");
+    fig.check(small_tree, "binomial wins at 1K");
+    fig.check(large_ring, "scatter+allgather wins at 1M");
   }
 
   // ---- (c) allreduce: recursive doubling vs Rabenseifner ----------------------
   std::printf("\n");
-  print_banner("Ablation (c)", "allreduce algorithm vs payload size",
-               "recursive doubling wins small, Rabenseifner wins large");
+  fig.banner("Ablation (c)", "allreduce algorithm vs payload size",
+             "recursive doubling wins small, Rabenseifner wins large");
   {
     mpi::JobConfig recdbl;
     recdbl.deployment = container::DeploymentSpec::native_hosts(hosts, 4);
@@ -309,10 +310,10 @@ int main(int argc, char** argv) {
     Table table({"size", "rec-doubling (us)", "Rabenseifner (us)", "winner"});
     bool small_recdbl = false, large_raben = false;
     for (const Bytes size : {1_KiB, 16_KiB, 128_KiB, 1_MiB}) {
-      const Micros recdbl_time =
-          collective_time(recdbl, apps::osu::Collective::Allreduce, size, iters);
-      const Micros raben_time =
-          collective_time(raben, apps::osu::Collective::Allreduce, size, iters);
+      const Micros recdbl_time = collective_time(
+          fig, "c/rec-doubling", recdbl, apps::osu::Collective::Allreduce, size, iters);
+      const Micros raben_time = collective_time(
+          fig, "c/rabenseifner", raben, apps::osu::Collective::Allreduce, size, iters);
       if (size == 1_KiB) small_recdbl = recdbl_time < raben_time;
       if (size == 1_MiB) large_raben = raben_time < recdbl_time;
       table.add_row({format_size(size), Table::num(recdbl_time, 1),
@@ -320,14 +321,14 @@ int main(int argc, char** argv) {
                      recdbl_time < raben_time ? "rec-doubling" : "Rabenseifner"});
     }
     table.print(std::cout);
-    print_shape_check(small_recdbl, "recursive doubling wins at 1K");
-    print_shape_check(large_raben, "Rabenseifner wins at 1M");
+    fig.check(small_recdbl, "recursive doubling wins at 1K");
+    fig.check(large_raben, "Rabenseifner wins at 1M");
   }
 
   // ---- (d) engine sweep: every algorithm everywhere ---------------------------
   std::printf("\n");
-  print_banner("Ablation (d)", "engine sweep across containers-per-host",
-               "shipped container tuning table picks the measured winner");
-  engine_sweep(sweep_hosts, sweep_procs, iters, /*emit_table=*/false);
-  return 0;
+  fig.banner("Ablation (d)", "engine sweep across containers-per-host",
+             "shipped container tuning table picks the measured winner");
+  engine_sweep(fig, sweep_hosts, sweep_procs, iters, /*emit_table=*/false);
+  return fig.finish();
 }

@@ -75,24 +75,19 @@ int main(int argc, char** argv) {
   const int hosts = static_cast<int>(opts.get_int("hosts", 2, "cluster hosts"));
   const int jobs = static_cast<int>(opts.get_int("jobs", 6, "jobs in the mix"));
   const std::uint64_t seed = declare_seed(opts);
-  const std::string json_path = declare_json(opts);
+  Figure fig(opts, "ext_fault_recovery",
+             std::to_string(hosts) + " hosts x 8 cores, " + std::to_string(jobs) +
+                 " jobs",
+             seed);
   if (opts.finish("Extension: crash recovery — checkpoint interval sweep")) return 0;
 
-  print_banner("Extension", "crash faults x coordinated checkpoint/restart",
-               "coordinated checkpointing turns a crash from 'rerun from "
-               "scratch' into 'resume from the last snapshot': less virtual "
-               "work lost, more jobs completed inside the same retry budget");
+  fig.banner("Extension", "crash faults x coordinated checkpoint/restart",
+             "coordinated checkpointing turns a crash from 'rerun from "
+             "scratch' into 'resume from the last snapshot': less virtual "
+             "work lost, more jobs completed inside the same retry budget");
 
   const std::vector<double> crash_probs = {0.2, 0.4, 0.6};
   const std::vector<Micros> intervals = {0.0, 5.0, 15.0};
-  obs::JsonWriter json;
-  json.begin_object();
-  json.field("bench", "ext_fault_recovery");
-  json.field("config", std::to_string(hosts) + " hosts x 8 cores, " +
-                           std::to_string(jobs) + " jobs");
-  json.field("seed", seed);
-  json.key("rows").begin_array();
-
   Table table({"crash prob", "ckpt (us)", "crashes", "requeues", "resumed",
                "failed", "lost (us)", "completed (us)", "makespan (ms)"});
   // completed/lost virtual work per sweep cell, indexed [prob][interval]
@@ -109,30 +104,24 @@ int main(int argc, char** argv) {
                      Table::num(m.lost_work_us, 1),
                      Table::num(m.completed_work_us, 1),
                      Table::num(to_millis(m.makespan), 3)});
-      json.begin_object();
-      // (label, bytes, latency_us) key the row for tools/check_regress.py;
-      // the sweep's headline latency is the cell's makespan.
+      // The sweep's gated latency is the cell's makespan.
       std::string label = "p";
       label += Table::num(prob, 1);
       label += "/i";
       label += Table::num(interval, 0);
-      json.field("label", label);
-      json.field("bytes", std::uint64_t{0});
-      json.field("latency_us", m.makespan);
-      json.field("crash_prob", prob);
-      json.field("checkpoint_interval_us", interval);
-      json.field("crashes", m.crashes);
-      json.field("requeues", m.requeues);
-      json.field("restarts_from_checkpoint", m.restarts_from_checkpoint);
-      json.field("jobs_failed", m.jobs_failed);
-      json.field("lost_work_us", m.lost_work_us);
-      json.field("completed_work_us", m.completed_work_us);
-      json.field("makespan_us", m.makespan);
-      json.end_object();
+      fig.row(label, 0,
+              {{"latency_us", m.makespan},
+               {"crash_prob", prob},
+               {"checkpoint_interval_us", interval},
+               {"crashes", m.crashes},
+               {"requeues", m.requeues},
+               {"restarts_from_checkpoint", m.restarts_from_checkpoint},
+               {"jobs_failed", m.jobs_failed},
+               {"lost_work_us", m.lost_work_us},
+               {"completed_work_us", m.completed_work_us},
+               {"makespan_us", m.makespan}});
     }
   }
-  json.end_array();
-  json.end_object();
   table.print(std::cout);
 
   // Highest crash rate: checkpointing must bank strictly more completed
@@ -146,13 +135,13 @@ int main(int argc, char** argv) {
     if (hot[i].restarts_from_checkpoint == 0) more_work = false;
     if (hot[i].lost_work_us >= hot[0].lost_work_us) less_lost = false;
   }
-  print_shape_check(crashes_happened, "crash faults actually fired");
-  print_shape_check(more_work,
-                    "checkpointing completes strictly more virtual work than "
-                    "interval=0 under heavy crashes (and retries resume)");
-  print_shape_check(less_lost,
-                    "checkpointing loses strictly less virtual work to "
-                    "crashes than interval=0");
+  fig.check(crashes_happened, "crash faults actually fired");
+  fig.check(more_work,
+            "checkpointing completes strictly more virtual work than "
+            "interval=0 under heavy crashes (and retries resume)");
+  fig.check(less_lost,
+            "checkpointing loses strictly less virtual work to "
+            "crashes than interval=0");
 
   // --- host blacklisting ----------------------------------------------------
   std::printf("\n--- flaky-host blacklisting ---\n");
@@ -180,10 +169,8 @@ int main(int argc, char** argv) {
         for (const auto host : record.hosts)
           if (host == event.host) no_placements_after = false;
   }
-  print_shape_check(!events.empty(),
-                    "a flaky host crossed the blacklist threshold");
-  print_shape_check(no_placements_after,
-                    "blacklisted hosts receive no further placements");
+  fig.check(!events.empty(), "a flaky host crossed the blacklist threshold");
+  fig.check(no_placements_after, "blacklisted hosts receive no further placements");
 
   // --- determinism, including the v2 run report -----------------------------
   const auto report_once = [&] {
@@ -200,14 +187,9 @@ int main(int argc, char** argv) {
     return obs::schedule_report_json(ctx, scheduler);
   };
   const std::string report = report_once();
-  print_shape_check(report == report_once(),
-                    "crash-heavy schedule + v2 run report byte-identical "
-                    "across reruns");
+  fig.check(report == report_once(),
+            "crash-heavy schedule + v2 run report byte-identical "
+            "across reruns");
 
-  if (!json_path.empty()) {
-    std::ofstream out(json_path, std::ios::binary);
-    out << json.str() << "\n";
-    std::printf("results written to %s\n", json_path.c_str());
-  }
-  return 0;
+  return fig.finish();
 }

@@ -37,20 +37,19 @@ int main(int argc, char** argv) {
   const int hosts = static_cast<int>(opts.get_int("hosts", 2, "hosts"));
   const int procs = static_cast<int>(opts.get_int("procs", 8, "procs per host"));
   const std::uint64_t seed = declare_seed(opts);
-  const std::string json_path = declare_json(opts);
+  Figure fig(opts, "ext_fault_resilience",
+             std::to_string(hosts) + " hosts x 2 containers x " + std::to_string(procs) +
+                 " procs",
+             seed);
   if (opts.finish("Extension: fault resilience vs locality policy")) return 0;
 
-  print_banner("Extension", "job time vs HCA fault rate",
-               "locality-aware channel selection shrinks the HCA fault "
-               "surface; retries/backoff degrade job time gracefully instead "
-               "of failing the job");
+  fig.banner("Extension", "job time vs HCA fault rate",
+             "locality-aware channel selection shrinks the HCA fault "
+             "surface; retries/backoff degrade job time gracefully instead "
+             "of failing the job");
 
   const auto modes = make_modes(hosts, 2, procs);
   const std::vector<double> fault_rates = {0.0, 0.02, 0.05, 0.10};
-  JsonRows rows("ext_fault_resilience",
-                std::to_string(hosts) + " hosts x 2 containers x " +
-                    std::to_string(procs) + " procs",
-                seed);
 
   Table table({"HCA fault rate", "default (ms)", "aware (ms)", "def retries",
                "aware retries", "def lost (ms)", "aware lost (ms)"});
@@ -71,8 +70,8 @@ int main(int argc, char** argv) {
     def_retries.push_back(def_result.fault_report.hca_retries);
     opt_retries.push_back(opt_result.fault_report.hca_retries);
 
-    rows.add("default,rate=" + Table::num(rate, 2), 0, def_result.job_time, 0.0);
-    rows.add("aware,rate=" + Table::num(rate, 2), 0, opt_result.job_time, 0.0);
+    fig.row("default,rate=" + Table::num(rate, 2), 0, def_result.job_time, 0.0);
+    fig.row("aware,rate=" + Table::num(rate, 2), 0, opt_result.job_time, 0.0);
     table.add_row({Table::num(rate, 2), Table::num(to_millis(def_result.job_time), 3),
                    Table::num(to_millis(opt_result.job_time), 3),
                    std::to_string(def_result.fault_report.hca_retries),
@@ -91,14 +90,14 @@ int main(int argc, char** argv) {
     if (def_times[i] < def_times[i - 1]) monotone = false;
     if (opt_times[i] < opt_times[i - 1]) monotone = false;
   }
-  print_shape_check(monotone, "job time non-decreasing with fault rate");
-  print_shape_check(opt_times.back() < def_times.back(),
-                    "locality-aware stays faster under faults");
-  print_shape_check(opt_retries.back() <= def_retries.back(),
-                    "locality-aware suffers no more HCA retries than default "
-                    "(smaller HCA fault surface)");
-  print_shape_check(def_retries.back() > def_retries.front(),
-                    "higher fault rate means more retries");
+  fig.check(monotone, "job time non-decreasing with fault rate");
+  fig.check(opt_times.back() < def_times.back(),
+            "locality-aware stays faster under faults");
+  fig.check(opt_retries.back() <= def_retries.back(),
+            "locality-aware suffers no more HCA retries than default "
+            "(smaller HCA fault surface)");
+  fig.check(def_retries.back() > def_retries.front(),
+            "higher fault rate means more retries");
 
   // --- init-time degradation demo ------------------------------------------
   std::printf("\n--- graceful degradation of init-time paths ---\n");
@@ -114,10 +113,9 @@ int main(int argc, char** argv) {
               to_millis(clean_result.job_time), to_millis(degraded_result.job_time),
               degraded_result.job_time / clean_result.job_time);
   std::printf("%s", degraded_result.fault_report.summary().c_str());
-  print_shape_check(degraded_result.fault_report.any(),
-                    "degraded run reports injected faults and fallbacks");
-  print_shape_check(degraded_result.job_time >= clean_result.job_time,
-                    "degradation costs time, never correctness");
-  rows.write(json_path);
-  return 0;
+  fig.check(degraded_result.fault_report.any(),
+            "degraded run reports injected faults and fallbacks");
+  fig.check(degraded_result.job_time >= clean_result.job_time,
+            "degradation costs time, never correctness");
+  return fig.finish();
 }

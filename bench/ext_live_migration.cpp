@@ -68,26 +68,21 @@ int main(int argc, char** argv) {
   const int hosts = static_cast<int>(opts.get_int("hosts", 4, "cluster hosts"));
   const int jobs = static_cast<int>(opts.get_int("jobs", 12, "jobs in the mix"));
   const std::uint64_t seed = declare_seed(opts);
-  const std::string json_path = declare_json(opts);
+  Figure fig(opts, "ext_live_migration",
+             std::to_string(hosts) + " hosts x 8 cores, " + std::to_string(jobs) +
+                 " jobs, spread placement",
+             seed);
   if (opts.finish("Extension: live container migration — policy sweep")) return 0;
 
-  print_banner("Extension", "live migration x elastic rebalancing policies",
-               "a quiesced container move costs a pause plus cold "
-               "re-registration but buys SHM/CMA locality for every round "
-               "still to come; the cost gate only lets moves through when "
-               "the predicted win covers the bill");
+  fig.banner("Extension", "live migration x elastic rebalancing policies",
+             "a quiesced container move costs a pause plus cold "
+             "re-registration but buys SHM/CMA locality for every round "
+             "still to come; the cost gate only lets moves through when "
+             "the predicted win covers the bill");
 
   const migrate::MigrationPolicy policies[] = {
       migrate::MigrationPolicy::Off, migrate::MigrationPolicy::Defrag,
       migrate::MigrationPolicy::Evacuate, migrate::MigrationPolicy::Colocate};
-
-  obs::JsonWriter json;
-  json.begin_object();
-  json.field("bench", "ext_live_migration");
-  json.field("config", std::to_string(hosts) + " hosts x 8 cores, " +
-                           std::to_string(jobs) + " jobs, spread placement");
-  json.field("seed", seed);
-  json.key("rows").begin_array();
 
   Table table({"policy", "proposed", "rejected", "executed", "pause (us)",
                "win (us)", "cost (us)", "makespan (ms)"});
@@ -103,35 +98,29 @@ int main(int argc, char** argv) {
                    Table::num(m.migration_win_us, 1),
                    Table::num(m.migration_cost_us, 1),
                    Table::num(to_millis(m.makespan), 3)});
-    json.begin_object();
-    // (label, bytes, latency_us) key the row for tools/check_regress.py.
-    json.field("label", migrate::to_string(policy));
-    json.field("bytes", std::uint64_t{0});
-    json.field("latency_us", m.makespan);
-    json.field("migrations_proposed", m.migrations_proposed);
-    json.field("migrations_rejected", m.migrations_rejected);
-    json.field("migrations_executed", m.migrations_executed);
-    json.field("migration_pause_us", m.migration_pause_us);
-    json.field("migration_win_us", m.migration_win_us);
-    json.field("migration_cost_us", m.migration_cost_us);
-    json.field("makespan_us", m.makespan);
-    json.end_object();
+    fig.row(migrate::to_string(policy), 0,
+            {{"latency_us", m.makespan},
+             {"migrations_proposed", m.migrations_proposed},
+             {"migrations_rejected", m.migrations_rejected},
+             {"migrations_executed", m.migrations_executed},
+             {"migration_pause_us", m.migration_pause_us},
+             {"migration_win_us", m.migration_win_us},
+             {"migration_cost_us", m.migration_cost_us},
+             {"makespan_us", m.makespan}});
   }
-  json.end_array();
-  json.end_object();
   table.print(std::cout);
 
   const auto& off = cells[0];
   const auto& defrag = cells[1];
-  print_shape_check(off.migrations_proposed == 0 && off.migrations_executed == 0,
-                    "--migrate=off never proposes, never moves (baseline)");
-  print_shape_check(defrag.migrations_executed >= 1,
-                    "defrag folds at least one fragmented container back");
-  print_shape_check(defrag.migration_win_us > defrag.migration_cost_us,
-                    "every executed defrag move cleared the cost gate: summed "
-                    "predicted win exceeds summed predicted cost");
-  print_shape_check(defrag.migration_pause_us > 0.0,
-                    "migration pauses are charged to virtual time");
+  fig.check(off.migrations_proposed == 0 && off.migrations_executed == 0,
+            "--migrate=off never proposes, never moves (baseline)");
+  fig.check(defrag.migrations_executed >= 1,
+            "defrag folds at least one fragmented container back");
+  fig.check(defrag.migration_win_us > defrag.migration_cost_us,
+            "every executed defrag move cleared the cost gate: summed "
+            "predicted win exceeds summed predicted cost");
+  fig.check(defrag.migration_pause_us > 0.0,
+            "migration pauses are charged to virtual time");
 
   // --- determinism, including the v6 migration report section ---------------
   const auto report_once = [&] {
@@ -148,16 +137,11 @@ int main(int argc, char** argv) {
     return obs::schedule_report_json(ctx, scheduler);
   };
   const std::string report = report_once();
-  print_shape_check(report == report_once(),
-                    "migrating schedule + v6 migration report byte-identical "
-                    "across reruns");
-  print_shape_check(report.find("\"migration\"") != std::string::npos,
-                    "schedule report carries the v6 migration section");
+  fig.check(report == report_once(),
+            "migrating schedule + v6 migration report byte-identical "
+            "across reruns");
+  fig.check(report.find("\"migration\"") != std::string::npos,
+            "schedule report carries the v6 migration section");
 
-  if (!json_path.empty()) {
-    std::ofstream out(json_path, std::ios::binary);
-    out << json.str() << "\n";
-    std::printf("results written to %s\n", json_path.c_str());
-  }
-  return 0;
+  return fig.finish();
 }

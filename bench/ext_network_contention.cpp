@@ -112,18 +112,15 @@ int main(int argc, char** argv) {
   Options opts(argc, argv);
   const int jobs = static_cast<int>(opts.get_int("jobs", 12, "jobs in the placement mix"));
   const std::uint64_t seed = declare_seed(opts);
-  const std::string json_path = declare_json(opts);
+  Figure fig(opts, "ext_network_contention", "fattree arity sweep + contention", seed);
   if (opts.finish("Extension: fat-tree topology, link contention, SR-IOV VF "
                   "sharing (src/net)"))
     return 0;
 
-  print_banner("Extension", "network contention on an explicit fat-tree fabric",
-               "container HPC clouds share the IB fabric: hop distance, link "
-               "contention and SR-IOV VF multiplexing all tax the flat-model "
-               "numbers, and topology-aware placement claws the loss back");
-
-  JsonRows json("ext_network_contention", "fattree arity sweep + contention",
-                seed);
+  fig.banner("Extension", "network contention on an explicit fat-tree fabric",
+             "container HPC clouds share the IB fabric: hop distance, link "
+             "contention and SR-IOV VF multiplexing all tax the flat-model "
+             "numbers, and topology-aware placement claws the loss back");
 
   // --- 1. hop sensitivity across arities ------------------------------------
   std::printf("pt2pt 64 KiB exchange vs hop distance (virtual us):\n");
@@ -140,13 +137,12 @@ int main(int argc, char** argv) {
     hop_table.add_row({std::to_string(arity), Table::num(edge, 3),
                        Table::num(intra_pod, 3), Table::num(cross_pod, 3)});
     const std::string prefix = "k=" + std::to_string(arity) + " ";
-    json.add(prefix + "2hops", 64_KiB, edge, 0.0);
-    json.add(prefix + "4hops", 64_KiB, intra_pod, 0.0);
-    json.add(prefix + "6hops", 64_KiB, cross_pod, 0.0);
+    fig.row(prefix + "2hops", 64_KiB, edge, 0.0);
+    fig.row(prefix + "4hops", 64_KiB, intra_pod, 0.0);
+    fig.row(prefix + "6hops", 64_KiB, cross_pod, 0.0);
   }
   hop_table.print(std::cout);
-  print_shape_check(hops_monotone,
-                    "more hops => higher pt2pt latency at every arity");
+  fig.check(hops_monotone, "more hops => higher pt2pt latency at every arity");
 
   // --- 2. congestion: concurrent streams over one host pair -----------------
   std::printf("\nconcurrent 4 MiB streams between one host pair:\n");
@@ -156,15 +152,15 @@ int main(int argc, char** argv) {
     agg.push_back(aggregate_bw(streams, seed));
     cong_table.add_row({std::to_string(streams), Table::num(agg.back(), 1),
                         Table::num(agg.back() / streams, 1)});
-    json.add("streams" + std::to_string(streams), 4_MiB, 0.0, agg.back());
+    fig.row("streams" + std::to_string(streams), 4_MiB, 0.0, agg.back());
   }
   cong_table.print(std::cout);
   // The uplink is the bottleneck: aggregate stays roughly flat (sublinear in
   // stream count), instead of scaling 8x as the flat model would claim.
   const bool sublinear = agg[3] < 2.0 * agg[0] && agg[1] < 1.5 * agg[0];
-  print_shape_check(sublinear,
-                    "aggregate bandwidth sublinear in stream count (shared "
-                    "uplink, not 8 independent pipes)");
+  fig.check(sublinear,
+            "aggregate bandwidth sublinear in stream count (shared "
+            "uplink, not 8 independent pipes)");
 
   // --- 3. TopologyAware vs LocalityAware placement --------------------------
   std::printf("\nplacement policies on a %d-job multi-host mix (16 hosts, "
@@ -177,18 +173,16 @@ int main(int argc, char** argv) {
   place_table.add_row({"locality", Table::num(to_millis(locality), 3)});
   place_table.add_row({"topology", Table::num(to_millis(topology), 3)});
   place_table.print(std::cout);
-  json.add("locality_makespan", 0, locality, 0.0);
-  json.add("topology_makespan", 0, topology, 0.0);
-  print_shape_check(topology <= locality * 1.02,
-                    "TopologyAware makespan <= LocalityAware (within 2%) on "
-                    "the multi-host mix");
+  fig.row("locality_makespan", 0, locality, 0.0);
+  fig.row("topology_makespan", 0, topology, 0.0);
+  fig.check(topology <= locality * 1.02,
+            "TopologyAware makespan <= LocalityAware (within 2%) on "
+            "the multi-host mix");
 
   // --- determinism ----------------------------------------------------------
   const Micros rerun =
       makespan_under(sched::PlacementPolicy::TopologyAware, 16, jobs, seed);
-  print_shape_check(rerun == topology,
-                    "congested fat-tree schedule bit-identical across reruns");
+  fig.check(rerun == topology, "congested fat-tree schedule bit-identical across reruns");
 
-  json.write(json_path);
-  return 0;
+  return fig.finish();
 }

@@ -78,18 +78,16 @@ int main(int argc, char** argv) {
   const int iters = static_cast<int>(
       opts.get_int("iters", 8, "sends per (size, mode) reuse point"));
   const std::uint64_t seed = declare_seed(opts);
-  const std::string json_path = declare_json(opts);
+  Figure fig(opts, "ext_registration_cache", "msg size x cache capacity x reuse pattern",
+             seed);
   if (opts.finish("Extension: pin-down cache + pipelined rendezvous "
                   "(src/fabric/reg_cache)"))
     return 0;
 
-  print_banner("Extension", "memory-registration cache in the HCA path",
-               "RDMA buffer registration dominates cold large-message "
-               "latency; the LRU pin-down cache amortizes it across reuse "
-               "and chunked rendezvous hides it behind the wire");
-
-  JsonRows json("ext_registration_cache",
-                "msg size x cache capacity x reuse pattern", seed);
+  fig.banner("Extension", "memory-registration cache in the HCA path",
+             "RDMA buffer registration dominates cold large-message "
+             "latency; the LRU pin-down cache amortizes it across reuse "
+             "and chunked rendezvous hides it behind the wire");
 
   // --- 1. reuse: off vs cold vs warm ----------------------------------------
   std::printf("%d rendezvous sends reusing one buffer (virtual us):\n", iters);
@@ -106,15 +104,13 @@ int main(int argc, char** argv) {
                          Table::num(cold, 2), Table::num(warm, 2),
                          Table::num(warm / cold, 3)});
     const std::string prefix = format_size(msg) + " ";
-    json.add(prefix + "off", msg, off, 0.0);
-    json.add(prefix + "cold", msg, cold, 0.0);
-    json.add(prefix + "warm", msg, warm, 0.0);
+    fig.row(prefix + "off", msg, off, 0.0);
+    fig.row(prefix + "cold", msg, cold, 0.0);
+    fig.row(prefix + "warm", msg, warm, 0.0);
   }
   reuse_table.print(std::cout);
-  print_shape_check(warm_beats_cold,
-                    "cache hits beat cold registration at every size");
-  print_shape_check(off_is_floor,
-                    "--reg-cache=off (no registration charges) is the floor");
+  fig.check(warm_beats_cold, "cache hits beat cold registration at every size");
+  fig.check(off_is_floor, "--reg-cache=off (no registration charges) is the floor");
 
   // --- 2. pipelined vs serial registration ----------------------------------
   std::printf("\none cold 4 MiB rendezvous, chunked vs serial registration:\n");
@@ -125,10 +121,9 @@ int main(int argc, char** argv) {
   pipe_table.add_row({"256K (pipelined)", Table::num(pipelined, 2)});
   pipe_table.add_row({">= message (serial)", Table::num(serial, 2)});
   pipe_table.print(std::cout);
-  json.add("pipelined_256K", 4_MiB, pipelined, 0.0);
-  json.add("serial", 4_MiB, serial, 0.0);
-  print_shape_check(pipelined < serial,
-                    "chunked registration pipeline beats serial reg+send");
+  fig.row("pipelined_256K", 4_MiB, pipelined, 0.0);
+  fig.row("serial", 4_MiB, serial, 0.0);
+  fig.check(pipelined < serial, "chunked registration pipeline beats serial reg+send");
 
   // --- 3. capacity x working set --------------------------------------------
   const int rounds = 4;
@@ -146,24 +141,23 @@ int main(int argc, char** argv) {
                      std::to_string(thrash.reg_cache.misses),
                      Table::num(thrash.job_time, 2)});
   cap_table.print(std::cout);
-  json.add("fits", 128_KiB, fits.job_time,
-           static_cast<double>(fits.reg_cache.hits));
-  json.add("thrash", 128_KiB, thrash.job_time,
-           static_cast<double>(thrash.reg_cache.hits));
+  fig.row("fits", 128_KiB, fits.job_time,
+          static_cast<double>(fits.reg_cache.hits));
+  fig.row("thrash", 128_KiB, thrash.job_time,
+          static_cast<double>(thrash.reg_cache.hits));
   // Both endpoints miss each buffer once, then hit every later round.
   const std::uint64_t expect_fits = 2u * (rounds - 1) * 2u;
-  print_shape_check(fits.reg_cache.hits == expect_fits &&
-                        thrash.reg_cache.hits == 0,
-                    "fitting working set hits exactly 2*(R-1)*W, cyclic "
-                    "overflow thrashes to zero hits");
-  print_shape_check(fits.job_time < thrash.job_time,
-                    "thrashing working set pays for it in virtual time");
+  fig.check(fits.reg_cache.hits == expect_fits &&
+                thrash.reg_cache.hits == 0,
+            "fitting working set hits exactly 2*(R-1)*W, cyclic "
+            "overflow thrashes to zero hits");
+  fig.check(fits.job_time < thrash.job_time,
+            "thrashing working set pays for it in virtual time");
 
   // --- determinism ----------------------------------------------------------
   const auto again = reuse_run(1_MiB, iters, RegMode::Warm, 512_KiB, seed);
   const Micros warm_1m = reuse_run(1_MiB, iters, RegMode::Warm, 512_KiB, seed).job_time;
-  print_shape_check(again.job_time == warm_1m,
-                    "cache-enabled runs bit-identical across reruns");
+  fig.check(again.job_time == warm_1m, "cache-enabled runs bit-identical across reruns");
   // The reg knobs must be inert while the model is off.
   mpi::JobConfig plain;
   plain.deployment = container::DeploymentSpec::native_hosts(2, 1);
@@ -179,10 +173,9 @@ int main(int argc, char** argv) {
     else
       p.world().recv(std::span<std::uint8_t>(buf), 0);
   };
-  print_shape_check(
+  fig.check(
       mpi::run_job(plain, body).job_time == mpi::run_job(inert, body).job_time,
       "--reg-cache=off reproduces the no-model numbers bit-identically");
 
-  json.write(json_path);
-  return 0;
+  return fig.finish();
 }

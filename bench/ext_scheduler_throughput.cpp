@@ -69,12 +69,16 @@ int main(int argc, char** argv) {
   const int hosts = static_cast<int>(opts.get_int("hosts", 4, "cluster hosts"));
   const int jobs = static_cast<int>(opts.get_int("jobs", 20, "jobs in the mix"));
   const std::uint64_t seed = declare_seed(opts);
+  Figure fig(opts, "ext_scheduler_throughput",
+             std::to_string(hosts) + " hosts x 8 cores, " + std::to_string(jobs) +
+                 " jobs",
+             seed);
   if (opts.finish("Extension: scheduler throughput vs placement policy")) return 0;
 
-  print_banner("Extension", "cluster scheduling throughput vs placement policy",
-               "locality-aware placement keeps communicating ranks "
-               "co-resident, so jobs finish faster (SHM/CMA instead of HCA) "
-               "and the same cluster drains the same queue sooner");
+  fig.banner("Extension", "cluster scheduling throughput vs placement policy",
+             "locality-aware placement keeps communicating ranks "
+             "co-resident, so jobs finish faster (SHM/CMA instead of HCA) "
+             "and the same cluster drains the same queue sooner");
 
   const int cluster_cores = hosts * topo::HostShape{2, 4, true}.total_cores();
   const auto mix = make_job_mix(jobs, cluster_cores, seed);
@@ -93,6 +97,11 @@ int main(int argc, char** argv) {
     scheduler.run();
     const auto& m = scheduler.metrics();
     by_policy[i] = m;
+    fig.row(sched::to_string(policies[i]), 0,
+            {{"latency_us", m.makespan}, {"mean_queue_wait_us", m.mean_queue_wait},
+             {"utilization", m.utilization}, {"backfilled_jobs", m.backfilled_jobs},
+             {"intra_host_pair_share", m.intra_host_pair_share()},
+             {"local_op_share", m.local_op_share()}});
     table.add_row({sched::to_string(policies[i]),
                    Table::num(to_millis(m.makespan), 3),
                    Table::num(static_cast<double>(jobs) / to_millis(m.makespan) * 1e3, 0),
@@ -125,12 +134,11 @@ int main(int argc, char** argv) {
       rerun.shm_ops == aware.shm_ops && rerun.cma_ops == aware.cma_ops &&
       rerun.hca_ops == aware.hca_ops;
 
-  print_shape_check(aware.makespan < spread.makespan,
-                    "locality-aware beats spread on makespan");
-  print_shape_check(aware.intra_host_pair_share() > spread.intra_host_pair_share(),
-                    "locality-aware beats spread on intra-host (SHM+CMA) pair share");
-  print_shape_check(aware.local_op_share() >= spread.local_op_share(),
-                    "locality-aware keeps at least as many ops on SHM/CMA");
-  print_shape_check(identical, "schedule is deterministic across reruns");
-  return 0;
+  fig.check(aware.makespan < spread.makespan, "locality-aware beats spread on makespan");
+  fig.check(aware.intra_host_pair_share() > spread.intra_host_pair_share(),
+            "locality-aware beats spread on intra-host (SHM+CMA) pair share");
+  fig.check(aware.local_op_share() >= spread.local_op_share(),
+            "locality-aware keeps at least as many ops on SHM/CMA");
+  fig.check(identical, "schedule is deterministic across reruns");
+  return fig.finish();
 }

@@ -18,47 +18,40 @@ int main(int argc, char** argv) {
   const int edgefactor = static_cast<int>(opts.get_int("edgefactor", 16, "edges per vertex"));
   const int procs = static_cast<int>(opts.get_int("procs", 16, "MPI processes (paper: 16)"));
   const int nbfs = static_cast<int>(opts.get_int("nbfs", 4, "BFS roots averaged"));
+  Figure fig(opts, "fig01_graph500_default",
+             "1 host x " + std::to_string(procs) + " procs, scale " +
+                 std::to_string(scale));
   if (opts.finish("Figure 1: Graph500 BFS time, default MPI, vs container count"))
     return 0;
 
-  print_banner("Figure 1", "Graph 500 BFS, default MPI library",
-               "BFS time flat from native to 1 container, rising sharply at 2 "
-               "and 4 containers per host");
+  fig.banner("Figure 1", "Graph 500 BFS, default MPI library",
+             "BFS time flat from native to 1 container, rising sharply at 2 "
+             "and 4 containers per host");
 
   const apps::graph500::EdgeListParams params{scale, edgefactor, 1};
 
-  auto bfs_time = [&](int containers) {
-    mpi::JobConfig config;
-    config.deployment = containers == 0
-                            ? container::DeploymentSpec::native_hosts(1, procs)
-                            : container::DeploymentSpec::containers(1, containers, procs);
-    config.policy = fabric::LocalityPolicy::HostnameBased;
-    Micros total = 0.0;
-    mpi::run_job(config, [&](mpi::Process& p) {
+  const auto scenarios = container_scenarios(procs);
+  std::vector<Micros> times;
+  for (const auto& config : scenarios) {
+    times.push_back(run_rank0(config, [&](mpi::Process& p) {
       const auto graph = apps::graph500::build_graph(p, params);
-      const auto roots = apps::graph500::choose_roots(params, nbfs);
       Micros sum = 0.0;
-      for (const auto root : roots) sum += apps::graph500::run_bfs(p, graph, root).time;
-      if (p.rank() == 0) total = sum / nbfs;
-    });
-    return total;
-  };
+      for (const auto root : apps::graph500::choose_roots(params, nbfs))
+        sum += apps::graph500::run_bfs(p, graph, root).time;
+      return sum / nbfs;
+    }));
+    fig.row(config.deployment.label(), 0, times.back(), 0.0);
+  }
 
   Table table({"scenario", "BFS time (ms)", "vs native"});
-  const Micros native = bfs_time(0);
-  std::vector<std::pair<std::string, Micros>> rows{{"Native", native}};
-  for (int containers : {1, 2, 4})
-    rows.emplace_back(std::to_string(containers) + "-Container" +
-                          (containers > 1 ? "s" : ""),
-                      bfs_time(containers));
-  for (const auto& [label, time] : rows)
-    table.add_row({label, Table::num(to_millis(time), 3),
-                   Table::num(time / native, 2) + "x"});
+  const Micros native = times[0], one = times[1], two = times[2], four = times[3];
+  for (std::size_t i = 0; i < times.size(); ++i)
+    table.add_row({scenarios[i].deployment.label(), Table::num(to_millis(times[i]), 3),
+                   Table::num(times[i] / native, 2) + "x"});
   table.print(std::cout);
 
-  const Micros one = rows[1].second, two = rows[2].second, four = rows[3].second;
-  print_shape_check(one < native * 1.15, "1-container within 15% of native");
-  print_shape_check(two > one * 1.3, "2-containers markedly slower than 1");
-  print_shape_check(four > two, "4-containers slower than 2");
-  return 0;
+  fig.check(one < native * 1.15, "1-container within 15% of native");
+  fig.check(two > one * 1.3, "2-containers markedly slower than 1");
+  fig.check(four > two, "4-containers slower than 2");
+  return fig.finish();
 }

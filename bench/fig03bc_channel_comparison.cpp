@@ -17,11 +17,12 @@ int main(int argc, char** argv) {
   const auto max_size = static_cast<Bytes>(
       opts.get_int("max-size", static_cast<std::int64_t>(1_MiB), "largest message"));
   const int iters = static_cast<int>(opts.get_int("iters", 10, "iterations per size"));
+  Figure fig(opts, "fig03bc_channel_comparison", "1 host x 2 procs, native");
   if (opts.finish("Figure 3b/3c: forced-channel latency and bandwidth")) return 0;
 
-  print_banner("Figure 3(b)/(c)", "SHM vs CMA vs HCA channel comparison",
-               "SHM beats HCA by up to 77% (latency) / 111% (bandwidth); CMA "
-               "overtakes SHM above 8K");
+  fig.banner("Figure 3(b)/(c)", "SHM vs CMA vs HCA channel comparison",
+             "SHM beats HCA by up to 77% (latency) / 111% (bandwidth); CMA "
+             "overtakes SHM above 8K");
 
   apps::osu::PairOptions pair;
   pair.iterations = iters;
@@ -31,12 +32,12 @@ int main(int argc, char** argv) {
     // Native 2-proc job on one host; the forced channel overrides selection.
     config.deployment = container::DeploymentSpec::native_hosts(1, 2);
     config.forced_channel = channel;
-    double value = 0.0;
-    mpi::run_job(config, [&](mpi::Process& p) {
-      const double v = bandwidth ? apps::osu::pt2pt_bandwidth(p, size, pair)
-                                 : apps::osu::pt2pt_latency(p, size, pair);
-      if (p.rank() == 0) value = v;
+    const double value = run_rank0(config, [&](mpi::Process& p) {
+      return bandwidth ? apps::osu::pt2pt_bandwidth(p, size, pair)
+                       : apps::osu::pt2pt_latency(p, size, pair);
     });
+    fig.row(std::string(fabric::to_string(channel)) + (bandwidth ? "/bw" : "/latency"),
+            size, bandwidth ? 0.0 : value, bandwidth ? value : 0.0);
     return value;
   };
 
@@ -44,7 +45,7 @@ int main(int argc, char** argv) {
 
   std::printf("-- (b) latency (us) --\n");
   Table lat({"size", "SHM", "CMA", "HCA"});
-  double shm_lat_1k = 0, hca_lat_1k = 0, shm8k = 0, cma8k = 0, shm64k = 0, cma64k = 0;
+  double shm_lat_1k = 0, hca_lat_1k = 0, shm4k = 0, cma4k = 0, shm64k = 0, cma64k = 0;
   for (const Bytes size : sizes) {
     const double shm = measure(fabric::ChannelKind::Shm, size, false);
     const double cma = measure(fabric::ChannelKind::Cma, size, false);
@@ -54,8 +55,8 @@ int main(int argc, char** argv) {
       hca_lat_1k = hca;
     }
     if (size == 4_KiB) {
-      shm8k = shm;
-      cma8k = cma;
+      shm4k = shm;
+      cma4k = cma;
     }
     if (size == 64_KiB) {
       shm64k = shm;
@@ -82,10 +83,9 @@ int main(int argc, char** argv) {
   std::printf("\nSHM over HCA: latency %.0f%% better at 1K, bandwidth up to "
               "%.0f%% better\n",
               percent_better(hca_lat_1k, shm_lat_1k), best_gain);
-  print_shape_check(shm_lat_1k < hca_lat_1k * 0.5,
-                    "SHM latency far below HCA loopback");
-  print_shape_check(shm8k < cma8k, "SHM still wins below 8K");
-  print_shape_check(cma64k < shm64k, "CMA wins above 8K");
-  print_shape_check(best_gain > 60.0, "SHM bandwidth advantage over HCA is large");
-  return 0;
+  fig.check(shm_lat_1k < hca_lat_1k * 0.5, "SHM latency far below HCA loopback");
+  fig.check(shm4k < cma4k, "SHM still wins below 8K");
+  fig.check(cma64k < shm64k, "CMA wins above 8K");
+  fig.check(best_gain > 60.0, "SHM bandwidth advantage over HCA is large");
+  return fig.finish();
 }

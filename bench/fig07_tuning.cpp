@@ -22,16 +22,18 @@ using namespace cbmpi::bench;
 
 namespace {
 
-double run_pair(const mpi::JobConfig& config, Bytes size, bool message_rate,
-                int iters) {
+/// One OSU pair run at `size`, recorded as a row under `label`: the
+/// bandwidth in MB/s, or with `message_rate` the message rate in msg/s.
+double run_pair(Figure& fig, const std::string& label, const mpi::JobConfig& config,
+                Bytes size, bool message_rate, int iters) {
   apps::osu::PairOptions pair;
   pair.iterations = iters;
-  double value = 0.0;
-  mpi::run_job(config, [&](mpi::Process& p) {
-    const double v = message_rate ? apps::osu::pt2pt_message_rate(p, size, pair)
-                                  : apps::osu::pt2pt_bandwidth(p, size, pair);
-    if (p.rank() == 0) value = v;
+  const double value = run_rank0(config, [&](mpi::Process& p) {
+    return message_rate ? apps::osu::pt2pt_message_rate(p, size, pair)
+                        : apps::osu::pt2pt_bandwidth(p, size, pair);
   });
+  fig.row(label + (message_rate ? "/mr" : "/bw"), size,
+          {{message_rate ? "msg_per_s" : "bandwidth_mbps", value}});
   return value;
 }
 
@@ -54,6 +56,7 @@ mpi::JobConfig inter_host_config() {
 int main(int argc, char** argv) {
   Options opts(argc, argv);
   const int iters = static_cast<int>(opts.get_int("iters", 8, "iterations per point"));
+  Figure fig(opts, "fig07_tuning", "(a)(b) 1 host x 2 containers x 2 procs, (c) 2 hosts");
   if (opts.finish("Figure 7: SMP_EAGER_SIZE / SMPI_LENGTH_QUEUE / "
                   "MV2_IBA_EAGER_THRESHOLD sweeps"))
     return 0;
@@ -63,9 +66,9 @@ int main(int argc, char** argv) {
   const fabric::TuningParams defaults;
 
   // ---- (a) SMP_EAGER_SIZE --------------------------------------------------
-  print_banner("Figure 7(a)", "SMP_EAGER_SIZE sweep",
-               "optimal eager/rendezvous switch point at the shipped default (" +
-                   format_size(defaults.smp_eager_size) + ")");
+  fig.banner("Figure 7(a)", "SMP_EAGER_SIZE sweep",
+             "optimal eager/rendezvous switch point at the shipped default (" +
+                 format_size(defaults.smp_eager_size) + ")");
   {
     const Bytes d = defaults.smp_eager_size;
     const std::vector<Bytes> settings{d / 4, d / 2, d, 2 * d, 4 * d};
@@ -77,14 +80,15 @@ int main(int argc, char** argv) {
     for (const Bytes eager : settings) {
       auto config = intra_host_config();
       config.tuning.smp_eager_size = eager;
+      const std::string label = "eager_size=" + format_size(eager);
       double score = 0.0;
       std::map<Bytes, double> bw;
       for (const Bytes size : probe_sizes) {
-        bw[size] = run_pair(config, size, false, iters);
+        bw[size] = run_pair(fig, label, config, size, false, iters);
         score += bw[size];
       }
       score /= static_cast<double>(probe_sizes.size());
-      const double mr = run_pair(config, 4_KiB, true, iters) / 1000.0;
+      const double mr = run_pair(fig, label, config, 4_KiB, true, iters) / 1000.0;
       if (score > best_score) {
         best_score = score;
         best_setting = eager;
@@ -95,17 +99,16 @@ int main(int argc, char** argv) {
     }
     table.print(std::cout);
     std::printf("best SMP_EAGER_SIZE: %s\n", format_size(best_setting).c_str());
-    print_shape_check(best_setting == defaults.smp_eager_size,
-                      "optimum at the shipped default (" +
-                          format_size(defaults.smp_eager_size) +
-                          ", paper: 8K)");
+    fig.check(best_setting == defaults.smp_eager_size,
+              "optimum at the shipped default (" +
+                  format_size(defaults.smp_eager_size) + ", paper: 8K)");
   }
 
   // ---- (b) SMPI_LENGTH_QUEUE -------------------------------------------------
   std::printf("\n");
-  print_banner("Figure 7(b)", "SMPI_LENGTH_QUEUE sweep",
-               "optimal per-pair shared queue size at the shipped default (" +
-                   format_size(defaults.smpi_length_queue) + ")");
+  fig.banner("Figure 7(b)", "SMPI_LENGTH_QUEUE sweep",
+             "optimal per-pair shared queue size at the shipped default (" +
+                 format_size(defaults.smpi_length_queue) + ")");
   {
     const Bytes d = defaults.smpi_length_queue;
     const std::vector<Bytes> settings{d / 8, d / 4, d / 2, d,
@@ -118,13 +121,14 @@ int main(int argc, char** argv) {
     for (const Bytes queue : settings) {
       auto config = intra_host_config();
       config.tuning.smpi_length_queue = queue;
+      const std::string label = "length_queue=" + format_size(queue);
       double score = 0.0;
       std::map<Bytes, double> bw;
       for (const Bytes size : probe_sizes) {
-        bw[size] = run_pair(config, size, false, iters);
+        bw[size] = run_pair(fig, label, config, size, false, iters);
         score += bw[size] / static_cast<double>(size);  // normalize sizes
       }
-      const double mr = run_pair(config, 64, true, iters) / 1000.0;
+      const double mr = run_pair(fig, label, config, 64, true, iters) / 1000.0;
       score = score / static_cast<double>(probe_sizes.size()) * 1000.0;
       if (score > best_score) {
         best_score = score;
@@ -136,17 +140,16 @@ int main(int argc, char** argv) {
     }
     table.print(std::cout);
     std::printf("best SMPI_LENGTH_QUEUE: %s\n", format_size(best_setting).c_str());
-    print_shape_check(best_setting == defaults.smpi_length_queue,
-                      "optimum at the shipped default (" +
-                          format_size(defaults.smpi_length_queue) +
-                          ", paper: 128K)");
+    fig.check(best_setting == defaults.smpi_length_queue,
+              "optimum at the shipped default (" +
+                  format_size(defaults.smpi_length_queue) + ", paper: 128K)");
   }
 
   // ---- (c) MV2_IBA_EAGER_THRESHOLD ---------------------------------------------
   std::printf("\n");
-  print_banner("Figure 7(c)", "MV2_IBA_EAGER_THRESHOLD sweep",
-               "optimal HCA eager/rendezvous switch point at the shipped "
-               "default (" + format_size(defaults.iba_eager_threshold) + ")");
+  fig.banner("Figure 7(c)", "MV2_IBA_EAGER_THRESHOLD sweep",
+             "optimal HCA eager/rendezvous switch point at the shipped "
+             "default (" + format_size(defaults.iba_eager_threshold) + ")");
   {
     const Bytes d = defaults.iba_eager_threshold;
     std::vector<Bytes> settings;
@@ -160,10 +163,11 @@ int main(int argc, char** argv) {
     for (const Bytes threshold : settings) {
       auto config = inter_host_config();
       config.tuning.iba_eager_threshold = threshold;
+      const std::string label = "iba_eager_threshold=" + format_size(threshold);
       double score = 0.0;
       std::map<Bytes, double> bw;
       for (const Bytes size : probe_sizes) {
-        bw[size] = run_pair(config, size, false, iters);
+        bw[size] = run_pair(fig, label, config, size, false, iters);
         score += bw[size];
       }
       score /= static_cast<double>(probe_sizes.size());
@@ -178,9 +182,9 @@ int main(int argc, char** argv) {
     table.print(std::cout);
     std::printf("best MV2_IBA_EAGER_THRESHOLD: %s\n",
                 format_size(best_setting).c_str());
-    print_shape_check(best_setting >= d - 1_KiB && best_setting <= d + 1_KiB,
-                      "optimum within 1K of the shipped default (" +
-                          format_size(d) + ", paper: 17K)");
+    fig.check(best_setting >= d - 1_KiB && best_setting <= d + 1_KiB,
+              "optimum within 1K of the shipped default (" + format_size(d) +
+                  ", paper: 17K)");
   }
-  return 0;
+  return fig.finish();
 }

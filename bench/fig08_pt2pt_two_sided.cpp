@@ -18,28 +18,21 @@ namespace {
 
 enum class Metric { Latency, Bandwidth, BiBandwidth };
 
-struct Measurement {
-  double value = 0.0;
-  mpi::JobResult result;
-};
-
-Measurement measure(const mpi::JobConfig& config, Metric metric, Bytes size,
-                    int iters) {
+double measure(const mpi::JobConfig& config, Metric metric, Bytes size, int iters,
+               mpi::JobResult* result = nullptr) {
   apps::osu::PairOptions pair;
   pair.iterations = iters;
-  Measurement m;
-  m.result = mpi::run_job(config, [&](mpi::Process& p) {
-    double v = 0.0;
-    switch (metric) {
-      case Metric::Latency: v = apps::osu::pt2pt_latency(p, size, pair); break;
-      case Metric::Bandwidth: v = apps::osu::pt2pt_bandwidth(p, size, pair); break;
-      case Metric::BiBandwidth:
-        v = apps::osu::pt2pt_bi_bandwidth(p, size, pair);
-        break;
-    }
-    if (p.rank() == 0) m.value = v;
-  });
-  return m;
+  return run_rank0(
+      config,
+      [&](mpi::Process& p) {
+        switch (metric) {
+          case Metric::Latency: return apps::osu::pt2pt_latency(p, size, pair);
+          case Metric::Bandwidth: return apps::osu::pt2pt_bandwidth(p, size, pair);
+          case Metric::BiBandwidth: return apps::osu::pt2pt_bi_bandwidth(p, size, pair);
+        }
+        return 0.0;
+      },
+      result);
 }
 
 }  // namespace
@@ -50,15 +43,15 @@ int main(int argc, char** argv) {
       opts.get_int("max-size", static_cast<std::int64_t>(1_MiB), "largest message"));
   const int iters = static_cast<int>(opts.get_int("iters", 8, "iterations per point"));
   const std::uint64_t seed = declare_seed(opts);
-  const std::string json_file = declare_json(opts);
+  Figure fig(opts, "fig08_pt2pt_two_sided", "1 host x 2 containers x 2 procs", seed);
   const std::string trace_file = opts.get(
       "trace-out", "", "write a Perfetto trace of one observed run to this file");
   if (opts.finish("Figure 8: two-sided pt2pt latency/bw/bibw, Def vs Opt vs Native"))
     return 0;
 
-  print_banner("Figure 8", "two-sided point-to-point, 2 containers on 1 host",
-               "Opt gains up to 79%/191%/407% over Def (lat/bw/bibw); Opt "
-               "within a few % of native");
+  fig.banner("Figure 8", "two-sided point-to-point, 2 containers on 1 host",
+             "Opt gains up to 79%/191%/407% over Def (lat/bw/bibw); Opt "
+             "within a few % of native");
 
   struct Panel {
     const char* name;
@@ -73,7 +66,6 @@ int main(int argc, char** argv) {
 
   double best_lat_gain = 0, best_bw_gain = 0, best_bibw_gain = 0;
   double lat1k_def = 0, lat1k_opt = 0, lat1k_native = 0;
-  JsonRows json("fig08_pt2pt_two_sided", "1 host x 2 containers x 2 procs", seed);
 
   for (const auto& panel : panels) {
     for (int pl = 0; pl < 2; ++pl) {
@@ -82,16 +74,16 @@ int main(int argc, char** argv) {
       std::printf("-- %s, %s --\n", panel.name, placement_names[pl]);
       Table table({"size", "Cont-Def", "Cont-Opt", "Native", "Opt vs Def"});
       for (const Bytes size : size_sweep(1, max_size)) {
-        const double def = measure(modes.def, panel.metric, size, iters).value;
-        const double opt = measure(modes.opt, panel.metric, size, iters).value;
-        const double native = measure(modes.native, panel.metric, size, iters).value;
+        const double def = measure(modes.def, panel.metric, size, iters);
+        const double opt = measure(modes.opt, panel.metric, size, iters);
+        const double native = measure(modes.native, panel.metric, size, iters);
         const bool is_lat = panel.metric == Metric::Latency;
         for (const auto& [mode, v] : {std::pair{"def", def}, {"opt", opt},
                                       {"native", native}})
-          json.add(std::string(placement_names[pl]) + "/" + mode +
-                       (is_lat ? "/latency"
-                               : panel.metric == Metric::Bandwidth ? "/bw" : "/bibw"),
-                   size, is_lat ? v : 0.0, is_lat ? 0.0 : v);
+          fig.row(std::string(placement_names[pl]) + "/" + mode +
+                      (is_lat ? "/latency"
+                              : panel.metric == Metric::Bandwidth ? "/bw" : "/bibw"),
+                  size, is_lat ? v : 0.0, is_lat ? 0.0 : v);
         double gain;
         if (panel.metric == Metric::Latency) {
           gain = percent_better(def, opt);
@@ -120,12 +112,11 @@ int main(int argc, char** argv) {
   std::printf("max gains Opt over Def: latency %.0f%%, bw %.0f%%, bibw %.0f%% "
               "(paper: 79%% / 191%% / 407%%)\n",
               best_lat_gain, best_bw_gain, best_bibw_gain);
-  print_shape_check(best_lat_gain > 50.0, "large latency gain");
-  print_shape_check(best_bw_gain > 100.0, "large bandwidth gain");
-  print_shape_check(best_bibw_gain >= best_bw_gain * 0.8,
-                    "bi-directional gain at least comparable");
-  print_shape_check(lat1k_opt < lat1k_native * 1.25,
-                    "Opt within ~25% of native at 1 KiB");
+  fig.check(best_lat_gain > 50.0, "large latency gain");
+  fig.check(best_bw_gain > 100.0, "large bandwidth gain");
+  fig.check(best_bibw_gain >= best_bw_gain * 0.8,
+            "bi-directional gain at least comparable");
+  fig.check(lat1k_opt < lat1k_native * 1.25, "Opt within ~25% of native at 1 KiB");
 
   // Observability must be free in virtual time: rerun one point with the
   // full obs layer (metrics + spans + instant trace) attached and compare
@@ -133,29 +124,26 @@ int main(int argc, char** argv) {
   {
     auto modes = make_modes(1, 2, 2, container::SocketPolicy::SameSocket);
     modes.opt.seed = seed;
-    const auto plain = measure(modes.opt, Metric::Latency, 1_KiB, iters);
+    mpi::JobResult plain, observed;
+    measure(modes.opt, Metric::Latency, 1_KiB, iters, &plain);
     modes.opt.observe = true;
     modes.opt.record_trace = true;
-    const auto observed = measure(modes.opt, Metric::Latency, 1_KiB, iters);
+    measure(modes.opt, Metric::Latency, 1_KiB, iters, &observed);
     const double overhead =
-        plain.result.job_time == 0.0
-            ? 0.0
-            : (observed.result.job_time - plain.result.job_time) /
-                  plain.result.job_time;
+        plain.job_time == 0.0 ? 0.0
+                              : (observed.job_time - plain.job_time) / plain.job_time;
     std::printf("observability overhead: %.2f%% virtual time (%zu spans, %zu "
                 "metrics)\n",
-                overhead * 100.0, observed.result.spans.size(),
-                observed.result.metrics.counters.size() +
-                    observed.result.metrics.gauges.size() +
-                    observed.result.metrics.histograms.size());
-    print_shape_check(overhead < 0.05, "observability costs <5% virtual time");
+                overhead * 100.0, observed.spans.size(),
+                observed.metrics.counters.size() + observed.metrics.gauges.size() +
+                    observed.metrics.histograms.size());
+    fig.check(overhead < 0.05, "observability costs <5% virtual time");
     if (!trace_file.empty()) {
       std::ofstream(trace_file, std::ios::binary)
-          << obs::to_perfetto(observed.result.spans, observed.result.trace);
+          << obs::to_perfetto(observed.spans, observed.trace);
       std::printf("trace written to %s\n", trace_file.c_str());
     }
   }
 
-  json.write(json_file);
-  return 0;
+  return fig.finish();
 }

@@ -14,16 +14,24 @@ using namespace cbmpi::bench;
 
 namespace {
 
-double measure(const mpi::JobConfig& config, apps::osu::OneSidedOp op, Bytes size,
-               bool bandwidth, int iters) {
+struct Panel {
+  const char* name;
+  apps::osu::OneSidedOp op;
+  bool bandwidth;
+};
+
+/// One point, recorded as a row labelled "<put|get>/<mode>/<latency|bw>".
+double measure(Figure& fig, const mpi::JobConfig& config, const char* mode,
+               const Panel& panel, Bytes size, int iters) {
   apps::osu::PairOptions pair;
   pair.iterations = iters;
-  double value = 0.0;
-  mpi::run_job(config, [&](mpi::Process& p) {
-    const double v = bandwidth ? apps::osu::one_sided_bandwidth(p, op, size, pair)
-                               : apps::osu::one_sided_latency(p, op, size, pair);
-    if (p.rank() == 0) value = v;
+  const double value = run_rank0(config, [&](mpi::Process& p) {
+    return panel.bandwidth ? apps::osu::one_sided_bandwidth(p, panel.op, size, pair)
+                           : apps::osu::one_sided_latency(p, panel.op, size, pair);
   });
+  fig.row(std::string(panel.op == apps::osu::OneSidedOp::Put ? "put/" : "get/") + mode +
+              (panel.bandwidth ? "/bw" : "/latency"),
+          size, panel.bandwidth ? 0.0 : value, panel.bandwidth ? value : 0.0);
   return value;
 }
 
@@ -35,11 +43,14 @@ int main(int argc, char** argv) {
       opts.get_int("max-size", static_cast<std::int64_t>(256_KiB), "largest message"));
   const int iters = static_cast<int>(opts.get_int("iters", 8, "iterations per point"));
   const bool inter_socket = opts.get_flag("inter-socket", "use inter-socket placement");
+  Figure fig(opts, "fig09_pt2pt_one_sided",
+             std::string("1 host x 2 containers x 2 procs, ") +
+                 (inter_socket ? "inter-socket" : "intra-socket"));
   if (opts.finish("Figure 9: one-sided put/get latency and bandwidth")) return 0;
 
-  print_banner("Figure 9", "one-sided point-to-point, 2 containers on 1 host",
-               "up to 95% latency and 9X bandwidth gain; put bw at 4B: 15.73 "
-               "(Def) vs 147.99 (Opt) vs 155.47 (native) MB/s");
+  fig.banner("Figure 9", "one-sided point-to-point, 2 containers on 1 host",
+             "up to 95% latency and 9X bandwidth gain; put bw at 4B: 15.73 "
+             "(Def) vs 147.99 (Opt) vs 155.47 (native) MB/s");
 
   const auto modes =
       make_modes(1, 2, 2,
@@ -49,11 +60,6 @@ int main(int argc, char** argv) {
   double best_lat_gain = 0.0, best_bw_ratio = 0.0;
   double putbw4_def = 0, putbw4_opt = 0, putbw4_native = 0;
 
-  struct Panel {
-    const char* name;
-    apps::osu::OneSidedOp op;
-    bool bandwidth;
-  };
   const Panel panels[] = {
       {"put latency (us)", apps::osu::OneSidedOp::Put, false},
       {"get latency (us)", apps::osu::OneSidedOp::Get, false},
@@ -65,10 +71,9 @@ int main(int argc, char** argv) {
     std::printf("-- %s --\n", panel.name);
     Table table({"size", "Cont-Def", "Cont-Opt", "Native", "Opt vs Def"});
     for (const Bytes size : size_sweep(4, max_size)) {
-      const double def = measure(modes.def, panel.op, size, panel.bandwidth, iters);
-      const double opt = measure(modes.opt, panel.op, size, panel.bandwidth, iters);
-      const double native =
-          measure(modes.native, panel.op, size, panel.bandwidth, iters);
+      const double def = measure(fig, modes.def, "def", panel, size, iters);
+      const double opt = measure(fig, modes.opt, "opt", panel, size, iters);
+      const double native = measure(fig, modes.native, "native", panel, size, iters);
       std::string gain;
       if (panel.bandwidth) {
         const double ratio = opt / def;
@@ -97,9 +102,9 @@ int main(int argc, char** argv) {
   std::printf("max gains: latency %.0f%% (paper: up to 95%%), bandwidth %.1fx "
               "(paper: up to 9X)\n",
               best_lat_gain, best_bw_ratio);
-  print_shape_check(best_lat_gain > 50.0, "large one-sided latency gain");
-  print_shape_check(best_bw_ratio > 5.0, "multi-X one-sided bandwidth gain");
-  print_shape_check(putbw4_opt > putbw4_def * 5.0 && putbw4_opt < putbw4_native * 1.05,
-                    "4B put bandwidth: Opt ~9x Def and close to native");
-  return 0;
+  fig.check(best_lat_gain > 50.0, "large one-sided latency gain");
+  fig.check(best_bw_ratio > 5.0, "multi-X one-sided bandwidth gain");
+  fig.check(putbw4_opt > putbw4_def * 5.0 && putbw4_opt < putbw4_native * 1.05,
+            "4B put bandwidth: Opt ~9x Def and close to native");
+  return fig.finish();
 }

@@ -26,11 +26,15 @@ int main(int argc, char** argv) {
       opts.get_int("max-size", static_cast<std::int64_t>(16_KiB), "largest message"));
   const int iters = static_cast<int>(opts.get_int("iters", 3, "iterations per point"));
   const bool flat = opts.get_flag("flat", "disable two-level collectives (ablation)");
+  Figure fig(opts, "fig10_collectives",
+             std::to_string(hosts) + " hosts x " + std::to_string(containers) +
+                 " containers x " + std::to_string(procs) + " procs" +
+                 (flat ? ", flat" : ""));
   if (opts.finish("Figure 10: collective latency, Def vs Opt vs Native")) return 0;
 
-  print_banner("Figure 10", "collectives across containers on the cluster",
-               "Opt gains up to 59%/64%/86%/28% for bcast/allreduce/allgather/"
-               "alltoall; <=9% overhead vs native");
+  fig.banner("Figure 10", "collectives across containers on the cluster",
+             "Opt gains up to 59%/64%/86%/28% for bcast/allreduce/allgather/"
+             "alltoall; <=9% overhead vs native");
 
   auto modes = make_modes(hosts, containers, procs);
   if (flat) {
@@ -39,16 +43,15 @@ int main(int argc, char** argv) {
     modes.native.tuning.two_level_collectives = false;
   }
 
-  auto measure = [&](const mpi::JobConfig& config, apps::osu::Collective coll,
-                     Bytes size) {
+  auto measure = [&](const mpi::JobConfig& config, const char* mode,
+                     apps::osu::Collective coll, Bytes size) {
     apps::osu::PairOptions pair;
     pair.iterations = iters;
     pair.warmup = 1;
-    double value = 0.0;
-    mpi::run_job(config, [&](mpi::Process& p) {
-      const double v = apps::osu::collective_latency(p, coll, size, pair);
-      if (p.rank() == 0) value = v;
+    const double value = run_rank0(config, [&](mpi::Process& p) {
+      return apps::osu::collective_latency(p, coll, size, pair);
     });
+    fig.row(std::string(apps::osu::to_string(coll)) + "/" + mode, size, value, 0.0);
     return value;
   };
 
@@ -63,9 +66,9 @@ int main(int argc, char** argv) {
     Table table({"size", "Cont-Def", "Cont-Opt", "Native", "Opt vs Def",
                  "Opt vs Native"});
     for (const Bytes size : size_sweep(4, max_size)) {
-      const double def = measure(modes.def, coll, size);
-      const double opt = measure(modes.opt, coll, size);
-      const double native = measure(modes.native, coll, size);
+      const double def = measure(modes.def, "def", coll, size);
+      const double opt = measure(modes.opt, "opt", coll, size);
+      const double native = measure(modes.native, "native", coll, size);
       const double gain = percent_better(def, opt);
       const double overhead = (opt - native) / native * 100.0;
       best_gain[coll] = std::max(best_gain[coll], gain);
@@ -91,12 +94,12 @@ int main(int argc, char** argv) {
     // variant), and most of its traffic is inter-host — a small but positive
     // gain is the expected shape.
     const double floor = coll == apps::osu::Collective::Alltoall ? 4.0 : 15.0;
-    print_shape_check(best_gain[coll] > floor,
-                      std::string(apps::osu::to_string(coll)) +
-                          " shows a clear Opt-over-Def gain");
+    fig.check(best_gain[coll] > floor,
+              std::string(apps::osu::to_string(coll)) +
+                  " shows a clear Opt-over-Def gain");
   }
-  print_shape_check(best_gain[apps::osu::Collective::Alltoall] <=
-                        best_gain[apps::osu::Collective::Allgather],
-                    "alltoall benefits least (matches paper ordering)");
-  return 0;
+  fig.check(best_gain[apps::osu::Collective::Alltoall] <=
+                best_gain[apps::osu::Collective::Allgather],
+            "alltoall benefits least (matches paper ordering)");
+  return fig.finish();
 }

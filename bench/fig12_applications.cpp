@@ -23,14 +23,17 @@ int main(int argc, char** argv) {
       opts.get_int("procs-per-host", 4, "processes per host (paper: 16)"));
   const int scale = static_cast<int>(
       opts.get_int("scale", 14, "Graph500 scale (paper: 22)"));
+  Figure fig(opts, "fig12_applications",
+             std::to_string(hosts) + " hosts x " + std::to_string(containers) +
+                 " containers x " + std::to_string(procs) + " procs");
   if (opts.finish("Figure 12: Graph500 + NAS application performance")) return 0;
 
   const int nranks = hosts * procs;
-  print_banner("Figure 12", "application performance, " + std::to_string(nranks) +
-                                " processes / " +
-                                std::to_string(hosts * containers) + " containers",
-               "Opt cuts up to 16% (Graph500) / 11% (CG) vs Def; <=5%/9% "
-               "overhead vs native");
+  fig.banner("Figure 12", "application performance, " + std::to_string(nranks) +
+                              " processes / " + std::to_string(hosts * containers) +
+                              " containers",
+             "Opt cuts up to 16% (Graph500) / 11% (CG) vs Def; <=5%/9% "
+             "overhead vs native");
 
   const auto modes = make_modes(hosts, containers, procs);
 
@@ -44,20 +47,13 @@ int main(int argc, char** argv) {
   auto run_app = [&](const std::string& name, auto&& kernel) {
     AppRow row;
     row.name = name;
-    for (auto [config, slot] :
-         {std::pair{&modes.def, &row.def}, std::pair{&modes.opt, &row.opt},
-          std::pair{&modes.native, &row.native}}) {
-      Micros time = 0.0;
-      bool ok = true;
-      mpi::run_job(*config, [&](mpi::Process& p) {
-        const auto [t, verified] = kernel(p);
-        if (p.rank() == 0) {
-          time = t;
-          ok = verified;
-        }
-      });
+    for (auto [config, slot, mode] :
+         {std::tuple{&modes.def, &row.def, "def"}, {&modes.opt, &row.opt, "opt"},
+          {&modes.native, &row.native, "native"}}) {
+      const auto [time, ok] = run_rank0(*config, kernel);
       *slot = time;
       row.verified = row.verified && ok;
+      fig.row(name + "/" + mode, 0, time, 0.0);
     }
     rows.push_back(row);
     std::printf("  %-8s done (Def %.1f ms, Opt %.1f ms, Native %.1f ms)\n",
@@ -127,11 +123,14 @@ int main(int argc, char** argv) {
   std::printf("\n");
   Table table({"application", "Def (ms)", "Opt (ms)", "Native (ms)",
                "Opt saves vs Def", "Opt overhead vs Native", "verified"});
-  double best_saving = 0.0;
+  double best_saving = 0.0, worst_overhead = 0.0;
+  bool all_verified = true;
   for (const auto& row : rows) {
     const double saving = percent_better(row.def, row.opt);
     const double overhead = (row.opt - row.native) / row.native * 100.0;
     if (row.name != "EP") best_saving = std::max(best_saving, saving);
+    worst_overhead = std::max(worst_overhead, overhead);
+    all_verified = all_verified && row.verified;
     table.add_row({row.name, Table::num(to_millis(row.def), 2),
                    Table::num(to_millis(row.opt), 2),
                    Table::num(to_millis(row.native), 2),
@@ -140,17 +139,8 @@ int main(int argc, char** argv) {
   }
   table.print(std::cout);
 
-  bool all_verified = true;
-  double worst_overhead = 0.0;
-  for (const auto& row : rows) {
-    all_verified = all_verified && row.verified;
-    worst_overhead =
-        std::max(worst_overhead, (row.opt - row.native) / row.native * 100.0);
-  }
-  print_shape_check(all_verified, "all applications verified");
-  print_shape_check(best_saving > 5.0,
-                    "Opt saves a clear margin over Def on comm-bound apps");
-  print_shape_check(worst_overhead < 15.0,
-                    "Opt within ~15% of native on every app");
-  return 0;
+  fig.check(all_verified, "all applications verified");
+  fig.check(best_saving > 5.0, "Opt saves a clear margin over Def on comm-bound apps");
+  fig.check(worst_overhead < 15.0, "Opt within ~15% of native on every app");
+  return fig.finish();
 }

@@ -18,11 +18,14 @@ int main(int argc, char** argv) {
   const int scale = static_cast<int>(opts.get_int("scale", 16, "Graph500 scale (paper: 20)"));
   const int procs = static_cast<int>(opts.get_int("procs", 16, "MPI processes"));
   const int nbfs = static_cast<int>(opts.get_int("nbfs", 2, "BFS roots summed"));
+  Figure fig(opts, "table1_channel_counts",
+             "1 host x " + std::to_string(procs) + " procs, scale " +
+                 std::to_string(scale));
   if (opts.finish("Table I: channel transfer-operation counts during BFS")) return 0;
 
-  print_banner("Table I", "message transfer operations per channel",
-               "HCA ops: 0 / 0 / large / larger across Native,1,2,4 containers; "
-               "total ops constant; CMA dominant when co-resident");
+  fig.banner("Table I", "message transfer operations per channel",
+             "HCA ops: 0 / 0 / large / larger across Native,1,2,4 containers; "
+             "total ops constant; CMA dominant when co-resident");
 
   struct Counts {
     std::uint64_t cma, shm, hca;
@@ -31,12 +34,7 @@ int main(int argc, char** argv) {
   std::vector<std::pair<std::string, Counts>> rows;
 
   const apps::graph500::EdgeListParams params{scale, 16, 1};
-  for (int containers : {0, 1, 2, 4}) {
-    mpi::JobConfig config;
-    config.deployment = containers == 0
-                            ? container::DeploymentSpec::native_hosts(1, procs)
-                            : container::DeploymentSpec::containers(1, containers, procs);
-    config.policy = fabric::LocalityPolicy::HostnameBased;
+  for (auto config : container_scenarios(procs)) {
     // Flat collectives keep the total exactly invariant across scenarios.
     config.tuning.two_level_collectives = false;
     const auto result = mpi::run_job(config, [&](mpi::Process& p) {
@@ -49,6 +47,11 @@ int main(int argc, char** argv) {
                       Counts{total.channel_ops(fabric::ChannelKind::Cma),
                              total.channel_ops(fabric::ChannelKind::Shm),
                              total.channel_ops(fabric::ChannelKind::Hca)});
+    const Counts& c = rows.back().second;
+    fig.row(rows.back().first, 0,
+            {{"cma_ops", static_cast<double>(c.cma)},
+             {"shm_ops", static_cast<double>(c.shm)},
+             {"hca_ops", static_cast<double>(c.hca)}});
   }
 
   Table table({"channel", "Native", "1-Container", "2-Containers", "4-Containers"});
@@ -67,15 +70,15 @@ int main(int argc, char** argv) {
   const auto& one = rows[1].second;
   const auto& two = rows[2].second;
   const auto& four = rows[3].second;
-  print_shape_check(native.hca == 0 && one.hca == 0,
-                    "no HCA operations on native and 1-container");
-  print_shape_check(native.cma == one.cma && native.shm == one.shm,
-                    "native equals 1-container exactly");
-  print_shape_check(two.hca > 0 && four.hca > two.hca,
-                    "HCA operations grow with container count");
-  print_shape_check(native.total() == two.total() && native.total() == four.total(),
-                    "total transfer operations invariant across scenarios");
-  print_shape_check(native.cma > native.shm,
-                    "CMA dominant (full coalescing buffers ride rendezvous)");
-  return 0;
+  fig.check(native.hca == 0 && one.hca == 0,
+            "no HCA operations on native and 1-container");
+  fig.check(native.cma == one.cma && native.shm == one.shm,
+            "native equals 1-container exactly");
+  fig.check(two.hca > 0 && four.hca > two.hca,
+            "HCA operations grow with container count");
+  fig.check(native.total() == two.total() && native.total() == four.total(),
+            "total transfer operations invariant across scenarios");
+  fig.check(native.cma > native.shm,
+            "CMA dominant (full coalescing buffers ride rendezvous)");
+  return fig.finish();
 }
