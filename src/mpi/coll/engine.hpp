@@ -1,8 +1,8 @@
 // The collective-algorithm engine: one per job, consulted by every
 // communicator at every collective call site.
 //
-// The engine separates *what* a collective does (semantics, implemented as
-// algorithm templates on Communicator) from *how* it executes (which
+// The engine separates *what* a collective does (semantics, implemented once
+// over bytes in coll/algorithms.cpp) from *how* it executes (which
 // algorithm runs for this message size / rank count / locality shape). It
 // owns the job's TuningTable — shipped container defaults, merged with an
 // optional `--tuning=<file>` table — the only source of an algorithm choice,

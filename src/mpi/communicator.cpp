@@ -1,9 +1,9 @@
 #include "mpi/communicator.hpp"
 
+#include <algorithm>
 #include <numeric>
 
 #include "common/rng.hpp"
-#include "mpi/coll/engine.hpp"
 
 namespace cbmpi::mpi {
 
@@ -121,6 +121,31 @@ std::optional<Status> Communicator::iprobe(int src, int tag) {
   return yield_unless(status);
 }
 
+Request Communicator::raw_isend(CBytes data, int dst, int tag) {
+  return engine_->start_send(data, to_world(dst), tag, id_);
+}
+
+Request Communicator::raw_irecv(WBytes buffer, int src, int tag, bool immediate) {
+  const int src_world = src == kAnySource ? kAnySource : to_world(src);
+  return engine_->post_recv(buffer, src_world, tag, id_, immediate);
+}
+
+void Communicator::raw_send(CBytes data, int dst, int tag) {
+  engine_->wait(raw_isend(data, dst, tag));
+}
+
+void Communicator::raw_recv(WBytes buffer, int src, int tag) {
+  engine_->wait(raw_irecv(buffer, src, tag));
+}
+
+void Communicator::raw_sendrecv(CBytes send_data, int dst, WBytes recv_buffer, int src,
+                                int tag) {
+  const Request recv_request = raw_irecv(recv_buffer, src, tag);
+  const Request send_request = raw_isend(send_data, dst, tag);
+  engine_->wait(recv_request);
+  engine_->wait(send_request);
+}
+
 int Communicator::begin_collective() {
   constexpr std::uint64_t kEpochs =
       (std::uint64_t{1} << 30) / static_cast<std::uint64_t>(kSubTags);
@@ -138,108 +163,6 @@ int Communicator::position_in(const std::vector<int>& list) const {
   const int pos = position_of(list, my_rank_);
   CBMPI_REQUIRE(pos >= 0, "rank ", my_rank_, " not in collective rank list");
   return pos;
-}
-
-bool Communicator::two_level_enabled() const {
-  return engine_->job().tuning.two_level_collectives;
-}
-
-const coll::Engine& Communicator::coll_engine() const { return engine_->job().coll; }
-
-coll::Algo Communicator::pick(coll::Coll coll, Bytes bytes, int list_size) const {
-  return coll_engine().choose(coll, bytes, list_size,
-                              /*two_level_available=*/false);
-}
-
-void Communicator::note_algo(coll::Coll coll, coll::Algo algo, Bytes bytes,
-                             Micros begin) {
-  engine_->profile().add_coll_algo(coll, algo);
-  if (engine_->job().trace) {
-    engine_->job().trace->record(
-        {sim::TraceKind::CollAlgo, engine_->world_rank(), -1, bytes,
-         engine_->clock().now(),
-         std::string(coll::to_string(coll)) + "/" + coll::to_string(algo)});
-  }
-  if (engine_->job().spans)
-    engine_->job().spans->record(
-        {std::string(coll::to_string(coll)), obs::SpanCat::Coll,
-         engine_->world_rank(), -1, -1, bytes, begin, engine_->clock().now(),
-         coll::to_string(algo)});
-}
-
-coll::Algo Communicator::barrier_over(const std::vector<int>& list, int tag,
-                                      coll::Algo algo) {
-  const int m = static_cast<int>(list.size());
-  if (m <= 1) return algo;
-  const int pos = position_in(list);
-  std::uint8_t token = 1;
-
-  if (algo == coll::Algo::FlatTree) {
-    // Linear through the list head: gather tokens at tag, release at tag+1.
-    std::uint8_t incoming = 0;
-    if (pos == 0) {
-      for (int q = 1; q < m; ++q)
-        raw_recv(std::span<std::uint8_t>(&incoming, 1),
-                 list[static_cast<std::size_t>(q)], tag);
-      for (int q = 1; q < m; ++q)
-        raw_send(std::span<const std::uint8_t>(&token, 1),
-                 list[static_cast<std::size_t>(q)], tag + 1);
-    } else {
-      raw_send(std::span<const std::uint8_t>(&token, 1), list[0], tag);
-      raw_recv(std::span<std::uint8_t>(&incoming, 1), list[0], tag + 1);
-    }
-    return algo;
-  }
-
-  // Dissemination: log2(m) rounds; distances are distinct modulo m, so one
-  // tag per round pair is unnecessary — but rounds reuse partners only with
-  // distinct distances, so a single tag is safe under per-sender FIFO.
-  for (int dist = 1; dist < m; dist <<= 1) {
-    const int to = list[static_cast<std::size_t>((pos + dist) % m)];
-    const int from = list[static_cast<std::size_t>((pos - dist % m + m) % m)];
-    std::uint8_t incoming = 0;
-    raw_sendrecv(std::span<const std::uint8_t>(&token, 1), to,
-                 std::span<std::uint8_t>(&incoming, 1), from, tag);
-  }
-  return coll::Algo::Dissemination;
-}
-
-void Communicator::barrier() {
-  const ProfiledCall prof_scope(*engine_, prof::CallKind::Barrier);
-  const int tag = begin_collective();
-  const auto& groups = locality_groups();
-  const bool two_level_ok = two_level_enabled() && !groups.trivial();
-  const coll::Algo algo =
-      coll_engine().choose(coll::Coll::Barrier, 0, size(), two_level_ok);
-  if (algo != coll::Algo::TwoLevel) {
-    note_algo(coll::Coll::Barrier, barrier_over(all_ranks(), tag, algo), 0,
-              prof_scope.start());
-    return;
-  }
-  // Local gather to the leader, leader barrier, local release.
-  std::uint8_t token = 1;
-  if (rank() == groups.my_leader) {
-    std::uint8_t incoming = 0;
-    for (int member : groups.my_group) {
-      if (member == rank()) continue;
-      raw_recv(std::span<std::uint8_t>(&incoming, 1), member, tag);
-    }
-    barrier_over(groups.leaders, tag + 4,
-                 pick(coll::Coll::Barrier, 0, static_cast<int>(groups.leaders.size())));
-    for (int member : groups.my_group) {
-      if (member == rank()) continue;
-      raw_send(std::span<const std::uint8_t>(&token, 1), member, tag + 8);
-    }
-  } else {
-    raw_send(std::span<const std::uint8_t>(&token, 1), groups.my_leader, tag);
-    std::uint8_t incoming = 0;
-    raw_recv(std::span<std::uint8_t>(&incoming, 1), groups.my_leader, tag + 8);
-  }
-  note_algo(coll::Coll::Barrier, coll::Algo::TwoLevel, 0, prof_scope.start());
-}
-
-void Communicator::raw_barrier() {
-  barrier_over(all_ranks(), begin_collective(), coll::Algo::Dissemination);
 }
 
 const LocalityGroups& Communicator::locality_groups() {
@@ -311,8 +234,8 @@ std::optional<Communicator> Communicator::split(int color, int key) {
   };
   const Triple mine{color, key, my_rank_};
   std::vector<Triple> all(static_cast<std::size_t>(size()));
-  allgather_over(all_ranks(), std::span<const Triple>(&mine, 1), std::span<Triple>(all),
-                 tag, coll::Algo::Ring);
+  allgather_over(all_ranks(), std::as_bytes(std::span<const Triple>(&mine, 1)),
+                 std::as_writable_bytes(std::span<Triple>(all)), tag, coll::Algo::Ring);
 
   if (color < 0) return std::nullopt;
 

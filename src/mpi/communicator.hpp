@@ -1,37 +1,47 @@
 // Communicator: the user-facing MPI-like API.
 //
 // Typed point-to-point and collective operations over contiguous spans of
-// trivially-copyable elements. Collective algorithms are written once over an
-// arbitrary *list* of communicator ranks, which lets the hierarchical
-// (two-level, leader-based) variants reuse the flat algorithms: the local
-// phase runs over the detected co-resident group, the global phase over the
-// group leaders. Which ranks count as "co-resident" comes from the channel
-// selector's policy — hostname-based (default) or container-aware (the
-// paper's design) — so the benefit of locality awareness flows through both
-// point-to-point channel selection and collective topology.
+// trivially-copyable elements. Every typed call is a one-line forwarder to
+// one byte-level implementation, compiled once in mpi/coll/algorithms.cpp
+// (collectives) and mpi/communicator.cpp (point-to-point): it passes the
+// payload as bytes, the element size and, for reductions only, the reduce
+// operator erased to a ReduceFn (reduce_bytes<T> around apply_reduce<T>).
+// Decisions that MPI defines in elements (van de Geijn's one-element-per-rank
+// precondition, block partitions, Rabenseifner padding) are still made in
+// elements from the element size.
 //
-// Which algorithm runs for a given call is no longer hard-wired: the six
-// tunable collectives (barrier, bcast, reduce, allreduce, allgather,
-// alltoall) consult the job's coll::Engine, which resolves (collective,
-// message size, rank count, containers-per-host) through the TuningTable —
-// see src/mpi/coll/. The available algorithms:
+// Collective algorithms are written once over an arbitrary *list* of
+// communicator ranks, which lets the hierarchical (two-level, leader-based)
+// variants reuse the flat algorithms: the local phase runs over the detected
+// co-resident group, the global phase over the group leaders. Which ranks
+// count as "co-resident" comes from the channel selector's policy —
+// hostname-based (default) or container-aware (the paper's design) — so the
+// benefit of locality awareness flows through both point-to-point channel
+// selection and collective topology.
+//
+// The six tunable collectives (barrier, bcast, reduce, allreduce, allgather,
+// alltoall) take their algorithm from the job's coll::Engine, which resolves
+// (collective, message size, rank count, containers-per-host) through the
+// TuningTable — see src/mpi/coll/. The available algorithms:
 //   barrier     dissemination | flat-tree       (2-level: gather + release)
 //   bcast       binomial | flat-tree | van de Geijn (2-level: leaders, local)
 //   reduce      binomial | flat-tree (commutative ops)
 //               (2-level: local reduce, leader reduce, hand-off to root)
 //   allreduce   recursive doubling | Rabenseifner | reduce+bcast
 //               (2-level: local reduce, leader allreduce, local bcast)
-//   gather      linear to root
-//   scatter     linear from root
 //   allgather   ring | gather+bcast             (2-level when groups are
 //                                                uniform and contiguous)
 //   alltoall    pairwise | Bruck | spread (no 2-level variant — consistent
 //               with the paper, where alltoall shows the smallest gain)
-//   alltoallv   pairwise exchange with per-peer counts
-// Algorithms with structural preconditions (power-of-two list, payload at
-// least one element per rank, zero-identity reduce op) are downgraded
-// deterministically at the dispatch site; the algorithm that actually ran is
-// recorded in the rank profile and (when tracing) as a CollAlgo trace event.
+// and the fixed ones: gather(v) linear to the root, scatter(v) linear from
+// the root, allgatherv ring, alltoallv pairwise exchange, reduce_scatter_block
+// recursive halving (reduce + scatter off powers of two), scan/exscan
+// recursive doubling. Each collective checks its buffer sizes once, at entry,
+// before any algorithm is chosen. Algorithms with structural preconditions
+// (power-of-two list, payload at least one element per rank, zero-identity
+// reduce op) are downgraded deterministically; the algorithm that actually
+// ran is recorded in the rank profile and (when tracing) as a CollAlgo trace
+// event.
 //
 // Tag discipline: every user-level collective reserves a block of reserved
 // tags (same sequence on every rank, because collectives are called in the
@@ -43,8 +53,7 @@
 // profile counts user-level MPI calls exactly once.
 #pragma once
 
-#include <algorithm>
-#include <cstring>
+#include <cstddef>
 #include <memory>
 #include <optional>
 #include <type_traits>
@@ -244,73 +253,118 @@ class Communicator {
   /// ring-allgather inside one bcast phase) have room.
   static constexpr int kSubTags = 16;
 
+  using CBytes = std::span<const std::byte>;
+  using WBytes = std::span<std::byte>;
+
+  /// A reduction erased to bytes: the operator and reduce_bytes<T>.
+  struct Reducer {
+    ReduceOp op = ReduceOp::Sum;
+    ReduceFn fn = nullptr;
+    void operator()(CBytes in, WBytes inout) const { fn(op, in, inout); }
+  };
+  template <typename T>
+  static Reducer reducer(ReduceOp op) {
+    return {op, &reduce_bytes<T>};
+  }
+
+  /// Where position p's block lies in a buffer: `block` bytes at p * block,
+  /// or (v-forms) counts[p] elements of `elem` bytes at element displs[p].
+  struct Blocks {
+    std::size_t block = 0;
+    std::span<const int> counts{};
+    std::span<const int> displs{};
+    std::size_t elem = 1;
+    bool varying = false;
+
+    static Blocks v(std::span<const int> counts, std::span<const int> displs,
+                    std::size_t elem) {
+      return {0, counts, displs, elem, true};
+    }
+    std::size_t offset(int p) const;
+    std::size_t bytes(int p) const;
+    /// Whether a v-form has one count and one displacement per rank of `n`.
+    bool fits(int n) const;
+    /// Bytes a buffer needs to hold all `n` blocks.
+    std::size_t extent(int n) const;
+    WBytes of(WBytes buf, int p) const { return buf.subspan(offset(p), bytes(p)); }
+    CBytes of(CBytes buf, int p) const { return buf.subspan(offset(p), bytes(p)); }
+  };
+
+  /// One call of a tunable collective other than alltoall: `in` is the
+  /// payload (the data itself for bcast, empty for barrier), `out` the result.
+  struct TunableCall {
+    coll::Coll coll;
+    CBytes in{};
+    WBytes out{};
+    std::size_t elem = 1;
+    int root = 0;
+    Reducer red{};
+  };
+
   /// Reserves a tag block; returns its base. Same sequence on every rank.
   int begin_collective();
 
-  // Unprofiled raw transfers used by collective internals.
-  template <typename T>
-  Request raw_isend(std::span<const T> data, int dst, int tag);
-  template <typename T>
-  Request raw_irecv(std::span<T> buffer, int src, int tag, bool immediate = true);
-  template <typename T>
-  void raw_send(std::span<const T> data, int dst, int tag);
-  template <typename T>
-  void raw_recv(std::span<T> buffer, int src, int tag);
-  template <typename T>
-  void raw_sendrecv(std::span<const T> send_data, int dst, std::span<T> recv_buffer,
-                    int src, int tag);
+  // Unprofiled raw transfers used by point-to-point calls and collectives.
+  Request raw_isend(CBytes data, int dst, int tag);
+  Request raw_irecv(WBytes buffer, int src, int tag, bool immediate = true);
+  void raw_send(CBytes data, int dst, int tag);
+  void raw_recv(WBytes buffer, int src, int tag);
+  void raw_sendrecv(CBytes send_data, int dst, WBytes recv_buffer, int src, int tag);
 
-  // Collective algorithms over an arbitrary sorted list of comm ranks; `list`
-  // must contain rank() exactly once and be identical on all listed ranks.
-  // Each takes the engine-chosen algorithm, downgrades it deterministically
-  // when its structural preconditions fail, and returns what actually ran.
+  // Byte-level collectives (mpi/coll/algorithms.cpp). Each entry point opens
+  // the profiled call and the tag block and checks buffer sizes first.
+  /// barrier, bcast, reduce, allreduce, allgather: choose, run, note_algo.
+  void run_tunable(const TunableCall& call);
+  /// alltoall (engine-chosen algorithm) and alltoallv (pairwise).
+  void alltoall_bytes(prof::CallKind kind, CBytes send_data, const Blocks& send_blocks,
+                      WBytes recv_data, const Blocks& recv_blocks);
+  void gather_bytes(prof::CallKind kind, CBytes mine, WBytes all, const Blocks& blocks,
+                    int root);
+  void scatter_bytes(prof::CallKind kind, CBytes all, const Blocks& blocks, WBytes mine,
+                     int root);
+  void allgatherv_bytes(CBytes mine, WBytes all, const Blocks& blocks);
+  void reduce_scatter_block_bytes(CBytes in, WBytes out, std::size_t elem, Reducer red);
+  /// scan, or exscan when `kind` is Exscan.
+  void scan_bytes(prof::CallKind kind, CBytes in, WBytes out, Reducer red);
+
+  // Algorithms over an arbitrary sorted `list` of comm ranks, which must
+  // contain rank() exactly once and be identical on all listed ranks. Those
+  // taking an engine-chosen coll::Algo downgrade it deterministically when
+  // its structural preconditions fail and return what actually ran.
+  coll::Algo run_flat(const std::vector<int>& list, const TunableCall& call, int tag,
+                      coll::Algo algo);
+  coll::Algo run_two_level(const TunableCall& call, const LocalityGroups& groups,
+                           int tag);
   coll::Algo barrier_over(const std::vector<int>& list, int tag, coll::Algo algo);
-  template <typename T>
-  coll::Algo bcast_over(const std::vector<int>& list, std::span<T> data,
+  /// One transfer between list[root_pos] and every other member: `data` to
+  /// the root from each (`to_root`), or from the root to each.
+  void linear_over(const std::vector<int>& list, int root_pos, bool to_root,
+                   WBytes data, int tag);
+  /// `elem` matters only to van de Geijn's precondition and partition.
+  coll::Algo bcast_over(const std::vector<int>& list, WBytes data, std::size_t elem,
                         int root_pos, int tag, coll::Algo algo);
-  template <typename T>
-  coll::Algo reduce_over(const std::vector<int>& list, std::span<const T> in,
-                         std::span<T> out, ReduceOp op, int root_pos, int tag,
-                         coll::Algo algo);
-  template <typename T>
-  coll::Algo allreduce_over(const std::vector<int>& list, std::span<const T> in,
-                            std::span<T> out, ReduceOp op, int tag,
-                            coll::Algo algo);
-  template <typename T>
-  coll::Algo allgather_over(const std::vector<int>& list, std::span<const T> mine,
-                            std::span<T> all, int tag, coll::Algo algo);
-  // Alltoall bodies (full communicator; `block` elements per peer).
-  template <typename T>
-  void alltoall_pairwise(std::span<const T> send_data, std::span<T> recv_data,
-                         std::size_t block, int tag);
-  template <typename T>
-  void alltoall_bruck(std::span<const T> send_data, std::span<T> recv_data,
-                      std::size_t block, int tag);
-  template <typename T>
-  void alltoall_spread(std::span<const T> send_data, std::span<T> recv_data,
-                       std::size_t block, int tag);
-  /// counts/displs indexed by *position* in the list.
-  template <typename T>
-  void allgatherv_over(const std::vector<int>& list, std::span<const T> mine,
-                       std::span<T> all, std::span<const int> counts,
-                       std::span<const int> displs, int tag);
-  /// van de Geijn large-message broadcast: scatter + ring allgather.
-  /// Uses tags [tag, tag+2).
-  template <typename T>
-  void bcast_vandegeijn_over(const std::vector<int>& list, std::span<T> data,
-                             int root_pos, int tag);
+  coll::Algo reduce_over(const std::vector<int>& list, CBytes in, WBytes out,
+                         Reducer red, int root_pos, int tag, coll::Algo algo);
+  coll::Algo allreduce_over(const std::vector<int>& list, CBytes in, WBytes out,
+                            std::size_t elem, Reducer red, int tag, coll::Algo algo);
+  coll::Algo allgather_over(const std::vector<int>& list, CBytes mine, WBytes all,
+                            int tag, coll::Algo algo);
+  /// Ring allgather of `all`'s blocks, each rank starting from its own.
+  void ring_over(const std::vector<int>& list, WBytes all, const Blocks& blocks,
+                 int tag);
   /// Recursive-halving reduce-scatter over a power-of-two list; `in` holds
   /// list.size() equal blocks, `block_out` receives this rank's block.
-  template <typename T>
-  void reduce_scatter_halving_over(const std::vector<int>& list,
-                                   std::span<const T> in, std::span<T> block_out,
-                                   ReduceOp op, int tag);
-  /// Rabenseifner large-message allreduce over a power-of-two list.
-  /// Uses tags [tag, tag+2).
-  template <typename T>
-  void allreduce_rabenseifner_over(const std::vector<int>& list,
-                                   std::span<const T> in, std::span<T> out,
-                                   ReduceOp op, int tag);
+  void reduce_scatter_halving_over(const std::vector<int>& list, CBytes in,
+                                   WBytes block_out, std::size_t elem, Reducer red,
+                                   int tag);
+  /// Linear scatter from `root` over the whole communicator.
+  void scatter_over(CBytes all, const Blocks& blocks, WBytes mine, int root, int tag);
+  /// Pairwise exchange: n-1 sendrecv rounds (XOR partners on power-of-two
+  /// comms, shifted ring otherwise).
+  void pairwise_over(CBytes send_data, const Blocks& send_blocks, WBytes recv_data,
+                     const Blocks& recv_blocks, int tag);
+  void alltoall_bruck(CBytes send_data, WBytes recv_data, std::size_t block, int tag);
+  void alltoall_spread(CBytes send_data, WBytes recv_data, std::size_t block, int tag);
 
   std::vector<int> all_ranks() const;
   int position_in(const std::vector<int>& list) const;
@@ -365,62 +419,26 @@ class ProfiledCall {
 };
 
 // ===========================================================================
-// implementation
+// implementation: typed forwarders to the byte-level calls
 // ===========================================================================
 
 namespace detail {
 
 template <typename T>
-std::span<const std::byte> as_bytes_checked(std::span<const T> data) {
+std::span<const std::byte> bytes(std::span<T> data) {
   static_assert(std::is_trivially_copyable_v<T>,
                 "cbmpi transfers require trivially copyable element types");
   return std::as_bytes(data);
 }
 
 template <typename T>
-std::span<std::byte> as_writable_bytes_checked(std::span<T> data) {
+std::span<std::byte> writable_bytes(std::span<T> data) {
   static_assert(std::is_trivially_copyable_v<T>,
                 "cbmpi transfers require trivially copyable element types");
   return std::as_writable_bytes(data);
 }
 
-inline bool is_power_of_two(std::size_t n) { return n != 0 && (n & (n - 1)) == 0; }
-
 }  // namespace detail
-
-// ---- raw transfers ----------------------------------------------------------
-
-template <typename T>
-Request Communicator::raw_isend(std::span<const T> data, int dst, int tag) {
-  return engine_->start_send(detail::as_bytes_checked(data), to_world(dst), tag, id_);
-}
-
-template <typename T>
-Request Communicator::raw_irecv(std::span<T> buffer, int src, int tag,
-                                bool immediate) {
-  const int src_world = src == kAnySource ? kAnySource : to_world(src);
-  return engine_->post_recv(detail::as_writable_bytes_checked(buffer), src_world,
-                            tag, id_, immediate);
-}
-
-template <typename T>
-void Communicator::raw_send(std::span<const T> data, int dst, int tag) {
-  engine_->wait(raw_isend(data, dst, tag));
-}
-
-template <typename T>
-void Communicator::raw_recv(std::span<T> buffer, int src, int tag) {
-  engine_->wait(raw_irecv(buffer, src, tag));
-}
-
-template <typename T>
-void Communicator::raw_sendrecv(std::span<const T> send_data, int dst,
-                                std::span<T> recv_buffer, int src, int tag) {
-  const Request recv_request = raw_irecv(recv_buffer, src, tag);
-  const Request send_request = raw_isend(send_data, dst, tag);
-  engine_->wait(recv_request);
-  engine_->wait(send_request);
-}
 
 // ---- point-to-point -----------------------------------------------------------
 
@@ -428,14 +446,13 @@ template <typename T>
 void Communicator::send(std::span<const T> data, int dst, int tag) {
   CBMPI_REQUIRE(tag >= 0 && tag < kCollectiveTagBase, "user tag out of range: ", tag);
   const ProfiledCall prof_scope(*engine_, prof::CallKind::Send);
-  raw_send(data, dst, tag);
+  raw_send(detail::bytes(data), dst, tag);
 }
 
 template <typename T>
 Status Communicator::recv(std::span<T> buffer, int src, int tag) {
   const ProfiledCall prof_scope(*engine_, prof::CallKind::Recv);
-  const Request request = raw_irecv(buffer, src, tag);
-  Status status = engine_->wait(request);
+  Status status = engine_->wait(raw_irecv(detail::writable_bytes(buffer), src, tag));
   status.source = from_world(status.source);
   return status;
 }
@@ -444,20 +461,21 @@ template <typename T>
 Request Communicator::isend(std::span<const T> data, int dst, int tag) {
   CBMPI_REQUIRE(tag >= 0 && tag < kCollectiveTagBase, "user tag out of range: ", tag);
   const ProfiledCall prof_scope(*engine_, prof::CallKind::Isend);
-  return raw_isend(data, dst, tag);
+  return raw_isend(detail::bytes(data), dst, tag);
 }
 
 template <typename T>
 Request Communicator::irecv(std::span<T> buffer, int src, int tag) {
   const ProfiledCall prof_scope(*engine_, prof::CallKind::Irecv);
-  return raw_irecv(buffer, src, tag);
+  return raw_irecv(detail::writable_bytes(buffer), src, tag);
 }
 
 template <typename T>
 void Communicator::sendrecv(std::span<const T> send_data, int dst,
                             std::span<T> recv_buffer, int src, int tag) {
   const ProfiledCall prof_scope(*engine_, prof::CallKind::Send);
-  raw_sendrecv(send_data, dst, recv_buffer, src, tag);
+  raw_sendrecv(detail::bytes(send_data), dst, detail::writable_bytes(recv_buffer), src,
+               tag);
 }
 
 template <typename T>
@@ -472,9 +490,26 @@ T Communicator::recv_value(int src, int tag) {
   return value;
 }
 
-// The tunable collective algorithms (the `*_over` primitives and the
-// engine-dispatched user-level collectives) live in mpi/coll/algorithms.hpp
-// and mpi/coll/dispatch.hpp, included at the end of this header.
+// ---- collectives ----------------------------------------------------------------
+
+template <typename T>
+void Communicator::bcast(std::span<T> data, int root) {
+  run_tunable({coll::Coll::Bcast, detail::bytes(data), detail::writable_bytes(data),
+               sizeof(T), root});
+}
+
+template <typename T>
+void Communicator::reduce(std::span<const T> in, std::span<T> out, ReduceOp op,
+                          int root) {
+  run_tunable({coll::Coll::Reduce, detail::bytes(in), detail::writable_bytes(out),
+               sizeof(T), root, reducer<T>(op)});
+}
+
+template <typename T>
+void Communicator::allreduce(std::span<const T> in, std::span<T> out, ReduceOp op) {
+  run_tunable({coll::Coll::Allreduce, detail::bytes(in), detail::writable_bytes(out),
+               sizeof(T), 0, reducer<T>(op)});
+}
 
 template <typename T>
 T Communicator::allreduce_value(T value, ReduceOp op) {
@@ -485,44 +520,27 @@ T Communicator::allreduce_value(T value, ReduceOp op) {
 
 template <typename T>
 void Communicator::gather(std::span<const T> mine, std::span<T> all, int root) {
-  const ProfiledCall prof_scope(*engine_, prof::CallKind::Gather);
-  const int tag = begin_collective();
-  const std::size_t block = mine.size();
-  if (rank() == root) {
-    CBMPI_REQUIRE(all.size() >= block * static_cast<std::size_t>(size()),
-                  "gather output buffer too small");
-    std::copy(mine.begin(), mine.end(),
-              all.begin() +
-                  static_cast<std::ptrdiff_t>(block * static_cast<std::size_t>(root)));
-    for (int r = 0; r < size(); ++r) {
-      if (r == root) continue;
-      raw_recv(std::span<T>(all.data() + block * static_cast<std::size_t>(r), block),
-               r, tag);
-    }
-  } else {
-    raw_send(mine, root, tag);
-  }
+  gather_bytes(prof::CallKind::Gather, detail::bytes(mine), detail::writable_bytes(all),
+               Blocks{mine.size_bytes()}, root);
+}
+
+template <typename T>
+void Communicator::allgather(std::span<const T> mine, std::span<T> all) {
+  run_tunable({coll::Coll::Allgather, detail::bytes(mine), detail::writable_bytes(all),
+               sizeof(T)});
 }
 
 template <typename T>
 void Communicator::scatter(std::span<const T> all, std::span<T> mine, int root) {
-  const ProfiledCall prof_scope(*engine_, prof::CallKind::Scatter);
-  const int tag = begin_collective();
-  const std::size_t block = mine.size();
-  if (rank() == root) {
-    CBMPI_REQUIRE(all.size() >= block * static_cast<std::size_t>(size()),
-                  "scatter input buffer too small");
-    for (int r = 0; r < size(); ++r) {
-      if (r == root) continue;
-      raw_send(
-          std::span<const T>(all.data() + block * static_cast<std::size_t>(r), block),
-          r, tag);
-    }
-    std::copy(all.data() + block * static_cast<std::size_t>(root),
-              all.data() + block * static_cast<std::size_t>(root) + block, mine.data());
-  } else {
-    raw_recv(mine, root, tag);
-  }
+  scatter_bytes(prof::CallKind::Scatter, detail::bytes(all), Blocks{mine.size_bytes()},
+                detail::writable_bytes(mine), root);
+}
+
+template <typename T>
+void Communicator::alltoall(std::span<const T> send_data, std::span<T> recv_data) {
+  const Blocks blocks{send_data.size() / static_cast<std::size_t>(size()) * sizeof(T)};
+  alltoall_bytes(prof::CallKind::Alltoall, detail::bytes(send_data), blocks,
+                 detail::writable_bytes(recv_data), blocks);
 }
 
 template <typename T>
@@ -531,183 +549,52 @@ void Communicator::alltoallv(std::span<const T> send_data,
                              std::span<const int> send_displs, std::span<T> recv_data,
                              std::span<const int> recv_counts,
                              std::span<const int> recv_displs) {
-  const ProfiledCall prof_scope(*engine_, prof::CallKind::Alltoallv);
-  const int tag = begin_collective();
-  const int n = size();
-  CBMPI_REQUIRE(send_counts.size() == static_cast<std::size_t>(n) &&
-                    recv_counts.size() == static_cast<std::size_t>(n) &&
-                    send_displs.size() == static_cast<std::size_t>(n) &&
-                    recv_displs.size() == static_cast<std::size_t>(n),
-                "alltoallv count/displ arrays must have comm-size entries");
-  auto send_block = [&](int r) {
-    const auto i = static_cast<std::size_t>(r);
-    return std::span<const T>(
-        send_data.data() + static_cast<std::size_t>(send_displs[i]),
-        static_cast<std::size_t>(send_counts[i]));
-  };
-  auto recv_block = [&](int r) {
-    const auto i = static_cast<std::size_t>(r);
-    return std::span<T>(recv_data.data() + static_cast<std::size_t>(recv_displs[i]),
-                        static_cast<std::size_t>(recv_counts[i]));
-  };
-  {
-    auto src = send_block(rank());
-    auto dst = recv_block(rank());
-    CBMPI_REQUIRE(dst.size() >= src.size(), "alltoallv self block mismatch");
-    std::copy(src.begin(), src.end(), dst.begin());
-  }
-  const bool pow2 = detail::is_power_of_two(static_cast<std::size_t>(n));
-  for (int step = 1; step < n; ++step) {
-    const int send_to = pow2 ? (rank() ^ step) : (rank() + step) % n;
-    const int recv_from = pow2 ? (rank() ^ step) : (rank() - step + n) % n;
-    raw_sendrecv(send_block(send_to), send_to, recv_block(recv_from), recv_from, tag);
-  }
+  alltoall_bytes(prof::CallKind::Alltoallv, detail::bytes(send_data),
+                 Blocks::v(send_counts, send_displs, sizeof(T)),
+                 detail::writable_bytes(recv_data),
+                 Blocks::v(recv_counts, recv_displs, sizeof(T)));
 }
-
-// ---- v-variants, reduce_scatter, prefix scans -----------------------------------
 
 template <typename T>
 void Communicator::gatherv(std::span<const T> mine, std::span<T> all,
                            std::span<const int> counts, std::span<const int> displs,
                            int root) {
-  const ProfiledCall prof_scope(*engine_, prof::CallKind::Gatherv);
-  const int tag = begin_collective();
-  CBMPI_REQUIRE(counts.size() == static_cast<std::size_t>(size()) &&
-                    displs.size() == static_cast<std::size_t>(size()),
-                "gatherv counts/displs must have comm-size entries");
-  if (rank() == root) {
-    for (int r = 0; r < size(); ++r) {
-      auto slot = std::span<T>(
-          all.data() + static_cast<std::size_t>(displs[static_cast<std::size_t>(r)]),
-          static_cast<std::size_t>(counts[static_cast<std::size_t>(r)]));
-      if (r == root)
-        std::copy(mine.begin(), mine.end(), slot.begin());
-      else
-        raw_recv(slot, r, tag);
-    }
-  } else {
-    raw_send(mine, root, tag);
-  }
+  gather_bytes(prof::CallKind::Gatherv, detail::bytes(mine), detail::writable_bytes(all),
+               Blocks::v(counts, displs, sizeof(T)), root);
 }
 
 template <typename T>
 void Communicator::scatterv(std::span<const T> all, std::span<const int> counts,
                             std::span<const int> displs, std::span<T> mine, int root) {
-  const ProfiledCall prof_scope(*engine_, prof::CallKind::Scatterv);
-  const int tag = begin_collective();
-  CBMPI_REQUIRE(counts.size() == static_cast<std::size_t>(size()) &&
-                    displs.size() == static_cast<std::size_t>(size()),
-                "scatterv counts/displs must have comm-size entries");
-  if (rank() == root) {
-    for (int r = 0; r < size(); ++r) {
-      auto slot = std::span<const T>(
-          all.data() + static_cast<std::size_t>(displs[static_cast<std::size_t>(r)]),
-          static_cast<std::size_t>(counts[static_cast<std::size_t>(r)]));
-      if (r == root)
-        std::copy(slot.begin(), slot.end(), mine.begin());
-      else
-        raw_send(slot, r, tag);
-    }
-  } else {
-    raw_recv(mine.subspan(0, static_cast<std::size_t>(
-                                 counts[static_cast<std::size_t>(rank())])),
-             root, tag);
-  }
+  scatter_bytes(prof::CallKind::Scatterv, detail::bytes(all),
+                Blocks::v(counts, displs, sizeof(T)), detail::writable_bytes(mine), root);
 }
 
 template <typename T>
 void Communicator::allgatherv(std::span<const T> mine, std::span<T> all,
                               std::span<const int> counts,
                               std::span<const int> displs) {
-  const ProfiledCall prof_scope(*engine_, prof::CallKind::AllgatherV);
-  const int tag = begin_collective();
-  // Flat ring; counts/displs are rank-indexed which equals position-indexed
-  // over the all-ranks list.
-  allgatherv_over(all_ranks(), mine, all, counts, displs, tag);
+  allgatherv_bytes(detail::bytes(mine), detail::writable_bytes(all),
+                   Blocks::v(counts, displs, sizeof(T)));
 }
 
 template <typename T>
 void Communicator::reduce_scatter_block(std::span<const T> in, std::span<T> out,
                                         ReduceOp op) {
-  const ProfiledCall prof_scope(*engine_, prof::CallKind::ReduceScatter);
-  const int tag = begin_collective();
-  const int n = size();
-  const std::size_t block = in.size() / static_cast<std::size_t>(n);
-  CBMPI_REQUIRE(in.size() == block * static_cast<std::size_t>(n) &&
-                    out.size() >= block,
-                "reduce_scatter_block buffer size mismatch");
-  if (detail::is_power_of_two(static_cast<std::size_t>(n)) && n > 1) {
-    reduce_scatter_halving_over(all_ranks(), in, out, op, tag);
-    return;
-  }
-  // Fallback: reduce to rank 0, then scatter (uses the tag block's tail).
-  std::vector<T> full(rank() == 0 ? in.size() : 0);
-  reduce_over(all_ranks(), in, std::span<T>(full), op, 0, tag, coll::Algo::Binomial);
-  const int stag = tag + 1;
-  if (rank() == 0) {
-    for (int r = 1; r < n; ++r)
-      raw_send(std::span<const T>(full.data() + block * static_cast<std::size_t>(r),
-                                  block),
-               r, stag);
-    std::copy(full.begin(), full.begin() + static_cast<std::ptrdiff_t>(block),
-              out.begin());
-  } else {
-    raw_recv(out.subspan(0, block), 0, stag);
-  }
+  reduce_scatter_block_bytes(detail::bytes(in), detail::writable_bytes(out), sizeof(T),
+                             reducer<T>(op));
 }
 
 template <typename T>
 void Communicator::scan(std::span<const T> in, std::span<T> out, ReduceOp op) {
-  const ProfiledCall prof_scope(*engine_, prof::CallKind::Scan);
-  const int tag = begin_collective();
-  const int n = size();
-  CBMPI_REQUIRE(out.size() >= in.size(), "scan output buffer too small");
-  std::copy(in.begin(), in.end(), out.begin());
-  std::vector<T> partial(in.begin(), in.end());
-  std::vector<T> incoming(in.size());
-  for (int mask = 1; mask < n; mask <<= 1) {
-    const int dst = rank() + mask;
-    const int src = rank() - mask;
-    const std::vector<T> snapshot = partial;  // value sent this round
-    Request send_req;
-    if (dst < n) send_req = raw_isend(std::span<const T>(snapshot), dst, tag);
-    if (src >= 0) {
-      raw_recv(std::span<T>(incoming), src, tag);
-      apply_reduce<T>(op, incoming, std::span<T>(partial));
-      apply_reduce<T>(op, incoming, out.subspan(0, in.size()));
-    }
-    if (send_req) engine_->wait(send_req);
-  }
+  scan_bytes(prof::CallKind::Scan, detail::bytes(in), detail::writable_bytes(out),
+             reducer<T>(op));
 }
 
 template <typename T>
 void Communicator::exscan(std::span<const T> in, std::span<T> out, ReduceOp op) {
-  const ProfiledCall prof_scope(*engine_, prof::CallKind::Exscan);
-  const int tag = begin_collective();
-  const int n = size();
-  CBMPI_REQUIRE(out.size() >= in.size(), "exscan output buffer too small");
-  std::fill(out.begin(), out.begin() + static_cast<std::ptrdiff_t>(in.size()), T{});
-  std::vector<T> partial(in.begin(), in.end());
-  std::vector<T> incoming(in.size());
-  bool have_result = false;
-  for (int mask = 1; mask < n; mask <<= 1) {
-    const int dst = rank() + mask;
-    const int src = rank() - mask;
-    const std::vector<T> snapshot = partial;
-    Request send_req;
-    if (dst < n) send_req = raw_isend(std::span<const T>(snapshot), dst, tag);
-    if (src >= 0) {
-      raw_recv(std::span<T>(incoming), src, tag);
-      apply_reduce<T>(op, incoming, std::span<T>(partial));
-      if (have_result) {
-        apply_reduce<T>(op, incoming, out.subspan(0, in.size()));
-      } else {
-        std::copy(incoming.begin(), incoming.end(), out.begin());
-        have_result = true;
-      }
-    }
-    if (send_req) engine_->wait(send_req);
-  }
+  scan_bytes(prof::CallKind::Exscan, detail::bytes(in), detail::writable_bytes(out),
+             reducer<T>(op));
 }
 
 template <typename T>
@@ -725,10 +612,3 @@ T Communicator::exscan_value(T value, ReduceOp op) {
 }
 
 }  // namespace cbmpi::mpi
-
-// Template definitions of the tunable collective algorithms and their
-// engine-driven dispatch. Included here (not standalone) so every user of
-// Communicator sees the definitions; both headers re-include this one, which
-// `#pragma once` resolves to a no-op.
-#include "mpi/coll/algorithms.hpp"  // IWYU pragma: keep
-#include "mpi/coll/dispatch.hpp"    // IWYU pragma: keep

@@ -64,6 +64,23 @@ void apply_reduce(ReduceOp op, std::span<const T> in, std::span<T> inout) {
   }
 }
 
+/// Type-erased elementwise reduction over raw bytes, the shape of MPI's
+/// MPI_User_function: inout[i] = inout[i] (op) in[i] for every whole element.
+/// Collectives and RMA accumulate run their reductions through one of these.
+using ReduceFn = void (*)(ReduceOp op, std::span<const std::byte> in,
+                          std::span<std::byte> inout);
+
+/// apply_reduce<T> behind the ReduceFn signature.
+template <typename T>
+void reduce_bytes(ReduceOp op, std::span<const std::byte> in,
+                  std::span<std::byte> inout) {
+  apply_reduce<T>(op,
+                  std::span<const T>(reinterpret_cast<const T*>(in.data()),
+                                     in.size() / sizeof(T)),
+                  std::span<T>(reinterpret_cast<T*>(inout.data()),
+                               inout.size() / sizeof(T)));
+}
+
 /// Request shared state. A request is produced by isend/irecv and consumed by
 /// test/wait on the owning rank's fiber; only the rendezvous sub-state is
 /// shared with the peer (and is internally synchronized).

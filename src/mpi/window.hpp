@@ -93,12 +93,8 @@ class Window {
                   ReduceOp op) {
     handle_.rmw_bytes(
         std::as_bytes(src), target, elem_offset * sizeof(T),
-        [op](std::span<std::byte> dst_bytes, std::span<const std::byte> src_bytes) {
-          std::span<T> dst{reinterpret_cast<T*>(dst_bytes.data()),
-                           dst_bytes.size() / sizeof(T)};
-          std::span<const T> in{reinterpret_cast<const T*>(src_bytes.data()),
-                                src_bytes.size() / sizeof(T)};
-          apply_reduce<T>(op, in, dst);
+        [op](std::span<std::byte> dst, std::span<const std::byte> in) {
+          reduce_bytes<T>(op, in, dst);
         });
   }
 
@@ -116,11 +112,8 @@ class Window {
         std::as_bytes(std::span<const T>(&increment, 1)),
         std::as_writable_bytes(std::span<T>(&before, 1)), target,
         elem_offset * sizeof(T),
-        [](std::span<std::byte> dst_bytes, std::span<const std::byte> src_bytes) {
-          apply_reduce<T>(ReduceOp::Sum,
-                          std::span<const T>(
-                              reinterpret_cast<const T*>(src_bytes.data()), 1),
-                          std::span<T>(reinterpret_cast<T*>(dst_bytes.data()), 1));
+        [](std::span<std::byte> dst, std::span<const std::byte> in) {
+          reduce_bytes<T>(ReduceOp::Sum, in, dst);
         });
     return before;
   }

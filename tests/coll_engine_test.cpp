@@ -5,8 +5,10 @@
 // as the only source of a choice.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/error.hpp"
@@ -31,14 +33,39 @@ JobConfig config_for(int hosts, int cph, int procs) {
 
 // ---------------------------------------------------------------------------
 // Result equivalence: each algorithm is pinned in turn via the tuning table
-// and must reproduce the analytically known result (int payloads, so no
-// reduction-order ambiguity). Two deployments cover pow2 (8) and non-pow2
-// (9) rank counts — the latter exercises the deterministic downgrades
-// (Rabenseifner / recursive doubling -> reduce_bcast, etc.).
+// and must reproduce the analytically known result. Two deployments cover
+// pow2 (8) and non-pow2 (12) rank counts — the latter exercises the
+// deterministic downgrades (Rabenseifner / recursive doubling ->
+// reduce_bcast, etc.). Every collective runs over int, std::uint8_t and
+// double (integral values, so sums are exact and uint8 wraps the same way
+// in any order); the data-moving ones also run over a 12-byte struct, whose
+// size catches byte-offset slips that 4-byte ints hide.
 // ---------------------------------------------------------------------------
+
+struct Elem12 {
+  std::int32_t a;
+  std::int32_t b;
+  std::int32_t c;
+  bool operator==(const Elem12&) const = default;
+};
+static_assert(sizeof(Elem12) == 12);
+
+template <typename T>
+T val(int x) {
+  if constexpr (std::is_arithmetic_v<T>)
+    return static_cast<T>(x);
+  else
+    return T{x, -x, 3 * x};
+}
+
+template <typename T>
+T& at(std::vector<T>& v, int i) {
+  return v[static_cast<std::size_t>(i)];
+}
 
 class CollEngineShapes : public testing::TestWithParam<int> {};  // cph
 
+template <typename T>
 void check_collective(const JobConfig& base, coll::Coll c, coll::Algo algo,
                       std::size_t elems) {
   auto cfg = base;
@@ -47,65 +74,62 @@ void check_collective(const JobConfig& base, coll::Coll c, coll::Algo algo,
   run_job(cfg, [&, n](mpi::Process& p) {
     auto& comm = p.world();
     const int r = p.rank();
+    const int ni = static_cast<int>(elems);
     switch (c) {
       case coll::Coll::Barrier:
         for (int i = 0; i < 3; ++i) comm.barrier();
         break;
       case coll::Coll::Bcast: {
         const int root = 1 % n;
-        std::vector<int> data(elems, -1);
+        std::vector<T> data(elems, val<T>(-1));
         if (r == root)
-          for (std::size_t i = 0; i < elems; ++i)
-            data[i] = static_cast<int>(i) * 7 + 3;
-        comm.bcast(std::span<int>(data), root);
-        for (std::size_t i = 0; i < elems; ++i)
-          ASSERT_EQ(data[i], static_cast<int>(i) * 7 + 3);
+          for (int i = 0; i < ni; ++i) at(data, i) = val<T>(i * 7 + 3);
+        comm.bcast(std::span<T>(data), root);
+        for (int i = 0; i < ni; ++i)
+          ASSERT_EQ(at(data, i), val<T>(i * 7 + 3));
         break;
       }
-      case coll::Coll::Reduce: {
-        const int root = n - 1;
-        std::vector<int> in(elems), out(elems);
-        for (std::size_t i = 0; i < elems; ++i) in[i] = r + static_cast<int>(i);
-        comm.reduce(std::span<const int>(in), std::span<int>(out),
-                    ReduceOp::Sum, root);
-        if (r == root) {
-          for (std::size_t i = 0; i < elems; ++i)
-            ASSERT_EQ(out[i], n * (n - 1) / 2 + n * static_cast<int>(i));
+      case coll::Coll::Reduce:
+        if constexpr (std::is_arithmetic_v<T>) {
+          const int root = n - 1;
+          std::vector<T> in(elems), out(elems);
+          for (int i = 0; i < ni; ++i) at(in, i) = val<T>(r + i);
+          comm.reduce(std::span<const T>(in), std::span<T>(out), ReduceOp::Sum, root);
+          if (r == root) {
+            for (int i = 0; i < ni; ++i)
+              ASSERT_EQ(at(out, i), val<T>(n * (n - 1) / 2 + n * i));
+          }
         }
         break;
-      }
-      case coll::Coll::Allreduce: {
-        std::vector<int> in(elems), out(elems);
-        for (std::size_t i = 0; i < elems; ++i) in[i] = r + static_cast<int>(i);
-        comm.allreduce(std::span<const int>(in), std::span<int>(out),
-                       ReduceOp::Sum);
-        for (std::size_t i = 0; i < elems; ++i)
-          ASSERT_EQ(out[i], n * (n - 1) / 2 + n * static_cast<int>(i));
+      case coll::Coll::Allreduce:
+        if constexpr (std::is_arithmetic_v<T>) {
+          std::vector<T> in(elems), out(elems);
+          for (int i = 0; i < ni; ++i) at(in, i) = val<T>(r + i);
+          comm.allreduce(std::span<const T>(in), std::span<T>(out), ReduceOp::Sum);
+          for (int i = 0; i < ni; ++i)
+            ASSERT_EQ(at(out, i), val<T>(n * (n - 1) / 2 + n * i));
+        }
         break;
-      }
       case coll::Coll::Allgather: {
-        std::vector<int> mine(elems), all(elems * static_cast<std::size_t>(n));
-        for (std::size_t i = 0; i < elems; ++i)
-          mine[i] = r * 1000 + static_cast<int>(i);
-        comm.allgather(std::span<const int>(mine), std::span<int>(all));
+        std::vector<T> mine(elems), all(elems * static_cast<std::size_t>(n));
+        for (int i = 0; i < ni; ++i) at(mine, i) = val<T>(r * 1000 + i);
+        comm.allgather(std::span<const T>(mine), std::span<T>(all));
         for (int peer = 0; peer < n; ++peer)
-          for (std::size_t i = 0; i < elems; ++i)
-            ASSERT_EQ(all[static_cast<std::size_t>(peer) * elems + i],
-                      peer * 1000 + static_cast<int>(i));
+          for (int i = 0; i < ni; ++i)
+            ASSERT_EQ(at(all, peer * ni + i), val<T>(peer * 1000 + i));
         break;
       }
       case coll::Coll::Alltoall: {
-        std::vector<int> send(elems * static_cast<std::size_t>(n));
-        std::vector<int> recv(send.size());
+        std::vector<T> send(elems * static_cast<std::size_t>(n));
+        std::vector<T> recv(send.size());
         for (int peer = 0; peer < n; ++peer)
-          for (std::size_t i = 0; i < elems; ++i)
-            send[static_cast<std::size_t>(peer) * elems + i] =
-                r * 10000 + peer * 100 + static_cast<int>(i);
-        comm.alltoall(std::span<const int>(send), std::span<int>(recv));
+          for (int i = 0; i < ni; ++i)
+            at(send, peer * ni + i) = val<T>(r * 10000 + peer * 100 + i);
+        comm.alltoall(std::span<const T>(send), std::span<T>(recv));
         for (int peer = 0; peer < n; ++peer)
-          for (std::size_t i = 0; i < elems; ++i)
-            ASSERT_EQ(recv[static_cast<std::size_t>(peer) * elems + i],
-                      peer * 10000 + r * 100 + static_cast<int>(i));
+          for (int i = 0; i < ni; ++i)
+            ASSERT_EQ(at(recv, peer * ni + i),
+                      val<T>(peer * 10000 + r * 100 + i));
         break;
       }
       case coll::Coll::Count_:
@@ -122,14 +146,31 @@ TEST_P(CollEngineShapes, EveryAlgorithmMatchesReference) {
        {config_for(2, cph, 4), config_for(3, cph, 4)}) {
     for (std::size_t ci = 0; ci < coll::kColls; ++ci) {
       const auto c = static_cast<coll::Coll>(ci);
+      const bool moves_data = c == coll::Coll::Bcast || c == coll::Coll::Allgather ||
+                              c == coll::Coll::Alltoall;
       for (const coll::Algo algo : coll::algorithms_for(c)) {
         if (algo == coll::Algo::Auto) continue;
         for (const std::size_t elems : {std::size_t{16}, std::size_t{3000}}) {
-          SCOPED_TRACE(std::string(to_string(c)) + "/" + to_string(algo) +
-                       " elems=" + std::to_string(elems) + " ranks=" +
-                       std::to_string(base.deployment.total_ranks()) +
-                       " cph=" + std::to_string(cph));
-          check_collective(base, c, algo, elems);
+          const std::string where =
+              std::string(to_string(c)) + "/" + to_string(algo) + " elems=" +
+              std::to_string(elems) + " ranks=" +
+              std::to_string(base.deployment.total_ranks()) + " cph=" + std::to_string(cph);
+          {
+            SCOPED_TRACE(where + " int");
+            check_collective<int>(base, c, algo, elems);
+          }
+          {
+            SCOPED_TRACE(where + " uint8");
+            check_collective<std::uint8_t>(base, c, algo, elems);
+          }
+          {
+            SCOPED_TRACE(where + " double");
+            check_collective<double>(base, c, algo, elems);
+          }
+          if (moves_data) {
+            SCOPED_TRACE(where + " 12-byte struct");
+            check_collective<Elem12>(base, c, algo, elems);
+          }
         }
       }
     }
@@ -138,6 +179,61 @@ TEST_P(CollEngineShapes, EveryAlgorithmMatchesReference) {
 
 INSTANTIATE_TEST_SUITE_P(ContainersPerHost, CollEngineShapes,
                          testing::Values(1, 2, 4));
+
+// ---------------------------------------------------------------------------
+// Buffer sizes are checked at each collective's entry, before an algorithm is
+// chosen: a short output raises the same error under every algorithm,
+// two-level included, on a group leader (rank 0) and on a non-leader (rank 1)
+// alike, whether the output is one element short or empty. Reduce is rooted
+// at the short rank, whose output is the only one that counts.
+// ---------------------------------------------------------------------------
+
+/// Runs `c` under `algo` on 2 hosts x 2 containers x 4 procs with rank
+/// `short_rank`'s output one element short (or empty); returns the error.
+std::string short_output_error(coll::Coll c, coll::Algo algo, int short_rank,
+                               bool empty) {
+  auto cfg = config_for(2, 2, 4);
+  cfg.coll_tuning.add({.coll = c, .algo = algo});
+  const auto n = static_cast<std::size_t>(cfg.deployment.total_ranks());
+  constexpr std::size_t kElems = 16;
+  try {
+    run_job(cfg, [&](mpi::Process& p) {
+      const std::vector<int> in(kElems, p.rank());
+      std::size_t out_size = c == coll::Coll::Allgather ? kElems * n : kElems;
+      if (p.rank() == short_rank) out_size = empty ? 0 : out_size - 1;
+      std::vector<int> out(out_size);
+      const std::span<const int> in_span(in);
+      const std::span<int> out_span(out);
+      if (c == coll::Coll::Reduce)
+        p.world().reduce(in_span, out_span, ReduceOp::Sum, short_rank);
+      else if (c == coll::Coll::Allreduce)
+        p.world().allreduce(in_span, out_span, ReduceOp::Sum);
+      else
+        p.world().allgather(in_span, out_span);
+    });
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "no error";
+}
+
+TEST(CollEngineArguments, ShortOutputFailsUnderEveryAlgorithm) {
+  for (const coll::Coll c :
+       {coll::Coll::Reduce, coll::Coll::Allreduce, coll::Coll::Allgather}) {
+    for (const coll::Algo algo : coll::algorithms_for(c)) {
+      if (algo == coll::Algo::Auto) continue;
+      for (const bool empty : {false, true}) {
+        for (const int short_rank : {1, 0}) {
+          const std::string error = short_output_error(c, algo, short_rank, empty);
+          EXPECT_NE(error.find("output buffer too small"), std::string::npos)
+              << to_string(c) << "/" << to_string(algo) << " short rank "
+              << short_rank << (empty ? " (empty)" : " (one short)")
+              << ": " << error;
+        }
+      }
+    }
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Selection is observable: the pinned algorithm shows up in the profile's
