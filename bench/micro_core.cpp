@@ -147,7 +147,7 @@ void BM_ShmBulkStage(benchmark::State& state) {
   const auto queue = shm.open_queue(a, 0);
   std::vector<std::byte> data(size);
   for (auto _ : state) {
-    std::vector<std::byte> out;
+    fabric::Payload out;
     shm.stage(a, b, *queue, data, out);
     benchmark::DoNotOptimize(out);
   }

@@ -49,9 +49,11 @@ BfsResult run_bfs(mpi::Process& p, const DistGraph& graph, std::uint64_t root,
           kDataTag);
   }
 
-  // Per-destination coalescing buffers and in-flight sends.
+  // Per-destination coalescing buffers and in-flight sends. A buffer grows
+  // with its entries and is not reserved: a full-size reserve for each of
+  // the n peers made host memory quadratic in ranks, and a flush keys on
+  // size() alone.
   std::vector<std::vector<Entry>> send_bufs(static_cast<std::size_t>(nranks));
-  for (auto& buf : send_bufs) buf.reserve(entries_per_buffer);
   std::vector<std::pair<mpi::Request, std::vector<Entry>>> in_flight;
 
   std::vector<std::uint64_t> frontier;       // local vertex ids
@@ -114,7 +116,6 @@ BfsResult run_bfs(mpi::Process& p, const DistGraph& graph, std::uint64_t root,
         static_cast<std::int64_t>(buf.size());
     std::vector<Entry> shipped = std::move(buf);  // backing store for the isend
     buf.clear();
-    buf.reserve(entries_per_buffer);
     auto req =
         comm.isend(std::span<const Entry>(shipped.data(), shipped.size()), dest,
                    kDataTag);

@@ -17,7 +17,9 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <new>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/units.hpp"
@@ -79,6 +81,32 @@ class RndvState {
   bool withdrawn_ = false;  // guarded by mutex_
 };
 
+/// An allocator whose resize() leaves new elements default-initialized:
+/// for buffers that are overwritten in full right after they grow.
+template <typename T>
+struct DefaultInitAllocator {
+  using value_type = T;
+
+  DefaultInitAllocator() = default;
+  template <typename U>
+  DefaultInitAllocator(const DefaultInitAllocator<U>&) noexcept {}
+
+  T* allocate(std::size_t n) { return std::allocator<T>().allocate(n); }
+  void deallocate(T* p, std::size_t n) noexcept { std::allocator<T>().deallocate(p, n); }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    if constexpr (sizeof...(Args) == 0)
+      ::new (static_cast<void*>(p)) U;
+    else
+      ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+  bool operator==(const DefaultInitAllocator&) const = default;
+};
+
+/// An eager payload. Growing it does not zero-fill: the SHM staging copy or
+/// the HCA copy writes every byte right after.
+using Payload = std::vector<std::byte, DefaultInitAllocator<std::byte>>;
+
 struct Envelope {
   int src = -1;  ///< world rank of the sender
   int dst = -1;  ///< world rank of the receiver
@@ -112,7 +140,7 @@ struct Envelope {
   /// sender->receiver dependency edge on the receiver-side Proto span.
   Micros sent_at = 0.0;
 
-  std::vector<std::byte> payload;    ///< eager only
+  Payload payload;                   ///< eager only
   std::shared_ptr<RndvState> rndv;   ///< rendezvous only
 };
 

@@ -98,7 +98,7 @@ std::shared_ptr<osl::ShmSegment> ShmChannel::open_queue(const osl::SimProcess& s
 
 void ShmChannel::stage(const osl::SimProcess& sender, const osl::SimProcess& receiver,
                        osl::ShmSegment& queue, std::span<const std::byte> data,
-                       std::vector<std::byte>& out) const {
+                       Payload& out) const {
   CBMPI_REQUIRE(sender.same_host(receiver),
                 "SHM channel selected across hosts — selector bug");
   CBMPI_REQUIRE(sender.namespaces().shares(osl::NamespaceType::Ipc, receiver.namespaces()),

@@ -28,6 +28,26 @@ std::int64_t transfer_id(const fabric::Envelope& env) {
   return (static_cast<std::int64_t>(env.src) << 32) |
          static_cast<std::int64_t>(env.seq & 0xffffffffu);
 }
+
+/// allocate_shared's allocator for request states: the state and its
+/// control block share one block from the worker's free list (fiber.hpp).
+template <typename T>
+struct WorkerAllocator {
+  using value_type = T;
+  static_assert(alignof(T) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__);
+
+  WorkerAllocator() = default;
+  template <typename U>
+  WorkerAllocator(const WorkerAllocator<U>&) noexcept {}
+
+  T* allocate(std::size_t n) { return static_cast<T*>(allocate_block(n * sizeof(T))); }
+  void deallocate(T* p, std::size_t n) noexcept { free_block(p, n * sizeof(T)); }
+  bool operator==(const WorkerAllocator&) const = default;
+};
+
+Request make_request() {
+  return std::allocate_shared<RequestState>(WorkerAllocator<RequestState>());
+}
 }  // namespace
 
 // A note on MPI_Test/MPI_Iprobe time: an idle poll advances *no* virtual
@@ -129,7 +149,7 @@ Request Adi3Engine::start_send(std::span<const std::byte> data, int dst_world, i
   env.loopback = decision.loopback;
   env.sriov = decision.sriov;
 
-  auto request = std::make_shared<RequestState>();
+  auto request = make_request();
 
   if (decision.protocol == fabric::Protocol::Eager) {
     fabric::EagerCosts costs;
@@ -152,7 +172,8 @@ Request Adi3Engine::start_send(std::span<const std::byte> data, int dst_world, i
                                  clock().now() + job_->profile->hca_post_overhead,
                                  decision.sriov});
         trace_congestion(ctxp, rank_, dst_world, size, clock().now());
-        env.payload.assign(data.begin(), data.end());
+        env.payload.resize(size);
+        if (size > 0) std::memcpy(env.payload.data(), data.data(), size);
         break;
       }
       case fabric::ChannelKind::Cma:
@@ -205,7 +226,7 @@ Request Adi3Engine::start_send(std::span<const std::byte> data, int dst_world, i
 
 Request Adi3Engine::post_recv(std::span<std::byte> buffer, int src_world, int tag,
                               std::uint64_t comm_id, bool immediate) {
-  auto request = std::make_shared<RequestState>();
+  auto request = make_request();
   request->kind = RequestState::Kind::Recv;
   request->buffer = buffer;
   request->src_world = src_world;
@@ -219,8 +240,10 @@ Request Adi3Engine::post_recv(std::span<std::byte> buffer, int src_world, int ta
 }
 
 void Adi3Engine::complete_in_arrival_order(std::span<const Request> recvs) {
-  std::vector<Request> unmatched;
-  unmatched.reserve(recvs.size());
+  auto& unmatched = unmatched_scratch_;
+  auto& matched = matched_scratch_;
+  unmatched.clear();
+  matched.clear();
   for (const auto& request : recvs) {
     CBMPI_REQUIRE(request != nullptr && request->kind == RequestState::Kind::Recv,
                   "complete_in_arrival_order needs receive requests");
@@ -231,32 +254,30 @@ void Adi3Engine::complete_in_arrival_order(std::span<const Request> recvs) {
 
   // Phase 1: collect every envelope without completing anything — which
   // messages have arrived at any instant is wall-clock noise.
-  std::vector<std::pair<Request, fabric::Envelope>> matched;
   block_until([&] {
-    for (auto& pair : job_->matcher(rank_).match_posted(unmatched))
-      matched.push_back(std::move(pair));
+    job_->matcher(rank_).match_posted(unmatched, matched);
     return unmatched.empty();
   });
 
   // The matched receives leave the posted queue in one pass before any of
   // them completes, so a rank that throws in phase 2 leaves only receives
   // still waiting for a message behind for oldest_posted().
-  const auto request_of = [](const auto& pair) { return pair.first.get(); };
-  std::ranges::sort(matched, {}, request_of);
-  std::erase_if(posted_, [&](const Request& request) {
-    return std::ranges::binary_search(matched, request.get(), {}, request_of);
-  });
+  std::erase_if(posted_, [](const Request& request) { return request->matched; });
 
   // Phase 2: process in virtual arrival order, so the receiver busy chain
   // is a pure function of the envelopes' timestamps.
-  std::sort(matched.begin(), matched.end(), [](const auto& a, const auto& b) {
-    return std::tie(a.second.available_at, a.second.src, a.second.seq) <
-           std::tie(b.second.available_at, b.second.src, b.second.seq);
+  std::ranges::sort(matched, {}, [](const Request& request) {
+    const fabric::Envelope& env = request->envelope;
+    return std::tie(env.available_at, env.src, env.seq);
   });
-  for (auto& [request, env] : matched) complete_recv(*request, env);
+  for (const auto& request : matched) complete_recv(*request);
+  matched.clear();
 }
 
-void Adi3Engine::complete_recv(RequestState& request, fabric::Envelope& env) {
+void Adi3Engine::complete_recv(RequestState& request) {
+  // The envelope leaves the request here, so its payload is freed when the
+  // receive completes, as if it had never been stored.
+  fabric::Envelope env = std::move(request.envelope);
   if (env.size > request.buffer.size()) {
     std::ostringstream os;
     os << "message truncation: rank " << rank_ << " recv(source=" << env.src
@@ -398,8 +419,11 @@ fabric::RndvTimes Adi3Engine::pull(const RequestState& request,
 }
 
 void Adi3Engine::progress_posted() {
-  for (auto& [request, env] : job_->matcher(rank_).match_posted(posted_))
-    complete_recv(*request, env);
+  auto& matched = matched_scratch_;
+  matched.clear();
+  if (job_->matcher(rank_).match_posted(posted_, matched) == 0) return;
+  for (const auto& request : matched) complete_recv(*request);
+  matched.clear();
 }
 
 bool Adi3Engine::poll(RequestState& request) {

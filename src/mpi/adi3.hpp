@@ -13,6 +13,12 @@
 // Matcher::match_posted), and every blocking call parks the rank in the one
 // blocking step, block_until().
 //
+// The eager path is allocation-light: request states come from the worker's
+// recycled blocks (fiber.hpp), a matched envelope moves into its receive
+// request rather than a side list, and the engine reuses its own scratch
+// vectors, so in steady state an eager message costs one heap allocation,
+// its payload.
+//
 // Virtual-time rules:
 //   * eager completion  = max(posted_at, available_at) + receiver_cost
 //   * rendezvous times come from the channel's rndv_times(rts_sent, posted_at)
@@ -151,10 +157,11 @@ class Adi3Engine {
   /// posted receives for a receive request, picks up a finished rendezvous
   /// for a send request.
   bool poll(RequestState& request);
-  /// Completes a matched receive under either protocol: the one truncation
-  /// check, the eager copy-out (or pull() for a rendezvous), the status and
-  /// busy chain, the Proto span and the recv-latency histogram.
-  void complete_recv(RequestState& request, fabric::Envelope& env);
+  /// Completes a matched receive from the envelope the matcher moved into
+  /// it, under either protocol: the one truncation check, the eager copy-out
+  /// (or pull() for a rendezvous), the status and busy chain, the Proto span
+  /// and the recv-latency histogram.
+  void complete_recv(RequestState& request);
   /// Rendezvous only: prices the transfer on its channel (with the pin-down
   /// lookup and the "rndv-reg" span on the HCA), records the fabric flow and
   /// copies the payload out of the sender's buffer.
@@ -202,6 +209,11 @@ class Adi3Engine {
 
   std::uint64_t next_seq_ = 0;
   std::vector<Request> posted_;
+  /// Scratch of progress_posted and complete_in_arrival_order (neither runs
+  /// inside the other), kept so their capacity is reused: receives just
+  /// matched, and receives still waiting for their message.
+  std::vector<Request> matched_scratch_;
+  std::vector<Request> unmatched_scratch_;
   /// Rendezvous sends whose receiver may still read the source buffer.
   std::vector<std::shared_ptr<fabric::RndvState>> rndv_sends_;
   /// Receiver-side copies/pulls serialize on this rank's CPU: the next

@@ -8,9 +8,10 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <mutex>
+#include <new>
 #include <thread>
+#include <utility>
 
 #include "common/error.hpp"
 
@@ -192,12 +193,74 @@ class Fiber {
   Fiber& operator=(const Fiber&) = delete;
 
   FiberWorker* worker = nullptr;
+  Fiber* next_ready = nullptr;  ///< the worker's ready queue is linked here
   int rank = 0;
   Stack stack;
   Context context;
   void* fake_stack = nullptr;  // ASan's, while the fiber is switched out
   void* tsan;
 };
+
+namespace {
+
+/// A worker's free list of same-size heap blocks, linked through the blocks.
+class BlockList {
+ public:
+  /// Bounds the memory one worker holds between messages.
+  static constexpr std::size_t kMaxBlocks = 1024;
+
+  BlockList() = default;
+  BlockList(const BlockList&) = delete;
+  BlockList& operator=(const BlockList&) = delete;
+  ~BlockList() { clear(); }
+
+  void* take(std::size_t bytes) {
+    if (head_ == nullptr || bytes != bytes_) return nullptr;
+    --count_;
+    Node* block = std::exchange(head_, head_->next);
+    unpoison(block);
+    return block;
+  }
+
+  bool put(void* block, std::size_t bytes) {
+    if (count_ == kMaxBlocks || (count_ > 0 && bytes != bytes_) || bytes < sizeof(Node))
+      return false;
+    bytes_ = bytes;
+    head_ = ::new (block) Node{head_};
+    ++count_;
+    // Under ASan a listed block reads as freed, except its link.
+    poison(head_);
+    return true;
+  }
+
+  void clear() {
+    while (head_ != nullptr) {
+      unpoison(head_);
+      ::operator delete(std::exchange(head_, head_->next));
+    }
+    count_ = 0;
+  }
+
+ private:
+  struct Node {
+    Node* next;
+  };
+#if defined(__SANITIZE_ADDRESS__)
+  void poison(Node* node) const {
+    ASAN_POISON_MEMORY_REGION(node + 1, bytes_ - sizeof(Node));
+  }
+  void unpoison(Node* node) const { ASAN_UNPOISON_MEMORY_REGION(node, bytes_); }
+#else
+  void poison(Node*) const {}
+  void unpoison(Node*) const {}
+#endif
+
+  Node* head_ = nullptr;
+  std::size_t count_ = 0;
+  std::size_t bytes_ = 0;  ///< the size of every listed block
+};
+
+}  // namespace
 
 struct FiberWorker {
   explicit FiberWorker(RankScheduler& owner) : scheduler(&owner) {}
@@ -218,8 +281,11 @@ struct FiberWorker {
 
   std::mutex mutex;
   std::condition_variable ready_cv;
-  std::deque<Fiber*> ready;  // guarded by mutex
-  bool stop = false;         // guarded by mutex
+  // A FIFO linked through Fiber::next_ready, so queueing never allocates; a
+  // fiber is queued at most once at a time. Guarded by mutex, as is stop.
+  Fiber* ready_head = nullptr;
+  Fiber* ready_tail = nullptr;
+  bool stop = false;
 
   /// Owned by the worker's thread.
   Context context;
@@ -231,6 +297,7 @@ struct FiberWorker {
   const void* stack_bottom = nullptr;
   std::size_t stack_size = 0;
   void* tsan = nullptr;
+  BlockList blocks;
 };
 
 namespace {
@@ -281,17 +348,19 @@ void FiberWorker::suspend(Fiber& fiber, Exit why) {
 
 Fiber* FiberWorker::next() {
   std::unique_lock lock(mutex);
-  ready_cv.wait(lock, [&] { return !ready.empty() || stop; });
-  if (ready.empty()) return nullptr;
-  Fiber* fiber = ready.front();
-  ready.pop_front();
+  ready_cv.wait(lock, [&] { return ready_head != nullptr || stop; });
+  Fiber* fiber = ready_head;
+  if (fiber == nullptr) return nullptr;
+  ready_head = std::exchange(fiber->next_ready, nullptr);
+  if (ready_head == nullptr) ready_tail = nullptr;
   return fiber;
 }
 
 void FiberWorker::push(Fiber* fiber) {
   {
     const std::scoped_lock lock(mutex);
-    ready.push_back(fiber);
+    (ready_tail != nullptr ? ready_tail->next_ready : ready_head) = fiber;
+    ready_tail = fiber;
   }
   ready_cv.notify_one();
 }
@@ -316,7 +385,19 @@ void FiberWorker::loop() noexcept {
         break;
     }
   }
+  blocks.clear();
   t_worker = nullptr;
+}
+
+void* allocate_block(std::size_t bytes) {
+  if (t_worker != nullptr)
+    if (void* block = t_worker->blocks.take(bytes)) return block;
+  return ::operator new(bytes);
+}
+
+void free_block(void* block, std::size_t bytes) noexcept {
+  if (t_worker != nullptr && t_worker->blocks.put(block, bytes)) return;
+  ::operator delete(block);
 }
 
 RankScheduler::RankScheduler(std::function<void()> on_deadlock)

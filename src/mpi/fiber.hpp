@@ -20,9 +20,16 @@
 // reaches zero while fibers are still live, nothing can ever wake them. The
 // scheduler then calls the job's deadlock handler on the worker, while every
 // live fiber is parked.
+//
+// Block recycling: every worker keeps a bounded free list of same-size heap
+// blocks (allocate_block/free_block), so the request state the engine creates
+// and drops on each message reuses memory instead of reaching malloc. A rank
+// creates and releases its requests on its own fiber, which never leaves its
+// worker, so each list stays balanced.
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <functional>
 #include <memory>
 #include <type_traits>
@@ -32,6 +39,15 @@ namespace cbmpi::mpi {
 
 class Fiber;
 struct FiberWorker;
+
+/// A heap block of `bytes`, taken from the calling worker's free list when
+/// that list holds blocks of this size, from the heap otherwise.
+void* allocate_block(std::size_t bytes);
+/// Frees a block from allocate_block. On a worker it joins the worker's free
+/// list, unless the list is full or holds another size; off every worker it
+/// goes back to the heap. The lists are freed when their workers stop, at
+/// the end of RankScheduler::run.
+void free_block(void* block, std::size_t bytes) noexcept;
 
 class RankScheduler {
  public:

@@ -7,7 +7,7 @@
 namespace cbmpi::mpi {
 
 Fiber* Matcher::bump_locked() {
-  ++version_;
+  version_.store(version_.load(std::memory_order_relaxed) + 1, std::memory_order_release);
   return std::exchange(waiter_, nullptr);
 }
 
@@ -34,7 +34,8 @@ void Matcher::deliver(fabric::Envelope envelope) {
     } else {
       bins_.insert(bin, Bin{src, slot, slot});
     }
-    ++pending_;
+    // Published before the version bump: see matcher.hpp.
+    pending_.store(pending_.load(std::memory_order_relaxed) + 1, std::memory_order_release);
     waiter = bump_locked();
   }
   if (waiter != nullptr) RankScheduler::wake(waiter);
@@ -85,7 +86,7 @@ fabric::Envelope Matcher::take_locked(const Hit& hit) {
   if (bin.tail == hit.node) bin.tail = hit.prev;
   if (bin.head == kNone) bins_.erase(bins_.begin() + static_cast<std::ptrdiff_t>(hit.bin));
   link.next = std::exchange(free_, hit.node);
-  --pending_;
+  pending_.store(pending_.load(std::memory_order_relaxed) - 1, std::memory_order_release);
   return std::move(envelopes_[hit.node]);
 }
 
@@ -97,11 +98,11 @@ std::optional<fabric::Envelope> Matcher::try_match(int src_world, int tag,
   return take_locked(*hit);
 }
 
-std::vector<std::pair<Request, fabric::Envelope>> Matcher::match_posted(
-    std::vector<Request>& posted) {
-  std::vector<std::pair<Request, fabric::Envelope>> matched;
+std::size_t Matcher::match_posted(std::vector<Request>& posted,
+                                  std::vector<Request>& matched) {
+  if (posted.empty() || pending_.load(std::memory_order_acquire) == 0) return 0;
   const std::scoped_lock lock(mutex_);
-  if (pending_ == 0) return matched;
+  const std::size_t before = matched.size();
   auto keep = posted.begin();
   for (auto& request : posted) {
     const auto hit = find_locked(request->src_world, request->tag, request->comm_id);
@@ -109,10 +110,12 @@ std::vector<std::pair<Request, fabric::Envelope>> Matcher::match_posted(
       std::swap(*keep++, request);
       continue;
     }
-    matched.emplace_back(std::move(request), take_locked(*hit));
+    request->envelope = take_locked(*hit);
+    request->matched = true;
+    matched.push_back(std::move(request));
   }
   posted.erase(keep, posted.end());
-  return matched;
+  return matched.size() - before;
 }
 
 std::optional<Status> Matcher::peek(int src_world, int tag, std::uint64_t comm_id) const {
@@ -135,13 +138,12 @@ std::optional<Status> Matcher::peek(int src_world, int tag, std::uint64_t comm_i
 }
 
 std::uint64_t Matcher::version() const {
-  const std::scoped_lock lock(mutex_);
-  return version_;
+  return version_.load(std::memory_order_acquire);
 }
 
 bool Matcher::park_past(std::uint64_t seen, Fiber* fiber) {
   const std::scoped_lock lock(mutex_);
-  if (version_ != seen) return false;
+  if (version_.load(std::memory_order_relaxed) != seen) return false;
   waiter_ = fiber;
   return true;
 }
@@ -156,8 +158,7 @@ void Matcher::poke() {
 }
 
 std::size_t Matcher::pending() const {
-  const std::scoped_lock lock(mutex_);
-  return pending_;
+  return pending_.load(std::memory_order_acquire);
 }
 
 }  // namespace cbmpi::mpi

@@ -26,12 +26,19 @@
 // matcher), an RMA epoch unlock (it pokes the window's ranks) and a job
 // abort (the runtime pokes every matcher). A blocked rank therefore parks
 // its fiber here (park_past) without a timeout, and the next bump wakes it.
+//
+// version() and the pending count are atomics, written under the mutex with
+// release order, so a rank's wake check and a match attempt that finds
+// nothing pending take no lock. A delivery publishes the pending count
+// before the version, so a rank that read a version and then sees nothing
+// pending either saw the delivery or parks on a stale version, which
+// park_past (still under the mutex) refuses.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <mutex>
 #include <optional>
-#include <utility>
 #include <vector>
 
 #include "fabric/message.hpp"
@@ -50,11 +57,12 @@ class Matcher {
   std::optional<fabric::Envelope> try_match(int src_world, int tag,
                                             std::uint64_t comm_id);
 
-  /// Pairs the posted receives, in post order, with the envelopes try_match
-  /// would return for them, all inside one critical section. Matched
-  /// receives leave `posted`; the pairs come back in post order.
-  std::vector<std::pair<Request, fabric::Envelope>> match_posted(
-      std::vector<Request>& posted);
+  /// Moves into each receive of `posted`, in post order, the envelope
+  /// try_match would return for it, all inside one critical section, and
+  /// marks it matched. Matched receives leave `posted` (the rest keep their
+  /// order) and are appended to `matched` in post order; returns how many.
+  /// Allocates nothing once `matched` has the capacity.
+  std::size_t match_posted(std::vector<Request>& posted, std::vector<Request>& matched);
 
   /// Non-destructive variant for MPI_Iprobe.
   std::optional<Status> peek(int src_world, int tag, std::uint64_t comm_id) const;
@@ -115,10 +123,11 @@ class Matcher {
   std::vector<fabric::Envelope> envelopes_;
   std::uint32_t free_ = kNone;
   std::vector<Bin> bins_;  ///< sorted by src; only sources with envelopes
-  std::size_t pending_ = 0;
   std::uint64_t arrivals_ = 0;
-  std::uint64_t version_ = 0;
   Fiber* waiter_ = nullptr;
+  // Written only under mutex_; read without it.
+  std::atomic<std::size_t> pending_{0};
+  std::atomic<std::uint64_t> version_{0};
 };
 
 }  // namespace cbmpi::mpi

@@ -83,7 +83,9 @@ void reduce_bytes(ReduceOp op, std::span<const std::byte> in,
 
 /// Request shared state. A request is produced by isend/irecv and consumed by
 /// test/wait on the owning rank's fiber; only the rendezvous sub-state is
-/// shared with the peer (and is internally synchronized).
+/// shared with the peer (and is internally synchronized). The engine makes
+/// every state from its worker's recycled blocks (fiber.hpp), so a state and
+/// its shared_ptr control block cost no malloc in steady state.
 struct RequestState {
   enum class Kind : std::uint8_t { SendEager, SendRndv, Recv };
 
@@ -98,6 +100,10 @@ struct RequestState {
   int tag = kAnyTag;
   std::uint64_t comm_id = 0;
   Micros posted_at = 0.0;
+  /// Set once the matcher moved this receive's message into `envelope`; the
+  /// engine completes it from there and then leaves `envelope` empty.
+  bool matched = false;
+  fabric::Envelope envelope{};
 
   // --- rendezvous send bookkeeping ---------------------------------------
   std::shared_ptr<fabric::RndvState> rndv;

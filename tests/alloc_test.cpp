@@ -1,0 +1,230 @@
+// Allocation budget of the eager message path, and hygiene of the recycled
+// request states behind it.
+//
+// This binary replaces the global operator new with a counting one, so it
+// is its own executable. The count is taken over whole jobs of two lengths;
+// the difference divided by the extra messages is the steady-state cost of
+// one message, free of job setup.
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstddef>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
+#include <string>
+#include <vector>
+
+#include "common/error.hpp"
+#include "mpi/runtime.hpp"
+
+namespace {
+std::atomic<std::uint64_t> g_allocations{0};
+}  // namespace
+
+// None of the three is inlined: gcc would otherwise see malloc() or free()
+// at a call site and warn of a mismatched new/delete pair.
+[[gnu::noinline]] void* operator new(std::size_t bytes) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* block = std::malloc(bytes == 0 ? 1 : bytes)) return block;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* block) noexcept { std::free(block); }
+[[gnu::noinline]] void operator delete(void* block, std::size_t) noexcept {
+  std::free(block);
+}
+
+namespace cbmpi {
+namespace {
+
+using container::DeploymentSpec;
+using mpi::JobConfig;
+using mpi::run_job;
+
+constexpr std::size_t kMessageBytes = 1024;
+
+/// Heap allocations of a job whose two ranks exchange `iters` 1 KiB
+/// messages each way with sendrecv.
+std::uint64_t sendrecv_job_allocations(const DeploymentSpec& deployment, int iters) {
+  JobConfig config;
+  config.deployment = deployment;
+  const std::uint64_t before = g_allocations.load();
+  run_job(config, [iters](mpi::Process& p) {
+    std::vector<std::byte> out(kMessageBytes, std::byte{1});
+    std::vector<std::byte> in(kMessageBytes);
+    const int peer = 1 - p.rank();
+    for (int i = 0; i < iters; ++i)
+      p.world().sendrecv(std::span<const std::byte>(out), peer, std::span<std::byte>(in),
+                         peer, 3);
+  });
+  return g_allocations.load() - before;
+}
+
+/// Steady-state allocations per message: two job lengths, so job setup and
+/// the warm-up of every recycled buffer cancel out.
+double allocations_per_message(const DeploymentSpec& deployment) {
+  constexpr int kShort = 1000;
+  constexpr int kLong = 3000;
+  const auto short_job = sendrecv_job_allocations(deployment, kShort);
+  const auto long_job = sendrecv_job_allocations(deployment, kLong);
+  const double messages = 2.0 * (kLong - kShort);  // both ranks send each round
+  return (static_cast<double>(long_job) - static_cast<double>(short_job)) / messages;
+}
+
+// The one allocation left is the eager payload: request states come from the
+// worker's recycled blocks and a matched envelope moves into its request.
+TEST(AllocCount, ShmEagerMessageAllocatesOnlyItsPayload) {
+  const double per_message = allocations_per_message(DeploymentSpec::native_hosts(1, 2));
+  RecordProperty("allocations_per_message", std::to_string(per_message));
+  EXPECT_LE(per_message, 1.0);
+}
+
+TEST(AllocCount, HcaEagerMessageAllocatesOnlyItsPayload) {
+  const double per_message = allocations_per_message(DeploymentSpec::native_hosts(2, 1));
+  RecordProperty("allocations_per_message", std::to_string(per_message));
+  EXPECT_LE(per_message, 1.0);
+}
+
+/// Runs `body` on an SHM pair (one host) and on an HCA pair (two hosts).
+template <typename Body>
+void on_both_pairs(const Body& body) {
+  for (const auto& deployment :
+       {DeploymentSpec::native_hosts(1, 2), DeploymentSpec::native_hosts(2, 1)}) {
+    JobConfig config;
+    config.deployment = deployment;
+    run_job(config, body);
+  }
+}
+
+// Requests of every kind follow each other on one pair, so each new request
+// reuses the block of one just released: eager and rendezvous sends,
+// specific and wildcard receives, a receive that fails on truncation and an
+// alltoall (completed in arrival order). Every status and completion must
+// be the one of its own message.
+TEST(RequestPool, RecycledRequestsInheritNoState) {
+  on_both_pairs([](mpi::Process& p) {
+    auto& comm = p.world();
+    const int peer = 1 - p.rank();
+    constexpr std::size_t kEager = 256;
+    constexpr std::size_t kRndv = 256 * 1024;  // above every eager threshold
+    for (int round = 0; round < 24; ++round) {
+      const int tag = 10 + round;
+      const auto fill = static_cast<std::byte>(round + 1);
+      switch (round % 4) {
+        case 0:
+        case 1: {  // eager, then rendezvous; every other pair by wildcard
+          const std::size_t bytes = round % 4 == 0 ? kEager : kRndv;
+          if (p.rank() == 0) {
+            std::vector<std::byte> data(bytes, fill);
+            const auto send = comm.isend(std::span<const std::byte>(data), peer, tag);
+            comm.wait(send);
+            EXPECT_TRUE(send->complete);
+          } else {
+            std::vector<std::byte> data(bytes + 8);
+            const int src = (round / 4) % 2 == 1 ? mpi::kAnySource : peer;
+            const auto recv = comm.irecv(std::span<std::byte>(data), src, tag);
+            const auto status = comm.wait(recv);
+            EXPECT_TRUE(recv->complete);
+            EXPECT_EQ(status.source, peer);
+            EXPECT_EQ(status.tag, tag);
+            EXPECT_EQ(status.bytes, bytes);
+            EXPECT_EQ(data[0], fill);
+            EXPECT_EQ(data[bytes - 1], fill);
+            EXPECT_EQ(data[bytes], std::byte{0});
+          }
+          break;
+        }
+        case 2: {  // a truncated receive, caught
+          if (p.rank() == 0) {
+            std::vector<std::byte> data(kEager, fill);
+            comm.send(std::span<const std::byte>(data), peer, tag);
+          } else {
+            // irecv itself completes (and throws) if the message is already in.
+            std::vector<std::byte> small(16);
+            bool truncated = false;
+            try {
+              comm.recv(std::span<std::byte>(small), peer, tag);
+            } catch (const Error&) {
+              truncated = true;
+            }
+            EXPECT_TRUE(truncated);
+          }
+          break;
+        }
+        case 3: {  // both directions at once, then an alltoall
+          std::vector<int> out(64, round * 100 + p.rank());
+          std::vector<int> in(64, -1);
+          comm.sendrecv(std::span<const int>(out), peer, std::span<int>(in), peer, tag);
+          EXPECT_EQ(in.front(), round * 100 + peer);
+          // Block j of rank r holds round * 10 + r * 2 + j.
+          const int me = p.rank();
+          std::vector<int> a2a_out{round * 10 + me * 2, round * 10 + me * 2 + 1};
+          std::vector<int> a2a_in(2, -1);
+          comm.alltoall(std::span<const int>(a2a_out), std::span<int>(a2a_in));
+          EXPECT_EQ(a2a_in[static_cast<std::size_t>(peer)], round * 10 + peer * 2 + me);
+          EXPECT_EQ(a2a_in[static_cast<std::size_t>(me)], round * 10 + me * 3);
+          break;
+        }
+      }
+    }
+  });
+}
+
+// Receives completed in arrival order (the spread alltoall) leave the
+// posted queue through their matched flag: the deadlock at the end names
+// the receive each rank is really stuck in, not a finished alltoall one.
+TEST(RequestPool, CompletedReceivesLeaveThePostedQueue) {
+  JobConfig config;
+  config.deployment = DeploymentSpec::native_hosts(1, 2);
+  try {
+    run_job(config, [](mpi::Process& p) {
+      for (int round = 0; round < 3; ++round) {
+        std::vector<int> out{round, round};
+        std::vector<int> in(2);
+        p.world().alltoall(std::span<const int>(out), std::span<int>(in));
+      }
+      (void)p.world().recv_value<int>(1 - p.rank(), 999);
+    });
+    ADD_FAILURE() << "expected a DeadlockError";
+  } catch (const DeadlockError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("rank 0 waits in recv(source=1, tag=999, comm=0)"),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("rank 1 waits in recv(source=0, tag=999, comm=0)"),
+              std::string::npos)
+        << what;
+  }
+}
+
+// A request that outlives its job is released on the calling thread, off
+// every worker, after the workers freed their block lists.
+TEST(RequestPool, RequestKeptPastRunJobIsFreedSafely) {
+  std::vector<mpi::Request> kept(4);
+  JobConfig config;
+  config.deployment = DeploymentSpec::native_hosts(1, 2);
+  run_job(config, [&kept](mpi::Process& p) {
+    auto& comm = p.world();
+    const int peer = 1 - p.rank();
+    std::vector<int> out(32, p.rank() + 1);
+    std::vector<int> in(32);
+    auto recv = comm.irecv(std::span<int>(in), peer, 1);
+    auto send = comm.isend(std::span<const int>(out), peer, 1);
+    comm.wait(recv);
+    comm.wait(send);
+    kept[static_cast<std::size_t>(2 * p.rank())] = std::move(recv);
+    kept[static_cast<std::size_t>(2 * p.rank() + 1)] = std::move(send);
+  });
+  for (int rank = 0; rank < 2; ++rank) {
+    const auto& recv = kept[static_cast<std::size_t>(2 * rank)];
+    ASSERT_NE(recv, nullptr);
+    EXPECT_TRUE(recv->complete);
+    EXPECT_EQ(recv->status.source, 1 - rank);
+    EXPECT_EQ(recv->status.bytes, 32 * sizeof(int));
+    EXPECT_TRUE(kept[static_cast<std::size_t>(2 * rank + 1)]->complete);
+  }
+  kept.clear();
+}
+
+}  // namespace
+}  // namespace cbmpi

@@ -89,10 +89,10 @@ TEST(ShmChannel, StageMovesBytesThroughQueue) {
   std::vector<std::byte> data(3000);
   for (std::size_t i = 0; i < data.size(); ++i)
     data[i] = static_cast<std::byte>(i % 251);
-  std::vector<std::byte> out;
+  Payload out;
   const auto queue = shm.open_queue(a, 42);
   shm.stage(a, b, *queue, data, out);
-  EXPECT_EQ(out, data);
+  EXPECT_TRUE(std::ranges::equal(out, data));
   EXPECT_EQ(host.shm().segment_count(), 1u);
   EXPECT_EQ(shm.open_queue(a, 42), queue);  // opened once, then reused
 }
@@ -113,12 +113,12 @@ TEST(ShmChannel, OneQueueCarriesEverySendOfItsRank) {
     to_b[i] = static_cast<std::byte>(i % 253);
   for (std::size_t i = 0; i < to_c.size(); ++i)
     to_c[i] = static_cast<std::byte>(255 - i % 241);
-  std::vector<std::byte> at_b;
-  std::vector<std::byte> at_c;
+  Payload at_b;
+  Payload at_c;
   shm.stage(a, b, *queue, to_b, at_b);
   shm.stage(a, c, *queue, to_c, at_c);
   shm.stage(a, b, *queue, to_c, at_b);  // appends behind the first message
-  EXPECT_EQ(at_c, to_c);
+  EXPECT_TRUE(std::ranges::equal(at_c, to_c));
   ASSERT_EQ(at_b.size(), to_b.size() + to_c.size());
   EXPECT_TRUE(std::equal(to_b.begin(), to_b.end(), at_b.begin()));
   EXPECT_TRUE(std::equal(to_c.begin(), to_c.end(), at_b.begin() + 3000));
@@ -134,7 +134,7 @@ TEST(ShmChannel, StageRefusedAcrossIpcNamespaces) {
   osl::SimProcess b(host, other, topo::CoreId{0, 1});
   const ShmChannel shm(kProfile, TuningParams{});
   std::vector<std::byte> data(16);
-  std::vector<std::byte> out;
+  Payload out;
   const auto queue = shm.open_queue(a, 1);
   EXPECT_THROW(shm.stage(a, b, *queue, data, out), Error);
 }
@@ -147,7 +147,7 @@ TEST(ShmChannel, StageRefusedAcrossHosts) {
   osl::SimProcess b(host1, host1.root_namespaces(), topo::CoreId{0, 0});
   const ShmChannel shm(kProfile, TuningParams{});
   std::vector<std::byte> data(16);
-  std::vector<std::byte> out;
+  Payload out;
   const auto queue = shm.open_queue(a, 0);
   EXPECT_THROW(shm.stage(a, b, *queue, data, out), Error);
 }

@@ -41,8 +41,8 @@ class DequeMatcher {
     return env;
   }
 
-  std::vector<std::pair<Request, Envelope>> match_posted(std::vector<Request>& posted) {
-    std::vector<std::pair<Request, Envelope>> matched;
+  std::size_t match_posted(std::vector<Request>& posted, std::vector<Request>& matched) {
+    const std::size_t before = matched.size();
     auto keep = posted.begin();
     for (auto& request : posted) {
       const auto it = find_locked(request->src_world, request->tag, request->comm_id);
@@ -50,11 +50,13 @@ class DequeMatcher {
         std::swap(*keep++, request);
         continue;
       }
-      matched.emplace_back(std::move(request), std::move(*it));
+      request->envelope = std::move(*it);
+      request->matched = true;
       unexpected_.erase(it);
+      matched.push_back(std::move(request));
     }
     posted.erase(keep, posted.end());
-    return matched;
+    return matched.size() - before;
   }
 
   std::optional<Status> peek(int src_world, int tag, std::uint64_t comm_id) const {
@@ -176,27 +178,43 @@ class Stream {
                 oracle_.try_match(s.src, s.tag, s.comm));
   }
 
+  /// The matcher and the oracle each get their own receives, with equal
+  /// selectors; posted_at numbers them.
   void match_posted() {
     std::vector<Request> posted;
+    std::vector<Request> oracle_posted;
     const auto n = 1 + rng_.below(5);
     for (std::uint64_t i = 0; i < n; ++i) {
       const Selector s = selector();
-      auto request = std::make_shared<mpi::RequestState>();
-      request->kind = mpi::RequestState::Kind::Recv;
-      request->src_world = s.src;
-      request->tag = s.tag;
-      request->comm_id = s.comm;
-      posted.push_back(std::move(request));
+      for (auto* list : {&posted, &oracle_posted}) {
+        auto request = std::make_shared<mpi::RequestState>();
+        request->kind = mpi::RequestState::Kind::Recv;
+        request->src_world = s.src;
+        request->tag = s.tag;
+        request->comm_id = s.comm;
+        request->posted_at = static_cast<double>(i);
+        list->push_back(std::move(request));
+      }
     }
-    auto oracle_posted = posted;
-    const auto got = matcher_.match_posted(posted);
-    const auto want = oracle_.match_posted(oracle_posted);
-    ASSERT_EQ(got.size(), want.size());
-    for (std::size_t i = 0; i < got.size(); ++i) {
-      EXPECT_EQ(got[i].first, want[i].first);
-      expect_same(got[i].second, want[i].second);
+    // Earlier matches stay in front of the ones appended now.
+    std::vector<Request> got(1, std::make_shared<mpi::RequestState>());
+    std::vector<Request> want(1, std::make_shared<mpi::RequestState>());
+    const std::size_t got_n = matcher_.match_posted(posted, got);
+    const std::size_t want_n = oracle_.match_posted(oracle_posted, want);
+    ASSERT_EQ(got_n, want_n);
+    ASSERT_EQ(got.size(), 1 + got_n);
+    ASSERT_EQ(want.size(), 1 + want_n);
+    EXPECT_FALSE(got.front()->matched);
+    for (std::size_t i = 1; i < got.size(); ++i) {
+      EXPECT_EQ(got[i]->posted_at, want[i]->posted_at);
+      EXPECT_TRUE(got[i]->matched);
+      expect_same(got[i]->envelope, want[i]->envelope);
     }
-    EXPECT_EQ(posted, oracle_posted);
+    ASSERT_EQ(posted.size(), oracle_posted.size());
+    for (std::size_t i = 0; i < posted.size(); ++i) {
+      EXPECT_EQ(posted[i]->posted_at, oracle_posted[i]->posted_at);
+      EXPECT_FALSE(posted[i]->matched);
+    }
   }
 
   void peek() {
@@ -289,9 +307,10 @@ TEST(MatcherConcurrent, PerSourceFifoHoldsUnderConcurrentDelivery) {
       posted.push_back(std::move(request));
     }
     ++round;
-    const auto matched = matcher.match_posted(posted);
-    if (matched.empty()) std::this_thread::yield();
-    for (const auto& [request, env] : matched) {
+    std::vector<Request> matched;
+    if (matcher.match_posted(posted, matched) == 0) std::this_thread::yield();
+    for (const auto& request : matched) {
+      const Envelope& env = request->envelope;
       if (env.src < 0 || env.src >= kSources) {
         ADD_FAILURE() << "unknown source " << env.src;
         break;

@@ -8,8 +8,11 @@ metric regressed beyond tolerance:
   * rows are matched on (label, bytes); a baseline row missing from the
     fresh artifact is an error (a silently dropped configuration is how
     regressions hide)
+  * every field of a baseline row must be present in the fresh row
   * latency_us may rise by at most --tol (relative); bandwidth_mbps may
     fall by at most --tol
+  * every other field (message rates, crash and migration counts, shares,
+    ...) must equal the baseline exactly, whatever --tol says
   * improvements and new rows are reported as info, never failures
   * the two artifacts must come from the same bench (same "bench" field)
 
@@ -54,6 +57,10 @@ def index_rows(doc: dict, path: str) -> dict:
     return rows
 
 
+# The fields --tol applies to, and whether a higher value is worse.
+TOLERANT = {"latency_us": True, "bandwidth_mbps": False}
+
+
 def rel_delta(fresh: float, base: float) -> float:
     """Relative change, sign-normalized so positive always means 'worse'
     is possible — callers compare against the metric's bad direction."""
@@ -81,7 +88,8 @@ def main() -> int:
     fresh = index_rows(fresh_doc, args.fresh)
     base = index_rows(base_doc, args.baseline)
 
-    # (key, metric, fresh value, base value, relative delta)
+    # (key, metric, fresh value, base value, relative delta); the delta is
+    # None for an exact field, the fresh value None for a missing field
     failures = []
     improvements = []
     checked = 0
@@ -90,16 +98,22 @@ def main() -> int:
         if fresh_row is None:
             failures.append((key, "row", None, None, None))
             continue
-        # higher latency is a regression; higher bandwidth is an improvement
-        for metric, worse_if_higher in (("latency_us", True),
-                                        ("bandwidth_mbps", False)):
-            b = float(base_row.get(metric, 0.0))
-            f = float(fresh_row.get(metric, 0.0))
+        for metric, b in base_row.items():
+            if metric in ("label", "bytes"):
+                continue  # the row key
+            if metric not in fresh_row:
+                failures.append((key, metric, None, b, None))
+                continue
+            f = fresh_row[metric]
+            checked += 1
+            if metric not in TOLERANT:
+                if f != b:
+                    failures.append((key, metric, f, b, None))
+                continue
             if b == 0.0 and f == 0.0:
                 continue  # metric not produced by this row
-            checked += 1
-            d = rel_delta(f, b)
-            regression = d if worse_if_higher else -d
+            d = rel_delta(float(f), float(b))
+            regression = d if TOLERANT[metric] else -d
             if regression > args.tol:
                 failures.append((key, metric, f, b, d))
             elif regression < 0.0:
@@ -113,6 +127,12 @@ def main() -> int:
         if metric == "row":
             print(f"FAIL: {name} {key[0]}@{key[1]}B: row missing from "
                   f"fresh artifact", file=sys.stderr)
+        elif f is None:
+            print(f"FAIL: {name} {key[0]}@{key[1]}B {metric}: field missing "
+                  f"from fresh artifact", file=sys.stderr)
+        elif d is None:
+            print(f"FAIL: {name} {key[0]}@{key[1]}B {metric}: {f!r} vs "
+                  f"baseline {b!r} (must be equal)", file=sys.stderr)
         else:
             print(f"FAIL: {name} {key[0]}@{key[1]}B {metric}: "
                   f"{f:.4g} vs baseline {b:.4g} ({d:+.1%}, tol "
