@@ -237,7 +237,7 @@ int main(int argc, char** argv) {
                          coll::Coll::Allgather})
       base.coll_tuning.add({.coll = c, .algo = coll::Algo::TwoLevel});
     auto flat = base;
-    flat.tuning.two_level_collectives = false;  // two_level rows -> Auto
+    flat.coll_tuning = base.coll_tuning.flat();  // two_level rows -> Auto
 
     Table table({"collective @ 1K", "flat (us)", "two-level (us)", "delta"});
     double worst_ratio = 1.0;

@@ -37,11 +37,9 @@ int main(int argc, char** argv) {
              "alltoall; <=9% overhead vs native");
 
   auto modes = make_modes(hosts, containers, procs);
-  if (flat) {
-    modes.def.tuning.two_level_collectives = false;
-    modes.opt.tuning.two_level_collectives = false;
-    modes.native.tuning.two_level_collectives = false;
-  }
+  if (flat)
+    for (auto* mode : {&modes.def, &modes.opt, &modes.native})
+      mode->coll_tuning = mode->coll_tuning.flat();
 
   auto measure = [&](const mpi::JobConfig& config, const char* mode,
                      apps::osu::Collective coll, Bytes size) {

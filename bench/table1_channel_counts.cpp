@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
   const apps::graph500::EdgeListParams params{scale, 16, 1};
   for (auto config : container_scenarios(procs)) {
     // Flat collectives keep the total exactly invariant across scenarios.
-    config.tuning.two_level_collectives = false;
+    config.coll_tuning = config.coll_tuning.flat();
     const auto result = mpi::run_job(config, [&](mpi::Process& p) {
       const auto graph = apps::graph500::build_graph(p, params);
       for (const auto root : apps::graph500::choose_roots(params, nbfs))

@@ -27,10 +27,6 @@ struct TuningParams {
   /// Enables the CMA channel for large intra-host messages.
   bool use_cma = true;
 
-  /// Enables two-level (leader-based) collective algorithms on top of the
-  /// detected locality groups.
-  bool two_level_collectives = true;
-
   /// Pin-down (memory-registration) model for the HCA rendezvous path. Off
   /// by default: buffer registration costs nothing, so HcaChannel::rndv_times
   /// runs with empty pin windows and the payload as one chunk (rndv_chunk

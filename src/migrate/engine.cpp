@@ -330,6 +330,7 @@ mpi::JobResult Engine::run(const mpi::JobConfig& config,
     event.at += offset;
     out.trace.push_back(std::move(event));
   }
+  std::ranges::sort(out.trace, sim::trace_less);
   out.fault_report = merge_faults(seg1.fault_report, seg2.fault_report, offset);
   out.net = seg2.net;
   if (seg1.net.enabled) {

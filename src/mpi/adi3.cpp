@@ -225,7 +225,7 @@ Request Adi3Engine::start_send(std::span<const std::byte> data, int dst_world, i
 }
 
 Request Adi3Engine::post_recv(std::span<std::byte> buffer, int src_world, int tag,
-                              std::uint64_t comm_id, bool immediate) {
+                              std::uint64_t comm_id) {
   auto request = make_request();
   request->kind = RequestState::Kind::Recv;
   request->buffer = buffer;
@@ -234,8 +234,6 @@ Request Adi3Engine::post_recv(std::span<std::byte> buffer, int src_world, int ta
   request->comm_id = comm_id;
   request->posted_at = clock().now();
   posted_.push_back(request);
-  // A matching message may already be waiting in the unexpected queue.
-  if (immediate) progress_posted();
   return request;
 }
 

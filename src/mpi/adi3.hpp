@@ -5,13 +5,13 @@
 // protocols over whichever channel the selector picked.
 //
 // Progress semantics mirror a single-threaded MPI library without an async
-// progress thread: transfers advance only inside MPI calls. Any blocking
-// call (and every test) progresses *all* posted receives, not just the one
-// being waited on — that is what lets a peer's blocking rendezvous send
-// complete while this rank waits on an unrelated request, exactly like a
-// real progress engine. Posted receives are matched in post order (see
-// Matcher::match_posted), and every blocking call parks the rank in the one
-// blocking step, block_until().
+// progress thread: posting a receive only queues it, and every wait, test
+// or iprobe progresses *all* posted receives, not just its own — that is
+// what lets a peer's blocking rendezvous send complete while this rank
+// waits on an unrelated request, exactly like a real progress engine.
+// Posted receives are matched in post order (see Matcher::match_posted),
+// and every blocking call parks the rank in the one blocking step,
+// block_until().
 //
 // The eager path is allocation-light: request states come from the worker's
 // recycled blocks (fiber.hpp), a matched envelope moves into its receive
@@ -61,13 +61,10 @@ class Adi3Engine {
   Request start_send(std::span<const std::byte> data, int dst_world, int tag,
                      std::uint64_t comm_id);
 
-  /// Posts a receive. The buffer must stay valid until completion.
-  /// With immediate=true the engine progresses every posted receive right
-  /// away, so this one completes at once if its message already arrived.
-  /// With immediate=false nothing is matched at post time; pair with
-  /// complete_in_arrival_order().
+  /// Posts a receive. The buffer must stay valid until completion. Nothing
+  /// is matched at post time: the next wait, test or iprobe does that.
   Request post_recv(std::span<std::byte> buffer, int src_world, int tag,
-                    std::uint64_t comm_id, bool immediate = true);
+                    std::uint64_t comm_id);
 
   /// Completes every receive in `recvs`, processing messages in *virtual*
   /// arrival order (available_at, src, seq) rather than wall-clock arrival

@@ -73,10 +73,6 @@ std::size_t Communicator::Blocks::extent(int n) const {
 
 // ---- engine plumbing ------------------------------------------------------
 
-bool Communicator::two_level_enabled() const {
-  return engine_->job().tuning.two_level_collectives;
-}
-
 const coll::Engine& Communicator::coll_engine() const { return engine_->job().coll; }
 
 coll::Algo Communicator::pick(coll::Coll coll, Bytes bytes, int list_size) const {
@@ -123,7 +119,7 @@ void Communicator::run_tunable(const TunableCall& call) {
   // The hierarchical allgather additionally needs uniform contiguous groups
   // so the leader-level exchange lands in rank order.
   const bool two_level_ok =
-      two_level_enabled() && !groups.trivial() &&
+      !groups.trivial() &&
       (call.coll != coll::Coll::Allgather || (groups.uniform && groups.contiguous));
   const coll::Algo algo = coll_engine().choose(call.coll, bytes, size(), two_level_ok);
   note_algo(call.coll,
@@ -677,7 +673,8 @@ void Communicator::alltoall_bruck(CBytes send_data, WBytes recv_data, std::size_
 // Spread: every transfer posted non-blocking at once; maximum overlap,
 // maximum simultaneous buffer pressure. With n-1 receives in flight the
 // receiver busy chain must not depend on wall-clock arrival order, so the
-// receives are posted deferred and completed in virtual arrival order.
+// receives complete in virtual arrival order: every matching send is already
+// started, which only the collective knows.
 void Communicator::alltoall_spread(CBytes send_data, WBytes recv_data, std::size_t block,
                                    int tag) {
   const int n = size();
@@ -687,8 +684,7 @@ void Communicator::alltoall_spread(CBytes send_data, WBytes recv_data, std::size
   sends.reserve(idx(n - 1));
   for (int step = 1; step < n; ++step) {
     const int peer = (rank() + step) % n;
-    recvs.push_back(raw_irecv(recv_data.subspan(block * idx(peer), block), peer, tag,
-                              /*immediate=*/false));
+    recvs.push_back(raw_irecv(recv_data.subspan(block * idx(peer), block), peer, tag));
   }
   for (int step = 1; step < n; ++step) {
     const int peer = (rank() + step) % n;

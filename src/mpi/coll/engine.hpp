@@ -11,7 +11,7 @@
 // `choose()` resolves a call site to a concrete algorithm:
 //   1. table selection (TuningTable::select);
 //   2. TwoLevel demoted to Auto when the caller has no usable locality
-//      hierarchy (trivial groups, feature disabled, or a sub-phase);
+//      hierarchy (trivial groups, uneven allgather groups, or a sub-phase);
 //   3. Auto resolved through the same size/rank heuristics the collectives
 //      hard-wired before the engine existed (switching at
 //      kBcastLargeThreshold / kAllreduceLargeThreshold), so an empty table
@@ -40,9 +40,6 @@ class Engine {
   /// only when `two_level_available`). `ranks` is the size of the rank list
   /// the collective runs over (sub-phases pass their sub-list size).
   Algo choose(Coll coll, Bytes bytes, int ranks, bool two_level_available) const;
-
-  const TuningTable& table() const { return table_; }
-  int containers_per_host() const { return cph_; }
 
  private:
   /// The Auto fallback (step 3 of choose()).

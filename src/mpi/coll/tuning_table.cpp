@@ -100,7 +100,7 @@ TuningTable TuningTable::container_defaults() {
   //
   // When the locality detector finds no co-located ranks the engine demotes
   // the two_level rows to the flat Auto heuristic, which reproduces the
-  // pre-engine behaviour.
+  // pre-engine behaviour; flat() makes the same demotion for a whole job.
   TuningTable t;
   const auto all = [](Coll c, Algo a) {
     TuningEntry e;
@@ -198,6 +198,13 @@ void TuningTable::add(TuningEntry entry) {
 
 void TuningTable::merge(const TuningTable& other) {
   entries_.insert(entries_.end(), other.entries_.begin(), other.entries_.end());
+}
+
+TuningTable TuningTable::flat() const {
+  TuningTable out = *this;
+  for (TuningEntry& e : out.entries_)
+    if (e.algo == Algo::TwoLevel) e.algo = Algo::Auto;
+  return out;
 }
 
 Algo TuningTable::select(Coll coll, Bytes size, int ranks, int cph) const {

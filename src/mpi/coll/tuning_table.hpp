@@ -21,7 +21,8 @@
 //
 // The shipped `container_defaults()` table encodes the paper-derived choices
 // for container deployments; `bench/ablation_collectives --autotune` sweeps
-// the real algorithms and emits a fresh best-of table in this format.
+// the real algorithms and emits a fresh best-of table in this format. A
+// flat-collectives job (MV2_USE_SHMEM_COLL=0) runs `flat()` of its table.
 #pragma once
 
 #include <cstdint>
@@ -85,6 +86,10 @@ class TuningTable {
   /// Appends all of `other`'s entries after ours — i.e. `other` wins
   /// wherever both tables speak.
   void merge(const TuningTable& other);
+
+  /// A copy with every TwoLevel entry read as Auto. (An empty table would
+  /// not do: Auto runs pairwise alltoall where the defaults say spread.)
+  TuningTable flat() const;
 
   /// The algorithm for this call site: the last matching entry, else
   /// Algo::Auto. `cph` is containers per host (1 = native).

@@ -106,7 +106,7 @@ Status Communicator::probe(int src, int tag) {
   const int src_world = src == kAnySource ? kAnySource : to_world(src);
   std::optional<Status> status;
   engine_->block_until([&] {
-    status = engine_->iprobe(src_world, tag, id_);
+    status = engine_->iprobe(src_world, tag, context(tag));
     return status.has_value();
   });
   status->source = from_world(status->source);
@@ -116,18 +116,18 @@ Status Communicator::probe(int src, int tag) {
 std::optional<Status> Communicator::iprobe(int src, int tag) {
   const ProfiledCall prof_scope(*engine_, prof::CallKind::Probe);
   const int src_world = src == kAnySource ? kAnySource : to_world(src);
-  auto status = engine_->iprobe(src_world, tag, id_);
+  auto status = engine_->iprobe(src_world, tag, context(tag));
   if (status) status->source = from_world(status->source);
   return yield_unless(status);
 }
 
 Request Communicator::raw_isend(CBytes data, int dst, int tag) {
-  return engine_->start_send(data, to_world(dst), tag, id_);
+  return engine_->start_send(data, to_world(dst), tag, context(tag));
 }
 
-Request Communicator::raw_irecv(WBytes buffer, int src, int tag, bool immediate) {
+Request Communicator::raw_irecv(WBytes buffer, int src, int tag) {
   const int src_world = src == kAnySource ? kAnySource : to_world(src);
-  return engine_->post_recv(buffer, src_world, tag, id_, immediate);
+  return engine_->post_recv(buffer, src_world, tag, context(tag));
 }
 
 void Communicator::raw_send(CBytes data, int dst, int tag) {

@@ -71,8 +71,10 @@ class Engine;
 
 namespace cbmpi::mpi {
 
-/// Tags at or above this value are reserved for collective internals.
+/// Tags at or above this value are reserved for collective internals. They
+/// travel in a context of their own, as in MPI, so kAnyTag never sees them.
 inline constexpr int kCollectiveTagBase = 1 << 20;
+inline constexpr std::uint64_t kCollectiveContextBit = std::uint64_t{1} << 63;
 
 struct CommGroup {
   std::vector<int> world_ranks;            ///< comm rank -> world rank
@@ -306,7 +308,7 @@ class Communicator {
 
   // Unprofiled raw transfers used by point-to-point calls and collectives.
   Request raw_isend(CBytes data, int dst, int tag);
-  Request raw_irecv(WBytes buffer, int src, int tag, bool immediate = true);
+  Request raw_irecv(WBytes buffer, int src, int tag);
   void raw_send(CBytes data, int dst, int tag);
   void raw_recv(WBytes buffer, int src, int tag);
   void raw_sendrecv(CBytes send_data, int dst, WBytes recv_buffer, int src, int tag);
@@ -368,7 +370,10 @@ class Communicator {
 
   std::vector<int> all_ranks() const;
   int position_in(const std::vector<int>& list) const;
-  bool two_level_enabled() const;
+  /// The context of a transfer on `tag`: id_, or id_ ^ kCollectiveContextBit.
+  std::uint64_t context(int tag) const {
+    return tag >= kCollectiveTagBase ? id_ ^ kCollectiveContextBit : id_;
+  }
 
   /// The job's collective-algorithm engine.
   const coll::Engine& coll_engine() const;

@@ -49,6 +49,8 @@ namespace cbmpi::mpi {
 
 class Matcher {
  public:
+  Matcher() { links_.reserve(kSlabSlots); envelopes_.reserve(kSlabSlots); }
+
   /// Called by the sending rank's fiber, possibly on another worker.
   void deliver(fabric::Envelope envelope);
 
@@ -84,6 +86,9 @@ class Matcher {
 
  private:
   static constexpr std::uint32_t kNone = UINT32_MAX;
+  /// Slots reserved up front: how many messages a job leaves pending at
+  /// once depends on wall-clock timing, so growth past so few would too.
+  static constexpr std::size_t kSlabSlots = 4;
 
   /// The matching keys and chain link of one slab slot, kept apart from the
   /// envelopes so a chain walk stays in a few cache lines.

@@ -117,7 +117,7 @@ struct JobResult {
   std::vector<Micros> rank_times;  ///< per-rank final virtual clocks
   prof::JobProfile profile;        ///< aggregated over ranks
   std::size_t hca_queue_pairs = 0;
-  std::vector<sim::TraceEvent> trace;  ///< empty unless record_trace
+  std::vector<sim::TraceEvent> trace;  ///< empty unless record_trace; trace_less order
   /// Injected faults, degradation decisions, retry counts, recovery time.
   /// Empty when the job's FaultPlan is the default.
   faults::FaultReport fault_report;

@@ -124,6 +124,7 @@ bool Scheduler::try_start(const JobSpec& job, Micros now, bool backfilled) {
 
   auto job_config = make_job_config(job, *placement, config_.host_shape);
   job_config.tuning = config_.tuning;
+  job_config.coll_tuning = config_.coll_tuning;
   job_config.profile = config_.profile;
   job_config.observe = config_.observe;
   // Recovery plumbing: checkpoint cadence (spec override beats the cluster

@@ -32,6 +32,8 @@ struct SchedulerConfig {
   bool backfill = true;          ///< EASY backfill; false = pure FIFO
   std::uint64_t seed = 42;       ///< root of every placement / job seed
   fabric::TuningParams tuning{};             ///< forwarded to every job
+  /// Collective-algorithm table copied into every job's JobConfig::coll_tuning.
+  coll::TuningTable coll_tuning = coll::TuningTable::container_defaults();
   topo::MachineProfile profile = topo::MachineProfile::chameleon_fdr();
 
   /// Switch on per-job observability (metrics + spans on every JobResult) so

@@ -1,5 +1,8 @@
 #include "sim/trace.hpp"
 
+#include <algorithm>
+#include <tuple>
+
 namespace cbmpi::sim {
 
 const char* to_string(TraceKind kind) {
@@ -22,6 +25,11 @@ const char* to_string(TraceKind kind) {
   return "?";
 }
 
+bool trace_less(const TraceEvent& a, const TraceEvent& b) {
+  return std::tie(a.at, a.src, a.dst, a.kind, a.size, a.note) <
+         std::tie(b.at, b.src, b.dst, b.kind, b.size, b.note);
+}
+
 void TraceRecorder::record(TraceEvent event) {
   const std::scoped_lock lock(mutex_);
   events_.push_back(std::move(event));
@@ -29,7 +37,9 @@ void TraceRecorder::record(TraceEvent event) {
 
 std::vector<TraceEvent> TraceRecorder::events() const {
   const std::scoped_lock lock(mutex_);
-  return events_;
+  std::vector<TraceEvent> out = events_;
+  std::ranges::sort(out, trace_less);
+  return out;
 }
 
 std::size_t TraceRecorder::count(TraceKind kind) const {

@@ -2,8 +2,8 @@
 //
 // Channels and the MPI progress engine emit TraceEvents when a recorder is
 // attached to the job; tests use it to assert protocol structure (e.g. "a
-// rendezvous transfer emitted RTS, CTS, DATA in order") and benches can dump
-// it for debugging. Thread-safe: many ranks append concurrently.
+// rendezvous transfer emitted RTS, CTS and DATA") and benches can dump it
+// for debugging. Thread-safe: many ranks append concurrently.
 #pragma once
 
 #include <cstdint>
@@ -43,11 +43,15 @@ struct TraceEvent {
   std::string note;
 };
 
+/// Canonical order (at, src, dst, kind, size, note): total, so a job's
+/// events sort the same however its ranks' fibers interleaved.
+bool trace_less(const TraceEvent& a, const TraceEvent& b);
+
 class TraceRecorder {
  public:
   void record(TraceEvent event);
 
-  /// Snapshot of all events recorded so far, in append order.
+  /// Snapshot of all events recorded so far, in trace_less order.
   std::vector<TraceEvent> events() const;
 
   /// Number of events of one kind.

@@ -360,6 +360,34 @@ TEST(CollEngine, TwoLevelDemotesToHeuristicWhenUnavailable) {
             coll::Algo::Dissemination);
 }
 
+// A flat-collectives job runs table.flat(): with the hierarchy available it
+// must choose exactly what the full table chooses without it.
+TEST(CollEngine, FlatTableChoosesWhatAnUnavailableHierarchyDoes) {
+  const auto parsed = coll::TuningTable::parse(
+      "bcast * * * two_level\n"
+      "allreduce 4- 2- -8K two_level\n"
+      "allgather * * 1K- two_level\n"
+      "alltoall * * -4K bruck\n"
+      "reduce 8 * * binomial\n");
+  for (const auto& table : {coll::TuningTable::container_defaults(), parsed}) {
+    for (const int cph : {1, 2, 4}) {
+      const coll::Engine full(table, cph);
+      const coll::Engine flat(table.flat(), cph);
+      for (std::size_t c = 0; c < coll::kColls; ++c) {
+        const auto coll = static_cast<coll::Coll>(c);
+        for (const Bytes size : {Bytes{0}, 1_KiB, 8_KiB, 32_KiB, 64_KiB, 1_MiB}) {
+          for (const int ranks : {2, 3, 4, 8, 12, 16, 64}) {
+            EXPECT_EQ(flat.choose(coll, size, ranks, true),
+                      full.choose(coll, size, ranks, false))
+                << coll::to_string(coll) << " " << size << " B, " << ranks
+                << " ranks, cph " << cph;
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(CollEngine, EmptyTableFallsBackToLegacyHeuristic) {
   // Bcast heuristic: binomial small, van de Geijn large (>= threshold, >= 4
   // ranks), never van de Geijn on tiny communicators.

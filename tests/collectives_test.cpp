@@ -43,7 +43,7 @@ class Collectives : public testing::TestWithParam<CollectiveCase> {
                          : DeploymentSpec::containers(c.hosts, c.containers_per_host,
                                                       c.procs_per_host);
     cfg.policy = c.policy;
-    cfg.tuning.two_level_collectives = c.two_level;
+    if (!c.two_level) cfg.coll_tuning = cfg.coll_tuning.flat();
     return cfg;
   }
   int nranks() const { return GetParam().hosts * GetParam().procs_per_host; }

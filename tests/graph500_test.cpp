@@ -194,7 +194,7 @@ TEST(Bfs, TotalTransferOpsInvariantAcrossScenarios) {
     // on the rank count, so the total is exactly invariant (two-level
     // algorithms restructure with the locality groups and would shift the
     // total by a few control messages).
-    config.tuning.two_level_collectives = false;
+    config.coll_tuning = config.coll_tuning.flat();
     const auto result = mpi::run_job(config, [&](mpi::Process& p) {
       const auto graph = build_graph(p, params);
       run_bfs(p, graph, 0);

@@ -268,6 +268,47 @@ TEST(Runtime, AnySourceReceivesBoth) {
   });
 }
 
+// Collective traffic travels in its own context, as in MPI: a user receive
+// or probe with kAnyTag must not take a collective's internal message.
+TEST(Runtime, AnyTagReceiveSkipsCollectiveTraffic) {
+  run_job(two_rank_native(), [](mpi::Process& p) {
+    auto& world = p.world();
+    int got = 0;
+    mpi::Request user;
+    if (p.rank() == 0) user = world.irecv(std::span<int>(&got, 1), mpi::kAnySource);
+    EXPECT_EQ(world.allreduce_value(p.rank() + 1, ReduceOp::Sum), 3);
+    if (p.rank() == 1) {
+      world.send_value<int>(42, 0, 7);
+      return;
+    }
+    const auto status = world.wait(user);
+    EXPECT_EQ(got, 42);
+    EXPECT_EQ(status.tag, 7);
+  });
+}
+
+TEST(Runtime, AnyTagProbeSkipsCollectiveTraffic) {
+  run_job(two_rank_native(), [](mpi::Process& p) {
+    auto& world = p.world();
+    int value = p.rank() == 1 ? 9 : 0;
+    if (p.rank() == 1) {
+      // Rank 1's part of the bcast is an eager send that reaches rank 0
+      // before the user message.
+      world.bcast(std::span<int>(&value, 1), 1);
+      world.send_value<int>(42, 0, 5);
+      return;
+    }
+    EXPECT_EQ(world.probe(mpi::kAnySource, mpi::kAnyTag).tag, 5);
+    const auto peek = world.iprobe(1, mpi::kAnyTag);
+    ASSERT_TRUE(peek.has_value());
+    EXPECT_EQ(peek->tag, 5);
+    EXPECT_EQ(world.recv_value<int>(1, 5), 42);
+    EXPECT_FALSE(world.iprobe().has_value());
+    world.bcast(std::span<int>(&value, 1), 1);
+    EXPECT_EQ(value, 9);
+  });
+}
+
 TEST(Runtime, IsendIrecvTestCompletes) {
   run_job(two_rank_native(), [](mpi::Process& p) {
     std::vector<float> buf(16);
@@ -549,8 +590,8 @@ TEST(RankEngine, ArrivalOrderCompletionLeavesOnlyUnmatchedReceivesPosted) {
       std::array<std::array<std::byte, 4>, 3> in{};
       std::vector<mpi::Request> recvs;
       for (int tag = 1; tag <= 3; ++tag)
-        recvs.push_back(engine.post_recv(in[static_cast<std::size_t>(tag - 1)], 1, tag,
-                                         world.id(), /*immediate=*/false));
+        recvs.push_back(
+            engine.post_recv(in[static_cast<std::size_t>(tag - 1)], 1, tag, world.id()));
       bool truncated = false;
       try {
         engine.complete_in_arrival_order(std::span(recvs).first(2));
@@ -563,6 +604,94 @@ TEST(RankEngine, ArrivalOrderCompletionLeavesOnlyUnmatchedReceivesPosted) {
       EXPECT_EQ(engine.oldest_posted(), nullptr);
     });
   }
+}
+
+// ---- progress rule: a matched rendezvous receive completes while its rank
+// blocks in some other call, since its sender is blocked until it does ------
+
+JobConfig three_rank_native() {
+  JobConfig config;
+  config.deployment = DeploymentSpec::native_hosts(1, 3);
+  return config;
+}
+
+constexpr std::size_t kRndvBytes = 64_KiB;  // above every eager threshold
+
+std::vector<std::uint8_t> filled(int rank) {
+  return std::vector<std::uint8_t>(kRndvBytes, static_cast<std::uint8_t>(rank));
+}
+
+TEST(ProgressRule, RendezvousReceiveCompletesWhileWaitingOnAnother) {
+  // Rank 2 only sends once rank 1 is past its blocking send to rank 0, so
+  // rank 0 must complete the receive from rank 1 inside the wait on rank 2.
+  within_10s("a wait on one receive did not progress another", [] {
+    run_job(three_rank_native(), [](mpi::Process& p) {
+      auto& world = p.world();
+      const auto out = filled(p.rank());
+      std::vector<std::uint8_t> from1(kRndvBytes), from2(kRndvBytes);
+      switch (p.rank()) {
+        case 0: {
+          const auto recv1 = world.irecv(std::span<std::uint8_t>(from1), 1);
+          const auto recv2 = world.irecv(std::span<std::uint8_t>(from2), 2);
+          world.wait(recv2);
+          world.wait(recv1);
+          EXPECT_EQ(from1[kRndvBytes - 1], 1);
+          EXPECT_EQ(from2[kRndvBytes - 1], 2);
+          break;
+        }
+        case 1:
+          world.send(std::span<const std::uint8_t>(out), 0);
+          world.send(std::span<const std::uint8_t>(out), 2);
+          break;
+        case 2:
+          world.recv(std::span<std::uint8_t>(from1), 1);
+          world.send(std::span<const std::uint8_t>(out), 0);
+          break;
+      }
+    });
+  });
+}
+
+TEST(ProgressRule, WaitAllCompletesARendezvousBeforeItsEagerFollower) {
+  // The eager message on tag 2 is only sent once the rendezvous on tag 1
+  // completed, so wait_all cannot hold the first receive until both match.
+  within_10s("wait_all did not complete a rendezvous receive before the rest", [] {
+    run_job(three_rank_native(), [](mpi::Process& p) {
+      auto& world = p.world();
+      if (p.rank() == 1) {
+        world.send(std::span<const std::uint8_t>(filled(1)), 0, 1);
+        world.send_value<int>(7, 0, 2);
+      } else if (p.rank() == 0) {
+        std::vector<std::uint8_t> big(kRndvBytes);
+        int small = 0;
+        const std::array<mpi::Request, 2> recvs = {
+            world.irecv(std::span<std::uint8_t>(big), 1, 1),
+            world.irecv(std::span<int>(&small, 1), 1, 2)};
+        world.wait_all(recvs);
+        EXPECT_EQ(big[kRndvBytes - 1], 1);
+        EXPECT_EQ(small, 7);
+      }
+    });
+  });
+}
+
+TEST(ProgressRule, BarrierCompletesAPendingRendezvousReceive) {
+  // Rank 1 reaches the barrier only after its send completes, and rank 0
+  // waits on that receive only after the barrier.
+  within_10s("a barrier did not progress a pending rendezvous receive", [] {
+    run_job(three_rank_native(), [](mpi::Process& p) {
+      auto& world = p.world();
+      std::vector<std::uint8_t> in(kRndvBytes);
+      mpi::Request recv;
+      if (p.rank() == 0) recv = world.irecv(std::span<std::uint8_t>(in), 1);
+      if (p.rank() == 1) world.send(std::span<const std::uint8_t>(filled(1)), 0);
+      world.barrier();
+      if (p.rank() == 0) {
+        world.wait(recv);
+        EXPECT_EQ(in[kRndvBytes - 1], 1);
+      }
+    });
+  });
 }
 
 TEST(RankEngine, AtMostOneWorkerPerCore) {

@@ -224,6 +224,29 @@ TEST(Scheduler, SchedulesThroughRealRuntimeDeterministically) {
   }
 }
 
+TEST(Scheduler, CollectiveTableReachesEveryJob) {
+  sched::SchedulerConfig config;
+  config.cluster_hosts = 2;
+  config.host_shape = small_shape();
+  config.coll_tuning.add({.coll = coll::Coll::Bcast, .algo = coll::Algo::FlatTree});
+  sched::Scheduler scheduler(config);
+  scheduler.set_runner([](const mpi::JobConfig& job_config, const sched::JobSpec&) {
+    return mpi::run_job(job_config, [](mpi::Process& p) {
+      int value = p.rank() == 0 ? 5 : 0;
+      p.world().bcast(std::span<int>(&value, 1));
+      EXPECT_EQ(value, 5);
+    });
+  });
+  for (const int ranks : {4, 6, 8}) scheduler.submit(job_of(ranks));
+  const auto& done = scheduler.run();
+  ASSERT_EQ(done.size(), 3u);
+  for (const auto& job : done)
+    EXPECT_EQ(job.result.profile.total.coll_algo(coll::Coll::Bcast,
+                                                 coll::Algo::FlatTree),
+              static_cast<std::uint64_t>(job.spec.ranks))
+        << "job " << job.spec.id;
+}
+
 TEST(Scheduler, CompletesQueueUnderInjectedShmFaults) {
   // PR 1 integration: jobs whose /dev/shm segments fail degrade to hostname
   // locality (losing SHM for some pairs) but the queue still drains and

@@ -400,43 +400,32 @@ int main(int argc, char** argv) {
                   "container/VM cluster"))
     return 0;
 
+  // Both modes run one fabric, TuningParams and collective table; a --tuning
+  // file appends after the defaults, so it overrides what it names.
   net::FabricConfig fabric;
+  fabric::TuningParams tuning;
+  coll::TuningTable coll_tuning = coll::TuningTable::container_defaults();
   try {
     fabric = net::FabricConfig::parse(fabric_spec);
+    if (!tuning_file.empty())
+      coll_tuning.merge(coll::TuningTable::load_file(tuning_file));
+    if (reg_cache != "off") {
+      tuning.reg_model = true;
+      tuning.reg_cache_bytes = parse_size(reg_cache);
+      tuning.reg_cost_scale = reg_cost;
+      tuning.rndv_chunk = parse_size(rndv_chunk);
+      if (tuning.rndv_chunk == 0) throw Error("--rndv-chunk must be positive");
+    }
   } catch (const Error& e) {
     std::fprintf(stderr, "cbmpirun: %s\n", e.what());
     return 2;
   }
   fabric.link_bw_gbps = link_bw;
   fabric.vf_limit = vf_limit;
-
-  // One TuningParams for both modes: a single job runs with it, a schedule
-  // forwards it to every job it launches.
-  fabric::TuningParams tuning;
   tuning.use_cma = !no_cma;
-  tuning.two_level_collectives = !flat;
-  if (reg_cache != "off") {
-    try {
-      tuning.reg_model = true;
-      tuning.reg_cache_bytes = parse_size(reg_cache);
-      tuning.reg_cost_scale = reg_cost;
-      tuning.rndv_chunk = parse_size(rndv_chunk);
-    } catch (const Error& e) {
-      std::fprintf(stderr, "cbmpirun: %s\n", e.what());
-      return 2;
-    }
-    if (tuning.rndv_chunk == 0) {
-      std::fprintf(stderr, "cbmpirun: --rndv-chunk must be positive\n");
-      return 2;
-    }
-  }
+  if (flat) coll_tuning = coll_tuning.flat();
 
   if (!schedule.empty()) {
-    if (!tuning_file.empty()) {
-      std::fprintf(stderr, "cbmpirun: --tuning applies to single-job runs; "
-                           "--schedule has no tuning-table slot\n");
-      return 2;
-    }
     const auto placement = sched::parse_policy(schedule);
     if (!placement) {
       std::fprintf(stderr,
@@ -456,6 +445,7 @@ int main(int argc, char** argv) {
     sched_config.backfill = !no_backfill;
     sched_config.seed = plan.config.seed;
     sched_config.tuning = tuning;
+    sched_config.coll_tuning = coll_tuning;
     sched_config.fabric = fabric;
     sched_config.observe = plan.analyze;
     if (crash.crashes_enabled()) crash.crash_horizon = 100.0;
@@ -469,6 +459,7 @@ int main(int argc, char** argv) {
   plan.config.record_trace = !plan.trace_file.empty();
   plan.config.fabric = fabric;
   plan.config.tuning = tuning;
+  plan.config.coll_tuning = coll_tuning;
   plan.policy_name = policy == "default" ? "default" : "aware";
 
   if (containers == 0) {
@@ -484,17 +475,6 @@ int main(int argc, char** argv) {
   }
   plan.config.policy = policy == "default" ? fabric::LocalityPolicy::HostnameBased
                                            : fabric::LocalityPolicy::ContainerAware;
-  if (!tuning_file.empty()) {
-    // User entries append after the shipped container defaults, so a file
-    // overrides exactly the (collective, size, ranks, cph) regions it names —
-    // last match wins.
-    try {
-      plan.config.coll_tuning.merge(coll::TuningTable::load_file(tuning_file));
-    } catch (const Error& e) {
-      std::fprintf(stderr, "cbmpirun: %s\n", e.what());
-      return 2;
-    }
-  }
 
   std::printf("cbmpirun: %s on %s, %d ranks, %s runtime\n", plan.app.c_str(),
               plan.config.deployment.label().c_str(),

@@ -10,8 +10,8 @@ checked by `cbmpi-analyze` against src/obs/analysis/report_schema.cpp.
   * flow events ('s' -> 'f') pair up by id: every flow finish has a
     matching start and ids are not reused
   * with --same-as, the trace equals another one (a rerun of the same job)
-    event for event once legacy instants ('i') are dropped: those keep the
-    recorder's wall-clock append order, everything else is canonical
+    event for event, legacy instants ('i') included: spans and instants both
+    come out of the runtime in canonical order
 
 Usage:
   tools/check_report.py --trace trace.json [--same-as rerun_trace.json]
@@ -85,7 +85,7 @@ def check_trace(path):
                 flow_finishes.add(fid)
             continue
         if ph != "X":
-            continue  # instants keep recorder order; only ts >= 0 is claimed
+            continue  # instants sit on their own; only ts >= 0 is claimed
         track = (ev.get("pid", 0), ev.get("tid", 0))
         if ts < last_ts.get(track, 0):
             problem(path, f"event {i}: ts {ts} goes backwards on track {track}")
@@ -124,15 +124,13 @@ def check_same(path, other):
     docs = [load(p) for p in (path, other)]
     if None in docs:
         return
-    a, b = ([ev for ev in doc.get("traceEvents", []) if ev.get("ph") != "i"]
-            for doc in docs)
+    a, b = (doc.get("traceEvents", []) for doc in docs)
     for i, (x, y) in enumerate(zip(a, b)):
         if x != y:
-            problem(path, f"non-instant event {i} differs from {other}: "
-                          f"{x!r} vs {y!r}")
+            problem(path, f"event {i} differs from {other}: {x!r} vs {y!r}")
             return
     if len(a) != len(b):
-        problem(path, f"{len(a)} non-instant events, {other} has {len(b)}")
+        problem(path, f"{len(a)} events, {other} has {len(b)}")
 
 
 def main():
@@ -140,8 +138,8 @@ def main():
     parser.add_argument("--trace", required=True,
                         help="Perfetto trace JSON to validate")
     parser.add_argument("--same-as", metavar="TRACE",
-                        help="rerun of the same job whose non-instant events "
-                             "must equal the trace's")
+                        help="rerun of the same job whose events must "
+                             "equal the trace's")
     args = parser.parse_args()
     check_trace(args.trace)
     if args.same_as:
