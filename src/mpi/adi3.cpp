@@ -102,14 +102,14 @@ const net::TransferCtx* Adi3Engine::fabric_ctx(int src_rank, int dst_rank,
 
 void Adi3Engine::trace_congestion(const net::TransferCtx* ctx, int src, int dst,
                                   Bytes size, Micros at) {
-  if (ctx == nullptr || job_->congestion == nullptr || job_->trace == nullptr)
+  if (ctx == nullptr || job_->congestion == nullptr || !job_->record_trace)
     return;
   const double factor = job_->congestion->factor(ctx->key);
   if (factor <= 1.0) return;
   std::ostringstream os;
   os << "x" << factor << " over " << job_->fabric->hops(ctx->src_host, ctx->dst_host)
      << " hops";
-  job_->trace->record({sim::TraceKind::NetCongest, src, dst, size, at, os.str()});
+  records().trace.push_back({sim::TraceKind::NetCongest, src, dst, size, at, os.str()});
 }
 
 Request Adi3Engine::start_send(std::span<const std::byte> data, int dst_world, int tag,
@@ -165,12 +165,12 @@ Request Adi3Engine::start_send(std::span<const std::byte> data, int dst_world, i
         net::TransferCtx ctx;
         const auto* ctxp = fabric_ctx(rank_, dst_world, seq, decision.loopback, ctx);
         costs = job_->hca->eager_costs(size, decision.loopback, decision.sriov, ctxp);
-        if (ctxp != nullptr && job_->net_log != nullptr)
+        if (ctxp != nullptr && job_->record_flows())
           // Injection starts after the descriptor post; the sender-side
           // bandwidth term runs from there.
-          job_->net_log->record({ctx.key, ctx.src_host, ctx.dst_host, size,
-                                 clock().now() + job_->profile->hca_post_overhead,
-                                 decision.sriov});
+          records().flows.push_back({ctx.key, ctx.src_host, ctx.dst_host, size,
+                                     clock().now() + job_->profile->hca_post_overhead,
+                                     decision.sriov});
         trace_congestion(ctxp, rank_, dst_world, size, clock().now());
         env.payload.resize(size);
         if (size > 0) std::memcpy(env.payload.data(), data.data(), size);
@@ -185,9 +185,9 @@ Request Adi3Engine::start_send(std::span<const std::byte> data, int dst_world, i
     env.available_at = clock().now() + costs.delivery;
     env.receiver_cost = costs.receiver;
 
-    if (job_->trace)
-      job_->trace->record({sim::TraceKind::SendEager, rank_, dst_world, size,
-                           clock().now(), fabric::to_string(decision.channel)});
+    if (job_->record_trace)
+      records().trace.push_back({sim::TraceKind::SendEager, rank_, dst_world, size,
+                                 clock().now(), fabric::to_string(decision.channel)});
 
     request->kind = RequestState::Kind::SendEager;
     request->complete = true;
@@ -214,9 +214,9 @@ Request Adi3Engine::start_send(std::span<const std::byte> data, int dst_world, i
   env.available_at = clock().now();
   env.rndv = rndv;
 
-  if (job_->trace)
-    job_->trace->record({sim::TraceKind::SendRndvRts, rank_, dst_world, size,
-                         clock().now(), fabric::to_string(decision.channel)});
+  if (job_->record_trace)
+    records().trace.push_back({sim::TraceKind::SendRndvRts, rank_, dst_world, size,
+                               clock().now(), fabric::to_string(decision.channel)});
 
   request->kind = RequestState::Kind::SendRndv;
   request->rndv = std::move(rndv);
@@ -314,19 +314,19 @@ void Adi3Engine::complete_recv(RequestState& request) {
     job_->matcher(env.src).poke();
   }
 
-  if (job_->trace) {
+  if (job_->record_trace) {
     const char* channel = fabric::to_string(env.channel);
     if (eager) {
-      job_->trace->record({sim::TraceKind::RecvComplete, env.src, rank_, env.size,
-                           request.complete_at, channel});
+      records().trace.push_back({sim::TraceKind::RecvComplete, env.src, rank_, env.size,
+                                 request.complete_at, channel});
     } else {
-      job_->trace->record({sim::TraceKind::RecvRndvCts, rank_, env.src, 0,
-                           request.posted_at, channel});
-      job_->trace->record({sim::TraceKind::SendRndvData, env.src, rank_, env.size,
-                           request.complete_at, channel});
+      records().trace.push_back({sim::TraceKind::RecvRndvCts, rank_, env.src, 0,
+                                 request.posted_at, channel});
+      records().trace.push_back({sim::TraceKind::SendRndvData, env.src, rank_, env.size,
+                                 request.complete_at, channel});
     }
   }
-  if (job_->spans) {
+  if (job_->record_spans) {
     obs::Span span{eager ? "eager" : "rndv", obs::SpanCat::Proto, rank_, env.src,
                    static_cast<int>(env.channel), env.size, begin,
                    request.complete_at, fabric::to_string(env.channel)};
@@ -338,7 +338,7 @@ void Adi3Engine::complete_recv(RequestState& request) {
     if (ctxp != nullptr)
       span.stall =
           job_->hca->contention_stall(env.size, env.loopback, env.sriov, ctxp);
-    job_->spans->record(std::move(span));
+    records().spans.push_back(std::move(span));
   }
   if (obs_.recv_latency != nullptr)
     obs_.recv_latency->observe(
@@ -395,7 +395,7 @@ fabric::RndvTimes Adi3Engine::pull(const RequestState& request,
       times = job_->hca->rndv_times(env.size, env.loopback, env.available_at,
                                     request.posted_at, recv_busy_until_, env.sriov,
                                     ctxp, plan);
-      if (reg && job_->spans) {
+      if (reg && job_->record_spans) {
         // Receiver-side pin window: it gates the CTS, so it renders right
         // at the front of the enclosing "rndv" span.
         obs::Span reg_span{"rndv-reg", obs::SpanCat::Proto, rank_, env.src,
@@ -403,11 +403,11 @@ fabric::RndvTimes Adi3Engine::pull(const RequestState& request,
                            times.recv_reg_begin, times.recv_reg_end,
                            plan.receiver_hit ? "hit" : "miss"};
         reg_span.xfer = transfer_id(env);
-        job_->spans->record(std::move(reg_span));
+        records().spans.push_back(std::move(reg_span));
       }
-      if (ctxp != nullptr && job_->net_log != nullptr)
-        job_->net_log->record({ctxp->key, ctxp->src_host, ctxp->dst_host, env.size,
-                               times.inject_begin, env.sriov});
+      if (ctxp != nullptr && job_->record_flows())
+        records().flows.push_back({ctxp->key, ctxp->src_host, ctxp->dst_host, env.size,
+                                   times.inject_begin, env.sriov});
       trace_congestion(ctxp, env.src, rank_, env.size, times.inject_begin);
       read_source(copy_source);
       break;
@@ -474,9 +474,9 @@ void Adi3Engine::charge_hca_retries(int dst_world, std::uint64_t seq, Bytes size
                           : faults::FaultKind::HcaTransient;
     job_->fault_log->record_fault(
         rank_, {kind, rank_, dst_world, clock().now(), to_string(kind)});
-    if (job_->trace)
-      job_->trace->record({sim::TraceKind::FaultInject, rank_, dst_world, size,
-                           clock().now(), to_string(kind)});
+    if (job_->record_trace)
+      records().trace.push_back({sim::TraceKind::FaultInject, rank_, dst_world, size,
+                                 clock().now(), to_string(kind)});
 
     if (attempt >= kHcaMaxRetries) {
       std::ostringstream os;
@@ -493,13 +493,13 @@ void Adi3Engine::charge_hca_retries(int dst_world, std::uint64_t seq, Bytes size
     profile().add_recovery(delay);
     job_->fault_log->add_retry(rank_, kind);
     job_->fault_log->add_time_lost(rank_, delay);
-    if (job_->trace)
-      job_->trace->record({sim::TraceKind::Retry, rank_, dst_world, size,
-                           clock().now(), "HCA"});
-    if (job_->spans)
-      job_->spans->record({"hca-retry", obs::SpanCat::Fault, rank_, dst_world, -1,
-                           size, clock().now() - delay, clock().now(),
-                           to_string(kind)});
+    if (job_->record_trace)
+      records().trace.push_back({sim::TraceKind::Retry, rank_, dst_world, size,
+                                 clock().now(), "HCA"});
+    if (job_->record_spans)
+      records().spans.push_back({"hca-retry", obs::SpanCat::Fault, rank_, dst_world, -1,
+                                 size, clock().now() - delay, clock().now(),
+                                 to_string(kind)});
   }
 }
 
@@ -533,12 +533,12 @@ void Adi3Engine::raise_crash() {
         rank_, {kind, rank_, -1, when,
                 std::string(to_string(kind)) + " on host " +
                     std::to_string(host) + " (injected)"});
-  if (job_->trace)
-    job_->trace->record(
-        {sim::TraceKind::FaultInject, rank_, -1, 0, when, to_string(kind)});
-  if (job_->spans)
-    job_->spans->record({"crash", obs::SpanCat::Fault, rank_, -1, -1, 0, when,
-                         when, to_string(kind)});
+  if (job_->record_trace)
+    records().trace.push_back(
+              {sim::TraceKind::FaultInject, rank_, -1, 0, when, to_string(kind)});
+  if (job_->record_spans)
+    records().spans.push_back({"crash", obs::SpanCat::Fault, rank_, -1, -1, 0, when,
+                               when, to_string(kind)});
   std::ostringstream os;
   os << "rank " << rank_ << " crashed at t=" << when << " us ("
      << to_string(kind) << " on host " << host << ", injected)";

@@ -53,7 +53,9 @@ class Adi3Engine {
   sim::VirtualClock& clock() { return proc_->clock(); }
   JobState& job() { return *job_; }
   const JobState& job() const { return *job_; }
-  prof::RankProfile& profile() { return job_->rank_profile(rank_); }
+  /// This rank's records; only this rank's fiber writes them.
+  RankRecords& records() { return job_->records(rank_); }
+  prof::RankProfile& profile() { return records().profile; }
 
   /// Starts a send; the returned request is complete immediately for eager
   /// transfers and completes via the receiver for rendezvous ones. The data

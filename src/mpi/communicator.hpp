@@ -405,10 +405,10 @@ class ProfiledCall {
   ~ProfiledCall() {
     const Micros end = engine_->clock().now();
     engine_->profile().add_call(kind_, end - start_);
-    if (engine_->job().spans)
-      engine_->job().spans->record({std::string(prof::to_string(kind_)),
-                                    obs::SpanCat::Mpi, engine_->world_rank(), -1,
-                                    -1, 0, start_, end, {}});
+    if (engine_->job().record_spans)
+      engine_->records().spans.push_back({std::string(prof::to_string(kind_)),
+                                          obs::SpanCat::Mpi, engine_->world_rank(),
+                                          -1, -1, 0, start_, end, {}});
   }
   ProfiledCall(const ProfiledCall&) = delete;
   ProfiledCall& operator=(const ProfiledCall&) = delete;

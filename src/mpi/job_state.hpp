@@ -1,8 +1,14 @@
-// Internal per-job shared state: channels, selector, matchers, profiles.
+// Internal per-job shared state: channels, selector, matchers, rank records.
 //
 // Created by the runtime before any rank starts; immutable topology-wise
-// while the job runs. Matchers and profiles are per-rank; channels and the
+// while the job runs. Matchers and RankRecords are per-rank; channels and the
 // selector are shared (internally synchronized where needed).
+//
+// Each rank's RankRecords is written only by that rank's fiber (a fiber never
+// leaves its worker, src/mpi/fiber.hpp), or by run_job before any fiber
+// starts, and read by run_job only after RankScheduler::run has joined every
+// worker. Recording therefore takes no lock and no atomic; run_job
+// concatenates each stream once at job end and sorts it by its total order.
 #pragma once
 
 #include <atomic>
@@ -42,6 +48,16 @@ struct WindowInfo {
   std::vector<int> epoch_holders;
 };
 
+/// Everything one rank records while the job runs. The three streams stay
+/// empty unless the job turned them on (JobState::record_trace, record_spans,
+/// record_flows()).
+struct RankRecords {
+  prof::RankProfile profile;
+  std::vector<obs::Span> spans;          // JobConfig::observe
+  std::vector<sim::TraceEvent> trace;    // JobConfig::record_trace
+  std::vector<net::FlowRecord> flows;    // the fabric's record pass
+};
+
 /// Out-of-band phase alignment (Process::sync_time and the checkpoint round
 /// boundary). Each rank arrives with its clock; the last
 /// arrival publishes the max, bumps the generation and pokes every matcher,
@@ -70,25 +86,23 @@ struct JobState {
   std::unique_ptr<fabric::ChannelSelector> selector;
 
   std::vector<std::unique_ptr<Matcher>> matchers;   // one per world rank
-  std::vector<prof::RankProfile> rank_profiles;     // one per world rank
+  std::vector<RankRecords> rank_records;            // one per world rank
 
-  sim::TraceRecorder* trace = nullptr;              // optional, may be null
+  bool record_trace = false;  ///< JobConfig::record_trace
 
-  /// Fabric model (all null under FabricModel::Ideal — the flat cost model).
-  /// `net_log` is set only during the record pass, `congestion` only during
-  /// the apply pass; `rank_phys_host` maps each rank to its cluster-wide
+  /// Fabric model (both null under FabricModel::Ideal — the flat cost model).
+  /// `congestion` is set only during the apply pass, so a fabric without it
+  /// is the record pass; `rank_phys_host` maps each rank to its cluster-wide
   /// host id and is filled whenever a fabric is attached.
   const net::Fabric* fabric = nullptr;
-  net::FlowLog* net_log = nullptr;
   const net::CongestionMap* congestion = nullptr;
   std::vector<int> rank_phys_host;
-  bool net_probe = false;  ///< true while the record pass runs
 
-  /// Observability (JobConfig::observe): both null when disabled, so hot
-  /// paths pay a single pointer test. Metrics handles are resolved once per
-  /// engine; spans carry virtual-time intervals only.
+  /// Observability (JobConfig::observe): metrics is null and record_spans
+  /// false when disabled. Metrics handles are resolved once per engine;
+  /// spans carry virtual-time intervals only.
   obs::MetricsRegistry* metrics = nullptr;
-  obs::SpanRecorder* spans = nullptr;
+  bool record_spans = false;
 
   /// Fault injection (null when the job's FaultPlan is empty — the common
   /// case — so the hot paths skip every injection check).
@@ -124,9 +138,12 @@ struct JobState {
   Matcher& matcher(int world_rank) {
     return *matchers[static_cast<std::size_t>(world_rank)];
   }
-  prof::RankProfile& rank_profile(int world_rank) {
-    return rank_profiles[static_cast<std::size_t>(world_rank)];
+  RankRecords& records(int world_rank) {
+    return rank_records[static_cast<std::size_t>(world_rank)];
   }
+  /// True while the fabric's record pass runs: inter-host HCA payloads go
+  /// to RankRecords::flows.
+  bool record_flows() const { return fabric != nullptr && congestion == nullptr; }
 };
 
 }  // namespace cbmpi::mpi

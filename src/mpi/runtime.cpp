@@ -26,13 +26,14 @@ void Process::compute(double ops) {
   const Micros before = os_->clock().now();
   os_->compute(ops);
   engine_.profile().add_compute(os_->clock().now() - before);
-  if (engine_.job().trace)
-    engine_.job().trace->record({sim::TraceKind::Compute, rank(), rank(),
-                                 static_cast<Bytes>(ops), os_->clock().now(), ""});
-  if (engine_.job().spans)
-    engine_.job().spans->record({"compute", obs::SpanCat::Compute, rank(), -1, -1,
-                                 static_cast<Bytes>(ops), before,
-                                 os_->clock().now(), ""});
+  if (engine_.job().record_trace)
+    engine_.records().trace.push_back({sim::TraceKind::Compute, rank(), rank(),
+                                       static_cast<Bytes>(ops), os_->clock().now(),
+                                       ""});
+  if (engine_.job().record_spans)
+    engine_.records().spans.push_back({"compute", obs::SpanCat::Compute, rank(), -1,
+                                       -1, static_cast<Bytes>(ops), before,
+                                       os_->clock().now(), ""});
   engine_.check_crash();
 }
 
@@ -87,7 +88,7 @@ std::span<const std::uint8_t> Process::restored_state() const {
       engine_.world_rank())];
 }
 
-bool Process::fabric_probe() const { return engine_.job().net_probe; }
+bool Process::fabric_probe() const { return engine_.job().record_flows(); }
 
 bool Process::checkpoint(int completed_rounds, std::span<const std::uint8_t> state) {
   auto* store = engine_.job().checkpoint;
@@ -111,8 +112,8 @@ bool Process::checkpoint(int completed_rounds, std::span<const std::uint8_t> sta
   const Micros cost = CheckpointStore::snapshot_cost(state.size());
   os_->clock().advance(cost);
   engine_.profile().add_recovery(cost);
-  if (engine_.job().spans)
-    engine_.job().spans->record(
+  if (engine_.job().record_spans)
+    engine_.records().spans.push_back(
         {stop ? "migrate-quiesce" : "checkpoint",
          stop ? obs::SpanCat::Migrate : obs::SpanCat::Fault, rank(), -1, -1,
          static_cast<Bytes>(state.size()), aligned, os_->clock().now(),
@@ -169,6 +170,9 @@ void validate_config(const JobConfig& config) {
                 "reg_cost_scale must be >= 0, got ", tuning.reg_cost_scale);
   CBMPI_REQUIRE(config.stop_at >= 0.0,
                 "stop_at must be >= 0 (0 = never), got ", config.stop_at);
+  CBMPI_REQUIRE(config.checkpoint_interval >= 0.0,
+                "checkpoint_interval must be >= 0 (0 = off), got ",
+                config.checkpoint_interval);
 }
 
 /// Heap policy, set once per process before the first job. Rank buffers come
@@ -231,14 +235,22 @@ container::ContainerSpec container_spec_for(const container::DeploymentSpec& spe
   return cont;
 }
 
+/// Moves every element of `from` onto the end of `to` and frees `from`.
+template <typename T>
+void append(std::vector<T>& to, std::vector<T>& from) {
+  to.insert(to.end(), std::make_move_iterator(from.begin()),
+            std::make_move_iterator(from.end()));
+  std::vector<T>().swap(from);
+}
+
 /// Shared state of the fabric model's two deterministic passes. The record
-/// pass builds the Fabric (it needs the placement) and fills `log`; between
-/// passes the runtime settles the log into `congestion`; the apply pass
-/// reads `congestion` only.
+/// pass builds the Fabric (it needs the placement) and fills `flows` from
+/// every rank's records; between passes the runtime settles the flows into
+/// `congestion`; the apply pass reads `congestion` only.
 struct NetSession {
   net::FabricConfig config;
   std::unique_ptr<net::Fabric> fabric;
-  net::FlowLog log;
+  std::vector<net::FlowRecord> flows;
   net::CongestionMap congestion;
   bool apply = false;
 };
@@ -263,7 +275,7 @@ JobResult run_job(const JobConfig& config, const std::function<void(Process&)>& 
   NetSession net;
   net.config = config.fabric;
   run_job_attempt(config, body, &net);
-  net::FabricSettle settled = net.fabric->settle(net.log.take());
+  net::FabricSettle settled = net.fabric->settle(std::move(net.flows));
   net.congestion = std::move(settled.congestion);
   net.apply = true;
   JobResult result = run_job_attempt(config, body, &net);
@@ -410,11 +422,7 @@ JobResult run_job_attempt(const JobConfig& config,
                                                   machine.profile(), std::move(vfs));
     }
     job.fabric = net->fabric.get();
-    job.net_probe = !net->apply;
-    if (net->apply)
-      job.congestion = &net->congestion;
-    else
-      job.net_log = &net->log;
+    if (net->apply) job.congestion = &net->congestion;
     job.hca->attach_fabric(job.fabric, job.congestion);
   }
 
@@ -487,22 +495,16 @@ JobResult run_job_attempt(const JobConfig& config,
   const bool recovery = config.checkpoint_interval > 0.0 || config.restore;
   std::unique_ptr<CheckpointStore> checkpoint_store;
   if (recovery || config.stop_at > 0.0) {
-    CBMPI_REQUIRE(config.checkpoint_interval >= 0.0,
-                  "checkpoint_interval must be >= 0, got ",
-                  config.checkpoint_interval);
     checkpoint_store = std::make_unique<CheckpointStore>(
         nranks, config.checkpoint_interval, config.stop_at, config.restore);
     job.checkpoint = checkpoint_store.get();
   }
 
-  sim::TraceRecorder recorder;
-  if (config.record_trace) job.trace = &recorder;
-
+  job.record_trace = config.record_trace;
   obs::MetricsRegistry metrics_registry;
-  obs::SpanRecorder span_recorder;
   if (config.observe) {
     job.metrics = &metrics_registry;
-    job.spans = &span_recorder;
+    job.record_spans = true;
   }
 
   const bool vm_mode =
@@ -521,7 +523,7 @@ JobResult run_job_attempt(const JobConfig& config,
 
   job.matchers.reserve(static_cast<std::size_t>(nranks));
   for (int r = 0; r < nranks; ++r) job.matchers.push_back(std::make_unique<Matcher>());
-  job.rank_profiles.resize(static_cast<std::size_t>(nranks));
+  job.rank_records.resize(static_cast<std::size_t>(nranks));
 
   // Restarted jobs pay the snapshot-read cost up front: each rank is charged
   // for reading its saved state before the body runs (Fault/"restart" span).
@@ -532,12 +534,13 @@ JobResult run_job_attempt(const JobConfig& config,
       const Micros cost = CheckpointStore::snapshot_cost(state.size());
       auto& proc = *processes[static_cast<std::size_t>(r)];
       proc.clock().advance(cost);
-      job.rank_profile(r).add_recovery(cost);
-      if (job.spans)
-        job.spans->record({"restart", obs::SpanCat::Fault, r, -1, -1,
-                           static_cast<Bytes>(state.size()), proc.clock().now() - cost,
-                           proc.clock().now(),
-                           "resume round " + std::to_string(config.restore->round)});
+      auto& records = job.records(r);
+      records.profile.add_recovery(cost);
+      if (job.record_spans)
+        records.spans.push_back(
+            {"restart", obs::SpanCat::Fault, r, -1, -1, static_cast<Bytes>(state.size()),
+             proc.clock().now() - cost, proc.clock().now(),
+             "resume round " + std::to_string(config.restore->round)});
     }
   }
 
@@ -574,16 +577,17 @@ JobResult run_job_attempt(const JobConfig& config,
       proc.clock().advance(detector.detection_cost() + detector.fallback_cost());
       fault_log.add_retry(r, faults::FaultKind::ShmSegmentFail);
       fault_log.add_time_lost(r, detector.fallback_cost());
-      job.rank_profile(r).add_recovery(detector.fallback_cost());
+      auto& records = job.records(r);
+      records.profile.add_recovery(detector.fallback_cost());
       fault_log.record_degradation(
           r, {faults::DegradationKind::HostnameLocalityFallback, r, -1});
-      if (job.trace)
-        job.trace->record({sim::TraceKind::Degrade, r, -1, 0, proc.clock().now(),
-                           "hostname-locality-fallback"});
-      if (job.spans)
-        job.spans->record({"locality-fallback", obs::SpanCat::Fault, r, -1, -1, 0,
-                           proc.clock().now() - detector.fallback_cost(),
-                           proc.clock().now(), "hostname-locality-fallback"});
+      if (job.record_trace)
+        records.trace.push_back({sim::TraceKind::Degrade, r, -1, 0, proc.clock().now(),
+                                 "hostname-locality-fallback"});
+      if (job.record_spans)
+        records.spans.push_back({"locality-fallback", obs::SpanCat::Fault, r, -1, -1, 0,
+                                 proc.clock().now() - detector.fallback_cost(),
+                                 proc.clock().now(), "hostname-locality-fallback"});
     }
     // Containers injected with a private IPC namespace detect only their own
     // ranks — the cross-container peers they lost go over the HCA loopback.
@@ -591,10 +595,11 @@ JobResult run_job_attempt(const JobConfig& config,
       if (!rank_ipc_injected[static_cast<std::size_t>(r)]) continue;
       fault_log.record_degradation(
           r, {faults::DegradationKind::IsolatedIpcLocality, r, -1});
-      if (job.trace)
-        job.trace->record({sim::TraceKind::Degrade, r, -1, 0,
-                           processes[static_cast<std::size_t>(r)]->clock().now(),
-                           "isolated-ipc-locality"});
+      if (job.record_trace)
+        job.records(r).trace.push_back(
+            {sim::TraceKind::Degrade, r, -1, 0,
+             processes[static_cast<std::size_t>(r)]->clock().now(),
+             "isolated-ipc-locality"});
     }
     job.selector->set_detected_locality(std::move(list_keys));
   }
@@ -727,14 +732,23 @@ JobResult run_job_attempt(const JobConfig& config,
   }
 
   // --- results ---------------------------------------------------------------
+  // Every worker has joined, so each rank's records are final. Rank order
+  // keeps spans that tie on span_less in program order: a span's rank field
+  // names the rank that recorded it.
   JobResult result;
   result.rank_times.reserve(static_cast<std::size_t>(nranks));
   for (int r = 0; r < nranks; ++r) {
     const Micros t = processes[static_cast<std::size_t>(r)]->clock().now();
     result.rank_times.push_back(t);
     result.job_time = std::max(result.job_time, t);
-    result.profile.merge_rank(job.rank_profiles[static_cast<std::size_t>(r)]);
+    auto& records = job.records(r);
+    result.profile.merge_rank(records.profile);
+    append(result.trace, records.trace);
+    append(result.spans, records.spans);
+    if (net != nullptr) append(net->flows, records.flows);
   }
+  std::ranges::sort(result.trace, sim::trace_less);
+  obs::sort_spans(result.spans);
   result.hca_queue_pairs = job.hca->queue_pairs();
   result.reg_cache = job.hca->reg_cache_stats();
   if (stopped) {
@@ -742,7 +756,6 @@ JobResult run_job_attempt(const JobConfig& config,
     if (config.tuning.reg_model)
       result.stop->reg_entries = job.hca->reg_cache()->snapshot_entries();
   }
-  if (config.record_trace) result.trace = recorder.events();
   result.fault_report = fault_log.finalize();
   if (recovery) {
     result.checkpoints = checkpoint_store->events();
@@ -778,7 +791,6 @@ JobResult run_job_attempt(const JobConfig& config,
     metrics_registry.gauge("job.comm_fraction").set(result.profile.comm_fraction());
     metrics_registry.counter("job.ranks").add(static_cast<std::uint64_t>(nranks));
     result.metrics = metrics_registry.snapshot();
-    result.spans = span_recorder.take_sorted();
   }
   return result;
 }

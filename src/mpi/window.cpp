@@ -9,6 +9,23 @@ namespace cbmpi::mpi {
 namespace {
 /// CPU cost of a flush that has nothing left to wait for.
 constexpr Micros kFlushOverhead = 0.05;
+
+/// Costs of one one-sided access of `size` bytes over the channel the
+/// selector chose. `ctx` is the HCA access's routing context, or null for
+/// the flat path cost.
+fabric::OneSidedCosts one_sided_costs(
+    const JobState& job, const fabric::ChannelSelector::Decision& decision,
+    Bytes size, const net::TransferCtx* ctx) {
+  switch (decision.channel) {
+    case fabric::ChannelKind::Shm:
+      return job.shm->one_sided_costs(size, decision.same_socket);
+    case fabric::ChannelKind::Cma:
+      return job.cma->one_sided_costs(size, decision.same_socket);
+    case fabric::ChannelKind::Hca:
+      return job.hca->one_sided_costs(size, decision.loopback, decision.sriov, ctx);
+  }
+  return {};
+}
 }  // namespace
 
 WindowHandle::WindowHandle(Communicator& comm, std::span<std::byte> local,
@@ -59,27 +76,17 @@ fabric::OneSidedCosts WindowHandle::account_op(int target, Bytes size,
   const auto decision = job.selector->select(me_world, target_world, size);
   engine.profile().add_channel_op(decision.channel, size);
 
-  fabric::OneSidedCosts costs;
-  switch (decision.channel) {
-    case fabric::ChannelKind::Shm:
-      costs = job.shm->one_sided_costs(size, decision.same_socket);
-      break;
-    case fabric::ChannelKind::Cma:
-      costs = job.cma->one_sided_costs(size, decision.same_socket);
-      break;
-    case fabric::ChannelKind::Hca: {
-      engine.connect_hca(target_world);
-      // One-sided ops see the routed path latency and static VF-capped
-      // bandwidth; they carry no flow identity (the ctx key stays unread),
-      // so the contention engine never stretches them (see
-      // HcaChannel::one_sided_costs).
-      net::TransferCtx ctx;
-      const auto* ctxp =
-          engine.fabric_ctx(me_world, target_world, 0, decision.loopback, ctx);
-      costs = job.hca->one_sided_costs(size, decision.loopback, decision.sriov, ctxp);
-      break;
-    }
+  net::TransferCtx ctx;
+  const net::TransferCtx* ctxp = nullptr;
+  if (decision.channel == fabric::ChannelKind::Hca) {
+    engine.connect_hca(target_world);
+    // One-sided ops see the routed path latency and static VF-capped
+    // bandwidth; they carry no flow identity (the ctx key stays unread),
+    // so the contention engine never stretches them (see
+    // HcaChannel::one_sided_costs).
+    ctxp = engine.fabric_ctx(me_world, target_world, 0, decision.loopback, ctx);
   }
+  const auto costs = one_sided_costs(job, decision, size, ctxp);
 
   auto& clock = engine.clock();
   const Micros issue = clock.now();
@@ -87,10 +94,10 @@ fabric::OneSidedCosts WindowHandle::account_op(int target, Bytes size,
   engine.profile().add_call(kind, costs.gap);
   auto& last = pending_[static_cast<std::size_t>(target)];
   last = std::max(last, issue + costs.latency);
-  if (job.trace)
-    job.trace->record({kind == prof::CallKind::Get ? sim::TraceKind::Get
-                                                   : sim::TraceKind::Put,
-                       me_world, target_world, size, issue, ""});
+  if (job.record_trace)
+    engine.records().trace.push_back(
+        {kind == prof::CallKind::Get ? sim::TraceKind::Get : sim::TraceKind::Put,
+         me_world, target_world, size, issue, ""});
   return costs;
 }
 
@@ -151,19 +158,8 @@ void WindowHandle::lock(LockKind kind, int target) {
   // Acquiring a remote lock costs about one small one-sided round trip.
   const auto decision =
       engine.job().selector->select(engine.world_rank(), comm_->to_world(target), 8);
-  fabric::OneSidedCosts costs;
-  switch (decision.channel) {
-    case fabric::ChannelKind::Shm:
-      costs = engine.job().shm->one_sided_costs(8, decision.same_socket);
-      break;
-    case fabric::ChannelKind::Cma:
-      costs = engine.job().cma->one_sided_costs(8, decision.same_socket);
-      break;
-    case fabric::ChannelKind::Hca:
-      costs = engine.job().hca->one_sided_costs(8, decision.loopback, decision.sriov);
-      break;
-  }
-  engine.clock().advance(costs.latency);
+  engine.clock().advance(
+      one_sided_costs(engine.job(), decision, 8, /*ctx=*/nullptr).latency);
 }
 
 void WindowHandle::unlock(int target) {

@@ -5,12 +5,13 @@
 // link-contention engine. The runtime drives it in two deterministic passes:
 //
 //   1. record — the job runs on hop-latency + static VF caps (pure functions
-//      of virtual time) while every inter-host HCA payload is appended to a
-//      FlowLog;
-//   2. settle + apply — the flow set is canonically sorted and settled by the
-//      contention engine into per-flow slowdown factors (a CongestionMap) and
-//      a NetReport; the job re-runs with each transfer's bandwidth term
-//      stretched by its factor.
+//      of virtual time) while each rank appends every inter-host HCA payload
+//      it carries to its own FlowRecord buffer; the runtime concatenates the
+//      buffers once every rank has finished;
+//   2. settle + apply — the flow set is canonically sorted by (start, key)
+//      and settled by the contention engine into per-flow slowdown factors
+//      (a CongestionMap) and a NetReport; the job re-runs with each
+//      transfer's bandwidth term stretched by its factor.
 //
 // Both passes are pure functions of (config, seed), so congested runs stay
 // bit-identical. FabricModel::Ideal bypasses all of this and reproduces the
@@ -20,7 +21,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -69,28 +69,6 @@ struct FlowRecord {
   Bytes bytes = 0;
   Micros start = 0.0;  ///< when injection begins (post overhead excluded)
   bool sriov = false;
-};
-
-/// Thread-safe append log; canonical order is imposed at settle time, so the
-/// wall-clock interleaving of rank fibers cannot leak into results.
-class FlowLog {
- public:
-  void record(const FlowRecord& flow) {
-    const std::scoped_lock lock(mutex_);
-    flows_.push_back(flow);
-  }
-  std::vector<FlowRecord> take() {
-    const std::scoped_lock lock(mutex_);
-    return std::move(flows_);
-  }
-  std::size_t size() const {
-    const std::scoped_lock lock(mutex_);
-    return flows_.size();
-  }
-
- private:
-  mutable std::mutex mutex_;
-  std::vector<FlowRecord> flows_;
 };
 
 /// Immutable per-flow slowdown factors from the settle step, as one vector

@@ -1,7 +1,7 @@
 // Post-run critical-path & wait-state analysis (DESIGN.md §16).
 //
-// Consumes the deterministic SpanRecorder output of one job and answers
-// "which rank/channel/protocol made this job slow" mechanically:
+// Consumes the deterministic span stream of one job (JobResult::spans) and
+// answers "which rank/channel/protocol made this job slow" mechanically:
 //
 //   * reconstructs per-rank virtual-time timelines from the Mpi / Compute /
 //     Fault spans, with happens-before edges recovered from the dependency

@@ -17,38 +17,6 @@ const char* to_string(SpanCat cat) {
   return "?";
 }
 
-void SpanRecorder::record(Span span) {
-  const std::scoped_lock lock(mutex_);
-  spans_.push_back(std::move(span));
-}
-
-std::vector<Span> SpanRecorder::take_sorted() {
-  std::vector<Span> taken;
-  {
-    const std::scoped_lock lock(mutex_);
-    taken.swap(spans_);
-  }
-  sort_spans(taken);
-  return taken;
-}
-
-std::size_t SpanRecorder::count() const {
-  const std::scoped_lock lock(mutex_);
-  return spans_.size();
-}
-
-std::size_t SpanRecorder::count(SpanCat cat) const {
-  const std::scoped_lock lock(mutex_);
-  return static_cast<std::size_t>(
-      std::count_if(spans_.begin(), spans_.end(),
-                    [cat](const Span& s) { return s.cat == cat; }));
-}
-
-void SpanRecorder::clear() {
-  const std::scoped_lock lock(mutex_);
-  spans_.clear();
-}
-
 namespace {
 
 /// The canonical order over anything carrying a span's begin, end, cat, rank

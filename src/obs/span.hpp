@@ -13,16 +13,16 @@
 //   Migrate  live-migration time (quiesce snapshot, image transfer, resume),
 //            rank track
 //
-// Recorder appends are thread-safe; append order across rank fibers is
-// wall-clock noise, so mpi::run_job hands its spans out through
-// take_sorted(), already in the canonical order (begin, end desc, cat, rank,
-// peer, name, note) — a total order over the deterministic virtual-time
-// payload, making exports bit-identical across reruns. Consumers view their
-// input through canonical_spans(), which reads canonical input in place.
+// Each rank appends its spans to its own buffer (mpi::RankRecords); once
+// every rank has finished, mpi::run_job concatenates the buffers and sorts
+// them with sort_spans() into the canonical order (begin, end desc, cat,
+// rank, peer, name, note) over the deterministic virtual-time payload. Spans
+// that tie on that whole key come from one rank and keep its program order,
+// so exports are bit-identical across reruns. Consumers view their input
+// through canonical_spans(), which reads canonical input in place.
 #pragma once
 
 #include <cstdint>
-#include <mutex>
 #include <span>
 #include <string>
 #include <vector>
@@ -65,24 +65,6 @@ struct Span {
                             ///< not hide
 
   Micros duration() const { return end - begin; }
-};
-
-class SpanRecorder {
- public:
-  void record(Span span);
-
-  /// Moves every span out in canonical span_less order, leaving the
-  /// recorder empty.
-  std::vector<Span> take_sorted();
-
-  std::size_t count() const;
-  std::size_t count(SpanCat cat) const;
-
-  void clear();
-
- private:
-  mutable std::mutex mutex_;
-  std::vector<Span> spans_;
 };
 
 /// Canonical exporter order: (begin asc, end desc, cat, rank, peer, name,

@@ -1,6 +1,5 @@
 #include "sim/trace.hpp"
 
-#include <algorithm>
 #include <tuple>
 
 namespace cbmpi::sim {
@@ -28,31 +27,6 @@ const char* to_string(TraceKind kind) {
 bool trace_less(const TraceEvent& a, const TraceEvent& b) {
   return std::tie(a.at, a.src, a.dst, a.kind, a.size, a.note) <
          std::tie(b.at, b.src, b.dst, b.kind, b.size, b.note);
-}
-
-void TraceRecorder::record(TraceEvent event) {
-  const std::scoped_lock lock(mutex_);
-  events_.push_back(std::move(event));
-}
-
-std::vector<TraceEvent> TraceRecorder::events() const {
-  const std::scoped_lock lock(mutex_);
-  std::vector<TraceEvent> out = events_;
-  std::ranges::sort(out, trace_less);
-  return out;
-}
-
-std::size_t TraceRecorder::count(TraceKind kind) const {
-  const std::scoped_lock lock(mutex_);
-  std::size_t n = 0;
-  for (const auto& e : events_)
-    if (e.kind == kind) ++n;
-  return n;
-}
-
-void TraceRecorder::clear() {
-  const std::scoped_lock lock(mutex_);
-  events_.clear();
 }
 
 }  // namespace cbmpi::sim

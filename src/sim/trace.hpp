@@ -1,15 +1,14 @@
-// Event trace recorder (optional, off by default).
+// Event trace (optional, off by default: JobConfig::record_trace).
 //
-// Channels and the MPI progress engine emit TraceEvents when a recorder is
-// attached to the job; tests use it to assert protocol structure (e.g. "a
-// rendezvous transfer emitted RTS, CTS and DATA") and benches can dump it
-// for debugging. Thread-safe: many ranks append concurrently.
+// Channels and the MPI progress engine emit TraceEvents into the executing
+// rank's own buffer (mpi::RankRecords); mpi::run_job concatenates the
+// buffers at job end and sorts them by trace_less into JobResult::trace.
+// Tests use it to assert protocol structure (e.g. "a rendezvous transfer
+// emitted RTS, CTS and DATA") and benches can dump it for debugging.
 #pragma once
 
 #include <cstdint>
-#include <mutex>
 #include <string>
-#include <vector>
 
 #include "common/units.hpp"
 
@@ -46,22 +45,5 @@ struct TraceEvent {
 /// Canonical order (at, src, dst, kind, size, note): total, so a job's
 /// events sort the same however its ranks' fibers interleaved.
 bool trace_less(const TraceEvent& a, const TraceEvent& b);
-
-class TraceRecorder {
- public:
-  void record(TraceEvent event);
-
-  /// Snapshot of all events recorded so far, in trace_less order.
-  std::vector<TraceEvent> events() const;
-
-  /// Number of events of one kind.
-  std::size_t count(TraceKind kind) const;
-
-  void clear();
-
- private:
-  mutable std::mutex mutex_;
-  std::vector<TraceEvent> events_;
-};
 
 }  // namespace cbmpi::sim

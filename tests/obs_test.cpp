@@ -482,16 +482,6 @@ TEST(ObsSpan, CanonicalSortOrder) {
   EXPECT_EQ(spans[2].name, "inner");           // (parents precede children)
 }
 
-TEST(ObsSpan, RecorderCountsByCategory) {
-  obs::SpanRecorder recorder;
-  recorder.record({"a", obs::SpanCat::Mpi, 0, -1, -1, 0, 0.0, 1.0, ""});
-  recorder.record({"b", obs::SpanCat::Proto, 0, 1, 0, 8, 0.0, 1.0, ""});
-  recorder.record({"c", obs::SpanCat::Proto, 1, 0, 0, 8, 1.0, 2.0, ""});
-  EXPECT_EQ(recorder.count(), 3u);
-  EXPECT_EQ(recorder.count(obs::SpanCat::Proto), 2u);
-  EXPECT_EQ(recorder.count(obs::SpanCat::Fault), 0u);
-}
-
 // ---- job profile report ----------------------------------------------------
 
 TEST(ObsReport, JobProfileReportGoldenShape) {
@@ -798,6 +788,10 @@ auto span_fields(const obs::Span& s) {
                   s.stall, s.reg_stall);
 }
 
+auto trace_fields(const sim::TraceEvent& e) {
+  return std::tie(e.kind, e.src, e.dst, e.size, e.at, e.note);
+}
+
 void expect_same_spans(const std::vector<obs::Span>& a,
                        const std::vector<obs::Span>& b) {
   ASSERT_EQ(a.size(), b.size());
@@ -807,24 +801,32 @@ void expect_same_spans(const std::vector<obs::Span>& a,
 }
 
 /// JobResult::spans must already be in sort_spans order, so consumers can
-/// read it in place.
+/// read it in place, and JobResult::trace in trace_less order.
 void expect_canonical(const mpi::JobResult& result) {
   ASSERT_FALSE(result.spans.empty());
   auto sorted = result.spans;
   obs::sort_spans(sorted);
   expect_same_spans(result.spans, sorted);
+  ASSERT_FALSE(result.trace.empty());
+  EXPECT_TRUE(std::ranges::is_sorted(result.trace, sim::trace_less));
+}
+
+/// `config` recording its event trace too.
+mpi::JobConfig traced(mpi::JobConfig config) {
+  config.record_trace = true;
+  return config;
 }
 
 TEST(ObsSpan, JobResultSpansAreCanonical) {
-  expect_canonical(mpi::run_job(obs_job_config(true), obs_job_body));
+  expect_canonical(mpi::run_job(traced(obs_job_config(true)), obs_job_body));
 
-  auto fattree = obs_job_config(true);
+  auto fattree = traced(obs_job_config(true));
   fattree.fabric = net::FabricConfig::parse("fattree:4");
   const auto two_pass = mpi::run_job(fattree, obs_job_body);
   EXPECT_TRUE(two_pass.net.enabled);
   expect_canonical(two_pass);
 
-  auto crashy = obs_job_config(true);
+  auto crashy = traced(obs_job_config(true));
   crashy.checkpoint_interval = 5.0;
   crashy.faults.rank_crash_prob = 1.0;
   crashy.faults.crash_horizon = 5000.0;  // first crash after a checkpoint
@@ -836,7 +838,7 @@ TEST(ObsSpan, JobResultSpansAreCanonical) {
     snapshot = e.checkpoint();
   }
   ASSERT_NE(snapshot, nullptr) << "no checkpoint committed before the crash";
-  auto resume = obs_job_config(true);
+  auto resume = traced(obs_job_config(true));
   resume.checkpoint_interval = 5.0;
   resume.restore = snapshot;
   const auto restarted = mpi::run_job(resume, checkpointing_body);
@@ -845,7 +847,7 @@ TEST(ObsSpan, JobResultSpansAreCanonical) {
 
   const auto job = ring_job(6, 16_KiB);
   const auto migrated =
-      run_migrated(job, config_for(job, two_host_placement()), defrag_plan());
+      run_migrated(job, traced(config_for(job, two_host_placement())), defrag_plan());
   EXPECT_EQ(migrated.migration.executed, 1);
   expect_canonical(migrated);
 }
@@ -855,6 +857,7 @@ TEST(ObsSpan, OsuAllreduceSpansRerunFieldForField) {
   config.deployment = DeploymentSpec::containers(2, 2, 4);
   config.policy = fabric::LocalityPolicy::ContainerAware;
   config.observe = true;
+  config.record_trace = true;
   const auto body = [](mpi::Process& p) {
     apps::osu::collective_latency(p, apps::osu::Collective::Allreduce, 8_KiB);
   };
@@ -862,6 +865,12 @@ TEST(ObsSpan, OsuAllreduceSpansRerunFieldForField) {
   const auto b = mpi::run_job(config, body);
   ASSERT_FALSE(a.spans.empty());
   expect_same_spans(a.spans, b.spans);
+  ASSERT_FALSE(a.trace.empty());
+  ASSERT_EQ(a.trace.size(), b.trace.size());
+  for (std::size_t i = 0; i < a.trace.size(); ++i)
+    ASSERT_TRUE(trace_fields(a.trace[i]) == trace_fields(b.trace[i]))
+        << "trace event " << i << ": " << sim::to_string(a.trace[i].kind) << " vs "
+        << sim::to_string(b.trace[i].kind);
 }
 
 // ---- metrics summary rendering ---------------------------------------------

@@ -340,6 +340,14 @@ TEST(Runtime, TruncationThrows) {
       Error);
 }
 
+TEST(Runtime, NegativeCheckpointIntervalThrows) {
+  // Without stop_at or restore the job would otherwise run with checkpoints
+  // silently off.
+  auto config = two_rank_native();
+  config.checkpoint_interval = -1.0;
+  EXPECT_THROW(run_job(config, [](mpi::Process&) {}), Error);
+}
+
 TEST(Runtime, ComputeAdvancesVirtualTimeDeterministically) {
   Micros t1 = 0, t2 = 0;
   run_job(two_rank_native(), [&](mpi::Process& p) {

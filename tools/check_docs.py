@@ -19,7 +19,7 @@
 5. DESIGN.md §12 lists exactly the top-level run-report sections that
    src/obs/analysis/report_schema.cpp declares.
 
-Exit status is the number of problems found; each problem is printed as
+Exit status is 1 if any problem was found, else 0; each problem is printed as
 `file: message` so editors can jump to it.
 """
 
@@ -251,7 +251,7 @@ def main():
               f"fields in sync with {TUNING_DOC} and set outside tests/, "
               f"{nsections} report "
               "sections in sync with DESIGN.md §12")
-    return len(problems)
+    return 1 if problems else 0
 
 
 if __name__ == "__main__":

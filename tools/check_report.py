@@ -16,7 +16,7 @@ checked by `cbmpi-analyze` against src/obs/analysis/report_schema.cpp.
 Usage:
   tools/check_report.py --trace trace.json [--same-as rerun_trace.json]
 
-Exit status is the number of problems found; each problem is printed as
+Exit status is 1 if any problem was found, else 0; each problem is printed as
 `file: message`.
 """
 
@@ -148,7 +148,7 @@ def main():
         print(p)
     if not problems:
         print(f"ok: {args.trace}")
-    return len(problems)
+    return 1 if problems else 0
 
 
 if __name__ == "__main__":
