@@ -5,6 +5,7 @@
 
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <mutex>
@@ -18,6 +19,7 @@
 #include "mpi/fiber.hpp"
 #include "mpi/locality.hpp"
 #include "mpi/matcher.hpp"
+#include "mpi/runtime.hpp"
 #include "net/fabric.hpp"
 #include "obs/json.hpp"
 #include "obs/report.hpp"
@@ -36,9 +38,10 @@ void BM_MatcherDeliverAndMatch(benchmark::State& state) {
   env.tag = 3;
   env.comm_id = 0;
   for (auto _ : state) {
-    matcher.deliver(env);
+    matcher.deliver(std::move(env));
     auto matched = matcher.try_match(1, 3, 0);
     benchmark::DoNotOptimize(matched);
+    env = std::move(*matched);
   }
 }
 BENCHMARK(BM_MatcherDeliverAndMatch);
@@ -52,7 +55,7 @@ void BM_MatcherWildcardScan(benchmark::State& state) {
     env.dst = 0;
     env.tag = 99;  // never matched below
     env.comm_id = 0;
-    matcher.deliver(env);
+    matcher.deliver(std::move(env));
   }
   for (auto _ : state) {
     auto matched = matcher.try_match(mpi::kAnySource, 3, 0);
@@ -68,13 +71,13 @@ BENCHMARK(BM_MatcherWildcardScan)->Arg(4)->Arg(64)->Arg(512);
 void BM_MatcherManySources(benchmark::State& state) {
   const auto sources = static_cast<int>(state.range(0));
   mpi::Matcher matcher;
-  fabric::Envelope env;
-  env.dst = 0;
-  env.tag = 3;
-  env.comm_id = 0;
   for (int src = 0; src < sources; ++src) {
+    fabric::Envelope env;
     env.src = src;
-    matcher.deliver(env);
+    env.dst = 0;
+    env.tag = 3;
+    env.comm_id = 0;
+    matcher.deliver(std::move(env));
   }
   for (auto _ : state) {
     auto matched = matcher.try_match(sources - 1, 3, 0);
@@ -126,6 +129,38 @@ void BM_FiberHandoff(benchmark::State& state) {
 }
 BENCHMARK(BM_FiberHandoff)->Arg(1)->Arg(2);
 
+// Host cost of one eager message: two ranks run a 1 KiB sendrecv loop
+// through run_job. Arg 1: both ranks on one host (SHM); Arg 2: one rank per
+// host (HCA). With two hardware threads the ranks sit on two workers, so
+// every payload is received off the thread that allocated it. ns_per_msg is
+// wall time over both ranks' sends, job setup included.
+void BM_EagerSendrecv(benchmark::State& state) {
+  constexpr int kRounds = 5000;
+  constexpr std::size_t kBytes = 1024;
+  const auto hosts = static_cast<int>(state.range(0));
+  mpi::JobConfig config;
+  config.deployment = container::DeploymentSpec::native_hosts(hosts, 2 / hosts);
+  std::int64_t wall_ns = 0;
+  for (auto _ : state) {
+    const auto start = std::chrono::steady_clock::now();
+    mpi::run_job(config, [](mpi::Process& p) {
+      std::vector<std::byte> out(kBytes, std::byte{1});
+      std::vector<std::byte> in(kBytes);
+      const int peer = 1 - p.rank();
+      for (int i = 0; i < kRounds; ++i)
+        p.world().sendrecv(std::span<const std::byte>(out), peer,
+                           std::span<std::byte>(in), peer, 3);
+    });
+    wall_ns += std::chrono::duration_cast<std::chrono::nanoseconds>(
+                   std::chrono::steady_clock::now() - start)
+                   .count();
+  }
+  state.counters["ns_per_msg"] =
+      static_cast<double>(wall_ns) /
+      (static_cast<double>(state.iterations()) * 2.0 * kRounds);
+}
+BENCHMARK(BM_EagerSendrecv)->Arg(1)->Arg(2)->UseRealTime()->Unit(benchmark::kMillisecond);
+
 void BM_ShmByteStoreLoad(benchmark::State& state) {
   osl::ShmSegment segment(4096);
   Bytes i = 0;
@@ -146,10 +181,10 @@ void BM_ShmBulkStage(benchmark::State& state) {
   const fabric::ShmChannel shm(machine.profile(), fabric::TuningParams{});
   const auto queue = shm.open_queue(a, 0);
   std::vector<std::byte> data(size);
+  std::vector<std::byte> out(size);
   for (auto _ : state) {
-    fabric::Payload out;
     shm.stage(a, b, *queue, data, out);
-    benchmark::DoNotOptimize(out);
+    benchmark::DoNotOptimize(out.data());
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(size));

@@ -4,16 +4,6 @@
 
 namespace cbmpi::fabric {
 
-void HcaChannel::ensure_connected(int a, int b) {
-  const std::scoped_lock lock(mutex_);
-  queue_pairs_.insert(std::minmax(a, b));
-}
-
-std::size_t HcaChannel::queue_pairs() const {
-  const std::scoped_lock lock(mutex_);
-  return queue_pairs_.size();
-}
-
 BytesPerMicro HcaChannel::injection_bw(bool loopback, bool sriov) const {
   const BytesPerMicro base =
       loopback ? profile_->hca_loopback_bw : profile_->hca_link_bw;

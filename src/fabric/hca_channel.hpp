@@ -14,13 +14,13 @@
 // handshake trips) is what produces the Fig. 7(c) optimum near 17 K.
 //
 // Queue pairs are created lazily per connected process pair, mirroring
-// MVAPICH2's on-demand connection management.
+// MVAPICH2's on-demand connection management. Each rank records the peers it
+// opened one to (mpi::RankRecords::hca_peers) and the runtime counts the
+// distinct pairs at job end, so the channel itself keeps no connection state.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
-#include <set>
 #include <utility>
 #include <vector>
 
@@ -48,14 +48,6 @@ class HcaChannel {
     fabric_ = fabric;
     congestion_ = congestion;
   }
-
-  /// Lazily establishes the queue pair between two world ranks. Callers go
-  /// through Adi3Engine::connect_hca, which reaches here only on a rank's
-  /// first transfer to each peer, not on every message.
-  void ensure_connected(int a, int b);
-
-  /// Number of queue pairs created so far.
-  std::size_t queue_pairs() const;
 
   EagerCosts eager_costs(Bytes size, bool loopback, bool sriov = false,
                          const net::TransferCtx* ctx = nullptr) const;
@@ -136,9 +128,6 @@ class HcaChannel {
   const net::Fabric* fabric_ = nullptr;
   const net::CongestionMap* congestion_ = nullptr;
   std::unique_ptr<RegistrationCache> reg_cache_;
-
-  mutable std::mutex mutex_;
-  std::set<std::pair<int, int>> queue_pairs_;
 };
 
 }  // namespace cbmpi::fabric

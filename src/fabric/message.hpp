@@ -1,7 +1,9 @@
-// Message envelopes and rendezvous handshake state.
+// Message envelopes, eager payloads and rendezvous handshake state.
 //
 // One Envelope is what a sender deposits into the receiver's matcher. Eager
-// envelopes carry the payload (already staged through the channel). A
+// envelopes carry the payload (already staged through the channel), a
+// block of the sender's PayloadHome that goes back to it once the receiver
+// has copied it out, so only the thread that allocated a block frees it. A
 // rendezvous envelope is the RTS: it carries a shared RndvState pointing at
 // the sender's buffer; the *receiver* performs the transfer at match time
 // (exactly how CMA works: process_vm_readv is issued by the destination) and
@@ -14,13 +16,12 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <new>
 #include <span>
 #include <utility>
-#include <vector>
 
 #include "common/units.hpp"
 #include "osl/cma.hpp"
@@ -81,31 +82,85 @@ class RndvState {
   bool withdrawn_ = false;  // guarded by mutex_
 };
 
-/// An allocator whose resize() leaves new elements default-initialized:
-/// for buffers that are overwritten in full right after they grow.
-template <typename T>
-struct DefaultInitAllocator {
-  using value_type = T;
+class PayloadHome;
 
-  DefaultInitAllocator() = default;
-  template <typename U>
-  DefaultInitAllocator(const DefaultInitAllocator<U>&) noexcept {}
-
-  T* allocate(std::size_t n) { return std::allocator<T>().allocate(n); }
-  void deallocate(T* p, std::size_t n) noexcept { std::allocator<T>().deallocate(p, n); }
-  template <typename U, typename... Args>
-  void construct(U* p, Args&&... args) {
-    if constexpr (sizeof...(Args) == 0)
-      ::new (static_cast<void*>(p)) U;
-    else
-      ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+/// An eager payload: a move-only handle to one heap block of the sending
+/// rank's PayloadHome. Its bytes start uninitialized: the SHM staging copy or
+/// the HCA copy writes every one right after allocation. Dropping it gives
+/// the block back to its home (see PayloadHome::release).
+class Payload {
+ public:
+  Payload() = default;
+  Payload(Payload&& other) noexcept
+      : home_(std::exchange(other.home_, nullptr)),
+        data_(std::exchange(other.data_, nullptr)),
+        size_(std::exchange(other.size_, 0)) {}
+  Payload& operator=(Payload&& other) noexcept {
+    if (this != &other) {
+      release();
+      home_ = std::exchange(other.home_, nullptr);
+      data_ = std::exchange(other.data_, nullptr);
+      size_ = std::exchange(other.size_, 0);
+    }
+    return *this;
   }
-  bool operator==(const DefaultInitAllocator&) const = default;
+  ~Payload() { release(); }
+
+  std::byte* data() { return data_; }
+  std::span<std::byte> bytes() { return {data_, size_}; }
+
+ private:
+  friend class PayloadHome;
+  Payload(PayloadHome* home, std::byte* data, std::size_t size)
+      : home_(home), data_(data), size_(size) {}
+  inline void release() noexcept;
+
+  PayloadHome* home_ = nullptr;
+  std::byte* data_ = nullptr;  ///< null iff size_ == 0
+  std::size_t size_ = 0;
 };
 
-/// An eager payload. Growing it does not zero-fill: the SHM staging copy or
-/// the HCA copy writes every byte right after.
-using Payload = std::vector<std::byte, DefaultInitAllocator<std::byte>>;
+/// Where one rank's eager payloads come from and go back to. Every block is
+/// freed by the thread that allocated it, so no heap arena is shared between
+/// worker threads: a payload dropped on that thread is freed at once, and one
+/// dropped anywhere else is pushed onto the home's lock-free return stack
+/// (one CAS). The owning rank frees the returned blocks on its own fiber with
+/// reclaim(), which takes the whole stack with one exchange; the destructor
+/// frees whatever is left at job end. Freed blocks are not cached: a cache
+/// per rank holds its peak in-flight payloads for the whole job.
+class alignas(64) PayloadHome {
+ public:
+  PayloadHome() = default;
+  PayloadHome(const PayloadHome&) = delete;
+  PayloadHome& operator=(const PayloadHome&) = delete;
+  ~PayloadHome() { reclaim(); }
+
+  /// A payload of `size` uninitialized bytes. Only the owning rank's fiber
+  /// calls it; it first frees the blocks handed back since its last call.
+  Payload allocate(std::size_t size);
+
+  /// Frees every block handed back so far. Owning rank's fiber only, or
+  /// after every worker joined.
+  void reclaim() noexcept;
+
+ private:
+  friend class Payload;
+  /// A returned block, reused as a link of the return stack.
+  struct Returned {
+    Returned* next;
+  };
+  /// Frees `block` on its owner's thread, hands it back from any other.
+  void release(std::byte* block) noexcept;
+
+  /// The thread of the owning rank's fiber, bound by the first allocate();
+  /// every payload of this home is delivered after that write.
+  const void* owner_ = nullptr;
+  std::atomic<Returned*> returned_{nullptr};
+};
+
+void Payload::release() noexcept {
+  if (data_ != nullptr) home_->release(std::exchange(data_, nullptr));
+}
 
 struct Envelope {
   int src = -1;  ///< world rank of the sender

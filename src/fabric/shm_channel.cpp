@@ -98,7 +98,7 @@ std::shared_ptr<osl::ShmSegment> ShmChannel::open_queue(const osl::SimProcess& s
 
 void ShmChannel::stage(const osl::SimProcess& sender, const osl::SimProcess& receiver,
                        osl::ShmSegment& queue, std::span<const std::byte> data,
-                       Payload& out) const {
+                       std::span<std::byte> out) const {
   CBMPI_REQUIRE(sender.same_host(receiver),
                 "SHM channel selected across hosts — selector bug");
   CBMPI_REQUIRE(sender.namespaces().shares(osl::NamespaceType::Ipc, receiver.namespaces()),
@@ -107,15 +107,14 @@ void ShmChannel::stage(const osl::SimProcess& sender, const osl::SimProcess& rec
 
   // Stage through the bounded queue chunk by chunk: write in, read out. The
   // double copy is real; only its *duration* comes from the cost model.
-  const std::size_t prior = out.size();
-  out.resize(prior + data.size());
-  std::span<std::byte> dst(out.data() + prior, data.size());
+  CBMPI_REQUIRE(out.size() == data.size(), "SHM staging target of ", out.size(),
+                " bytes for a ", data.size(), "-byte message");
   const Bytes chunk_max = tuning_.smpi_length_queue;
   Bytes offset = 0;
   while (offset < data.size()) {
     const Bytes chunk = std::min<Bytes>(chunk_max, data.size() - offset);
     queue.write(0, data.subspan(offset, chunk));
-    queue.read(0, dst.subspan(offset, chunk));
+    queue.read(0, out.subspan(offset, chunk));
     offset += chunk;
   }
 }

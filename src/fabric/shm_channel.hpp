@@ -22,7 +22,6 @@
 #include <span>
 
 #include "fabric/channel_costs.hpp"
-#include "fabric/message.hpp"
 #include "fabric/tuning.hpp"
 #include "osl/process.hpp"
 #include "osl/shm.hpp"
@@ -55,13 +54,13 @@ class ShmChannel {
                                               int sender_rank) const;
 
   /// Stages `data` through `queue` (the sender's segment from open_queue)
-  /// and appends it to `out`, writing every appended byte. Both processes
-  /// must share an IPC namespace on the same host (throws cbmpi::Error
-  /// otherwise — the caller is expected to have selected channels
-  /// correctly).
+  /// into `out`, which has data's size, writing every byte of it. Both
+  /// processes must share an IPC namespace on the same host (throws
+  /// cbmpi::Error otherwise — the caller is expected to have selected
+  /// channels correctly).
   void stage(const osl::SimProcess& sender, const osl::SimProcess& receiver,
              osl::ShmSegment& queue, std::span<const std::byte> data,
-             Payload& out) const;
+             std::span<std::byte> out) const;
 
   /// Number of queue cells implied by the current tuning.
   double queue_cells() const;

@@ -59,10 +59,7 @@ Request make_request() {
 // just like mpiP attributes polling time in the real library.
 
 Adi3Engine::Adi3Engine(JobState& job, int world_rank, osl::SimProcess& proc)
-    : job_(&job),
-      rank_(world_rank),
-      proc_(&proc),
-      hca_connected_(static_cast<std::size_t>(job.nranks)) {
+    : job_(&job), rank_(world_rank), proc_(&proc) {
   CBMPI_REQUIRE(world_rank >= 0 && world_rank < job.nranks, "bad world rank");
   if (job.metrics != nullptr) {
     obs_.eager_sends = &job.metrics->counter("adi3.eager_sends");
@@ -82,11 +79,9 @@ std::uint64_t Adi3Engine::reg_buffer_id(const void* base) {
 }
 
 void Adi3Engine::connect_hca(int dst_world) {
-  std::vector<bool>::reference connected =
-      hca_connected_[static_cast<std::size_t>(dst_world)];
-  if (connected) return;
-  connected = true;
-  job_->hca->ensure_connected(rank_, dst_world);
+  auto& peers = records().hca_peers;
+  if (peers.empty()) peers.resize(static_cast<std::size_t>(job_->nranks));
+  peers[static_cast<std::size_t>(dst_world)] = true;
 }
 
 const net::TransferCtx* Adi3Engine::fabric_ctx(int src_rank, int dst_rank,
@@ -152,13 +147,14 @@ Request Adi3Engine::start_send(std::span<const std::byte> data, int dst_world, i
   auto request = make_request();
 
   if (decision.protocol == fabric::Protocol::Eager) {
+    env.payload = job_->payload_home(rank_).allocate(size);
     fabric::EagerCosts costs;
     switch (decision.channel) {
       case fabric::ChannelKind::Shm: {
         costs = job_->shm->eager_costs(size, decision.same_socket);
         const auto* peer = job_->selector->endpoint(dst_world).process;
         if (shm_queue_ == nullptr) shm_queue_ = job_->shm->open_queue(*proc_, rank_);
-        job_->shm->stage(*proc_, *peer, *shm_queue_, data, env.payload);
+        job_->shm->stage(*proc_, *peer, *shm_queue_, data, env.payload.bytes());
         break;
       }
       case fabric::ChannelKind::Hca: {
@@ -172,7 +168,6 @@ Request Adi3Engine::start_send(std::span<const std::byte> data, int dst_world, i
                                      clock().now() + job_->profile->hca_post_overhead,
                                      decision.sriov});
         trace_congestion(ctxp, rank_, dst_world, size, clock().now());
-        env.payload.resize(size);
         if (size > 0) std::memcpy(env.payload.data(), data.data(), size);
         break;
       }
@@ -273,8 +268,8 @@ void Adi3Engine::complete_in_arrival_order(std::span<const Request> recvs) {
 }
 
 void Adi3Engine::complete_recv(RequestState& request) {
-  // The envelope leaves the request here, so its payload is freed when the
-  // receive completes, as if it had never been stored.
+  // The envelope leaves the request here, so its payload goes back to the
+  // sender's home when the receive completes, as if it had never been stored.
   fabric::Envelope env = std::move(request.envelope);
   if (env.size > request.buffer.size()) {
     std::ostringstream os;
@@ -417,6 +412,8 @@ fabric::RndvTimes Adi3Engine::pull(const RequestState& request,
 }
 
 void Adi3Engine::progress_posted() {
+  // Frees, on this rank's own worker, the payloads its receivers handed back.
+  job_->payload_home(rank_).reclaim();
   auto& matched = matched_scratch_;
   matched.clear();
   if (job_->matcher(rank_).match_posted(posted_, matched) == 0) return;

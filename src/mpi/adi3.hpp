@@ -17,7 +17,11 @@
 // recycled blocks (fiber.hpp), a matched envelope moves into its receive
 // request rather than a side list, and the engine reuses its own scratch
 // vectors, so in steady state an eager message costs one heap allocation,
-// its payload.
+// its payload. The payload comes from the sender's PayloadHome and is freed
+// on the sender's worker: at once when the receiver shares that worker,
+// otherwise by the sender in its next allocation or progress_posted, after
+// the receiver handed it back. Nothing on the send path takes a job-wide
+// lock: HCA queue pairs are one bit per peer in the rank's own records.
 //
 // Virtual-time rules:
 //   * eager completion  = max(posted_at, available_at) + receiver_cost
@@ -126,8 +130,8 @@ class Adi3Engine {
   /// No-op (one empty-vector test) when no crash faults are planned.
   void check_crash();
 
-  /// Connects this rank's HCA queue pair to `dst_world` on first use; later
-  /// calls only test this engine's bit for that peer.
+  /// Connects this rank's HCA queue pair to `dst_world`: sets that peer's
+  /// bit in this rank's RankRecords::hca_peers.
   void connect_hca(int dst_world);
 
   /// Fills `ctx` and returns its address when an inter-host HCA transfer
@@ -202,9 +206,6 @@ class Adi3Engine {
   /// This rank's SHM staging segment, opened on its first SHM eager send;
   /// only this rank's fiber writes it.
   std::shared_ptr<osl::ShmSegment> shm_queue_;
-  /// Destinations this rank already has an HCA queue pair to (one bit per
-  /// world rank), so only the first transfer to a peer reaches the channel.
-  std::vector<bool> hca_connected_;
 
   std::uint64_t next_seq_ = 0;
   std::vector<Request> posted_;

@@ -1,8 +1,10 @@
-// Internal per-job shared state: channels, selector, matchers, rank records.
+// Internal per-job shared state: channels, selector, payload homes, matchers,
+// rank records.
 //
 // Created by the runtime before any rank starts; immutable topology-wise
-// while the job runs. Matchers and RankRecords are per-rank; channels and the
-// selector are shared (internally synchronized where needed).
+// while the job runs. Payload homes, matchers and RankRecords are per-rank;
+// channels and the selector are shared (internally synchronized where
+// needed).
 //
 // Each rank's RankRecords is written only by that rank's fiber (a fiber never
 // leaves its worker, src/mpi/fiber.hpp), or by run_job before any fiber
@@ -20,6 +22,7 @@
 
 #include "fabric/cma_channel.hpp"
 #include "fabric/hca_channel.hpp"
+#include "fabric/message.hpp"
 #include "fabric/selector.hpp"
 #include "fabric/shm_channel.hpp"
 #include "fabric/tuning.hpp"
@@ -56,6 +59,9 @@ struct RankRecords {
   std::vector<obs::Span> spans;          // JobConfig::observe
   std::vector<sim::TraceEvent> trace;    // JobConfig::record_trace
   std::vector<net::FlowRecord> flows;    // the fabric's record pass
+  /// One bit per world rank: the peers this rank opened an HCA queue pair
+  /// to (Adi3Engine::connect_hca). Empty until the first one.
+  std::vector<bool> hca_peers;
 };
 
 /// Out-of-band phase alignment (Process::sync_time and the checkpoint round
@@ -85,6 +91,9 @@ struct JobState {
   std::unique_ptr<fabric::HcaChannel> hca;
   std::unique_ptr<fabric::ChannelSelector> selector;
 
+  /// One per world rank. Declared before `matchers`, so every envelope still
+  /// pending in a matcher at job end is destroyed while its home exists.
+  std::vector<fabric::PayloadHome> payload_homes;
   std::vector<std::unique_ptr<Matcher>> matchers;   // one per world rank
   std::vector<RankRecords> rank_records;            // one per world rank
 
@@ -137,6 +146,9 @@ struct JobState {
 
   Matcher& matcher(int world_rank) {
     return *matchers[static_cast<std::size_t>(world_rank)];
+  }
+  fabric::PayloadHome& payload_home(int world_rank) {
+    return payload_homes[static_cast<std::size_t>(world_rank)];
   }
   RankRecords& records(int world_rank) {
     return rank_records[static_cast<std::size_t>(world_rank)];

@@ -243,6 +243,21 @@ void append(std::vector<T>& to, std::vector<T>& from) {
   std::vector<T>().swap(from);
 }
 
+/// Distinct HCA queue pairs: {a, b} counts once if either side connected.
+/// A pair is counted from the side that connected, and from the lower rank
+/// when both did.
+std::size_t count_queue_pairs(const std::vector<RankRecords>& records) {
+  const auto connected = [&](std::size_t a, std::size_t b) {
+    const auto& peers = records[a].hca_peers;
+    return !peers.empty() && peers[b];
+  };
+  std::size_t pairs = 0;
+  for (std::size_t a = 0; a < records.size(); ++a)
+    for (std::size_t b = 0; b < records[a].hca_peers.size(); ++b)
+      if (connected(a, b) && (b >= a || !connected(b, a))) ++pairs;
+  return pairs;
+}
+
 /// Shared state of the fabric model's two deterministic passes. The record
 /// pass builds the Fabric (it needs the placement) and fills `flows` from
 /// every rank's records; between passes the runtime settles the flows into
@@ -521,6 +536,7 @@ JobResult run_job_attempt(const JobConfig& config,
       inject ? &injector : nullptr, inject ? &fault_log : nullptr);
   job.selector->force_channel(config.forced_channel);
 
+  job.payload_homes = std::vector<fabric::PayloadHome>(static_cast<std::size_t>(nranks));
   job.matchers.reserve(static_cast<std::size_t>(nranks));
   for (int r = 0; r < nranks; ++r) job.matchers.push_back(std::make_unique<Matcher>());
   job.rank_records.resize(static_cast<std::size_t>(nranks));
@@ -749,7 +765,7 @@ JobResult run_job_attempt(const JobConfig& config,
   }
   std::ranges::sort(result.trace, sim::trace_less);
   obs::sort_spans(result.spans);
-  result.hca_queue_pairs = job.hca->queue_pairs();
+  result.hca_queue_pairs = count_queue_pairs(job.rank_records);
   result.reg_cache = job.hca->reg_cache_stats();
   if (stopped) {
     result.stop = checkpoint_store->take_stop();

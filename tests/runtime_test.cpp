@@ -14,8 +14,10 @@
 #include <map>
 #include <numeric>
 #include <ranges>
+#include <set>
 #include <string>
 #include <thread>
+#include <utility>
 
 #include "mpi/runtime.hpp"
 #include "mpi/window.hpp"
@@ -219,6 +221,49 @@ TEST(Runtime, HcaQueuePairsCountDistinctPairsExactly) {
   EXPECT_EQ(hca_pairs, 24u);
   EXPECT_EQ(result.hca_queue_pairs, hca_pairs);
   EXPECT_EQ(result.profile.total.channel_ops(ChannelKind::Hca), 3u * 8u * 6u);
+
+  // One direction only, from the higher rank: only rank 1 connects, and the
+  // pair still counts once.
+  JobConfig one_way;
+  one_way.deployment = DeploymentSpec::native_hosts(2, 1);
+  const auto one_way_result = run_job(one_way, [](mpi::Process& p) {
+    for (int i = 0; i < 3; ++i) {
+      if (p.rank() == 1) {
+        p.world().send_value(i, 0, 5);
+      } else {
+        EXPECT_EQ(p.world().recv_value<int>(1, 5), i);
+      }
+    }
+  });
+  EXPECT_EQ(one_way_result.hca_queue_pairs, 1u);
+
+  // RMA only: 8 ranks on 8 hosts. The window's dissemination barriers (at
+  // creation and in the fence) link the pairs at distances 1, 2 and 4 around
+  // the ring; rank 0's put to rank 3
+  // (distance 3) opens the one pair no message uses, through account_op.
+  JobConfig rma;
+  rma.deployment = DeploymentSpec::native_hosts(kRanks, 1);
+  const auto rma_result = run_job(rma, [](mpi::Process& p) {
+    std::vector<int> memory(4, 0);
+    mpi::Window<int> window(p.world(), std::span<int>(memory));
+    if (p.rank() == 0) {
+      window.lock(mpi::LockKind::Exclusive, 3);
+      const int value = 7;
+      window.put(std::span<const int>(&value, 1), 3, 0);
+      window.unlock(3);
+    }
+    window.fence();  // no rank frees its window memory before the put landed
+    if (p.rank() == 3) {
+      EXPECT_EQ(memory[0], 7);
+    }
+  });
+  std::set<std::pair<int, int>> barrier_pairs;
+  for (int a = 0; a < kRanks; ++a)
+    for (const int dist : {1, 2, 4})
+      barrier_pairs.insert(std::minmax(a, (a + dist) % kRanks));
+  EXPECT_EQ(barrier_pairs.size(), 20u);
+  EXPECT_FALSE(barrier_pairs.contains({0, 3}));
+  EXPECT_EQ(rma_result.hca_queue_pairs, barrier_pairs.size() + 1);
 }
 
 TEST(Runtime, LocalityAwareIsFasterAcrossContainers) {

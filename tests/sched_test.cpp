@@ -530,15 +530,21 @@ TEST(SchedulerRecovery, CheckpointedRetriesResumeInsteadOfRestarting) {
   for (auto& job : crashy_job_mix()) scheduler.submit(std::move(job));
   const auto& done = scheduler.run();
   const auto& metrics = scheduler.metrics();
-  if (metrics.requeues == 0) GTEST_SKIP() << "fixture produced no crashes";
+  ASSERT_GT(metrics.requeues, 0) << "fixture never requeued; raise the crash rate";
   EXPECT_GT(metrics.checkpoints, 0);
+  EXPECT_GT(metrics.restarts_from_checkpoint, 0);
   bool any_restored = false;
-  for (const auto& record : done)
+  Micros finishing_runtimes = 0.0;  // rank-time of the completing attempts alone
+  for (const auto& record : done) {
     if (record.restored_progress > 0.0) {
       any_restored = true;
       EXPECT_GT(record.attempt, 0);
     }
-  EXPECT_EQ(any_restored, metrics.restarts_from_checkpoint > 0);
+    if (record.outcome == sched::JobOutcome::Completed)
+      finishing_runtimes += static_cast<double>(record.spec.ranks) * record.result.job_time;
+  }
+  EXPECT_TRUE(any_restored);
+  EXPECT_GT(metrics.completed_work_us, finishing_runtimes);
 }
 
 // ---- container engine cpuset accounting ------------------------------------
