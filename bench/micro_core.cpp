@@ -11,6 +11,7 @@
 #include <mutex>
 #include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "apps/graph500/kronecker.hpp"
@@ -30,62 +31,93 @@ namespace {
 
 using namespace cbmpi;
 
+/// One message of `home` from `src` with tag `tag` on communicator 0.
+fabric::MessagePtr make_message(fabric::PayloadHome& home, int src, int tag) {
+  fabric::MessagePtr message = home.allocate(0);
+  message->env.src = src;
+  message->env.dst = 0;
+  message->env.tag = tag;
+  message->env.comm_id = 0;
+  return message;
+}
+
+// One message block goes round: delivered, matched, delivered again.
 void BM_MatcherDeliverAndMatch(benchmark::State& state) {
+  fabric::PayloadHome home;
   mpi::Matcher matcher;
-  fabric::Envelope env;
-  env.src = 1;
-  env.dst = 0;
-  env.tag = 3;
-  env.comm_id = 0;
+  fabric::MessagePtr message = make_message(home, 1, 3);
   for (auto _ : state) {
-    matcher.deliver(std::move(env));
-    auto matched = matcher.try_match(1, 3, 0);
-    benchmark::DoNotOptimize(matched);
-    env = std::move(*matched);
+    matcher.deliver(std::move(message));
+    message = matcher.try_match(1, 3, 0);
+    benchmark::DoNotOptimize(message.get());
   }
 }
 BENCHMARK(BM_MatcherDeliverAndMatch);
 
 void BM_MatcherWildcardScan(benchmark::State& state) {
   const auto depth = static_cast<int>(state.range(0));
+  fabric::PayloadHome home;
   mpi::Matcher matcher;
-  for (int i = 0; i < depth; ++i) {
-    fabric::Envelope env;
-    env.src = i % 7;
-    env.dst = 0;
-    env.tag = 99;  // never matched below
-    env.comm_id = 0;
-    matcher.deliver(std::move(env));
-  }
+  // Tag 99 is never matched below.
+  for (int i = 0; i < depth; ++i) matcher.deliver(make_message(home, i % 7, 99));
   for (auto _ : state) {
     auto matched = matcher.try_match(mpi::kAnySource, 3, 0);
-    benchmark::DoNotOptimize(matched);
+    benchmark::DoNotOptimize(matched.get());
   }
 }
 BENCHMARK(BM_MatcherWildcardScan)->Arg(4)->Arg(64)->Arg(512);
 
-// One pending envelope from each of Arg sources; a specific-source receive
-// takes the last source's envelope and the sender re-delivers it, so the
+// One pending message from each of Arg sources; a specific-source receive
+// takes the last source's message and the sender re-delivers it, so the
 // queue keeps its shape. Per-source bins cost a binary search here where a
-// single queue scans every envelope.
+// single queue scans every message.
 void BM_MatcherManySources(benchmark::State& state) {
   const auto sources = static_cast<int>(state.range(0));
+  fabric::PayloadHome home;
   mpi::Matcher matcher;
-  for (int src = 0; src < sources; ++src) {
-    fabric::Envelope env;
-    env.src = src;
-    env.dst = 0;
-    env.tag = 3;
-    env.comm_id = 0;
-    matcher.deliver(std::move(env));
-  }
+  for (int src = 0; src < sources; ++src) matcher.deliver(make_message(home, src, 3));
   for (auto _ : state) {
     auto matched = matcher.try_match(sources - 1, 3, 0);
-    benchmark::DoNotOptimize(matched);
-    matcher.deliver(std::move(*matched));
+    benchmark::DoNotOptimize(matched.get());
+    matcher.deliver(std::move(matched));
   }
 }
 BENCHMARK(BM_MatcherManySources)->Arg(64)->Arg(1024);
+
+// One sender thread allocates 64-byte messages from its own home and
+// delivers them, at most kWindow in flight; the owner takes each one from
+// the inbox and drops it, so its block goes back through the home's return
+// stack. One iteration is one message across threads.
+void BM_MatcherCrossThreadDeliver(benchmark::State& state) {
+  constexpr int kWindow = 64;
+  fabric::PayloadHome home;
+  mpi::Matcher matcher;
+  std::atomic<int> credits{kWindow};
+  std::atomic<bool> stop{false};
+  std::thread sender([&] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      if (credits.load(std::memory_order_acquire) == 0) {
+        std::this_thread::yield();
+        continue;
+      }
+      credits.fetch_sub(1, std::memory_order_relaxed);
+      fabric::MessagePtr message = home.allocate(64);
+      message->env.src = 1;
+      message->env.tag = 3;
+      matcher.deliver(std::move(message));
+    }
+  });
+  for (auto _ : state) {
+    fabric::MessagePtr message;
+    while (message == nullptr) message = matcher.try_match(1, 3, 0);
+    benchmark::DoNotOptimize(message.get());
+    message.reset();
+    credits.fetch_add(1, std::memory_order_release);
+  }
+  stop.store(true);
+  sender.join();
+}
+BENCHMARK(BM_MatcherCrossThreadDeliver)->UseRealTime();
 
 // Park/wake round trip of the rank engine. Arg 1: one rank parks and its own
 // publish hook wakes it, so the round trip stays on one worker. Arg 2: two

@@ -1,6 +1,5 @@
 #include "fabric/message.hpp"
 
-#include <algorithm>
 #include <new>
 
 namespace cbmpi::fabric {
@@ -10,21 +9,22 @@ namespace {
 thread_local const char t_thread_tag = 0;
 }  // namespace
 
-Payload PayloadHome::allocate(std::size_t size) {
+MessagePtr PayloadHome::allocate(std::size_t payload_bytes) {
   reclaim();
   if (owner_ != &t_thread_tag) owner_ = &t_thread_tag;
-  if (size == 0) return {};
-  // A returned block holds the stack's link, so it is never smaller than one.
-  void* block = ::operator new(std::max(size, sizeof(Returned)));
-  return {this, static_cast<std::byte*>(block), size};
+  // A returned block holds the stack's link; every header is larger.
+  static_assert(sizeof(Message) >= sizeof(Returned));
+  void* block = ::operator new(sizeof(Message) + payload_bytes);
+  return MessagePtr(::new (block) Message(this, payload_bytes));
 }
 
-void PayloadHome::release(std::byte* block) noexcept {
+void PayloadHome::release(Message* message) noexcept {
+  message->~Message();
   if (owner_ == &t_thread_tag) {
-    ::operator delete(block);
+    ::operator delete(message);
     return;
   }
-  auto* node = ::new (static_cast<void*>(block))
+  auto* node = ::new (static_cast<void*>(message))
       Returned{returned_.load(std::memory_order_relaxed)};
   while (!returned_.compare_exchange_weak(node->next, node, std::memory_order_release,
                                           std::memory_order_relaxed)) {

@@ -1,18 +1,23 @@
-// Message envelopes, eager payloads and rendezvous handshake state.
+// Messages, the blocks they live in, and rendezvous handshake state.
 //
-// One Envelope is what a sender deposits into the receiver's matcher. Eager
-// envelopes carry the payload (already staged through the channel), a
-// block of the sender's PayloadHome that goes back to it once the receiver
-// has copied it out, so only the thread that allocated a block frees it. A
-// rendezvous envelope is the RTS: it carries a shared RndvState pointing at
-// the sender's buffer; the *receiver* performs the transfer at match time
-// (exactly how CMA works: process_vm_readv is issued by the destination) and
-// then reports the sender's completion time back through the state. The
-// state only holds the outcome and never blocks a wait. The receiver wakes a
-// blocked sender by poking the sender's matcher right after complete(), the
-// same wake-up path a delivery takes. A sender that aborts or crashes
-// withdraws its unfinished sends before it unwinds and frees the buffers; a
-// receiver's copy and the withdrawal exclude each other.
+// A send deposits one Message into the receiver's matcher: a single heap
+// block of the sending rank's PayloadHome that holds the matcher's intrusive
+// link, an arrival stamp and the Envelope, followed, for an eager message, by
+// the payload bytes, which the SHM staging copy or the HCA copy writes
+// straight in. A rendezvous message is the RTS, a header-only block whose
+// envelope carries a shared RndvState pointing at the sender's buffer; the
+// *receiver* performs the transfer at match time (exactly how CMA works:
+// process_vm_readv is issued by the destination) and then reports the
+// sender's completion time back through the state. The state only holds the
+// outcome and never blocks a wait. The receiver wakes a blocked sender by
+// poking the sender's matcher right after complete(), the same wake-up path a
+// delivery takes. A sender that aborts or crashes withdraws its unfinished
+// sends before it unwinds and frees the buffers; a receiver's copy and the
+// withdrawal exclude each other.
+//
+// A MessagePtr owns its block until the receive that matched it completes;
+// dropping it hands the block back to its home, so only the thread that
+// allocated a block frees it (PayloadHome).
 #pragma once
 
 #include <atomic>
@@ -21,7 +26,6 @@
 #include <memory>
 #include <mutex>
 #include <span>
-#include <utility>
 
 #include "common/units.hpp"
 #include "osl/cma.hpp"
@@ -82,86 +86,6 @@ class RndvState {
   bool withdrawn_ = false;  // guarded by mutex_
 };
 
-class PayloadHome;
-
-/// An eager payload: a move-only handle to one heap block of the sending
-/// rank's PayloadHome. Its bytes start uninitialized: the SHM staging copy or
-/// the HCA copy writes every one right after allocation. Dropping it gives
-/// the block back to its home (see PayloadHome::release).
-class Payload {
- public:
-  Payload() = default;
-  Payload(Payload&& other) noexcept
-      : home_(std::exchange(other.home_, nullptr)),
-        data_(std::exchange(other.data_, nullptr)),
-        size_(std::exchange(other.size_, 0)) {}
-  Payload& operator=(Payload&& other) noexcept {
-    if (this != &other) {
-      release();
-      home_ = std::exchange(other.home_, nullptr);
-      data_ = std::exchange(other.data_, nullptr);
-      size_ = std::exchange(other.size_, 0);
-    }
-    return *this;
-  }
-  ~Payload() { release(); }
-
-  std::byte* data() { return data_; }
-  std::span<std::byte> bytes() { return {data_, size_}; }
-
- private:
-  friend class PayloadHome;
-  Payload(PayloadHome* home, std::byte* data, std::size_t size)
-      : home_(home), data_(data), size_(size) {}
-  inline void release() noexcept;
-
-  PayloadHome* home_ = nullptr;
-  std::byte* data_ = nullptr;  ///< null iff size_ == 0
-  std::size_t size_ = 0;
-};
-
-/// Where one rank's eager payloads come from and go back to. Every block is
-/// freed by the thread that allocated it, so no heap arena is shared between
-/// worker threads: a payload dropped on that thread is freed at once, and one
-/// dropped anywhere else is pushed onto the home's lock-free return stack
-/// (one CAS). The owning rank frees the returned blocks on its own fiber with
-/// reclaim(), which takes the whole stack with one exchange; the destructor
-/// frees whatever is left at job end. Freed blocks are not cached: a cache
-/// per rank holds its peak in-flight payloads for the whole job.
-class alignas(64) PayloadHome {
- public:
-  PayloadHome() = default;
-  PayloadHome(const PayloadHome&) = delete;
-  PayloadHome& operator=(const PayloadHome&) = delete;
-  ~PayloadHome() { reclaim(); }
-
-  /// A payload of `size` uninitialized bytes. Only the owning rank's fiber
-  /// calls it; it first frees the blocks handed back since its last call.
-  Payload allocate(std::size_t size);
-
-  /// Frees every block handed back so far. Owning rank's fiber only, or
-  /// after every worker joined.
-  void reclaim() noexcept;
-
- private:
-  friend class Payload;
-  /// A returned block, reused as a link of the return stack.
-  struct Returned {
-    Returned* next;
-  };
-  /// Frees `block` on its owner's thread, hands it back from any other.
-  void release(std::byte* block) noexcept;
-
-  /// The thread of the owning rank's fiber, bound by the first allocate();
-  /// every payload of this home is delivered after that write.
-  const void* owner_ = nullptr;
-  std::atomic<Returned*> returned_{nullptr};
-};
-
-void Payload::release() noexcept {
-  if (data_ != nullptr) home_->release(std::exchange(data_, nullptr));
-}
-
 struct Envelope {
   int src = -1;  ///< world rank of the sender
   int dst = -1;  ///< world rank of the receiver
@@ -195,9 +119,91 @@ struct Envelope {
   /// sender->receiver dependency edge on the receiver-side Proto span.
   Micros sent_at = 0.0;
 
-  Payload payload;                   ///< eager only
-  std::shared_ptr<RndvState> rndv;   ///< rendezvous only
+  std::shared_ptr<RndvState> rndv;  ///< rendezvous only
 };
+
+class PayloadHome;
+
+/// One message: the header of a PayloadHome block, with the payload bytes
+/// right behind it.
+class Message {
+ public:
+  Message(const Message&) = delete;
+  Message& operator=(const Message&) = delete;
+
+  Envelope env;
+  /// The receiver's inbox and per-source bin chain through this link; the
+  /// sender writes it only while pushing the message (Matcher::deliver).
+  Message* next = nullptr;
+  /// Arrival order within the receiver's matcher, set when it takes the
+  /// message from its inbox.
+  std::uint64_t stamp = 0;
+
+  /// Eager: the env.size payload bytes behind the header, uninitialized
+  /// until the sender's copy. Empty for a rendezvous RTS.
+  std::span<std::byte> payload() {
+    return {reinterpret_cast<std::byte*>(this + 1), payload_bytes_};
+  }
+
+ private:
+  friend class PayloadHome;
+  friend struct MessageRelease;
+  Message(PayloadHome* home, std::size_t payload_bytes)
+      : home_(home), payload_bytes_(payload_bytes) {}
+
+  PayloadHome* home_;
+  std::size_t payload_bytes_;
+};
+
+/// Gives a message's block back to its home (PayloadHome::release).
+struct MessageRelease {
+  inline void operator()(Message* message) const noexcept;
+};
+using MessagePtr = std::unique_ptr<Message, MessageRelease>;
+
+/// Where one rank's message blocks come from and go back to. Every block is
+/// freed by the thread that allocated it, so no heap arena is shared between
+/// worker threads: a message dropped on that thread is freed at once, and one
+/// dropped anywhere else is pushed onto the home's lock-free return stack
+/// (one CAS). The owning rank frees the returned blocks on its own fiber with
+/// reclaim(), which takes the whole stack with one exchange; the destructor
+/// frees whatever is left at job end. Freed blocks are not cached: a cache
+/// per rank holds its peak in-flight messages for the whole job.
+class alignas(64) PayloadHome {
+ public:
+  PayloadHome() = default;
+  PayloadHome(const PayloadHome&) = delete;
+  PayloadHome& operator=(const PayloadHome&) = delete;
+  ~PayloadHome() { reclaim(); }
+
+  /// A message with a default envelope and `payload_bytes` uninitialized
+  /// payload bytes, in one block. Only the owning rank's fiber calls it; it
+  /// first frees the blocks handed back since its last call.
+  MessagePtr allocate(std::size_t payload_bytes);
+
+  /// Frees every block handed back so far. Owning rank's fiber only, or
+  /// after every worker joined.
+  void reclaim() noexcept;
+
+ private:
+  friend struct MessageRelease;
+  /// A returned block, reused as a link of the return stack.
+  struct Returned {
+    Returned* next;
+  };
+  /// Destroys `message`, then frees its block on its owner's thread or hands
+  /// it back from any other.
+  void release(Message* message) noexcept;
+
+  /// The thread of the owning rank's fiber, bound by the first allocate();
+  /// every message of this home is delivered after that write.
+  const void* owner_ = nullptr;
+  std::atomic<Returned*> returned_{nullptr};
+};
+
+void MessageRelease::operator()(Message* message) const noexcept {
+  message->home_->release(message);
+}
 
 inline const char* to_string(ChannelKind kind) {
   switch (kind) {

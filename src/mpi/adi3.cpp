@@ -131,7 +131,9 @@ Request Adi3Engine::start_send(std::span<const std::byte> data, int dst_world, i
     charge_hca_retries(dst_world, seq, size);
   }
 
-  fabric::Envelope env;
+  const bool eager = decision.protocol == fabric::Protocol::Eager;
+  fabric::MessagePtr message = job_->payload_home(rank_).allocate(eager ? size : 0);
+  fabric::Envelope& env = message->env;
   env.src = rank_;
   env.dst = dst_world;
   env.tag = tag;
@@ -146,15 +148,14 @@ Request Adi3Engine::start_send(std::span<const std::byte> data, int dst_world, i
 
   auto request = make_request();
 
-  if (decision.protocol == fabric::Protocol::Eager) {
-    env.payload = job_->payload_home(rank_).allocate(size);
+  if (eager) {
     fabric::EagerCosts costs;
     switch (decision.channel) {
       case fabric::ChannelKind::Shm: {
         costs = job_->shm->eager_costs(size, decision.same_socket);
         const auto* peer = job_->selector->endpoint(dst_world).process;
         if (shm_queue_ == nullptr) shm_queue_ = job_->shm->open_queue(*proc_, rank_);
-        job_->shm->stage(*proc_, *peer, *shm_queue_, data, env.payload.bytes());
+        job_->shm->stage(*proc_, *peer, *shm_queue_, data, message->payload());
         break;
       }
       case fabric::ChannelKind::Hca: {
@@ -168,7 +169,7 @@ Request Adi3Engine::start_send(std::span<const std::byte> data, int dst_world, i
                                      clock().now() + job_->profile->hca_post_overhead,
                                      decision.sriov});
         trace_congestion(ctxp, rank_, dst_world, size, clock().now());
-        if (size > 0) std::memcpy(env.payload.data(), data.data(), size);
+        if (size > 0) std::memcpy(message->payload().data(), data.data(), size);
         break;
       }
       case fabric::ChannelKind::Cma:
@@ -187,7 +188,7 @@ Request Adi3Engine::start_send(std::span<const std::byte> data, int dst_world, i
     request->kind = RequestState::Kind::SendEager;
     request->complete = true;
     request->complete_at = clock().now();
-    job_->matcher(dst_world).deliver(std::move(env));
+    job_->matcher(dst_world).deliver(std::move(message));
     return request;
   }
 
@@ -215,7 +216,7 @@ Request Adi3Engine::start_send(std::span<const std::byte> data, int dst_world, i
 
   request->kind = RequestState::Kind::SendRndv;
   request->rndv = std::move(rndv);
-  job_->matcher(dst_world).deliver(std::move(env));
+  job_->matcher(dst_world).deliver(std::move(message));
   return request;
 }
 
@@ -232,11 +233,18 @@ Request Adi3Engine::post_recv(std::span<std::byte> buffer, int src_world, int ta
   return request;
 }
 
+Adi3Engine::~Adi3Engine() {
+  // A receive that a failure left matched but not completed gives its
+  // message back here, on this rank's fiber, while the job's homes exist.
+  for (const auto& request : matched_) request->message = nullptr;
+}
+
 void Adi3Engine::complete_in_arrival_order(std::span<const Request> recvs) {
+  // Receives left over from a completion that threw go first, so the sort
+  // below sees only this call's.
+  complete_matched();
   auto& unmatched = unmatched_scratch_;
-  auto& matched = matched_scratch_;
   unmatched.clear();
-  matched.clear();
   for (const auto& request : recvs) {
     CBMPI_REQUIRE(request != nullptr && request->kind == RequestState::Kind::Recv,
                   "complete_in_arrival_order needs receive requests");
@@ -245,32 +253,40 @@ void Adi3Engine::complete_in_arrival_order(std::span<const Request> recvs) {
     if (!request->complete) unmatched.push_back(request);
   }
 
-  // Phase 1: collect every envelope without completing anything — which
+  // Phase 1: collect every message without completing anything — which
   // messages have arrived at any instant is wall-clock noise.
   block_until([&] {
-    job_->matcher(rank_).match_posted(unmatched, matched);
+    job_->matcher(rank_).match_posted(unmatched, matched_);
     return unmatched.empty();
   });
 
   // The matched receives leave the posted queue in one pass before any of
   // them completes, so a rank that throws in phase 2 leaves only receives
   // still waiting for a message behind for oldest_posted().
-  std::erase_if(posted_, [](const Request& request) { return request->matched; });
+  std::erase_if(posted_, [](const Request& request) { return request->message != nullptr; });
 
   // Phase 2: process in virtual arrival order, so the receiver busy chain
-  // is a pure function of the envelopes' timestamps.
-  std::ranges::sort(matched, {}, [](const Request& request) {
-    const fabric::Envelope& env = request->envelope;
+  // is a pure function of the messages' timestamps.
+  std::ranges::sort(matched_, {}, [](const Request& request) {
+    const fabric::Envelope& env = request->message->env;
     return std::tie(env.available_at, env.src, env.seq);
   });
-  for (const auto& request : matched) complete_recv(*request);
-  matched.clear();
+  complete_matched();
+}
+
+void Adi3Engine::complete_matched() {
+  // Each receive leaves the list before it completes, so one that throws
+  // takes no other with it: the rest complete at the next progress.
+  while (next_matched_ < matched_.size()) complete_recv(*matched_[next_matched_++]);
+  matched_.clear();
+  next_matched_ = 0;
 }
 
 void Adi3Engine::complete_recv(RequestState& request) {
-  // The envelope leaves the request here, so its payload goes back to the
-  // sender's home when the receive completes, as if it had never been stored.
-  fabric::Envelope env = std::move(request.envelope);
+  // The message leaves the request here, so its block goes back to the
+  // sender's home when the receive completes, or fails.
+  const fabric::MessagePtr message = std::move(request.message);
+  const fabric::Envelope& env = message->env;
   if (env.size > request.buffer.size()) {
     std::ostringstream os;
     os << "message truncation: rank " << rank_ << " recv(source=" << env.src
@@ -285,14 +301,14 @@ void Adi3Engine::complete_recv(RequestState& request) {
           ? fabric_ctx(env.src, rank_, env.seq, env.loopback, ctx)
           : nullptr;
 
-  // Eager: the payload already sits in the envelope; the receiver copies it
+  // Eager: the payload already sits in the message; the receiver copies it
   // out once its CPU is free. Rendezvous: the span covers the whole
   // handshake, from RTS availability on.
   fabric::RndvTimes times;
   Micros begin = env.available_at;
   if (eager) {
     if (env.size > 0)
-      std::memcpy(request.buffer.data(), env.payload.data(), env.size);
+      std::memcpy(request.buffer.data(), message->payload().data(), env.size);
     begin = std::max({request.posted_at, env.available_at, recv_busy_until_});
     times.receiver_done = begin + env.receiver_cost;
   } else {
@@ -341,7 +357,7 @@ void Adi3Engine::complete_recv(RequestState& request) {
 }
 
 fabric::RndvTimes Adi3Engine::pull(const RequestState& request,
-                                   fabric::Envelope& env,
+                                   const fabric::Envelope& env,
                                    const net::TransferCtx* ctxp) {
   auto& rndv = *env.rndv;
   const std::span<std::byte> dst = request.buffer.subspan(0, env.size);
@@ -412,13 +428,10 @@ fabric::RndvTimes Adi3Engine::pull(const RequestState& request,
 }
 
 void Adi3Engine::progress_posted() {
-  // Frees, on this rank's own worker, the payloads its receivers handed back.
+  // Frees, on this rank's own worker, the messages its receivers handed back.
   job_->payload_home(rank_).reclaim();
-  auto& matched = matched_scratch_;
-  matched.clear();
-  if (job_->matcher(rank_).match_posted(posted_, matched) == 0) return;
-  for (const auto& request : matched) complete_recv(*request);
-  matched.clear();
+  job_->matcher(rank_).match_posted(posted_, matched_);
+  complete_matched();
 }
 
 bool Adi3Engine::poll(RequestState& request) {

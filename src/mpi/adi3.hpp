@@ -14,14 +14,18 @@
 // block_until().
 //
 // The eager path is allocation-light: request states come from the worker's
-// recycled blocks (fiber.hpp), a matched envelope moves into its receive
-// request rather than a side list, and the engine reuses its own scratch
-// vectors, so in steady state an eager message costs one heap allocation,
-// its payload. The payload comes from the sender's PayloadHome and is freed
-// on the sender's worker: at once when the receiver shares that worker,
-// otherwise by the sender in its next allocation or progress_posted, after
-// the receiver handed it back. Nothing on the send path takes a job-wide
-// lock: HCA queue pairs are one bit per peer in the rank's own records.
+// recycled blocks (fiber.hpp), a send is one fabric::Message block (header
+// and payload) from the sender's PayloadHome that one CAS links into the
+// receiver's inbox, a matched message moves into its receive request, and
+// the engine reuses its own lists, so in steady state an eager message costs
+// one heap allocation. The block is freed on the sender's worker: at once
+// when the receiver shares that worker, otherwise by the sender in its next
+// allocation or progress_posted, after the receiver handed it back. Nothing
+// on the message path takes a lock: HCA queue pairs are one bit per peer in
+// the rank's own records, and only this rank's fiber touches its matcher's
+// bins. A matched receive whose completion fails leaves the others matched
+// for the next progress; ~Adi3Engine, on the rank's fiber, releases the
+// messages of any still held, so no request outlives the job holding a block.
 //
 // Virtual-time rules:
 //   * eager completion  = max(posted_at, available_at) + receiver_cost
@@ -51,6 +55,7 @@ class Adi3Engine {
 
   Adi3Engine(const Adi3Engine&) = delete;
   Adi3Engine& operator=(const Adi3Engine&) = delete;
+  ~Adi3Engine();
 
   int world_rank() const { return rank_; }
   osl::SimProcess& process() { return *proc_; }
@@ -156,19 +161,21 @@ class Adi3Engine {
   void charge_hca_retries(int dst_world, std::uint64_t seq, Bytes size);
   /// Completes every posted receive whose message has arrived, in post order.
   void progress_posted();
+  /// Completes the receives of matched_ in their list order.
+  void complete_matched();
   /// Non-blocking completion check without the clock advance: progresses
   /// posted receives for a receive request, picks up a finished rendezvous
   /// for a send request.
   bool poll(RequestState& request);
-  /// Completes a matched receive from the envelope the matcher moved into
-  /// it, under either protocol: the one truncation check, the eager copy-out
-  /// (or pull() for a rendezvous), the status and busy chain, the Proto span
-  /// and the recv-latency histogram.
+  /// Completes a matched receive from the message the matcher moved into
+  /// it, and releases the message, under either protocol: the one
+  /// truncation check, the eager copy-out (or pull() for a rendezvous), the
+  /// status and busy chain, the Proto span and the recv-latency histogram.
   void complete_recv(RequestState& request);
   /// Rendezvous only: prices the transfer on its channel (with the pin-down
   /// lookup and the "rndv-reg" span on the HCA), records the fabric flow and
   /// copies the payload out of the sender's buffer.
-  fabric::RndvTimes pull(const RequestState& request, fabric::Envelope& env,
+  fabric::RndvTimes pull(const RequestState& request, const fabric::Envelope& env,
                          const net::TransferCtx* ctxp);
   /// NetCongest trace breadcrumb in the apply pass for transfers the settle
   /// step slowed down.
@@ -209,10 +216,13 @@ class Adi3Engine {
 
   std::uint64_t next_seq_ = 0;
   std::vector<Request> posted_;
-  /// Scratch of progress_posted and complete_in_arrival_order (neither runs
-  /// inside the other), kept so their capacity is reused: receives just
-  /// matched, and receives still waiting for their message.
-  std::vector<Request> matched_scratch_;
+  /// Receives matched and not completed yet, in completion order, from
+  /// next_matched_ on; kept so its capacity is reused. Only
+  /// complete_matched empties it.
+  std::vector<Request> matched_;
+  std::size_t next_matched_ = 0;
+  /// Scratch of complete_in_arrival_order: receives still waiting for their
+  /// message.
   std::vector<Request> unmatched_scratch_;
   /// Rendezvous sends whose receiver may still read the source buffer.
   std::vector<std::shared_ptr<fabric::RndvState>> rndv_sends_;

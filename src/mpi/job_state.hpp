@@ -91,8 +91,8 @@ struct JobState {
   std::unique_ptr<fabric::HcaChannel> hca;
   std::unique_ptr<fabric::ChannelSelector> selector;
 
-  /// One per world rank. Declared before `matchers`, so every envelope still
-  /// pending in a matcher at job end is destroyed while its home exists.
+  /// One per world rank. Declared before `matchers`, so every message still
+  /// pending in a matcher at job end is released while its home exists.
   std::vector<fabric::PayloadHome> payload_homes;
   std::vector<std::unique_ptr<Matcher>> matchers;   // one per world rank
   std::vector<RankRecords> rank_records;            // one per world rank

@@ -85,7 +85,9 @@ void reduce_bytes(ReduceOp op, std::span<const std::byte> in,
 /// test/wait on the owning rank's fiber; only the rendezvous sub-state is
 /// shared with the peer (and is internally synchronized). The engine makes
 /// every state from its worker's recycled blocks (fiber.hpp), so a state and
-/// its shared_ptr control block cost no malloc in steady state.
+/// its shared_ptr control block cost no malloc in steady state. A matched
+/// receive holds its message block; the engine releases every one it holds
+/// before its rank finishes, so a request kept past its job holds none.
 struct RequestState {
   enum class Kind : std::uint8_t { SendEager, SendRndv, Recv };
 
@@ -100,10 +102,10 @@ struct RequestState {
   int tag = kAnyTag;
   std::uint64_t comm_id = 0;
   Micros posted_at = 0.0;
-  /// Set once the matcher moved this receive's message into `envelope`; the
-  /// engine completes it from there and then leaves `envelope` empty.
-  bool matched = false;
-  fabric::Envelope envelope{};
+  /// The message the matcher matched to this receive, owned from the match
+  /// until the engine completes the receive and releases it to its sender's
+  /// home; null before and after.
+  fabric::MessagePtr message;
 
   // --- rendezvous send bookkeeping ---------------------------------------
   std::shared_ptr<fabric::RndvState> rndv;

@@ -49,7 +49,6 @@ void ShmSegment::write(Bytes offset, std::span<const std::byte> data) {
   CBMPI_REQUIRE(fits(offset, data.size(), size()), "shm bulk write out of range: ",
                 data.size(), " bytes at ", offset, " in ", size());
   if (data.empty()) return;  // an empty span may hold a null pointer memcpy rejects
-  const std::scoped_lock lock(bulk_mutex_);
   std::memcpy(bytes_ + offset, data.data(), data.size());
 }
 
@@ -57,7 +56,6 @@ void ShmSegment::read(Bytes offset, std::span<std::byte> out) const {
   CBMPI_REQUIRE(fits(offset, out.size(), size()), "shm bulk read out of range: ",
                 out.size(), " bytes at ", offset, " in ", size());
   if (out.empty()) return;  // see write()
-  const std::scoped_lock lock(bulk_mutex_);
   std::memcpy(out.data(), bytes_ + offset, out.size());
 }
 

@@ -13,9 +13,10 @@
 //     rank concurrently with no locks ("the byte is the smallest granularity
 //     of memory access without the lock", Sec. IV-B);
 //   * bulk read/write — used by the SHM channel's length queue to stage real
-//     payload bytes with memcpy; internally serialized (the channel protocol
-//     provides its own ordering, the lock only keeps the simulation free of
-//     data races). Bulk ops must not race with byte ops on the same bytes.
+//     payload bytes with memcpy. They take no lock: bulk ops on a segment
+//     have one owner, as each length queue belongs to its sending rank and
+//     only that rank's fiber stages through it. Bulk ops must not race with
+//     byte ops on the same bytes.
 #pragma once
 
 #include <cstdint>
@@ -46,14 +47,14 @@ class ShmSegment {
   void store_byte(Bytes offset, std::uint8_t value);
   std::uint8_t load_byte(Bytes offset) const;
 
-  /// Bulk staging of payload bytes; offset+data must fit the segment.
+  /// Bulk staging of payload bytes; offset+data must fit the segment. One
+  /// thread at a time: the segment's owner.
   void write(Bytes offset, std::span<const std::byte> data);
   void read(Bytes offset, std::span<std::byte> out) const;
 
  private:
   Bytes size_;
   std::uint8_t* bytes_;  ///< owned mapping of size_ bytes
-  mutable std::mutex bulk_mutex_;
 };
 
 /// One host's shared-memory registry.

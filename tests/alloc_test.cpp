@@ -67,7 +67,9 @@ using container::DeploymentSpec;
 using mpi::JobConfig;
 using mpi::run_job;
 
-constexpr std::size_t kMessageBytes = 1024;
+constexpr std::size_t kEagerBytes = 1024;
+/// Above every channel's eager threshold.
+constexpr std::size_t kRndvBytes = 256 * 1024;
 
 /// Heap allocations, and blocks freed off their allocating thread, of one job.
 struct HeapCounts {
@@ -75,15 +77,16 @@ struct HeapCounts {
   std::uint64_t remote_frees = 0;
 };
 
-/// The heap counts of a job whose two ranks exchange `iters` 1 KiB messages
-/// each way with sendrecv.
-HeapCounts sendrecv_job_counts(const DeploymentSpec& deployment, int iters) {
+/// The heap counts of a job whose two ranks exchange `iters` messages of
+/// `bytes` each way with sendrecv.
+HeapCounts sendrecv_job_counts(const DeploymentSpec& deployment, std::size_t bytes,
+                               int iters) {
   JobConfig config;
   config.deployment = deployment;
   const HeapCounts before{g_allocations.load(), g_remote_frees.load()};
-  run_job(config, [iters](mpi::Process& p) {
-    std::vector<std::byte> out(kMessageBytes, std::byte{1});
-    std::vector<std::byte> in(kMessageBytes);
+  run_job(config, [bytes, iters](mpi::Process& p) {
+    std::vector<std::byte> out(bytes, std::byte{1});
+    std::vector<std::byte> in(bytes);
     const int peer = 1 - p.rank();
     for (int i = 0; i < iters; ++i)
       p.world().sendrecv(std::span<const std::byte>(out), peer, std::span<std::byte>(in),
@@ -100,11 +103,12 @@ struct PerMessage {
   double remote_frees = 0.0;
 };
 
-PerMessage per_message(const DeploymentSpec& deployment) {
+PerMessage per_message(const DeploymentSpec& deployment,
+                       std::size_t bytes = kEagerBytes) {
   constexpr int kShort = 1000;
   constexpr int kLong = 3000;
-  const auto short_job = sendrecv_job_counts(deployment, kShort);
-  const auto long_job = sendrecv_job_counts(deployment, kLong);
+  const auto short_job = sendrecv_job_counts(deployment, bytes, kShort);
+  const auto long_job = sendrecv_job_counts(deployment, bytes, kLong);
   const double messages = 2.0 * (kLong - kShort);  // both ranks send each round
   const auto delta = [messages](std::uint64_t long_count, std::uint64_t short_count) {
     return (static_cast<double>(long_count) - static_cast<double>(short_count)) /
@@ -114,8 +118,9 @@ PerMessage per_message(const DeploymentSpec& deployment) {
           delta(long_job.remote_frees, short_job.remote_frees)};
 }
 
-// The one allocation left is the eager payload: request states come from the
-// worker's recycled blocks and a matched envelope moves into its request.
+// The one allocation left is the message block, header and payload: request
+// states come from the worker's recycled blocks and a matched message moves
+// into its request.
 TEST(AllocCount, ShmEagerMessageAllocatesOnlyItsPayload) {
   const double allocations = per_message(DeploymentSpec::native_hosts(1, 2)).allocations;
   RecordProperty("allocations_per_message", std::to_string(allocations));
@@ -126,6 +131,20 @@ TEST(AllocCount, HcaEagerMessageAllocatesOnlyItsPayload) {
   const double allocations = per_message(DeploymentSpec::native_hosts(2, 1)).allocations;
   RecordProperty("allocations_per_message", std::to_string(allocations));
   EXPECT_LE(allocations, 1.0);
+}
+
+// A rendezvous message allocates its shared RndvState and its header-only
+// RTS block, over CMA (one host) and over the HCA (two hosts).
+TEST(AllocCount, RendezvousMessageAllocatesItsStateAndHeader) {
+  const std::pair<const char*, DeploymentSpec> pairs[] = {
+      {"cma", DeploymentSpec::native_hosts(1, 2)},
+      {"hca", DeploymentSpec::native_hosts(2, 1)}};
+  for (const auto& [channel, deployment] : pairs) {
+    const double allocations = per_message(deployment, kRndvBytes).allocations;
+    RecordProperty(std::string(channel) + "_allocations_per_message",
+                   std::to_string(allocations));
+    EXPECT_LE(allocations, 2.0) << channel;
+  }
 }
 
 // The two ranks run on two workers, so each payload is received on the

@@ -1,12 +1,25 @@
 // Matcher tests: the per-source bins against the linear std::deque scan they
-// replaced (differential, seeded op streams), and per-source FIFO order under
-// concurrent delivery (the tsan CI job runs this binary).
+// replaced (differential, seeded op streams), per-source FIFO order under
+// concurrent delivery into the lock-free inbox, and no lost wake-up while
+// senders on other workers deliver to a parking owner (the tsan CI job runs
+// this binary).
+//
+// This binary replaces the global operator new to count message blocks:
+// each block carries a 16-byte header holding its size, and blocks of the
+// size the concurrent test's messages have are counted on allocation and
+// on free.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
+#include <atomic>
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <deque>
+#include <future>
 #include <memory>
+#include <new>
 #include <optional>
 #include <thread>
 #include <tuple>
@@ -16,10 +29,48 @@
 #include "common/rng.hpp"
 #include "mpi/matcher.hpp"
 
+namespace {
+/// The payload size of the concurrent test's messages; no other block of
+/// this binary has their total size.
+constexpr std::size_t kCountedPayload = 1013;
+constexpr std::size_t kCountedBlock = sizeof(cbmpi::fabric::Message) + kCountedPayload;
+std::atomic<std::uint64_t> g_counted_allocs{0};
+std::atomic<std::uint64_t> g_counted_frees{0};
+
+/// Sits in front of every block; 16 bytes keep the block 16-byte aligned.
+struct alignas(16) Header {
+  std::size_t bytes;
+};
+static_assert(sizeof(Header) == 16);
+}  // namespace
+
+// Neither is inlined: gcc would otherwise see malloc() or free() at a call
+// site and warn of a mismatched new/delete pair.
+[[gnu::noinline]] void* operator new(std::size_t bytes) {
+  if (bytes == kCountedBlock) g_counted_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (void* raw = std::malloc(sizeof(Header) + bytes)) {
+    auto* header = static_cast<Header*>(raw);
+    header->bytes = bytes;
+    return header + 1;
+  }
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* block) noexcept {
+  if (block == nullptr) return;
+  auto* header = static_cast<Header*>(block) - 1;
+  if (header->bytes == kCountedBlock)
+    g_counted_frees.fetch_add(1, std::memory_order_relaxed);
+  std::free(header);
+}
+[[gnu::noinline]] void operator delete(void* block, std::size_t) noexcept {
+  operator delete(block);
+}
+
 namespace cbmpi {
 namespace {
 
 using fabric::Envelope;
+using fabric::MessagePtr;
 using mpi::kAnySource;
 using mpi::kAnyTag;
 using mpi::Request;
@@ -27,10 +78,17 @@ using mpi::Status;
 
 namespace oracle {
 
-// The linear std::deque scan that the per-source bins replaced, kept verbatim
-// as the oracle: the bins must pick the same envelope for every receive.
+// The linear std::deque scan that the per-source bins replaced, kept as the
+// oracle: the bins must pick the same envelope for every receive. Its
+// envelopes are plain copies, so a matched receive comes back paired with
+// its envelope.
 class DequeMatcher {
  public:
+  struct Matched {
+    Request request;
+    Envelope envelope;
+  };
+
   void deliver(Envelope envelope) { unexpected_.push_back(std::move(envelope)); }
 
   std::optional<Envelope> try_match(int src_world, int tag, std::uint64_t comm_id) {
@@ -41,7 +99,7 @@ class DequeMatcher {
     return env;
   }
 
-  std::size_t match_posted(std::vector<Request>& posted, std::vector<Request>& matched) {
+  std::size_t match_posted(std::vector<Request>& posted, std::vector<Matched>& matched) {
     const std::size_t before = matched.size();
     auto keep = posted.begin();
     for (auto& request : posted) {
@@ -50,10 +108,8 @@ class DequeMatcher {
         std::swap(*keep++, request);
         continue;
       }
-      request->envelope = std::move(*it);
-      request->matched = true;
+      matched.push_back({std::move(request), std::move(*it)});
       unexpected_.erase(it);
-      matched.push_back(std::move(request));
     }
     posted.erase(keep, posted.end());
     return matched.size() - before;
@@ -106,12 +162,14 @@ constexpr std::uint64_t kComms = 3;
 constexpr int kTags = 4;
 
 /// One seeded stream of deliver/try_match/match_posted/peek calls, applied
-/// to the matcher and the oracle in lockstep.
+/// to the matcher and the oracle in lockstep. Each source's messages come
+/// from its own home.
 class Stream {
  public:
   Stream(std::uint64_t seed, int sources, double deliver_share)
       : rng_(seed), sources_(sources), deliver_share_(deliver_share),
-        next_seq_(static_cast<std::size_t>(sources), 0) {}
+        next_seq_(static_cast<std::size_t>(sources), 0),
+        homes_(static_cast<std::size_t>(sources)) {}
 
   void step() {
     const double op = rng_.uniform();
@@ -134,20 +192,6 @@ class Stream {
     std::uint64_t comm;
   };
 
-  /// Envelope is move-only, since its payload is; these carry none, so the
-  /// fields set below are the whole envelope.
-  static Envelope header_copy(const Envelope& env) {
-    Envelope copy;
-    copy.src = env.src;
-    copy.dst = env.dst;
-    copy.tag = env.tag;
-    copy.comm_id = env.comm_id;
-    copy.seq = env.seq;
-    copy.available_at = env.available_at;
-    copy.size = env.size;
-    return copy;
-  }
-
   void deliver() {
     Envelope env;
     env.src = static_cast<int>(rng_.below(static_cast<std::uint64_t>(sources_)));
@@ -158,8 +202,10 @@ class Stream {
     // Few distinct times, so wildcard receives often see equal available_at.
     env.available_at = static_cast<double>(rng_.below(4)) * 0.5;
     env.size = ids_++;  // unique: peek's Status names the envelope
-    oracle_.deliver(header_copy(env));
-    matcher_.deliver(std::move(env));
+    MessagePtr message = homes_[static_cast<std::size_t>(env.src)].allocate(0);
+    message->env = env;
+    oracle_.deliver(env);
+    matcher_.deliver(std::move(message));
   }
 
   /// A receive selector; usually aimed at a pending envelope, so most calls
@@ -183,10 +229,9 @@ class Stream {
     EXPECT_EQ(got.size, want.size);
   }
 
-  static void expect_same(const std::optional<Envelope>& got,
-                          const std::optional<Envelope>& want) {
-    ASSERT_EQ(got.has_value(), want.has_value());
-    if (got) expect_same(*got, *want);
+  static void expect_same(const MessagePtr& got, const std::optional<Envelope>& want) {
+    ASSERT_EQ(got != nullptr, want.has_value());
+    if (got) expect_same(got->env, *want);
   }
 
   void try_match() {
@@ -215,22 +260,22 @@ class Stream {
     }
     // Earlier matches stay in front of the ones appended now.
     std::vector<Request> got(1, std::make_shared<mpi::RequestState>());
-    std::vector<Request> want(1, std::make_shared<mpi::RequestState>());
+    std::vector<oracle::DequeMatcher::Matched> want;
     const std::size_t got_n = matcher_.match_posted(posted, got);
     const std::size_t want_n = oracle_.match_posted(oracle_posted, want);
     ASSERT_EQ(got_n, want_n);
     ASSERT_EQ(got.size(), 1 + got_n);
-    ASSERT_EQ(want.size(), 1 + want_n);
-    EXPECT_FALSE(got.front()->matched);
-    for (std::size_t i = 1; i < got.size(); ++i) {
-      EXPECT_EQ(got[i]->posted_at, want[i]->posted_at);
-      EXPECT_TRUE(got[i]->matched);
-      expect_same(got[i]->envelope, want[i]->envelope);
+    EXPECT_EQ(got.front()->message, nullptr);
+    for (std::size_t i = 0; i < want_n; ++i) {
+      const Request& request = got[i + 1];
+      EXPECT_EQ(request->posted_at, want[i].request->posted_at);
+      ASSERT_NE(request->message, nullptr);
+      expect_same(request->message->env, want[i].envelope);
     }
     ASSERT_EQ(posted.size(), oracle_posted.size());
     for (std::size_t i = 0; i < posted.size(); ++i) {
       EXPECT_EQ(posted[i]->posted_at, oracle_posted[i]->posted_at);
-      EXPECT_FALSE(posted[i]->matched);
+      EXPECT_EQ(posted[i]->message, nullptr);
     }
   }
 
@@ -250,6 +295,8 @@ class Stream {
   double deliver_share_;
   std::vector<std::uint64_t> next_seq_;
   Bytes ids_ = 0;
+  /// Declared before the matcher, so they outlive the messages it holds.
+  std::vector<fabric::PayloadHome> homes_;
   mpi::Matcher matcher_;
   oracle::DequeMatcher oracle_;
 };
@@ -268,80 +315,157 @@ TEST(MatcherDifferential, BinsPickWhatTheDequeScanPicked) {
 }
 
 TEST(MatcherDifferential, DrainedMatcherIsEmptyAndReusable) {
+  fabric::PayloadHome home;
   mpi::Matcher matcher;
   for (int round = 0; round < 3; ++round) {
     for (int src = 0; src < 64; ++src) {
-      Envelope env;
-      env.src = src;
-      env.seq = static_cast<std::uint64_t>(round);
-      matcher.deliver(std::move(env));
+      MessagePtr message = home.allocate(0);
+      message->env.src = src;
+      message->env.seq = static_cast<std::uint64_t>(round);
+      matcher.deliver(std::move(message));
     }
     EXPECT_EQ(matcher.pending(), 64u);
     for (int src = 63; src >= 0; --src) {
-      const auto env = matcher.try_match(src, kAnyTag, 0);
-      ASSERT_TRUE(env.has_value());
-      EXPECT_EQ(env->seq, static_cast<std::uint64_t>(round));
+      const auto message = matcher.try_match(src, kAnyTag, 0);
+      ASSERT_NE(message, nullptr);
+      EXPECT_EQ(message->env.seq, static_cast<std::uint64_t>(round));
     }
     EXPECT_EQ(matcher.pending(), 0u);
-    EXPECT_FALSE(matcher.try_match(kAnySource, kAnyTag, 0).has_value());
+    EXPECT_EQ(matcher.try_match(kAnySource, kAnyTag, 0), nullptr);
     EXPECT_FALSE(matcher.peek(kAnySource, kAnyTag, 0).has_value());
   }
 }
 
+// Sender threads, each with its own home, push into one matcher while the
+// owner drains it; the owner drops every message, so each block goes back to
+// its sender's home, and the homes free them all once the senders joined.
 TEST(MatcherConcurrent, PerSourceFifoHoldsUnderConcurrentDelivery) {
   constexpr int kSenders = 4;
   constexpr int kSourcesPerSender = 8;
   constexpr int kPerSource = 500;
   constexpr int kSources = kSenders * kSourcesPerSender;
-  mpi::Matcher matcher;
-  std::vector<std::thread> senders;
-  for (int t = 0; t < kSenders; ++t) {
-    senders.emplace_back([&matcher, t] {
-      for (int i = 0; i < kPerSource; ++i) {
-        for (int k = 0; k < kSourcesPerSender; ++k) {
-          Envelope env;
-          env.src = t * kSourcesPerSender + k;
-          env.tag = i % 3;
-          env.seq = static_cast<std::uint64_t>(i);
-          env.available_at = static_cast<double>(i % 5);
-          matcher.deliver(std::move(env));
+  const std::uint64_t allocs_before = g_counted_allocs.load();
+  const std::uint64_t frees_before = g_counted_frees.load();
+  {
+    std::vector<fabric::PayloadHome> homes(kSenders);
+    mpi::Matcher matcher;
+    std::vector<std::thread> senders;
+    for (int t = 0; t < kSenders; ++t) {
+      senders.emplace_back([&home = homes[static_cast<std::size_t>(t)], &matcher, t] {
+        for (int i = 0; i < kPerSource; ++i) {
+          for (int k = 0; k < kSourcesPerSender; ++k) {
+            MessagePtr message = home.allocate(kCountedPayload);
+            Envelope& env = message->env;
+            env.src = t * kSourcesPerSender + k;
+            env.tag = i % 3;
+            env.seq = static_cast<std::uint64_t>(i);
+            env.available_at = static_cast<double>(i % 5);
+            matcher.deliver(std::move(message));
+          }
         }
+      });
+    }
+    // The drain mixes wildcard and specific-source receives; every source's
+    // messages must still come out in delivery order.
+    std::vector<std::uint64_t> next(kSources, 0);
+    int received = 0;
+    int round = 0;
+    while (received < kSources * kPerSource && !HasFailure()) {
+      std::vector<Request> posted;
+      for (int i = 0; i < 8; ++i) {
+        auto request = std::make_shared<mpi::RequestState>();
+        request->kind = mpi::RequestState::Kind::Recv;
+        request->src_world = i % 2 == 0 ? kAnySource : (round + i) % kSources;
+        request->tag = kAnyTag;
+        posted.push_back(std::move(request));
+      }
+      ++round;
+      std::vector<Request> matched;
+      if (matcher.match_posted(posted, matched) == 0) std::this_thread::yield();
+      for (const auto& request : matched) {
+        const Envelope& env = request->message->env;
+        if (env.src < 0 || env.src >= kSources) {
+          ADD_FAILURE() << "unknown source " << env.src;
+          break;
+        }
+        if (request->src_world != kAnySource) {
+          EXPECT_EQ(env.src, request->src_world);
+        }
+        EXPECT_EQ(env.seq, next[static_cast<std::size_t>(env.src)]++)
+            << "source " << env.src << " overtook itself";
+        ++received;
+      }
+    }
+    for (auto& sender : senders) sender.join();
+    EXPECT_EQ(matcher.pending(), 0u);
+    for (auto& home : homes) home.reclaim();
+    EXPECT_EQ(g_counted_allocs.load() - allocs_before,
+              static_cast<std::uint64_t>(kSources) * kPerSource);
+  }
+  EXPECT_EQ(g_counted_allocs.load() - allocs_before, g_counted_frees.load() - frees_before)
+      << "a message block never went back to its home";
+}
+
+// Senders on other workers deliver and poke while the owner drains and
+// parks in a loop, the way Adi3Engine::block_until does. Each sender waits
+// for the owner to take its last message before it sends the next, so
+// nearly every delivery races with the owner parking. A lost wake leaves the
+// owner parked and its senders waiting: the run then overruns its wall
+// budget, or, if every fiber is parked, the scheduler's deadlock handler
+// fires.
+TEST(MatcherConcurrent, OwnerParkingInALoopSeesEveryMessage) {
+  static constexpr int kSenders = 3;
+  static constexpr int kPerSender = 5000;
+  constexpr auto kBudget = std::chrono::seconds(60);
+  auto run = std::async(std::launch::async, [] {
+    std::vector<fabric::PayloadHome> homes(kSenders + 1);
+    mpi::Matcher matcher;
+    std::atomic<bool> deadlocked{false};
+    std::array<std::atomic<int>, kSenders + 1> taken{};
+    int parks = 0;
+    mpi::RankScheduler scheduler([&] {
+      deadlocked.store(true);
+      matcher.poke();
+    });
+    scheduler.run(kSenders + 1, [&](int rank) {
+      const auto me = static_cast<std::size_t>(rank);
+      if (rank > 0) {
+        for (int i = 0; i < kPerSender; ++i) {
+          MessagePtr message = homes[me].allocate(0);
+          message->env.src = rank;
+          message->env.seq = static_cast<std::uint64_t>(i);
+          matcher.deliver(std::move(message));
+          if (i % 7 == 0) matcher.poke();
+          while (taken[me].load() <= i && !deadlocked.load()) mpi::RankScheduler::yield();
+        }
+        return;
+      }
+      int received = 0;
+      while (received < kSenders * kPerSender && !deadlocked.load()) {
+        const std::uint64_t seen = matcher.version();
+        while (const auto message = matcher.try_match(kAnySource, kAnyTag, 0)) {
+          auto& count = taken[static_cast<std::size_t>(message->env.src)];
+          EXPECT_EQ(message->env.seq, static_cast<std::uint64_t>(count.load()));
+          count.fetch_add(1);
+          ++received;
+        }
+        if (received == kSenders * kPerSender) break;
+        ++parks;
+        mpi::RankScheduler::park(
+            [&](mpi::Fiber* self) { return matcher.park_past(seen, self); });
       }
     });
+    EXPECT_FALSE(deadlocked.load()) << "the owner stayed parked with messages pending";
+    for (int rank = 1; rank <= kSenders; ++rank)
+      EXPECT_EQ(taken[static_cast<std::size_t>(rank)].load(), kPerSender) << "sender " << rank;
+    RecordProperty("parks", parks);
+  });
+  if (run.wait_for(kBudget) != std::future_status::ready) {
+    std::fprintf(stderr, "the owner missed a wake-up: not done within %llds\n",
+                 static_cast<long long>(kBudget.count()));
+    std::_Exit(1);
   }
-  // The drain mixes wildcard and specific-source receives; every source's
-  // envelopes must still come out in delivery order.
-  std::vector<std::uint64_t> next(kSources, 0);
-  int received = 0;
-  int round = 0;
-  while (received < kSources * kPerSource && !HasFailure()) {
-    std::vector<Request> posted;
-    for (int i = 0; i < 8; ++i) {
-      auto request = std::make_shared<mpi::RequestState>();
-      request->kind = mpi::RequestState::Kind::Recv;
-      request->src_world = i % 2 == 0 ? kAnySource : (round + i) % kSources;
-      request->tag = kAnyTag;
-      posted.push_back(std::move(request));
-    }
-    ++round;
-    std::vector<Request> matched;
-    if (matcher.match_posted(posted, matched) == 0) std::this_thread::yield();
-    for (const auto& request : matched) {
-      const Envelope& env = request->envelope;
-      if (env.src < 0 || env.src >= kSources) {
-        ADD_FAILURE() << "unknown source " << env.src;
-        break;
-      }
-      if (request->src_world != kAnySource) {
-        EXPECT_EQ(env.src, request->src_world);
-      }
-      EXPECT_EQ(env.seq, next[static_cast<std::size_t>(env.src)]++)
-          << "source " << env.src << " overtook itself";
-      ++received;
-    }
-  }
-  for (auto& sender : senders) sender.join();
-  EXPECT_EQ(matcher.pending(), 0u);
+  run.get();
 }
 
 }  // namespace

@@ -385,6 +385,40 @@ TEST(Runtime, TruncationThrows) {
       Error);
 }
 
+// A failed completion leaves the receives matched with it holding their
+// messages. Rank 1's tag-1 receive fails on truncation while its tag-2
+// receive, matched in the same progress step, still holds its eager
+// message; the request outlives the job, so the engine must have given the
+// message back while the job's homes still existed.
+TEST(Runtime, MatchedReceiveKeptPastFailedJobIsFreedSafely) {
+  std::vector<mpi::Request> kept;
+  EXPECT_THROW(
+      run_job(two_rank_native(),
+              [&kept](mpi::Process& p) {
+                auto& comm = p.world();
+                if (p.rank() == 0) {
+                  const std::vector<std::byte> big(64);
+                  const std::vector<std::byte> small(8);
+                  comm.send(std::span<const std::byte>(big), 1, 1);
+                  comm.send(std::span<const std::byte>(small), 1, 2);
+                  comm.send_value<int>(3, 1, 3);
+                  return;
+                }
+                // Tags 1 and 2 arrived before tag 3 (per-source order).
+                (void)comm.recv_value<int>(0, 3);
+                std::vector<std::byte> in1(8);
+                std::vector<std::byte> in2(8);
+                const auto recv1 = comm.irecv(std::span<std::byte>(in1), 0, 1);
+                kept.push_back(comm.irecv(std::span<std::byte>(in2), 0, 2));
+                comm.wait(kept.back());
+              }),
+      Error);
+  ASSERT_EQ(kept.size(), 1u);
+  EXPECT_FALSE(kept.front()->complete);
+  EXPECT_EQ(kept.front()->message, nullptr);
+  kept.clear();
+}
+
 TEST(Runtime, NegativeCheckpointIntervalThrows) {
   // Without stop_at or restore the job would otherwise run with checkpoints
   // silently off.
