@@ -193,6 +193,41 @@ void BM_EagerSendrecv(benchmark::State& state) {
 }
 BENCHMARK(BM_EagerSendrecv)->Arg(1)->Arg(2)->UseRealTime()->Unit(benchmark::kMillisecond);
 
+// Host cost of the spread alltoall: Arg ranks on four hosts run 1 KiB
+// alltoalls through run_job (SHM eager inside a host, HCA eager across).
+// ns_per_block is wall time over every rank's n-1 outgoing blocks, job setup
+// included.
+void BM_AlltoallSpread(benchmark::State& state) {
+  constexpr int kCalls = 50;
+  constexpr std::size_t kBytes = 1024;
+  const auto ranks = static_cast<int>(state.range(0));
+  mpi::JobConfig config;
+  config.deployment = container::DeploymentSpec::native_hosts(4, ranks / 4);
+  config.coll_tuning.add({.coll = coll::Coll::Alltoall, .algo = coll::Algo::Spread});
+  std::int64_t wall_ns = 0;
+  for (auto _ : state) {
+    const auto start = std::chrono::steady_clock::now();
+    mpi::run_job(config, [](mpi::Process& p) {
+      const std::vector<std::byte> out(kBytes * static_cast<std::size_t>(p.size()),
+                                       std::byte{1});
+      std::vector<std::byte> in(out.size());
+      for (int i = 0; i < kCalls; ++i)
+        p.world().alltoall(std::span<const std::byte>(out), std::span<std::byte>(in));
+    });
+    wall_ns += std::chrono::duration_cast<std::chrono::nanoseconds>(
+                   std::chrono::steady_clock::now() - start)
+                   .count();
+  }
+  state.counters["ns_per_block"] =
+      static_cast<double>(wall_ns) / (static_cast<double>(state.iterations()) * kCalls *
+                                      ranks * (ranks - 1));
+}
+BENCHMARK(BM_AlltoallSpread)
+    ->Arg(16)
+    ->Arg(64)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
 void BM_ShmByteStoreLoad(benchmark::State& state) {
   osl::ShmSegment segment(4096);
   Bytes i = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <exception>
 #include <sstream>
 #include <tuple>
 
@@ -47,6 +48,15 @@ struct WorkerAllocator {
 
 Request make_request() {
   return std::allocate_shared<RequestState>(WorkerAllocator<RequestState>());
+}
+
+/// A context id as error messages print it: a collective's context as its
+/// communicator's id, marked.
+void print_comm(std::ostream& os, std::uint64_t comm_id) {
+  if ((comm_id & kCollectiveContextBit) != 0)
+    os << (comm_id ^ kCollectiveContextBit) << " (collective)";
+  else
+    os << comm_id;
 }
 }  // namespace
 
@@ -107,10 +117,10 @@ void Adi3Engine::trace_congestion(const net::TransferCtx* ctx, int src, int dst,
   records().trace.push_back({sim::TraceKind::NetCongest, src, dst, size, at, os.str()});
 }
 
-Request Adi3Engine::start_send(std::span<const std::byte> data, int dst_world, int tag,
-                               std::uint64_t comm_id) {
-  CBMPI_REQUIRE(dst_world >= 0 && dst_world < job_->nranks,
-                "send to invalid rank ", dst_world);
+template <typename Place>
+const fabric::Envelope& Adi3Engine::send_block(std::span<const std::byte> data,
+                                               int dst_world, int tag,
+                                               std::uint64_t comm_id, Place&& place) {
   check_crash();
   const Bytes size = data.size();
   const auto decision = job_->selector->select(rank_, dst_world, size);
@@ -132,8 +142,8 @@ Request Adi3Engine::start_send(std::span<const std::byte> data, int dst_world, i
   }
 
   const bool eager = decision.protocol == fabric::Protocol::Eager;
-  fabric::MessagePtr message = job_->payload_home(rank_).allocate(eager ? size : 0);
-  fabric::Envelope& env = message->env;
+  const SendTarget target = place(eager);
+  fabric::Envelope& env = target.env;
   env.src = rank_;
   env.dst = dst_world;
   env.tag = tag;
@@ -146,8 +156,6 @@ Request Adi3Engine::start_send(std::span<const std::byte> data, int dst_world, i
   env.loopback = decision.loopback;
   env.sriov = decision.sriov;
 
-  auto request = make_request();
-
   if (eager) {
     fabric::EagerCosts costs;
     switch (decision.channel) {
@@ -155,7 +163,7 @@ Request Adi3Engine::start_send(std::span<const std::byte> data, int dst_world, i
         costs = job_->shm->eager_costs(size, decision.same_socket);
         const auto* peer = job_->selector->endpoint(dst_world).process;
         if (shm_queue_ == nullptr) shm_queue_ = job_->shm->open_queue(*proc_, rank_);
-        job_->shm->stage(*proc_, *peer, *shm_queue_, data, message->payload());
+        job_->shm->stage(*proc_, *peer, *shm_queue_, data, target.payload);
         break;
       }
       case fabric::ChannelKind::Hca: {
@@ -169,7 +177,7 @@ Request Adi3Engine::start_send(std::span<const std::byte> data, int dst_world, i
                                      clock().now() + job_->profile->hca_post_overhead,
                                      decision.sriov});
         trace_congestion(ctxp, rank_, dst_world, size, clock().now());
-        if (size > 0) std::memcpy(message->payload().data(), data.data(), size);
+        if (size > 0) std::memcpy(target.payload.data(), data.data(), size);
         break;
       }
       case fabric::ChannelKind::Cma:
@@ -184,12 +192,7 @@ Request Adi3Engine::start_send(std::span<const std::byte> data, int dst_world, i
     if (job_->record_trace)
       records().trace.push_back({sim::TraceKind::SendEager, rank_, dst_world, size,
                                  clock().now(), fabric::to_string(decision.channel)});
-
-    request->kind = RequestState::Kind::SendEager;
-    request->complete = true;
-    request->complete_at = clock().now();
-    job_->matcher(dst_world).deliver(std::move(message));
-    return request;
+    return env;
   }
 
   // Rendezvous: post the RTS carrying a view of the user buffer; the
@@ -208,14 +211,33 @@ Request Adi3Engine::start_send(std::span<const std::byte> data, int dst_world, i
   rndv_sends_.push_back(rndv);
   env.sent_at = clock().now();
   env.available_at = clock().now();
-  env.rndv = rndv;
+  env.rndv = std::move(rndv);
 
   if (job_->record_trace)
     records().trace.push_back({sim::TraceKind::SendRndvRts, rank_, dst_world, size,
                                clock().now(), fabric::to_string(decision.channel)});
+  return env;
+}
 
-  request->kind = RequestState::Kind::SendRndv;
-  request->rndv = std::move(rndv);
+Request Adi3Engine::start_send(std::span<const std::byte> data, int dst_world, int tag,
+                               std::uint64_t comm_id) {
+  CBMPI_REQUIRE(dst_world >= 0 && dst_world < job_->nranks,
+                "send to invalid rank ", dst_world);
+  fabric::MessagePtr message;
+  const fabric::Envelope& env =
+      send_block(data, dst_world, tag, comm_id, [&](bool eager) {
+        message = job_->payload_home(rank_).allocate(eager ? data.size() : 0);
+        return SendTarget{message->env, message->payload()};
+      });
+  auto request = make_request();
+  if (env.protocol == fabric::Protocol::Eager) {
+    request->kind = RequestState::Kind::SendEager;
+    request->complete = true;
+    request->complete_at = clock().now();
+  } else {
+    request->kind = RequestState::Kind::SendRndv;
+    request->rndv = env.rndv;
+  }
   job_->matcher(dst_world).deliver(std::move(message));
   return request;
 }
@@ -239,39 +261,151 @@ Adi3Engine::~Adi3Engine() {
   for (const auto& request : matched_) request->message = nullptr;
 }
 
-void Adi3Engine::complete_in_arrival_order(std::span<const Request> recvs) {
-  // Receives left over from a completion that threw go first, so the sort
-  // below sees only this call's.
-  complete_matched();
-  auto& unmatched = unmatched_scratch_;
-  unmatched.clear();
-  for (const auto& request : recvs) {
-    CBMPI_REQUIRE(request != nullptr && request->kind == RequestState::Kind::Recv,
-                  "complete_in_arrival_order needs receive requests");
-    CBMPI_REQUIRE(request->src_world != kAnySource,
-                  "complete_in_arrival_order cannot order wildcard receives");
-    if (!request->complete) unmatched.push_back(request);
+template <typename Done>
+void Adi3Engine::wait_in(const Exchange& exchange, int me, Done&& done) {
+  waiting_in_ = &exchange;
+  waiting_rank_ = me;
+  struct Leave {
+    const Exchange*& waiting_in;
+    ~Leave() { waiting_in = nullptr; }
+  } leave{waiting_in_};
+  block_until([&] {
+    if (done()) return true;
+    progress_posted();
+    return done();
+  });
+}
+
+void Adi3Engine::alltoall(Exchange& exchange, int me, std::span<const std::byte> send,
+                          std::span<std::byte> recv, std::size_t block, int tag,
+                          std::uint64_t comm_id) {
+  const int n = exchange.size();
+  const auto peer_at = [me, n](int step) { return (me + step) % n; };
+  const auto poke = [&](int comm_rank) {
+    job_->matcher(exchange.world_ranks[static_cast<std::size_t>(comm_rank)]).poke();
+  };
+  // The message path posted every receive before its first send.
+  const Micros posted_at = clock().now();
+
+  // Sender side, in the message path's send order; the eager bytes go to
+  // this rank's staging buffer.
+  Exchange::Slot& mine = exchange.slot(me);
+  mine.staging.clear();
+  mine.envelopes.resize(static_cast<std::size_t>(n));
+  mine.staged_at.resize(static_cast<std::size_t>(n));
+  for (int step = 1; step < n; ++step) {
+    const auto peer = static_cast<std::size_t>(peer_at(step));
+    fabric::Envelope& env = mine.envelopes[peer];
+    env = {};
+    send_block(send.subspan(block * peer, block), exchange.world_ranks[peer], tag,
+               comm_id, [&](bool eager) {
+                 if (!eager) return SendTarget{env, {}};
+                 mine.staged_at[peer] = mine.staging.size();
+                 mine.staging.resize(mine.staged_at[peer] + block);
+                 return SendTarget{env, std::span(mine.staging).last(block)};
+               });
   }
 
-  // Phase 1: collect every message without completing anything — which
-  // messages have arrived at any instant is wall-clock noise.
-  block_until([&] {
-    job_->matcher(rank_).match_posted(unmatched, matched_);
-    return unmatched.empty();
-  });
+  // Publish the slot; the arrival that completes the call wakes the others.
+  mine.readers_left.store(n - 1);
+  const std::uint64_t call = mine.calls.load() + 1;
+  mine.calls.store(call);
+  const std::uint64_t everyone = call * static_cast<std::uint64_t>(n);
+  if (exchange.arrived.fetch_add(1) + 1 == everyone)
+    for (int step = 1; step < n; ++step) poke(peer_at(step));
+  // From here on peers may pull from this rank's send buffers, which an
+  // exception (a truncated block, say) frees as it unwinds the caller: one
+  // that leaves the exchange withdraws the sends first.
+  struct WithdrawOnThrow {
+    Adi3Engine& engine;
+    int in_flight = std::uncaught_exceptions();
+    ~WithdrawOnThrow() {
+      if (std::uncaught_exceptions() > in_flight) engine.withdraw_sends();
+    }
+  } withdraw_on_throw{*this};
+  wait_in(exchange, me, [&] { return exchange.arrived.load() >= everyone; });
 
-  // The matched receives leave the posted queue in one pass before any of
-  // them completes, so a rank that throws in phase 2 leaves only receives
-  // still waiting for a message behind for oldest_posted().
-  std::erase_if(posted_, [](const Request& request) { return request->message != nullptr; });
-
-  // Phase 2: process in virtual arrival order, so the receiver busy chain
-  // is a pure function of the messages' timestamps.
-  std::ranges::sort(matched_, {}, [](const Request& request) {
-    const fabric::Envelope& env = request->message->env;
+  // Receiver side, in virtual arrival order, so the busy chain is a pure
+  // function of the envelopes. Each read counts this rank off its sender's
+  // slot; the last reader wakes the sender.
+  const auto envelope_from = [&](int peer) -> const fabric::Envelope& {
+    return exchange.slot(peer).envelopes[static_cast<std::size_t>(me)];
+  };
+  incoming_.clear();
+  for (int step = 1; step < n; ++step) incoming_.push_back(peer_at(step));
+  std::ranges::sort(incoming_, {}, [&](int peer) {
+    const fabric::Envelope& env = envelope_from(peer);
     return std::tie(env.available_at, env.src, env.seq);
   });
-  complete_matched();
+  received_at_.resize(static_cast<std::size_t>(n));
+  for (const int peer : incoming_) {
+    Exchange::Slot& from = exchange.slot(peer);
+    const fabric::Envelope& env = envelope_from(peer);
+    const auto payload =
+        env.protocol == fabric::Protocol::Eager
+            ? std::span<const std::byte>(from.staging)
+                  .subspan(from.staged_at[static_cast<std::size_t>(me)], env.size)
+            : std::span<const std::byte>();
+    received_at_[static_cast<std::size_t>(peer)] = receive(
+        env, payload, recv.subspan(block * static_cast<std::size_t>(peer), block),
+        posted_at);
+    if (from.readers_left.fetch_sub(1) == 1) poke(peer);
+  }
+
+  // What wait_all over the receives did (one progress of the posted queue, a
+  // clock advance and crash check per receive), then wait_all over the sends
+  // once every reader of this slot is done.
+  progress_posted();
+  for (int step = 1; step < n; ++step) {
+    clock().advance_to(received_at_[static_cast<std::size_t>(peer_at(step))]);
+    check_crash();
+  }
+  wait_in(exchange, me, [&] { return mine.readers_left.load() == 0; });
+  for (int step = 1; step < n; ++step) {
+    const auto& rndv = mine.envelopes[static_cast<std::size_t>(peer_at(step))].rndv;
+    if (rndv != nullptr) clock().advance_to(rndv->sender_complete_at());
+    check_crash();
+  }
+}
+
+void Adi3Engine::describe_wait(std::ostream& os) const {
+  if (waiting_in_ != nullptr) {
+    const Exchange& exchange = *waiting_in_;
+    const std::uint64_t call = exchange.slot(waiting_rank_).calls.load();
+    os << " waits in alltoall #" << call << " (comm " << exchange.comm_id << "): ";
+    if (exchange.arrived.load() >= call * static_cast<std::uint64_t>(exchange.size())) {
+      os << exchange.slot(waiting_rank_).readers_left.load()
+         << " ranks have not read its blocks";
+      return;
+    }
+    os << "ranks [";
+    const char* sep = "";
+    for (int p = 0; p < exchange.size(); ++p) {
+      if (exchange.slot(p).calls.load() >= call) continue;
+      os << sep << p;
+      sep = ", ";
+    }
+    os << "] have not arrived";
+    return;
+  }
+  const RequestState* recv = oldest_posted();
+  if (recv == nullptr) {
+    os << " is blocked with no posted receive";
+    return;
+  }
+  const auto field = [&](int value, int wildcard) {
+    if (value == wildcard)
+      os << "any";
+    else
+      os << value;
+  };
+  os << " waits in recv(source=";
+  field(recv->src_world, kAnySource);
+  os << ", tag=";
+  field(recv->tag, kAnyTag);
+  os << ", comm=";
+  print_comm(os, recv->comm_id);
+  os << ")";
 }
 
 void Adi3Engine::complete_matched() {
@@ -287,11 +421,23 @@ void Adi3Engine::complete_recv(RequestState& request) {
   // sender's home when the receive completes, or fails.
   const fabric::MessagePtr message = std::move(request.message);
   const fabric::Envelope& env = message->env;
-  if (env.size > request.buffer.size()) {
+  request.complete_at =
+      receive(env, message->payload(), request.buffer, request.posted_at);
+  request.status = Status{env.src, env.tag, env.size};
+  request.complete = true;
+  // The sender may be blocked waiting on this transfer: wake it.
+  if (env.protocol == fabric::Protocol::Rendezvous) job_->matcher(env.src).poke();
+}
+
+Micros Adi3Engine::receive(const fabric::Envelope& env,
+                           std::span<const std::byte> payload,
+                           std::span<std::byte> buffer, Micros posted_at) {
+  if (env.size > buffer.size()) {
     std::ostringstream os;
     os << "message truncation: rank " << rank_ << " recv(source=" << env.src
-       << ", tag=" << env.tag << ", comm=" << env.comm_id << ") got " << env.size
-       << " bytes into a " << request.buffer.size() << "-byte buffer";
+       << ", tag=" << env.tag << ", comm=";
+    print_comm(os, env.comm_id);
+    os << ") got " << env.size << " bytes into a " << buffer.size() << "-byte buffer";
     throw Error(os.str());
   }
   const bool eager = env.protocol == fabric::Protocol::Eager;
@@ -301,48 +447,41 @@ void Adi3Engine::complete_recv(RequestState& request) {
           ? fabric_ctx(env.src, rank_, env.seq, env.loopback, ctx)
           : nullptr;
 
-  // Eager: the payload already sits in the message; the receiver copies it
-  // out once its CPU is free. Rendezvous: the span covers the whole
-  // handshake, from RTS availability on.
+  // Eager: the payload already sits at the receiver; it copies it out once
+  // its CPU is free. Rendezvous: the span covers the whole handshake, from
+  // RTS availability on.
   fabric::RndvTimes times;
   Micros begin = env.available_at;
   if (eager) {
-    if (env.size > 0)
-      std::memcpy(request.buffer.data(), message->payload().data(), env.size);
-    begin = std::max({request.posted_at, env.available_at, recv_busy_until_});
+    if (env.size > 0) std::memcpy(buffer.data(), payload.data(), env.size);
+    begin = std::max({posted_at, env.available_at, recv_busy_until_});
     times.receiver_done = begin + env.receiver_cost;
   } else {
-    times = pull(request, env, ctxp);
+    times = pull(buffer, posted_at, env, ctxp);
   }
-  request.complete_at = times.receiver_done;
+  const Micros complete_at = times.receiver_done;
   recv_busy_until_ = times.receiver_busy_until > 0.0 ? times.receiver_busy_until
                                                      : times.receiver_done;
-  request.status = Status{env.src, env.tag, env.size};
-  request.complete = true;
-  if (!eager) {
-    env.rndv->complete(times.sender_done);
-    // The sender may be blocked waiting on this transfer: wake it.
-    job_->matcher(env.src).poke();
-  }
+  if (!eager) env.rndv->complete(times.sender_done);
 
   if (job_->record_trace) {
     const char* channel = fabric::to_string(env.channel);
     if (eager) {
       records().trace.push_back({sim::TraceKind::RecvComplete, env.src, rank_, env.size,
-                                 request.complete_at, channel});
+                                 complete_at, channel});
     } else {
       records().trace.push_back({sim::TraceKind::RecvRndvCts, rank_, env.src, 0,
-                                 request.posted_at, channel});
+                                 posted_at, channel});
       records().trace.push_back({sim::TraceKind::SendRndvData, env.src, rank_, env.size,
-                                 request.complete_at, channel});
+                                 complete_at, channel});
     }
   }
   if (job_->record_spans) {
     obs::Span span{eager ? "eager" : "rndv", obs::SpanCat::Proto, rank_, env.src,
-                   static_cast<int>(env.channel), env.size, begin,
-                   request.complete_at, fabric::to_string(env.channel)};
+                   static_cast<int>(env.channel), env.size, begin, complete_at,
+                   fabric::to_string(env.channel)};
     span.xfer = transfer_id(env);
-    span.posted_at = request.posted_at;
+    span.posted_at = posted_at;
     span.sent_at = env.sent_at;
     span.avail_at = env.available_at;
     span.reg_stall = times.reg_stall;
@@ -352,17 +491,17 @@ void Adi3Engine::complete_recv(RequestState& request) {
     records().spans.push_back(std::move(span));
   }
   if (obs_.recv_latency != nullptr)
-    obs_.recv_latency->observe(
-        static_cast<std::uint64_t>(request.complete_at - request.posted_at));
+    obs_.recv_latency->observe(static_cast<std::uint64_t>(complete_at - posted_at));
+  return complete_at;
 }
 
-fabric::RndvTimes Adi3Engine::pull(const RequestState& request,
+fabric::RndvTimes Adi3Engine::pull(std::span<std::byte> buffer, Micros posted_at,
                                    const fabric::Envelope& env,
                                    const net::TransferCtx* ctxp) {
   auto& rndv = *env.rndv;
-  const std::span<std::byte> dst = request.buffer.subspan(0, env.size);
+  const std::span<std::byte> dst = buffer.subspan(0, env.size);
   // Back-to-back rendezvous pulls serialize on the receiving CPU/NIC.
-  const Micros match_at = std::max(request.posted_at, recv_busy_until_);
+  const Micros match_at = std::max(posted_at, recv_busy_until_);
   // A sender that aborted or crashed withdrew the send before freeing the
   // buffer; this receiver then aborts too instead of reading freed memory.
   const auto read_source = [&](auto&& copy) {
@@ -404,8 +543,8 @@ fabric::RndvTimes Adi3Engine::pull(const RequestState& request,
         plan.receiver_extra = look.extra;
       }
       times = job_->hca->rndv_times(env.size, env.loopback, env.available_at,
-                                    request.posted_at, recv_busy_until_, env.sriov,
-                                    ctxp, plan);
+                                    posted_at, recv_busy_until_, env.sriov, ctxp,
+                                    plan);
       if (reg && job_->record_spans) {
         // Receiver-side pin window: it gates the CTS, so it renders right
         // at the front of the enclosing "rndv" span.

@@ -27,6 +27,12 @@
 // for the next progress; ~Adi3Engine, on the rank's fiber, releases the
 // messages of any still held, so no request outlives the job holding a block.
 //
+// The spread alltoall sends no message: alltoall() runs it as one exchange
+// in host memory (Exchange, job_state.hpp). The sender side of each block
+// (send_block) and the receiver side (receive) are the very code the
+// message path runs, so every block costs, traces and records exactly what
+// its message would; only where the bytes and envelope wait differs.
+//
 // Virtual-time rules:
 //   * eager completion  = max(posted_at, available_at) + receiver_cost
 //   * rendezvous times come from the channel's rndv_times(rts_sent, posted_at)
@@ -35,6 +41,7 @@
 #pragma once
 
 #include <cstdint>
+#include <iosfwd>
 #include <map>
 #include <memory>
 #include <optional>
@@ -77,15 +84,17 @@ class Adi3Engine {
   Request post_recv(std::span<std::byte> buffer, int src_world, int tag,
                     std::uint64_t comm_id);
 
-  /// Completes every receive in `recvs`, processing messages in *virtual*
-  /// arrival order (available_at, src, seq) rather than wall-clock arrival
-  /// order — the receiver busy chain then serializes identically
-  /// run-to-run no matter how sender fibers were scheduled. Blocks until
-  /// all matching messages have been delivered, so every matching send
-  /// must already be started and non-blocking (e.g. alltoall, where each
-  /// rank posts all transfers before waiting). Wildcard receives are not
-  /// supported here.
-  void complete_in_arrival_order(std::span<const Request> recvs);
+  /// The spread alltoall over `exchange`, as its comm rank `me`: the
+  /// `block` bytes at `send` + d * block go to comm rank d, and the block
+  /// from comm rank s lands at `recv` + s * block. Blocks are priced and
+  /// staged in send order, then, once every member has published, received
+  /// in *virtual* arrival order (available_at, src, seq), so the busy chain
+  /// does not depend on how the fibers were scheduled. The clock advances
+  /// where wait_all over the receives, then the sends, would advance it, and
+  /// every wait progresses posted receives.
+  void alltoall(Exchange& exchange, int me, std::span<const std::byte> send,
+                std::span<std::byte> recv, std::size_t block, int tag,
+                std::uint64_t comm_id);
 
   /// Non-blocking progress + completion check (MPI_Test).
   bool test(const Request& request);
@@ -128,6 +137,11 @@ class Adi3Engine {
     return posted_.empty() ? nullptr : posted_.front().get();
   }
 
+  /// What this rank is blocked on, for DeadlockError: the alltoall exchange
+  /// it is parked in, else its oldest posted receive. Only safe to call
+  /// while this rank is parked.
+  void describe_wait(std::ostream& os) const;
+
   /// Crash injection: throws faults::CrashedError once this rank's virtual
   /// clock crosses its scheduled crash time (JobState::crash_at). Checked at
   /// op boundaries (send start, wait completion, compute, phase alignment),
@@ -167,16 +181,40 @@ class Adi3Engine {
   /// posted receives for a receive request, picks up a finished rendezvous
   /// for a send request.
   bool poll(RequestState& request);
+  /// Where send_block puts one transfer's envelope and, if it is eager, its
+  /// payload bytes (exactly the data's size).
+  struct SendTarget {
+    fabric::Envelope& env;
+    std::span<std::byte> payload;
+  };
+  /// The sender's side of one transfer, for start_send and alltoall alike:
+  /// the crash check, channel selection and its counters, the sequence
+  /// number, the HCA queue pair and fault retries, then either the eager
+  /// costs, copy (SHM through the length queue), flow record and trace
+  /// event, or the RTS overhead, sender pin-down lookup and RndvState.
+  /// `place(eager)` returns where the envelope and eager bytes go.
+  template <typename Place>
+  const fabric::Envelope& send_block(std::span<const std::byte> data, int dst_world,
+                                     int tag, std::uint64_t comm_id, Place&& place);
   /// Completes a matched receive from the message the matcher moved into
-  /// it, and releases the message, under either protocol: the one
-  /// truncation check, the eager copy-out (or pull() for a rendezvous), the
-  /// status and busy chain, the Proto span and the recv-latency histogram.
+  /// it, and releases the message.
   void complete_recv(RequestState& request);
+  /// The receiver's side of one transfer, under either protocol, for
+  /// complete_recv and alltoall alike: the one truncation check, the eager
+  /// copy-out of `payload` (or pull() and RndvState::complete for a
+  /// rendezvous), the busy chain, the trace events, the Proto span and the
+  /// recv-latency histogram. Returns the receive's completion time.
+  Micros receive(const fabric::Envelope& env, std::span<const std::byte> payload,
+                 std::span<std::byte> buffer, Micros posted_at);
   /// Rendezvous only: prices the transfer on its channel (with the pin-down
   /// lookup and the "rndv-reg" span on the HCA), records the fabric flow and
   /// copies the payload out of the sender's buffer.
-  fabric::RndvTimes pull(const RequestState& request, const fabric::Envelope& env,
-                         const net::TransferCtx* ctxp);
+  fabric::RndvTimes pull(std::span<std::byte> buffer, Micros posted_at,
+                         const fabric::Envelope& env, const net::TransferCtx* ctxp);
+  /// block_until for the exchange: while `done` fails it progresses posted
+  /// receives, and describe_wait names the exchange.
+  template <typename Done>
+  void wait_in(const Exchange& exchange, int me, Done&& done);
   /// NetCongest trace breadcrumb in the apply pass for transfers the settle
   /// step slowed down.
   void trace_congestion(const net::TransferCtx* ctx, int src, int dst,
@@ -221,9 +259,13 @@ class Adi3Engine {
   /// complete_matched empties it.
   std::vector<Request> matched_;
   std::size_t next_matched_ = 0;
-  /// Scratch of complete_in_arrival_order: receives still waiting for their
-  /// message.
-  std::vector<Request> unmatched_scratch_;
+  /// The exchange this rank is parked in (wait_in), and its rank there.
+  const Exchange* waiting_in_ = nullptr;
+  int waiting_rank_ = 0;
+  /// Scratch of alltoall, kept so its capacity is reused: the peers in
+  /// virtual arrival order, and each peer's receive completion time.
+  std::vector<int> incoming_;
+  std::vector<Micros> received_at_;
   /// Rendezvous sends whose receiver may still read the source buffer.
   std::vector<std::shared_ptr<fabric::RndvState>> rndv_sends_;
   /// Receiver-side copies/pulls serialize on this rank's CPU: the next

@@ -20,6 +20,10 @@
 // pin-down cache numbers buffers by address in first-use order, so reusing
 // scratch memory would change the modelled registration costs.
 //
+// Every algorithm runs over the raw point-to-point transfers except the
+// spread alltoall, which hands the whole exchange to Adi3Engine::alltoall:
+// one exchange in host memory per communicator, no messages.
+//
 // Tag budget: each primitive may use [tag, tag+4) (one kSubTags stride-4
 // slice); composite algorithms document their exact usage inline.
 #include <algorithm>
@@ -670,29 +674,13 @@ void Communicator::alltoall_bruck(CBytes send_data, WBytes recv_data, std::size_
     std::copy_n(at(tmp.data(), i), block, at(recv_data.data(), (my + n - i) % n));
 }
 
-// Spread: every transfer posted non-blocking at once; maximum overlap,
-// maximum simultaneous buffer pressure. With n-1 receives in flight the
-// receiver busy chain must not depend on wall-clock arrival order, so the
-// receives complete in virtual arrival order: every matching send is already
-// started, which only the collective knows.
+// Spread: every block in flight at once, as the communicator's exchange in
+// host memory (Adi3Engine::alltoall).
 void Communicator::alltoall_spread(CBytes send_data, WBytes recv_data, std::size_t block,
                                    int tag) {
-  const int n = size();
-  std::vector<Request> recvs;
-  std::vector<Request> sends;
-  recvs.reserve(idx(n - 1));
-  sends.reserve(idx(n - 1));
-  for (int step = 1; step < n; ++step) {
-    const int peer = (rank() + step) % n;
-    recvs.push_back(raw_irecv(recv_data.subspan(block * idx(peer), block), peer, tag));
-  }
-  for (int step = 1; step < n; ++step) {
-    const int peer = (rank() + step) % n;
-    sends.push_back(raw_isend(send_data.subspan(block * idx(peer), block), peer, tag));
-  }
-  engine_->complete_in_arrival_order(recvs);
-  engine_->wait_all(recvs);
-  engine_->wait_all(sends);
+  if (exchange_ == nullptr)
+    exchange_ = &engine_->job().exchange(id_, group_->world_ranks);
+  engine_->alltoall(*exchange_, rank(), send_data, recv_data, block, tag, context(tag));
 }
 
 // ---- reduce_scatter_block, prefix scans -----------------------------------

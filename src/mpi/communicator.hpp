@@ -74,7 +74,6 @@ namespace cbmpi::mpi {
 /// Tags at or above this value are reserved for collective internals. They
 /// travel in a context of their own, as in MPI, so kAnyTag never sees them.
 inline constexpr int kCollectiveTagBase = 1 << 20;
-inline constexpr std::uint64_t kCollectiveContextBit = std::uint64_t{1} << 63;
 
 struct CommGroup {
   std::vector<int> world_ranks;            ///< comm rank -> world rank
@@ -393,6 +392,8 @@ class Communicator {
   std::uint64_t next_coll_seq_ = 0;
   std::uint64_t next_window_ordinal_ = 0;
   std::optional<LocalityGroups> locality_;
+  /// This communicator's alltoall exchange, looked up on first use.
+  Exchange* exchange_ = nullptr;
 };
 
 /// RAII profiling scope for one user-level MPI call. Doubles as the single

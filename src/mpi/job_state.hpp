@@ -11,15 +11,19 @@
 // starts, and read by run_job only after RankScheduler::run has joined every
 // worker. Recording therefore takes no lock and no atomic; run_job
 // concatenates each stream once at job end and sorts it by its total order.
+// The alltoall exchanges are the one piece of state ranks write for each
+// other outside the matchers; each slot has one writer (see Exchange).
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <span>
 #include <vector>
 
+#include "common/error.hpp"
 #include "fabric/cma_channel.hpp"
 #include "fabric/hca_channel.hpp"
 #include "fabric/message.hpp"
@@ -74,6 +78,54 @@ struct PhaseAlignment {
   Micros running_max = 0.0;
   Micros published_max = 0.0;
   std::uint64_t generation = 0;
+};
+
+/// One communicator's alltoall exchange (Adi3Engine::alltoall), shared by
+/// its ranks. Each rank owns one slot and is its only writer: it stages its
+/// outgoing blocks and their envelopes there and then arrives. Once every
+/// rank has arrived, each one reads its own block out of every other slot
+/// and counts itself off that slot's readers_left. A rank leaves only when
+/// its own readers_left is zero, so no call overwrites a block that is still
+/// being read, and the buffers are reused from call to call.
+///
+/// Publishing is sequentially consistent: a rank fills its slot, stores
+/// readers_left and calls, then bumps `arrived`. A rank that sees `arrived`
+/// reach k * size() therefore sees every slot of call k, and an owner that
+/// sees readers_left at zero sees every read of its slot done. The arrival
+/// that completes a call pokes every other member's matcher, and the reader
+/// that takes a slot's readers_left to zero pokes its owner's, so every wait
+/// parks in Adi3Engine::block_until and loses no wake-up.
+struct Exchange {
+  struct alignas(64) Slot {
+    /// Calls this rank has arrived at: the one it is in, or last left.
+    std::atomic<std::uint64_t> calls{0};
+    /// Peers still reading this rank's blocks of its current call.
+    std::atomic<int> readers_left{0};
+    /// The eager blocks of the current call, packed in send order; a
+    /// rendezvous block stays in the sender's buffer.
+    std::vector<std::byte> staging;
+    /// Per comm rank (its own unused): the envelope of its block and, for an
+    /// eager one, where in `staging` its bytes start.
+    std::vector<fabric::Envelope> envelopes;
+    std::vector<std::size_t> staged_at;
+  };
+
+  Exchange(std::uint64_t id, std::vector<int> ranks)
+      : comm_id(id),
+        world_ranks(std::move(ranks)),
+        slots(std::make_unique<Slot[]>(world_ranks.size())) {}
+
+  int size() const { return static_cast<int>(world_ranks.size()); }
+  Slot& slot(int comm_rank) { return slots[static_cast<std::size_t>(comm_rank)]; }
+  const Slot& slot(int comm_rank) const {
+    return slots[static_cast<std::size_t>(comm_rank)];
+  }
+
+  const std::uint64_t comm_id;
+  const std::vector<int> world_ranks;  ///< comm rank -> world rank
+  /// Arrivals over every call: call k is complete once this reaches k * size().
+  alignas(64) std::atomic<std::uint64_t> arrived{0};
+  std::unique_ptr<Slot[]> slots;
 };
 
 struct JobState {
@@ -136,6 +188,21 @@ struct JobState {
   std::map<std::uint64_t, std::shared_ptr<WindowInfo>> windows;
 
   PhaseAlignment phase;
+
+  /// One alltoall exchange per communicator id, made by its first caller.
+  /// Comm ids are equal on every member and each Communicator keeps the
+  /// pointer, so the lock is taken once per rank and communicator.
+  std::mutex exchanges_mutex;
+  std::map<std::uint64_t, std::unique_ptr<Exchange>> exchanges;
+
+  Exchange& exchange(std::uint64_t comm_id, const std::vector<int>& world_ranks) {
+    const std::scoped_lock lock(exchanges_mutex);
+    auto& entry = exchanges[comm_id];
+    if (entry == nullptr) entry = std::make_unique<Exchange>(comm_id, world_ranks);
+    CBMPI_REQUIRE(entry->world_ranks == world_ranks,
+                  "communicators of different groups share id ", comm_id);
+    return *entry;
+  }
 
   int nranks = 0;
   std::uint64_t seed = 0;

@@ -195,26 +195,11 @@ void keep_rank_memory_between_jobs() {
 /// of the ranks still inside their bodies hold still.
 std::string describe_deadlock(const std::vector<const Adi3Engine*>& engines) {
   std::ostringstream os;
-  const auto field = [&](int value, int wildcard) {
-    if (value == wildcard)
-      os << "any";
-    else
-      os << value;
-  };
   os << "deadlock: every running rank is blocked and none can wake another";
   for (std::size_t r = 0; r < engines.size(); ++r) {
     if (engines[r] == nullptr) continue;
     os << "\n  rank " << r;
-    const RequestState* recv = engines[r]->oldest_posted();
-    if (recv == nullptr) {
-      os << " is blocked with no posted receive";
-      continue;
-    }
-    os << " waits in recv(source=";
-    field(recv->src_world, kAnySource);
-    os << ", tag=";
-    field(recv->tag, kAnyTag);
-    os << ", comm=" << recv->comm_id << ")";
+    engines[r]->describe_wait(os);
   }
   return os.str();
 }

@@ -167,6 +167,43 @@ TEST(AllocCount, EagerPayloadIsFreedByItsAllocatingThread) {
   }
 }
 
+/// Steady-state heap allocations per rank per call of a 1 KiB spread
+/// alltoall over `ranks` ranks on four hosts (SHM eager inside a host, HCA
+/// eager across), from two job lengths.
+double alltoall_allocations_per_rank_call(int ranks) {
+  constexpr int kShort = 20;
+  constexpr int kLong = 60;
+  const auto job_allocations = [ranks](int calls) {
+    JobConfig config;
+    config.deployment = DeploymentSpec::native_hosts(4, ranks / 4);
+    config.coll_tuning.add({.coll = coll::Coll::Alltoall, .algo = coll::Algo::Spread});
+    const std::uint64_t before = g_allocations.load();
+    run_job(config, [calls](mpi::Process& p) {
+      const std::vector<std::byte> out(kEagerBytes * static_cast<std::size_t>(p.size()));
+      std::vector<std::byte> in(out.size());
+      for (int i = 0; i < calls; ++i)
+        p.world().alltoall(std::span<const std::byte>(out), std::span<std::byte>(in));
+    });
+    return g_allocations.load() - before;
+  };
+  const auto short_job = job_allocations(kShort);
+  const auto long_job = job_allocations(kLong);
+  return (static_cast<double>(long_job) - static_cast<double>(short_job)) /
+         (static_cast<double>(ranks) * (kLong - kShort));
+}
+
+// The spread alltoall sends no message: each rank stages its blocks in its
+// slot of the communicator's exchange, reused from call to call, so a call
+// costs no allocation per peer (one message per block cost 3(n-1)).
+TEST(AllocCount, SpreadAlltoallAllocationsDoNotGrowWithRanks) {
+  const double at8 = alltoall_allocations_per_rank_call(8);
+  const double at32 = alltoall_allocations_per_rank_call(32);
+  RecordProperty("allocations_per_rank_call_8", std::to_string(at8));
+  RecordProperty("allocations_per_rank_call_32", std::to_string(at32));
+  EXPECT_LE(at32, at8 + 0.25);
+  EXPECT_LE(at8, 1.0);
+}
+
 /// Runs `body` on an SHM pair (one host) and on an HCA pair (two hosts).
 template <typename Body>
 void on_both_pairs(const Body& body) {
@@ -181,8 +218,7 @@ void on_both_pairs(const Body& body) {
 // Requests of every kind follow each other on one pair, so each new request
 // reuses the block of one just released: eager and rendezvous sends,
 // specific and wildcard receives, a receive that fails on truncation and an
-// alltoall (completed in arrival order). Every status and completion must
-// be the one of its own message.
+// alltoall. Every status and completion must be the one of its own message.
 TEST(RequestPool, RecycledRequestsInheritNoState) {
   on_both_pairs([](mpi::Process& p) {
     auto& comm = p.world();
@@ -252,9 +288,9 @@ TEST(RequestPool, RecycledRequestsInheritNoState) {
   });
 }
 
-// Receives completed in arrival order (the spread alltoall) leave the
-// posted queue through their matched flag: the deadlock at the end names
-// the receive each rank is really stuck in, not a finished alltoall one.
+// A finished alltoall leaves nothing behind for the deadlock report: the
+// deadlock at the end names the receive each rank is really stuck in, not
+// the alltoall.
 TEST(RequestPool, CompletedReceivesLeaveThePostedQueue) {
   JobConfig config;
   config.deployment = DeploymentSpec::native_hosts(1, 2);

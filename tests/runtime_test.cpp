@@ -602,7 +602,9 @@ TEST(RankEngine, DeadlockNamesOnlyTheRanksStillBlocked) {
       EXPECT_NE(what.find("rank 1 waits in recv(source=any, tag=any, comm=0)"),
                 std::string::npos)
           << what;
+      // Rank 2 waits inside the barrier, in the collective context.
       EXPECT_NE(what.find("rank 2 waits in recv("), std::string::npos) << what;
+      EXPECT_NE(what.find(", comm=0 (collective))"), std::string::npos) << what;
     }
   });
 }
@@ -660,37 +662,33 @@ TEST(RankEngine, TruncationNamesTheReceiveAndBothSizes) {
   }
 }
 
-TEST(RankEngine, ArrivalOrderCompletionLeavesOnlyUnmatchedReceivesPosted) {
-  // Rank 0 completes receives A and B in arrival order while C stays posted.
-  // Whether A completes or throws on truncation, C must be the oldest posted
-  // receive afterwards: no matched receive lingers in the posted queue.
-  for (const std::size_t first_bytes : {4u, 16u}) {
-    run_job(two_rank_native(), [&](mpi::Process& p) {
-      auto& world = p.world();
-      if (p.rank() == 1) {
-        const std::vector<std::byte> out(16);
-        for (const auto& [bytes, tag] : {std::pair{first_bytes, 1}, {4, 2}, {4, 3}})
-          world.send(std::span<const std::byte>(out.data(), bytes), 0, tag);
-        return;
-      }
-      auto& engine = world.engine();
-      std::array<std::array<std::byte, 4>, 3> in{};
-      std::vector<mpi::Request> recvs;
-      for (int tag = 1; tag <= 3; ++tag)
-        recvs.push_back(
-            engine.post_recv(in[static_cast<std::size_t>(tag - 1)], 1, tag, world.id()));
-      bool truncated = false;
-      try {
-        engine.complete_in_arrival_order(std::span(recvs).first(2));
-      } catch (const Error&) {
-        truncated = true;
-      }
-      EXPECT_EQ(truncated, first_bytes > 4);
-      EXPECT_EQ(engine.oldest_posted(), recvs[2].get());
-      engine.wait(recvs[2]);
-      EXPECT_EQ(engine.oldest_posted(), nullptr);
-    });
-  }
+TEST(RankEngine, AlltoallExchangeLeavesOnlyUserReceivesPosted) {
+  // Rank 0 posts receive C, then runs a spread alltoall, which completes in
+  // virtual arrival order without posting a receive of its own: afterwards C
+  // is still the oldest posted receive, and the only one.
+  JobConfig config = two_rank_native();
+  config.coll_tuning.add({.coll = coll::Coll::Alltoall, .algo = coll::Algo::Spread});
+  run_job(config, [](mpi::Process& p) {
+    auto& world = p.world();
+    const std::array<int, 2> out{p.rank() * 10, p.rank() * 10 + 1};
+    std::array<int, 2> in{};
+    if (p.rank() == 1) {
+      world.alltoall(std::span<const int>(out), std::span<int>(in));
+      world.barrier();
+      world.send_value<int>(5, 0, 3);
+      return;
+    }
+    auto& engine = world.engine();
+    int c = 0;
+    const auto recv = world.irecv(std::span<int>(&c, 1), 1, 3);
+    world.alltoall(std::span<const int>(out), std::span<int>(in));
+    EXPECT_EQ(in[1], 10);
+    EXPECT_EQ(engine.oldest_posted(), recv.get());
+    world.barrier();
+    world.wait(recv);
+    EXPECT_EQ(c, 5);
+    EXPECT_EQ(engine.oldest_posted(), nullptr);
+  });
 }
 
 // ---- progress rule: a matched rendezvous receive completes while its rank
@@ -778,6 +776,61 @@ TEST(ProgressRule, BarrierCompletesAPendingRendezvousReceive) {
         EXPECT_EQ(in[kRndvBytes - 1], 1);
       }
     });
+  });
+}
+
+TEST(ProgressRule, AlltoallCompletesAPendingRendezvousReceive) {
+  // Rank 1 reaches the alltoall only after its send completes, and rank 0
+  // waits on that receive only after the alltoall.
+  within_10s("an alltoall did not progress a pending rendezvous receive", [] {
+    auto config = three_rank_native();
+    config.coll_tuning.add({.coll = coll::Coll::Alltoall, .algo = coll::Algo::Spread});
+    run_job(config, [](mpi::Process& p) {
+      auto& world = p.world();
+      std::vector<std::uint8_t> in(kRndvBytes);
+      mpi::Request recv;
+      if (p.rank() == 0) recv = world.irecv(std::span<std::uint8_t>(in), 1);
+      if (p.rank() == 1) world.send(std::span<const std::uint8_t>(filled(1)), 0);
+      const int me = p.rank();
+      const std::array<int, 3> out{me * 10, me * 10 + 1, me * 10 + 2};
+      std::array<int, 3> got{};
+      world.alltoall(std::span<const int>(out), std::span<int>(got));
+      EXPECT_EQ(got, (std::array<int, 3>{me, 10 + me, 20 + me}));
+      if (p.rank() == 0) {
+        world.wait(recv);
+        EXPECT_EQ(in[kRndvBytes - 1], 1);
+      }
+    });
+  });
+}
+
+TEST(RankEngine, DeadlockNamesTheAlltoallAndTheReceive) {
+  // Rank 2 skips the alltoall and waits for a message rank 0 never sends.
+  auto config = three_rank_native();
+  config.coll_tuning.add({.coll = coll::Coll::Alltoall, .algo = coll::Algo::Spread});
+  within_10s("a rank missing from an alltoall hung, no DeadlockError", [&] {
+    try {
+      run_job(config, [](mpi::Process& p) {
+        if (p.rank() == 2) {
+          (void)p.world().recv_value<int>(0, 4);
+          return;
+        }
+        const std::array<int, 3> out{};
+        std::array<int, 3> in{};
+        p.world().alltoall(std::span<const int>(out), std::span<int>(in));
+      });
+      ADD_FAILURE() << "expected a DeadlockError";
+    } catch (const DeadlockError& e) {
+      const std::string what = e.what();
+      for (const int r : {0, 1})
+        EXPECT_NE(what.find("rank " + std::to_string(r) +
+                            " waits in alltoall #1 (comm 0): ranks [2] have not arrived"),
+                  std::string::npos)
+            << what;
+      EXPECT_NE(what.find("rank 2 waits in recv(source=0, tag=4, comm=0)"),
+                std::string::npos)
+          << what;
+    }
   });
 }
 
