@@ -228,6 +228,35 @@ BENCHMARK(BM_AlltoallSpread)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
+// Host cost of the ring allgather, a step exchange on the same slots: 64
+// ranks on four hosts run 1 KiB allgathers through run_job. ns_per_step is
+// wall time over every rank's n-1 steps, job setup included.
+void BM_AllgatherRing(benchmark::State& state) {
+  constexpr int kCalls = 50;
+  constexpr std::size_t kBytes = 1024;
+  const auto ranks = static_cast<int>(state.range(0));
+  mpi::JobConfig config;
+  config.deployment = container::DeploymentSpec::native_hosts(4, ranks / 4);
+  config.coll_tuning.add({.coll = coll::Coll::Allgather, .algo = coll::Algo::Ring});
+  std::int64_t wall_ns = 0;
+  for (auto _ : state) {
+    const auto start = std::chrono::steady_clock::now();
+    mpi::run_job(config, [](mpi::Process& p) {
+      const std::vector<std::byte> mine(kBytes, std::byte{1});
+      std::vector<std::byte> all(kBytes * static_cast<std::size_t>(p.size()));
+      for (int i = 0; i < kCalls; ++i)
+        p.world().allgather(std::span<const std::byte>(mine), std::span<std::byte>(all));
+    });
+    wall_ns += std::chrono::duration_cast<std::chrono::nanoseconds>(
+                   std::chrono::steady_clock::now() - start)
+                   .count();
+  }
+  state.counters["ns_per_step"] =
+      static_cast<double>(wall_ns) / (static_cast<double>(state.iterations()) * kCalls *
+                                      ranks * (ranks - 1));
+}
+BENCHMARK(BM_AllgatherRing)->Arg(64)->UseRealTime()->Unit(benchmark::kMillisecond);
+
 void BM_ShmByteStoreLoad(benchmark::State& state) {
   osl::ShmSegment segment(4096);
   Bytes i = 0;

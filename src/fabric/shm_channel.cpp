@@ -96,17 +96,24 @@ std::shared_ptr<osl::ShmSegment> ShmChannel::open_queue(const osl::SimProcess& s
                                   tuning_.smpi_length_queue);
 }
 
-void ShmChannel::stage(const osl::SimProcess& sender, const osl::SimProcess& receiver,
-                       osl::ShmSegment& queue, std::span<const std::byte> data,
-                       std::span<std::byte> out) const {
+void ShmChannel::check_peers(const osl::SimProcess& sender,
+                             const osl::SimProcess& receiver) const {
   CBMPI_REQUIRE(sender.same_host(receiver),
                 "SHM channel selected across hosts — selector bug");
   CBMPI_REQUIRE(sender.namespaces().shares(osl::NamespaceType::Ipc, receiver.namespaces()),
                 "SHM channel requires a shared IPC namespace (containers must be "
                 "started with --ipc=host)");
+}
 
-  // Stage through the bounded queue chunk by chunk: write in, read out. The
-  // double copy is real; only its *duration* comes from the cost model.
+void ShmChannel::stage(const osl::SimProcess& sender, const osl::SimProcess& receiver,
+                       osl::ShmSegment& queue, std::span<const std::byte> data,
+                       std::span<std::byte> out) const {
+  check_peers(sender, receiver);
+
+  // Stage through the bounded queue chunk by chunk: write in, read out. A
+  // message's double copy is real; only its *duration* comes from the cost
+  // model, which charges the same double copy to an exchange block that
+  // never passes through here.
   CBMPI_REQUIRE(out.size() == data.size(), "SHM staging target of ", out.size(),
                 " bytes for a ", data.size(), "-byte message");
   const Bytes chunk_max = tuning_.smpi_length_queue;

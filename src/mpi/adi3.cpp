@@ -162,8 +162,12 @@ const fabric::Envelope& Adi3Engine::send_block(std::span<const std::byte> data,
       case fabric::ChannelKind::Shm: {
         costs = job_->shm->eager_costs(size, decision.same_socket);
         const auto* peer = job_->selector->endpoint(dst_world).process;
-        if (shm_queue_ == nullptr) shm_queue_ = job_->shm->open_queue(*proc_, rank_);
-        job_->shm->stage(*proc_, *peer, *shm_queue_, data, target.payload);
+        if (target.payload.empty()) {
+          job_->shm->check_peers(*proc_, *peer);
+        } else {
+          if (shm_queue_ == nullptr) shm_queue_ = job_->shm->open_queue(*proc_, rank_);
+          job_->shm->stage(*proc_, *peer, *shm_queue_, data, target.payload);
+        }
         break;
       }
       case fabric::ChannelKind::Hca: {
@@ -177,7 +181,7 @@ const fabric::Envelope& Adi3Engine::send_block(std::span<const std::byte> data,
                                      clock().now() + job_->profile->hca_post_overhead,
                                      decision.sriov});
         trace_congestion(ctxp, rank_, dst_world, size, clock().now());
-        if (size > 0) std::memcpy(target.payload.data(), data.data(), size);
+        if (!target.payload.empty()) std::memcpy(target.payload.data(), data.data(), size);
         break;
       }
       case fabric::ChannelKind::Cma:
@@ -262,13 +266,12 @@ Adi3Engine::~Adi3Engine() {
 }
 
 template <typename Done>
-void Adi3Engine::wait_in(const Exchange& exchange, int me, Done&& done) {
-  waiting_in_ = &exchange;
-  waiting_rank_ = me;
-  struct Leave {
-    const Exchange*& waiting_in;
-    ~Leave() { waiting_in = nullptr; }
-  } leave{waiting_in_};
+void Adi3Engine::wait_in(const ExchangeWait& where, Done&& done) {
+  waiting_ = where;
+  const struct Leave {
+    ExchangeWait& waiting;
+    ~Leave() { waiting.exchange = nullptr; }
+  } leave{waiting_};
   block_until([&] {
     if (done()) return true;
     progress_posted();
@@ -276,81 +279,92 @@ void Adi3Engine::wait_in(const Exchange& exchange, int me, Done&& done) {
   });
 }
 
+struct Adi3Engine::WithdrawOnThrow {
+  Adi3Engine& engine;
+  Exchange::Slot& slot;
+  int in_flight = std::uncaught_exceptions();
+  ~WithdrawOnThrow() {
+    if (std::uncaught_exceptions() == in_flight) return;
+    slot.withdraw();
+    engine.withdraw_sends();
+  }
+};
+
+Micros Adi3Engine::read_entry(Exchange& exchange, int from, int entry,
+                              std::span<std::byte> buffer, Micros posted_at) {
+  Exchange::Slot& slot = exchange.slot(from);
+  const fabric::Envelope& env = slot.envelopes[static_cast<std::size_t>(entry)];
+  Micros received_at = 0.0;
+  const auto copy = [&] {
+    const auto payload = (*slot.blocks)[entry].send;
+    received_at = receive(env, payload, buffer, posted_at);
+  };
+  if (!slot.read(copy))
+    throw AbortedError("job aborted: rank " + std::to_string(env.src) +
+                       " failed before its exchange send completed");
+  // A rendezvous sender waits for its pull; every owner waits for its last
+  // reader, and may rewrite the slot once it has seen it.
+  const bool rendezvous = env.protocol == fabric::Protocol::Rendezvous;
+  const bool last = slot.readers_left.fetch_sub(1) == 1;
+  if (last || rendezvous)
+    job_->matcher(exchange.world_ranks[static_cast<std::size_t>(from)]).poke();
+  return received_at;
+}
+
 void Adi3Engine::alltoall(Exchange& exchange, int me, std::span<const std::byte> send,
                           std::span<std::byte> recv, std::size_t block, int tag,
                           std::uint64_t comm_id) {
   const int n = exchange.size();
   const auto peer_at = [me, n](int step) { return (me + step) % n; };
-  const auto poke = [&](int comm_rank) {
-    job_->matcher(exchange.world_ranks[static_cast<std::size_t>(comm_rank)]).poke();
-  };
   // The message path posted every receive before its first send.
   const Micros posted_at = clock().now();
 
-  // Sender side, in the message path's send order; the eager bytes go to
-  // this rank's staging buffer.
+  // Sender side, in the message path's send order; every block stays in
+  // `send`, where its reader copies it from.
+  const auto block_of = [&](int peer) {
+    const std::size_t at = block * static_cast<std::size_t>(peer);
+    return Exchange::Step{send.subspan(at, block), peer, recv.subspan(at, block), peer};
+  };
+  const Exchange::StepList blocks(n, block_of);
   Exchange::Slot& mine = exchange.slot(me);
-  mine.staging.clear();
   mine.envelopes.resize(static_cast<std::size_t>(n));
-  mine.staged_at.resize(static_cast<std::size_t>(n));
+  mine.blocks = &blocks;
   for (int step = 1; step < n; ++step) {
-    const auto peer = static_cast<std::size_t>(peer_at(step));
-    fabric::Envelope& env = mine.envelopes[peer];
+    const int peer = peer_at(step);
+    fabric::Envelope& env = mine.envelopes[static_cast<std::size_t>(peer)];
     env = {};
-    send_block(send.subspan(block * peer, block), exchange.world_ranks[peer], tag,
-               comm_id, [&](bool eager) {
-                 if (!eager) return SendTarget{env, {}};
-                 mine.staged_at[peer] = mine.staging.size();
-                 mine.staging.resize(mine.staged_at[peer] + block);
-                 return SendTarget{env, std::span(mine.staging).last(block)};
-               });
+    send_block(blocks[peer].send, exchange.world_ranks[static_cast<std::size_t>(peer)], tag,
+               comm_id, [&](bool) { return SendTarget{env, {}}; });
   }
 
   // Publish the slot; the arrival that completes the call wakes the others.
   mine.readers_left.store(n - 1);
   const std::uint64_t call = mine.calls.load() + 1;
   mine.calls.store(call);
+  const WithdrawOnThrow withdraw_on_throw{*this, mine};
   const std::uint64_t everyone = call * static_cast<std::uint64_t>(n);
   if (exchange.arrived.fetch_add(1) + 1 == everyone)
-    for (int step = 1; step < n; ++step) poke(peer_at(step));
-  // From here on peers may pull from this rank's send buffers, which an
-  // exception (a truncated block, say) frees as it unwinds the caller: one
-  // that leaves the exchange withdraws the sends first.
-  struct WithdrawOnThrow {
-    Adi3Engine& engine;
-    int in_flight = std::uncaught_exceptions();
-    ~WithdrawOnThrow() {
-      if (std::uncaught_exceptions() > in_flight) engine.withdraw_sends();
-    }
-  } withdraw_on_throw{*this};
-  wait_in(exchange, me, [&] { return exchange.arrived.load() >= everyone; });
+    for (int step = 1; step < n; ++step)
+      job_->matcher(exchange.world_ranks[static_cast<std::size_t>(peer_at(step))]).poke();
+  const ExchangeWait where{.exchange = &exchange, .me = me};
+  wait_in(where, [&] { return exchange.arrived.load() >= everyone; });
 
   // Receiver side, in virtual arrival order, so the busy chain is a pure
-  // function of the envelopes. Each read counts this rank off its sender's
-  // slot; the last reader wakes the sender.
-  const auto envelope_from = [&](int peer) -> const fabric::Envelope& {
-    return exchange.slot(peer).envelopes[static_cast<std::size_t>(me)];
-  };
+  // function of the envelopes. Each peer's key is read once, before the sort.
   incoming_.clear();
-  for (int step = 1; step < n; ++step) incoming_.push_back(peer_at(step));
-  std::ranges::sort(incoming_, {}, [&](int peer) {
-    const fabric::Envelope& env = envelope_from(peer);
-    return std::tie(env.available_at, env.src, env.seq);
+  for (int step = 1; step < n; ++step) {
+    const int peer = peer_at(step);
+    const fabric::Envelope& env =
+        exchange.slot(peer).envelopes[static_cast<std::size_t>(me)];
+    incoming_.push_back({env.available_at, env.src, env.seq, peer});
+  }
+  std::ranges::sort(incoming_, {}, [](const Arrival& a) {
+    return std::tie(a.available_at, a.src, a.seq);
   });
   received_at_.resize(static_cast<std::size_t>(n));
-  for (const int peer : incoming_) {
-    Exchange::Slot& from = exchange.slot(peer);
-    const fabric::Envelope& env = envelope_from(peer);
-    const auto payload =
-        env.protocol == fabric::Protocol::Eager
-            ? std::span<const std::byte>(from.staging)
-                  .subspan(from.staged_at[static_cast<std::size_t>(me)], env.size)
-            : std::span<const std::byte>();
-    received_at_[static_cast<std::size_t>(peer)] = receive(
-        env, payload, recv.subspan(block * static_cast<std::size_t>(peer), block),
-        posted_at);
-    if (from.readers_left.fetch_sub(1) == 1) poke(peer);
-  }
+  for (const Arrival& arrival : incoming_)
+    received_at_[static_cast<std::size_t>(arrival.peer)] =
+        read_entry(exchange, arrival.peer, me, blocks[arrival.peer].recv, posted_at);
 
   // What wait_all over the receives did (one progress of the posted queue, a
   // clock advance and crash check per receive), then wait_all over the sends
@@ -360,7 +374,7 @@ void Adi3Engine::alltoall(Exchange& exchange, int me, std::span<const std::byte>
     clock().advance_to(received_at_[static_cast<std::size_t>(peer_at(step))]);
     check_crash();
   }
-  wait_in(exchange, me, [&] { return mine.readers_left.load() == 0; });
+  wait_in(where, [&] { return mine.readers_left.load() == 0; });
   for (int step = 1; step < n; ++step) {
     const auto& rndv = mine.envelopes[static_cast<std::size_t>(peer_at(step))].rndv;
     if (rndv != nullptr) clock().advance_to(rndv->sender_complete_at());
@@ -368,14 +382,84 @@ void Adi3Engine::alltoall(Exchange& exchange, int me, std::span<const std::byte>
   }
 }
 
+namespace {
+/// The steps a slot's `published` word shows published for the phase of
+/// `phase` (a tag << 32): none while the slot is in another phase.
+std::uint64_t published_in(std::uint64_t word, std::uint64_t phase) {
+  return (word >> 32) == (phase >> 32) ? word & 0xffffffffu : 0;
+}
+}  // namespace
+
+void Adi3Engine::exchange_steps(Exchange& exchange, int me,
+                                const Exchange::StepList& steps, int tag,
+                                std::uint64_t comm_id, const char* coll) {
+  const int count = steps.size;
+  if (count == 0) return;
+  const std::uint64_t phase = static_cast<std::uint64_t>(static_cast<std::uint32_t>(tag))
+                              << 32;
+  const auto world = [&](int comm_rank) {
+    return exchange.world_ranks[static_cast<std::size_t>(comm_rank)];
+  };
+  Exchange::Slot& mine = exchange.slot(me);
+  mine.envelopes.resize(static_cast<std::size_t>(count));
+  mine.blocks = &steps;
+  mine.readers_left.store(count);
+  const WithdrawOnThrow withdraw_on_throw{*this, mine};
+  for (int s = 0; s < count; ++s) {
+    const Exchange::Step step = steps[s];
+    // What raw_sendrecv did: post the receive, send, wait for the receive,
+    // then for the send.
+    const Micros posted_at = clock().now();
+    fabric::Envelope& env = mine.envelopes[static_cast<std::size_t>(s)];
+    env = {};
+    send_block(step.send, world(step.to), tag, comm_id,
+               [&](bool) { return SendTarget{env, {}}; });
+    mine.published.store(phase | static_cast<std::uint64_t>(s + 1));
+    job_->matcher(world(step.to)).poke();
+    progress_posted();
+
+    const Exchange::Slot& from = exchange.slot(step.from);
+    wait_in({.exchange = &exchange, .me = me, .coll = coll, .step = s, .steps = count,
+             .from = step.from},
+            [&] {
+              return published_in(from.published.load(), phase) >
+                     static_cast<std::uint64_t>(s);
+            });
+    clock().advance_to(read_entry(exchange, step.from, s, step.recv, posted_at));
+    check_crash();
+    if (env.rndv != nullptr) {
+      wait_in({.exchange = &exchange, .me = me, .coll = coll, .step = s, .steps = count,
+               .to = step.to},
+              [&] { return env.rndv->done(); });
+      clock().advance_to(env.rndv->sender_complete_at());
+      check_crash();
+    }
+  }
+  // Leave only once every entry has been read.
+  wait_in({.exchange = &exchange, .me = me, .coll = coll, .step = count - 1,
+           .steps = count},
+          [&] { return mine.readers_left.load() == 0; });
+}
+
 void Adi3Engine::describe_wait(std::ostream& os) const {
-  if (waiting_in_ != nullptr) {
-    const Exchange& exchange = *waiting_in_;
-    const std::uint64_t call = exchange.slot(waiting_rank_).calls.load();
+  if (waiting_.exchange != nullptr) {
+    const Exchange& exchange = *waiting_.exchange;
+    const Exchange::Slot& mine = exchange.slot(waiting_.me);
+    if (waiting_.coll != nullptr) {
+      os << " waits in " << waiting_.coll << " step " << waiting_.step + 1 << "/"
+         << waiting_.steps << " (comm " << exchange.comm_id << "): ";
+      if (waiting_.from >= 0)
+        os << "rank " << waiting_.from << " has not published it";
+      else if (waiting_.to >= 0)
+        os << "rank " << waiting_.to << " has not read it";
+      else
+        os << mine.readers_left.load() << " of its entries not read yet";
+      return;
+    }
+    const std::uint64_t call = mine.calls.load();
     os << " waits in alltoall #" << call << " (comm " << exchange.comm_id << "): ";
     if (exchange.arrived.load() >= call * static_cast<std::uint64_t>(exchange.size())) {
-      os << exchange.slot(waiting_rank_).readers_left.load()
-         << " ranks have not read its blocks";
+      os << mine.readers_left.load() << " ranks have not read its blocks";
       return;
     }
     os << "ranks [";

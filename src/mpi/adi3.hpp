@@ -27,11 +27,16 @@
 // for the next progress; ~Adi3Engine, on the rank's fiber, releases the
 // messages of any still held, so no request outlives the job holding a block.
 //
-// The spread alltoall sends no message: alltoall() runs it as one exchange
-// in host memory (Exchange, job_state.hpp). The sender side of each block
-// (send_block) and the receiver side (receive) are the very code the
-// message path runs, so every block costs, traces and records exactly what
-// its message would; only where the bytes and envelope wait differs.
+// The spread alltoall and the ring and pairwise collectives send no
+// message: alltoall() and exchange_steps() run them over the communicator's
+// exchange in host memory (Exchange, job_state.hpp), where a peer copies
+// each eager block once, straight out of the owner's send buffer. The sender
+// side of each block (send_block) and the receiver side (receive) are the
+// very code the message path runs, so every block costs, traces and records
+// exactly what its message would, SHM's modelled double copy included; only
+// where the bytes and envelope wait differs. The message path still copies
+// an eager payload at send time, since its sender may reuse the buffer at
+// once.
 //
 // Virtual-time rules:
 //   * eager completion  = max(posted_at, available_at) + receiver_cost
@@ -87,14 +92,22 @@ class Adi3Engine {
   /// The spread alltoall over `exchange`, as its comm rank `me`: the
   /// `block` bytes at `send` + d * block go to comm rank d, and the block
   /// from comm rank s lands at `recv` + s * block. Blocks are priced and
-  /// staged in send order, then, once every member has published, received
-  /// in *virtual* arrival order (available_at, src, seq), so the busy chain
-  /// does not depend on how the fibers were scheduled. The clock advances
-  /// where wait_all over the receives, then the sends, would advance it, and
-  /// every wait progresses posted receives.
+  /// published in send order, then, once every member has published,
+  /// received in *virtual* arrival order (available_at, src, seq), so the
+  /// busy chain does not depend on how the fibers were scheduled. The clock
+  /// advances where wait_all over the receives, then the sends, would advance
+  /// it, and every wait progresses posted receives.
   void alltoall(Exchange& exchange, int me, std::span<const std::byte> send,
                 std::span<std::byte> recv, std::size_t block, int tag,
                 std::uint64_t comm_id);
+
+  /// A step exchange over `exchange`, as its comm rank `me`, in the phase
+  /// named by `tag` (unique per call and phase): each step does what a
+  /// sendrecv of its two blocks did, in the same order and at the same
+  /// virtual times. `coll` names the collective for describe_wait. The send
+  /// blocks must not change until the call returns.
+  void exchange_steps(Exchange& exchange, int me, const Exchange::StepList& steps,
+                      int tag, std::uint64_t comm_id, const char* coll);
 
   /// Non-blocking progress + completion check (MPI_Test).
   bool test(const Request& request);
@@ -137,8 +150,8 @@ class Adi3Engine {
     return posted_.empty() ? nullptr : posted_.front().get();
   }
 
-  /// What this rank is blocked on, for DeadlockError: the alltoall exchange
-  /// it is parked in, else its oldest posted receive. Only safe to call
+  /// What this rank is blocked on, for DeadlockError: the exchange call or
+  /// step it is parked in, else its oldest posted receive. Only safe to call
   /// while this rank is parked.
   void describe_wait(std::ostream& os) const;
 
@@ -182,7 +195,8 @@ class Adi3Engine {
   /// for a send request.
   bool poll(RequestState& request);
   /// Where send_block puts one transfer's envelope and, if it is eager, its
-  /// payload bytes (exactly the data's size).
+  /// payload bytes: exactly the data's size, or empty when the receiver
+  /// copies straight from the data (the exchange).
   struct SendTarget {
     fabric::Envelope& env;
     std::span<std::byte> payload;
@@ -192,7 +206,8 @@ class Adi3Engine {
   /// number, the HCA queue pair and fault retries, then either the eager
   /// costs, copy (SHM through the length queue), flow record and trace
   /// event, or the RTS overhead, sender pin-down lookup and RndvState.
-  /// `place(eager)` returns where the envelope and eager bytes go.
+  /// `place(eager)` returns where the envelope and eager bytes go; SHM runs
+  /// its host and IPC namespace checks whether or not it stages the bytes.
   template <typename Place>
   const fabric::Envelope& send_block(std::span<const std::byte> data, int dst_world,
                                      int tag, std::uint64_t comm_id, Place&& place);
@@ -211,10 +226,34 @@ class Adi3Engine {
   /// copies the payload out of the sender's buffer.
   fabric::RndvTimes pull(std::span<std::byte> buffer, Micros posted_at,
                          const fabric::Envelope& env, const net::TransferCtx* ctxp);
+  /// Where in an exchange this rank waits, for describe_wait. The step form
+  /// sets `coll`, the step and its count, and either `from`, the peer whose
+  /// entry it waits for, or `to`, the peer that has not pulled its
+  /// rendezvous block; neither means it waits for its entries to be read.
+  struct ExchangeWait {
+    const Exchange* exchange = nullptr;
+    int me = 0;
+    const char* coll = nullptr;
+    int step = 0;
+    int steps = 0;
+    int from = -1;
+    int to = -1;
+  };
+  /// From a call's or phase's first publish until it leaves, peers may read
+  /// the owner's send buffers, which an exception (a truncated block, say)
+  /// frees as it unwinds the caller: one that leaves withdraws the slot and
+  /// the rendezvous sends first.
+  struct WithdrawOnThrow;
   /// block_until for the exchange: while `done` fails it progresses posted
-  /// receives, and describe_wait names the exchange.
+  /// receives, and describe_wait reports `where`.
   template <typename Done>
-  void wait_in(const Exchange& exchange, int me, Done&& done);
+  void wait_in(const ExchangeWait& where, Done&& done);
+  /// Receives the block of entry `entry` of comm rank `from`'s slot into
+  /// `buffer` through Slot::read (AbortedError once the owner withdrew),
+  /// counts the read off that slot and pokes the owner when it was the last
+  /// one or a rendezvous pull. Returns the receive's completion time.
+  Micros read_entry(Exchange& exchange, int from, int entry,
+                    std::span<std::byte> buffer, Micros posted_at);
   /// NetCongest trace breadcrumb in the apply pass for transfers the settle
   /// step slowed down.
   void trace_congestion(const net::TransferCtx* ctx, int src, int dst,
@@ -259,12 +298,18 @@ class Adi3Engine {
   /// complete_matched empties it.
   std::vector<Request> matched_;
   std::size_t next_matched_ = 0;
-  /// The exchange this rank is parked in (wait_in), and its rank there.
-  const Exchange* waiting_in_ = nullptr;
-  int waiting_rank_ = 0;
-  /// Scratch of alltoall, kept so its capacity is reused: the peers in
-  /// virtual arrival order, and each peer's receive completion time.
-  std::vector<int> incoming_;
+  /// Where this rank is parked in an exchange (wait_in); no exchange else.
+  ExchangeWait waiting_;
+  /// Scratch of alltoall, kept so its capacity is reused: each peer's
+  /// arrival key, gathered once and sorted into virtual arrival order, and
+  /// each peer's receive completion time.
+  struct Arrival {
+    Micros available_at;
+    int src;
+    std::uint64_t seq;
+    int peer;
+  };
+  std::vector<Arrival> incoming_;
   std::vector<Micros> received_at_;
   /// Rendezvous sends whose receiver may still read the source buffer.
   std::vector<std::shared_ptr<fabric::RndvState>> rndv_sends_;

@@ -20,9 +20,19 @@
 // pin-down cache numbers buffers by address in first-use order, so reusing
 // scratch memory would change the modelled registration costs.
 //
-// Every algorithm runs over the raw point-to-point transfers except the
-// spread alltoall, which hands the whole exchange to Adi3Engine::alltoall:
-// one exchange in host memory per communicator, no messages.
+// Three algorithms send no message; they run over the communicator's
+// exchange in host memory (Exchange, job_state.hpp), where each block is
+// copied once, by its reader, straight out of its sender's buffer. The
+// spread alltoall hands the whole exchange to Adi3Engine::alltoall. The ring
+// (allgather, allgatherv, and the tails of van de Geijn's bcast and
+// Rabenseifner's allreduce) and the pairwise exchange (alltoall and
+// alltoallv) are step exchanges (Adi3Engine::exchange_steps): their send
+// data does not change during the phase, since a ring rank forwards a block
+// it received one step earlier and never writes it again, and pairwise sends
+// from the user's buffer. Every other algorithm runs over the raw
+// point-to-point transfers: recursive doubling, recursive halving,
+// dissemination and Bruck rewrite or repack their send buffer between steps,
+// so a reader of a later step would see the wrong bytes.
 //
 // Tag budget: each primitive may use [tag, tag+4) (one kSubTags stride-4
 // slice); composite algorithms document their exact usage inline.
@@ -339,7 +349,7 @@ coll::Algo Communicator::bcast_over(const std::vector<int>& list, WBytes data,
       raw_recv(blocks.of(data, pos), list[idx(root_pos)], tag);
     }
     // Ring allgather of the blocks completes the broadcast.
-    ring_over(list, data, blocks, tag + 1);
+    ring_over(list, data, blocks, tag + 1, "bcast");
     return algo;
   }
 
@@ -498,7 +508,7 @@ coll::Algo Communicator::allgather_over(const std::vector<int>& list, CBytes min
   copy_bytes(mine, all.subspan(block * idx(pos), block));
   if (m == 1) return algo;
   if (algo != coll::Algo::GatherBcast) {
-    ring_over(list, all, Blocks{block}, tag);
+    ring_over(list, all, Blocks{block}, tag, "allgather");
     return coll::Algo::Ring;
   }
   if (pos == 0) {
@@ -513,16 +523,23 @@ coll::Algo Communicator::allgather_over(const std::vector<int>& list, CBytes min
 }
 
 void Communicator::ring_over(const std::vector<int>& list, WBytes all,
-                             const Blocks& blocks, int tag) {
+                             const Blocks& blocks, int tag, const char* coll) {
   // In step s each rank forwards the block it received in step s-1.
-  // Per-sender FIFO matching makes one tag safe for all steps.
   const int m = static_cast<int>(list.size());
   const int pos = position_in(list);
   const int right = list[idx((pos + 1) % m)];
   const int left = list[idx((pos - 1 + m) % m)];
-  for (int s = 0; s < m - 1; ++s)
-    raw_sendrecv(blocks.of(all, (pos - s + m) % m), right,
-                 blocks.of(all, (pos - s - 1 + m) % m), left, tag);
+  const auto step = [&](int s) {
+    return Exchange::Step{blocks.of(all, (pos - s + m) % m), right,
+                          blocks.of(all, (pos - s - 1 + m) % m), left};
+  };
+  engine_->exchange_steps(exchange(), rank(), {m - 1, step}, tag, context(tag), coll);
+}
+
+Exchange& Communicator::exchange() {
+  if (exchange_ == nullptr)
+    exchange_ = &engine_->job().exchange(id_, group_->world_ranks);
+  return *exchange_;
 }
 
 void Communicator::allgatherv_bytes(CBytes mine, WBytes all, const Blocks& blocks) {
@@ -533,7 +550,7 @@ void Communicator::allgatherv_bytes(CBytes mine, WBytes all, const Blocks& block
   CBMPI_REQUIRE(mine.size() == blocks.bytes(rank()), name, " input size mismatch");
   CBMPI_REQUIRE(all.size() >= blocks.extent(size()), name, " output buffer too small");
   copy_bytes(mine, blocks.of(all, rank()));
-  ring_over(all_ranks(), all, blocks, tag);
+  ring_over(all_ranks(), all, blocks, tag, "allgatherv");
 }
 
 // ---- gather / scatter (linear, over the whole communicator) ---------------
@@ -605,7 +622,7 @@ void Communicator::alltoall_bytes(prof::CallKind kind, CBytes send_data,
                 prof::to_string(kind), " buffer size mismatch");
   copy_bytes(send_blocks.of(send_data, rank()), recv_blocks.of(recv_data, rank()));
   if (kind == prof::CallKind::Alltoallv) {
-    pairwise_over(send_data, send_blocks, recv_data, recv_blocks, tag);
+    pairwise_over(send_data, send_blocks, recv_data, recv_blocks, tag, "alltoallv");
     return;
   }
   // No hierarchical variant (matches the paper: alltoall gains least from
@@ -623,7 +640,7 @@ void Communicator::alltoall_bytes(prof::CallKind kind, CBytes send_data,
         break;
       default:
         algo = coll::Algo::Pairwise;
-        pairwise_over(send_data, send_blocks, recv_data, recv_blocks, tag);
+        pairwise_over(send_data, send_blocks, recv_data, recv_blocks, tag, "alltoall");
         break;
     }
   }
@@ -631,15 +648,17 @@ void Communicator::alltoall_bytes(prof::CallKind kind, CBytes send_data,
 }
 
 void Communicator::pairwise_over(CBytes send_data, const Blocks& send_blocks,
-                                 WBytes recv_data, const Blocks& recv_blocks, int tag) {
+                                 WBytes recv_data, const Blocks& recv_blocks, int tag,
+                                 const char* coll) {
   const int n = size();
   const bool pow2 = is_power_of_two(idx(n));
-  for (int step = 1; step < n; ++step) {
-    const int send_to = pow2 ? (rank() ^ step) : (rank() + step) % n;
-    const int recv_from = pow2 ? (rank() ^ step) : (rank() - step + n) % n;
-    raw_sendrecv(send_blocks.of(send_data, send_to), send_to,
-                 recv_blocks.of(recv_data, recv_from), recv_from, tag);
-  }
+  const auto step = [&](int s) {
+    const int send_to = pow2 ? (rank() ^ (s + 1)) : (rank() + s + 1) % n;
+    const int recv_from = pow2 ? (rank() ^ (s + 1)) : (rank() - s - 1 + n) % n;
+    return Exchange::Step{send_blocks.of(send_data, send_to), send_to,
+                          recv_blocks.of(recv_data, recv_from), recv_from};
+  };
+  engine_->exchange_steps(exchange(), rank(), {n - 1, step}, tag, context(tag), coll);
 }
 
 // Bruck: ceil(log2(n)) combined-block rounds — fewer, larger messages, at the
@@ -678,9 +697,7 @@ void Communicator::alltoall_bruck(CBytes send_data, WBytes recv_data, std::size_
 // host memory (Adi3Engine::alltoall).
 void Communicator::alltoall_spread(CBytes send_data, WBytes recv_data, std::size_t block,
                                    int tag) {
-  if (exchange_ == nullptr)
-    exchange_ = &engine_->job().exchange(id_, group_->world_ranks);
-  engine_->alltoall(*exchange_, rank(), send_data, recv_data, block, tag, context(tag));
+  engine_->alltoall(exchange(), rank(), send_data, recv_data, block, tag, context(tag));
 }
 
 // ---- reduce_scatter_block, prefix scans -----------------------------------

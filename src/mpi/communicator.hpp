@@ -350,9 +350,10 @@ class Communicator {
                             std::size_t elem, Reducer red, int tag, coll::Algo algo);
   coll::Algo allgather_over(const std::vector<int>& list, CBytes mine, WBytes all,
                             int tag, coll::Algo algo);
-  /// Ring allgather of `all`'s blocks, each rank starting from its own.
+  /// Ring allgather of `all`'s blocks, each rank starting from its own, as
+  /// a step exchange; `coll` names it in a DeadlockError.
   void ring_over(const std::vector<int>& list, WBytes all, const Blocks& blocks,
-                 int tag);
+                 int tag, const char* coll);
   /// Recursive-halving reduce-scatter over a power-of-two list; `in` holds
   /// list.size() equal blocks, `block_out` receives this rank's block.
   void reduce_scatter_halving_over(const std::vector<int>& list, CBytes in,
@@ -360,10 +361,12 @@ class Communicator {
                                    int tag);
   /// Linear scatter from `root` over the whole communicator.
   void scatter_over(CBytes all, const Blocks& blocks, WBytes mine, int root, int tag);
-  /// Pairwise exchange: n-1 sendrecv rounds (XOR partners on power-of-two
-  /// comms, shifted ring otherwise).
+  /// Pairwise exchange: n-1 steps of a step exchange (XOR partners on
+  /// power-of-two comms, shifted ring otherwise).
   void pairwise_over(CBytes send_data, const Blocks& send_blocks, WBytes recv_data,
-                     const Blocks& recv_blocks, int tag);
+                     const Blocks& recv_blocks, int tag, const char* coll);
+  /// This communicator's exchange, looked up on first use.
+  Exchange& exchange();
   void alltoall_bruck(CBytes send_data, WBytes recv_data, std::size_t block, int tag);
   void alltoall_spread(CBytes send_data, WBytes recv_data, std::size_t block, int tag);
 
@@ -392,7 +395,7 @@ class Communicator {
   std::uint64_t next_coll_seq_ = 0;
   std::uint64_t next_window_ordinal_ = 0;
   std::optional<LocalityGroups> locality_;
-  /// This communicator's alltoall exchange, looked up on first use.
+  /// This communicator's exchange (see exchange()).
   Exchange* exchange_ = nullptr;
 };
 

@@ -11,8 +11,8 @@
 // starts, and read by run_job only after RankScheduler::run has joined every
 // worker. Recording therefore takes no lock and no atomic; run_job
 // concatenates each stream once at job end and sorts it by its total order.
-// The alltoall exchanges are the one piece of state ranks write for each
-// other outside the matchers; each slot has one writer (see Exchange).
+// The exchanges are the one piece of state ranks write for each other
+// outside the matchers; each slot has one writer (see Exchange).
 #pragma once
 
 #include <atomic>
@@ -21,6 +21,7 @@
 #include <memory>
 #include <mutex>
 #include <span>
+#include <thread>
 #include <vector>
 
 #include "common/error.hpp"
@@ -80,34 +81,97 @@ struct PhaseAlignment {
   std::uint64_t generation = 0;
 };
 
-/// One communicator's alltoall exchange (Adi3Engine::alltoall), shared by
-/// its ranks. Each rank owns one slot and is its only writer: it stages its
-/// outgoing blocks and their envelopes there and then arrives. Once every
-/// rank has arrived, each one reads its own block out of every other slot
-/// and counts itself off that slot's readers_left. A rank leaves only when
-/// its own readers_left is zero, so no call overwrites a block that is still
-/// being read, and the buffers are reused from call to call.
+/// One communicator's exchange in host memory, shared by its ranks. Each
+/// rank owns one slot and is its only writer: it publishes its blocks there,
+/// as envelopes and the list that says where each one sits in its own send
+/// buffer, and peers copy each block straight out of that buffer. A rank
+/// leaves a call or phase only when its readers_left is zero, so no call
+/// overwrites a block still being read.
 ///
-/// Publishing is sequentially consistent: a rank fills its slot, stores
-/// readers_left and calls, then bumps `arrived`. A rank that sees `arrived`
-/// reach k * size() therefore sees every slot of call k, and an owner that
-/// sees readers_left at zero sees every read of its slot done. The arrival
-/// that completes a call pokes every other member's matcher, and the reader
-/// that takes a slot's readers_left to zero pokes its owner's, so every wait
-/// parks in Adi3Engine::block_until and loses no wake-up.
+/// Two forms share the slots. The alltoall form (Adi3Engine::alltoall)
+/// publishes one block per peer, stores readers_left and calls, then bumps
+/// `arrived`; a rank that sees `arrived` reach k * size() sees every slot of
+/// call k. The step form (Adi3Engine::exchange_steps) publishes one block
+/// per step and names its phase by the collective's tag: `published` holds
+/// the tag in its high half and the steps published in its low half, and
+/// the reader of step s waits for its peer's entry s. Publishing is
+/// sequentially consistent, so an owner that sees readers_left at zero sees
+/// every read of its slot done. The arrival that completes a call pokes every
+/// other member's matcher, a step's publish pokes its reader's, and the
+/// reader that takes readers_left to zero (or pulls a rendezvous block) pokes
+/// the owner's, so every wait parks in Adi3Engine::block_until and loses no
+/// wake-up.
+///
+/// The blocks live in the owner's memory, so an owner that unwinds past its
+/// send buffers withdraws the slot first (withdraw()), and a reader copies
+/// only through read(), which then refuses. The counters readers write sit
+/// on lines of their own, away from what every reader loads.
 struct Exchange {
+  /// One block of a call or step, in comm ranks: `send` goes to `to`, and
+  /// the block from `from` lands in `recv`.
+  struct Step {
+    std::span<const std::byte> send;
+    int to;
+    std::span<std::byte> recv;
+    int from;
+  };
+
+  /// A call's or phase's blocks, computed on demand from the owner's layout
+  /// rather than stored per peer: entry e is `at(e)`. It refers to the const
+  /// callable `at` in the owner's frame, which outlives every read (an owner
+  /// leaves only once its entries are read, and withdraws before it
+  /// unwinds), so readers on any worker may call it.
+  struct StepList {
+    template <typename At>
+    StepList(int count, const At& at)
+        : size(count),
+          callable(&at),
+          call([](const void* f, int e) { return (*static_cast<const At*>(f))(e); }) {}
+    Step operator[](int e) const { return call(callable, e); }
+
+    int size;
+    const void* callable;
+    Step (*call)(const void*, int);
+  };
+
   struct alignas(64) Slot {
-    /// Calls this rank has arrived at: the one it is in, or last left.
+    /// Alltoall calls this rank has arrived at: the one it is in, or last left.
     std::atomic<std::uint64_t> calls{0};
-    /// Peers still reading this rank's blocks of its current call.
-    std::atomic<int> readers_left{0};
-    /// The eager blocks of the current call, packed in send order; a
-    /// rendezvous block stays in the sender's buffer.
-    std::vector<std::byte> staging;
-    /// Per comm rank (its own unused): the envelope of its block and, for an
-    /// eager one, where in `staging` its bytes start.
+    /// Step form: the phase's tag << 32 | the steps it has published.
+    std::atomic<std::uint64_t> published{0};
+    /// Set by an owner unwinding past its send buffers; it stays set.
+    std::atomic<bool> withdrawn{false};
+    /// Per comm rank (alltoall, its own unused) or per step: the block's
+    /// envelope, and where its bytes sit, as the owner's list computes it.
     std::vector<fabric::Envelope> envelopes;
-    std::vector<std::size_t> staged_at;
+    const StepList* blocks = nullptr;
+    /// Reads of the current call or phase not done yet.
+    alignas(64) std::atomic<int> readers_left{0};
+    /// Reads in progress; withdraw() waits for it to drain.
+    alignas(64) std::atomic<int> reading{0};
+
+    /// Reader side: runs copy() while the owner cannot withdraw, so its send
+    /// buffer stays alive throughout. Returns false, without running copy(),
+    /// once the owner has withdrawn.
+    template <typename Copy>
+    bool read(Copy&& copy) {
+      reading.fetch_add(1);
+      const struct Leave {
+        std::atomic<int>& reading;
+        ~Leave() { reading.fetch_sub(1); }
+      } leave{reading};
+      if (withdrawn.load()) return false;
+      copy();
+      return true;
+    }
+
+    /// Owner side, as it unwinds past its send buffers: from here on no
+    /// reader copies from them. It spins rather than parks, since it is
+    /// unwinding; a read never parks, so the spin is short.
+    void withdraw() {
+      withdrawn.store(true);
+      while (reading.load() != 0) std::this_thread::yield();
+    }
   };
 
   Exchange(std::uint64_t id, std::vector<int> ranks)
@@ -189,7 +253,7 @@ struct JobState {
 
   PhaseAlignment phase;
 
-  /// One alltoall exchange per communicator id, made by its first caller.
+  /// One exchange per communicator id, made by its first caller.
   /// Comm ids are equal on every member and each Communicator keeps the
   /// pointer, so the lock is taken once per rank and communicator.
   std::mutex exchanges_mutex;

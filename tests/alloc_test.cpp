@@ -168,21 +168,27 @@ TEST(AllocCount, EagerPayloadIsFreedByItsAllocatingThread) {
 }
 
 /// Steady-state heap allocations per rank per call of a 1 KiB spread
-/// alltoall over `ranks` ranks on four hosts (SHM eager inside a host, HCA
-/// eager across), from two job lengths.
-double alltoall_allocations_per_rank_call(int ranks) {
+/// alltoall, or ring allgather, over `ranks` ranks on four hosts (SHM eager
+/// inside a host, HCA eager across), from two job lengths.
+double allocations_per_rank_call(int ranks, coll::Coll coll) {
   constexpr int kShort = 20;
   constexpr int kLong = 60;
-  const auto job_allocations = [ranks](int calls) {
+  const auto job_allocations = [ranks, coll](int calls) {
     JobConfig config;
     config.deployment = DeploymentSpec::native_hosts(4, ranks / 4);
-    config.coll_tuning.add({.coll = coll::Coll::Alltoall, .algo = coll::Algo::Spread});
+    config.coll_tuning.add({.coll = coll,
+                            .algo = coll == coll::Coll::Alltoall ? coll::Algo::Spread
+                                                                 : coll::Algo::Ring});
     const std::uint64_t before = g_allocations.load();
-    run_job(config, [calls](mpi::Process& p) {
+    run_job(config, [calls, coll](mpi::Process& p) {
       const std::vector<std::byte> out(kEagerBytes * static_cast<std::size_t>(p.size()));
       std::vector<std::byte> in(out.size());
       for (int i = 0; i < calls; ++i)
-        p.world().alltoall(std::span<const std::byte>(out), std::span<std::byte>(in));
+        if (coll == coll::Coll::Alltoall)
+          p.world().alltoall(std::span<const std::byte>(out), std::span<std::byte>(in));
+        else
+          p.world().allgather(std::span<const std::byte>(out).first(kEagerBytes),
+                              std::span<std::byte>(in));
     });
     return g_allocations.load() - before;
   };
@@ -192,12 +198,23 @@ double alltoall_allocations_per_rank_call(int ranks) {
          (static_cast<double>(ranks) * (kLong - kShort));
 }
 
-// The spread alltoall sends no message: each rank stages its blocks in its
-// slot of the communicator's exchange, reused from call to call, so a call
-// costs no allocation per peer (one message per block cost 3(n-1)).
+// The spread alltoall sends no message: each rank publishes its blocks in
+// its slot of the communicator's exchange, reused from call to call, so a
+// call costs no allocation per peer (one message per block cost 3(n-1)).
 TEST(AllocCount, SpreadAlltoallAllocationsDoNotGrowWithRanks) {
-  const double at8 = alltoall_allocations_per_rank_call(8);
-  const double at32 = alltoall_allocations_per_rank_call(32);
+  const double at8 = allocations_per_rank_call(8, coll::Coll::Alltoall);
+  const double at32 = allocations_per_rank_call(32, coll::Coll::Alltoall);
+  RecordProperty("allocations_per_rank_call_8", std::to_string(at8));
+  RecordProperty("allocations_per_rank_call_32", std::to_string(at32));
+  EXPECT_LE(at32, at8 + 0.25);
+  EXPECT_LE(at8, 1.0);
+}
+
+// The ring allgather is a step exchange on the same slots: no message per
+// step (one cost 3 allocations per step, n-1 steps per call).
+TEST(AllocCount, RingAllgatherAllocationsDoNotGrowWithRanks) {
+  const double at8 = allocations_per_rank_call(8, coll::Coll::Allgather);
+  const double at32 = allocations_per_rank_call(32, coll::Coll::Allgather);
   RecordProperty("allocations_per_rank_call_8", std::to_string(at8));
   RecordProperty("allocations_per_rank_call_32", std::to_string(at32));
   EXPECT_LE(at32, at8 + 0.25);
