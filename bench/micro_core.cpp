@@ -16,7 +16,6 @@
 
 #include "apps/graph500/kronecker.hpp"
 #include "container/engine.hpp"
-#include "fabric/shm_channel.hpp"
 #include "mpi/fiber.hpp"
 #include "mpi/locality.hpp"
 #include "mpi/matcher.hpp"
@@ -267,25 +266,6 @@ void BM_ShmByteStoreLoad(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ShmByteStoreLoad);
-
-void BM_ShmBulkStage(benchmark::State& state) {
-  const auto size = static_cast<Bytes>(state.range(0));
-  osl::Machine machine(topo::ClusterBuilder().hosts(1).build());
-  auto& host = machine.host_os(0);
-  osl::SimProcess a(host, host.root_namespaces(), topo::CoreId{0, 0});
-  osl::SimProcess b(host, host.root_namespaces(), topo::CoreId{0, 1});
-  const fabric::ShmChannel shm(machine.profile(), fabric::TuningParams{});
-  const auto queue = shm.open_queue(a, 0);
-  std::vector<std::byte> data(size);
-  std::vector<std::byte> out(size);
-  for (auto _ : state) {
-    shm.stage(a, b, *queue, data, out);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(size));
-}
-BENCHMARK(BM_ShmBulkStage)->Arg(1024)->Arg(8192)->Arg(65536);
 
 // --- detector ablation: byte-list (paper) vs lock-based ---------------------
 

@@ -3,8 +3,8 @@
 // A send deposits one Message into the receiver's matcher: a single heap
 // block of the sending rank's PayloadHome that holds the matcher's intrusive
 // link, an arrival stamp and the Envelope, followed, for an eager message, by
-// the payload bytes, which the SHM staging copy or the HCA copy writes
-// straight in. A rendezvous message is the RTS, a header-only block whose
+// the payload bytes, which the sender copies straight in, over SHM and
+// the HCA alike. A rendezvous message is the RTS, a header-only block whose
 // envelope carries a shared RndvState pointing at the sender's buffer; the
 // *receiver* performs the transfer at match time (exactly how CMA works:
 // process_vm_readv is issued by the destination) and then reports the

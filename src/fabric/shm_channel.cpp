@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <string>
 
 #include "common/error.hpp"
 
@@ -89,13 +88,6 @@ OneSidedCosts ShmChannel::one_sided_costs(Bytes size, bool same_socket) const {
   return costs;
 }
 
-std::shared_ptr<osl::ShmSegment> ShmChannel::open_queue(const osl::SimProcess& sender,
-                                                        int sender_rank) const {
-  return sender.host().shm().open(sender.namespaces().get(osl::NamespaceType::Ipc),
-                                  "cbmpi_shmq_" + std::to_string(sender_rank),
-                                  tuning_.smpi_length_queue);
-}
-
 void ShmChannel::check_peers(const osl::SimProcess& sender,
                              const osl::SimProcess& receiver) const {
   CBMPI_REQUIRE(sender.same_host(receiver),
@@ -103,27 +95,6 @@ void ShmChannel::check_peers(const osl::SimProcess& sender,
   CBMPI_REQUIRE(sender.namespaces().shares(osl::NamespaceType::Ipc, receiver.namespaces()),
                 "SHM channel requires a shared IPC namespace (containers must be "
                 "started with --ipc=host)");
-}
-
-void ShmChannel::stage(const osl::SimProcess& sender, const osl::SimProcess& receiver,
-                       osl::ShmSegment& queue, std::span<const std::byte> data,
-                       std::span<std::byte> out) const {
-  check_peers(sender, receiver);
-
-  // Stage through the bounded queue chunk by chunk: write in, read out. A
-  // message's double copy is real; only its *duration* comes from the cost
-  // model, which charges the same double copy to an exchange block that
-  // never passes through here.
-  CBMPI_REQUIRE(out.size() == data.size(), "SHM staging target of ", out.size(),
-                " bytes for a ", data.size(), "-byte message");
-  const Bytes chunk_max = tuning_.smpi_length_queue;
-  Bytes offset = 0;
-  while (offset < data.size()) {
-    const Bytes chunk = std::min<Bytes>(chunk_max, data.size() - offset);
-    queue.write(0, data.subspan(offset, chunk));
-    queue.read(0, out.subspan(offset, chunk));
-    offset += chunk;
-  }
 }
 
 }  // namespace cbmpi::fabric

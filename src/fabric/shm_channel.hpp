@@ -3,14 +3,13 @@
 //
 // Eager protocol: the sender copies the message into a shared queue and the
 // receiver copies it out. The *cost model* is MVAPICH2's per-pair length
-// queue of SMPI_LENGTH_QUEUE bytes. A message's real bytes pass through one
-// staging segment per sending rank (a real osl::ShmSegment in the sender's
-// IPC namespace, opened once by its engine); a collective's exchange blocks
-// skip it, since their reader copies them once, straight from the sender's
-// buffer, but they are priced the same. Every eager transfer re-checks that
-// both processes share the host and its IPC namespace (check_peers) — the
-// enforcement point for the paper's namespace-sharing precondition. Cost
-// model highlights:
+// queue of SMPI_LENGTH_QUEUE bytes. A message's real bytes are copied once,
+// into its own block, as an HCA eager message's are; a collective's
+// exchange block is copied once too, by its reader, straight from the
+// sender's buffer. Both are priced as the double copy. Every eager transfer
+// re-checks that both processes share the host and its IPC namespace
+// (check_peers) — the enforcement point for the paper's namespace-sharing
+// precondition. Cost model highlights:
 //   * each message pays a fixed cell overhead on both sides;
 //   * the sender pays a stall penalty inversely proportional to the number of
 //     queue cells (small SMPI_LENGTH_QUEUE => frequent flow-control stalls);
@@ -20,13 +19,9 @@
 //     memory bus), partially recovered by pipelining overlap.
 #pragma once
 
-#include <memory>
-#include <span>
-
 #include "fabric/channel_costs.hpp"
 #include "fabric/tuning.hpp"
 #include "osl/process.hpp"
-#include "osl/shm.hpp"
 #include "topo/calibration.hpp"
 
 namespace cbmpi::fabric {
@@ -48,23 +43,9 @@ class ShmChannel {
   /// Latency of a small control message (RTS/CTS/FIN riding the queue).
   Micros control_latency(bool same_socket) const;
 
-  /// Opens `sender`'s staging segment — SMPI_LENGTH_QUEUE bytes in its
-  /// host's /dev/shm, in its own IPC namespace, named after `sender_rank` —
-  /// or returns it if it already exists. One per sending rank; every
-  /// message that rank sends over SHM passes through it.
-  std::shared_ptr<osl::ShmSegment> open_queue(const osl::SimProcess& sender,
-                                              int sender_rank) const;
-
   /// Throws cbmpi::Error unless both processes share an IPC namespace on the
   /// same host (the caller is expected to have selected channels correctly).
   void check_peers(const osl::SimProcess& sender, const osl::SimProcess& receiver) const;
-
-  /// Stages `data` through `queue` (the sender's segment from open_queue)
-  /// into `out`, which has data's size, writing every byte of it, after
-  /// check_peers.
-  void stage(const osl::SimProcess& sender, const osl::SimProcess& receiver,
-             osl::ShmSegment& queue, std::span<const std::byte> data,
-             std::span<std::byte> out) const;
 
   /// Number of queue cells implied by the current tuning.
   double queue_cells() const;

@@ -16,8 +16,9 @@ struct TuningParams {
   Bytes smp_eager_size = 8_KiB;
 
   /// Size of the shared-memory eager queue between every pair of co-resident
-  /// processes in the SHM cost model (cell count, cache derate). The real
-  /// bytes pass through one staging segment of this size per sending rank.
+  /// processes in the SHM cost model: cell count, cache derate and SHM
+  /// rendezvous chunk. Only the model sees it; nothing of this size is
+  /// allocated.
   Bytes smpi_length_queue = 128_KiB;
 
   /// HCA switch point between eager (receiver-side copy) and rendezvous

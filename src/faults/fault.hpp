@@ -70,8 +70,8 @@ const char* to_string(DegradationKind kind);
 /// Fault rates for one job. All-zero (the default) means "no faults"; the
 /// runtime then skips every injection code path entirely.
 struct FaultPlan {
-  /// Per-rank probability that its /dev/shm locality/staging segments fail to
-  /// open (the rank must degrade to hostname locality and lose SHM).
+  /// Per-rank probability that its /dev/shm locality segment fails to open
+  /// (the rank must degrade to hostname locality and lose SHM).
   double shm_segment_fail_prob = 0.0;
 
   /// Per-container probability that it is deployed with a private IPC
@@ -205,7 +205,7 @@ class FaultInjector {
   /// Shorthand for plan().enabled().
   bool enabled() const { return plan_.enabled(); }
 
-  /// Does this rank's /dev/shm segment open fail (locality list + staging)?
+  /// Does this rank's /dev/shm locality segment open fail?
   bool shm_segment_fails(int rank) const;
 
   /// Is container `container_index` on `host` deployed with private IPC?

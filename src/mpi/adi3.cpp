@@ -159,17 +159,10 @@ const fabric::Envelope& Adi3Engine::send_block(std::span<const std::byte> data,
   if (eager) {
     fabric::EagerCosts costs;
     switch (decision.channel) {
-      case fabric::ChannelKind::Shm: {
+      case fabric::ChannelKind::Shm:
         costs = job_->shm->eager_costs(size, decision.same_socket);
-        const auto* peer = job_->selector->endpoint(dst_world).process;
-        if (target.payload.empty()) {
-          job_->shm->check_peers(*proc_, *peer);
-        } else {
-          if (shm_queue_ == nullptr) shm_queue_ = job_->shm->open_queue(*proc_, rank_);
-          job_->shm->stage(*proc_, *peer, *shm_queue_, data, target.payload);
-        }
+        job_->shm->check_peers(*proc_, *job_->selector->endpoint(dst_world).process);
         break;
-      }
       case fabric::ChannelKind::Hca: {
         net::TransferCtx ctx;
         const auto* ctxp = fabric_ctx(rank_, dst_world, seq, decision.loopback, ctx);
@@ -181,13 +174,13 @@ const fabric::Envelope& Adi3Engine::send_block(std::span<const std::byte> data,
                                      clock().now() + job_->profile->hca_post_overhead,
                                      decision.sriov});
         trace_congestion(ctxp, rank_, dst_world, size, clock().now());
-        if (!target.payload.empty()) std::memcpy(target.payload.data(), data.data(), size);
         break;
       }
       case fabric::ChannelKind::Cma:
         // The selector never routes eager traffic onto CMA.
         CBMPI_REQUIRE(false, "eager protocol on CMA channel — selector bug");
     }
+    if (!target.payload.empty()) std::memcpy(target.payload.data(), data.data(), size);
     clock().advance(costs.sender);
     env.sent_at = clock().now();
     env.available_at = clock().now() + costs.delivery;
@@ -392,7 +385,7 @@ std::uint64_t published_in(std::uint64_t word, std::uint64_t phase) {
 
 void Adi3Engine::exchange_steps(Exchange& exchange, int me,
                                 const Exchange::StepList& steps, int tag,
-                                std::uint64_t comm_id, const char* coll) {
+                                std::uint64_t comm_id) {
   const int count = steps.size;
   if (count == 0) return;
   const std::uint64_t phase = static_cast<std::uint64_t>(static_cast<std::uint32_t>(tag))
@@ -419,7 +412,7 @@ void Adi3Engine::exchange_steps(Exchange& exchange, int me,
     progress_posted();
 
     const Exchange::Slot& from = exchange.slot(step.from);
-    wait_in({.exchange = &exchange, .me = me, .coll = coll, .step = s, .steps = count,
+    wait_in({.exchange = &exchange, .me = me, .step = s, .steps = count,
              .from = step.from},
             [&] {
               return published_in(from.published.load(), phase) >
@@ -428,7 +421,7 @@ void Adi3Engine::exchange_steps(Exchange& exchange, int me,
     clock().advance_to(read_entry(exchange, step.from, s, step.recv, posted_at));
     check_crash();
     if (env.rndv != nullptr) {
-      wait_in({.exchange = &exchange, .me = me, .coll = coll, .step = s, .steps = count,
+      wait_in({.exchange = &exchange, .me = me, .step = s, .steps = count,
                .to = step.to},
               [&] { return env.rndv->done(); });
       clock().advance_to(env.rndv->sender_complete_at());
@@ -436,8 +429,7 @@ void Adi3Engine::exchange_steps(Exchange& exchange, int me,
     }
   }
   // Leave only once every entry has been read.
-  wait_in({.exchange = &exchange, .me = me, .coll = coll, .step = count - 1,
-           .steps = count},
+  wait_in({.exchange = &exchange, .me = me, .step = count - 1, .steps = count},
           [&] { return mine.readers_left.load() == 0; });
 }
 
@@ -445,8 +437,8 @@ void Adi3Engine::describe_wait(std::ostream& os) const {
   if (waiting_.exchange != nullptr) {
     const Exchange& exchange = *waiting_.exchange;
     const Exchange::Slot& mine = exchange.slot(waiting_.me);
-    if (waiting_.coll != nullptr) {
-      os << " waits in " << waiting_.coll << " step " << waiting_.step + 1 << "/"
+    if (waiting_.steps > 0) {
+      os << " waits in " << collective_.kind << " step " << waiting_.step + 1 << "/"
          << waiting_.steps << " (comm " << exchange.comm_id << "): ";
       if (waiting_.from >= 0)
         os << "rank " << waiting_.from << " has not published it";
@@ -473,9 +465,18 @@ void Adi3Engine::describe_wait(std::ostream& os) const {
     return;
   }
   const RequestState* recv = oldest_posted();
-  if (recv == nullptr) {
+  if (collective_.kind != nullptr) {
+    os << " waits in " << collective_.kind << " #" << collective_.seq << " (comm "
+       << collective_.comm_id << "): ";
+    if (recv == nullptr) {
+      os << "no posted receive";
+      return;
+    }
+  } else if (recv == nullptr) {
     os << " is blocked with no posted receive";
     return;
+  } else {
+    os << " waits in ";
   }
   const auto field = [&](int value, int wildcard) {
     if (value == wildcard)
@@ -483,7 +484,7 @@ void Adi3Engine::describe_wait(std::ostream& os) const {
     else
       os << value;
   };
-  os << " waits in recv(source=";
+  os << "recv(source=";
   field(recv->src_world, kAnySource);
   os << ", tag=";
   field(recv->tag, kAnyTag);
@@ -505,8 +506,13 @@ void Adi3Engine::complete_recv(RequestState& request) {
   // sender's home when the receive completes, or fails.
   const fabric::MessagePtr message = std::move(request.message);
   const fabric::Envelope& env = message->env;
-  request.complete_at =
-      receive(env, message->payload(), request.buffer, request.posted_at);
+  try {
+    request.complete_at =
+        receive(env, message->payload(), request.buffer, request.posted_at);
+  } catch (...) {
+    if (collective_.kind != nullptr) withdraw_sends();  // see CollectiveScope
+    throw;
+  }
   request.status = Status{env.src, env.tag, env.size};
   request.complete = true;
   // The sender may be blocked waiting on this transfer: wake it.

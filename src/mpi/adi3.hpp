@@ -35,8 +35,8 @@
 // very code the message path runs, so every block costs, traces and records
 // exactly what its message would, SHM's modelled double copy included; only
 // where the bytes and envelope wait differs. The message path still copies
-// an eager payload at send time, since its sender may reuse the buffer at
-// once.
+// an eager payload once at send time, into its message block, since its
+// sender may reuse the buffer at once.
 //
 // Virtual-time rules:
 //   * eager completion  = max(posted_at, available_at) + receiver_cost
@@ -51,13 +51,13 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "mpi/fiber.hpp"
 #include "mpi/job_state.hpp"
 #include "mpi/types.hpp"
 #include "osl/process.hpp"
-#include "osl/shm.hpp"
 
 namespace cbmpi::mpi {
 
@@ -104,10 +104,38 @@ class Adi3Engine {
   /// A step exchange over `exchange`, as its comm rank `me`, in the phase
   /// named by `tag` (unique per call and phase): each step does what a
   /// sendrecv of its two blocks did, in the same order and at the same
-  /// virtual times. `coll` names the collective for describe_wait. The send
-  /// blocks must not change until the call returns.
+  /// virtual times. describe_wait names it after the open CollectiveScope.
+  /// The send blocks must not change until the call returns.
   void exchange_steps(Exchange& exchange, int me, const Exchange::StepList& steps,
-                      int tag, std::uint64_t comm_id, const char* coll);
+                      int tag, std::uint64_t comm_id);
+
+  /// The collective call a rank is in: its kind (`allreduce`), its 1-based
+  /// sequence number among its communicator's collectives, and that
+  /// communicator's id. `kind` is null outside any collective.
+  struct CollectiveCall {
+    const char* kind = nullptr;
+    std::uint64_t seq = 0;
+    std::uint64_t comm_id = 0;
+  };
+
+  /// One collective call on this rank, open from its entry until it
+  /// returns. While it is open, describe_wait names the call, and a receive
+  /// that fails withdraws this rank's rendezvous sends before the error
+  /// unwinds the call: they may read the algorithm's scratch (recursive
+  /// doubling's accumulator, Bruck's pack), which unwinding frees while a
+  /// peer may still pull from it. Scopes nest; each restores the outer one.
+  class CollectiveScope {
+   public:
+    CollectiveScope(Adi3Engine& engine, CollectiveCall call)
+        : engine_(engine), outer_(std::exchange(engine.collective_, call)) {}
+    ~CollectiveScope() { engine_.collective_ = outer_; }
+    CollectiveScope(const CollectiveScope&) = delete;
+    CollectiveScope& operator=(const CollectiveScope&) = delete;
+
+   private:
+    Adi3Engine& engine_;
+    CollectiveCall outer_;
+  };
 
   /// Non-blocking progress + completion check (MPI_Test).
   bool test(const Request& request);
@@ -151,8 +179,9 @@ class Adi3Engine {
   }
 
   /// What this rank is blocked on, for DeadlockError: the exchange call or
-  /// step it is parked in, else its oldest posted receive. Only safe to call
-  /// while this rank is parked.
+  /// step it is parked in, else its oldest posted receive, after the
+  /// collective it is in, if any. Only safe to call while this rank is
+  /// parked.
   void describe_wait(std::ostream& os) const;
 
   /// Crash injection: throws faults::CrashedError once this rank's virtual
@@ -204,10 +233,9 @@ class Adi3Engine {
   /// The sender's side of one transfer, for start_send and alltoall alike:
   /// the crash check, channel selection and its counters, the sequence
   /// number, the HCA queue pair and fault retries, then either the eager
-  /// costs, copy (SHM through the length queue), flow record and trace
+  /// costs, SHM's host and IPC namespace check, copy, flow record and trace
   /// event, or the RTS overhead, sender pin-down lookup and RndvState.
-  /// `place(eager)` returns where the envelope and eager bytes go; SHM runs
-  /// its host and IPC namespace checks whether or not it stages the bytes.
+  /// `place(eager)` returns where the envelope and eager bytes go.
   template <typename Place>
   const fabric::Envelope& send_block(std::span<const std::byte> data, int dst_world,
                                      int tag, std::uint64_t comm_id, Place&& place);
@@ -227,13 +255,12 @@ class Adi3Engine {
   fabric::RndvTimes pull(std::span<std::byte> buffer, Micros posted_at,
                          const fabric::Envelope& env, const net::TransferCtx* ctxp);
   /// Where in an exchange this rank waits, for describe_wait. The step form
-  /// sets `coll`, the step and its count, and either `from`, the peer whose
-  /// entry it waits for, or `to`, the peer that has not pulled its
-  /// rendezvous block; neither means it waits for its entries to be read.
+  /// sets the step and its count, and either `from`, the peer whose entry it
+  /// waits for, or `to`, the peer that has not pulled its rendezvous block;
+  /// neither means it waits for its entries to be read.
   struct ExchangeWait {
     const Exchange* exchange = nullptr;
     int me = 0;
-    const char* coll = nullptr;
     int step = 0;
     int steps = 0;
     int from = -1;
@@ -287,10 +314,6 @@ class Adi3Engine {
   std::uint64_t reg_buffer_id(const void* base);
   std::map<const void*, std::uint64_t> reg_buffer_ids_;
 
-  /// This rank's SHM staging segment, opened on its first SHM eager send;
-  /// only this rank's fiber writes it.
-  std::shared_ptr<osl::ShmSegment> shm_queue_;
-
   std::uint64_t next_seq_ = 0;
   std::vector<Request> posted_;
   /// Receives matched and not completed yet, in completion order, from
@@ -300,6 +323,8 @@ class Adi3Engine {
   std::size_t next_matched_ = 0;
   /// Where this rank is parked in an exchange (wait_in); no exchange else.
   ExchangeWait waiting_;
+  /// The collective this rank is in (CollectiveScope).
+  CollectiveCall collective_;
   /// Scratch of alltoall, kept so its capacity is reused: each peer's
   /// arrival key, gathered once and sorted into virtual arrival order, and
   /// each peer's receive completion time.

@@ -2,14 +2,15 @@
 //
 // The typed Communicator collectives forward here with their payload as
 // bytes, the element size and, for reductions, a type-erased Reducer. Each
-// entry point opens the profiled call and the tag block and checks buffer
-// sizes before anything else. The tunable collectives other than alltoall
-// share one path, run_tunable: ask the job's coll::Engine for an algorithm
-// (keyed on payload bytes, or per-rank block bytes for allgather, the
-// communicator size and the job's containers-per-host); run it flat over all
-// ranks or as the leader-based hierarchy over the locality groups, whose
-// phases re-enter the engine with their sub-list sizes; then note_algo()
-// records the algorithm that actually ran.
+// entry point opens the profiled call and the Collective (tag block and
+// engine scope) and checks buffer sizes before anything else. The tunable
+// collectives other than alltoall share one path, run_tunable: ask the job's
+// coll::Engine for an algorithm (keyed on payload bytes, or per-rank block
+// bytes for allgather, the communicator size and the job's
+// containers-per-host); run it flat over all ranks or as the leader-based
+// hierarchy over the locality groups, whose phases re-enter the engine with
+// their sub-list sizes; then note_algo() records the algorithm that actually
+// ran.
 //
 // Every `*_over` primitive runs one algorithm over an arbitrary sorted list
 // of communicator ranks, so the flat path (all ranks) and the two-level
@@ -115,12 +116,14 @@ void Communicator::note_algo(coll::Coll coll, coll::Algo algo, Bytes bytes,
 void Communicator::barrier() { run_tunable({coll::Coll::Barrier}); }
 
 void Communicator::raw_barrier() {
-  barrier_over(all_ranks(), begin_collective(), coll::Algo::Dissemination);
+  const Collective scope(*this, "barrier");
+  barrier_over(all_ranks(), scope.tag, coll::Algo::Dissemination);
 }
 
 void Communicator::run_tunable(const TunableCall& call) {
   const ProfiledCall prof_scope(*engine_, kCallKind[static_cast<std::size_t>(call.coll)]);
-  const int tag = begin_collective();
+  const Collective scope(*this, coll::to_string(call.coll));
+  const int tag = scope.tag;
   const Bytes bytes = call.in.size();
   // Only the root's reduce output counts; bcast works in place.
   const bool fills_out = call.coll == coll::Coll::Allreduce ||
@@ -349,7 +352,7 @@ coll::Algo Communicator::bcast_over(const std::vector<int>& list, WBytes data,
       raw_recv(blocks.of(data, pos), list[idx(root_pos)], tag);
     }
     // Ring allgather of the blocks completes the broadcast.
-    ring_over(list, data, blocks, tag + 1, "bcast");
+    ring_over(list, data, blocks, tag + 1);
     return algo;
   }
 
@@ -508,7 +511,7 @@ coll::Algo Communicator::allgather_over(const std::vector<int>& list, CBytes min
   copy_bytes(mine, all.subspan(block * idx(pos), block));
   if (m == 1) return algo;
   if (algo != coll::Algo::GatherBcast) {
-    ring_over(list, all, Blocks{block}, tag, "allgather");
+    ring_over(list, all, Blocks{block}, tag);
     return coll::Algo::Ring;
   }
   if (pos == 0) {
@@ -523,7 +526,7 @@ coll::Algo Communicator::allgather_over(const std::vector<int>& list, CBytes min
 }
 
 void Communicator::ring_over(const std::vector<int>& list, WBytes all,
-                             const Blocks& blocks, int tag, const char* coll) {
+                             const Blocks& blocks, int tag) {
   // In step s each rank forwards the block it received in step s-1.
   const int m = static_cast<int>(list.size());
   const int pos = position_in(list);
@@ -533,7 +536,7 @@ void Communicator::ring_over(const std::vector<int>& list, WBytes all,
     return Exchange::Step{blocks.of(all, (pos - s + m) % m), right,
                           blocks.of(all, (pos - s - 1 + m) % m), left};
   };
-  engine_->exchange_steps(exchange(), rank(), {m - 1, step}, tag, context(tag), coll);
+  engine_->exchange_steps(exchange(), rank(), {m - 1, step}, tag, context(tag));
 }
 
 Exchange& Communicator::exchange() {
@@ -544,13 +547,14 @@ Exchange& Communicator::exchange() {
 
 void Communicator::allgatherv_bytes(CBytes mine, WBytes all, const Blocks& blocks) {
   const ProfiledCall prof_scope(*engine_, prof::CallKind::AllgatherV);
-  const int tag = begin_collective();
+  const Collective scope(*this, "allgatherv");
+  const int tag = scope.tag;
   const char* const name = prof::to_string(prof::CallKind::AllgatherV);
   CBMPI_REQUIRE(blocks.fits(size()), name, " counts/displs must have comm-size entries");
   CBMPI_REQUIRE(mine.size() == blocks.bytes(rank()), name, " input size mismatch");
   CBMPI_REQUIRE(all.size() >= blocks.extent(size()), name, " output buffer too small");
   copy_bytes(mine, blocks.of(all, rank()));
-  ring_over(all_ranks(), all, blocks, tag, "allgatherv");
+  ring_over(all_ranks(), all, blocks, tag);
 }
 
 // ---- gather / scatter (linear, over the whole communicator) ---------------
@@ -558,7 +562,8 @@ void Communicator::allgatherv_bytes(CBytes mine, WBytes all, const Blocks& block
 void Communicator::gather_bytes(prof::CallKind kind, CBytes mine, WBytes all,
                                 const Blocks& blocks, int root) {
   const ProfiledCall prof_scope(*engine_, kind);
-  const int tag = begin_collective();
+  const Collective scope(*this, kind == prof::CallKind::Gatherv ? "gatherv" : "gather");
+  const int tag = scope.tag;
   CBMPI_REQUIRE(blocks.fits(size()), prof::to_string(kind),
                 " counts/displs must have comm-size entries");
   if (rank() != root) {
@@ -578,7 +583,9 @@ void Communicator::gather_bytes(prof::CallKind kind, CBytes mine, WBytes all,
 void Communicator::scatter_bytes(prof::CallKind kind, CBytes all, const Blocks& blocks,
                                  WBytes mine, int root) {
   const ProfiledCall prof_scope(*engine_, kind);
-  const int tag = begin_collective();
+  const Collective scope(*this,
+                         kind == prof::CallKind::Scatterv ? "scatterv" : "scatter");
+  const int tag = scope.tag;
   CBMPI_REQUIRE(blocks.fits(size()), prof::to_string(kind),
                 " counts/displs must have comm-size entries");
   CBMPI_REQUIRE(mine.size() >= blocks.bytes(rank()), prof::to_string(kind),
@@ -608,7 +615,9 @@ void Communicator::alltoall_bytes(prof::CallKind kind, CBytes send_data,
                                   const Blocks& send_blocks, WBytes recv_data,
                                   const Blocks& recv_blocks) {
   const ProfiledCall prof_scope(*engine_, kind);
-  const int tag = begin_collective();
+  const Collective scope(*this,
+                         kind == prof::CallKind::Alltoallv ? "alltoallv" : "alltoall");
+  const int tag = scope.tag;
   const int n = size();
   CBMPI_REQUIRE(send_blocks.fits(n) && recv_blocks.fits(n), prof::to_string(kind),
                 " counts/displs must have comm-size entries");
@@ -622,7 +631,7 @@ void Communicator::alltoall_bytes(prof::CallKind kind, CBytes send_data,
                 prof::to_string(kind), " buffer size mismatch");
   copy_bytes(send_blocks.of(send_data, rank()), recv_blocks.of(recv_data, rank()));
   if (kind == prof::CallKind::Alltoallv) {
-    pairwise_over(send_data, send_blocks, recv_data, recv_blocks, tag, "alltoallv");
+    pairwise_over(send_data, send_blocks, recv_data, recv_blocks, tag);
     return;
   }
   // No hierarchical variant (matches the paper: alltoall gains least from
@@ -640,7 +649,7 @@ void Communicator::alltoall_bytes(prof::CallKind kind, CBytes send_data,
         break;
       default:
         algo = coll::Algo::Pairwise;
-        pairwise_over(send_data, send_blocks, recv_data, recv_blocks, tag, "alltoall");
+        pairwise_over(send_data, send_blocks, recv_data, recv_blocks, tag);
         break;
     }
   }
@@ -648,8 +657,7 @@ void Communicator::alltoall_bytes(prof::CallKind kind, CBytes send_data,
 }
 
 void Communicator::pairwise_over(CBytes send_data, const Blocks& send_blocks,
-                                 WBytes recv_data, const Blocks& recv_blocks, int tag,
-                                 const char* coll) {
+                                 WBytes recv_data, const Blocks& recv_blocks, int tag) {
   const int n = size();
   const bool pow2 = is_power_of_two(idx(n));
   const auto step = [&](int s) {
@@ -658,7 +666,7 @@ void Communicator::pairwise_over(CBytes send_data, const Blocks& send_blocks,
     return Exchange::Step{send_blocks.of(send_data, send_to), send_to,
                           recv_blocks.of(recv_data, recv_from), recv_from};
   };
-  engine_->exchange_steps(exchange(), rank(), {n - 1, step}, tag, context(tag), coll);
+  engine_->exchange_steps(exchange(), rank(), {n - 1, step}, tag, context(tag));
 }
 
 // Bruck: ceil(log2(n)) combined-block rounds — fewer, larger messages, at the
@@ -705,7 +713,8 @@ void Communicator::alltoall_spread(CBytes send_data, WBytes recv_data, std::size
 void Communicator::reduce_scatter_block_bytes(CBytes in, WBytes out, std::size_t elem,
                                               Reducer red) {
   const ProfiledCall prof_scope(*engine_, prof::CallKind::ReduceScatter);
-  const int tag = begin_collective();
+  const Collective scope(*this, "reduce_scatter_block");
+  const int tag = scope.tag;
   const int n = size();
   const std::size_t block = in.size() / elem / idx(n) * elem;
   CBMPI_REQUIRE(in.size() == block * idx(n) && out.size() >= block,
@@ -725,7 +734,8 @@ void Communicator::reduce_scatter_block_bytes(CBytes in, WBytes out, std::size_t
 // zero bytes (the value-initialized element) on rank 0.
 void Communicator::scan_bytes(prof::CallKind kind, CBytes in, WBytes out, Reducer red) {
   const ProfiledCall prof_scope(*engine_, kind);
-  const int tag = begin_collective();
+  const Collective scope(*this, kind == prof::CallKind::Exscan ? "exscan" : "scan");
+  const int tag = scope.tag;
   const int n = size();
   CBMPI_REQUIRE(out.size() >= in.size(), prof::to_string(kind),
                 " output buffer too small");

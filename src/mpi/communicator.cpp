@@ -153,6 +153,10 @@ int Communicator::begin_collective() {
   return kCollectiveTagBase + static_cast<int>(epoch * kSubTags);
 }
 
+Communicator::Collective::Collective(Communicator& comm, const char* kind)
+    : tag(comm.begin_collective()),
+      scope_(*comm.engine_, {kind, comm.next_coll_seq_, comm.id_}) {}
+
 std::vector<int> Communicator::all_ranks() const {
   std::vector<int> list(static_cast<std::size_t>(size()));
   std::iota(list.begin(), list.end(), 0);
@@ -224,7 +228,8 @@ const LocalityGroups& Communicator::locality_groups() {
 }
 
 std::optional<Communicator> Communicator::split(int color, int key) {
-  const int tag = begin_collective();
+  const Collective scope(*this, "split");
+  const int tag = scope.tag;
   const std::uint64_t ordinal = next_child_ordinal_++;
 
   struct Triple {

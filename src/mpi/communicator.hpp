@@ -305,6 +305,19 @@ class Communicator {
   /// Reserves a tag block; returns its base. Same sequence on every rank.
   int begin_collective();
 
+  /// One collective call on this communicator, open until it returns: its
+  /// tag block and the engine's CollectiveScope, which names the call
+  /// `kind` with its sequence number in a DeadlockError and withdraws its
+  /// rendezvous sends when a receive fails.
+  class Collective {
+   public:
+    Collective(Communicator& comm, const char* kind);
+    const int tag;
+
+   private:
+    Adi3Engine::CollectiveScope scope_;
+  };
+
   // Unprofiled raw transfers used by point-to-point calls and collectives.
   Request raw_isend(CBytes data, int dst, int tag);
   Request raw_irecv(WBytes buffer, int src, int tag);
@@ -313,7 +326,7 @@ class Communicator {
   void raw_sendrecv(CBytes send_data, int dst, WBytes recv_buffer, int src, int tag);
 
   // Byte-level collectives (mpi/coll/algorithms.cpp). Each entry point opens
-  // the profiled call and the tag block and checks buffer sizes first.
+  // the profiled call and the Collective and checks buffer sizes first.
   /// barrier, bcast, reduce, allreduce, allgather: choose, run, note_algo.
   void run_tunable(const TunableCall& call);
   /// alltoall (engine-chosen algorithm) and alltoallv (pairwise).
@@ -351,9 +364,9 @@ class Communicator {
   coll::Algo allgather_over(const std::vector<int>& list, CBytes mine, WBytes all,
                             int tag, coll::Algo algo);
   /// Ring allgather of `all`'s blocks, each rank starting from its own, as
-  /// a step exchange; `coll` names it in a DeadlockError.
+  /// a step exchange.
   void ring_over(const std::vector<int>& list, WBytes all, const Blocks& blocks,
-                 int tag, const char* coll);
+                 int tag);
   /// Recursive-halving reduce-scatter over a power-of-two list; `in` holds
   /// list.size() equal blocks, `block_out` receives this rank's block.
   void reduce_scatter_halving_over(const std::vector<int>& list, CBytes in,
@@ -364,7 +377,7 @@ class Communicator {
   /// Pairwise exchange: n-1 steps of a step exchange (XOR partners on
   /// power-of-two comms, shifted ring otherwise).
   void pairwise_over(CBytes send_data, const Blocks& send_blocks, WBytes recv_data,
-                     const Blocks& recv_blocks, int tag, const char* coll);
+                     const Blocks& recv_blocks, int tag);
   /// This communicator's exchange, looked up on first use.
   Exchange& exchange();
   void alltoall_bruck(CBytes send_data, WBytes recv_data, std::size_t block, int tag);

@@ -23,12 +23,6 @@ std::uint8_t* map_zeroed(Bytes size) {
   return static_cast<std::uint8_t*>(mem);
 }
 
-/// `n` bytes at `offset` fit a segment of `size` bytes (no wrap-around for
-/// huge offsets).
-bool fits(Bytes offset, std::size_t n, Bytes size) {
-  return offset <= size && n <= size - offset;
-}
-
 }  // namespace
 
 ShmSegment::ShmSegment(Bytes size) : size_(size), bytes_(map_zeroed(size)) {}
@@ -43,20 +37,6 @@ void ShmSegment::store_byte(Bytes offset, std::uint8_t value) {
 std::uint8_t ShmSegment::load_byte(Bytes offset) const {
   CBMPI_REQUIRE(offset < size(), "shm load out of range: ", offset, " >= ", size());
   return std::atomic_ref<std::uint8_t>(bytes_[offset]).load(std::memory_order_acquire);
-}
-
-void ShmSegment::write(Bytes offset, std::span<const std::byte> data) {
-  CBMPI_REQUIRE(fits(offset, data.size(), size()), "shm bulk write out of range: ",
-                data.size(), " bytes at ", offset, " in ", size());
-  if (data.empty()) return;  // an empty span may hold a null pointer memcpy rejects
-  std::memcpy(bytes_ + offset, data.data(), data.size());
-}
-
-void ShmSegment::read(Bytes offset, std::span<std::byte> out) const {
-  CBMPI_REQUIRE(fits(offset, out.size(), size()), "shm bulk read out of range: ",
-                out.size(), " bytes at ", offset, " in ", size());
-  if (out.empty()) return;  // see write()
-  std::memcpy(out.data(), bytes_ + offset, out.size());
 }
 
 std::shared_ptr<ShmSegment> SharedMemoryManager::open(NamespaceId ipc_ns,

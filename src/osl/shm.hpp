@@ -5,25 +5,17 @@
 // container list requires containers to share the host's IPC namespace.
 //
 // Each ShmSegment is backed by its own anonymous mapping, so like the tmpfs
-// pages behind a real /dev/shm segment its memory exists only once touched:
-// a fresh segment reads as all zeros, and a 128 KiB length queue that only
-// ever stages eager messages costs the pages those messages reach. It offers
-// two access granularities, used on different segments:
-//   * lock-free byte ops — the container list protocol writes one byte per
-//     rank concurrently with no locks ("the byte is the smallest granularity
-//     of memory access without the lock", Sec. IV-B);
-//   * bulk read/write — used by the SHM channel's length queue to stage real
-//     payload bytes with memcpy. They take no lock: bulk ops on a segment
-//     have one owner, as each length queue belongs to its sending rank and
-//     only that rank's fiber stages through it. Bulk ops must not race with
-//     byte ops on the same bytes.
+// pages behind a real /dev/shm segment its memory exists only once touched,
+// and a fresh segment reads as all zeros. Its only access is lock-free byte
+// ops: the container list protocol writes one byte per rank concurrently
+// with no locks ("the byte is the smallest granularity of memory access
+// without the lock", Sec. IV-B), and reads an unwritten byte as 0.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <string>
 
 #include "common/units.hpp"
@@ -46,11 +38,6 @@ class ShmSegment {
   /// published before a synchronisation point).
   void store_byte(Bytes offset, std::uint8_t value);
   std::uint8_t load_byte(Bytes offset) const;
-
-  /// Bulk staging of payload bytes; offset+data must fit the segment. One
-  /// thread at a time: the segment's owner.
-  void write(Bytes offset, std::span<const std::byte> data);
-  void read(Bytes offset, std::span<std::byte> out) const;
 
  private:
   Bytes size_;

@@ -167,6 +167,13 @@ std::size_t block_of(Variant v) {
   }
 }
 
+std::size_t idx(int i) { return static_cast<std::size_t>(i); }
+
+/// The byte every byte of the block from `from` to `to` holds in `round`.
+std::uint8_t pattern(int from, int to, int round) {
+  return static_cast<std::uint8_t>(from * 31 + to * 7 + round);
+}
+
 /// Three spread alltoalls on the world communicator, or on the half of an
 /// even/odd split with its ranks in reverse order. Each rank computes for a
 /// rank-dependent time first, so the blocks arrive in a different virtual
@@ -175,23 +182,18 @@ void exchange_body(mpi::Process& p, std::size_t block, bool split) {
   const auto run = [&](mpi::Communicator& comm) {
     const int n = comm.size();
     const int r = comm.rank();
-    std::vector<std::uint8_t> out(block * static_cast<std::size_t>(n));
+    std::vector<std::uint8_t> out(block * idx(n));
     std::vector<std::uint8_t> in(out.size());
     std::vector<std::uint8_t> expected(out.size());
     for (int round = 0; round < 3; ++round) {
       p.compute(400.0 * ((r * 7 + round * 3) % 5));
-      for (int peer = 0; peer < n; ++peer)
-        for (std::size_t i = 0; i < block; ++i) {
-          const std::size_t at = static_cast<std::size_t>(peer) * block + i;
-          const auto value = [&](int from, int to) {
-            return static_cast<std::uint8_t>(
-                static_cast<std::size_t>(from * 31 + to * 7 + round) + i);
-          };
-          out[at] = value(r, peer);
-          expected[at] = value(peer, r);
-        }
+      for (int peer = 0; peer < n; ++peer) {
+        const auto at = static_cast<std::ptrdiff_t>(block * idx(peer));
+        std::fill_n(out.begin() + at, block, pattern(r, peer, round));
+        std::fill_n(expected.begin() + at, block, pattern(peer, r, round));
+      }
       comm.alltoall(std::span<const std::uint8_t>(out), std::span<std::uint8_t>(in));
-      EXPECT_EQ(in, expected) << "rank " << p.rank() << " round " << round;
+      EXPECT_TRUE(in == expected) << "rank " << p.rank() << " round " << round;
     }
   };
   if (!split) {
@@ -317,13 +319,6 @@ const char* to_string(StepColl c) {
     case StepColl::AlltoallPairwise: return "AlltoallPairwise";
   }
   return "?";
-}
-
-std::size_t idx(int i) { return static_cast<std::size_t>(i); }
-
-/// The byte every byte of the block from `from` to `to` holds in `round`.
-std::uint8_t pattern(int from, int to, int round) {
-  return static_cast<std::uint8_t>(from * 31 + to * 7 + round);
 }
 
 /// Packed displacements of `counts`, last rank first.

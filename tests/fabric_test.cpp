@@ -80,78 +80,27 @@ TEST(ShmChannel, RndvTimesRespectMatchOrdering) {
   EXPECT_GT(early_match.sender_done, early_match.receiver_done);
 }
 
-TEST(ShmChannel, StageMovesBytesThroughQueue) {
-  osl::Machine machine(topo::ClusterBuilder().hosts(1).build());
-  auto& host = machine.host_os(0);
-  osl::SimProcess a(host, host.root_namespaces(), topo::CoreId{0, 0});
-  osl::SimProcess b(host, host.root_namespaces(), topo::CoreId{0, 1});
-  const ShmChannel shm(kProfile, TuningParams{});
-  std::vector<std::byte> data(3000);
-  for (std::size_t i = 0; i < data.size(); ++i)
-    data[i] = static_cast<std::byte>(i % 251);
-  std::vector<std::byte> out(data.size());
-  const auto queue = shm.open_queue(a, 42);
-  shm.stage(a, b, *queue, data, out);
-  EXPECT_EQ(out, data);
-  std::vector<std::byte> short_out(data.size() - 1);
-  EXPECT_THROW(shm.stage(a, b, *queue, data, short_out), Error);
-  EXPECT_EQ(host.shm().segment_count(), 1u);
-  EXPECT_EQ(shm.open_queue(a, 42), queue);  // opened once, then reused
-}
-
-TEST(ShmChannel, OneQueueCarriesEverySendOfItsRank) {
-  osl::Machine machine(topo::ClusterBuilder().hosts(1).build());
-  auto& host = machine.host_os(0);
-  osl::SimProcess a(host, host.root_namespaces(), topo::CoreId{0, 0});
-  osl::SimProcess b(host, host.root_namespaces(), topo::CoreId{0, 1});
-  osl::SimProcess c(host, host.root_namespaces(), topo::CoreId{0, 2});
-  TuningParams tuning;
-  tuning.smpi_length_queue = 1_KiB;  // a 3000-byte message takes three chunks
-  const ShmChannel shm(kProfile, tuning);
-  const auto queue = shm.open_queue(a, 0);
-  std::vector<std::byte> to_b(3000);
-  std::vector<std::byte> to_c(700);
-  for (std::size_t i = 0; i < to_b.size(); ++i)
-    to_b[i] = static_cast<std::byte>(i % 253);
-  for (std::size_t i = 0; i < to_c.size(); ++i)
-    to_c[i] = static_cast<std::byte>(255 - i % 241);
-  std::vector<std::byte> at_b(to_b.size() + to_c.size());
-  std::vector<std::byte> at_c(to_c.size());
-  const std::span<std::byte> b_messages(at_b);
-  shm.stage(a, b, *queue, to_b, b_messages.first(to_b.size()));
-  shm.stage(a, c, *queue, to_c, at_c);
-  shm.stage(a, b, *queue, to_c, b_messages.subspan(to_b.size()));
-  EXPECT_EQ(at_c, to_c);
-  EXPECT_TRUE(std::equal(to_b.begin(), to_b.end(), at_b.begin()));
-  EXPECT_TRUE(std::equal(to_c.begin(), to_c.end(), at_b.begin() + 3000));
-  EXPECT_EQ(host.shm().segment_count(), 1u);
-}
-
-TEST(ShmChannel, StageRefusedAcrossIpcNamespaces) {
+TEST(ShmChannel, CheckPeersRefusesAcrossIpcNamespaces) {
   osl::Machine machine(topo::ClusterBuilder().hosts(1).build());
   auto& host = machine.host_os(0);
   osl::NamespaceSet other = host.root_namespaces();
   other.set(osl::NamespaceType::Ipc, host.make_namespace(osl::NamespaceType::Ipc));
   osl::SimProcess a(host, host.root_namespaces(), topo::CoreId{0, 0});
   osl::SimProcess b(host, other, topo::CoreId{0, 1});
+  osl::SimProcess c(host, host.root_namespaces(), topo::CoreId{0, 2});
   const ShmChannel shm(kProfile, TuningParams{});
-  std::vector<std::byte> data(16);
-  std::vector<std::byte> out(16);
-  const auto queue = shm.open_queue(a, 1);
-  EXPECT_THROW(shm.stage(a, b, *queue, data, out), Error);
+  EXPECT_THROW(shm.check_peers(a, b), Error);
+  EXPECT_NO_THROW(shm.check_peers(a, c));
 }
 
-TEST(ShmChannel, StageRefusedAcrossHosts) {
+TEST(ShmChannel, CheckPeersRefusesAcrossHosts) {
   osl::Machine machine(topo::ClusterBuilder().hosts(2).build());
   auto& host0 = machine.host_os(0);
   auto& host1 = machine.host_os(1);
   osl::SimProcess a(host0, host0.root_namespaces(), topo::CoreId{0, 0});
   osl::SimProcess b(host1, host1.root_namespaces(), topo::CoreId{0, 0});
   const ShmChannel shm(kProfile, TuningParams{});
-  std::vector<std::byte> data(16);
-  std::vector<std::byte> out(16);
-  const auto queue = shm.open_queue(a, 0);
-  EXPECT_THROW(shm.stage(a, b, *queue, data, out), Error);
+  EXPECT_THROW(shm.check_peers(a, b), Error);
 }
 
 TEST(CmaChannel, LosesToShmBelow8K_WinsAbove) {

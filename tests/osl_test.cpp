@@ -2,8 +2,6 @@
 // namespace scoping), processes, CMA permission semantics.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <limits>
 #include <thread>
 #include <vector>
 
@@ -54,45 +52,15 @@ TEST(Shm, OutOfRangeThrows) {
   EXPECT_THROW(segment.load_byte(99), Error);
 }
 
-TEST(Shm, BulkRoundTrip) {
-  ShmSegment segment(256);
-  std::vector<std::byte> in(100);
-  for (std::size_t i = 0; i < in.size(); ++i) in[i] = static_cast<std::byte>(i);
-  segment.write(10, in);
-  std::vector<std::byte> out(100);
-  segment.read(10, out);
-  EXPECT_EQ(in, out);
-}
-
 TEST(Shm, FreshQueueSegmentReadsZero) {
-  constexpr Bytes kQueue = 128_KiB;  // the tuned SMPI_LENGTH_QUEUE
-  ShmSegment segment(kQueue);
-  std::vector<std::byte> out(kQueue, std::byte{0xff});
-  segment.read(0, out);
-  EXPECT_TRUE(std::all_of(out.begin(), out.end(), [](std::byte b) { return b == std::byte{0}; }));
-  EXPECT_EQ(segment.load_byte(kQueue - 1), 0);
-}
-
-TEST(Shm, BulkRoundTripEndingAtSegmentEnd) {
-  ShmSegment segment(256);
-  std::vector<std::byte> in(56);
-  for (std::size_t i = 0; i < in.size(); ++i) in[i] = static_cast<std::byte>(i + 1);
-  segment.write(200, in);
-  std::vector<std::byte> out(56);
-  segment.read(200, out);
-  EXPECT_EQ(in, out);
-  EXPECT_EQ(segment.load_byte(255), 56);
-}
-
-TEST(Shm, BulkOutOfRangeThrows) {
-  ShmSegment segment(64);
-  std::vector<std::byte> buf(16);
-  EXPECT_THROW(segment.write(49, buf), Error);
-  EXPECT_THROW(segment.read(49, buf), Error);
-  // offset + size would wrap around to a small value; must still throw.
-  constexpr Bytes kHuge = std::numeric_limits<Bytes>::max();
-  EXPECT_THROW(segment.write(kHuge, buf), Error);
-  EXPECT_THROW(segment.read(kHuge, buf), Error);
+  // The locality list reads a rank that never announced itself as 0 from
+  // the lazily zeroed mapping; nothing clears it up front.
+  constexpr Bytes kBytes = 128_KiB;
+  ShmSegment segment(kBytes);
+  int nonzero = 0;
+  for (Bytes i = 0; i < kBytes; ++i)
+    if (segment.load_byte(i) != 0) ++nonzero;
+  EXPECT_EQ(nonzero, 0);
 }
 
 TEST(Shm, ConcurrentByteStoresAllVisible) {

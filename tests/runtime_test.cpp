@@ -130,10 +130,11 @@ TEST(Runtime, LocalityAwarePolicyUsesShmAcrossContainers) {
   EXPECT_EQ(result.profile.total.channel_ops(ChannelKind::Hca), 0u);
 }
 
-TEST(Runtime, ShmStagingUsesOneQueuePerSendingRank) {
+TEST(Runtime, ShmEagerDeliversEveryByteWithOneSegmentPerHost) {
   // 2 hosts x 2 containers x 2 ranks, all sharing each host's IPC namespace:
   // the even ranks send a 1 KiB SHM eager message to every co-resident peer,
-  // the odd ranks only receive.
+  // the odd ranks only receive. The bytes travel in the message blocks, so
+  // each host's /dev/shm holds only its container locality list.
   JobConfig config;
   config.deployment = DeploymentSpec::containers(2, 2, 4);
   config.policy = LocalityPolicy::ContainerAware;
@@ -174,7 +175,7 @@ TEST(Runtime, ShmStagingUsesOneQueuePerSendingRank) {
     p.world().wait_all(requests);
     for (std::size_t i = 0; i < incoming.size(); ++i)
       if (incoming[i] == pattern(sources[i], me)) ++received[static_cast<std::size_t>(me)];
-    p.sync_time();  // every send has been staged; no message follows
+    p.sync_time();  // every send has been made; no message follows
     segments[static_cast<std::size_t>(me)] = p.os().host().shm().segment_count();
   });
   EXPECT_GE(result.profile.total.channel_ops(ChannelKind::Shm), 12u);
@@ -182,8 +183,7 @@ TEST(Runtime, ShmStagingUsesOneQueuePerSendingRank) {
   for (int r = 0; r < kRanks; ++r) {
     // Each rank hears from the co-resident even ranks other than itself.
     EXPECT_EQ(received[static_cast<std::size_t>(r)], r % 2 == 0 ? 1 : 2) << "rank " << r;
-    // Two sending ranks per host, plus the host's container locality list.
-    EXPECT_EQ(segments[static_cast<std::size_t>(r)], 3u) << "rank " << r;
+    EXPECT_EQ(segments[static_cast<std::size_t>(r)], 1u) << "rank " << r;
   }
 }
 
@@ -603,7 +603,9 @@ TEST(RankEngine, DeadlockNamesOnlyTheRanksStillBlocked) {
                 std::string::npos)
           << what;
       // Rank 2 waits inside the barrier, in the collective context.
-      EXPECT_NE(what.find("rank 2 waits in recv("), std::string::npos) << what;
+      EXPECT_NE(what.find("rank 2 waits in barrier #1 (comm 0): recv("),
+                std::string::npos)
+          << what;
       EXPECT_NE(what.find(", comm=0 (collective))"), std::string::npos) << what;
     }
   });
@@ -832,6 +834,82 @@ TEST(RankEngine, DeadlockNamesTheAlltoallAndTheReceive) {
           << what;
     }
   });
+}
+
+TEST(RankEngine, DeadlockNamesTheMessagePathCollective) {
+  // Recursive doubling on four ranks; rank 2 skips the second allreduce and
+  // waits for a message rank 0 never sends. Rank 3 waits for rank 2 in the
+  // first round, rank 0 for rank 2 in the second, rank 1 for rank 3 there.
+  JobConfig config;
+  config.deployment = DeploymentSpec::native_hosts(1, 4);
+  config.coll_tuning.add(
+      {.coll = coll::Coll::Allreduce, .algo = coll::Algo::RecursiveDoubling});
+  within_10s("a rank missing from an allreduce hung, no DeadlockError", [&] {
+    try {
+      run_job(config, [](mpi::Process& p) {
+        const std::array<int, 1> mine{p.rank()};
+        std::array<int, 1> sum{};
+        p.world().allreduce(std::span<const int>(mine), std::span<int>(sum),
+                            mpi::ReduceOp::Sum);
+        if (p.rank() == 2) {
+          (void)p.world().recv_value<int>(0, 4);
+          return;
+        }
+        p.world().allreduce(std::span<const int>(mine), std::span<int>(sum),
+                            mpi::ReduceOp::Sum);
+      });
+      ADD_FAILURE() << "expected a DeadlockError";
+    } catch (const DeadlockError& e) {
+      const std::string what = e.what();
+      for (const auto& [rank, source] : {std::pair{0, 2}, {1, 3}, {3, 2}})
+        EXPECT_NE(what.find("rank " + std::to_string(rank) +
+                            " waits in allreduce #2 (comm 0): recv(source=" +
+                            std::to_string(source) + ", tag="),
+                  std::string::npos)
+            << what;
+      EXPECT_NE(what.find("rank 2 waits in recv(source=0, tag=4, comm=0)"),
+                std::string::npos)
+          << what;
+    }
+  });
+}
+
+TEST(RankEngine, CollectiveTruncationWithdrawsItsScratchSends) {
+  // Odd ranks pass twice the bytes of even ones, so some rank's receive
+  // truncates while its rendezvous send still points at its scratch
+  // (recursive doubling's accumulator, Bruck's pack) and a peer may still
+  // pull from it. The rank must withdraw that send before unwinding frees
+  // the scratch (ASan and TSan check it), and the job fails with the
+  // truncation.
+  constexpr std::size_t kBytes = 64_KiB;
+  for (const auto kind : {coll::Coll::Allreduce, coll::Coll::Alltoall}) {
+    JobConfig config;
+    config.deployment = DeploymentSpec::native_hosts(2, 2);
+    config.coll_tuning.add(
+        {.coll = coll::Coll::Allreduce, .algo = coll::Algo::RecursiveDoubling});
+    config.coll_tuning.add({.coll = coll::Coll::Alltoall, .algo = coll::Algo::Bruck});
+    try {
+      run_job(config, [kind](mpi::Process& p) {
+        const std::size_t bytes = p.rank() % 2 == 0 ? kBytes : 2 * kBytes;
+        if (kind == coll::Coll::Allreduce) {
+          const std::vector<std::int64_t> mine(bytes / sizeof(std::int64_t), 1);
+          std::vector<std::int64_t> sum(mine.size());
+          p.world().allreduce(std::span<const std::int64_t>(mine),
+                              std::span<std::int64_t>(sum), mpi::ReduceOp::Sum);
+        } else {
+          const std::vector<std::byte> out(bytes * 4, std::byte{7});
+          std::vector<std::byte> in(out.size());
+          p.world().alltoall(std::span<const std::byte>(out), std::span<std::byte>(in));
+        }
+      });
+      ADD_FAILURE() << "expected a truncation error from " << coll::to_string(kind);
+    } catch (const DeadlockError& e) {
+      ADD_FAILURE() << e.what();
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("message truncation: rank "), std::string::npos)
+          << coll::to_string(kind) << ": " << e.what();
+    }
+  }
 }
 
 TEST(RankEngine, AtMostOneWorkerPerCore) {

@@ -18,6 +18,11 @@
    add_subdirectory entry points at a directory that still exists.
 5. DESIGN.md §12 lists exactly the top-level run-report sections that
    src/obs/analysis/report_schema.cpp declares.
+6. Every backticked qualified name (`A::b`) in README.md, DESIGN.md,
+   docs/ARCHITECTURE.md and docs/TUNING.md still names code: each of its
+   parts is an identifier of the C++ sources under src/, tools/, bench/ or
+   tests/, comments and strings stripped. `std::` names are exempt, and so
+   are ROADMAP.md and CHANGES.md, which cite history.
 
 Exit status is 1 if any problem was found, else 0; each problem is printed as
 `file: message` so editors can jump to it.
@@ -61,6 +66,17 @@ KNOB_USER_ROOTS = ("src", "tools", "bench", "examples")
 REPORT_SCHEMA = "src/obs/analysis/report_schema.cpp"
 # `    {"net", kSingle, true,` in kSections; nested ones ("jobs[].crash") skip.
 REPORT_SECTION_RE = re.compile(r'^\s*\{"([a-z_]+)(?:\[\])?", k(?:Single|Schedule|Both),', re.M)
+
+# Check 6: the docs whose qualified names must name code, and where.
+CODE_NAME_DOCS = ["README.md", "DESIGN.md", "docs/ARCHITECTURE.md", "docs/TUNING.md"]
+CODE_ROOTS = ("src", "tools", "bench", "tests")
+INLINE_CODE_RE = re.compile(r"`([^`]+)`")
+QUALIFIED_RE = re.compile(r"\b[A-Za-z_]\w*(?:::[A-Za-z_]\w*)+")
+IDENTIFIER_RE = re.compile(r"\b[A-Za-z_]\w*")
+# Comments, raw strings, strings and character literals, leftmost first.
+COMMENT_OR_LITERAL_RE = re.compile(
+    r'//[^\n]*|/\*.*?\*/|R"([^(\s]*)\(.*?\)\1"|"(?:\\.|[^"\\\n])*"'
+    r"|'(?:\\.|[^'\\\n])+'", re.S)
 
 # [text](target) — excludes images' leading "!" handling (images are links
 # to files too, so check them the same way).
@@ -231,6 +247,37 @@ def check_report_sections(problems):
     return len(declared)
 
 
+def code_identifiers():
+    """Identifiers of the C++ sources under CODE_ROOTS, outside comments
+    and literals."""
+    found = set()
+    for text in cpp_sources(CODE_ROOTS):
+        found.update(IDENTIFIER_RE.findall(COMMENT_OR_LITERAL_RE.sub(" ", text)))
+    return found
+
+
+def check_code_names(problems):
+    identifiers = code_identifiers()
+    count = 0
+    for doc in CODE_NAME_DOCS:
+        with open(os.path.join(REPO, doc), encoding="utf-8") as f:
+            lines = f.read().splitlines()
+        for lineno, line in strip_code_blocks(lines):
+            for span in INLINE_CODE_RE.findall(line):
+                for name in QUALIFIED_RE.findall(span):
+                    parts = name.split("::")
+                    if parts[0] == "std":
+                        continue
+                    count += 1
+                    gone = [part for part in parts if part not in identifiers]
+                    if gone:
+                        problems.append(
+                            f"{doc}:{lineno}: `{name}` names no code: "
+                            f"{', '.join(gone)} is not an identifier under "
+                            f"{', '.join(r + '/' for r in CODE_ROOTS)}")
+    return count
+
+
 def main():
     problems = []
     for doc in DOCS:
@@ -242,6 +289,7 @@ def main():
     check_build_coverage(problems)
     nflags, nenv, nfields = check_tuning_knobs(problems)
     nsections = check_report_sections(problems)
+    nnames = check_code_names(problems)
     for problem in problems:
         print(problem)
     if not problems:
@@ -250,7 +298,8 @@ def main():
               f"{nflags} flags + {nenv} env vars + {nfields} TuningParams "
               f"fields in sync with {TUNING_DOC} and set outside tests/, "
               f"{nsections} report "
-              "sections in sync with DESIGN.md §12")
+              "sections in sync with DESIGN.md §12, "
+              f"{nnames} qualified names in the docs name code")
     return 1 if problems else 0
 
 
