@@ -35,6 +35,13 @@ class DeadlockError : public Error {
   explicit DeadlockError(std::string what) : Error(std::move(what)) {}
 };
 
+/// A receive got more bytes than its buffer holds (MPI_ERR_TRUNCATE); the
+/// message names the receive and both sizes.
+class TruncationError : public Error {
+ public:
+  explicit TruncationError(std::string what) : Error(std::move(what)) {}
+};
+
 namespace detail {
 template <typename... Args>
 [[noreturn]] void raise(const char* cond, const char* file, int line, Args&&... args) {

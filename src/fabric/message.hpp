@@ -24,8 +24,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <span>
+#include <thread>
 
 #include "common/units.hpp"
 #include "osl/cma.hpp"
@@ -39,6 +39,39 @@ const char* to_string(ChannelKind kind);
 
 enum class Protocol : std::uint8_t { Eager, Rendezvous };
 
+/// Guards a buffer that readers on other threads copy from while its owner
+/// may unwind past it: a rendezvous source (RndvState) or an exchange slot's
+/// send blocks (mpi::Exchange::Slot).
+class WithdrawGuard {
+ public:
+  /// Reader side: runs copy() while the owner cannot withdraw, so the
+  /// buffer stays alive throughout. Returns false, without running copy(),
+  /// once the owner has withdrawn.
+  template <typename Copy>
+  bool read(Copy&& copy) {
+    reading_.fetch_add(1);
+    const struct Leave {
+      std::atomic<int>& reading;
+      ~Leave() { reading.fetch_sub(1); }
+    } leave{reading_};
+    if (withdrawn_.load()) return false;
+    copy();
+    return true;
+  }
+
+  /// Owner side, right before it unwinds and frees the buffer: from here on
+  /// no reader copies from it. It spins rather than parks, since it is
+  /// unwinding; a read never parks, so the spin is short.
+  void withdraw() {
+    withdrawn_.store(true);
+    while (reading_.load() != 0) std::this_thread::yield();
+  }
+
+ private:
+  std::atomic<bool> withdrawn_{false};  ///< set once; it stays set
+  std::atomic<int> reading_{0};         ///< reads in progress
+};
+
 /// Shared sender/receiver state of one rendezvous transfer.
 class RndvState {
  public:
@@ -48,23 +81,9 @@ class RndvState {
   std::span<const std::byte> source() const { return src_view_; }
   const osl::SimProcess& sender_process() const { return *sender_; }
 
-  /// Receiver side: runs copy() while the sender cannot withdraw, so the
-  /// source buffer stays alive throughout. Returns false, without running
-  /// copy(), once the sender has withdrawn.
-  template <typename Copy>
-  bool read_source(Copy&& copy) {
-    const std::scoped_lock lock(mutex_);
-    if (withdrawn_) return false;
-    copy();
-    return true;
-  }
-
-  /// Sender side, right before a failing rank unwinds and frees its send
-  /// buffers: from here on no receiver reads the source.
-  void withdraw() {
-    const std::scoped_lock lock(mutex_);
-    withdrawn_ = true;
-  }
+  /// The receiver reads the source through it; a failing sender withdraws
+  /// it before it frees its send buffers.
+  WithdrawGuard guard;
 
   /// Receiver side: publish the sender's virtual completion time.
   void complete(Micros sender_complete_at) {
@@ -82,8 +101,6 @@ class RndvState {
   const osl::SimProcess* sender_;
   Micros sender_complete_at_ = 0.0;
   std::atomic<bool> done_{false};
-  std::mutex mutex_;
-  bool withdrawn_ = false;  // guarded by mutex_
 };
 
 struct Envelope {

@@ -71,16 +71,6 @@ void print_comm(std::ostream& os, std::uint64_t comm_id) {
 Adi3Engine::Adi3Engine(JobState& job, int world_rank, osl::SimProcess& proc)
     : job_(&job), rank_(world_rank), proc_(&proc) {
   CBMPI_REQUIRE(world_rank >= 0 && world_rank < job.nranks, "bad world rank");
-  if (job.metrics != nullptr) {
-    obs_.eager_sends = &job.metrics->counter("adi3.eager_sends");
-    obs_.rndv_sends = &job.metrics->counter("adi3.rndv_sends");
-    for (std::size_t c = 0; c < fabric::kChannelKinds; ++c)
-      obs_.channel_ops[c] = &job.metrics->counter(
-          std::string("channel.") +
-          fabric::to_string(static_cast<fabric::ChannelKind>(c)) + ".ops");
-    obs_.msg_size = &job.metrics->histogram("adi3.message_bytes");
-    obs_.recv_latency = &job.metrics->histogram("adi3.recv_latency_us");
-  }
 }
 
 std::uint64_t Adi3Engine::reg_buffer_id(const void* base) {
@@ -125,12 +115,10 @@ const fabric::Envelope& Adi3Engine::send_block(std::span<const std::byte> data,
   const Bytes size = data.size();
   const auto decision = job_->selector->select(rank_, dst_world, size);
   profile().add_channel_op(decision.channel, size);
-  if (obs_.msg_size != nullptr) {
-    obs_.msg_size->observe(size);
-    obs_.channel_ops[static_cast<std::size_t>(decision.channel)]->add(1);
-    (decision.protocol == fabric::Protocol::Eager ? obs_.eager_sends
-                                                  : obs_.rndv_sends)
-        ->add(1);
+  const bool eager = decision.protocol == fabric::Protocol::Eager;
+  if (job_->record_spans) {
+    records().message_bytes.observe(size);
+    if (!eager) ++records().rndv_sends;
   }
   const std::uint64_t seq = next_seq_++;
   if (decision.channel == fabric::ChannelKind::Hca) {
@@ -141,7 +129,6 @@ const fabric::Envelope& Adi3Engine::send_block(std::span<const std::byte> data,
     charge_hca_retries(dst_world, seq, size);
   }
 
-  const bool eager = decision.protocol == fabric::Protocol::Eager;
   const SendTarget target = place(eager);
   fabric::Envelope& env = target.env;
   env.src = rank_;
@@ -278,7 +265,7 @@ struct Adi3Engine::WithdrawOnThrow {
   int in_flight = std::uncaught_exceptions();
   ~WithdrawOnThrow() {
     if (std::uncaught_exceptions() == in_flight) return;
-    slot.withdraw();
+    slot.guard.withdraw();
     engine.withdraw_sends();
   }
 };
@@ -292,7 +279,7 @@ Micros Adi3Engine::read_entry(Exchange& exchange, int from, int entry,
     const auto payload = (*slot.blocks)[entry].send;
     received_at = receive(env, payload, buffer, posted_at);
   };
-  if (!slot.read(copy))
+  if (!slot.guard.read(copy))
     throw AbortedError("job aborted: rank " + std::to_string(env.src) +
                        " failed before its exchange send completed");
   // A rendezvous sender waits for its pull; every owner waits for its last
@@ -434,50 +421,41 @@ void Adi3Engine::exchange_steps(Exchange& exchange, int me,
 }
 
 void Adi3Engine::describe_wait(std::ostream& os) const {
+  const RequestState* recv = oldest_posted();
+  if (collective_.kind == nullptr) {
+    os << (recv == nullptr ? " is blocked with no posted receive" : " waits in ");
+  } else {
+    // Every exchange runs inside its collective's scope.
+    os << " waits in " << collective_.kind << " #" << collective_.seq;
+    if (waiting_.steps > 0) os << " step " << waiting_.step + 1 << "/" << waiting_.steps;
+    os << " (comm " << collective_.comm_id << "): ";
+    if (waiting_.exchange == nullptr && recv == nullptr) os << "no posted receive";
+  }
   if (waiting_.exchange != nullptr) {
     const Exchange& exchange = *waiting_.exchange;
     const Exchange::Slot& mine = exchange.slot(waiting_.me);
-    if (waiting_.steps > 0) {
-      os << " waits in " << collective_.kind << " step " << waiting_.step + 1 << "/"
-         << waiting_.steps << " (comm " << exchange.comm_id << "): ";
-      if (waiting_.from >= 0)
-        os << "rank " << waiting_.from << " has not published it";
-      else if (waiting_.to >= 0)
-        os << "rank " << waiting_.to << " has not read it";
-      else
-        os << mine.readers_left.load() << " of its entries not read yet";
-      return;
-    }
     const std::uint64_t call = mine.calls.load();
-    os << " waits in alltoall #" << call << " (comm " << exchange.comm_id << "): ";
-    if (exchange.arrived.load() >= call * static_cast<std::uint64_t>(exchange.size())) {
+    if (waiting_.from >= 0)
+      os << "rank " << waiting_.from << " has not published it";
+    else if (waiting_.to >= 0)
+      os << "rank " << waiting_.to << " has not read it";
+    else if (waiting_.steps > 0)
+      os << mine.readers_left.load() << " of its entries not read yet";
+    else if (exchange.arrived.load() >= call * static_cast<std::uint64_t>(exchange.size()))
       os << mine.readers_left.load() << " ranks have not read its blocks";
-      return;
+    else {
+      os << "ranks [";
+      const char* sep = "";
+      for (int p = 0; p < exchange.size(); ++p) {
+        if (exchange.slot(p).calls.load() >= call) continue;
+        os << sep << p;
+        sep = ", ";
+      }
+      os << "] have not arrived";
     }
-    os << "ranks [";
-    const char* sep = "";
-    for (int p = 0; p < exchange.size(); ++p) {
-      if (exchange.slot(p).calls.load() >= call) continue;
-      os << sep << p;
-      sep = ", ";
-    }
-    os << "] have not arrived";
     return;
   }
-  const RequestState* recv = oldest_posted();
-  if (collective_.kind != nullptr) {
-    os << " waits in " << collective_.kind << " #" << collective_.seq << " (comm "
-       << collective_.comm_id << "): ";
-    if (recv == nullptr) {
-      os << "no posted receive";
-      return;
-    }
-  } else if (recv == nullptr) {
-    os << " is blocked with no posted receive";
-    return;
-  } else {
-    os << " waits in ";
-  }
+  if (recv == nullptr) return;
   const auto field = [&](int value, int wildcard) {
     if (value == wildcard)
       os << "any";
@@ -528,7 +506,7 @@ Micros Adi3Engine::receive(const fabric::Envelope& env,
        << ", tag=" << env.tag << ", comm=";
     print_comm(os, env.comm_id);
     os << ") got " << env.size << " bytes into a " << buffer.size() << "-byte buffer";
-    throw Error(os.str());
+    throw TruncationError(os.str());
   }
   const bool eager = env.protocol == fabric::Protocol::Eager;
   net::TransferCtx ctx;
@@ -579,9 +557,8 @@ Micros Adi3Engine::receive(const fabric::Envelope& env,
       span.stall =
           job_->hca->contention_stall(env.size, env.loopback, env.sriov, ctxp);
     records().spans.push_back(std::move(span));
+    records().recv_latency_us.observe(static_cast<std::uint64_t>(complete_at - posted_at));
   }
-  if (obs_.recv_latency != nullptr)
-    obs_.recv_latency->observe(static_cast<std::uint64_t>(complete_at - posted_at));
   return complete_at;
 }
 
@@ -595,7 +572,7 @@ fabric::RndvTimes Adi3Engine::pull(std::span<std::byte> buffer, Micros posted_at
   // A sender that aborted or crashed withdrew the send before freeing the
   // buffer; this receiver then aborts too instead of reading freed memory.
   const auto read_source = [&](auto&& copy) {
-    if (!rndv.read_source(copy))
+    if (!rndv.guard.read(copy))
       throw AbortedError("job aborted: rank " + std::to_string(env.src) +
                          " failed before its rendezvous send completed");
   };
@@ -749,7 +726,7 @@ void Adi3Engine::check_abort() {
 }
 
 void Adi3Engine::withdraw_sends() {
-  for (const auto& sent : rndv_sends_) sent->withdraw();
+  for (const auto& sent : rndv_sends_) sent->guard.withdraw();
 }
 
 void Adi3Engine::check_crash() {

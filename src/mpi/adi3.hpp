@@ -22,8 +22,9 @@
 // when the receiver shares that worker, otherwise by the sender in its next
 // allocation or progress_posted, after the receiver handed it back. Nothing
 // on the message path takes a lock: HCA queue pairs are one bit per peer in
-// the rank's own records, and only this rank's fiber touches its matcher's
-// bins. A matched receive whose completion fails leaves the others matched
+// the rank's own records, an observed job's message metrics are plain
+// histograms there too (run_job builds the job's registry from them once
+// the workers join), and only this rank's fiber touches its matcher's bins. A matched receive whose completion fails leaves the others matched
 // for the next progress; ~Adi3Engine, on the rank's fiber, releases the
 // messages of any still held, so no request outlives the job holding a block.
 //
@@ -178,10 +179,10 @@ class Adi3Engine {
     return posted_.empty() ? nullptr : posted_.front().get();
   }
 
-  /// What this rank is blocked on, for DeadlockError: the exchange call or
-  /// step it is parked in, else its oldest posted receive, after the
-  /// collective it is in, if any. Only safe to call while this rank is
-  /// parked.
+  /// What this rank is blocked on, for DeadlockError: the collective it is
+  /// in, if any, by its CollectiveScope number (and the exchange step), then
+  /// what its exchange waits for, else its oldest posted receive. Only safe
+  /// to call while this rank is parked.
   void describe_wait(std::ostream& os) const;
 
   /// Crash injection: throws faults::CrashedError once this rank's virtual
@@ -231,8 +232,8 @@ class Adi3Engine {
     std::span<std::byte> payload;
   };
   /// The sender's side of one transfer, for start_send and alltoall alike:
-  /// the crash check, channel selection and its counters, the sequence
-  /// number, the HCA queue pair and fault retries, then either the eager
+  /// the crash check, channel selection, the profile's channel count and
+  /// the rank's message-size record, the sequence number, the HCA queue pair and fault retries, then either the eager
   /// costs, SHM's host and IPC namespace check, copy, flow record and trace
   /// event, or the RTS overhead, sender pin-down lookup and RndvState.
   /// `place(eager)` returns where the envelope and eager bytes go.
@@ -246,7 +247,7 @@ class Adi3Engine {
   /// complete_recv and alltoall alike: the one truncation check, the eager
   /// copy-out of `payload` (or pull() and RndvState::complete for a
   /// rendezvous), the busy chain, the trace events, the Proto span and the
-  /// recv-latency histogram. Returns the receive's completion time.
+  /// rank's recv-latency record. Returns the receive's completion time.
   Micros receive(const fabric::Envelope& env, std::span<const std::byte> payload,
                  std::span<std::byte> buffer, Micros posted_at);
   /// Rendezvous only: prices the transfer on its channel (with the pin-down
@@ -276,7 +277,7 @@ class Adi3Engine {
   template <typename Done>
   void wait_in(const ExchangeWait& where, Done&& done);
   /// Receives the block of entry `entry` of comm rank `from`'s slot into
-  /// `buffer` through Slot::read (AbortedError once the owner withdrew),
+  /// `buffer` through the slot's guard (AbortedError once the owner withdrew),
   /// counts the read off that slot and pokes the owner when it was the last
   /// one or a rendezvous pull. Returns the receive's completion time.
   Micros read_entry(Exchange& exchange, int from, int entry,
@@ -289,24 +290,6 @@ class Adi3Engine {
   JobState* job_;
   int rank_;
   osl::SimProcess* proc_;
-
-  /// Observability handles, resolved once at construction when the job has a
-  /// metrics registry attached (all null otherwise, so the hot path is one
-  /// pointer test). Values are virtual-time-deterministic, so concurrent
-  /// atomic bumps still yield bit-identical snapshots. The pin-down cache
-  /// counts its own hits, misses and evictions; run_job copies them into the
-  /// registry at job end.
-  struct ObsHandles {
-    obs::Counter* eager_sends = nullptr;
-    obs::Counter* rndv_sends = nullptr;
-    obs::Counter* channel_ops[fabric::kChannelKinds] = {};
-    obs::Histogram* msg_size = nullptr;
-    /// Post-to-completion time of each receive, in whole virtual
-    /// microseconds. Derived from virtual timestamps only — never from queue
-    /// occupancy, which depends on wall-clock drain order.
-    obs::Histogram* recv_latency = nullptr;
-  };
-  ObsHandles obs_;
 
   /// Stable per-rank buffer identity for the pin-down cache: ids are handed
   /// out in this rank's first-use order, a deterministic function of the

@@ -21,7 +21,6 @@
 #include <memory>
 #include <mutex>
 #include <span>
-#include <thread>
 #include <vector>
 
 #include "common/error.hpp"
@@ -56,12 +55,19 @@ struct WindowInfo {
   std::vector<int> epoch_holders;
 };
 
-/// Everything one rank records while the job runs. The three streams stay
-/// empty unless the job turned them on (JobState::record_trace, record_spans,
-/// record_flows()).
+/// Everything one rank records while the job runs. The three streams and
+/// the message metrics stay empty unless the job turned them on
+/// (JobState::record_trace, record_spans, record_flows()).
 struct RankRecords {
   prof::RankProfile profile;
   std::vector<obs::Span> spans;          // JobConfig::observe
+  /// JobConfig::observe: each send's size and rendezvous sends
+  /// (Adi3Engine::send_block), and each receive's post-to-completion time in
+  /// whole virtual microseconds (Adi3Engine::receive). run_job turns them
+  /// into the adi3.* metrics at job end.
+  obs::Histogram message_bytes;
+  std::uint64_t rndv_sends = 0;
+  obs::Histogram recv_latency_us;
   std::vector<sim::TraceEvent> trace;    // JobConfig::record_trace
   std::vector<net::FlowRecord> flows;    // the fabric's record pass
   /// One bit per world rank: the peers this rank opened an HCA queue pair
@@ -103,8 +109,8 @@ struct PhaseAlignment {
 /// wake-up.
 ///
 /// The blocks live in the owner's memory, so an owner that unwinds past its
-/// send buffers withdraws the slot first (withdraw()), and a reader copies
-/// only through read(), which then refuses. The counters readers write sit
+/// send buffers withdraws the slot's guard first, and a reader copies only
+/// through the guard, which then refuses. The counters readers write sit
 /// on lines of their own, away from what every reader loads.
 struct Exchange {
   /// One block of a call or step, in comm ranks: `send` goes to `to`, and
@@ -139,39 +145,15 @@ struct Exchange {
     std::atomic<std::uint64_t> calls{0};
     /// Step form: the phase's tag << 32 | the steps it has published.
     std::atomic<std::uint64_t> published{0};
-    /// Set by an owner unwinding past its send buffers; it stays set.
-    std::atomic<bool> withdrawn{false};
     /// Per comm rank (alltoall, its own unused) or per step: the block's
     /// envelope, and where its bytes sit, as the owner's list computes it.
     std::vector<fabric::Envelope> envelopes;
     const StepList* blocks = nullptr;
     /// Reads of the current call or phase not done yet.
     alignas(64) std::atomic<int> readers_left{0};
-    /// Reads in progress; withdraw() waits for it to drain.
-    alignas(64) std::atomic<int> reading{0};
-
-    /// Reader side: runs copy() while the owner cannot withdraw, so its send
-    /// buffer stays alive throughout. Returns false, without running copy(),
-    /// once the owner has withdrawn.
-    template <typename Copy>
-    bool read(Copy&& copy) {
-      reading.fetch_add(1);
-      const struct Leave {
-        std::atomic<int>& reading;
-        ~Leave() { reading.fetch_sub(1); }
-      } leave{reading};
-      if (withdrawn.load()) return false;
-      copy();
-      return true;
-    }
-
-    /// Owner side, as it unwinds past its send buffers: from here on no
-    /// reader copies from them. It spins rather than parks, since it is
-    /// unwinding; a read never parks, so the spin is short.
-    void withdraw() {
-      withdrawn.store(true);
-      while (reading.load() != 0) std::this_thread::yield();
-    }
+    /// Peers copy the owner's send blocks through it (Adi3Engine::read_entry);
+    /// the owner withdraws it before it unwinds past them.
+    alignas(64) fabric::WithdrawGuard guard;
   };
 
   Exchange(std::uint64_t id, std::vector<int> ranks)
@@ -223,10 +205,8 @@ struct JobState {
   const net::CongestionMap* congestion = nullptr;
   std::vector<int> rank_phys_host;
 
-  /// Observability (JobConfig::observe): metrics is null and record_spans
-  /// false when disabled. Metrics handles are resolved once per engine;
-  /// spans carry virtual-time intervals only.
-  obs::MetricsRegistry* metrics = nullptr;
+  /// Observability (JobConfig::observe): ranks record spans and message
+  /// metrics into their RankRecords, in virtual time only.
   bool record_spans = false;
 
   /// Fault injection (null when the job's FaultPlan is empty — the common

@@ -501,11 +501,7 @@ JobResult run_job_attempt(const JobConfig& config,
   }
 
   job.record_trace = config.record_trace;
-  obs::MetricsRegistry metrics_registry;
-  if (config.observe) {
-    job.metrics = &metrics_registry;
-    job.record_spans = true;
-  }
+  job.record_spans = config.observe;
 
   const bool vm_mode =
       spec.isolation == container::IsolationKind::VirtualMachine && any_containers;
@@ -725,6 +721,8 @@ JobResult run_job_attempt(const JobConfig& config,
     os << "rank " << root_rank << " failed at t=" << root->at << " us: ";
     try {
       std::rethrow_exception(root->error);
+    } catch (const TruncationError& e) {
+      throw TruncationError(os.str() + e.what());
     } catch (const std::exception& e) {
       throw Error(os.str() + e.what());
     } catch (...) {
@@ -767,31 +765,45 @@ JobResult run_job_attempt(const JobConfig& config,
     }
   }
   if (config.observe) {
+    // The job's registry, built once from the ranks' records and the merged
+    // profile: each transfer and one-sided op is counted once, by channel.
+    obs::MetricsRegistry metrics;
+    auto& message_bytes = metrics.histogram("adi3.message_bytes");
+    auto& recv_latency = metrics.histogram("adi3.recv_latency_us");
+    std::uint64_t rndv_sends = 0;
+    for (const auto& records : job.rank_records) {
+      message_bytes.merge(records.message_bytes);
+      recv_latency.merge(records.recv_latency_us);
+      rndv_sends += records.rndv_sends;
+    }
+    metrics.counter("adi3.rndv_sends").add(rndv_sends);
+    metrics.counter("adi3.eager_sends").add(message_bytes.snapshot().count - rndv_sends);
+    for (std::size_t c = 0; c < fabric::kChannelKinds; ++c) {
+      const auto kind = static_cast<fabric::ChannelKind>(c);
+      metrics.counter(std::string("channel.") + fabric::to_string(kind) + ".ops")
+          .add(result.profile.total.channel_ops(kind));
+    }
     if (recovery) {
-      metrics_registry.counter("recovery.checkpoints")
+      metrics.counter("recovery.checkpoints")
           .add(static_cast<std::uint64_t>(result.checkpoints.size()));
       if (!result.checkpoints.empty())
-        metrics_registry.gauge("recovery.last_checkpoint_us")
-            .set(result.checkpoints.back().at);
-      if (result.restored) metrics_registry.counter("recovery.restarts").add(1);
+        metrics.gauge("recovery.last_checkpoint_us").set(result.checkpoints.back().at);
+      if (result.restored) metrics.counter("recovery.restarts").add(1);
     }
     if (result.reg_cache.enabled) {
       // The cache's own stats: every rendezvous lookup, none for warm().
-      metrics_registry.counter("hca.reg_cache.hits").add(result.reg_cache.hits);
-      metrics_registry.counter("hca.reg_cache.misses").add(result.reg_cache.misses);
-      metrics_registry.counter("hca.reg_cache.evictions")
-          .add(result.reg_cache.evictions);
-      metrics_registry.gauge("hca.reg_cache.pinned_bytes")
+      metrics.counter("hca.reg_cache.hits").add(result.reg_cache.hits);
+      metrics.counter("hca.reg_cache.misses").add(result.reg_cache.misses);
+      metrics.counter("hca.reg_cache.evictions").add(result.reg_cache.evictions);
+      metrics.gauge("hca.reg_cache.pinned_bytes")
           .set(static_cast<double>(result.reg_cache.pinned_bytes));
-      metrics_registry.gauge("hca.reg_cache.peak_pinned_bytes")
+      metrics.gauge("hca.reg_cache.peak_pinned_bytes")
           .set(static_cast<double>(result.reg_cache.peak_pinned_bytes));
     }
-    // Job-level summary gauges ride in the same registry the engines fed,
-    // so one snapshot carries everything.
-    metrics_registry.gauge("job.virtual_time_us").set(result.job_time);
-    metrics_registry.gauge("job.comm_fraction").set(result.profile.comm_fraction());
-    metrics_registry.counter("job.ranks").add(static_cast<std::uint64_t>(nranks));
-    result.metrics = metrics_registry.snapshot();
+    metrics.gauge("job.virtual_time_us").set(result.job_time);
+    metrics.gauge("job.comm_fraction").set(result.profile.comm_fraction());
+    metrics.counter("job.ranks").add(static_cast<std::uint64_t>(nranks));
+    result.metrics = metrics.snapshot();
   }
   return result;
 }

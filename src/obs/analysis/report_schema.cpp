@@ -337,8 +337,8 @@ void check_single(const JsonValue& doc, Problems& p) {
   for (std::size_t h = 0; h < histograms.size(); ++h)
     check_histogram(histograms[h], indexed("metrics.histograms", h), p);
 
-  // Table-I path: the ADI3 hot-path counters and the profile's channel table
-  // observe the same channel decisions.
+  // Table-I path: every channel decision is one message send (eager or
+  // rendezvous) or one one-sided op (MPI_Put, MPI_Get, MPI_Accumulate).
   std::map<std::string, double> counters;
   for (const auto& c : doc["metrics"]["counters"].as_array())
     counters[c["name"].as_string()] = num(c, "value");
@@ -348,9 +348,17 @@ void check_single(const JsonValue& doc, Problems& p) {
   const double channel_ops = sum(doc["profile"]["channels"], "ops");
   p.expect(counters.empty() || channel_counters == channel_ops,
            "metrics.counters: channel.* counters != profile.channels ops");
+  double one_sided = 0.0;
+  for (const auto& call : doc["profile"]["calls"].as_array()) {
+    const std::string& name = call["name"].as_string();
+    if (name == "MPI_Put" || name == "MPI_Get" || name == "MPI_Accumulate")
+      one_sided += num(call, "count");
+  }
   p.expect((!counters.contains("adi3.eager_sends") && !counters.contains("adi3.rndv_sends")) ||
-               counters["adi3.eager_sends"] + counters["adi3.rndv_sends"] == channel_ops,
-           "metrics.counters: adi3.eager_sends + adi3.rndv_sends != profile.channels ops");
+               counters["adi3.eager_sends"] + counters["adi3.rndv_sends"] + one_sided ==
+                   channel_ops,
+           "metrics.counters: adi3.eager_sends + adi3.rndv_sends + one-sided calls != "
+           "profile.channels ops");
 
   p.expect(sum(doc["spans"]["by_category"], "count") == num(doc["spans"], "count"),
            "spans.count: is not the sum of by_category counts");

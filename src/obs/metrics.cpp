@@ -4,8 +4,6 @@
 #include <cmath>
 #include <limits>
 
-#include "common/error.hpp"
-
 namespace cbmpi::obs {
 
 std::uint64_t HistogramSnapshot::percentile(double q) const {
@@ -27,12 +25,17 @@ std::uint64_t Histogram::bucket_upper(int index) {
   return (std::uint64_t{1} << index) - 1;
 }
 
+void Histogram::merge(const Histogram& other) {
+  for (int i = 0; i < kBuckets; ++i)
+    buckets_[static_cast<std::size_t>(i)] += other.buckets_[static_cast<std::size_t>(i)];
+  sum_ += other.sum_;
+}
+
 HistogramSnapshot Histogram::snapshot() const {
   HistogramSnapshot snap;
-  snap.sum = sum_.load(std::memory_order_relaxed);
+  snap.sum = sum_;
   for (int i = 0; i < kBuckets; ++i) {
-    const std::uint64_t n = buckets_[static_cast<std::size_t>(i)].load(
-        std::memory_order_relaxed);
+    const std::uint64_t n = buckets_[static_cast<std::size_t>(i)];
     if (n == 0) continue;
     snap.buckets.push_back({bucket_upper(i), n});
     snap.count += n;
@@ -40,49 +43,17 @@ HistogramSnapshot Histogram::snapshot() const {
   return snap;
 }
 
-Counter& MetricsRegistry::counter(const std::string& name) {
-  const std::scoped_lock lock(mutex_);
-  auto& slot = instruments_[name];
-  if (!slot.counter) {
-    CBMPI_REQUIRE(!slot.gauge && !slot.histogram,
-                  "metric '", name, "' already registered with another kind");
-    slot.counter = std::make_unique<Counter>();
-  }
-  return *slot.counter;
-}
-
-Gauge& MetricsRegistry::gauge(const std::string& name) {
-  const std::scoped_lock lock(mutex_);
-  auto& slot = instruments_[name];
-  if (!slot.gauge) {
-    CBMPI_REQUIRE(!slot.counter && !slot.histogram,
-                  "metric '", name, "' already registered with another kind");
-    slot.gauge = std::make_unique<Gauge>();
-  }
-  return *slot.gauge;
-}
-
-Histogram& MetricsRegistry::histogram(const std::string& name) {
-  const std::scoped_lock lock(mutex_);
-  auto& slot = instruments_[name];
-  if (!slot.histogram) {
-    CBMPI_REQUIRE(!slot.counter && !slot.gauge,
-                  "metric '", name, "' already registered with another kind");
-    slot.histogram = std::make_unique<Histogram>();
-  }
-  return *slot.histogram;
-}
-
 MetricsSnapshot MetricsRegistry::snapshot() const {
-  const std::scoped_lock lock(mutex_);
   MetricsSnapshot snap;
   // std::map iteration is already name-sorted — the deterministic order the
   // exporters rely on.
   for (const auto& [name, instrument] : instruments_) {
-    if (instrument.counter) snap.counters.emplace_back(name, instrument.counter->value());
-    if (instrument.gauge) snap.gauges.emplace_back(name, instrument.gauge->value());
-    if (instrument.histogram)
-      snap.histograms.emplace_back(name, instrument.histogram->snapshot());
+    if (const auto* c = std::get_if<Counter>(&instrument))
+      snap.counters.emplace_back(name, c->value());
+    else if (const auto* g = std::get_if<Gauge>(&instrument))
+      snap.gauges.emplace_back(name, g->value());
+    else
+      snap.histograms.emplace_back(name, std::get<Histogram>(instrument).snapshot());
   }
   return snap;
 }

@@ -2,57 +2,44 @@
 // histograms, sampled in *virtual* time so reruns with the same seed are
 // bit-identical.
 //
-// Concurrency model: rank fibers on several worker threads bump the same instrument
-// concurrently. Counters and histograms only ever *add* unsigned integers
-// (addition commutes, so the final totals are independent of thread
-// interleaving); gauges are set from one thread (usually the runtime at job
-// end) or via a monotone max. Instrument lookup takes a mutex — hot paths
-// resolve their instruments once (e.g. at engine construction) and keep the
-// returned references, which stay valid for the registry's lifetime.
-//
-// A null registry pointer means "observability off"; every instrumentation
-// site guards on that, so disabled jobs pay nothing.
+// A registry is built once, on one thread, after the job it describes has
+// ended: run_job reads each rank's records (mpi::RankRecords, where a rank's
+// fiber observes its own message sizes and receive latencies into plain
+// Histograms) and the merged profile, and the scheduler exports its cluster
+// metrics the same way. No instrument is shared while ranks run, so none
+// needs a lock or an atomic.
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <map>
-#include <memory>
-#include <mutex>
 #include <string>
+#include <variant>
 #include <vector>
+
+#include "common/error.hpp"
 
 namespace cbmpi::obs {
 
 class Counter {
  public:
-  void add(std::uint64_t delta = 1) {
-    value_.fetch_add(delta, std::memory_order_relaxed);
-  }
-  std::uint64_t value() const { return value_.load(std::memory_order_relaxed); }
+  void add(std::uint64_t delta = 1) { value_ += delta; }
+  std::uint64_t value() const { return value_; }
 
  private:
-  std::atomic<std::uint64_t> value_{0};
+  std::uint64_t value_ = 0;
 };
 
-/// A last-write-wins (or monotone-max) double. Meant for end-of-job summary
-/// values (virtual makespan, utilization), not for cross-thread accumulation
-/// — double addition does not commute bit-exactly.
+/// A last-write-wins double, for end-of-job summary values (virtual
+/// makespan, utilization).
 class Gauge {
  public:
-  void set(double v) { value_.store(v, std::memory_order_relaxed); }
-  void max(double v) {
-    double cur = value_.load(std::memory_order_relaxed);
-    while (v > cur &&
-           !value_.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-    }
-  }
-  double value() const { return value_.load(std::memory_order_relaxed); }
+  void set(double v) { value_ = v; }
+  double value() const { return value_; }
 
  private:
-  std::atomic<double> value_{0.0};
+  double value_ = 0.0;
 };
 
 struct HistogramSnapshot {
@@ -77,10 +64,11 @@ struct HistogramSnapshot {
 class Histogram {
  public:
   void observe(std::uint64_t value) {
-    buckets_[static_cast<std::size_t>(bucket_of(value))].fetch_add(
-        1, std::memory_order_relaxed);
-    sum_.fetch_add(value, std::memory_order_relaxed);
+    ++buckets_[static_cast<std::size_t>(bucket_of(value))];
+    sum_ += value;
   }
+  /// Adds every observation of `other`.
+  void merge(const Histogram& other);
 
   HistogramSnapshot snapshot() const;
 
@@ -94,8 +82,8 @@ class Histogram {
   static constexpr int kBuckets = 65;
 
  private:
-  std::array<std::atomic<std::uint64_t>, kBuckets> buckets_{};
-  std::atomic<std::uint64_t> sum_{0};
+  std::array<std::uint64_t, kBuckets> buckets_{};
+  std::uint64_t sum_ = 0;
 };
 
 /// Snapshot of a whole registry, sorted by instrument name — the
@@ -115,21 +103,23 @@ class MetricsRegistry {
   /// Finds or creates; the returned reference stays valid for the
   /// registry's lifetime. A name identifies exactly one instrument kind —
   /// asking for a counter named like an existing gauge throws.
-  Counter& counter(const std::string& name);
-  Gauge& gauge(const std::string& name);
-  Histogram& histogram(const std::string& name);
+  Counter& counter(const std::string& name) { return find<Counter>(name); }
+  Gauge& gauge(const std::string& name) { return find<Gauge>(name); }
+  Histogram& histogram(const std::string& name) { return find<Histogram>(name); }
 
   MetricsSnapshot snapshot() const;
 
  private:
-  struct Instrument {
-    std::unique_ptr<Counter> counter;
-    std::unique_ptr<Gauge> gauge;
-    std::unique_ptr<Histogram> histogram;
-  };
+  template <typename T>
+  T& find(const std::string& name) {
+    auto& slot = instruments_.try_emplace(name, std::in_place_type<T>).first->second;
+    T* instrument = std::get_if<T>(&slot);
+    CBMPI_REQUIRE(instrument != nullptr,
+                  "metric '", name, "' already registered with another kind");
+    return *instrument;
+  }
 
-  mutable std::mutex mutex_;
-  std::map<std::string, Instrument> instruments_;
+  std::map<std::string, std::variant<Counter, Gauge, Histogram>> instruments_;
 };
 
 }  // namespace cbmpi::obs

@@ -18,6 +18,7 @@
 #include <numeric>
 #include <random>
 #include <set>
+#include <sstream>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -537,6 +538,61 @@ TEST(ObsReport, ChannelOpCountersMatchTableIPath) {
   EXPECT_GT(profile_total, 0u);
   EXPECT_EQ(eager + rndv, profile_total);
   EXPECT_GT(rndv, 0u);  // the 512 KiB message must have gone rendezvous
+}
+
+// Every counter and every histogram's count, sum and buckets of one observed
+// job, pinned: rank 0 sends an eager and a rendezvous message over each
+// channel (SHM and CMA to ranks in its container and its host, the HCA to
+// the other host), then every rank runs a message-path allreduce, a ring
+// allgather (a step exchange) and a spread alltoall, at eager and rendezvous
+// sizes. No one-sided op, so the channel counters are transfers only.
+TEST(ObsMetrics, SnapshotOverEveryChannelAndCollectivePathIsPinned) {
+  auto config = obs_job_config(true);
+  config.deployment = DeploymentSpec::containers(2, 2, 4);
+  config.coll_tuning.add(
+      {.coll = coll::Coll::Allreduce, .algo = coll::Algo::RecursiveDoubling});
+  config.coll_tuning.add({.coll = coll::Coll::Allgather, .algo = coll::Algo::Ring});
+  config.coll_tuning.add({.coll = coll::Coll::Alltoall, .algo = coll::Algo::Spread});
+  const auto result = mpi::run_job(config, [](mpi::Process& p) {
+    auto& world = p.world();
+    for (const std::size_t bytes : {std::size_t{1_KiB}, std::size_t{256_KiB}}) {
+      std::vector<std::byte> buf(bytes);
+      for (const int peer : {1, 2, 4}) {
+        if (p.rank() == 0) world.send(std::span<const std::byte>(buf), peer, 1);
+        if (p.rank() == peer) world.recv(std::span<std::byte>(buf), 0, 1);
+      }
+    }
+    for (const std::size_t ints : {std::size_t{128}, std::size_t{16_KiB}}) {
+      const std::vector<int> mine(ints, p.rank());
+      std::vector<int> out(ints);
+      world.allreduce(std::span<const int>(mine), std::span<int>(out),
+                      mpi::ReduceOp::Max);
+      std::vector<int> all(ints * static_cast<std::size_t>(p.size()));
+      world.allgather(std::span<const int>(mine), std::span<int>(all));
+      const std::vector<int> send(all.size(), p.rank());
+      world.alltoall(std::span<const int>(send), std::span<int>(all));
+    }
+  });
+  std::ostringstream measured;
+  for (const auto& [name, value] : result.metrics.counters)
+    measured << name << " " << value << "\n";
+  for (const auto& [name, hist] : result.metrics.histograms) {
+    measured << name << " count " << hist.count << " sum " << hist.sum << "\n ";
+    for (const auto& bucket : hist.buckets)
+      measured << " " << bucket.upper << ":" << bucket.count;
+    measured << "\n";
+  }
+  EXPECT_EQ(measured.str(), R"(adi3.eager_sends 139
+adi3.rndv_sends 139
+channel.CMA.ops 84
+channel.HCA.ops 110
+channel.SHM.ops 84
+job.ranks 8
+adi3.message_bytes count 278 sum 9772032
+  1023:136 2047:3 131071:136 524287:3
+adi3.recv_latency_us count 278 sum 5005
+  0:79 1:15 3:32 7:6 15:81 31:15 63:26 127:20 255:4
+)");
 }
 
 TEST(ObsReport, ByteIdenticalAcrossReruns) {
@@ -1225,6 +1281,24 @@ TEST(ReportFacts, ColdVersusWarmPinDownCacheDiff) {
   const std::string line = diff.substr(row, diff.find('\n', row) - row);
   EXPECT_NE(line.find("%"), std::string::npos) << line;
   EXPECT_EQ(line.find("-"), std::string::npos) << "cold must blame more: " << line;
+}
+
+TEST(ReportFacts, OneSidedJobPassesItsOwnChecker) {
+  // A one-sided op takes a channel but sends no message: the report's
+  // channel counters and its send counters must still agree with the
+  // profile, and the checker must count the op.
+  auto config = obs_job_config(true);
+  config.deployment = DeploymentSpec::containers(1, 1, 2);
+  const auto result = mpi::run_job(config, [](mpi::Process& p) {
+    std::vector<int> memory(4, 0);
+    mpi::Window<int> window(p.world(), std::span<int>(memory));
+    const int value = p.rank();
+    window.put(std::span<const int>(&value, 1), 1 - p.rank(), 0);
+    window.fence();
+  });
+  const auto facts = obs::analysis::parse_report_facts(
+      parse_json(obs::run_report_json(test_context(), result)), "put.json");
+  EXPECT_TRUE(facts.ok()) << testing::PrintToString(facts.problems);
 }
 
 TEST(ReportFacts, UntrustedReportLoadsNoFacts) {

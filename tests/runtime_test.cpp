@@ -382,7 +382,7 @@ TEST(Runtime, TruncationThrows) {
                   p.world().recv(std::span<int>(small), 0);
                 }
               }),
-      Error);
+      TruncationError);
 }
 
 // A failed completion leaves the receives matched with it holding their
@@ -412,7 +412,7 @@ TEST(Runtime, MatchedReceiveKeptPastFailedJobIsFreedSafely) {
                 kept.push_back(comm.irecv(std::span<std::byte>(in2), 0, 2));
                 comm.wait(kept.back());
               }),
-      Error);
+      TruncationError);
   ASSERT_EQ(kept.size(), 1u);
   EXPECT_FALSE(kept.front()->complete);
   EXPECT_EQ(kept.front()->message, nullptr);
@@ -653,7 +653,7 @@ TEST(RankEngine, TruncationNamesTheReceiveAndBothSizes) {
           }
         });
         ADD_FAILURE() << "expected a truncation error for " << bytes << " bytes";
-      } catch (const Error& e) {
+      } catch (const TruncationError& e) {
         const std::string what = e.what();
         const std::string expected =
             "message truncation: rank 0 recv(source=1, tag=9, comm=0) got " +
@@ -808,11 +808,17 @@ TEST(ProgressRule, AlltoallCompletesAPendingRendezvousReceive) {
 
 TEST(RankEngine, DeadlockNamesTheAlltoallAndTheReceive) {
   // Rank 2 skips the alltoall and waits for a message rank 0 never sends.
+  // A barrier and an allgather come first, so the alltoall is the
+  // communicator's third collective, as its CollectiveScope numbers it.
   auto config = three_rank_native();
   config.coll_tuning.add({.coll = coll::Coll::Alltoall, .algo = coll::Algo::Spread});
   within_10s("a rank missing from an alltoall hung, no DeadlockError", [&] {
     try {
       run_job(config, [](mpi::Process& p) {
+        p.world().barrier();
+        const std::array<int, 1> mine{p.rank()};
+        std::array<int, 3> all{};
+        p.world().allgather(std::span<const int>(mine), std::span<int>(all));
         if (p.rank() == 2) {
           (void)p.world().recv_value<int>(0, 4);
           return;
@@ -826,7 +832,7 @@ TEST(RankEngine, DeadlockNamesTheAlltoallAndTheReceive) {
       const std::string what = e.what();
       for (const int r : {0, 1})
         EXPECT_NE(what.find("rank " + std::to_string(r) +
-                            " waits in alltoall #1 (comm 0): ranks [2] have not arrived"),
+                            " waits in alltoall #3 (comm 0): ranks [2] have not arrived"),
                   std::string::npos)
             << what;
       EXPECT_NE(what.find("rank 2 waits in recv(source=0, tag=4, comm=0)"),
@@ -903,11 +909,11 @@ TEST(RankEngine, CollectiveTruncationWithdrawsItsScratchSends) {
         }
       });
       ADD_FAILURE() << "expected a truncation error from " << coll::to_string(kind);
-    } catch (const DeadlockError& e) {
-      ADD_FAILURE() << e.what();
-    } catch (const Error& e) {
+    } catch (const TruncationError& e) {
       EXPECT_NE(std::string(e.what()).find("message truncation: rank "), std::string::npos)
           << coll::to_string(kind) << ": " << e.what();
+    } catch (const Error& e) {
+      ADD_FAILURE() << coll::to_string(kind) << ": " << e.what();
     }
   }
 }
