@@ -26,7 +26,7 @@
 #include <sstream>
 
 #include "apps/osu/microbench.hpp"
-#include "mpi/coll/engine.hpp"
+#include "mpi/coll/tuning_table.hpp"
 
 using namespace cbmpi;
 using namespace cbmpi::bench;
@@ -135,12 +135,10 @@ void engine_sweep(Figure& fig, int hosts, int procs, int iters, bool emit_table)
     base.deployment = container::DeploymentSpec::containers(hosts, cph, procs);
     base.policy = fabric::LocalityPolicy::ContainerAware;
     const int ranks = base.deployment.total_ranks();
-    const coll::Engine shipped_engine(coll::TuningTable::container_defaults(),
-                                      cph);
+    const auto shipped_table = coll::TuningTable::container_defaults();
     for (const SweepPoint& point : sweep_points()) {
       std::map<coll::Algo, Micros> times;
       for (const coll::Algo algo : coll::algorithms_for(point.coll)) {
-        if (algo == coll::Algo::Auto) continue;
         auto config = base;
         config.coll_tuning.add({.coll = point.coll, .algo = algo});
         times[algo] = engine_collective_time(config, point.coll, point.size, iters);
@@ -157,8 +155,8 @@ void engine_sweep(Figure& fig, int hosts, int procs, int iters, bool emit_table)
       max_spread = std::max(max_spread, worst->second / best->second);
       // What the shipped defaults would run at this point (hierarchy is
       // available in these deployments: every host runs several ranks).
-      const coll::Algo shipped = shipped_engine.choose(
-          point.coll, point.size, ranks, /*two_level_available=*/true);
+      const coll::Algo shipped = shipped_table.select(
+          point.coll, point.size, ranks, cph, /*two_level=*/true);
       const Micros shipped_time = times.at(shipped);
       shipped_ok = shipped_ok && shipped_time <= best->second * tolerance;
       table.add_row({std::to_string(cph), to_string(point.coll),
@@ -237,7 +235,7 @@ int main(int argc, char** argv) {
                          coll::Coll::Allgather})
       base.coll_tuning.add({.coll = c, .algo = coll::Algo::TwoLevel});
     auto flat = base;
-    flat.coll_tuning = base.coll_tuning.flat();  // two_level rows -> Auto
+    flat.coll_tuning = base.coll_tuning.flat();  // two_level rows dropped
 
     Table table({"collective @ 1K", "flat (us)", "two-level (us)", "delta"});
     double worst_ratio = 1.0;

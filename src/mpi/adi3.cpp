@@ -420,7 +420,42 @@ void Adi3Engine::exchange_steps(Exchange& exchange, int me,
           [&] { return mine.readers_left.load() == 0; });
 }
 
+Micros Adi3Engine::align_clocks(const char* what) {
+  auto& phase = job_->phase;
+  std::unique_lock lock(phase.mutex);
+  phase.running_max = std::max(phase.running_max, clock().now());
+  Micros aligned = phase.running_max;
+  if (++phase.arrived == job_->nranks) {
+    phase.published_max = aligned;
+    phase.running_max = 0.0;
+    phase.arrived = 0;
+    ++phase.generation;
+    lock.unlock();
+    for (auto& matcher : job_->matchers) matcher->poke();
+  } else {
+    // No rank re-arrives before it has read this generation's max, so
+    // published_max is stable once the generation has moved.
+    const std::uint64_t mine = phase.generation;
+    lock.unlock();
+    aligning_ = what;
+    block_until([&] {
+      const std::scoped_lock guard(phase.mutex);
+      aligned = phase.published_max;
+      return phase.generation != mine;
+    });
+    aligning_ = nullptr;
+  }
+  clock().advance_to(aligned);
+  return aligned;
+}
+
 void Adi3Engine::describe_wait(std::ostream& os) const {
+  if (aligning_ != nullptr) {
+    const std::scoped_lock guard(job_->phase.mutex);
+    os << " waits in " << aligning_ << ": " << job_->phase.arrived << " of "
+       << job_->nranks << " ranks arrived";
+    return;
+  }
   const RequestState* recv = oldest_posted();
   if (collective_.kind == nullptr) {
     os << (recv == nullptr ? " is blocked with no posted receive" : " waits in ");
@@ -775,6 +810,17 @@ void Adi3Engine::cancel(const Request& request) {
   CBMPI_REQUIRE(request != nullptr, "cancel on null request");
   CBMPI_REQUIRE(request->kind == RequestState::Kind::Recv,
                 "only receive requests can be cancelled");
+  if (request->message != nullptr) {
+    // Matched but not completed: the next progress completes it, so it
+    // cannot be withdrawn.
+    const fabric::Envelope& env = request->message->env;
+    std::ostringstream os;
+    os << "cannot cancel: rank " << rank_ << " recv(source=" << env.src
+       << ", tag=" << env.tag << ", comm=";
+    print_comm(os, env.comm_id);
+    os << ") has matched a " << env.size << "-byte message";
+    throw Error(os.str());
+  }
   posted_.erase(std::remove(posted_.begin(), posted_.end(), request), posted_.end());
 }
 

@@ -147,7 +147,8 @@ class Adi3Engine {
   void wait_all(std::span<const Request> requests);
 
   /// MPI_Cancel analogue for receive requests: withdraws a posted receive
-  /// that has not completed. No-op if it already completed.
+  /// that has not matched. No-op if it already completed; throws Error if it
+  /// matched a message it has not completed with yet.
   void cancel(const Request& request);
 
   /// MPI_Iprobe: is a matching message pending? (world-relative source)
@@ -179,10 +180,16 @@ class Adi3Engine {
     return posted_.empty() ? nullptr : posted_.front().get();
   }
 
-  /// What this rank is blocked on, for DeadlockError: the collective it is
-  /// in, if any, by its CollectiveScope number (and the exchange step), then
-  /// what its exchange waits for, else its oldest posted receive. Only safe
-  /// to call while this rank is parked.
+  /// Out-of-band phase alignment, named `what` (`sync_time`, `checkpoint
+  /// quiesce`): waits for every rank at the job's PhaseAlignment, advances
+  /// this clock to the max over all ranks' clocks and returns that instant.
+  Micros align_clocks(const char* what);
+
+  /// What this rank is blocked on, for DeadlockError: the phase alignment
+  /// it waits in and how many ranks arrived, or the collective it is in, if
+  /// any, by its CollectiveScope number (and the exchange step), then what
+  /// its exchange waits for, else its oldest posted receive. Only safe to
+  /// call while this rank is parked.
   void describe_wait(std::ostream& os) const;
 
   /// Crash injection: throws faults::CrashedError once this rank's virtual
@@ -308,6 +315,8 @@ class Adi3Engine {
   ExchangeWait waiting_;
   /// The collective this rank is in (CollectiveScope).
   CollectiveCall collective_;
+  /// The phase alignment this rank waits in (align_clocks); null else.
+  const char* aligning_ = nullptr;
   /// Scratch of alltoall, kept so its capacity is reused: each peer's
   /// arrival key, gathered once and sorted into virtual arrival order, and
   /// each peer's receive completion time.

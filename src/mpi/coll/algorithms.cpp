@@ -1,16 +1,15 @@
-// Every collective algorithm and the engine dispatch, compiled once.
+// Every collective algorithm and its dispatch, compiled once.
 //
 // The typed Communicator collectives forward here with their payload as
 // bytes, the element size and, for reductions, a type-erased Reducer. Each
 // entry point opens the profiled call and the Collective (tag block and
 // engine scope) and checks buffer sizes before anything else. The tunable
-// collectives other than alltoall share one path, run_tunable: ask the job's
-// coll::Engine for an algorithm (keyed on payload bytes, or per-rank block
-// bytes for allgather, the communicator size and the job's
+// collectives other than alltoall share one path, run_tunable: select an
+// algorithm from the job's tuning table (keyed on payload bytes, or per-rank
+// block bytes for allgather, the communicator size and the job's
 // containers-per-host); run it flat over all ranks or as the leader-based
-// hierarchy over the locality groups, whose phases re-enter the engine with
-// their sub-list sizes; then note_algo() records the algorithm that actually
-// ran.
+// hierarchy over the locality groups, whose phases select again with their
+// sub-list sizes; then note_algo() records the algorithm that actually ran.
 //
 // Every `*_over` primitive runs one algorithm over an arbitrary sorted list
 // of communicator ranks, so the flat path (all ranks) and the two-level
@@ -42,7 +41,6 @@
 #include <cstring>
 #include <string>
 
-#include "mpi/coll/engine.hpp"
 #include "mpi/communicator.hpp"
 
 namespace cbmpi::mpi {
@@ -86,13 +84,12 @@ std::size_t Communicator::Blocks::extent(int n) const {
   return end;
 }
 
-// ---- engine plumbing ------------------------------------------------------
+// ---- algorithm selection --------------------------------------------------
 
-const coll::Engine& Communicator::coll_engine() const { return engine_->job().coll; }
-
-coll::Algo Communicator::pick(coll::Coll coll, Bytes bytes, int list_size) const {
-  return coll_engine().choose(coll, bytes, list_size,
-                              /*two_level_available=*/false);
+coll::Algo Communicator::pick(coll::Coll coll, Bytes bytes, int list_size,
+                              bool two_level) const {
+  const JobState& job = engine_->job();
+  return job.coll_tuning.select(coll, bytes, list_size, job.coll_cph, two_level);
 }
 
 void Communicator::note_algo(coll::Coll coll, coll::Algo algo, Bytes bytes,
@@ -138,7 +135,7 @@ void Communicator::run_tunable(const TunableCall& call) {
   const bool two_level_ok =
       !groups.trivial() &&
       (call.coll != coll::Coll::Allgather || (groups.uniform && groups.contiguous));
-  const coll::Algo algo = coll_engine().choose(call.coll, bytes, size(), two_level_ok);
+  const coll::Algo algo = pick(call.coll, bytes, size(), two_level_ok);
   note_algo(call.coll,
             algo == coll::Algo::TwoLevel ? run_two_level(call, groups, tag)
                                          : run_flat(all_ranks(), call, tag, algo),
@@ -422,8 +419,8 @@ coll::Algo Communicator::reduce_over(const std::vector<int>& list, CBytes in, WB
 
 // RecursiveDoubling (power-of-two lists) | Rabenseifner (power-of-two lists,
 // zero-identity ops; reduce-scatter + ring allgather, tags [tag, tag+2)) |
-// ReduceBcast (any list; tags [tag, tag+2), the bcast leg re-enters the
-// engine for its own algorithm).
+// ReduceBcast (any list; tags [tag, tag+2), the bcast leg selects its own
+// algorithm from the table).
 coll::Algo Communicator::allreduce_over(const std::vector<int>& list, CBytes in,
                                         WBytes out, std::size_t elem, Reducer red,
                                         int tag, coll::Algo algo) {
@@ -635,10 +632,9 @@ void Communicator::alltoall_bytes(prof::CallKind kind, CBytes send_data,
     return;
   }
   // No hierarchical variant (matches the paper: alltoall gains least from
-  // locality), so the engine never sees TwoLevel here.
+  // locality), so no table row names TwoLevel here.
   const std::size_t block = send_blocks.block;
-  coll::Algo algo = coll_engine().choose(coll::Coll::Alltoall, block, n,
-                                         /*two_level_available=*/false);
+  coll::Algo algo = pick(coll::Coll::Alltoall, block, n);
   if (n > 1) {
     switch (algo) {
       case coll::Algo::Bruck:

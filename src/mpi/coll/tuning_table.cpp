@@ -98,9 +98,8 @@ TuningTable TuningTable::container_defaults() {
   //   * Alltoall has no hierarchical variant; the fully concurrent spread
   //     beats Bruck and pairwise at both probed size classes.
   //
-  // When the locality detector finds no co-located ranks the engine demotes
-  // the two_level rows to the flat Auto heuristic, which reproduces the
-  // pre-engine behaviour; flat() makes the same demotion for a whole job.
+  // Beneath each two_level row sits the flat algorithm that runs where no
+  // hierarchy is available (no co-located ranks, a sub-phase, or flat()).
   TuningTable t;
   const auto all = [](Coll c, Algo a) {
     TuningEntry e;
@@ -108,10 +107,13 @@ TuningTable TuningTable::container_defaults() {
     e.algo = a;
     return e;
   };
+  t.add(all(Coll::Barrier, Algo::Dissemination));
   t.add(all(Coll::Barrier, Algo::TwoLevel));
+  t.add(all(Coll::Reduce, Algo::Binomial));
   t.add(all(Coll::Reduce, Algo::TwoLevel));
   t.add(all(Coll::Allgather, Algo::Ring));
   t.add(all(Coll::Alltoall, Algo::Spread));
+  t.add(all(Coll::Bcast, Algo::Binomial));
   {
     TuningEntry small = all(Coll::Bcast, Algo::TwoLevel);
     small.max_size = kBcastLargeThreshold - 1;
@@ -201,18 +203,22 @@ void TuningTable::merge(const TuningTable& other) {
 }
 
 TuningTable TuningTable::flat() const {
-  TuningTable out = *this;
-  for (TuningEntry& e : out.entries_)
-    if (e.algo == Algo::TwoLevel) e.algo = Algo::Auto;
+  TuningTable out;
+  for (const TuningEntry& e : entries_)
+    if (e.algo != Algo::TwoLevel) out.entries_.push_back(e);
   return out;
 }
 
-Algo TuningTable::select(Coll coll, Bytes size, int ranks, int cph) const {
-  Algo chosen = Algo::Auto;
-  for (const TuningEntry& e : entries_) {
-    if (e.matches(coll, size, ranks, cph)) chosen = e.algo;  // last match wins
+Algo TuningTable::select(Coll coll, Bytes size, int ranks, int cph,
+                         bool two_level) const {
+  for (auto e = entries_.rbegin(); e != entries_.rend(); ++e) {  // last match wins
+    if ((two_level || e->algo != Algo::TwoLevel) && e->matches(coll, size, ranks, cph))
+      return e->algo;
   }
-  return chosen;
+  std::ostringstream os;
+  os << "no tuning-table row for " << to_string(coll) << " of " << size
+     << " bytes over " << ranks << " ranks at " << cph << " containers per host";
+  throw Error(os.str());
 }
 
 std::string TuningTable::serialize() const {

@@ -1,11 +1,16 @@
-// TuningTable: declarative algorithm selection for collectives.
+// TuningTable: declarative algorithm selection for collectives, and the only
+// place an algorithm is chosen.
 //
 // A table is an ordered list of entries, each matching a (collective, rank
 // count, containers-per-host, message size) region and naming the algorithm
 // to run there. Selection scans the entries in order and the *last* match
 // wins, so a table reads like a layered config: broad defaults first, narrow
 // overrides after. Pinning one collective to one algorithm is a catch-all
-// entry (`bcast * * * flat_tree`) appended last.
+// entry (`bcast * * * flat_tree`) appended last. A `two_level` entry counts
+// only where the call has a locality hierarchy to run it on; elsewhere the
+// last matching entry beneath it answers. A call that no entry matches is an
+// error, so a table a job runs must cover every call it makes; the shipped
+// defaults cover every collective at every size.
 //
 // Text format (one entry per line, '#' starts a comment):
 //
@@ -36,17 +41,17 @@
 namespace cbmpi::coll {
 
 /// Payloads at or above this switch MPI_Bcast from the binomial tree to the
-/// bandwidth-optimal scatter + ring-allgather (van de Geijn) scheme, both in
-/// the shipped table and in the engine's Auto heuristic
-/// (MV2_KNOMIAL_2LEVEL_BCAST_THRESHOLD analogue).
+/// bandwidth-optimal scatter + ring-allgather (van de Geijn) scheme in the
+/// shipped table (MV2_KNOMIAL_2LEVEL_BCAST_THRESHOLD analogue).
 inline constexpr Bytes kBcastLargeThreshold = 64_KiB;
 
 /// Payloads at or above this switch MPI_Allreduce from recursive doubling to
-/// Rabenseifner's reduce-scatter + allgather scheme, in the same two places
+/// Rabenseifner's reduce-scatter + allgather scheme in the shipped table
 /// (MV2_ALLREDUCE_SHORT_MSG analogue).
 inline constexpr Bytes kAllreduceLargeThreshold = 32_KiB;
 
-/// One selection rule. All bounds are inclusive; the defaults match anything.
+/// One selection rule. All bounds are inclusive; the defaults match any bcast
+/// and run it binomial.
 struct TuningEntry {
   Coll coll = Coll::Bcast;
   int min_ranks = 0;
@@ -55,7 +60,7 @@ struct TuningEntry {
   int max_cph = std::numeric_limits<int>::max();
   Bytes min_size = 0;
   Bytes max_size = std::numeric_limits<Bytes>::max();
-  Algo algo = Algo::Auto;
+  Algo algo = Algo::Binomial;
 
   bool matches(Coll c, Bytes size, int ranks, int cph) const {
     return c == coll && ranks >= min_ranks && ranks <= max_ranks &&
@@ -67,8 +72,9 @@ struct TuningEntry {
 class TuningTable {
  public:
   /// Paper-derived defaults for container deployments: hierarchy wherever
-  /// locality groups exist, bandwidth algorithms past the large-message
-  /// switch points, Bruck for small alltoalls.
+  /// locality groups exist, with a flat row beneath each two_level row,
+  /// bandwidth algorithms past the large-message switch points, spread
+  /// alltoall.
   static TuningTable container_defaults();
 
   /// Parses the text format above; throws Error naming `origin` and the
@@ -87,13 +93,16 @@ class TuningTable {
   /// wherever both tables speak.
   void merge(const TuningTable& other);
 
-  /// A copy with every TwoLevel entry read as Auto. (An empty table would
-  /// not do: Auto runs pairwise alltoall where the defaults say spread.)
+  /// A copy without the TwoLevel entries: every call chooses what it would
+  /// with no hierarchy available.
   TuningTable flat() const;
 
-  /// The algorithm for this call site: the last matching entry, else
-  /// Algo::Auto. `cph` is containers per host (1 = native).
-  Algo select(Coll coll, Bytes size, int ranks, int cph) const;
+  /// The algorithm for this call: the last matching entry, skipping
+  /// TwoLevel entries unless `two_level` (a locality hierarchy is available
+  /// to run them). `ranks` is the size of the rank list the collective runs
+  /// over and `cph` containers per host (1 = native). Throws Error naming
+  /// the call when no entry matches.
+  Algo select(Coll coll, Bytes size, int ranks, int cph, bool two_level) const;
 
   /// Emits the parseable text form.
   std::string serialize() const;

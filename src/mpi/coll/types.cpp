@@ -19,7 +19,6 @@ const char* to_string(Coll coll) {
 
 const char* to_string(Algo algo) {
   switch (algo) {
-    case Algo::Auto: return "auto";
     case Algo::TwoLevel: return "two_level";
     case Algo::Dissemination: return "dissemination";
     case Algo::FlatTree: return "flat_tree";
@@ -56,19 +55,15 @@ std::optional<Algo> parse_algo(std::string_view token) {
 
 namespace {
 
-constexpr std::array kBarrierAlgos{Algo::Auto, Algo::TwoLevel,
-                                   Algo::Dissemination, Algo::FlatTree};
-constexpr std::array kBcastAlgos{Algo::Auto, Algo::TwoLevel, Algo::Binomial,
-                                 Algo::FlatTree, Algo::VanDeGeijn};
-constexpr std::array kReduceAlgos{Algo::Auto, Algo::TwoLevel, Algo::Binomial,
-                                  Algo::FlatTree};
-constexpr std::array kAllreduceAlgos{Algo::Auto, Algo::TwoLevel,
-                                     Algo::RecursiveDoubling, Algo::Rabenseifner,
-                                     Algo::ReduceBcast};
-constexpr std::array kAllgatherAlgos{Algo::Auto, Algo::TwoLevel, Algo::Ring,
-                                     Algo::GatherBcast};
-constexpr std::array kAlltoallAlgos{Algo::Auto, Algo::Pairwise, Algo::Bruck,
-                                    Algo::Spread};
+constexpr std::array kBarrierAlgos{Algo::TwoLevel, Algo::Dissemination,
+                                   Algo::FlatTree};
+constexpr std::array kBcastAlgos{Algo::TwoLevel, Algo::Binomial, Algo::FlatTree,
+                                 Algo::VanDeGeijn};
+constexpr std::array kReduceAlgos{Algo::TwoLevel, Algo::Binomial, Algo::FlatTree};
+constexpr std::array kAllreduceAlgos{Algo::TwoLevel, Algo::RecursiveDoubling,
+                                     Algo::Rabenseifner, Algo::ReduceBcast};
+constexpr std::array kAllgatherAlgos{Algo::TwoLevel, Algo::Ring, Algo::GatherBcast};
+constexpr std::array kAlltoallAlgos{Algo::Pairwise, Algo::Bruck, Algo::Spread};
 
 }  // namespace
 

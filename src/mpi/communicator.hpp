@@ -20,9 +20,9 @@
 // selection and collective topology.
 //
 // The six tunable collectives (barrier, bcast, reduce, allreduce, allgather,
-// alltoall) take their algorithm from the job's coll::Engine, which resolves
-// (collective, message size, rank count, containers-per-host) through the
-// TuningTable — see src/mpi/coll/. The available algorithms:
+// alltoall) take their algorithm from one lookup in the job's TuningTable,
+// keyed on (collective, message size, rank count, containers-per-host) —
+// see src/mpi/coll/. The available algorithms:
 //   barrier     dissemination | flat-tree       (2-level: gather + release)
 //   bcast       binomial | flat-tree | van de Geijn (2-level: leaders, local)
 //   reduce      binomial | flat-tree (commutative ops)
@@ -64,10 +64,6 @@
 #include "mpi/adi3.hpp"
 #include "mpi/coll/types.hpp"
 #include "mpi/types.hpp"
-
-namespace cbmpi::coll {
-class Engine;
-}
 
 namespace cbmpi::mpi {
 
@@ -329,7 +325,7 @@ class Communicator {
   // the profiled call and the Collective and checks buffer sizes first.
   /// barrier, bcast, reduce, allreduce, allgather: choose, run, note_algo.
   void run_tunable(const TunableCall& call);
-  /// alltoall (engine-chosen algorithm) and alltoallv (pairwise).
+  /// alltoall (table-chosen algorithm) and alltoallv (pairwise).
   void alltoall_bytes(prof::CallKind kind, CBytes send_data, const Blocks& send_blocks,
                       WBytes recv_data, const Blocks& recv_blocks);
   void gather_bytes(prof::CallKind kind, CBytes mine, WBytes all, const Blocks& blocks,
@@ -343,7 +339,7 @@ class Communicator {
 
   // Algorithms over an arbitrary sorted `list` of comm ranks, which must
   // contain rank() exactly once and be identical on all listed ranks. Those
-  // taking an engine-chosen coll::Algo downgrade it deterministically when
+  // taking a table-chosen coll::Algo downgrade it deterministically when
   // its structural preconditions fail and return what actually ran.
   coll::Algo run_flat(const std::vector<int>& list, const TunableCall& call, int tag,
                       coll::Algo algo);
@@ -390,10 +386,11 @@ class Communicator {
     return tag >= kCollectiveTagBase ? id_ ^ kCollectiveContextBit : id_;
   }
 
-  /// The job's collective-algorithm engine.
-  const coll::Engine& coll_engine() const;
-  /// Engine choice for an internal (sub-list) phase: no further hierarchy.
-  coll::Algo pick(coll::Coll coll, Bytes bytes, int list_size) const;
+  /// The job's tuning-table choice for `coll` over `list_size` ranks; a
+  /// TwoLevel row counts only when `two_level` (internal sub-list phases
+  /// have no further hierarchy).
+  coll::Algo pick(coll::Coll coll, Bytes bytes, int list_size,
+                  bool two_level = false) const;
   /// Records the algorithm a user-level collective actually ran (profile
   /// counter + CollAlgo trace event when tracing + Coll span when the job
   /// records spans). `begin` is the enclosing call's start time so the span

@@ -31,7 +31,7 @@
 #include "fabric/shm_channel.hpp"
 #include "fabric/tuning.hpp"
 #include "faults/fault.hpp"
-#include "mpi/coll/engine.hpp"
+#include "mpi/coll/tuning_table.hpp"
 #include "mpi/matcher.hpp"
 #include "net/fabric.hpp"
 #include "obs/metrics.hpp"
@@ -75,10 +75,11 @@ struct RankRecords {
   std::vector<bool> hca_peers;
 };
 
-/// Out-of-band phase alignment (Process::sync_time and the checkpoint round
-/// boundary). Each rank arrives with its clock; the last
-/// arrival publishes the max, bumps the generation and pokes every matcher,
-/// and the others wait in Adi3Engine::block_until until the generation moves.
+/// Out-of-band phase alignment (Adi3Engine::align_clocks, for
+/// Process::sync_time and the checkpoint quiesce). Each rank arrives with its
+/// clock; the last arrival publishes the max, bumps the generation and pokes
+/// every matcher, and the others wait in Adi3Engine::block_until until the
+/// generation moves.
 struct PhaseAlignment {
   std::mutex mutex;
   int arrived = 0;
@@ -178,11 +179,11 @@ struct JobState {
   const topo::MachineProfile* profile = nullptr;
   fabric::TuningParams tuning;
 
-  /// Collective-algorithm engine; the runtime rebuilds it from the job's
-  /// tuning table and placement before any rank starts.
-  /// (Fully qualified: the member name shadows the `coll` namespace inside
-  /// this class scope.)
-  cbmpi::coll::Engine coll{cbmpi::coll::TuningTable::container_defaults(), 1};
+  /// The job's collective tuning table (JobConfig::coll_tuning) and its
+  /// locality-shape key: the densest container packing on any host (1 =
+  /// native). Every collective call selects its algorithm from them.
+  coll::TuningTable coll_tuning;
+  int coll_cph = 1;
 
   std::unique_ptr<fabric::ShmChannel> shm;
   std::unique_ptr<fabric::CmaChannel> cma;

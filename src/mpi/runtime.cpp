@@ -43,36 +43,8 @@ Xoshiro256 Process::make_rng(std::uint64_t salt) const {
             (static_cast<std::uint64_t>(rank()) * std::uint64_t{0x9e3779b97f4a7c15})));
 }
 
-Micros Process::align_clocks() {
-  auto& job = engine_.job();
-  auto& phase = job.phase;
-  std::unique_lock lock(phase.mutex);
-  phase.running_max = std::max(phase.running_max, now());
-  Micros aligned = phase.running_max;
-  if (++phase.arrived == job.nranks) {
-    phase.published_max = aligned;
-    phase.running_max = 0.0;
-    phase.arrived = 0;
-    ++phase.generation;
-    lock.unlock();
-    for (auto& matcher : job.matchers) matcher->poke();
-  } else {
-    // No rank re-arrives before it has read this generation's max, so
-    // published_max is stable once the generation has moved.
-    const std::uint64_t mine = phase.generation;
-    lock.unlock();
-    engine_.block_until([&] {
-      const std::scoped_lock guard(phase.mutex);
-      aligned = phase.published_max;
-      return phase.generation != mine;
-    });
-  }
-  os_->clock().advance_to(aligned);
-  return aligned;
-}
-
 void Process::sync_time() {
-  align_clocks();
+  engine_.align_clocks("sync_time");
   engine_.check_crash();
 }
 
@@ -95,7 +67,7 @@ bool Process::checkpoint(int completed_rounds, std::span<const std::uint8_t> sta
   if (store == nullptr || !store->active()) return false;
   // Quiesce: align every rank to one virtual instant. All ranks then hold
   // the same `aligned`, so the store's verdict is uniform.
-  const Micros aligned = align_clocks();
+  const Micros aligned = engine_.align_clocks("checkpoint quiesce");
   // A rank whose crash time lies at or before the aligned instant dies here,
   // before saving — the snapshot for this round then never commits and the
   // previous one stays the restart point (all-or-nothing commit).
@@ -367,14 +339,9 @@ JobResult run_job_attempt(const JobConfig& config,
   JobState job;
   job.profile = &machine.profile();
   job.tuning = config.tuning;
-  {
-    // Locality-shape key for the tuning table: the densest container packing
-    // anywhere in the placement (1 = native / one container per host).
-    int cph = 1;
-    for (int h = 0; h < placement.num_hosts(); ++h)
-      cph = std::max(cph, placement.containers_on(h));
-    job.coll = coll::Engine(config.coll_tuning, cph);
-  }
+  job.coll_tuning = config.coll_tuning;
+  for (int h = 0; h < placement.num_hosts(); ++h)
+    job.coll_cph = std::max(job.coll_cph, placement.containers_on(h));
   job.shm = std::make_unique<fabric::ShmChannel>(machine.profile(), config.tuning);
   job.cma = std::make_unique<fabric::CmaChannel>(machine.profile());
   job.hca = std::make_unique<fabric::HcaChannel>(machine.profile(), config.tuning);

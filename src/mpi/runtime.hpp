@@ -215,10 +215,6 @@ class Process {
   const osl::SimProcess& os() const { return *os_; }
 
  private:
-  /// Waits for every rank at the job's PhaseAlignment, advances this clock
-  /// to the max over all ranks' clocks and returns that instant.
-  Micros align_clocks();
-
   osl::SimProcess* os_;
   Adi3Engine engine_;
   Communicator world_;

@@ -14,7 +14,6 @@ const char* to_string(TraceKind kind) {
     case TraceKind::Put: return "put";
     case TraceKind::Get: return "get";
     case TraceKind::Compute: return "compute";
-    case TraceKind::ChannelSelect: return "channel-select";
     case TraceKind::FaultInject: return "fault-inject";
     case TraceKind::Retry: return "retry";
     case TraceKind::Degrade: return "degrade";

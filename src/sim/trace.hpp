@@ -23,7 +23,6 @@ enum class TraceKind : std::uint8_t {
   Put,
   Get,
   Compute,
-  ChannelSelect,
   FaultInject,  ///< an injected fault fired at this point
   Retry,        ///< a transfer attempt was retried after a transient fault
   Degrade,      ///< a fallback decision (locality or channel) was taken

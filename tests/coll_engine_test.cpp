@@ -1,8 +1,9 @@
 // The collective-algorithm engine: every algorithm of every collective gives
 // the reference result at every containers-per-host shape, the tuning-file
-// parser round-trips and rejects garbage with line numbers, and selection
-// precedence (file entry > shipped default > heuristic) holds with the table
-// as the only source of a choice.
+// parser round-trips and rejects garbage with line numbers, and selection is
+// one table lookup: the last matching row wins, a two_level row yields to the
+// row beneath it where no hierarchy is available, and a call no row matches
+// fails naming the call.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -12,7 +13,7 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "mpi/coll/engine.hpp"
+#include "mpi/coll/tuning_table.hpp"
 #include "mpi/runtime.hpp"
 
 namespace cbmpi {
@@ -149,7 +150,6 @@ TEST_P(CollEngineShapes, EveryAlgorithmMatchesReference) {
       const bool moves_data = c == coll::Coll::Bcast || c == coll::Coll::Allgather ||
                               c == coll::Coll::Alltoall;
       for (const coll::Algo algo : coll::algorithms_for(c)) {
-        if (algo == coll::Algo::Auto) continue;
         for (const std::size_t elems : {std::size_t{16}, std::size_t{3000}}) {
           const std::string where =
               std::string(to_string(c)) + "/" + to_string(algo) + " elems=" +
@@ -221,7 +221,6 @@ TEST(CollEngineArguments, ShortOutputFailsUnderEveryAlgorithm) {
   for (const coll::Coll c :
        {coll::Coll::Reduce, coll::Coll::Allreduce, coll::Coll::Allgather}) {
     for (const coll::Algo algo : coll::algorithms_for(c)) {
-      if (algo == coll::Algo::Auto) continue;
       for (const bool empty : {false, true}) {
         for (const int short_rank : {1, 0}) {
           const std::string error = short_output_error(c, algo, short_rank, empty);
@@ -305,18 +304,30 @@ TEST(CollTuningTable, RejectsMalformedEntriesWithLineNumbers) {
                "t.conf:1:");
 }
 
+TEST(CollTuningTable, RejectsAnAutoRowWithItsFileAndLine) {
+  // The table is the only source of a choice: no token defers to code.
+  try {
+    coll::TuningTable::parse("bcast * * * binomial\nreduce * * * auto\n", "t.conf");
+    FAIL() << "expected a parse error for an auto row";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("t.conf:2: unknown algorithm 'auto'"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(CollTuningTable, LastMatchWinsAndRangesFilter) {
   const auto t = coll::TuningTable::parse(
       "bcast * * * binomial\n"
       "bcast * * 64K- vandegeijn\n"
       "bcast 2-4 * * flat_tree\n");
   // ranks=8: last matching row for small sizes is the first one.
-  EXPECT_EQ(t.select(coll::Coll::Bcast, 1_KiB, 8, 1), coll::Algo::Binomial);
-  EXPECT_EQ(t.select(coll::Coll::Bcast, 64_KiB, 8, 1), coll::Algo::VanDeGeijn);
+  EXPECT_EQ(t.select(coll::Coll::Bcast, 1_KiB, 8, 1, false), coll::Algo::Binomial);
+  EXPECT_EQ(t.select(coll::Coll::Bcast, 64_KiB, 8, 1, false), coll::Algo::VanDeGeijn);
   // ranks=4: the last row shadows both earlier ones.
-  EXPECT_EQ(t.select(coll::Coll::Bcast, 64_KiB, 4, 1), coll::Algo::FlatTree);
-  // no entry for other collectives -> Auto.
-  EXPECT_EQ(t.select(coll::Coll::Reduce, 1_KiB, 8, 1), coll::Algo::Auto);
+  EXPECT_EQ(t.select(coll::Coll::Bcast, 64_KiB, 4, 1, false), coll::Algo::FlatTree);
+  // No row for another collective: an Error (its text is checked end to end).
+  EXPECT_THROW((void)t.select(coll::Coll::Reduce, 1_KiB, 8, 1, true), Error);
   // Appended rows are held to the same collective/algorithm pairing.
   coll::TuningTable pinned;
   EXPECT_THROW(pinned.add({.coll = coll::Coll::Bcast, .algo = coll::Algo::Ring}),
@@ -337,7 +348,7 @@ TEST(CollEngineEndToEnd, AmbientEnvironmentDoesNotChangeTheJob) {
   const auto ambient = run_job(cfg, body);
   unsetenv("CBMPI_ALLREDUCE_ALGORITHM");
   const auto table_algo = cfg.coll_tuning.select(
-      coll::Coll::Allreduce, sizeof(std::int64_t), 8, 2);
+      coll::Coll::Allreduce, sizeof(std::int64_t), 8, 2, true);
   ASSERT_EQ(table_algo, coll::Algo::RecursiveDoubling);
   EXPECT_EQ(ambient.profile.total.coll_algo(coll::Coll::Allreduce, table_algo),
             8u);  // one per rank
@@ -347,38 +358,66 @@ TEST(CollEngineEndToEnd, AmbientEnvironmentDoesNotChangeTheJob) {
   EXPECT_EQ(ambient.job_time, clean.job_time);
 }
 
+TEST(CollEngineEndToEnd, JobWithoutARowForACallFailsNamingIt) {
+  // A table that speaks only for bcast cannot answer the barrier.
+  auto cfg = config_for(2, 2, 4);
+  cfg.coll_tuning = coll::TuningTable::parse("bcast * * * binomial\n");
+  try {
+    run_job(cfg, [](mpi::Process& p) { p.world().barrier(); });
+    ADD_FAILURE() << "expected an Error for a barrier no row matches";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "no tuning-table row for barrier of 0 bytes over 8 ranks at 2 "
+                  "containers per host"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 // ---------------------------------------------------------------------------
-// Engine resolution: TwoLevel demotes to the heuristic when the hierarchy is
-// unavailable, and the heuristic preserves the pre-engine thresholds.
+// Hierarchy: a two_level row counts only where a locality hierarchy can run
+// it; elsewhere the last matching row beneath it answers.
 // ---------------------------------------------------------------------------
 
-TEST(CollEngine, TwoLevelDemotesToHeuristicWhenUnavailable) {
-  const coll::Engine engine(coll::TuningTable::container_defaults(), 2);
-  EXPECT_EQ(engine.choose(coll::Coll::Barrier, 0, 8, true),
-            coll::Algo::TwoLevel);
-  EXPECT_EQ(engine.choose(coll::Coll::Barrier, 0, 8, false),
+TEST(CollTuningTable, TwoLevelYieldsToTheRowBeneathWhenUnavailable) {
+  const auto shipped = coll::TuningTable::container_defaults();
+  EXPECT_EQ(shipped.select(coll::Coll::Barrier, 0, 8, 2, true), coll::Algo::TwoLevel);
+  EXPECT_EQ(shipped.select(coll::Coll::Barrier, 0, 8, 2, false),
             coll::Algo::Dissemination);
+  EXPECT_EQ(shipped.select(coll::Coll::Reduce, 1_KiB, 8, 2, false),
+            coll::Algo::Binomial);
+  EXPECT_EQ(shipped.select(coll::Coll::Bcast, 1_KiB, 8, 2, false),
+            coll::Algo::Binomial);
+  // The row beneath, not the first one: rows above a two_level row still
+  // follow last-match order among themselves.
+  const auto t = coll::TuningTable::parse(
+      "bcast * * * binomial\n"
+      "bcast * * * flat_tree\n"
+      "bcast * * * two_level\n");
+  EXPECT_EQ(t.select(coll::Coll::Bcast, 1_KiB, 8, 2, true), coll::Algo::TwoLevel);
+  EXPECT_EQ(t.select(coll::Coll::Bcast, 1_KiB, 8, 2, false), coll::Algo::FlatTree);
 }
 
 // A flat-collectives job runs table.flat(): with the hierarchy available it
-// must choose exactly what the full table chooses without it.
-TEST(CollEngine, FlatTableChoosesWhatAnUnavailableHierarchyDoes) {
-  const auto parsed = coll::TuningTable::parse(
+// must choose exactly what the full table chooses without it. A parsed table
+// runs merged over the shipped defaults, as cbmpirun --tuning merges it.
+TEST(CollTuningTable, FlatTableChoosesWhatAnUnavailableHierarchyDoes) {
+  auto merged = coll::TuningTable::container_defaults();
+  merged.merge(coll::TuningTable::parse(
       "bcast * * * two_level\n"
       "allreduce 4- 2- -8K two_level\n"
       "allgather * * 1K- two_level\n"
       "alltoall * * -4K bruck\n"
-      "reduce 8 * * binomial\n");
-  for (const auto& table : {coll::TuningTable::container_defaults(), parsed}) {
+      "reduce 8 * * binomial\n"));
+  for (const auto& table : {coll::TuningTable::container_defaults(), merged}) {
+    const auto flat = table.flat();
     for (const int cph : {1, 2, 4}) {
-      const coll::Engine full(table, cph);
-      const coll::Engine flat(table.flat(), cph);
       for (std::size_t c = 0; c < coll::kColls; ++c) {
         const auto coll = static_cast<coll::Coll>(c);
         for (const Bytes size : {Bytes{0}, 1_KiB, 8_KiB, 32_KiB, 64_KiB, 1_MiB}) {
           for (const int ranks : {2, 3, 4, 8, 12, 16, 64}) {
-            EXPECT_EQ(flat.choose(coll, size, ranks, true),
-                      full.choose(coll, size, ranks, false))
+            EXPECT_EQ(flat.select(coll, size, ranks, cph, true),
+                      table.select(coll, size, ranks, cph, false))
                 << coll::to_string(coll) << " " << size << " B, " << ranks
                 << " ranks, cph " << cph;
           }
@@ -386,31 +425,13 @@ TEST(CollEngine, FlatTableChoosesWhatAnUnavailableHierarchyDoes) {
       }
     }
   }
-}
-
-TEST(CollEngine, EmptyTableFallsBackToLegacyHeuristic) {
-  // Bcast heuristic: binomial small, van de Geijn large (>= threshold, >= 4
-  // ranks), never van de Geijn on tiny communicators.
-  const coll::Engine engine(coll::TuningTable{}, 1);
-  EXPECT_EQ(engine.choose(coll::Coll::Bcast, 1_KiB, 8, false),
-            coll::Algo::Binomial);
-  EXPECT_EQ(engine.choose(coll::Coll::Bcast, coll::kBcastLargeThreshold, 8,
-                          false),
+  // The user's bcast pin at 64 KiB over a 2-rank group (the local bcast of
+  // a two-level allgather): the shipped large-message row beneath answers.
+  EXPECT_EQ(merged.select(coll::Coll::Bcast, 64_KiB, 2, 2, true), coll::Algo::TwoLevel);
+  EXPECT_EQ(merged.select(coll::Coll::Bcast, 64_KiB, 2, 2, false),
             coll::Algo::VanDeGeijn);
-  EXPECT_EQ(engine.choose(coll::Coll::Bcast, coll::kBcastLargeThreshold, 2,
-                          false),
-            coll::Algo::Binomial);
-  EXPECT_EQ(engine.choose(coll::Coll::Allreduce, 1_KiB, 8, false),
-            coll::Algo::RecursiveDoubling);
-  EXPECT_EQ(engine.choose(coll::Coll::Allreduce, 1_KiB, 6, false),
-            coll::Algo::ReduceBcast);  // non-pow2
-  EXPECT_EQ(engine.choose(coll::Coll::Allreduce,
-                          coll::kAllreduceLargeThreshold, 8, false),
-            coll::Algo::Rabenseifner);
-  EXPECT_EQ(engine.choose(coll::Coll::Allgather, 1_KiB, 8, false),
-            coll::Algo::Ring);
-  EXPECT_EQ(engine.choose(coll::Coll::Alltoall, 1_KiB, 8, false),
-            coll::Algo::Pairwise);
+  EXPECT_EQ(merged.flat().select(coll::Coll::Bcast, 64_KiB, 2, 2, true),
+            coll::Algo::VanDeGeijn);
 }
 
 }  // namespace

@@ -635,6 +635,80 @@ TEST(RankEngine, DeadlockOfManyRanksNamesEveryRank) {
   });
 }
 
+TEST(RankEngine, DeadlockNamesAPhaseAlignmentAndItsArrivals) {
+  // Rank 0 aligns clocks while rank 1 waits for a message rank 0 never
+  // sends; then the same with a checkpoint quiesce.
+  within_10s("a rank parked in phase alignment hung, no DeadlockError", [] {
+    for (const bool quiesce : {false, true}) {
+      auto config = two_rank_native();
+      if (quiesce) config.checkpoint_interval = 1.0;
+      try {
+        run_job(config, [quiesce](mpi::Process& p) {
+          if (p.rank() == 1) {
+            (void)p.world().recv_value<int>(0, 4);
+          } else if (quiesce) {
+            (void)p.checkpoint(1, {});
+          } else {
+            p.sync_time();
+          }
+        });
+        ADD_FAILURE() << "expected a DeadlockError";
+      } catch (const DeadlockError& e) {
+        const std::string what = e.what();
+        const std::string phase = quiesce ? "checkpoint quiesce" : "sync_time";
+        EXPECT_NE(what.find("rank 0 waits in " + phase + ": 1 of 2 ranks arrived"),
+                  std::string::npos)
+            << what;
+        EXPECT_NE(what.find("rank 1 waits in recv(source=0, tag=4, comm=0)"),
+                  std::string::npos)
+            << what;
+      }
+    }
+  });
+}
+
+// A receive matched in the same progress as a failing one still holds its
+// message, which the next progress delivers: cancelling it must fail rather
+// than return while the message is still on its way into the buffer.
+TEST(RankEngine, CancelOfAMatchedReceiveFailsNamingIt) {
+  run_job(two_rank_native(), [](mpi::Process& p) {
+    auto& comm = p.world();
+    if (p.rank() == 0) {
+      const std::array<int, 4> big{1, 2, 3, 4};
+      comm.send(std::span<const int>(big), 1, 1);
+      comm.send_value<int>(9, 1, 2);
+      comm.send_value<int>(0, 1, 3);
+      return;
+    }
+    // Tags 1 and 2 arrived before tag 3 (per-source order).
+    (void)comm.recv_value<int>(0, 3);
+    int a = 0;
+    int b = 0;
+    const auto recv_a = comm.irecv(std::span<int>(&a, 1), 0, 1);
+    const auto recv_b = comm.irecv(std::span<int>(&b, 1), 0, 2);
+    bool truncated = false;
+    try {
+      comm.wait(recv_a);
+    } catch (const TruncationError&) {
+      truncated = true;
+    }
+    ASSERT_TRUE(truncated);
+    std::string error = "no error";
+    try {
+      comm.cancel(recv_b);
+    } catch (const Error& e) {
+      error = e.what();
+    }
+    EXPECT_NE(error.find("cannot cancel: rank 1 recv(source=0, tag=2, comm=0) has "
+                         "matched a 4-byte message"),
+              std::string::npos)
+        << error;
+    // The cancel failed, so the receive completes as it would have.
+    comm.wait(recv_b);
+    EXPECT_EQ(b, 9);
+  });
+}
+
 TEST(RankEngine, TruncationNamesTheReceiveAndBothSizes) {
   // One check covers both protocols: an eager-sized and a rendezvous-sized
   // message, each over SHM/CMA (one host) and over the HCA (two hosts).
