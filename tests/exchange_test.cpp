@@ -612,6 +612,766 @@ TEST(StepExchange, ReproducesTheMessagePathFingerprints) {
   if (HasFailure()) ADD_FAILURE() << "measured fingerprints:\n" << regenerated;
 }
 
+// ---- every other collective algorithm ------------------------------------
+
+/// The algorithms that moved their blocks as point-to-point messages, each
+/// pinned, the two-level ones with their hand-offs.
+enum class MsgColl {
+  BarrierDissemination,
+  BarrierFlatTree,
+  BarrierTwoLevel,
+  BcastBinomial,
+  BcastFlatTree,
+  BcastVanDeGeijn,
+  BcastTwoLevel,
+  ReduceBinomial,
+  ReduceFlatTree,
+  ReduceTwoLevel,
+  AllreduceRecursiveDoubling,
+  AllreduceReduceBcast,
+  AllreduceTwoLevel,
+  ReduceScatterBlock,
+  AllgatherGatherBcast,
+  AllgatherTwoLevel,
+  Gather,
+  Gatherv,
+  Scatter,
+  Scatterv,
+  AlltoallBruck,
+  Scan,
+  Exscan,
+};
+
+constexpr MsgColl kMsgColls[] = {
+    MsgColl::BarrierDissemination, MsgColl::BarrierFlatTree,
+    MsgColl::BarrierTwoLevel,      MsgColl::BcastBinomial,
+    MsgColl::BcastFlatTree,        MsgColl::BcastVanDeGeijn,
+    MsgColl::BcastTwoLevel,        MsgColl::ReduceBinomial,
+    MsgColl::ReduceFlatTree,       MsgColl::ReduceTwoLevel,
+    MsgColl::AllreduceRecursiveDoubling, MsgColl::AllreduceReduceBcast,
+    MsgColl::AllreduceTwoLevel,    MsgColl::ReduceScatterBlock,
+    MsgColl::AllgatherGatherBcast, MsgColl::AllgatherTwoLevel,
+    MsgColl::Gather,               MsgColl::Gatherv,
+    MsgColl::Scatter,              MsgColl::Scatterv,
+    MsgColl::AlltoallBruck,        MsgColl::Scan,
+    MsgColl::Exscan,
+};
+
+const char* to_string(MsgColl c) {
+  switch (c) {
+    case MsgColl::BarrierDissemination: return "BarrierDissemination";
+    case MsgColl::BarrierFlatTree: return "BarrierFlatTree";
+    case MsgColl::BarrierTwoLevel: return "BarrierTwoLevel";
+    case MsgColl::BcastBinomial: return "BcastBinomial";
+    case MsgColl::BcastFlatTree: return "BcastFlatTree";
+    case MsgColl::BcastVanDeGeijn: return "BcastVanDeGeijn";
+    case MsgColl::BcastTwoLevel: return "BcastTwoLevel";
+    case MsgColl::ReduceBinomial: return "ReduceBinomial";
+    case MsgColl::ReduceFlatTree: return "ReduceFlatTree";
+    case MsgColl::ReduceTwoLevel: return "ReduceTwoLevel";
+    case MsgColl::AllreduceRecursiveDoubling: return "AllreduceRecursiveDoubling";
+    case MsgColl::AllreduceReduceBcast: return "AllreduceReduceBcast";
+    case MsgColl::AllreduceTwoLevel: return "AllreduceTwoLevel";
+    case MsgColl::ReduceScatterBlock: return "ReduceScatterBlock";
+    case MsgColl::AllgatherGatherBcast: return "AllgatherGatherBcast";
+    case MsgColl::AllgatherTwoLevel: return "AllgatherTwoLevel";
+    case MsgColl::Gather: return "Gather";
+    case MsgColl::Gatherv: return "Gatherv";
+    case MsgColl::Scatter: return "Scatter";
+    case MsgColl::Scatterv: return "Scatterv";
+    case MsgColl::AlltoallBruck: return "AlltoallBruck";
+    case MsgColl::Scan: return "Scan";
+    case MsgColl::Exscan: return "Exscan";
+  }
+  return "?";
+}
+
+bool two_level(MsgColl c) {
+  return c == MsgColl::BarrierTwoLevel || c == MsgColl::BcastTwoLevel ||
+         c == MsgColl::ReduceTwoLevel || c == MsgColl::AllreduceTwoLevel ||
+         c == MsgColl::AllgatherTwoLevel;
+}
+
+/// Whether `c` sends or receives rendezvous blocks from scratch it allocates
+/// per call (an accumulator, a pack). Under the pin-down cache model, which
+/// numbers buffers by address, such a row is not reproducible with messages
+/// either: the ranks that share a worker share its heap, so the scratch lands
+/// at addresses that depend on how they interleave. The table leaves out
+/// those rows' RegRndv64K variant.
+bool registers_scratch(MsgColl c) {
+  switch (c) {
+    case MsgColl::ReduceBinomial:
+    case MsgColl::ReduceFlatTree:
+    case MsgColl::ReduceTwoLevel:
+    case MsgColl::AllreduceRecursiveDoubling:
+    case MsgColl::AllreduceReduceBcast:
+    case MsgColl::AllreduceTwoLevel:
+    case MsgColl::ReduceScatterBlock:
+    case MsgColl::AllgatherTwoLevel:
+    case MsgColl::AlltoallBruck:
+    case MsgColl::Scan:
+    case MsgColl::Exscan:
+      return true;
+    default:
+      return false;
+  }
+}
+
+/// Pins `c`'s algorithm for every size; the phases of a two-level one take
+/// theirs from the default rows.
+void pin_algorithm(JobConfig& cfg, MsgColl c) {
+  const auto pin = [&cfg](coll::Coll coll, coll::Algo algo) {
+    cfg.coll_tuning.add({.coll = coll, .algo = algo});
+  };
+  switch (c) {
+    case MsgColl::BarrierDissemination: return pin(coll::Coll::Barrier, coll::Algo::Dissemination);
+    case MsgColl::BarrierFlatTree: return pin(coll::Coll::Barrier, coll::Algo::FlatTree);
+    case MsgColl::BarrierTwoLevel: return pin(coll::Coll::Barrier, coll::Algo::TwoLevel);
+    case MsgColl::BcastBinomial: return pin(coll::Coll::Bcast, coll::Algo::Binomial);
+    case MsgColl::BcastFlatTree: return pin(coll::Coll::Bcast, coll::Algo::FlatTree);
+    case MsgColl::BcastVanDeGeijn: return pin(coll::Coll::Bcast, coll::Algo::VanDeGeijn);
+    case MsgColl::BcastTwoLevel: return pin(coll::Coll::Bcast, coll::Algo::TwoLevel);
+    case MsgColl::ReduceBinomial: return pin(coll::Coll::Reduce, coll::Algo::Binomial);
+    case MsgColl::ReduceFlatTree: return pin(coll::Coll::Reduce, coll::Algo::FlatTree);
+    case MsgColl::ReduceTwoLevel: return pin(coll::Coll::Reduce, coll::Algo::TwoLevel);
+    case MsgColl::AllreduceRecursiveDoubling:
+      return pin(coll::Coll::Allreduce, coll::Algo::RecursiveDoubling);
+    case MsgColl::AllreduceReduceBcast: return pin(coll::Coll::Allreduce, coll::Algo::ReduceBcast);
+    case MsgColl::AllreduceTwoLevel: return pin(coll::Coll::Allreduce, coll::Algo::TwoLevel);
+    case MsgColl::AllgatherGatherBcast: return pin(coll::Coll::Allgather, coll::Algo::GatherBcast);
+    case MsgColl::AllgatherTwoLevel: return pin(coll::Coll::Allgather, coll::Algo::TwoLevel);
+    case MsgColl::AlltoallBruck: return pin(coll::Coll::Alltoall, coll::Algo::Bruck);
+    case MsgColl::ReduceScatterBlock:
+    case MsgColl::Gather:
+    case MsgColl::Gatherv:
+    case MsgColl::Scatter:
+    case MsgColl::Scatterv:
+    case MsgColl::Scan:
+    case MsgColl::Exscan:
+      return;  // not tunable
+  }
+}
+
+/// The highest comm rank that is not its group's leader under the
+/// container-aware policy (ranks are numbered host by host, four per host),
+/// or 0 when every group has one rank.
+int non_leader_root(mpi::Communicator& comm) {
+  int root = 0;
+  for (int c = 0; c < comm.size(); ++c)
+    for (int d = 0; d < c; ++d)
+      if (comm.to_world(c) / 4 == comm.to_world(d) / 4) root = c;
+  return root;
+}
+
+/// A rank's buffers for every round of a job, allocated once: the pin-down
+/// cache numbers buffers by address, so a buffer allocated per round would
+/// take whatever address the worker's heap hands out, which depends on how
+/// the ranks sharing that worker interleave.
+struct MsgBuffers {
+  explicit MsgBuffers(std::size_t block)
+      : out(block * kMaxRanks), in(out.size()), expected(out.size()), mine(out.size()),
+        sums(block / sizeof(std::int64_t)), result(sums.size()) {}
+  static constexpr std::size_t kMaxRanks = 8;
+  std::vector<std::uint8_t> out, in, expected, mine;
+  std::vector<std::int64_t> sums, result;
+};
+
+/// One call of `coll` on `comm`, moving `block`-byte blocks, while the rank
+/// holds a user receive. Each rank sends its right neighbour an eager message
+/// before a barrier and posts the matching receive after it, so the message
+/// already waits in the inbox when the call first progresses posted
+/// receives; the receive is waited for after the call. A rank-dependent
+/// compute makes the blocks arrive in a different virtual order every round.
+void msg_round(mpi::Process& p, mpi::Communicator& comm, MsgColl coll, std::size_t block,
+               int round, MsgBuffers& b) {
+  using I64 = std::int64_t;
+  const int n = comm.size();
+  const int r = comm.rank();
+  const std::size_t un = idx(n);
+  const int right = (r + 1) % n;
+  const int left = (r + n - 1) % n;
+  int got = -1;
+  mpi::Request user;
+  if (n > 1) comm.send_value<int>(100 * r + round, right, 5);
+  comm.barrier();
+  if (n > 1) user = comm.irecv(std::span<int>(&got, 1), left, 5);
+  p.compute(400.0 * ((r * 7 + round * 3) % 5));
+
+  const int root = two_level(coll) ? non_leader_root(comm) : round % n;
+  const std::size_t elems = block / sizeof(I64);
+  const I64 base = I64{n} * (n + 1) / 2;  // the sum of r + 1 over all ranks
+  const auto value = [&](int rank, std::size_t i) {
+    return static_cast<I64>(rank + 1 + round) + static_cast<I64>(i % 3);
+  };
+  const auto sum_at = [&](std::size_t i) {
+    return base + I64{n} * (round + static_cast<I64>(i % 3));
+  };
+  const std::span<std::uint8_t> out = std::span(b.out).first(block * un);
+  const std::span<std::uint8_t> in = std::span(b.in).first(out.size());
+  const std::span<std::uint8_t> expected = std::span(b.expected).first(out.size());
+  const std::span<I64> sums = b.sums;
+  const std::span<I64> result = b.result;
+  std::ranges::fill(in, 0);
+  std::ranges::fill(expected, 0);
+  std::ranges::fill(result, -1);
+  const auto fill = [](std::span<std::uint8_t> v, std::size_t at, std::size_t bytes,
+                       std::uint8_t byte) { std::ranges::fill(v.subspan(at, bytes), byte); };
+  const auto ragged = [&] {
+    std::vector<int> counts(un);
+    for (int q = 0; q < n; ++q) counts[idx(q)] = static_cast<int>(block) - 16 * q;
+    return counts;
+  };
+  const auto expect_bytes = [&](std::span<const std::uint8_t> got_bytes,
+                                std::span<const std::uint8_t> want) {
+    EXPECT_TRUE(std::ranges::equal(got_bytes, want))
+        << to_string(coll) << " rank " << p.rank() << " round " << round;
+  };
+
+  switch (coll) {
+    case MsgColl::BarrierDissemination:
+    case MsgColl::BarrierFlatTree:
+    case MsgColl::BarrierTwoLevel:
+      comm.barrier();
+      break;
+    case MsgColl::BcastBinomial:
+    case MsgColl::BcastFlatTree:
+    case MsgColl::BcastVanDeGeijn:
+    case MsgColl::BcastTwoLevel: {
+      const auto data = in.first(block);
+      const auto want = expected.first(block);
+      for (std::size_t i = 0; i < block; ++i)
+        want[i] = pattern(root, static_cast<int>(i % 13), round);
+      if (r == root) std::ranges::copy(want, data.begin());
+      comm.bcast(data, root);
+      expect_bytes(data, want);
+      break;
+    }
+    case MsgColl::ReduceBinomial:
+    case MsgColl::ReduceFlatTree:
+    case MsgColl::ReduceTwoLevel:
+    case MsgColl::AllreduceRecursiveDoubling:
+    case MsgColl::AllreduceReduceBcast:
+    case MsgColl::AllreduceTwoLevel: {
+      for (std::size_t i = 0; i < elems; ++i) sums[i] = value(r, i);
+      const bool all = coll == MsgColl::AllreduceRecursiveDoubling ||
+                       coll == MsgColl::AllreduceReduceBcast ||
+                       coll == MsgColl::AllreduceTwoLevel;
+      if (all)
+        comm.allreduce(std::span<const I64>(sums), result, mpi::ReduceOp::Sum);
+      else
+        comm.reduce(std::span<const I64>(sums), result, mpi::ReduceOp::Sum, root);
+      if (all || r == root) {
+        for (std::size_t i = 0; i < elems; ++i)
+          EXPECT_EQ(result[i], sum_at(i)) << to_string(coll) << " rank " << p.rank();
+      }
+      break;
+    }
+    case MsgColl::ReduceScatterBlock: {
+      const std::size_t per = elems / un;
+      for (std::size_t i = 0; i < per * un; ++i) sums[i] = value(r, i);
+      comm.reduce_scatter_block(std::span<const I64>(sums).first(per * un),
+                                result.first(per), mpi::ReduceOp::Sum);
+      for (std::size_t j = 0; j < per; ++j)
+        EXPECT_EQ(result[j], sum_at(per * idx(r) + j)) << "rank " << p.rank();
+      break;
+    }
+    case MsgColl::AllgatherGatherBcast:
+    case MsgColl::AllgatherTwoLevel:
+    case MsgColl::Gather: {
+      for (int q = 0; q < n; ++q) fill(expected, block * idx(q), block, pattern(q, 0, round));
+      const std::span<const std::uint8_t> mine = expected.subspan(block * idx(r), block);
+      if (coll == MsgColl::Gather) {
+        comm.gather(mine, in, root);
+        if (r == root) expect_bytes(in, expected);
+      } else {
+        comm.allgather(mine, in);
+        expect_bytes(in, expected);
+      }
+      break;
+    }
+    case MsgColl::Gatherv: {
+      const auto counts = ragged();
+      const auto displs = reversed_displs(counts);
+      for (int q = 0; q < n; ++q)
+        fill(expected, idx(displs[idx(q)]), idx(counts[idx(q)]), pattern(q, 0, round));
+      const std::span<const std::uint8_t> mine =
+          expected.subspan(idx(displs[idx(r)]), idx(counts[idx(r)]));
+      comm.gatherv(mine, in, std::span<const int>(counts), std::span<const int>(displs),
+                   root);
+      if (r == root) expect_bytes(in, expected);
+      break;
+    }
+    case MsgColl::Scatter:
+    case MsgColl::Scatterv: {
+      const bool v = coll == MsgColl::Scatterv;
+      const auto counts = v ? ragged() : std::vector<int>(un, static_cast<int>(block));
+      std::vector<int> displs = reversed_displs(counts);
+      if (!v)
+        for (int q = 0; q < n; ++q) displs[idx(q)] = static_cast<int>(block) * q;
+      for (int q = 0; q < n; ++q)
+        fill(out, idx(displs[idx(q)]), idx(counts[idx(q)]), pattern(root, q, round));
+      const auto mine = std::span(b.mine).first(idx(counts[idx(r)]));
+      std::ranges::fill(mine, 0);
+      if (v)
+        comm.scatterv(std::span<const std::uint8_t>(out), std::span<const int>(counts),
+                      std::span<const int>(displs), mine, root);
+      else
+        comm.scatter(std::span<const std::uint8_t>(out), mine, root);
+      fill(expected, 0, mine.size(), pattern(root, r, round));
+      expect_bytes(mine, expected.first(mine.size()));
+      break;
+    }
+    case MsgColl::AlltoallBruck:
+      for (int q = 0; q < n; ++q) {
+        fill(out, block * idx(q), block, pattern(r, q, round));
+        fill(expected, block * idx(q), block, pattern(q, r, round));
+      }
+      comm.alltoall(std::span<const std::uint8_t>(out), in);
+      expect_bytes(in, expected);
+      break;
+    case MsgColl::Scan:
+    case MsgColl::Exscan: {
+      std::ranges::fill(sums, r + 1 + round);
+      I64 want = 0;
+      if (coll == MsgColl::Scan) {
+        comm.scan(std::span<const I64>(sums), result, mpi::ReduceOp::Sum);
+        want = I64{r + 1} * (r + 2) / 2 + I64{r + 1} * round;
+      } else {
+        comm.exscan(std::span<const I64>(sums), result, mpi::ReduceOp::Sum);
+        want = I64{r} * (r + 1) / 2 + I64{r} * round;
+      }
+      EXPECT_TRUE(std::ranges::all_of(result, [want](I64 x) { return x == want; }))
+          << to_string(coll) << " rank " << p.rank() << " round " << round;
+      break;
+    }
+  }
+  if (n > 1) {
+    comm.wait(user);
+    EXPECT_EQ(got, 100 * left + round) << "rank " << p.rank();
+  }
+}
+
+/// One row folds four jobs, as step_row_fingerprint does: observe and trace
+/// off and on, a clean and an HCA-transient fault plan (rarer than there, as
+/// these jobs make more HCA transfers, none of which may exhaust its
+/// retries), three rounds on the
+/// 8-rank world, then three on the 3/3/2 split. The two-level rows run under
+/// the container-aware policy, so every container count keeps the hierarchy.
+std::uint64_t msg_row_fingerprint(MsgColl coll, Variant variant, int cph,
+                                  const char* fabric) {
+  Fingerprint f;
+  const std::size_t block = block_of(variant);
+  for (int job = 0; job < 4; ++job) {
+    JobConfig cfg;
+    cfg.deployment = DeploymentSpec::containers(2, cph, 4);
+    if (two_level(coll)) cfg.policy = LocalityPolicy::ContainerAware;
+    cfg.tuning.reg_model = variant == Variant::RegRndv64K;
+    cfg.fabric = net::FabricConfig::parse(fabric);
+    cfg.observe = (job & 2) != 0;
+    cfg.record_trace = cfg.observe;
+    if ((job & 1) != 0) cfg.faults.hca_transient_prob = 0.1;
+    pin_algorithm(cfg, coll);
+    add_result(f, run_job(cfg, [coll, block](mpi::Process& p) {
+                 MsgBuffers buffers(block);
+                 for (int round = 0; round < 3; ++round)
+                   msg_round(p, p.world(), coll, block, round, buffers);
+                 auto part = p.world().split(p.rank() % 3, -p.rank());
+                 for (int round = 0; round < 3; ++round)
+                   msg_round(p, *part, coll, block, round, buffers);
+               }));
+  }
+  return f.value();
+}
+
+struct MsgGoldenRow {
+  MsgColl coll;
+  Variant variant;
+  int cph;
+  const char* fabric;
+  std::uint64_t fingerprint;
+};
+
+// Recorded when every block of these algorithms was a point-to-point
+// message; the exchange must not move any of them.
+const MsgGoldenRow kMsgGolden[] = {
+    {MsgColl::BarrierDissemination, Variant::Eager1K, 1, "ideal", 0x23f97fb1abdc2c20ULL},
+    {MsgColl::BarrierDissemination, Variant::Eager1K, 1, "fattree:4", 0xb0707316deb01d5cULL},
+    {MsgColl::BarrierDissemination, Variant::Eager1K, 2, "ideal", 0xdae0da91ea861afbULL},
+    {MsgColl::BarrierDissemination, Variant::Eager1K, 2, "fattree:4", 0xe4cb4a39ff676e09ULL},
+    {MsgColl::BarrierDissemination, Variant::Eager1K, 4, "ideal", 0xfc0e4bbadf81224aULL},
+    {MsgColl::BarrierDissemination, Variant::Eager1K, 4, "fattree:4", 0x38b323c829547c38ULL},
+    {MsgColl::BarrierDissemination, Variant::Rndv64K, 1, "ideal", 0x23f97fb1abdc2c20ULL},
+    {MsgColl::BarrierDissemination, Variant::Rndv64K, 1, "fattree:4", 0xb0707316deb01d5cULL},
+    {MsgColl::BarrierDissemination, Variant::Rndv64K, 2, "ideal", 0xdae0da91ea861afbULL},
+    {MsgColl::BarrierDissemination, Variant::Rndv64K, 2, "fattree:4", 0xe4cb4a39ff676e09ULL},
+    {MsgColl::BarrierDissemination, Variant::Rndv64K, 4, "ideal", 0xfc0e4bbadf81224aULL},
+    {MsgColl::BarrierDissemination, Variant::Rndv64K, 4, "fattree:4", 0x38b323c829547c38ULL},
+    {MsgColl::BarrierDissemination, Variant::RegRndv64K, 1, "ideal", 0xbf40541e598e232cULL},
+    {MsgColl::BarrierDissemination, Variant::RegRndv64K, 1, "fattree:4", 0x4b880319c9cf8420ULL},
+    {MsgColl::BarrierDissemination, Variant::RegRndv64K, 2, "ideal", 0x581188b693f3173bULL},
+    {MsgColl::BarrierDissemination, Variant::RegRndv64K, 2, "fattree:4", 0x5faae22eeb850881ULL},
+    {MsgColl::BarrierDissemination, Variant::RegRndv64K, 4, "ideal", 0x982b17c7060e73a2ULL},
+    {MsgColl::BarrierDissemination, Variant::RegRndv64K, 4, "fattree:4", 0x01fb9ef4acb68d48ULL},
+    {MsgColl::BarrierFlatTree, Variant::Eager1K, 1, "ideal", 0x83f314664234073fULL},
+    {MsgColl::BarrierFlatTree, Variant::Eager1K, 1, "fattree:4", 0x3fda4bf7475cb5d1ULL},
+    {MsgColl::BarrierFlatTree, Variant::Eager1K, 2, "ideal", 0xb37869301fa1ef08ULL},
+    {MsgColl::BarrierFlatTree, Variant::Eager1K, 2, "fattree:4", 0xa75ad24923dfa9bcULL},
+    {MsgColl::BarrierFlatTree, Variant::Eager1K, 4, "ideal", 0x5868c1a262a22a1eULL},
+    {MsgColl::BarrierFlatTree, Variant::Eager1K, 4, "fattree:4", 0x3920f3912c077a66ULL},
+    {MsgColl::BarrierFlatTree, Variant::Rndv64K, 1, "ideal", 0x83f314664234073fULL},
+    {MsgColl::BarrierFlatTree, Variant::Rndv64K, 1, "fattree:4", 0x3fda4bf7475cb5d1ULL},
+    {MsgColl::BarrierFlatTree, Variant::Rndv64K, 2, "ideal", 0xb37869301fa1ef08ULL},
+    {MsgColl::BarrierFlatTree, Variant::Rndv64K, 2, "fattree:4", 0xa75ad24923dfa9bcULL},
+    {MsgColl::BarrierFlatTree, Variant::Rndv64K, 4, "ideal", 0x5868c1a262a22a1eULL},
+    {MsgColl::BarrierFlatTree, Variant::Rndv64K, 4, "fattree:4", 0x3920f3912c077a66ULL},
+    {MsgColl::BarrierFlatTree, Variant::RegRndv64K, 1, "ideal", 0x6ad44ed927a8246bULL},
+    {MsgColl::BarrierFlatTree, Variant::RegRndv64K, 1, "fattree:4", 0x18099d357e0aa20dULL},
+    {MsgColl::BarrierFlatTree, Variant::RegRndv64K, 2, "ideal", 0xd6e24e012f414b80ULL},
+    {MsgColl::BarrierFlatTree, Variant::RegRndv64K, 2, "fattree:4", 0x27b773d73138eda8ULL},
+    {MsgColl::BarrierFlatTree, Variant::RegRndv64K, 4, "ideal", 0x51c37d83d9c9b346ULL},
+    {MsgColl::BarrierFlatTree, Variant::RegRndv64K, 4, "fattree:4", 0x47e050dd37b31bc6ULL},
+    {MsgColl::BarrierTwoLevel, Variant::Eager1K, 1, "ideal", 0x60d866c68608379eULL},
+    {MsgColl::BarrierTwoLevel, Variant::Eager1K, 1, "fattree:4", 0xfbf670bd588ed54aULL},
+    {MsgColl::BarrierTwoLevel, Variant::Eager1K, 2, "ideal", 0x60d866c68608379eULL},
+    {MsgColl::BarrierTwoLevel, Variant::Eager1K, 2, "fattree:4", 0xfbf670bd588ed54aULL},
+    {MsgColl::BarrierTwoLevel, Variant::Eager1K, 4, "ideal", 0x60d866c68608379eULL},
+    {MsgColl::BarrierTwoLevel, Variant::Eager1K, 4, "fattree:4", 0xfbf670bd588ed54aULL},
+    {MsgColl::BarrierTwoLevel, Variant::Rndv64K, 1, "ideal", 0x60d866c68608379eULL},
+    {MsgColl::BarrierTwoLevel, Variant::Rndv64K, 1, "fattree:4", 0xfbf670bd588ed54aULL},
+    {MsgColl::BarrierTwoLevel, Variant::Rndv64K, 2, "ideal", 0x60d866c68608379eULL},
+    {MsgColl::BarrierTwoLevel, Variant::Rndv64K, 2, "fattree:4", 0xfbf670bd588ed54aULL},
+    {MsgColl::BarrierTwoLevel, Variant::Rndv64K, 4, "ideal", 0x60d866c68608379eULL},
+    {MsgColl::BarrierTwoLevel, Variant::Rndv64K, 4, "fattree:4", 0xfbf670bd588ed54aULL},
+    {MsgColl::BarrierTwoLevel, Variant::RegRndv64K, 1, "ideal", 0x2c15818098633672ULL},
+    {MsgColl::BarrierTwoLevel, Variant::RegRndv64K, 1, "fattree:4", 0x4d729252b4b4cd9aULL},
+    {MsgColl::BarrierTwoLevel, Variant::RegRndv64K, 2, "ideal", 0x2c15818098633672ULL},
+    {MsgColl::BarrierTwoLevel, Variant::RegRndv64K, 2, "fattree:4", 0x4d729252b4b4cd9aULL},
+    {MsgColl::BarrierTwoLevel, Variant::RegRndv64K, 4, "ideal", 0x2c15818098633672ULL},
+    {MsgColl::BarrierTwoLevel, Variant::RegRndv64K, 4, "fattree:4", 0x4d729252b4b4cd9aULL},
+    {MsgColl::BcastBinomial, Variant::Eager1K, 1, "ideal", 0x039c1f65eef70e80ULL},
+    {MsgColl::BcastBinomial, Variant::Eager1K, 1, "fattree:4", 0xe5257d9c0df1bbc1ULL},
+    {MsgColl::BcastBinomial, Variant::Eager1K, 2, "ideal", 0x20dc41ca88c7556dULL},
+    {MsgColl::BcastBinomial, Variant::Eager1K, 2, "fattree:4", 0x1322a5ed61a229deULL},
+    {MsgColl::BcastBinomial, Variant::Eager1K, 4, "ideal", 0xd63ca01f86d65713ULL},
+    {MsgColl::BcastBinomial, Variant::Eager1K, 4, "fattree:4", 0x313b1bdcb4e3db10ULL},
+    {MsgColl::BcastBinomial, Variant::Rndv64K, 1, "ideal", 0x3edb108012aad51bULL},
+    {MsgColl::BcastBinomial, Variant::Rndv64K, 1, "fattree:4", 0xb0657145dc8c6f44ULL},
+    {MsgColl::BcastBinomial, Variant::Rndv64K, 2, "ideal", 0xd88372e9745616d0ULL},
+    {MsgColl::BcastBinomial, Variant::Rndv64K, 2, "fattree:4", 0x1fbe7c0a715ec116ULL},
+    {MsgColl::BcastBinomial, Variant::Rndv64K, 4, "ideal", 0x0d69f96bc3625f27ULL},
+    {MsgColl::BcastBinomial, Variant::Rndv64K, 4, "fattree:4", 0x9e039cd9ae6d0f81ULL},
+    {MsgColl::BcastBinomial, Variant::RegRndv64K, 1, "ideal", 0x0e7090c205483baeULL},
+    {MsgColl::BcastBinomial, Variant::RegRndv64K, 1, "fattree:4", 0x6af1223a93eaa24bULL},
+    {MsgColl::BcastBinomial, Variant::RegRndv64K, 2, "ideal", 0xfa781ff4df2e60a0ULL},
+    {MsgColl::BcastBinomial, Variant::RegRndv64K, 2, "fattree:4", 0x72674da76a97756eULL},
+    {MsgColl::BcastBinomial, Variant::RegRndv64K, 4, "ideal", 0x9c3e363d00c5922aULL},
+    {MsgColl::BcastBinomial, Variant::RegRndv64K, 4, "fattree:4", 0x9728f0ba9c818fc9ULL},
+    {MsgColl::BcastFlatTree, Variant::Eager1K, 1, "ideal", 0xa681ccbb8f8ba2edULL},
+    {MsgColl::BcastFlatTree, Variant::Eager1K, 1, "fattree:4", 0xb7560c0492dd92e3ULL},
+    {MsgColl::BcastFlatTree, Variant::Eager1K, 2, "ideal", 0x438f5123156f88b4ULL},
+    {MsgColl::BcastFlatTree, Variant::Eager1K, 2, "fattree:4", 0x0cb91a5d8da5a9acULL},
+    {MsgColl::BcastFlatTree, Variant::Eager1K, 4, "ideal", 0x15b34eb1c3c3c384ULL},
+    {MsgColl::BcastFlatTree, Variant::Eager1K, 4, "fattree:4", 0xc314e872a182fcb1ULL},
+    {MsgColl::BcastFlatTree, Variant::Rndv64K, 1, "ideal", 0x0757f126a3a71adeULL},
+    {MsgColl::BcastFlatTree, Variant::Rndv64K, 1, "fattree:4", 0xbfda0295dd357c52ULL},
+    {MsgColl::BcastFlatTree, Variant::Rndv64K, 2, "ideal", 0xb4570cbe5f79c428ULL},
+    {MsgColl::BcastFlatTree, Variant::Rndv64K, 2, "fattree:4", 0x49d919d8b9120ed6ULL},
+    {MsgColl::BcastFlatTree, Variant::Rndv64K, 4, "ideal", 0x1f079ba24c72e9caULL},
+    {MsgColl::BcastFlatTree, Variant::Rndv64K, 4, "fattree:4", 0x98a9b0af1468cce6ULL},
+    {MsgColl::BcastFlatTree, Variant::RegRndv64K, 1, "ideal", 0x3cbfadeede65db37ULL},
+    {MsgColl::BcastFlatTree, Variant::RegRndv64K, 1, "fattree:4", 0x59538a0dd9e9ed2aULL},
+    {MsgColl::BcastFlatTree, Variant::RegRndv64K, 2, "ideal", 0xce8d9abaf64f0a3aULL},
+    {MsgColl::BcastFlatTree, Variant::RegRndv64K, 2, "fattree:4", 0xddd9d682fdaab8aeULL},
+    {MsgColl::BcastFlatTree, Variant::RegRndv64K, 4, "ideal", 0xc14f597bd1ad4bdfULL},
+    {MsgColl::BcastFlatTree, Variant::RegRndv64K, 4, "fattree:4", 0x6af166c7b29325cbULL},
+    {MsgColl::BcastVanDeGeijn, Variant::Eager1K, 1, "ideal", 0x8629b369289a5237ULL},
+    {MsgColl::BcastVanDeGeijn, Variant::Eager1K, 1, "fattree:4", 0xf372f1bbe75244ceULL},
+    {MsgColl::BcastVanDeGeijn, Variant::Eager1K, 2, "ideal", 0xf59a045d2339ae5cULL},
+    {MsgColl::BcastVanDeGeijn, Variant::Eager1K, 2, "fattree:4", 0x84c46e4267dfa977ULL},
+    {MsgColl::BcastVanDeGeijn, Variant::Eager1K, 4, "ideal", 0x61376e01963a431cULL},
+    {MsgColl::BcastVanDeGeijn, Variant::Eager1K, 4, "fattree:4", 0xf6bb667170265eaeULL},
+    {MsgColl::BcastVanDeGeijn, Variant::Rndv64K, 1, "ideal", 0x196770038b031a01ULL},
+    {MsgColl::BcastVanDeGeijn, Variant::Rndv64K, 1, "fattree:4", 0x83a298136e9e276dULL},
+    {MsgColl::BcastVanDeGeijn, Variant::Rndv64K, 2, "ideal", 0x8dcf07fed6819411ULL},
+    {MsgColl::BcastVanDeGeijn, Variant::Rndv64K, 2, "fattree:4", 0x94bf75e489c69c22ULL},
+    {MsgColl::BcastVanDeGeijn, Variant::Rndv64K, 4, "ideal", 0x8dea31d727f97296ULL},
+    {MsgColl::BcastVanDeGeijn, Variant::Rndv64K, 4, "fattree:4", 0x02f1cb1113629f87ULL},
+    {MsgColl::BcastVanDeGeijn, Variant::RegRndv64K, 1, "ideal", 0xc848a7bf9d10580bULL},
+    {MsgColl::BcastVanDeGeijn, Variant::RegRndv64K, 1, "fattree:4", 0x6fa0da0a1ec3d2e3ULL},
+    {MsgColl::BcastVanDeGeijn, Variant::RegRndv64K, 2, "ideal", 0xa4b3146bdc4d5b64ULL},
+    {MsgColl::BcastVanDeGeijn, Variant::RegRndv64K, 2, "fattree:4", 0x8afc749af7500425ULL},
+    {MsgColl::BcastVanDeGeijn, Variant::RegRndv64K, 4, "ideal", 0x82cfc5cc4f800edaULL},
+    {MsgColl::BcastVanDeGeijn, Variant::RegRndv64K, 4, "fattree:4", 0x2eb1032738df43f1ULL},
+    {MsgColl::BcastTwoLevel, Variant::Eager1K, 1, "ideal", 0x81f4b6929e3d79cbULL},
+    {MsgColl::BcastTwoLevel, Variant::Eager1K, 1, "fattree:4", 0x0e204d3d8d942a4bULL},
+    {MsgColl::BcastTwoLevel, Variant::Eager1K, 2, "ideal", 0x81f4b6929e3d79cbULL},
+    {MsgColl::BcastTwoLevel, Variant::Eager1K, 2, "fattree:4", 0x0e204d3d8d942a4bULL},
+    {MsgColl::BcastTwoLevel, Variant::Eager1K, 4, "ideal", 0x81f4b6929e3d79cbULL},
+    {MsgColl::BcastTwoLevel, Variant::Eager1K, 4, "fattree:4", 0x0e204d3d8d942a4bULL},
+    {MsgColl::BcastTwoLevel, Variant::Rndv64K, 1, "ideal", 0xab2e8e32ccd0079eULL},
+    {MsgColl::BcastTwoLevel, Variant::Rndv64K, 1, "fattree:4", 0xb8de79c9a99e34adULL},
+    {MsgColl::BcastTwoLevel, Variant::Rndv64K, 2, "ideal", 0xab2e8e32ccd0079eULL},
+    {MsgColl::BcastTwoLevel, Variant::Rndv64K, 2, "fattree:4", 0xb8de79c9a99e34adULL},
+    {MsgColl::BcastTwoLevel, Variant::Rndv64K, 4, "ideal", 0xab2e8e32ccd0079eULL},
+    {MsgColl::BcastTwoLevel, Variant::Rndv64K, 4, "fattree:4", 0xb8de79c9a99e34adULL},
+    {MsgColl::BcastTwoLevel, Variant::RegRndv64K, 1, "ideal", 0xeeb5b1901984ee49ULL},
+    {MsgColl::BcastTwoLevel, Variant::RegRndv64K, 1, "fattree:4", 0xdb433e01813114aeULL},
+    {MsgColl::BcastTwoLevel, Variant::RegRndv64K, 2, "ideal", 0xeeb5b1901984ee49ULL},
+    {MsgColl::BcastTwoLevel, Variant::RegRndv64K, 2, "fattree:4", 0xdb433e01813114aeULL},
+    {MsgColl::BcastTwoLevel, Variant::RegRndv64K, 4, "ideal", 0xeeb5b1901984ee49ULL},
+    {MsgColl::BcastTwoLevel, Variant::RegRndv64K, 4, "fattree:4", 0xdb433e01813114aeULL},
+    {MsgColl::ReduceBinomial, Variant::Eager1K, 1, "ideal", 0xf92c0035bc06ad02ULL},
+    {MsgColl::ReduceBinomial, Variant::Eager1K, 1, "fattree:4", 0xef650b8db9c0aa4aULL},
+    {MsgColl::ReduceBinomial, Variant::Eager1K, 2, "ideal", 0xa65f5494640c716bULL},
+    {MsgColl::ReduceBinomial, Variant::Eager1K, 2, "fattree:4", 0xdc6d4966b3b6bf88ULL},
+    {MsgColl::ReduceBinomial, Variant::Eager1K, 4, "ideal", 0xb746b3d0ac280079ULL},
+    {MsgColl::ReduceBinomial, Variant::Eager1K, 4, "fattree:4", 0x323c810dbeca90a7ULL},
+    {MsgColl::ReduceBinomial, Variant::Rndv64K, 1, "ideal", 0x06db1bb615cb55aaULL},
+    {MsgColl::ReduceBinomial, Variant::Rndv64K, 1, "fattree:4", 0x95873743e5763599ULL},
+    {MsgColl::ReduceBinomial, Variant::Rndv64K, 2, "ideal", 0x5113375083fab26cULL},
+    {MsgColl::ReduceBinomial, Variant::Rndv64K, 2, "fattree:4", 0xf082ad23a875c826ULL},
+    {MsgColl::ReduceBinomial, Variant::Rndv64K, 4, "ideal", 0x571cebd0fae5b5f1ULL},
+    {MsgColl::ReduceBinomial, Variant::Rndv64K, 4, "fattree:4", 0x5e56222bcc1413aeULL},
+    {MsgColl::ReduceFlatTree, Variant::Eager1K, 1, "ideal", 0xc4356296655af98dULL},
+    {MsgColl::ReduceFlatTree, Variant::Eager1K, 1, "fattree:4", 0x47d0182e3171da6dULL},
+    {MsgColl::ReduceFlatTree, Variant::Eager1K, 2, "ideal", 0xbf14eec80a37441bULL},
+    {MsgColl::ReduceFlatTree, Variant::Eager1K, 2, "fattree:4", 0xf959e04eb469f74bULL},
+    {MsgColl::ReduceFlatTree, Variant::Eager1K, 4, "ideal", 0x2cd86124cd2b4351ULL},
+    {MsgColl::ReduceFlatTree, Variant::Eager1K, 4, "fattree:4", 0x6b75a93cd869f130ULL},
+    {MsgColl::ReduceFlatTree, Variant::Rndv64K, 1, "ideal", 0x64140657f305b52aULL},
+    {MsgColl::ReduceFlatTree, Variant::Rndv64K, 1, "fattree:4", 0xf95e5c40afce7c54ULL},
+    {MsgColl::ReduceFlatTree, Variant::Rndv64K, 2, "ideal", 0xcbe5a86a5373b5c1ULL},
+    {MsgColl::ReduceFlatTree, Variant::Rndv64K, 2, "fattree:4", 0x9257cef278c1864eULL},
+    {MsgColl::ReduceFlatTree, Variant::Rndv64K, 4, "ideal", 0xa48980c891c1707cULL},
+    {MsgColl::ReduceFlatTree, Variant::Rndv64K, 4, "fattree:4", 0x216057144d7ab675ULL},
+    {MsgColl::ReduceTwoLevel, Variant::Eager1K, 1, "ideal", 0x34601352b9505717ULL},
+    {MsgColl::ReduceTwoLevel, Variant::Eager1K, 1, "fattree:4", 0x690b1094a8444f18ULL},
+    {MsgColl::ReduceTwoLevel, Variant::Eager1K, 2, "ideal", 0x34601352b9505717ULL},
+    {MsgColl::ReduceTwoLevel, Variant::Eager1K, 2, "fattree:4", 0x690b1094a8444f18ULL},
+    {MsgColl::ReduceTwoLevel, Variant::Eager1K, 4, "ideal", 0x34601352b9505717ULL},
+    {MsgColl::ReduceTwoLevel, Variant::Eager1K, 4, "fattree:4", 0x690b1094a8444f18ULL},
+    {MsgColl::ReduceTwoLevel, Variant::Rndv64K, 1, "ideal", 0x02099870dfa8e061ULL},
+    {MsgColl::ReduceTwoLevel, Variant::Rndv64K, 1, "fattree:4", 0x4feede52bc6b8abaULL},
+    {MsgColl::ReduceTwoLevel, Variant::Rndv64K, 2, "ideal", 0x02099870dfa8e061ULL},
+    {MsgColl::ReduceTwoLevel, Variant::Rndv64K, 2, "fattree:4", 0x4feede52bc6b8abaULL},
+    {MsgColl::ReduceTwoLevel, Variant::Rndv64K, 4, "ideal", 0x02099870dfa8e061ULL},
+    {MsgColl::ReduceTwoLevel, Variant::Rndv64K, 4, "fattree:4", 0x4feede52bc6b8abaULL},
+    {MsgColl::AllreduceRecursiveDoubling, Variant::Eager1K, 1, "ideal", 0xae16b63921802815ULL},
+    {MsgColl::AllreduceRecursiveDoubling, Variant::Eager1K, 1, "fattree:4", 0x6429ca409ebeb05dULL},
+    {MsgColl::AllreduceRecursiveDoubling, Variant::Eager1K, 2, "ideal", 0xe13c703ab62b6905ULL},
+    {MsgColl::AllreduceRecursiveDoubling, Variant::Eager1K, 2, "fattree:4", 0xe09a47a83a9b0717ULL},
+    {MsgColl::AllreduceRecursiveDoubling, Variant::Eager1K, 4, "ideal", 0xfa4cbfe586793010ULL},
+    {MsgColl::AllreduceRecursiveDoubling, Variant::Eager1K, 4, "fattree:4", 0x8da5d06e68266f3eULL},
+    {MsgColl::AllreduceRecursiveDoubling, Variant::Rndv64K, 1, "ideal", 0x19e9855b25c8f5d5ULL},
+    {MsgColl::AllreduceRecursiveDoubling, Variant::Rndv64K, 1, "fattree:4", 0x7e8ad77cea6fdae2ULL},
+    {MsgColl::AllreduceRecursiveDoubling, Variant::Rndv64K, 2, "ideal", 0x1fbf286c5cfecfd9ULL},
+    {MsgColl::AllreduceRecursiveDoubling, Variant::Rndv64K, 2, "fattree:4", 0x6ac8b636777b3e0aULL},
+    {MsgColl::AllreduceRecursiveDoubling, Variant::Rndv64K, 4, "ideal", 0x5b72715b394251b9ULL},
+    {MsgColl::AllreduceRecursiveDoubling, Variant::Rndv64K, 4, "fattree:4", 0xa6044fa48a17d90aULL},
+    {MsgColl::AllreduceReduceBcast, Variant::Eager1K, 1, "ideal", 0x7e8215d3768e52b6ULL},
+    {MsgColl::AllreduceReduceBcast, Variant::Eager1K, 1, "fattree:4", 0x625defa3dc801893ULL},
+    {MsgColl::AllreduceReduceBcast, Variant::Eager1K, 2, "ideal", 0x35b477c45cb0d5e4ULL},
+    {MsgColl::AllreduceReduceBcast, Variant::Eager1K, 2, "fattree:4", 0x0245d827de7aa234ULL},
+    {MsgColl::AllreduceReduceBcast, Variant::Eager1K, 4, "ideal", 0xc3f0f60434d5767fULL},
+    {MsgColl::AllreduceReduceBcast, Variant::Eager1K, 4, "fattree:4", 0x00f26ec72a1987c8ULL},
+    {MsgColl::AllreduceReduceBcast, Variant::Rndv64K, 1, "ideal", 0x00ddf9f076350e6dULL},
+    {MsgColl::AllreduceReduceBcast, Variant::Rndv64K, 1, "fattree:4", 0x59ae37fc309de6f7ULL},
+    {MsgColl::AllreduceReduceBcast, Variant::Rndv64K, 2, "ideal", 0x4d44afdd6d07aaecULL},
+    {MsgColl::AllreduceReduceBcast, Variant::Rndv64K, 2, "fattree:4", 0x9a964c454fc9ec46ULL},
+    {MsgColl::AllreduceReduceBcast, Variant::Rndv64K, 4, "ideal", 0x45a3af8fe2dd0ba5ULL},
+    {MsgColl::AllreduceReduceBcast, Variant::Rndv64K, 4, "fattree:4", 0x029e5fe3b625ad6aULL},
+    {MsgColl::AllreduceTwoLevel, Variant::Eager1K, 1, "ideal", 0xf2f5bd5e2365c5faULL},
+    {MsgColl::AllreduceTwoLevel, Variant::Eager1K, 1, "fattree:4", 0xdaae918ebc397221ULL},
+    {MsgColl::AllreduceTwoLevel, Variant::Eager1K, 2, "ideal", 0xf2f5bd5e2365c5faULL},
+    {MsgColl::AllreduceTwoLevel, Variant::Eager1K, 2, "fattree:4", 0xdaae918ebc397221ULL},
+    {MsgColl::AllreduceTwoLevel, Variant::Eager1K, 4, "ideal", 0xf2f5bd5e2365c5faULL},
+    {MsgColl::AllreduceTwoLevel, Variant::Eager1K, 4, "fattree:4", 0xdaae918ebc397221ULL},
+    {MsgColl::AllreduceTwoLevel, Variant::Rndv64K, 1, "ideal", 0x9babbde328827424ULL},
+    {MsgColl::AllreduceTwoLevel, Variant::Rndv64K, 1, "fattree:4", 0x9fa707db4e3dea38ULL},
+    {MsgColl::AllreduceTwoLevel, Variant::Rndv64K, 2, "ideal", 0x9babbde328827424ULL},
+    {MsgColl::AllreduceTwoLevel, Variant::Rndv64K, 2, "fattree:4", 0x9fa707db4e3dea38ULL},
+    {MsgColl::AllreduceTwoLevel, Variant::Rndv64K, 4, "ideal", 0x9babbde328827424ULL},
+    {MsgColl::AllreduceTwoLevel, Variant::Rndv64K, 4, "fattree:4", 0x9fa707db4e3dea38ULL},
+    {MsgColl::ReduceScatterBlock, Variant::Eager1K, 1, "ideal", 0x2ee6f2d2ba3ec063ULL},
+    {MsgColl::ReduceScatterBlock, Variant::Eager1K, 1, "fattree:4", 0x250a609dc6e2afb5ULL},
+    {MsgColl::ReduceScatterBlock, Variant::Eager1K, 2, "ideal", 0x06169c5f506c7052ULL},
+    {MsgColl::ReduceScatterBlock, Variant::Eager1K, 2, "fattree:4", 0x215c906d54fe7d7aULL},
+    {MsgColl::ReduceScatterBlock, Variant::Eager1K, 4, "ideal", 0xf9cef60a1121de28ULL},
+    {MsgColl::ReduceScatterBlock, Variant::Eager1K, 4, "fattree:4", 0xfb20e61fe4d74b08ULL},
+    {MsgColl::ReduceScatterBlock, Variant::Rndv64K, 1, "ideal", 0x76b415fe87ce79d0ULL},
+    {MsgColl::ReduceScatterBlock, Variant::Rndv64K, 1, "fattree:4", 0x6653d8c184404629ULL},
+    {MsgColl::ReduceScatterBlock, Variant::Rndv64K, 2, "ideal", 0x2c596e2125ff4712ULL},
+    {MsgColl::ReduceScatterBlock, Variant::Rndv64K, 2, "fattree:4", 0xe92ef423c990c31fULL},
+    {MsgColl::ReduceScatterBlock, Variant::Rndv64K, 4, "ideal", 0x7caeb46b5c56311bULL},
+    {MsgColl::ReduceScatterBlock, Variant::Rndv64K, 4, "fattree:4", 0x93b209ede838b3edULL},
+    {MsgColl::AllgatherGatherBcast, Variant::Eager1K, 1, "ideal", 0x6f41fdfb1620cc65ULL},
+    {MsgColl::AllgatherGatherBcast, Variant::Eager1K, 1, "fattree:4", 0x9927a827cdeaaa75ULL},
+    {MsgColl::AllgatherGatherBcast, Variant::Eager1K, 2, "ideal", 0x82a785fd57625c1eULL},
+    {MsgColl::AllgatherGatherBcast, Variant::Eager1K, 2, "fattree:4", 0x83508ab09e158b47ULL},
+    {MsgColl::AllgatherGatherBcast, Variant::Eager1K, 4, "ideal", 0x622734e7ff915c1bULL},
+    {MsgColl::AllgatherGatherBcast, Variant::Eager1K, 4, "fattree:4", 0x52be1ba646646965ULL},
+    {MsgColl::AllgatherGatherBcast, Variant::Rndv64K, 1, "ideal", 0x97088b734f885958ULL},
+    {MsgColl::AllgatherGatherBcast, Variant::Rndv64K, 1, "fattree:4", 0x311a983fc56eebd1ULL},
+    {MsgColl::AllgatherGatherBcast, Variant::Rndv64K, 2, "ideal", 0x932d3bb22c7ae7c4ULL},
+    {MsgColl::AllgatherGatherBcast, Variant::Rndv64K, 2, "fattree:4", 0x6e3f54e18c17b135ULL},
+    {MsgColl::AllgatherGatherBcast, Variant::Rndv64K, 4, "ideal", 0x7ed148f9f8ebd364ULL},
+    {MsgColl::AllgatherGatherBcast, Variant::Rndv64K, 4, "fattree:4", 0x88f472d2dafcb3a3ULL},
+    {MsgColl::AllgatherGatherBcast, Variant::RegRndv64K, 1, "ideal", 0xa00a58110a4310f5ULL},
+    {MsgColl::AllgatherGatherBcast, Variant::RegRndv64K, 1, "fattree:4", 0x677699c7e4403084ULL},
+    {MsgColl::AllgatherGatherBcast, Variant::RegRndv64K, 2, "ideal", 0x93a22394f620fc6eULL},
+    {MsgColl::AllgatherGatherBcast, Variant::RegRndv64K, 2, "fattree:4", 0x2d6a0d4056b1ee0fULL},
+    {MsgColl::AllgatherGatherBcast, Variant::RegRndv64K, 4, "ideal", 0x2e13d37b3f490da3ULL},
+    {MsgColl::AllgatherGatherBcast, Variant::RegRndv64K, 4, "fattree:4", 0xbd80bd508bbed399ULL},
+    {MsgColl::AllgatherTwoLevel, Variant::Eager1K, 1, "ideal", 0x29945dc1f6a0b880ULL},
+    {MsgColl::AllgatherTwoLevel, Variant::Eager1K, 1, "fattree:4", 0x6bb6ec8fe0ee22a3ULL},
+    {MsgColl::AllgatherTwoLevel, Variant::Eager1K, 2, "ideal", 0x29945dc1f6a0b880ULL},
+    {MsgColl::AllgatherTwoLevel, Variant::Eager1K, 2, "fattree:4", 0x6bb6ec8fe0ee22a3ULL},
+    {MsgColl::AllgatherTwoLevel, Variant::Eager1K, 4, "ideal", 0x29945dc1f6a0b880ULL},
+    {MsgColl::AllgatherTwoLevel, Variant::Eager1K, 4, "fattree:4", 0x6bb6ec8fe0ee22a3ULL},
+    {MsgColl::AllgatherTwoLevel, Variant::Rndv64K, 1, "ideal", 0xc814f7b3de29d1c0ULL},
+    {MsgColl::AllgatherTwoLevel, Variant::Rndv64K, 1, "fattree:4", 0x44dac41deeb87a1dULL},
+    {MsgColl::AllgatherTwoLevel, Variant::Rndv64K, 2, "ideal", 0xc814f7b3de29d1c0ULL},
+    {MsgColl::AllgatherTwoLevel, Variant::Rndv64K, 2, "fattree:4", 0x44dac41deeb87a1dULL},
+    {MsgColl::AllgatherTwoLevel, Variant::Rndv64K, 4, "ideal", 0xc814f7b3de29d1c0ULL},
+    {MsgColl::AllgatherTwoLevel, Variant::Rndv64K, 4, "fattree:4", 0x44dac41deeb87a1dULL},
+    {MsgColl::Gather, Variant::Eager1K, 1, "ideal", 0x3a8126217e434f59ULL},
+    {MsgColl::Gather, Variant::Eager1K, 1, "fattree:4", 0x5d1a6c49ae149fa2ULL},
+    {MsgColl::Gather, Variant::Eager1K, 2, "ideal", 0x1bda58634d5a7135ULL},
+    {MsgColl::Gather, Variant::Eager1K, 2, "fattree:4", 0x0a93aabba81450acULL},
+    {MsgColl::Gather, Variant::Eager1K, 4, "ideal", 0x1eb9075338ea19cfULL},
+    {MsgColl::Gather, Variant::Eager1K, 4, "fattree:4", 0x208be420f87d4cfbULL},
+    {MsgColl::Gather, Variant::Rndv64K, 1, "ideal", 0x0507d6ca513b8619ULL},
+    {MsgColl::Gather, Variant::Rndv64K, 1, "fattree:4", 0x21b7a86814c39f2bULL},
+    {MsgColl::Gather, Variant::Rndv64K, 2, "ideal", 0xadb9b9b0f358adacULL},
+    {MsgColl::Gather, Variant::Rndv64K, 2, "fattree:4", 0xacee59aadfaff037ULL},
+    {MsgColl::Gather, Variant::Rndv64K, 4, "ideal", 0x5a09d58314f31f6aULL},
+    {MsgColl::Gather, Variant::Rndv64K, 4, "fattree:4", 0x1d258f52fcaf70b2ULL},
+    {MsgColl::Gather, Variant::RegRndv64K, 1, "ideal", 0x1319b235ad765803ULL},
+    {MsgColl::Gather, Variant::RegRndv64K, 1, "fattree:4", 0xb45aaa2aaea6b126ULL},
+    {MsgColl::Gather, Variant::RegRndv64K, 2, "ideal", 0x34ec4daa096b4a35ULL},
+    {MsgColl::Gather, Variant::RegRndv64K, 2, "fattree:4", 0x92cc28dbf4641ad9ULL},
+    {MsgColl::Gather, Variant::RegRndv64K, 4, "ideal", 0x5a76a7841940f642ULL},
+    {MsgColl::Gather, Variant::RegRndv64K, 4, "fattree:4", 0x25eadd35dfe36423ULL},
+    {MsgColl::Gatherv, Variant::Eager1K, 1, "ideal", 0xc688dc50ff96d056ULL},
+    {MsgColl::Gatherv, Variant::Eager1K, 1, "fattree:4", 0x6a46f65ab0b98bc6ULL},
+    {MsgColl::Gatherv, Variant::Eager1K, 2, "ideal", 0xa3fa8104e6b72b4dULL},
+    {MsgColl::Gatherv, Variant::Eager1K, 2, "fattree:4", 0x9d5b1135c79f79acULL},
+    {MsgColl::Gatherv, Variant::Eager1K, 4, "ideal", 0xf55f54e1ed391c7aULL},
+    {MsgColl::Gatherv, Variant::Eager1K, 4, "fattree:4", 0xab1dc346d86800f3ULL},
+    {MsgColl::Gatherv, Variant::Rndv64K, 1, "ideal", 0xdec0a73236159ca9ULL},
+    {MsgColl::Gatherv, Variant::Rndv64K, 1, "fattree:4", 0xa8ebcefd94973b92ULL},
+    {MsgColl::Gatherv, Variant::Rndv64K, 2, "ideal", 0x99ae1fe2b1607927ULL},
+    {MsgColl::Gatherv, Variant::Rndv64K, 2, "fattree:4", 0x5fd0468b1f1541c2ULL},
+    {MsgColl::Gatherv, Variant::Rndv64K, 4, "ideal", 0x228cbeb58e71c32dULL},
+    {MsgColl::Gatherv, Variant::Rndv64K, 4, "fattree:4", 0x985ff9a9660d7602ULL},
+    {MsgColl::Gatherv, Variant::RegRndv64K, 1, "ideal", 0x4725d2a8f9e5647aULL},
+    {MsgColl::Gatherv, Variant::RegRndv64K, 1, "fattree:4", 0xbd8b49cafb558328ULL},
+    {MsgColl::Gatherv, Variant::RegRndv64K, 2, "ideal", 0x63cfeb535119908cULL},
+    {MsgColl::Gatherv, Variant::RegRndv64K, 2, "fattree:4", 0x1c3be66dc61e87f7ULL},
+    {MsgColl::Gatherv, Variant::RegRndv64K, 4, "ideal", 0x823650b6c08b2561ULL},
+    {MsgColl::Gatherv, Variant::RegRndv64K, 4, "fattree:4", 0xfc88f668d6590d29ULL},
+    {MsgColl::Scatter, Variant::Eager1K, 1, "ideal", 0xc282b6a91b9a3c4fULL},
+    {MsgColl::Scatter, Variant::Eager1K, 1, "fattree:4", 0x28d7d157df38c986ULL},
+    {MsgColl::Scatter, Variant::Eager1K, 2, "ideal", 0x1dcad3c1c40b1e29ULL},
+    {MsgColl::Scatter, Variant::Eager1K, 2, "fattree:4", 0x75c7eb7017b8cf6aULL},
+    {MsgColl::Scatter, Variant::Eager1K, 4, "ideal", 0xdaffd489855a2275ULL},
+    {MsgColl::Scatter, Variant::Eager1K, 4, "fattree:4", 0xd32a7a5696ebe7c7ULL},
+    {MsgColl::Scatter, Variant::Rndv64K, 1, "ideal", 0x15b0011ae5ef1110ULL},
+    {MsgColl::Scatter, Variant::Rndv64K, 1, "fattree:4", 0x7a9a81ead4f4cd39ULL},
+    {MsgColl::Scatter, Variant::Rndv64K, 2, "ideal", 0xdb9c57e14176ff32ULL},
+    {MsgColl::Scatter, Variant::Rndv64K, 2, "fattree:4", 0xc7388ff79f361203ULL},
+    {MsgColl::Scatter, Variant::Rndv64K, 4, "ideal", 0x89a0d678638257b9ULL},
+    {MsgColl::Scatter, Variant::Rndv64K, 4, "fattree:4", 0xe2c51cdb75eb3203ULL},
+    {MsgColl::Scatter, Variant::RegRndv64K, 1, "ideal", 0x899dbb935701b2a7ULL},
+    {MsgColl::Scatter, Variant::RegRndv64K, 1, "fattree:4", 0x161297e77dcfdfd5ULL},
+    {MsgColl::Scatter, Variant::RegRndv64K, 2, "ideal", 0x6cc61ef1a5879a17ULL},
+    {MsgColl::Scatter, Variant::RegRndv64K, 2, "fattree:4", 0x76ee2edccc3fdbcaULL},
+    {MsgColl::Scatter, Variant::RegRndv64K, 4, "ideal", 0x26bc2df08dc7182bULL},
+    {MsgColl::Scatter, Variant::RegRndv64K, 4, "fattree:4", 0x44972944c07a05d6ULL},
+    {MsgColl::Scatterv, Variant::Eager1K, 1, "ideal", 0x5cf63a3c00b13645ULL},
+    {MsgColl::Scatterv, Variant::Eager1K, 1, "fattree:4", 0x79ca748f6d608844ULL},
+    {MsgColl::Scatterv, Variant::Eager1K, 2, "ideal", 0x1f4d26241561df8fULL},
+    {MsgColl::Scatterv, Variant::Eager1K, 2, "fattree:4", 0x06f8aa06b4e956deULL},
+    {MsgColl::Scatterv, Variant::Eager1K, 4, "ideal", 0xe28c055e53a53b88ULL},
+    {MsgColl::Scatterv, Variant::Eager1K, 4, "fattree:4", 0x3cb31b0f22abddbdULL},
+    {MsgColl::Scatterv, Variant::Rndv64K, 1, "ideal", 0xaa979381b19d7b90ULL},
+    {MsgColl::Scatterv, Variant::Rndv64K, 1, "fattree:4", 0xca93411e4cc354c5ULL},
+    {MsgColl::Scatterv, Variant::Rndv64K, 2, "ideal", 0xa1b9b6dd838d241dULL},
+    {MsgColl::Scatterv, Variant::Rndv64K, 2, "fattree:4", 0x4c9a8699a9bc175eULL},
+    {MsgColl::Scatterv, Variant::Rndv64K, 4, "ideal", 0xb2c120886a6233f9ULL},
+    {MsgColl::Scatterv, Variant::Rndv64K, 4, "fattree:4", 0x8d38807f8cea6f86ULL},
+    {MsgColl::Scatterv, Variant::RegRndv64K, 1, "ideal", 0x94769855ecd0deaeULL},
+    {MsgColl::Scatterv, Variant::RegRndv64K, 1, "fattree:4", 0x5a433bf5cafbfb40ULL},
+    {MsgColl::Scatterv, Variant::RegRndv64K, 2, "ideal", 0xef1986b75aec155cULL},
+    {MsgColl::Scatterv, Variant::RegRndv64K, 2, "fattree:4", 0x8195a40576f41f3bULL},
+    {MsgColl::Scatterv, Variant::RegRndv64K, 4, "ideal", 0x10125ead4bea97cbULL},
+    {MsgColl::Scatterv, Variant::RegRndv64K, 4, "fattree:4", 0x92637c69924d297cULL},
+    {MsgColl::AlltoallBruck, Variant::Eager1K, 1, "ideal", 0xbd80d36e3043724aULL},
+    {MsgColl::AlltoallBruck, Variant::Eager1K, 1, "fattree:4", 0xc6fb5e56f43df8a5ULL},
+    {MsgColl::AlltoallBruck, Variant::Eager1K, 2, "ideal", 0x853bc9d2e63589c6ULL},
+    {MsgColl::AlltoallBruck, Variant::Eager1K, 2, "fattree:4", 0xfa3003659e6719b0ULL},
+    {MsgColl::AlltoallBruck, Variant::Eager1K, 4, "ideal", 0x40aceb5a85850d9bULL},
+    {MsgColl::AlltoallBruck, Variant::Eager1K, 4, "fattree:4", 0x72caf704a942b286ULL},
+    {MsgColl::AlltoallBruck, Variant::Rndv64K, 1, "ideal", 0x1c79cd686443057fULL},
+    {MsgColl::AlltoallBruck, Variant::Rndv64K, 1, "fattree:4", 0xf8bea7091eca9d3fULL},
+    {MsgColl::AlltoallBruck, Variant::Rndv64K, 2, "ideal", 0x57c22a65f6ba3e36ULL},
+    {MsgColl::AlltoallBruck, Variant::Rndv64K, 2, "fattree:4", 0xee05503a0fded2eaULL},
+    {MsgColl::AlltoallBruck, Variant::Rndv64K, 4, "ideal", 0xa1b3946f85cfd291ULL},
+    {MsgColl::AlltoallBruck, Variant::Rndv64K, 4, "fattree:4", 0x52054f5feb467eb0ULL},
+    {MsgColl::Scan, Variant::Eager1K, 1, "ideal", 0x3b2f232d4efd7174ULL},
+    {MsgColl::Scan, Variant::Eager1K, 1, "fattree:4", 0xb8572f0e6487362cULL},
+    {MsgColl::Scan, Variant::Eager1K, 2, "ideal", 0xc36c9792b91319deULL},
+    {MsgColl::Scan, Variant::Eager1K, 2, "fattree:4", 0xc40ac207bbbc5f37ULL},
+    {MsgColl::Scan, Variant::Eager1K, 4, "ideal", 0xdd8df31a9b5ce91aULL},
+    {MsgColl::Scan, Variant::Eager1K, 4, "fattree:4", 0x11d3714b3a5bb643ULL},
+    {MsgColl::Scan, Variant::Rndv64K, 1, "ideal", 0x6841e1b6b0837628ULL},
+    {MsgColl::Scan, Variant::Rndv64K, 1, "fattree:4", 0xc562f11acf681721ULL},
+    {MsgColl::Scan, Variant::Rndv64K, 2, "ideal", 0x4710db1520598a15ULL},
+    {MsgColl::Scan, Variant::Rndv64K, 2, "fattree:4", 0x664390fb25d68432ULL},
+    {MsgColl::Scan, Variant::Rndv64K, 4, "ideal", 0x1d703e010bf7a7e1ULL},
+    {MsgColl::Scan, Variant::Rndv64K, 4, "fattree:4", 0x9f67ad767aac9338ULL},
+    {MsgColl::Exscan, Variant::Eager1K, 1, "ideal", 0x50697af6bf83e358ULL},
+    {MsgColl::Exscan, Variant::Eager1K, 1, "fattree:4", 0x130f0a347ca4ecf0ULL},
+    {MsgColl::Exscan, Variant::Eager1K, 2, "ideal", 0x2b3212aafcdf64baULL},
+    {MsgColl::Exscan, Variant::Eager1K, 2, "fattree:4", 0xf423645f39d6a5afULL},
+    {MsgColl::Exscan, Variant::Eager1K, 4, "ideal", 0x158e3ad204b632eaULL},
+    {MsgColl::Exscan, Variant::Eager1K, 4, "fattree:4", 0x3d85359b2009a0cbULL},
+    {MsgColl::Exscan, Variant::Rndv64K, 1, "ideal", 0x6113f1434654dc24ULL},
+    {MsgColl::Exscan, Variant::Rndv64K, 1, "fattree:4", 0x822317b5cf424b59ULL},
+    {MsgColl::Exscan, Variant::Rndv64K, 2, "ideal", 0xcd60e032e9b4bd85ULL},
+    {MsgColl::Exscan, Variant::Rndv64K, 2, "fattree:4", 0x781b5ec0cc8ef4daULL},
+    {MsgColl::Exscan, Variant::Rndv64K, 4, "ideal", 0x67682cfde5d1867dULL},
+    {MsgColl::Exscan, Variant::Rndv64K, 4, "fattree:4", 0x6fcb9e50c38b6dc4ULL},
+};
+
+TEST(CollectiveExchange, ReproducesTheMessagePathFingerprints) {
+  std::string regenerated;
+  std::size_t row = 0;
+  for (const auto coll : kMsgColls)
+    for (const auto variant : {Variant::Eager1K, Variant::Rndv64K, Variant::RegRndv64K})
+      for (const int cph : {1, 2, 4})
+        for (const char* fabric : {"ideal", "fattree:4"}) {
+          if (variant == Variant::RegRndv64K && registers_scratch(coll)) continue;
+          const std::uint64_t measured = msg_row_fingerprint(coll, variant, cph, fabric);
+          const bool pinned = row < std::size(kMsgGolden) &&
+                              kMsgGolden[row].coll == coll &&
+                              kMsgGolden[row].variant == variant &&
+                              kMsgGolden[row].cph == cph &&
+                              std::string(kMsgGolden[row].fabric) == fabric;
+          EXPECT_TRUE(pinned && kMsgGolden[row].fingerprint == measured)
+              << to_string(coll) << " " << to_string(variant) << " at " << cph
+              << " containers per host, " << fabric;
+          char line[160];
+          std::snprintf(line, sizeof line,
+                        "    {MsgColl::%s, Variant::%s, %d, \"%s\", 0x%016llxULL},\n",
+                        to_string(coll), to_string(variant), cph, fabric,
+                        static_cast<unsigned long long>(measured));
+          regenerated += line;
+          ++row;
+        }
+  if (HasFailure()) ADD_FAILURE() << "measured fingerprints:\n" << regenerated;
+}
+
 // One rank passes blocks twice as large as everyone else's, so each of its
 // blocks overflows its receiver's block: the receive fails with the message
 // path's truncation error, eager (SHM and HCA) and rendezvous (CMA and HCA)
