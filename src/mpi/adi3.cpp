@@ -50,14 +50,6 @@ Request make_request() {
   return std::allocate_shared<RequestState>(WorkerAllocator<RequestState>());
 }
 
-/// A context id as error messages print it: a collective's context as its
-/// communicator's id, marked.
-void print_comm(std::ostream& os, std::uint64_t comm_id) {
-  if ((comm_id & kCollectiveContextBit) != 0)
-    os << (comm_id ^ kCollectiveContextBit) << " (collective)";
-  else
-    os << comm_id;
-}
 }  // namespace
 
 // A note on MPI_Test/MPI_Iprobe time: an idle poll advances *no* virtual
@@ -259,26 +251,37 @@ void Adi3Engine::wait_in(const ExchangeWait& where, Done&& done) {
   });
 }
 
-struct Adi3Engine::WithdrawOnThrow {
-  Adi3Engine& engine;
-  Exchange::Slot& slot;
-  int in_flight = std::uncaught_exceptions();
-  ~WithdrawOnThrow() {
-    if (std::uncaught_exceptions() == in_flight) return;
-    slot.guard.withdraw();
-    engine.withdraw_sends();
-  }
-};
-
 Micros Adi3Engine::read_entry(Exchange& exchange, int from, int entry,
                               std::span<std::byte> buffer, Micros posted_at) {
   Exchange::Slot& slot = exchange.slot(from);
-  const fabric::Envelope& env = slot.envelopes[static_cast<std::size_t>(entry)];
+  const Exchange::Entry& block = slot.entries[static_cast<std::size_t>(entry)];
+  const fabric::Envelope& env = block.env;
+  const char* const kind = collective_.kind;
+  if (std::strcmp(slot.kind, kind) != 0) {
+    std::ostringstream os;
+    os << "rank " << rank_ << " called " << kind << " #" << collective_.seq << " but rank "
+       << env.src << " called " << slot.kind << " #" << collective_.seq << " (comm "
+       << exchange.comm_id << ")";
+    throw Error(os.str());
+  }
+  // A block fills its receive range exactly; only point-to-point accepts a
+  // shorter message.
+  if (env.size > buffer.size()) {
+    std::ostringstream os;
+    os << "message truncation: rank " << rank_ << " recv(source=" << env.src
+       << ", tag=" << env.tag << ", in " << kind << " #" << collective_.seq << ") got "
+       << env.size << " bytes into a " << buffer.size() << "-byte buffer";
+    throw TruncationError(os.str());
+  }
+  if (env.size < buffer.size()) {
+    std::ostringstream os;
+    os << "rank " << rank_ << " in " << kind << " #" << collective_.seq << " (comm "
+       << exchange.comm_id << ") got a " << env.size << "-byte block from rank " << env.src
+       << " for a " << buffer.size() << "-byte receive";
+    throw Error(os.str());
+  }
   Micros received_at = 0.0;
-  const auto copy = [&] {
-    const auto payload = (*slot.blocks)[entry].send;
-    received_at = receive(env, payload, buffer, posted_at);
-  };
+  const auto copy = [&] { received_at = receive(env, block.send, buffer, posted_at); };
   if (!slot.guard.read(copy))
     throw AbortedError("job aborted: rank " + std::to_string(env.src) +
                        " failed before its exchange send completed");
@@ -286,35 +289,30 @@ Micros Adi3Engine::read_entry(Exchange& exchange, int from, int entry,
   // reader, and may rewrite the slot once it has seen it.
   const bool rendezvous = env.protocol == fabric::Protocol::Rendezvous;
   const bool last = slot.readers_left.fetch_sub(1) == 1;
-  if (last || rendezvous)
-    job_->matcher(exchange.world_ranks[static_cast<std::size_t>(from)]).poke();
+  if (last || rendezvous) job_->matcher(exchange.world(from)).poke();
   return received_at;
 }
 
 void Adi3Engine::alltoall(Exchange& exchange, int me, std::span<const std::byte> send,
-                          std::span<std::byte> recv, std::size_t block, int tag,
-                          std::uint64_t comm_id) {
+                          std::span<std::byte> recv, std::size_t block, int tag) {
   const int n = exchange.size();
   const auto peer_at = [me, n](int step) { return (me + step) % n; };
+  const auto at = [block](int peer) { return block * static_cast<std::size_t>(peer); };
   // The message path posted every receive before its first send.
   const Micros posted_at = clock().now();
 
   // Sender side, in the message path's send order; every block stays in
   // `send`, where its reader copies it from.
-  const auto block_of = [&](int peer) {
-    const std::size_t at = block * static_cast<std::size_t>(peer);
-    return Exchange::Step{send.subspan(at, block), peer, recv.subspan(at, block), peer};
-  };
-  const Exchange::StepList blocks(n, block_of);
   Exchange::Slot& mine = exchange.slot(me);
-  mine.envelopes.resize(static_cast<std::size_t>(n));
-  mine.blocks = &blocks;
+  mine.kind = collective_.kind;
+  mine.entries.resize(static_cast<std::size_t>(n));
   for (int step = 1; step < n; ++step) {
     const int peer = peer_at(step);
-    fabric::Envelope& env = mine.envelopes[static_cast<std::size_t>(peer)];
-    env = {};
-    send_block(blocks[peer].send, exchange.world_ranks[static_cast<std::size_t>(peer)], tag,
-               comm_id, [&](bool) { return SendTarget{env, {}}; });
+    Exchange::Entry& entry = mine.entries[static_cast<std::size_t>(peer)];
+    entry.env = {};
+    entry.send = send.subspan(at(peer), block);
+    send_block(entry.send, exchange.world(peer), tag, exchange.comm_id,
+               [&](bool) { return SendTarget{entry.env, {}}; });
   }
 
   // Publish the slot; the arrival that completes the call wakes the others.
@@ -324,8 +322,7 @@ void Adi3Engine::alltoall(Exchange& exchange, int me, std::span<const std::byte>
   const WithdrawOnThrow withdraw_on_throw{*this, mine};
   const std::uint64_t everyone = call * static_cast<std::uint64_t>(n);
   if (exchange.arrived.fetch_add(1) + 1 == everyone)
-    for (int step = 1; step < n; ++step)
-      job_->matcher(exchange.world_ranks[static_cast<std::size_t>(peer_at(step))]).poke();
+    for (int step = 1; step < n; ++step) job_->matcher(exchange.world(peer_at(step))).poke();
   const ExchangeWait where{.exchange = &exchange, .me = me};
   wait_in(where, [&] { return exchange.arrived.load() >= everyone; });
 
@@ -335,7 +332,7 @@ void Adi3Engine::alltoall(Exchange& exchange, int me, std::span<const std::byte>
   for (int step = 1; step < n; ++step) {
     const int peer = peer_at(step);
     const fabric::Envelope& env =
-        exchange.slot(peer).envelopes[static_cast<std::size_t>(me)];
+        exchange.slot(peer).entries[static_cast<std::size_t>(me)].env;
     incoming_.push_back({env.available_at, env.src, env.seq, peer});
   }
   std::ranges::sort(incoming_, {}, [](const Arrival& a) {
@@ -343,8 +340,8 @@ void Adi3Engine::alltoall(Exchange& exchange, int me, std::span<const std::byte>
   });
   received_at_.resize(static_cast<std::size_t>(n));
   for (const Arrival& arrival : incoming_)
-    received_at_[static_cast<std::size_t>(arrival.peer)] =
-        read_entry(exchange, arrival.peer, me, blocks[arrival.peer].recv, posted_at);
+    received_at_[static_cast<std::size_t>(arrival.peer)] = read_entry(
+        exchange, arrival.peer, me, recv.subspan(at(arrival.peer), block), posted_at);
 
   // What wait_all over the receives did (one progress of the posted queue, a
   // clock advance and crash check per receive), then wait_all over the sends
@@ -356,68 +353,102 @@ void Adi3Engine::alltoall(Exchange& exchange, int me, std::span<const std::byte>
   }
   wait_in(where, [&] { return mine.readers_left.load() == 0; });
   for (int step = 1; step < n; ++step) {
-    const auto& rndv = mine.envelopes[static_cast<std::size_t>(peer_at(step))].rndv;
+    const auto& rndv = mine.entries[static_cast<std::size_t>(peer_at(step))].env.rndv;
     if (rndv != nullptr) clock().advance_to(rndv->sender_complete_at());
     check_crash();
   }
 }
 
 namespace {
-/// The steps a slot's `published` word shows published for the phase of
+/// The entries a slot's `published` word shows published for the phase of
 /// `phase` (a tag << 32): none while the slot is in another phase.
-std::uint64_t published_in(std::uint64_t word, std::uint64_t phase) {
-  return (word >> 32) == (phase >> 32) ? word & 0xffffffffu : 0;
+int published_in(std::uint64_t word, std::uint64_t phase) {
+  return (word >> 32) == (phase >> 32) ? static_cast<int>(word & 0xffffffffu) : 0;
 }
 }  // namespace
 
-void Adi3Engine::exchange_steps(Exchange& exchange, int me,
-                                const Exchange::StepList& steps, int tag,
-                                std::uint64_t comm_id) {
-  const int count = steps.size;
-  if (count == 0) return;
-  const std::uint64_t phase = static_cast<std::uint64_t>(static_cast<std::uint32_t>(tag))
-                              << 32;
-  const auto world = [&](int comm_rank) {
-    return exchange.world_ranks[static_cast<std::size_t>(comm_rank)];
-  };
-  Exchange::Slot& mine = exchange.slot(me);
-  mine.envelopes.resize(static_cast<std::size_t>(count));
-  mine.blocks = &steps;
-  mine.readers_left.store(count);
-  const WithdrawOnThrow withdraw_on_throw{*this, mine};
-  for (int s = 0; s < count; ++s) {
-    const Exchange::Step step = steps[s];
-    // What raw_sendrecv did: post the receive, send, wait for the receive,
-    // then for the send.
-    const Micros posted_at = clock().now();
-    fabric::Envelope& env = mine.envelopes[static_cast<std::size_t>(s)];
-    env = {};
-    send_block(step.send, world(step.to), tag, comm_id,
-               [&](bool) { return SendTarget{env, {}}; });
-    mine.published.store(phase | static_cast<std::uint64_t>(s + 1));
-    job_->matcher(world(step.to)).poke();
-    progress_posted();
+Adi3Engine::Steps::Steps(Adi3Engine& engine, Exchange& exchange, int me, int tag,
+                         int count)
+    : engine_(engine),
+      exchange_(exchange),
+      mine_(exchange.slot(me)),
+      me_(me),
+      tag_(tag),
+      phase_(static_cast<std::uint64_t>(static_cast<std::uint32_t>(tag)) << 32),
+      number_(++engine.phases_),
+      count_(count),
+      withdraw_on_throw_{engine, mine_} {
+  // The previous phase's readers are done, so nothing reads the slot.
+  mine_.kind = engine.collective_.kind;
+  if (mine_.entries.size() < static_cast<std::size_t>(count))
+    mine_.entries.resize(static_cast<std::size_t>(count));
+  if (engine.cursors_.size() < static_cast<std::size_t>(exchange.size()))
+    engine.cursors_.resize(static_cast<std::size_t>(exchange.size()));
+}
 
-    const Exchange::Slot& from = exchange.slot(step.from);
-    wait_in({.exchange = &exchange, .me = me, .step = s, .steps = count,
-             .from = step.from},
-            [&] {
-              return published_in(from.published.load(), phase) >
-                     static_cast<std::uint64_t>(s);
-            });
-    clock().advance_to(read_entry(exchange, step.from, s, step.recv, posted_at));
-    check_crash();
-    if (env.rndv != nullptr) {
-      wait_in({.exchange = &exchange, .me = me, .step = s, .steps = count,
-               .to = step.to},
-              [&] { return env.rndv->done(); });
-      clock().advance_to(env.rndv->sender_complete_at());
-      check_crash();
-    }
+int Adi3Engine::Steps::next_entry_from(int from) {
+  Cursor& cursor = engine_.cursors_[static_cast<std::size_t>(from)];
+  if (cursor.phase != number_) cursor = {number_, 0};
+  const Exchange::Slot& owner = exchange_.slot(from);
+  const int me = engine_.rank_;
+  engine_.wait_in({.exchange = &exchange_, .me = me_, .step = step_, .steps = count_,
+                   .from = from},
+                  [&] {
+                    const int published = published_in(owner.published.load(), phase_);
+                    for (; cursor.next < published; ++cursor.next)
+                      if (owner.entries[static_cast<std::size_t>(cursor.next)].env.dst == me)
+                        return true;
+                    return false;
+                  });
+  return cursor.next++;
+}
+
+void Adi3Engine::Steps::operator()(const Exchange::Step& step) {
+  CBMPI_REQUIRE(step_ < count_, "exchange phase ran past its ", count_, " steps");
+  Adi3Engine& e = engine_;
+  Micros posted_at = e.clock().now();
+  const fabric::Envelope* sent = nullptr;
+  if (step.to >= 0) {
+    Exchange::Entry& entry = mine_.entries[static_cast<std::size_t>(published_)];
+    entry.env = {};
+    entry.send = step.send;
+    sent = &e.send_block(step.send, exchange_.world(step.to), tag_, exchange_.comm_id,
+                         [&](bool eager) {
+                           if (!eager || !step.rewritten) return SendTarget{entry.env, {}};
+                           entry.copy.resize(step.send.size());
+                           entry.send = entry.copy;
+                           return SendTarget{entry.env, entry.copy};
+                         });
+    mine_.readers_left.fetch_add(1);
+    mine_.published.store(phase_ | static_cast<std::uint64_t>(++published_));
+    e.job_->matcher(exchange_.world(step.to)).poke();
   }
-  // Leave only once every entry has been read.
-  wait_in({.exchange = &exchange, .me = me, .step = count - 1, .steps = count},
-          [&] { return mine.readers_left.load() == 0; });
+  if (step.from >= 0) {
+    if (step.recv_after_send) posted_at = e.clock().now();
+    e.progress_posted();
+    const int entry = next_entry_from(step.from);
+    e.clock().advance_to(e.read_entry(exchange_, step.from, entry, step.recv, posted_at));
+    e.check_crash();
+  }
+  if (sent != nullptr) {
+    if (sent->rndv != nullptr) {
+      e.progress_posted();
+      e.wait_in({.exchange = &exchange_, .me = me_, .step = step_, .steps = count_,
+                 .to = step.to},
+                [&] { return sent->rndv->done(); });
+      e.clock().advance_to(sent->rndv->sender_complete_at());
+    }
+    e.check_crash();
+  }
+  ++step_;
+}
+
+void Adi3Engine::Steps::finish() {
+  CBMPI_REQUIRE(step_ == count_, "exchange phase ran ", step_, " of its ", count_,
+                " steps");
+  engine_.wait_in(
+      {.exchange = &exchange_, .me = me_, .step = count_ - 1, .steps = count_},
+      [&] { return mine_.readers_left.load() == 0; });
 }
 
 Micros Adi3Engine::align_clocks(const char* what) {
@@ -456,18 +487,12 @@ void Adi3Engine::describe_wait(std::ostream& os) const {
        << job_->nranks << " ranks arrived";
     return;
   }
-  const RequestState* recv = oldest_posted();
-  if (collective_.kind == nullptr) {
-    os << (recv == nullptr ? " is blocked with no posted receive" : " waits in ");
-  } else {
+  if (waiting_.exchange != nullptr) {
     // Every exchange runs inside its collective's scope.
     os << " waits in " << collective_.kind << " #" << collective_.seq;
     if (waiting_.steps > 0) os << " step " << waiting_.step + 1 << "/" << waiting_.steps;
-    os << " (comm " << collective_.comm_id << "): ";
-    if (waiting_.exchange == nullptr && recv == nullptr) os << "no posted receive";
-  }
-  if (waiting_.exchange != nullptr) {
     const Exchange& exchange = *waiting_.exchange;
+    os << " (comm " << exchange.comm_id << "): ";
     const Exchange::Slot& mine = exchange.slot(waiting_.me);
     const std::uint64_t call = mine.calls.load();
     if (waiting_.from >= 0)
@@ -490,20 +515,22 @@ void Adi3Engine::describe_wait(std::ostream& os) const {
     }
     return;
   }
-  if (recv == nullptr) return;
+  const RequestState* recv = oldest_posted();
+  if (recv == nullptr) {
+    os << " is blocked with no posted receive";
+    return;
+  }
   const auto field = [&](int value, int wildcard) {
     if (value == wildcard)
       os << "any";
     else
       os << value;
   };
-  os << "recv(source=";
+  os << " waits in recv(source=";
   field(recv->src_world, kAnySource);
   os << ", tag=";
   field(recv->tag, kAnyTag);
-  os << ", comm=";
-  print_comm(os, recv->comm_id);
-  os << ")";
+  os << ", comm=" << recv->comm_id << ")";
 }
 
 void Adi3Engine::complete_matched() {
@@ -519,13 +546,7 @@ void Adi3Engine::complete_recv(RequestState& request) {
   // sender's home when the receive completes, or fails.
   const fabric::MessagePtr message = std::move(request.message);
   const fabric::Envelope& env = message->env;
-  try {
-    request.complete_at =
-        receive(env, message->payload(), request.buffer, request.posted_at);
-  } catch (...) {
-    if (collective_.kind != nullptr) withdraw_sends();  // see CollectiveScope
-    throw;
-  }
+  request.complete_at = receive(env, message->payload(), request.buffer, request.posted_at);
   request.status = Status{env.src, env.tag, env.size};
   request.complete = true;
   // The sender may be blocked waiting on this transfer: wake it.
@@ -538,9 +559,8 @@ Micros Adi3Engine::receive(const fabric::Envelope& env,
   if (env.size > buffer.size()) {
     std::ostringstream os;
     os << "message truncation: rank " << rank_ << " recv(source=" << env.src
-       << ", tag=" << env.tag << ", comm=";
-    print_comm(os, env.comm_id);
-    os << ") got " << env.size << " bytes into a " << buffer.size() << "-byte buffer";
+       << ", tag=" << env.tag << ", comm=" << env.comm_id << ") got " << env.size
+       << " bytes into a " << buffer.size() << "-byte buffer";
     throw TruncationError(os.str());
   }
   const bool eager = env.protocol == fabric::Protocol::Eager;
@@ -816,9 +836,8 @@ void Adi3Engine::cancel(const Request& request) {
     const fabric::Envelope& env = request->message->env;
     std::ostringstream os;
     os << "cannot cancel: rank " << rank_ << " recv(source=" << env.src
-       << ", tag=" << env.tag << ", comm=";
-    print_comm(os, env.comm_id);
-    os << ") has matched a " << env.size << "-byte message";
+       << ", tag=" << env.tag << ", comm=" << env.comm_id << ") has matched a "
+       << env.size << "-byte message";
     throw Error(os.str());
   }
   posted_.erase(std::remove(posted_.begin(), posted_.end(), request), posted_.end());

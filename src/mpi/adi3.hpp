@@ -28,16 +28,17 @@
 // for the next progress; ~Adi3Engine, on the rank's fiber, releases the
 // messages of any still held, so no request outlives the job holding a block.
 //
-// The spread alltoall and the ring and pairwise collectives send no
-// message: alltoall() and exchange_steps() run them over the communicator's
-// exchange in host memory (Exchange, job_state.hpp), where a peer copies
-// each eager block once, straight out of the owner's send buffer. The sender
-// side of each block (send_block) and the receiver side (receive) are the
-// very code the message path runs, so every block costs, traces and records
-// exactly what its message would, SHM's modelled double copy included; only
-// where the bytes and envelope wait differs. The message path still copies
-// an eager payload once at send time, into its message block, since its
-// sender may reuse the buffer at once.
+// No collective sends a message: alltoall() and exchange_steps() run every
+// collective algorithm over the communicator's exchange in host memory
+// (Exchange, job_state.hpp), where a peer copies each eager block once,
+// straight out of the owner's send buffer or, for a range the owner rewrites
+// before its readers are done, out of the copy the owner made at publish.
+// The sender side of each block (send_block) and the receiver side (receive)
+// are the very code the message path runs, so every block costs, traces and
+// records exactly what its message did, SHM's modelled double copy included;
+// only where the bytes and envelope wait differs. The message path, which
+// carries only user traffic, copies an eager payload once at send time,
+// into its message block, since its sender may reuse the buffer at once.
 //
 // Virtual-time rules:
 //   * eager completion  = max(posted_at, available_at) + receiver_cost
@@ -47,6 +48,7 @@
 #pragma once
 
 #include <cstdint>
+#include <exception>
 #include <iosfwd>
 #include <map>
 #include <memory>
@@ -99,32 +101,29 @@ class Adi3Engine {
   /// advances where wait_all over the receives, then the sends, would advance
   /// it, and every wait progresses posted receives.
   void alltoall(Exchange& exchange, int me, std::span<const std::byte> send,
-                std::span<std::byte> recv, std::size_t block, int tag,
-                std::uint64_t comm_id);
+                std::span<std::byte> recv, std::size_t block, int tag);
 
-  /// A step exchange over `exchange`, as its comm rank `me`, in the phase
-  /// named by `tag` (unique per call and phase): each step does what a
-  /// sendrecv of its two blocks did, in the same order and at the same
-  /// virtual times. describe_wait names it after the open CollectiveScope.
-  /// The send blocks must not change until the call returns.
-  void exchange_steps(Exchange& exchange, int me, const Exchange::StepList& steps,
-                      int tag, std::uint64_t comm_id);
+  class Steps;
 
-  /// The collective call a rank is in: its kind (`allreduce`), its 1-based
-  /// sequence number among its communicator's collectives, and that
-  /// communicator's id. `kind` is null outside any collective.
+  /// One phase of a collective over `exchange`, as its comm rank `me`, named
+  /// by `tag` (unique per call and phase): `body(steps)` runs this rank's
+  /// `count` steps one at a time through `steps(step)` and does its local
+  /// work (a reduction, a pack) in between. Returns once every block it
+  /// published has been read, so its send buffers must outlive the call.
+  template <typename Body>
+  void exchange_steps(Exchange& exchange, int me, int tag, int count, Body&& body);
+
+  /// The collective call a rank is in: its kind (`allreduce`) and its
+  /// 1-based sequence number among its communicator's collectives. `kind` is
+  /// null outside any collective.
   struct CollectiveCall {
     const char* kind = nullptr;
     std::uint64_t seq = 0;
-    std::uint64_t comm_id = 0;
   };
 
   /// One collective call on this rank, open from its entry until it
-  /// returns. While it is open, describe_wait names the call, and a receive
-  /// that fails withdraws this rank's rendezvous sends before the error
-  /// unwinds the call: they may read the algorithm's scratch (recursive
-  /// doubling's accumulator, Bruck's pack), which unwinding frees while a
-  /// peer may still pull from it. Scopes nest; each restores the outer one.
+  /// returns. Every exchange phase publishes its kind, and while it is open
+  /// describe_wait names the call. Scopes nest; each restores the outer one.
   class CollectiveScope {
    public:
     CollectiveScope(Adi3Engine& engine, CollectiveCall call)
@@ -186,10 +185,10 @@ class Adi3Engine {
   Micros align_clocks(const char* what);
 
   /// What this rank is blocked on, for DeadlockError: the phase alignment
-  /// it waits in and how many ranks arrived, or the collective it is in, if
-  /// any, by its CollectiveScope number (and the exchange step), then what
-  /// its exchange waits for, else its oldest posted receive. Only safe to
-  /// call while this rank is parked.
+  /// it waits in and how many ranks arrived, or the collective it is in, by
+  /// its CollectiveScope number (and the exchange step), and what its
+  /// exchange waits for, else its oldest posted receive. Only safe to call
+  /// while this rank is parked.
   void describe_wait(std::ostream& os) const;
 
   /// Crash injection: throws faults::CrashedError once this rank's virtual
@@ -278,7 +277,16 @@ class Adi3Engine {
   /// the owner's send buffers, which an exception (a truncated block, say)
   /// frees as it unwinds the caller: one that leaves withdraws the slot and
   /// the rendezvous sends first.
-  struct WithdrawOnThrow;
+  struct WithdrawOnThrow {
+    Adi3Engine& engine;
+    Exchange::Slot& slot;
+    int in_flight = std::uncaught_exceptions();
+    ~WithdrawOnThrow() {
+      if (std::uncaught_exceptions() == in_flight) return;
+      slot.guard.withdraw();
+      engine.withdraw_sends();
+    }
+  };
   /// block_until for the exchange: while `done` fails it progresses posted
   /// receives, and describe_wait reports `where`.
   template <typename Done>
@@ -286,7 +294,9 @@ class Adi3Engine {
   /// Receives the block of entry `entry` of comm rank `from`'s slot into
   /// `buffer` through the slot's guard (AbortedError once the owner withdrew),
   /// counts the read off that slot and pokes the owner when it was the last
-  /// one or a rendezvous pull. Returns the receive's completion time.
+  /// one or a rendezvous pull. Returns the receive's completion time. Throws
+  /// an Error when the owner is in another collective or the block is
+  /// shorter than `buffer`, and TruncationError when it is longer.
   Micros read_entry(Exchange& exchange, int from, int entry,
                     std::span<std::byte> buffer, Micros posted_at);
   /// NetCongest trace breadcrumb in the apply pass for transfers the settle
@@ -315,6 +325,15 @@ class Adi3Engine {
   ExchangeWait waiting_;
   /// The collective this rank is in (CollectiveScope).
   CollectiveCall collective_;
+  /// Per comm rank of the exchange a phase reads: the next entry of that
+  /// owner to look at for a block addressed here. Valid in the phase whose
+  /// number it holds; phases_ numbers this rank's phases.
+  struct Cursor {
+    std::uint64_t phase = 0;
+    int next = 0;
+  };
+  std::vector<Cursor> cursors_;
+  std::uint64_t phases_ = 0;
   /// The phase alignment this rank waits in (align_clocks); null else.
   const char* aligning_ = nullptr;
   /// Scratch of alltoall, kept so its capacity is reused: each peer's
@@ -337,5 +356,48 @@ class Adi3Engine {
   /// parallel virtual time).
   Micros recv_busy_until_ = 0.0;
 };
+
+/// This rank's side of one exchange phase (Adi3Engine::exchange_steps).
+/// Each call runs one step as the message path ran it: a send-only step as
+/// a send and its wait, a receive-only step as a receive, and a step with
+/// both as a sendrecv (or, with `recv_after_send`, an isend, a receive and
+/// the send's wait), at the same virtual times. A receive wait and a
+/// rendezvous send's wait progress posted receives first; an eager send's
+/// does not. A rendezvous step returns once its block is pulled.
+class Adi3Engine::Steps {
+ public:
+  Steps(Adi3Engine& engine, Exchange& exchange, int me, int tag, int count);
+  Steps(const Steps&) = delete;
+  Steps& operator=(const Steps&) = delete;
+
+  void operator()(const Exchange::Step& step);
+  /// Waits until every block of the phase has been read.
+  void finish();
+
+ private:
+  /// Waits for the next entry of comm rank `from` addressed to this rank.
+  int next_entry_from(int from);
+
+  Adi3Engine& engine_;
+  Exchange& exchange_;
+  Exchange::Slot& mine_;
+  int me_;
+  int tag_;
+  std::uint64_t phase_;  ///< the tag << 32, as `published` holds it
+  std::uint64_t number_;  ///< the engine's number for this phase (Cursor)
+  int count_;
+  int step_ = 0;
+  int published_ = 0;
+  WithdrawOnThrow withdraw_on_throw_;
+};
+
+template <typename Body>
+void Adi3Engine::exchange_steps(Exchange& exchange, int me, int tag, int count,
+                                Body&& body) {
+  if (count == 0) return;
+  Steps steps(*this, exchange, me, tag, count);
+  body(steps);
+  steps.finish();
+}
 
 }  // namespace cbmpi::mpi

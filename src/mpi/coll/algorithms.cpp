@@ -20,24 +20,26 @@
 // pin-down cache numbers buffers by address in first-use order, so reusing
 // scratch memory would change the modelled registration costs.
 //
-// Three algorithms send no message; they run over the communicator's
-// exchange in host memory (Exchange, job_state.hpp), where each block is
-// copied once, by its reader, straight out of its sender's buffer. The
-// spread alltoall hands the whole exchange to Adi3Engine::alltoall. The ring
-// (allgather, allgatherv, and the tails of van de Geijn's bcast and
-// Rabenseifner's allreduce) and the pairwise exchange (alltoall and
-// alltoallv) are step exchanges (Adi3Engine::exchange_steps): their send
-// data does not change during the phase, since a ring rank forwards a block
-// it received one step earlier and never writes it again, and pairwise sends
-// from the user's buffer. Every other algorithm runs over the raw
-// point-to-point transfers: recursive doubling, recursive halving,
-// dissemination and Bruck rewrite or repack their send buffer between steps,
-// so a reader of a later step would see the wrong bytes.
+// No algorithm sends a message. Each runs its phases over the
+// communicator's exchange in host memory (Exchange, job_state.hpp), where a
+// block is copied once, by its reader, straight out of its sender's buffer:
+// the spread alltoall hands the whole exchange to Adi3Engine::alltoall, and
+// every other algorithm runs each phase through one executor,
+// Adi3Engine::exchange_steps, as the sends, receives and sendrecvs it made on
+// the message path, in the same order and at the same virtual times, doing
+// its local work (a reduction, a pack) between steps. A block whose range
+// the algorithm rewrites before its reader is done (recursive doubling's
+// accumulator, Bruck's pack, scan's partial) is marked `rewritten`, and an
+// eager one is then copied into the exchange at publish; rendezvous blocks
+// stay in place, since a rendezvous step returns only once its block is
+// pulled. Every buffer a phase sends from outlives the phase.
 //
-// Tag budget: each primitive may use [tag, tag+4) (one kSubTags stride-4
-// slice); composite algorithms document their exact usage inline.
+// Tag budget: each primitive names its phases within [tag, tag+4) (one
+// kSubTags stride-4 slice); composite algorithms document their exact usage
+// inline.
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstring>
 #include <string>
 
@@ -51,6 +53,22 @@ bool is_power_of_two(std::size_t n) { return n != 0 && (n & (n - 1)) == 0; }
 
 std::size_t idx(int i) { return static_cast<std::size_t>(i); }
 
+/// ceil(log2(m)): the rounds of dissemination, recursive doubling and
+/// halving, Bruck and the scans over m ranks.
+int log_rounds(int m) {
+  return static_cast<int>(std::bit_width(static_cast<unsigned>(m - 1)));
+}
+
+/// The edges of `vrank` in a binomial tree over `m` ranks rooted at 0: its
+/// parent, if any, and its children vrank + mask, for each mask below
+/// vrank's lowest set bit.
+int binomial_edges(int vrank, int m) {
+  int edges = vrank != 0 ? 1 : 0;
+  for (int mask = 1; mask < m && (vrank & mask) == 0; mask <<= 1)
+    if (vrank + mask < m) ++edges;
+  return edges;
+}
+
 void copy_bytes(std::span<const std::byte> from, std::span<std::byte> to) {
   if (!from.empty() && from.data() != to.data())
     std::memcpy(to.data(), from.data(), from.size());
@@ -63,6 +81,15 @@ constexpr std::array<prof::CallKind, coll::kColls> kCallKind = {
 };
 
 }  // namespace
+
+template <typename Body>
+void Communicator::run_steps(int tag, int count, Body&& body) {
+  engine_->exchange_steps(exchange(), rank(), tag, count, std::forward<Body>(body));
+}
+
+void Communicator::one_step(int tag, const Exchange::Step& step) {
+  run_steps(tag, 1, [&](Adi3Engine::Steps& steps) { steps(step); });
+}
 
 // ---- block layouts --------------------------------------------------------
 
@@ -184,17 +211,17 @@ coll::Algo Communicator::run_two_level(const TunableCall& call,
       // Phase 1: if the root is not its group's leader, hand the data to it.
       if (call.root != root_leader) {
         if (rank() == call.root)
-          raw_send(call.out, root_leader, tag);
+          one_step(tag, {.send = call.out, .to = root_leader});
         else if (rank() == root_leader)
-          raw_recv(call.out, call.root, tag);
+          one_step(tag, {.recv = call.out, .from = call.root});
       }
       // Phase 2: broadcast across leaders, rooted at the root's leader.
       if (leader)
         bcast_over(groups.leaders, call.out, call.elem,
-                   position_of(groups.leaders, root_leader), tag + 1,
+                   position_of(groups.leaders, root_leader), tag + 4,
                    pick(coll::Coll::Bcast, bytes, nleaders));
       // Phase 3: each leader broadcasts within its group.
-      bcast_over(group, call.out, call.elem, leader_pos, tag + 2,
+      bcast_over(group, call.out, call.elem, leader_pos, tag + 8,
                  pick(coll::Coll::Bcast, bytes, groups.group_size));
       break;
     case coll::Coll::Reduce: {
@@ -213,10 +240,10 @@ coll::Algo Communicator::run_two_level(const TunableCall& call,
         if (rank() == root_leader && rank() == call.root)
           copy_bytes(global, call.out);
         else if (rank() == root_leader)
-          raw_send(global, call.root, tag + 8);
+          one_step(tag + 8, {.send = global, .to = call.root});
       }
       if (rank() == call.root && call.root != root_leader)
-        raw_recv(call.out.first(bytes), root_leader, tag + 8);
+        one_step(tag + 8, {.recv = call.out.first(bytes), .from = root_leader});
       break;
     }
     case coll::Coll::Allreduce:
@@ -240,9 +267,11 @@ coll::Algo Communicator::run_two_level(const TunableCall& call,
       const std::size_t group_block = bytes * group.size();
       if (leader) {
         copy_bytes(call.in, call.out.subspan(bytes * idx(rank()), bytes));
-        for (int member : group)
-          if (member != rank())
-            raw_recv(call.out.subspan(bytes * idx(member), bytes), member, tag);
+        run_steps(tag, groups.group_size - 1, [&](Adi3Engine::Steps& step) {
+          for (int member : group)
+            if (member != rank())
+              step({.recv = call.out.subspan(bytes * idx(member), bytes), .from = member});
+        });
         const auto my_slot = idx(position_of(groups.leaders, rank())) * group_block;
         std::vector<std::byte> packed(group_block * groups.leaders.size());
         const WBytes all_groups(packed);
@@ -255,7 +284,7 @@ coll::Algo Communicator::run_two_level(const TunableCall& call,
           copy_bytes(all_groups.subspan(group_block * g, group_block),
                      call.out.subspan(bytes * idx(groups.leaders[g]), group_block));
       } else {
-        raw_send(call.in, groups.my_leader, tag);
+        one_step(tag, {.send = call.in, .to = groups.my_leader});
       }
       bcast_over(group, call.out, call.elem, leader_pos, tag + 8,
                  pick(coll::Coll::Bcast, call.out.size(), groups.group_size));
@@ -282,13 +311,14 @@ coll::Algo Communicator::barrier_over(const std::vector<int>& list, int tag,
     linear_over(list, 0, /*to_root=*/false, {&token, 1}, tag + 1);
     return algo;
   }
-  // Dissemination: log2(m) rounds with distinct distances, so a single tag
-  // is safe under per-sender FIFO.
+  // Dissemination: ceil(log2(m)) rounds with distinct distances.
   const int pos = position_in(list);
   std::byte incoming{0};
-  for (int dist = 1; dist < m; dist <<= 1)
-    raw_sendrecv({&token, 1}, list[idx((pos + dist) % m)], {&incoming, 1},
-                 list[idx((pos - dist % m + m) % m)], tag);
+  run_steps(tag, log_rounds(m), [&](Adi3Engine::Steps& step) {
+    for (int dist = 1; dist < m; dist <<= 1)
+      step({.send = {&token, 1}, .to = list[idx((pos + dist) % m)],
+            .recv = {&incoming, 1}, .from = list[idx((pos - dist % m + m) % m)]});
+  });
   return coll::Algo::Dissemination;
 }
 
@@ -296,19 +326,17 @@ void Communicator::linear_over(const std::vector<int>& list, int root_pos, bool 
                                WBytes data, int tag) {
   const int root = list[idx(root_pos)];
   if (rank() != root) {
-    if (to_root)
-      raw_send(data, root, tag);
-    else
-      raw_recv(data, root, tag);
+    one_step(tag, to_root ? Exchange::Step{.send = data, .to = root}
+                          : Exchange::Step{.recv = data, .from = root});
     return;
   }
-  for (const int member : list) {
-    if (member == root) continue;
-    if (to_root)
-      raw_recv(data, member, tag);
-    else
-      raw_send(data, member, tag);
-  }
+  run_steps(tag, static_cast<int>(list.size()) - 1, [&](Adi3Engine::Steps& step) {
+    for (const int member : list) {
+      if (member == root) continue;
+      step(to_root ? Exchange::Step{.recv = data, .from = member}
+                   : Exchange::Step{.send = data, .to = member});
+    }
+  });
 }
 
 // ---- broadcast ------------------------------------------------------------
@@ -343,10 +371,12 @@ coll::Algo Communicator::bcast_over(const std::vector<int>& list, WBytes data,
     const Blocks blocks = Blocks::v(counts, displs, elem);
     // Scatter phase (linear from the root).
     if (pos == root_pos) {
-      for (int q = 0; q < m; ++q)
-        if (q != root_pos) raw_send(blocks.of(data, q), list[idx(q)], tag);
+      run_steps(tag, m - 1, [&](Adi3Engine::Steps& step) {
+        for (int q = 0; q < m; ++q)
+          if (q != root_pos) step({.send = blocks.of(data, q), .to = list[idx(q)]});
+      });
     } else {
-      raw_recv(blocks.of(data, pos), list[idx(root_pos)], tag);
+      one_step(tag, {.recv = blocks.of(data, pos), .from = list[idx(root_pos)]});
     }
     // Ring allgather of the blocks completes the broadcast.
     ring_over(list, data, blocks, tag + 1);
@@ -356,16 +386,18 @@ coll::Algo Communicator::bcast_over(const std::vector<int>& list, WBytes data,
   // Binomial tree on virtual ranks rooted at 0.
   const int vrank = (pos - root_pos + m) % m;
   auto real = [&](int v) { return list[idx((v + root_pos) % m)]; };
-  int mask = 1;
-  while (mask < m) {
-    if (vrank & mask) {
-      raw_recv(data, real(vrank - mask), tag);
-      break;
+  run_steps(tag, binomial_edges(vrank, m), [&](Adi3Engine::Steps& step) {
+    int mask = 1;
+    while (mask < m) {
+      if (vrank & mask) {
+        step({.recv = data, .from = real(vrank - mask)});
+        break;
+      }
+      mask <<= 1;
     }
-    mask <<= 1;
-  }
-  for (mask >>= 1; mask > 0; mask >>= 1)
-    if (vrank + mask < m) raw_send(data, real(vrank + mask), tag);
+    for (mask >>= 1; mask > 0; mask >>= 1)
+      if (vrank + mask < m) step({.send = data, .to = real(vrank + mask)});
+  });
   return coll::Algo::Binomial;
 }
 
@@ -380,17 +412,19 @@ coll::Algo Communicator::reduce_over(const std::vector<int>& list, CBytes in, WB
 
   if (algo == coll::Algo::FlatTree && m > 1) {
     if (pos != root_pos) {
-      raw_send(in, list[idx(root_pos)], tag);
+      one_step(tag, {.send = in, .to = list[idx(root_pos)]});
       return algo;
     }
     std::vector<std::byte> acc(in.begin(), in.end());
     std::vector<std::byte> incoming(in.size());
     // Fixed list order keeps the combination order identical across runs.
-    for (int q = 0; q < m; ++q) {
-      if (q == root_pos) continue;
-      raw_recv(incoming, list[idx(q)], tag);
-      red(incoming, acc);
-    }
+    run_steps(tag, m - 1, [&](Adi3Engine::Steps& step) {
+      for (int q = 0; q < m; ++q) {
+        if (q == root_pos) continue;
+        step({.recv = incoming, .from = list[idx(q)]});
+        red(incoming, acc);
+      }
+    });
     copy_bytes(acc, out);
     return algo;
   }
@@ -400,16 +434,18 @@ coll::Algo Communicator::reduce_over(const std::vector<int>& list, CBytes in, WB
   if (m > 1) {
     auto real = [&](int v) { return list[idx((v + root_pos) % m)]; };
     std::vector<std::byte> incoming(in.size());
-    for (int mask = 1; mask < m; mask <<= 1) {
-      if (vrank & mask) {
-        raw_send(acc, real(vrank - mask), tag);
-        break;
+    run_steps(tag, binomial_edges(vrank, m), [&](Adi3Engine::Steps& step) {
+      for (int mask = 1; mask < m; mask <<= 1) {
+        if (vrank & mask) {
+          step({.send = acc, .to = real(vrank - mask)});
+          break;
+        }
+        if (vrank + mask < m) {
+          step({.recv = incoming, .from = real(vrank + mask)});
+          red(incoming, acc);
+        }
       }
-      if (vrank + mask < m) {
-        raw_recv(incoming, real(vrank + mask), tag);
-        red(incoming, acc);
-      }
-    }
+    });
   }
   if (vrank == 0) copy_bytes(acc, out);
   return coll::Algo::Binomial;
@@ -453,11 +489,14 @@ coll::Algo Communicator::allreduce_over(const std::vector<int>& list, CBytes in,
     const int pos = position_in(list);
     std::vector<std::byte> acc(in.begin(), in.end());
     std::vector<std::byte> incoming(in.size());
-    for (int mask = 1; mask < m; mask <<= 1) {
-      const int partner = list[idx(pos ^ mask)];
-      raw_sendrecv(acc, partner, incoming, partner, tag);
-      red(incoming, acc);
-    }
+    run_steps(tag, log_rounds(m), [&](Adi3Engine::Steps& step) {
+      for (int mask = 1; mask < m; mask <<= 1) {
+        const int partner = list[idx(pos ^ mask)];
+        step({.send = acc, .to = partner, .recv = incoming, .from = partner,
+              .rewritten = true});
+        red(incoming, acc);
+      }
+    });
     copy_bytes(acc, out);
     return algo;
   }
@@ -479,19 +518,22 @@ void Communicator::reduce_scatter_halving_over(const std::vector<int>& list, CBy
   std::vector<std::byte> incoming((elems / 2 + 1) * elem);
   std::size_t start = 0;  // in blocks
   std::size_t count = idx(m);
-  for (int mask = m >> 1; mask > 0; mask >>= 1) {
-    const int partner = list[idx(pos ^ mask)];
-    const std::size_t half = count / 2;
-    const bool upper = (pos & mask) != 0;
-    const std::size_t keep_start = upper ? start + half : start;
-    const std::size_t send_start = upper ? start : start + half;
-    const auto half_in = WBytes(incoming).first(half * block);
-    raw_sendrecv(CBytes(acc).subspan(send_start * block, half * block),
-                 partner, half_in, partner, tag);
-    red(half_in, WBytes(acc).subspan(keep_start * block, half * block));
-    start = keep_start;
-    count = half;
-  }
+  // Each round sends the half it gives up, which it never writes again.
+  run_steps(tag, log_rounds(m), [&](Adi3Engine::Steps& step) {
+    for (int mask = m >> 1; mask > 0; mask >>= 1) {
+      const int partner = list[idx(pos ^ mask)];
+      const std::size_t half = count / 2;
+      const bool upper = (pos & mask) != 0;
+      const std::size_t keep_start = upper ? start + half : start;
+      const std::size_t send_start = upper ? start : start + half;
+      const auto half_in = WBytes(incoming).first(half * block);
+      step({.send = CBytes(acc).subspan(send_start * block, half * block), .to = partner,
+            .recv = half_in, .from = partner});
+      red(half_in, WBytes(acc).subspan(keep_start * block, half * block));
+      start = keep_start;
+      count = half;
+    }
+  });
   // After log2(m) rounds this rank holds the reduction of block `pos`.
   copy_bytes(CBytes(acc).subspan(start * block, block), block_out);
 }
@@ -512,10 +554,12 @@ coll::Algo Communicator::allgather_over(const std::vector<int>& list, CBytes min
     return coll::Algo::Ring;
   }
   if (pos == 0) {
-    for (int q = 1; q < m; ++q)
-      raw_recv(all.subspan(block * idx(q), block), list[idx(q)], tag);
+    run_steps(tag, m - 1, [&](Adi3Engine::Steps& step) {
+      for (int q = 1; q < m; ++q)
+        step({.recv = all.subspan(block * idx(q), block), .from = list[idx(q)]});
+    });
   } else {
-    raw_send(mine, list[0], tag);
+    one_step(tag, {.send = mine, .to = list[0]});
   }
   // A binomial bcast never looks at the element size.
   bcast_over(list, all.first(block * idx(m)), 1, 0, tag + 1, coll::Algo::Binomial);
@@ -529,11 +573,11 @@ void Communicator::ring_over(const std::vector<int>& list, WBytes all,
   const int pos = position_in(list);
   const int right = list[idx((pos + 1) % m)];
   const int left = list[idx((pos - 1 + m) % m)];
-  const auto step = [&](int s) {
-    return Exchange::Step{blocks.of(all, (pos - s + m) % m), right,
-                          blocks.of(all, (pos - s - 1 + m) % m), left};
-  };
-  engine_->exchange_steps(exchange(), rank(), {m - 1, step}, tag, context(tag));
+  run_steps(tag, m - 1, [&](Adi3Engine::Steps& step) {
+    for (int s = 0; s < m - 1; ++s)
+      step({blocks.of(all, (pos - s + m) % m), right, blocks.of(all, (pos - s - 1 + m) % m),
+            left});
+  });
 }
 
 Exchange& Communicator::exchange() {
@@ -564,17 +608,16 @@ void Communicator::gather_bytes(prof::CallKind kind, CBytes mine, WBytes all,
   CBMPI_REQUIRE(blocks.fits(size()), prof::to_string(kind),
                 " counts/displs must have comm-size entries");
   if (rank() != root) {
-    raw_send(mine, root, tag);
+    one_step(tag, {.send = mine, .to = root});
     return;
   }
   CBMPI_REQUIRE(all.size() >= blocks.extent(size()), prof::to_string(kind),
                 " output buffer too small");
-  for (int r = 0; r < size(); ++r) {
-    if (r == root)
-      copy_bytes(mine, blocks.of(all, r));
-    else
-      raw_recv(blocks.of(all, r), r, tag);
-  }
+  copy_bytes(mine, blocks.of(all, root));
+  run_steps(tag, size() - 1, [&](Adi3Engine::Steps& step) {
+    for (int r = 0; r < size(); ++r)
+      if (r != root) step({.recv = blocks.of(all, r), .from = r});
+  });
 }
 
 void Communicator::scatter_bytes(prof::CallKind kind, CBytes all, const Blocks& blocks,
@@ -595,15 +638,14 @@ void Communicator::scatter_bytes(prof::CallKind kind, CBytes all, const Blocks& 
 void Communicator::scatter_over(CBytes all, const Blocks& blocks, WBytes mine, int root,
                                 int tag) {
   if (rank() != root) {
-    raw_recv(mine.first(blocks.bytes(rank())), root, tag);
+    one_step(tag, {.recv = mine.first(blocks.bytes(rank())), .from = root});
     return;
   }
-  for (int r = 0; r < size(); ++r) {
-    if (r == root)
-      copy_bytes(blocks.of(all, r), mine);
-    else
-      raw_send(blocks.of(all, r), r, tag);
-  }
+  copy_bytes(blocks.of(all, root), mine);
+  run_steps(tag, size() - 1, [&](Adi3Engine::Steps& step) {
+    for (int r = 0; r < size(); ++r)
+      if (r != root) step({.send = blocks.of(all, r), .to = r});
+  });
 }
 
 // ---- alltoall -------------------------------------------------------------
@@ -656,13 +698,14 @@ void Communicator::pairwise_over(CBytes send_data, const Blocks& send_blocks,
                                  WBytes recv_data, const Blocks& recv_blocks, int tag) {
   const int n = size();
   const bool pow2 = is_power_of_two(idx(n));
-  const auto step = [&](int s) {
-    const int send_to = pow2 ? (rank() ^ (s + 1)) : (rank() + s + 1) % n;
-    const int recv_from = pow2 ? (rank() ^ (s + 1)) : (rank() - s - 1 + n) % n;
-    return Exchange::Step{send_blocks.of(send_data, send_to), send_to,
-                          recv_blocks.of(recv_data, recv_from), recv_from};
-  };
-  engine_->exchange_steps(exchange(), rank(), {n - 1, step}, tag, context(tag));
+  run_steps(tag, n - 1, [&](Adi3Engine::Steps& step) {
+    for (int s = 0; s < n - 1; ++s) {
+      const int send_to = pow2 ? (rank() ^ (s + 1)) : (rank() + s + 1) % n;
+      const int recv_from = pow2 ? (rank() ^ (s + 1)) : (rank() - s - 1 + n) % n;
+      step({send_blocks.of(send_data, send_to), send_to,
+            recv_blocks.of(recv_data, recv_from), recv_from});
+    }
+  });
 }
 
 // Bruck: ceil(log2(n)) combined-block rounds — fewer, larger messages, at the
@@ -681,17 +724,19 @@ void Communicator::alltoall_bruck(CBytes send_data, WBytes recv_data, std::size_
   // rank (rank - i).
   std::vector<std::byte> pack(block * ((n + 1) / 2));
   std::vector<std::byte> unpack(pack.size());
-  for (std::size_t pow = 1; pow < n; pow <<= 1) {
-    std::size_t cnt = 0;
-    for (std::size_t i = 1; i < n; ++i)
-      if (i & pow) std::copy_n(at(tmp.data(), i), block, at(pack.data(), cnt++));
-    raw_sendrecv(CBytes(pack).first(block * cnt),
-                 static_cast<int>((my + pow) % n), WBytes(unpack).first(block * cnt),
-                 static_cast<int>((my + n - pow) % n), tag);
-    cnt = 0;
-    for (std::size_t i = 1; i < n; ++i)
-      if (i & pow) std::copy_n(at(unpack.data(), cnt++), block, at(tmp.data(), i));
-  }
+  run_steps(tag, log_rounds(size()), [&](Adi3Engine::Steps& step) {
+    for (std::size_t pow = 1; pow < n; pow <<= 1) {
+      std::size_t cnt = 0;
+      for (std::size_t i = 1; i < n; ++i)
+        if (i & pow) std::copy_n(at(tmp.data(), i), block, at(pack.data(), cnt++));
+      step({.send = CBytes(pack).first(block * cnt), .to = static_cast<int>((my + pow) % n),
+            .recv = WBytes(unpack).first(block * cnt),
+            .from = static_cast<int>((my + n - pow) % n), .rewritten = true});
+      cnt = 0;
+      for (std::size_t i = 1; i < n; ++i)
+        if (i & pow) std::copy_n(at(unpack.data(), cnt++), block, at(tmp.data(), i));
+    }
+  });
   // Phase 3: inverse rotation with reversal.
   for (std::size_t i = 0; i < n; ++i)
     std::copy_n(at(tmp.data(), i), block, at(recv_data.data(), (my + n - i) % n));
@@ -701,7 +746,7 @@ void Communicator::alltoall_bruck(CBytes send_data, WBytes recv_data, std::size_
 // host memory (Adi3Engine::alltoall).
 void Communicator::alltoall_spread(CBytes send_data, WBytes recv_data, std::size_t block,
                                    int tag) {
-  engine_->alltoall(exchange(), rank(), send_data, recv_data, block, tag, context(tag));
+  engine_->alltoall(exchange(), rank(), send_data, recv_data, block, tag);
 }
 
 // ---- reduce_scatter_block, prefix scans -----------------------------------
@@ -743,12 +788,20 @@ void Communicator::scan_bytes(prof::CallKind kind, CBytes in, WBytes out, Reduce
     std::fill(result.begin(), result.end(), std::byte{0});
   std::vector<std::byte> partial(in.begin(), in.end());
   std::vector<std::byte> incoming(in.size());
-  for (int mask = 1; mask < n; mask <<= 1) {
-    const std::vector<std::byte> snapshot = partial;  // value sent this round
-    Request send_req;
-    if (rank() + mask < n) send_req = raw_isend(snapshot, rank() + mask, tag);
-    if (rank() - mask >= 0) {
-      raw_recv(incoming, rank() - mask, tag);
+  // A round without a peer on either side (rank + mask >= n > mask > rank)
+  // is no step.
+  int rounds = 0;
+  for (int mask = 1; mask < n; mask <<= 1)
+    if (rank() + mask < n || rank() - mask >= 0) ++rounds;
+  run_steps(tag, rounds, [&](Adi3Engine::Steps& step) {
+    for (int mask = 1; mask < n; mask <<= 1) {
+      const bool sends = rank() + mask < n;
+      const bool receives = rank() - mask >= 0;
+      if (!sends && !receives) continue;
+      step({.send = partial, .to = sends ? rank() + mask : -1, .recv = incoming,
+            .from = receives ? rank() - mask : -1, .rewritten = true,
+            .recv_after_send = true});
+      if (!receives) continue;
       red(incoming, partial);
       if (have_result)
         red(incoming, result);
@@ -756,8 +809,7 @@ void Communicator::scan_bytes(prof::CallKind kind, CBytes in, WBytes out, Reduce
         copy_bytes(incoming, result);
       have_result = true;
     }
-    if (send_req) engine_->wait(send_req);
-  }
+  });
 }
 
 }  // namespace cbmpi::mpi

@@ -106,7 +106,7 @@ Status Communicator::probe(int src, int tag) {
   const int src_world = src == kAnySource ? kAnySource : to_world(src);
   std::optional<Status> status;
   engine_->block_until([&] {
-    status = engine_->iprobe(src_world, tag, context(tag));
+    status = engine_->iprobe(src_world, tag, id_);
     return status.has_value();
   });
   status->source = from_world(status->source);
@@ -116,26 +116,18 @@ Status Communicator::probe(int src, int tag) {
 std::optional<Status> Communicator::iprobe(int src, int tag) {
   const ProfiledCall prof_scope(*engine_, prof::CallKind::Probe);
   const int src_world = src == kAnySource ? kAnySource : to_world(src);
-  auto status = engine_->iprobe(src_world, tag, context(tag));
+  auto status = engine_->iprobe(src_world, tag, id_);
   if (status) status->source = from_world(status->source);
   return yield_unless(status);
 }
 
 Request Communicator::raw_isend(CBytes data, int dst, int tag) {
-  return engine_->start_send(data, to_world(dst), tag, context(tag));
+  return engine_->start_send(data, to_world(dst), tag, id_);
 }
 
 Request Communicator::raw_irecv(WBytes buffer, int src, int tag) {
   const int src_world = src == kAnySource ? kAnySource : to_world(src);
-  return engine_->post_recv(buffer, src_world, tag, context(tag));
-}
-
-void Communicator::raw_send(CBytes data, int dst, int tag) {
-  engine_->wait(raw_isend(data, dst, tag));
-}
-
-void Communicator::raw_recv(WBytes buffer, int src, int tag) {
-  engine_->wait(raw_irecv(buffer, src, tag));
+  return engine_->post_recv(buffer, src_world, tag, id_);
 }
 
 void Communicator::raw_sendrecv(CBytes send_data, int dst, WBytes recv_buffer, int src,
@@ -155,7 +147,7 @@ int Communicator::begin_collective() {
 
 Communicator::Collective::Collective(Communicator& comm, const char* kind)
     : tag(comm.begin_collective()),
-      scope_(*comm.engine_, {kind, comm.next_coll_seq_, comm.id_}) {}
+      scope_(*comm.engine_, {kind, comm.next_coll_seq_}) {}
 
 std::vector<int> Communicator::all_ranks() const {
   std::vector<int> list(static_cast<std::size_t>(size()));

@@ -43,14 +43,15 @@
 // ran is recorded in the rank profile and (when tracing) as a CollAlgo trace
 // event.
 //
-// Tag discipline: every user-level collective reserves a block of reserved
-// tags (same sequence on every rank, because collectives are called in the
-// same order); each internal phase uses a fixed offset within the block, so
-// ranks that skip a phase (non-leaders) stay tag-consistent with ranks that
-// do not.
-//
-// All internal traffic uses unprofiled "raw" transfers so the mpiP-style
-// profile counts user-level MPI calls exactly once.
+// No collective sends a message: every algorithm runs its phases as step
+// exchanges over the communicator's Exchange (Adi3Engine::exchange_steps),
+// and the spread alltoall as one Adi3Engine::alltoall, so the message path
+// carries only user traffic. Tag discipline: every user-level collective
+// reserves a block of reserved tags (same sequence on every rank, because
+// collectives are called in the same order), and each phase takes a fixed
+// offset within the block as its name, so ranks that skip a phase
+// (non-leaders) stay consistent with ranks that do not, and no rank runs two
+// phases of one call under one name.
 #pragma once
 
 #include <cstddef>
@@ -67,8 +68,7 @@
 
 namespace cbmpi::mpi {
 
-/// Tags at or above this value are reserved for collective internals. They
-/// travel in a context of their own, as in MPI, so kAnyTag never sees them.
+/// Tags at or above this value are reserved: they name collective phases.
 inline constexpr int kCollectiveTagBase = 1 << 20;
 
 struct CommGroup {
@@ -245,9 +245,10 @@ class Communicator {
   void raw_barrier();
 
  private:
-  /// Number of reserved tags per user-level collective call. Each internal
-  /// phase gets a stride-4 slice so composite algorithms (e.g. scatter +
-  /// ring-allgather inside one bcast phase) have room.
+  /// Number of reserved tags per user-level collective call. Each phase of a
+  /// two-level collective gets a stride-4 slice, so the composite algorithms
+  /// inside it (a van de Geijn bcast is a scatter phase and a ring phase)
+  /// have room.
   static constexpr int kSubTags = 16;
 
   using CBytes = std::span<const std::byte>;
@@ -302,9 +303,9 @@ class Communicator {
   int begin_collective();
 
   /// One collective call on this communicator, open until it returns: its
-  /// tag block and the engine's CollectiveScope, which names the call
-  /// `kind` with its sequence number in a DeadlockError and withdraws its
-  /// rendezvous sends when a receive fails.
+  /// tag block and the engine's CollectiveScope, which publishes the call's
+  /// `kind` with each exchange phase and names it, with its sequence number,
+  /// in a DeadlockError.
   class Collective {
    public:
     Collective(Communicator& comm, const char* kind);
@@ -314,11 +315,9 @@ class Communicator {
     Adi3Engine::CollectiveScope scope_;
   };
 
-  // Unprofiled raw transfers used by point-to-point calls and collectives.
+  // Unprofiled point-to-point transfers under the typed calls.
   Request raw_isend(CBytes data, int dst, int tag);
   Request raw_irecv(WBytes buffer, int src, int tag);
-  void raw_send(CBytes data, int dst, int tag);
-  void raw_recv(WBytes buffer, int src, int tag);
   void raw_sendrecv(CBytes send_data, int dst, WBytes recv_buffer, int src, int tag);
 
   // Byte-level collectives (mpi/coll/algorithms.cpp). Each entry point opens
@@ -359,8 +358,7 @@ class Communicator {
                             std::size_t elem, Reducer red, int tag, coll::Algo algo);
   coll::Algo allgather_over(const std::vector<int>& list, CBytes mine, WBytes all,
                             int tag, coll::Algo algo);
-  /// Ring allgather of `all`'s blocks, each rank starting from its own, as
-  /// a step exchange.
+  /// Ring allgather of `all`'s blocks, each rank starting from its own.
   void ring_over(const std::vector<int>& list, WBytes all, const Blocks& blocks,
                  int tag);
   /// Recursive-halving reduce-scatter over a power-of-two list; `in` holds
@@ -370,22 +368,23 @@ class Communicator {
                                    int tag);
   /// Linear scatter from `root` over the whole communicator.
   void scatter_over(CBytes all, const Blocks& blocks, WBytes mine, int root, int tag);
-  /// Pairwise exchange: n-1 steps of a step exchange (XOR partners on
-  /// power-of-two comms, shifted ring otherwise).
+  /// Pairwise exchange: n-1 steps (XOR partners on power-of-two comms,
+  /// shifted ring otherwise).
   void pairwise_over(CBytes send_data, const Blocks& send_blocks, WBytes recv_data,
                      const Blocks& recv_blocks, int tag);
   /// This communicator's exchange, looked up on first use.
   Exchange& exchange();
+  /// One phase of `count` steps named `tag` over the exchange
+  /// (Adi3Engine::exchange_steps); `body` runs them through its Steps&.
+  template <typename Body>
+  void run_steps(int tag, int count, Body&& body);
+  /// A phase of one step.
+  void one_step(int tag, const Exchange::Step& step);
   void alltoall_bruck(CBytes send_data, WBytes recv_data, std::size_t block, int tag);
   void alltoall_spread(CBytes send_data, WBytes recv_data, std::size_t block, int tag);
 
   std::vector<int> all_ranks() const;
   int position_in(const std::vector<int>& list) const;
-  /// The context of a transfer on `tag`: id_, or id_ ^ kCollectiveContextBit.
-  std::uint64_t context(int tag) const {
-    return tag >= kCollectiveTagBase ? id_ ^ kCollectiveContextBit : id_;
-  }
-
   /// The job's tuning-table choice for `coll` over `list_size` ranks; a
   /// TwoLevel row counts only when `two_level` (internal sub-list phases
   /// have no further hierarchy).
@@ -465,7 +464,7 @@ template <typename T>
 void Communicator::send(std::span<const T> data, int dst, int tag) {
   CBMPI_REQUIRE(tag >= 0 && tag < kCollectiveTagBase, "user tag out of range: ", tag);
   const ProfiledCall prof_scope(*engine_, prof::CallKind::Send);
-  raw_send(detail::bytes(data), dst, tag);
+  engine_->wait(raw_isend(detail::bytes(data), dst, tag));
 }
 
 template <typename T>

@@ -88,71 +88,74 @@ struct PhaseAlignment {
   std::uint64_t generation = 0;
 };
 
-/// One communicator's exchange in host memory, shared by its ranks. Each
-/// rank owns one slot and is its only writer: it publishes its blocks there,
-/// as envelopes and the list that says where each one sits in its own send
-/// buffer, and peers copy each block straight out of that buffer. A rank
-/// leaves a call or phase only when its readers_left is zero, so no call
-/// overwrites a block still being read.
+/// One communicator's exchange in host memory, shared by its ranks: every
+/// collective moves its blocks through it, and none sends a message. Each
+/// rank owns one slot and is its only writer: it publishes its blocks there
+/// as entries, each an envelope and where its bytes sit, and peers copy each
+/// block from there. A block stays in its owner's send buffer unless the
+/// owner rewrites that range before its reader is done (recursive doubling's
+/// accumulator, Bruck's pack, scan's partial): such an eager block is copied
+/// once into its entry at publish, the copy the message block used to make.
+/// A rank leaves a call or phase only when its readers_left is zero, so no
+/// call overwrites a block still being read.
 ///
 /// Two forms share the slots. The alltoall form (Adi3Engine::alltoall)
-/// publishes one block per peer, stores readers_left and calls, then bumps
+/// publishes one entry per peer, stores readers_left and calls, then bumps
 /// `arrived`; a rank that sees `arrived` reach k * size() sees every slot of
-/// call k. The step form (Adi3Engine::exchange_steps) publishes one block
-/// per step and names its phase by the collective's tag: `published` holds
-/// the tag in its high half and the steps published in its low half, and
-/// the reader of step s waits for its peer's entry s. Publishing is
-/// sequentially consistent, so an owner that sees readers_left at zero sees
-/// every read of its slot done. The arrival that completes a call pokes every
-/// other member's matcher, a step's publish pokes its reader's, and the
-/// reader that takes readers_left to zero (or pulls a rendezvous block) pokes
-/// the owner's, so every wait parks in Adi3Engine::block_until and loses no
-/// wake-up.
+/// call k. The step form (Adi3Engine::exchange_steps) publishes one entry
+/// per step that sends and names its phase by a collective tag: `published`
+/// holds the tag in its high half and the entries published in its low
+/// half. A reader's k-th read from an owner in a phase takes the k-th entry
+/// that owner addressed to it, the per-sender FIFO order of the message
+/// path. Publishing is sequentially consistent, so an owner that sees
+/// readers_left at zero sees every read of its slot done. The arrival that
+/// completes a call pokes every other member's matcher, a publish pokes its
+/// reader's, and the reader that takes readers_left to zero (or pulls a
+/// rendezvous block) pokes the owner's, so every wait parks in
+/// Adi3Engine::block_until and loses no wake-up.
 ///
-/// The blocks live in the owner's memory, so an owner that unwinds past its
-/// send buffers withdraws the slot's guard first, and a reader copies only
-/// through the guard, which then refuses. The counters readers write sit
-/// on lines of their own, away from what every reader loads.
+/// The blocks may live in the owner's memory, so an owner that unwinds past
+/// its send buffers withdraws the slot's guard first, and a reader copies
+/// only through the guard, which then refuses. The counters readers write
+/// sit on lines of their own, away from what every reader loads.
 struct Exchange {
-  /// One block of a call or step, in comm ranks: `send` goes to `to`, and
-  /// the block from `from` lands in `recv`.
+  /// One step of a collective, in comm ranks: `send` goes to `to`, and the
+  /// block from `from` lands in `recv`; a step without a peer (-1) on one
+  /// side only receives or only sends. The receive is posted before the
+  /// send's clock advance, as a sendrecv posts it, unless `recv_after_send`
+  /// (an isend, then a recv). `rewritten`: the owner rewrites `send` before
+  /// its reader is done, so an eager block is copied into its entry.
   struct Step {
-    std::span<const std::byte> send;
-    int to;
-    std::span<std::byte> recv;
-    int from;
+    std::span<const std::byte> send{};
+    int to = -1;
+    std::span<std::byte> recv{};
+    int from = -1;
+    bool rewritten = false;
+    bool recv_after_send = false;
   };
 
-  /// A call's or phase's blocks, computed on demand from the owner's layout
-  /// rather than stored per peer: entry e is `at(e)`. It refers to the const
-  /// callable `at` in the owner's frame, which outlives every read (an owner
-  /// leaves only once its entries are read, and withdraws before it
-  /// unwinds), so readers on any worker may call it.
-  struct StepList {
-    template <typename At>
-    StepList(int count, const At& at)
-        : size(count),
-          callable(&at),
-          call([](const void* f, int e) { return (*static_cast<const At*>(f))(e); }) {}
-    Step operator[](int e) const { return call(callable, e); }
-
-    int size;
-    const void* callable;
-    Step (*call)(const void*, int);
+  /// One published block: its envelope and its bytes, in the owner's send
+  /// buffer or in `copy`.
+  struct Entry {
+    fabric::Envelope env;
+    std::span<const std::byte> send;
+    std::vector<std::byte> copy;
   };
 
   struct alignas(64) Slot {
     /// Alltoall calls this rank has arrived at: the one it is in, or last left.
     std::atomic<std::uint64_t> calls{0};
-    /// Step form: the phase's tag << 32 | the steps it has published.
+    /// Step form: the phase's tag << 32 | the entries it has published.
     std::atomic<std::uint64_t> published{0};
-    /// Per comm rank (alltoall, its own unused) or per step: the block's
-    /// envelope, and where its bytes sit, as the owner's list computes it.
-    std::vector<fabric::Envelope> envelopes;
-    const StepList* blocks = nullptr;
+    /// The collective the owner is in (its CollectiveScope kind), set before
+    /// the first publish of each call or phase.
+    const char* kind = nullptr;
+    /// Per comm rank (alltoall, its own unused) or in publish order (step
+    /// form). Sized before the first publish, so no entry moves while read.
+    std::vector<Entry> entries;
     /// Reads of the current call or phase not done yet.
     alignas(64) std::atomic<int> readers_left{0};
-    /// Peers copy the owner's send blocks through it (Adi3Engine::read_entry);
+    /// Peers copy the owner's blocks through it (Adi3Engine::read_entry);
     /// the owner withdraws it before it unwinds past them.
     alignas(64) fabric::WithdrawGuard guard;
   };
@@ -166,6 +169,9 @@ struct Exchange {
   Slot& slot(int comm_rank) { return slots[static_cast<std::size_t>(comm_rank)]; }
   const Slot& slot(int comm_rank) const {
     return slots[static_cast<std::size_t>(comm_rank)];
+  }
+  int world(int comm_rank) const {
+    return world_ranks[static_cast<std::size_t>(comm_rank)];
   }
 
   const std::uint64_t comm_id;

@@ -13,10 +13,6 @@ namespace cbmpi::mpi {
 inline constexpr int kAnySource = -1;
 inline constexpr int kAnyTag = -1;
 
-/// Set in the context id of every transfer a collective makes internally: a
-/// communicator's collectives travel in a context of their own, as in MPI.
-inline constexpr std::uint64_t kCollectiveContextBit = std::uint64_t{1} << 63;
-
 struct Status {
   int source = kAnySource;  ///< communicator-relative source rank
   int tag = kAnyTag;

@@ -1,7 +1,8 @@
 // The exchange in host memory: the spread alltoall publishes its blocks and
 // envelopes once per call, and peers complete their receives from them in
-// virtual arrival order; the ring and pairwise collectives publish one block
-// per step. Peers copy each block straight out of its owner's send buffer.
+// virtual arrival order; every other collective publishes one block per step
+// that sends. Peers copy each block straight out of its owner's send buffer,
+// or out of the copy its owner made of a range it rewrites.
 //
 // The golden tables pin a fingerprint of every observable output of a
 // matrix of jobs: the bit patterns of the rank clocks, the spans, trace
@@ -25,6 +26,7 @@
 #include <cstdlib>
 #include <future>
 #include <optional>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -686,6 +688,8 @@ const char* to_string(MsgColl c) {
   return "?";
 }
 
+void PrintTo(MsgColl c, std::ostream* os) { *os << to_string(c); }
+
 bool two_level(MsgColl c) {
   return c == MsgColl::BarrierTwoLevel || c == MsgColl::BcastTwoLevel ||
          c == MsgColl::ReduceTwoLevel || c == MsgColl::AllreduceTwoLevel ||
@@ -1344,38 +1348,51 @@ const MsgGoldenRow kMsgGolden[] = {
     {MsgColl::Exscan, Variant::Rndv64K, 4, "fattree:4", 0x6fcb9e50c38b6dc4ULL},
 };
 
-TEST(CollectiveExchange, ReproducesTheMessagePathFingerprints) {
+// One test per algorithm, so each stays well inside a sanitizer build's
+// per-test timeout.
+class MessagePathGolden : public ::testing::TestWithParam<MsgColl> {};
+
+TEST_P(MessagePathGolden, ReproducesTheMessagePathFingerprints) {
+  const MsgColl coll = GetParam();
   std::string regenerated;
-  std::size_t row = 0;
-  for (const auto coll : kMsgColls)
-    for (const auto variant : {Variant::Eager1K, Variant::Rndv64K, Variant::RegRndv64K})
-      for (const int cph : {1, 2, 4})
-        for (const char* fabric : {"ideal", "fattree:4"}) {
-          if (variant == Variant::RegRndv64K && registers_scratch(coll)) continue;
-          const std::uint64_t measured = msg_row_fingerprint(coll, variant, cph, fabric);
-          const bool pinned = row < std::size(kMsgGolden) &&
-                              kMsgGolden[row].coll == coll &&
-                              kMsgGolden[row].variant == variant &&
-                              kMsgGolden[row].cph == cph &&
-                              std::string(kMsgGolden[row].fabric) == fabric;
-          EXPECT_TRUE(pinned && kMsgGolden[row].fingerprint == measured)
-              << to_string(coll) << " " << to_string(variant) << " at " << cph
-              << " containers per host, " << fabric;
-          char line[160];
-          std::snprintf(line, sizeof line,
-                        "    {MsgColl::%s, Variant::%s, %d, \"%s\", 0x%016llxULL},\n",
-                        to_string(coll), to_string(variant), cph, fabric,
-                        static_cast<unsigned long long>(measured));
-          regenerated += line;
-          ++row;
-        }
+  std::ptrdiff_t rows = 0;
+  for (const auto variant : {Variant::Eager1K, Variant::Rndv64K, Variant::RegRndv64K})
+    for (const int cph : {1, 2, 4})
+      for (const char* fabric : {"ideal", "fattree:4"}) {
+        if (variant == Variant::RegRndv64K && registers_scratch(coll)) continue;
+        const std::uint64_t measured = msg_row_fingerprint(coll, variant, cph, fabric);
+        const auto* golden = std::ranges::find_if(kMsgGolden, [&](const MsgGoldenRow& r) {
+          return r.coll == coll && r.variant == variant && r.cph == cph &&
+                 std::string(r.fabric) == fabric;
+        });
+        EXPECT_TRUE(golden != std::end(kMsgGolden) && golden->fingerprint == measured)
+            << to_string(coll) << " " << to_string(variant) << " at " << cph
+            << " containers per host, " << fabric;
+        char line[160];
+        std::snprintf(line, sizeof line,
+                      "    {MsgColl::%s, Variant::%s, %d, \"%s\", 0x%016llxULL},\n",
+                      to_string(coll), to_string(variant), cph, fabric,
+                      static_cast<unsigned long long>(measured));
+        regenerated += line;
+        ++rows;
+      }
+  EXPECT_EQ(std::ranges::count_if(kMsgGolden,
+                                  [coll](const MsgGoldenRow& r) { return r.coll == coll; }),
+            rows)
+      << "rows pinned for " << to_string(coll);
   if (HasFailure()) ADD_FAILURE() << "measured fingerprints:\n" << regenerated;
 }
+
+INSTANTIATE_TEST_SUITE_P(EveryAlgorithm, MessagePathGolden, ::testing::ValuesIn(kMsgColls),
+                         [](const ::testing::TestParamInfo<MsgColl>& c) {
+                           return std::string(to_string(c.param));
+                         });
 
 // One rank passes blocks twice as large as everyone else's, so each of its
 // blocks overflows its receiver's block: the receive fails with the message
 // path's truncation error, eager (SHM and HCA) and rendezvous (CMA and HCA)
-// alike, and the job ends cleanly.
+// alike, and the job ends cleanly. That rank starts later, so its own reads
+// of shorter blocks fail later in virtual time than the truncations.
 TEST(AlltoallExchange, LargerIncomingBlockRaisesTruncation) {
   for (const std::size_t block : {std::size_t{64}, std::size_t{64} * 1024}) {
     JobConfig cfg;
@@ -1384,6 +1401,7 @@ TEST(AlltoallExchange, LargerIncomingBlockRaisesTruncation) {
     try {
       run_job(cfg, [block](mpi::Process& p) {
         const std::size_t mine = p.rank() == 1 ? 2 * block : block;
+        if (p.rank() == 1) p.compute(1000.0);
         const std::vector<std::byte> out(mine * 4, std::byte{7});
         std::vector<std::byte> in(out.size());
         p.world().alltoall(std::span<const std::byte>(out), std::span<std::byte>(in));
@@ -1393,7 +1411,7 @@ TEST(AlltoallExchange, LargerIncomingBlockRaisesTruncation) {
       const std::string what = e.what();
       EXPECT_NE(what.find("message truncation: rank "), std::string::npos) << what;
       EXPECT_NE(what.find(" recv(source=1, tag="), std::string::npos) << what;
-      EXPECT_NE(what.find(", comm=0 (collective)) got " + std::to_string(2 * block) +
+      EXPECT_NE(what.find(", in alltoall #1) got " + std::to_string(2 * block) +
                           " bytes into a " + std::to_string(block) + "-byte buffer"),
                 std::string::npos)
           << what;
@@ -1436,7 +1454,7 @@ TEST(StepExchange, AlltoallvLargerIncomingBlockRaisesTruncation) {
       const std::string what = e.what();
       EXPECT_NE(what.find("message truncation: rank "), std::string::npos) << what;
       EXPECT_NE(what.find(" recv(source=1, tag="), std::string::npos) << what;
-      EXPECT_NE(what.find(", comm=0 (collective)) got " + std::to_string(2 * block) +
+      EXPECT_NE(what.find(", in alltoallv #1) got " + std::to_string(2 * block) +
                           " bytes into a " + std::to_string(block) + "-byte buffer"),
                 std::string::npos)
           << what;
@@ -1445,6 +1463,107 @@ TEST(StepExchange, AlltoallvLargerIncomingBlockRaisesTruncation) {
     }
   }
 }
+
+// Mismatched collective calls: rank 0 broadcasts while the others allreduce.
+// The first reader of rank 0's block sees it was published by another
+// collective and fails, naming both calls.
+TEST(CollectiveExchange, MismatchedCollectivesNameBothCalls) {
+  JobConfig cfg;
+  cfg.deployment = DeploymentSpec::native_hosts(1, 4);
+  try {
+    run_job(cfg, [](mpi::Process& p) {
+      auto& world = p.world();
+      if (p.rank() == 0) {
+        std::array<int, 4> data{1, 2, 3, 4};
+        world.bcast(std::span<int>(data), 0);
+      } else {
+        (void)world.allreduce_value(p.rank(), mpi::ReduceOp::Sum);
+      }
+    });
+    ADD_FAILURE() << "expected an error for mismatched collectives";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(" called allreduce #1 but rank 0 called bcast #1 (comm 0)"),
+              std::string::npos)
+        << what;
+  }
+}
+
+/// A collective call in which one rank's receive range is longer than the
+/// block it gets, and the error that must name it.
+struct ShortBlockCase {
+  const char* name;
+  void (*call)(mpi::Communicator& world);
+  const char* error;
+};
+
+void PrintTo(const ShortBlockCase& c, std::ostream* os) { *os << c.name; }
+
+class ShortCollectiveBlock : public ::testing::TestWithParam<ShortBlockCase> {};
+
+// Four ranks on one host; every case ran to the end at the parent, its
+// receiver left with a tail the block never wrote.
+TEST_P(ShortCollectiveBlock, IsAnErrorNamingTheCollectivePeerAndSizes) {
+  JobConfig cfg;
+  cfg.deployment = DeploymentSpec::native_hosts(1, 4);
+  try {
+    run_job(cfg, [](mpi::Process& p) { GetParam().call(p.world()); });
+    ADD_FAILURE() << "expected an error for a short block";
+  } catch (const TruncationError& e) {
+    ADD_FAILURE() << e.what();
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(GetParam().error), std::string::npos) << what;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Cases, ShortCollectiveBlock,
+    ::testing::Values(
+        // Rank 1 passes 1 int to a gather of 2 per rank.
+        ShortBlockCase{"gather",
+                       [](mpi::Communicator& world) {
+                         const std::vector<int> mine(world.rank() == 1 ? 1 : 2,
+                                                     10 + world.rank());
+                         std::vector<int> all(8, -1);
+                         world.gather(std::span<const int>(mine), std::span<int>(all));
+                       },
+                       "rank 0 in gather #1 (comm 0) got a 4-byte block from rank 1 "
+                       "for a 8-byte receive"},
+        // Rank 2 passes 1 int where the counts say 2.
+        ShortBlockCase{"gatherv",
+                       [](mpi::Communicator& world) {
+                         const std::array<int, 4> counts{2, 2, 2, 2};
+                         const std::array<int, 4> displs{0, 2, 4, 6};
+                         const std::vector<int> mine(world.rank() == 2 ? 1 : 2,
+                                                     10 + world.rank());
+                         std::vector<int> all(8, -1);
+                         world.gatherv(std::span<const int>(mine), std::span<int>(all),
+                                       std::span<const int>(counts),
+                                       std::span<const int>(displs));
+                       },
+                       "rank 0 in gatherv #1 (comm 0) got a 4-byte block from rank 2 "
+                       "for a 8-byte receive"},
+        // Rank 3 expects 3 ints of a scatter of 2 per rank.
+        ShortBlockCase{"scatter",
+                       [](mpi::Communicator& world) {
+                         std::vector<int> all(8);
+                         for (int i = 0; i < 8; ++i) all[idx(i)] = i;
+                         std::vector<int> mine(world.rank() == 3 ? 3 : 2, -1);
+                         world.scatter(std::span<const int>(all), std::span<int>(mine));
+                       },
+                       "rank 3 in scatter #1 (comm 0) got a 8-byte block from rank 0 "
+                       "for a 12-byte receive"},
+        // Rank 3 passes 4 ints to a bcast of 2.
+        ShortBlockCase{"bcast",
+                       [](mpi::Communicator& world) {
+                         std::vector<int> data(world.rank() == 3 ? 4 : 2,
+                                               world.rank() == 0 ? 7 : -1);
+                         world.bcast(std::span<int>(data), 0);
+                       },
+                       "rank 3 in bcast #1 (comm 0) got a 8-byte block from rank 2 "
+                       "for a 16-byte receive"}),
+    [](const ::testing::TestParamInfo<ShortBlockCase>& c) { return c.param.name; });
 
 /// Runs `job` under a watchdog, so a lost wake-up fails instead of hanging.
 template <typename Job>
