@@ -238,12 +238,14 @@ Adi3Engine::~Adi3Engine() {
 }
 
 template <typename Done>
-void Adi3Engine::wait_in(const ExchangeWait& where, Done&& done) {
-  waiting_ = where;
+void Adi3Engine::wait_in(int from, int to, Done&& done) {
+  phase_.waiting = true;
+  phase_.from = from;
+  phase_.to = to;
   const struct Leave {
-    ExchangeWait& waiting;
-    ~Leave() { waiting.exchange = nullptr; }
-  } leave{waiting_};
+    bool& waiting;
+    ~Leave() { waiting = false; }
+  } leave{phase_.waiting};
   block_until([&] {
     if (done()) return true;
     progress_posted();
@@ -266,18 +268,14 @@ Micros Adi3Engine::read_entry(Exchange& exchange, int from, int entry,
   }
   // A block fills its receive range exactly; only point-to-point accepts a
   // shorter message.
-  if (env.size > buffer.size()) {
+  if (env.size != buffer.size()) {
+    const bool longer = env.size > buffer.size();
     std::ostringstream os;
-    os << "message truncation: rank " << rank_ << " recv(source=" << env.src
-       << ", tag=" << env.tag << ", in " << kind << " #" << collective_.seq << ") got "
-       << env.size << " bytes into a " << buffer.size() << "-byte buffer";
-    throw TruncationError(os.str());
-  }
-  if (env.size < buffer.size()) {
-    std::ostringstream os;
-    os << "rank " << rank_ << " in " << kind << " #" << collective_.seq << " (comm "
-       << exchange.comm_id << ") got a " << env.size << "-byte block from rank " << env.src
-       << " for a " << buffer.size() << "-byte receive";
+    os << (longer ? "message truncation" : "short collective block") << ": rank " << rank_
+       << " recv(source=" << env.src << ", tag=" << env.tag << ", in " << kind << " #"
+       << collective_.seq << ") got " << env.size << " bytes into a " << buffer.size()
+       << "-byte buffer";
+    if (longer) throw TruncationError(os.str());
     throw Error(os.str());
   }
   Micros received_at = 0.0;
@@ -300,6 +298,7 @@ void Adi3Engine::alltoall(Exchange& exchange, int me, std::span<const std::byte>
   const auto at = [block](int peer) { return block * static_cast<std::size_t>(peer); };
   // The message path posted every receive before its first send.
   const Micros posted_at = clock().now();
+  phase_ = {&exchange, me, tag, 0, 0, 0, phase_.number + 1};
 
   // Sender side, in the message path's send order; every block stays in
   // `send`, where its reader copies it from.
@@ -322,9 +321,9 @@ void Adi3Engine::alltoall(Exchange& exchange, int me, std::span<const std::byte>
   const WithdrawOnThrow withdraw_on_throw{*this, mine};
   const std::uint64_t everyone = call * static_cast<std::uint64_t>(n);
   if (exchange.arrived.fetch_add(1) + 1 == everyone)
-    for (int step = 1; step < n; ++step) job_->matcher(exchange.world(peer_at(step))).poke();
-  const ExchangeWait where{.exchange = &exchange, .me = me};
-  wait_in(where, [&] { return exchange.arrived.load() >= everyone; });
+    for (int step = 1; step < n; ++step)
+      job_->matcher(exchange.world(peer_at(step))).poke();
+  wait_in(-1, -1, [&] { return exchange.arrived.load() >= everyone; });
 
   // Receiver side, in virtual arrival order, so the busy chain is a pure
   // function of the envelopes. Each peer's key is read once, before the sort.
@@ -351,7 +350,7 @@ void Adi3Engine::alltoall(Exchange& exchange, int me, std::span<const std::byte>
     clock().advance_to(received_at_[static_cast<std::size_t>(peer_at(step))]);
     check_crash();
   }
-  wait_in(where, [&] { return mine.readers_left.load() == 0; });
+  wait_in(-1, -1, [&] { return mine.readers_left.load() == 0; });
   for (int step = 1; step < n; ++step) {
     const auto& rndv = mine.entries[static_cast<std::size_t>(peer_at(step))].env.rndv;
     if (rndv != nullptr) clock().advance_to(rndv->sender_complete_at());
@@ -359,96 +358,80 @@ void Adi3Engine::alltoall(Exchange& exchange, int me, std::span<const std::byte>
   }
 }
 
-namespace {
-/// The entries a slot's `published` word shows published for the phase of
-/// `phase` (a tag << 32): none while the slot is in another phase.
-int published_in(std::uint64_t word, std::uint64_t phase) {
-  return (word >> 32) == (phase >> 32) ? static_cast<int>(word & 0xffffffffu) : 0;
-}
-}  // namespace
-
-Adi3Engine::Steps::Steps(Adi3Engine& engine, Exchange& exchange, int me, int tag,
-                         int count)
-    : engine_(engine),
-      exchange_(exchange),
-      mine_(exchange.slot(me)),
-      me_(me),
-      tag_(tag),
-      phase_(static_cast<std::uint64_t>(static_cast<std::uint32_t>(tag)) << 32),
-      number_(++engine.phases_),
-      count_(count),
-      withdraw_on_throw_{engine, mine_} {
+void Adi3Engine::begin_phase(Exchange& exchange, int me, int tag, int count) {
+  phase_ = {&exchange, me, tag, count, 0, 0, phase_.number + 1};
   // The previous phase's readers are done, so nothing reads the slot.
-  mine_.kind = engine.collective_.kind;
-  if (mine_.entries.size() < static_cast<std::size_t>(count))
-    mine_.entries.resize(static_cast<std::size_t>(count));
-  if (engine.cursors_.size() < static_cast<std::size_t>(exchange.size()))
-    engine.cursors_.resize(static_cast<std::size_t>(exchange.size()));
+  Exchange::Slot& mine = exchange.slot(me);
+  mine.kind = collective_.kind;
+  if (mine.entries.size() < static_cast<std::size_t>(count))
+    mine.entries.resize(static_cast<std::size_t>(count));
+  if (cursors_.size() < static_cast<std::size_t>(exchange.size()))
+    cursors_.resize(static_cast<std::size_t>(exchange.size()));
 }
 
-int Adi3Engine::Steps::next_entry_from(int from) {
-  Cursor& cursor = engine_.cursors_[static_cast<std::size_t>(from)];
-  if (cursor.phase != number_) cursor = {number_, 0};
-  const Exchange::Slot& owner = exchange_.slot(from);
-  const int me = engine_.rank_;
-  engine_.wait_in({.exchange = &exchange_, .me = me_, .step = step_, .steps = count_,
-                   .from = from},
-                  [&] {
-                    const int published = published_in(owner.published.load(), phase_);
-                    for (; cursor.next < published; ++cursor.next)
-                      if (owner.entries[static_cast<std::size_t>(cursor.next)].env.dst == me)
-                        return true;
-                    return false;
-                  });
+int Adi3Engine::next_entry_from(int from) {
+  Cursor& cursor = cursors_[static_cast<std::size_t>(from)];
+  if (cursor.phase != phase_.number) cursor = {phase_.number, 0};
+  const Exchange::Slot& owner = phase_.exchange->slot(from);
+  wait_in(from, -1, [&] {
+    const std::uint64_t word = owner.published.load();
+    const int published =
+        (word >> 32) == static_cast<std::uint64_t>(phase_.tag) ? static_cast<int>(word) : 0;
+    for (; cursor.next < published; ++cursor.next)
+      if (owner.entries[static_cast<std::size_t>(cursor.next)].env.dst == rank_)
+        return true;
+    return false;
+  });
   return cursor.next++;
 }
 
-void Adi3Engine::Steps::operator()(const Exchange::Step& step) {
-  CBMPI_REQUIRE(step_ < count_, "exchange phase ran past its ", count_, " steps");
-  Adi3Engine& e = engine_;
-  Micros posted_at = e.clock().now();
+void Adi3Engine::run_step(const Exchange::Step& step) {
+  Phase& phase = phase_;
+  CBMPI_REQUIRE(phase.step < phase.count, "exchange phase ran past its ", phase.count,
+                " steps");
+  Exchange& exchange = *phase.exchange;
+  Exchange::Slot& mine = exchange.slot(phase.me);
+  Micros posted_at = clock().now();
   const fabric::Envelope* sent = nullptr;
   if (step.to >= 0) {
-    Exchange::Entry& entry = mine_.entries[static_cast<std::size_t>(published_)];
+    Exchange::Entry& entry = mine.entries[static_cast<std::size_t>(phase.published)];
     entry.env = {};
     entry.send = step.send;
-    sent = &e.send_block(step.send, exchange_.world(step.to), tag_, exchange_.comm_id,
-                         [&](bool eager) {
-                           if (!eager || !step.rewritten) return SendTarget{entry.env, {}};
-                           entry.copy.resize(step.send.size());
-                           entry.send = entry.copy;
-                           return SendTarget{entry.env, entry.copy};
-                         });
-    mine_.readers_left.fetch_add(1);
-    mine_.published.store(phase_ | static_cast<std::uint64_t>(++published_));
-    e.job_->matcher(exchange_.world(step.to)).poke();
+    sent = &send_block(step.send, exchange.world(step.to), phase.tag, exchange.comm_id,
+                       [&](bool eager) {
+                         if (!eager || !step.rewritten) return SendTarget{entry.env, {}};
+                         entry.copy.resize(step.send.size());
+                         entry.send = entry.copy;
+                         return SendTarget{entry.env, entry.copy};
+                       });
+    mine.readers_left.fetch_add(1);
+    mine.published.store(static_cast<std::uint64_t>(phase.tag) << 32 |
+                         static_cast<std::uint64_t>(++phase.published));
+    job_->matcher(exchange.world(step.to)).poke();
   }
   if (step.from >= 0) {
-    if (step.recv_after_send) posted_at = e.clock().now();
-    e.progress_posted();
+    if (step.recv_after_send) posted_at = clock().now();
+    progress_posted();
     const int entry = next_entry_from(step.from);
-    e.clock().advance_to(e.read_entry(exchange_, step.from, entry, step.recv, posted_at));
-    e.check_crash();
+    clock().advance_to(read_entry(exchange, step.from, entry, step.recv, posted_at));
+    check_crash();
   }
   if (sent != nullptr) {
     if (sent->rndv != nullptr) {
-      e.progress_posted();
-      e.wait_in({.exchange = &exchange_, .me = me_, .step = step_, .steps = count_,
-                 .to = step.to},
-                [&] { return sent->rndv->done(); });
-      e.clock().advance_to(sent->rndv->sender_complete_at());
+      progress_posted();
+      wait_in(-1, step.to, [&] { return sent->rndv->done(); });
+      clock().advance_to(sent->rndv->sender_complete_at());
     }
-    e.check_crash();
+    check_crash();
   }
-  ++step_;
+  ++phase.step;
 }
 
-void Adi3Engine::Steps::finish() {
-  CBMPI_REQUIRE(step_ == count_, "exchange phase ran ", step_, " of its ", count_,
-                " steps");
-  engine_.wait_in(
-      {.exchange = &exchange_, .me = me_, .step = count_ - 1, .steps = count_},
-      [&] { return mine_.readers_left.load() == 0; });
+void Adi3Engine::end_phase() {
+  CBMPI_REQUIRE(phase_.step == phase_.count, "exchange phase ran ", phase_.step, " of its ",
+                phase_.count, " steps");
+  const Exchange::Slot& mine = phase_.exchange->slot(phase_.me);
+  wait_in(-1, -1, [&] { return mine.readers_left.load() == 0; });
 }
 
 Micros Adi3Engine::align_clocks(const char* what) {
@@ -487,22 +470,23 @@ void Adi3Engine::describe_wait(std::ostream& os) const {
        << job_->nranks << " ranks arrived";
     return;
   }
-  if (waiting_.exchange != nullptr) {
-    // Every exchange runs inside its collective's scope.
+  if (phase_.waiting) {
+    // Every exchange runs inside its collective's scope; a phase waiting for
+    // its reads after its last step names that step.
     os << " waits in " << collective_.kind << " #" << collective_.seq;
-    if (waiting_.steps > 0) os << " step " << waiting_.step + 1 << "/" << waiting_.steps;
-    const Exchange& exchange = *waiting_.exchange;
+    if (phase_.count > 0)
+      os << " step " << std::min(phase_.step + 1, phase_.count) << "/" << phase_.count;
+    const Exchange& exchange = *phase_.exchange;
     os << " (comm " << exchange.comm_id << "): ";
-    const Exchange::Slot& mine = exchange.slot(waiting_.me);
+    const Exchange::Slot& mine = exchange.slot(phase_.me);
     const std::uint64_t call = mine.calls.load();
-    if (waiting_.from >= 0)
-      os << "rank " << waiting_.from << " has not published it";
-    else if (waiting_.to >= 0)
-      os << "rank " << waiting_.to << " has not read it";
-    else if (waiting_.steps > 0)
+    if (phase_.from >= 0)
+      os << "rank " << phase_.from << " has not published it";
+    else if (phase_.to >= 0)
+      os << "rank " << phase_.to << " has not read it";
+    else if (phase_.count > 0 ||
+             exchange.arrived.load() >= call * static_cast<std::uint64_t>(exchange.size()))
       os << mine.readers_left.load() << " of its entries not read yet";
-    else if (exchange.arrived.load() >= call * static_cast<std::uint64_t>(exchange.size()))
-      os << mine.readers_left.load() << " ranks have not read its blocks";
     else {
       os << "ranks [";
       const char* sep = "";

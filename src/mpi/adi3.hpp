@@ -24,21 +24,18 @@
 // on the message path takes a lock: HCA queue pairs are one bit per peer in
 // the rank's own records, an observed job's message metrics are plain
 // histograms there too (run_job builds the job's registry from them once
-// the workers join), and only this rank's fiber touches its matcher's bins. A matched receive whose completion fails leaves the others matched
-// for the next progress; ~Adi3Engine, on the rank's fiber, releases the
-// messages of any still held, so no request outlives the job holding a block.
+// the workers join), and only this rank's fiber touches its matcher's bins.
+// A matched receive whose completion fails leaves the others matched for the
+// next progress; ~Adi3Engine, on the rank's fiber, releases the messages of
+// any still held, so no request outlives the job holding a block.
 //
-// No collective sends a message: alltoall() and exchange_steps() run every
-// collective algorithm over the communicator's exchange in host memory
-// (Exchange, job_state.hpp), where a peer copies each eager block once,
-// straight out of the owner's send buffer or, for a range the owner rewrites
-// before its readers are done, out of the copy the owner made at publish.
-// The sender side of each block (send_block) and the receiver side (receive)
-// are the very code the message path runs, so every block costs, traces and
-// records exactly what its message did, SHM's modelled double copy included;
-// only where the bytes and envelope wait differs. The message path, which
-// carries only user traffic, copies an eager payload once at send time,
-// into its message block, since its sender may reuse the buffer at once.
+// The message path carries only user traffic: alltoall() and
+// exchange_steps() run every collective over the communicator's exchange in
+// host memory (Exchange, job_state.hpp). The sender side of each block
+// (send_block) and the receiver side (receive) are the code the message path
+// runs, so a block costs, traces and records exactly what its message did,
+// SHM's modelled double copy included; only where the bytes and envelope
+// wait differs.
 //
 // Virtual-time rules:
 //   * eager completion  = max(posted_at, available_at) + receiver_cost
@@ -103,15 +100,23 @@ class Adi3Engine {
   void alltoall(Exchange& exchange, int me, std::span<const std::byte> send,
                 std::span<std::byte> recv, std::size_t block, int tag);
 
-  class Steps;
-
   /// One phase of a collective over `exchange`, as its comm rank `me`, named
-  /// by `tag` (unique per call and phase): `body(steps)` runs this rank's
-  /// `count` steps one at a time through `steps(step)` and does its local
-  /// work (a reduction, a pack) in between. Returns once every block it
-  /// published has been read, so its send buffers must outlive the call.
+  /// by `tag` (unique per call and phase): `body(step)` runs this rank's
+  /// `count` steps (Exchange::Step) one at a time and does its local work (a
+  /// reduction, a pack) in between. A step runs as the message path ran its
+  /// send, receive or sendrecv, at the same virtual times: a receive wait and
+  /// a rendezvous send's wait progress posted receives first, an eager
+  /// send's does not, and a rendezvous step returns once its block is pulled.
+  /// The phase returns once every block it published has been read, so its
+  /// send buffers must outlive the call.
   template <typename Body>
-  void exchange_steps(Exchange& exchange, int me, int tag, int count, Body&& body);
+  void exchange_steps(Exchange& exchange, int me, int tag, int count, Body&& body) {
+    if (count == 0) return;
+    begin_phase(exchange, me, tag, count);
+    const WithdrawOnThrow withdraw_on_throw{*this, exchange.slot(me)};
+    body([this](const Exchange::Step& step) { run_step(step); });
+    end_phase();
+  }
 
   /// The collective call a rank is in: its kind (`allreduce`) and its
   /// 1-based sequence number among its communicator's collectives. `kind` is
@@ -239,9 +244,10 @@ class Adi3Engine {
   };
   /// The sender's side of one transfer, for start_send and alltoall alike:
   /// the crash check, channel selection, the profile's channel count and
-  /// the rank's message-size record, the sequence number, the HCA queue pair and fault retries, then either the eager
-  /// costs, SHM's host and IPC namespace check, copy, flow record and trace
-  /// event, or the RTS overhead, sender pin-down lookup and RndvState.
+  /// the rank's message-size record, the sequence number, the HCA queue pair
+  /// and fault retries, then either the eager costs, SHM's host and IPC
+  /// namespace check, copy, flow record and trace event, or the RTS
+  /// overhead, sender pin-down lookup and RndvState.
   /// `place(eager)` returns where the envelope and eager bytes go.
   template <typename Place>
   const fabric::Envelope& send_block(std::span<const std::byte> data, int dst_world,
@@ -261,18 +267,6 @@ class Adi3Engine {
   /// copies the payload out of the sender's buffer.
   fabric::RndvTimes pull(std::span<std::byte> buffer, Micros posted_at,
                          const fabric::Envelope& env, const net::TransferCtx* ctxp);
-  /// Where in an exchange this rank waits, for describe_wait. The step form
-  /// sets the step and its count, and either `from`, the peer whose entry it
-  /// waits for, or `to`, the peer that has not pulled its rendezvous block;
-  /// neither means it waits for its entries to be read.
-  struct ExchangeWait {
-    const Exchange* exchange = nullptr;
-    int me = 0;
-    int step = 0;
-    int steps = 0;
-    int from = -1;
-    int to = -1;
-  };
   /// From a call's or phase's first publish until it leaves, peers may read
   /// the owner's send buffers, which an exception (a truncated block, say)
   /// frees as it unwinds the caller: one that leaves withdraws the slot and
@@ -288,9 +282,11 @@ class Adi3Engine {
     }
   };
   /// block_until for the exchange: while `done` fails it progresses posted
-  /// receives, and describe_wait reports `where`.
+  /// receives, and describe_wait reports that phase_ waits for comm rank
+  /// `from`'s entry, for comm rank `to` to pull its rendezvous block, or
+  /// (both -1) for its entries to be read or, in alltoall, for every member.
   template <typename Done>
-  void wait_in(const ExchangeWait& where, Done&& done);
+  void wait_in(int from, int to, Done&& done);
   /// Receives the block of entry `entry` of comm rank `from`'s slot into
   /// `buffer` through the slot's guard (AbortedError once the owner withdrew),
   /// counts the read off that slot and pokes the owner when it was the last
@@ -299,6 +295,15 @@ class Adi3Engine {
   /// shorter than `buffer`, and TruncationError when it is longer.
   Micros read_entry(Exchange& exchange, int from, int entry,
                     std::span<std::byte> buffer, Micros posted_at);
+  /// exchange_steps' parts: begin_phase publishes the open collective's
+  /// kind in this rank's slot and sizes its entries, run_step runs one step,
+  /// and end_phase waits until every entry has been read.
+  void begin_phase(Exchange& exchange, int me, int tag, int count);
+  void run_step(const Exchange::Step& step);
+  void end_phase();
+  /// Waits for the phase's next entry of comm rank `from` addressed to this
+  /// rank (Exchange) and returns its index.
+  int next_entry_from(int from);
   /// NetCongest trace breadcrumb in the apply pass for transfers the settle
   /// step slowed down.
   void trace_congestion(const net::TransferCtx* ctx, int src, int dst,
@@ -321,19 +326,32 @@ class Adi3Engine {
   /// complete_matched empties it.
   std::vector<Request> matched_;
   std::size_t next_matched_ = 0;
-  /// Where this rank is parked in an exchange (wait_in); no exchange else.
-  ExchangeWait waiting_;
   /// The collective this rank is in (CollectiveScope).
   CollectiveCall collective_;
-  /// Per comm rank of the exchange a phase reads: the next entry of that
-  /// owner to look at for a block addressed here. Valid in the phase whose
-  /// number it holds; phases_ numbers this rank's phases.
+  /// The exchange call or phase this rank is in or last ran: alltoall's
+  /// (count 0) or exchange_steps' (its step and the entries it has
+  /// published), its number among this rank's phases, which marks the
+  /// cursors valid in it, and, while it waits, what for (wait_in).
+  struct Phase {
+    Exchange* exchange = nullptr;
+    int me = 0;
+    int tag = 0;
+    int count = 0;
+    int step = 0;
+    int published = 0;
+    std::uint64_t number = 0;
+    bool waiting = false;
+    int from = -1;
+    int to = -1;
+  };
+  Phase phase_;
+  /// Per comm rank of the phase's exchange: the next entry of that owner to
+  /// look at for a block addressed here, valid in the phase it names.
   struct Cursor {
     std::uint64_t phase = 0;
     int next = 0;
   };
   std::vector<Cursor> cursors_;
-  std::uint64_t phases_ = 0;
   /// The phase alignment this rank waits in (align_clocks); null else.
   const char* aligning_ = nullptr;
   /// Scratch of alltoall, kept so its capacity is reused: each peer's
@@ -356,48 +374,5 @@ class Adi3Engine {
   /// parallel virtual time).
   Micros recv_busy_until_ = 0.0;
 };
-
-/// This rank's side of one exchange phase (Adi3Engine::exchange_steps).
-/// Each call runs one step as the message path ran it: a send-only step as
-/// a send and its wait, a receive-only step as a receive, and a step with
-/// both as a sendrecv (or, with `recv_after_send`, an isend, a receive and
-/// the send's wait), at the same virtual times. A receive wait and a
-/// rendezvous send's wait progress posted receives first; an eager send's
-/// does not. A rendezvous step returns once its block is pulled.
-class Adi3Engine::Steps {
- public:
-  Steps(Adi3Engine& engine, Exchange& exchange, int me, int tag, int count);
-  Steps(const Steps&) = delete;
-  Steps& operator=(const Steps&) = delete;
-
-  void operator()(const Exchange::Step& step);
-  /// Waits until every block of the phase has been read.
-  void finish();
-
- private:
-  /// Waits for the next entry of comm rank `from` addressed to this rank.
-  int next_entry_from(int from);
-
-  Adi3Engine& engine_;
-  Exchange& exchange_;
-  Exchange::Slot& mine_;
-  int me_;
-  int tag_;
-  std::uint64_t phase_;  ///< the tag << 32, as `published` holds it
-  std::uint64_t number_;  ///< the engine's number for this phase (Cursor)
-  int count_;
-  int step_ = 0;
-  int published_ = 0;
-  WithdrawOnThrow withdraw_on_throw_;
-};
-
-template <typename Body>
-void Adi3Engine::exchange_steps(Exchange& exchange, int me, int tag, int count,
-                                Body&& body) {
-  if (count == 0) return;
-  Steps steps(*this, exchange, me, tag, count);
-  body(steps);
-  steps.finish();
-}
 
 }  // namespace cbmpi::mpi

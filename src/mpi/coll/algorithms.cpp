@@ -1,38 +1,22 @@
-// Every collective algorithm and its dispatch, compiled once.
-//
-// The typed Communicator collectives forward here with their payload as
-// bytes, the element size and, for reductions, a type-erased Reducer. Each
-// entry point opens the profiled call and the Collective (tag block and
-// engine scope) and checks buffer sizes before anything else. The tunable
-// collectives other than alltoall share one path, run_tunable: select an
-// algorithm from the job's tuning table (keyed on payload bytes, or per-rank
-// block bytes for allgather, the communicator size and the job's
+// Every collective algorithm and its dispatch, compiled once; the entry
+// points and the algorithms are declared and listed in communicator.hpp. The
+// tunable collectives other than alltoall share one path, run_tunable:
+// select an algorithm from the job's tuning table (keyed on payload bytes,
+// or per-rank block bytes for allgather, the communicator size and the job's
 // containers-per-host); run it flat over all ranks or as the leader-based
 // hierarchy over the locality groups, whose phases select again with their
 // sub-list sizes; then note_algo() records the algorithm that actually ran.
-//
-// Every `*_over` primitive runs one algorithm over an arbitrary sorted list
-// of communicator ranks, so the flat path (all ranks) and the two-level
-// phases (one locality group, or the leaders) share it. When an algorithm's
-// structural preconditions fail (power-of-two list, one element per rank,
-// zero-identity op) it downgrades identically on every rank and returns what
-// ran. Scratch buffers are allocated at fixed points with fixed sizes: the
+// Scratch buffers are allocated at fixed points with fixed sizes: the
 // pin-down cache numbers buffers by address in first-use order, so reusing
 // scratch memory would change the modelled registration costs.
 //
-// No algorithm sends a message. Each runs its phases over the
-// communicator's exchange in host memory (Exchange, job_state.hpp), where a
-// block is copied once, by its reader, straight out of its sender's buffer:
-// the spread alltoall hands the whole exchange to Adi3Engine::alltoall, and
-// every other algorithm runs each phase through one executor,
+// No algorithm sends a message. The spread alltoall hands the whole call to
+// Adi3Engine::alltoall; every other algorithm runs each phase through
 // Adi3Engine::exchange_steps, as the sends, receives and sendrecvs it made on
-// the message path, in the same order and at the same virtual times, doing
-// its local work (a reduction, a pack) between steps. A block whose range
-// the algorithm rewrites before its reader is done (recursive doubling's
-// accumulator, Bruck's pack, scan's partial) is marked `rewritten`, and an
-// eager one is then copied into the exchange at publish; rendezvous blocks
-// stay in place, since a rendezvous step returns only once its block is
-// pulled. Every buffer a phase sends from outlives the phase.
+// the message path, and does its local work (a reduction, a pack) between
+// steps. A step whose send range the algorithm rewrites before its reader is
+// done is marked `rewritten` (Exchange, job_state.hpp). Every buffer a phase
+// sends from outlives the phase.
 //
 // Tag budget: each primitive names its phases within [tag, tag+4) (one
 // kSubTags stride-4 slice); composite algorithms document their exact usage
@@ -59,12 +43,19 @@ int log_rounds(int m) {
   return static_cast<int>(std::bit_width(static_cast<unsigned>(m - 1)));
 }
 
-/// The edges of `vrank` in a binomial tree over `m` ranks rooted at 0: its
-/// parent, if any, and its children vrank + mask, for each mask below
-/// vrank's lowest set bit.
+/// `vrank`'s lowest set bit in a binomial tree over `m` ranks rooted at 0
+/// (the root's: the first power of two at or above m). Its parent is vrank -
+/// low, and its children are vrank + mask for each mask below low that stays
+/// below m.
+int binomial_low(int vrank, int m) {
+  if (vrank != 0) return vrank & -vrank;
+  return static_cast<int>(std::bit_ceil(static_cast<unsigned>(m)));
+}
+
+/// The edges of `vrank` in that tree: its parent, if any, and its children.
 int binomial_edges(int vrank, int m) {
   int edges = vrank != 0 ? 1 : 0;
-  for (int mask = 1; mask < m && (vrank & mask) == 0; mask <<= 1)
+  for (int mask = 1; mask < binomial_low(vrank, m); mask <<= 1)
     if (vrank + mask < m) ++edges;
   return edges;
 }
@@ -81,15 +72,6 @@ constexpr std::array<prof::CallKind, coll::kColls> kCallKind = {
 };
 
 }  // namespace
-
-template <typename Body>
-void Communicator::run_steps(int tag, int count, Body&& body) {
-  engine_->exchange_steps(exchange(), rank(), tag, count, std::forward<Body>(body));
-}
-
-void Communicator::one_step(int tag, const Exchange::Step& step) {
-  run_steps(tag, 1, [&](Adi3Engine::Steps& steps) { steps(step); });
-}
 
 // ---- block layouts --------------------------------------------------------
 
@@ -201,10 +183,11 @@ coll::Algo Communicator::run_two_level(const TunableCall& call,
     case coll::Coll::Barrier: {
       // Local gather to the leader, leader barrier, local release.
       std::byte token{1};
-      linear_over(group, leader_pos, /*to_root=*/true, {&token, 1}, tag);
+      const auto token_at = [&](int) { return WBytes(&token, 1); };
+      fan_in(group, leader_pos, token_at(0), token_at, tag);
       if (leader)
         barrier_over(groups.leaders, tag + 4, pick(coll::Coll::Barrier, 0, nleaders));
-      linear_over(group, leader_pos, /*to_root=*/false, {&token, 1}, tag + 8);
+      fan_out(group, leader_pos, token_at(0), token_at, tag + 8);
       break;
     }
     case coll::Coll::Bcast:
@@ -265,13 +248,12 @@ coll::Algo Communicator::run_two_level(const TunableCall& call,
       // makes the concatenation land in rank order (each group's block
       // starts at its leader's rank offset).
       const std::size_t group_block = bytes * group.size();
+      const auto at = [&](int q) {
+        return call.out.subspan(bytes * idx(group[idx(q)]), bytes);
+      };
+      if (leader) copy_bytes(call.in, at(leader_pos));
+      fan_in(group, leader_pos, call.in, at, tag);
       if (leader) {
-        copy_bytes(call.in, call.out.subspan(bytes * idx(rank()), bytes));
-        run_steps(tag, groups.group_size - 1, [&](Adi3Engine::Steps& step) {
-          for (int member : group)
-            if (member != rank())
-              step({.recv = call.out.subspan(bytes * idx(member), bytes), .from = member});
-        });
         const auto my_slot = idx(position_of(groups.leaders, rank())) * group_block;
         std::vector<std::byte> packed(group_block * groups.leaders.size());
         const WBytes all_groups(packed);
@@ -283,8 +265,6 @@ coll::Algo Communicator::run_two_level(const TunableCall& call,
         for (std::size_t g = 0; g < groups.leaders.size(); ++g)
           copy_bytes(all_groups.subspan(group_block * g, group_block),
                      call.out.subspan(bytes * idx(groups.leaders[g]), group_block));
-      } else {
-        one_step(tag, {.send = call.in, .to = groups.my_leader});
       }
       bcast_over(group, call.out, call.elem, leader_pos, tag + 8,
                  pick(coll::Coll::Bcast, call.out.size(), groups.group_size));
@@ -298,7 +278,7 @@ coll::Algo Communicator::run_two_level(const TunableCall& call,
   return coll::Algo::TwoLevel;
 }
 
-// ---- barrier and linear exchanges -----------------------------------------
+// ---- barrier and linear fans ---------------------------------------------
 
 coll::Algo Communicator::barrier_over(const std::vector<int>& list, int tag,
                                       coll::Algo algo) {
@@ -307,14 +287,15 @@ coll::Algo Communicator::barrier_over(const std::vector<int>& list, int tag,
   std::byte token{1};
   if (algo == coll::Algo::FlatTree) {
     // Linear through the list head: gather tokens at tag, release at tag+1.
-    linear_over(list, 0, /*to_root=*/true, {&token, 1}, tag);
-    linear_over(list, 0, /*to_root=*/false, {&token, 1}, tag + 1);
+    const auto token_at = [&](int) { return WBytes(&token, 1); };
+    fan_in(list, 0, token_at(0), token_at, tag);
+    fan_out(list, 0, token_at(0), token_at, tag + 1);
     return algo;
   }
   // Dissemination: ceil(log2(m)) rounds with distinct distances.
   const int pos = position_in(list);
   std::byte incoming{0};
-  run_steps(tag, log_rounds(m), [&](Adi3Engine::Steps& step) {
+  run_steps(tag, log_rounds(m), [&](auto step) {
     for (int dist = 1; dist < m; dist <<= 1)
       step({.send = {&token, 1}, .to = list[idx((pos + dist) % m)],
             .recv = {&incoming, 1}, .from = list[idx((pos - dist % m + m) % m)]});
@@ -322,20 +303,25 @@ coll::Algo Communicator::barrier_over(const std::vector<int>& list, int tag,
   return coll::Algo::Dissemination;
 }
 
-void Communicator::linear_over(const std::vector<int>& list, int root_pos, bool to_root,
-                               WBytes data, int tag) {
+template <typename At>
+void Communicator::fan_in(const std::vector<int>& list, int root_pos, CBytes mine, At at,
+                          int tag) {
   const int root = list[idx(root_pos)];
-  if (rank() != root) {
-    one_step(tag, to_root ? Exchange::Step{.send = data, .to = root}
-                          : Exchange::Step{.recv = data, .from = root});
-    return;
-  }
-  run_steps(tag, static_cast<int>(list.size()) - 1, [&](Adi3Engine::Steps& step) {
-    for (const int member : list) {
-      if (member == root) continue;
-      step(to_root ? Exchange::Step{.recv = data, .from = member}
-                   : Exchange::Step{.send = data, .to = member});
-    }
+  if (rank() != root) return one_step(tag, {.send = mine, .to = root});
+  run_steps(tag, static_cast<int>(list.size()) - 1, [&](auto step) {
+    for (int q = 0; q < static_cast<int>(list.size()); ++q)
+      if (q != root_pos) step({.recv = at(q), .from = list[idx(q)]});
+  });
+}
+
+template <typename At>
+void Communicator::fan_out(const std::vector<int>& list, int root_pos, WBytes mine, At at,
+                           int tag) {
+  const int root = list[idx(root_pos)];
+  if (rank() != root) return one_step(tag, {.recv = mine, .from = root});
+  run_steps(tag, static_cast<int>(list.size()) - 1, [&](auto step) {
+    for (int q = 0; q < static_cast<int>(list.size()); ++q)
+      if (q != root_pos) step({.send = at(q), .to = list[idx(q)]});
   });
 }
 
@@ -352,7 +338,7 @@ coll::Algo Communicator::bcast_over(const std::vector<int>& list, WBytes data,
   const std::size_t n = data.size() / elem;
   if (algo == coll::Algo::VanDeGeijn && n < idx(m)) algo = coll::Algo::Binomial;
   if (algo == coll::Algo::FlatTree) {
-    linear_over(list, root_pos, /*to_root=*/false, data, tag);
+    fan_out(list, root_pos, data, [data](int) { return data; }, tag);
     return algo;
   }
 
@@ -370,14 +356,8 @@ coll::Algo Communicator::bcast_over(const std::vector<int>& list, WBytes data,
     }
     const Blocks blocks = Blocks::v(counts, displs, elem);
     // Scatter phase (linear from the root).
-    if (pos == root_pos) {
-      run_steps(tag, m - 1, [&](Adi3Engine::Steps& step) {
-        for (int q = 0; q < m; ++q)
-          if (q != root_pos) step({.send = blocks.of(data, q), .to = list[idx(q)]});
-      });
-    } else {
-      one_step(tag, {.recv = blocks.of(data, pos), .from = list[idx(root_pos)]});
-    }
+    fan_out(list, root_pos, blocks.of(data, pos), [&](int q) { return blocks.of(data, q); },
+            tag);
     // Ring allgather of the blocks completes the broadcast.
     ring_over(list, data, blocks, tag + 1);
     return algo;
@@ -386,16 +366,10 @@ coll::Algo Communicator::bcast_over(const std::vector<int>& list, WBytes data,
   // Binomial tree on virtual ranks rooted at 0.
   const int vrank = (pos - root_pos + m) % m;
   auto real = [&](int v) { return list[idx((v + root_pos) % m)]; };
-  run_steps(tag, binomial_edges(vrank, m), [&](Adi3Engine::Steps& step) {
-    int mask = 1;
-    while (mask < m) {
-      if (vrank & mask) {
-        step({.recv = data, .from = real(vrank - mask)});
-        break;
-      }
-      mask <<= 1;
-    }
-    for (mask >>= 1; mask > 0; mask >>= 1)
+  const int low = binomial_low(vrank, m);
+  run_steps(tag, binomial_edges(vrank, m), [&](auto step) {
+    if (vrank != 0) step({.recv = data, .from = real(vrank - low)});
+    for (int mask = low >> 1; mask > 0; mask >>= 1)
       if (vrank + mask < m) step({.send = data, .to = real(vrank + mask)});
   });
   return coll::Algo::Binomial;
@@ -418,7 +392,7 @@ coll::Algo Communicator::reduce_over(const std::vector<int>& list, CBytes in, WB
     std::vector<std::byte> acc(in.begin(), in.end());
     std::vector<std::byte> incoming(in.size());
     // Fixed list order keeps the combination order identical across runs.
-    run_steps(tag, m - 1, [&](Adi3Engine::Steps& step) {
+    run_steps(tag, m - 1, [&](auto step) {
       for (int q = 0; q < m; ++q) {
         if (q == root_pos) continue;
         step({.recv = incoming, .from = list[idx(q)]});
@@ -434,17 +408,14 @@ coll::Algo Communicator::reduce_over(const std::vector<int>& list, CBytes in, WB
   if (m > 1) {
     auto real = [&](int v) { return list[idx((v + root_pos) % m)]; };
     std::vector<std::byte> incoming(in.size());
-    run_steps(tag, binomial_edges(vrank, m), [&](Adi3Engine::Steps& step) {
-      for (int mask = 1; mask < m; mask <<= 1) {
-        if (vrank & mask) {
-          step({.send = acc, .to = real(vrank - mask)});
-          break;
-        }
-        if (vrank + mask < m) {
-          step({.recv = incoming, .from = real(vrank + mask)});
-          red(incoming, acc);
-        }
+    const int low = binomial_low(vrank, m);
+    run_steps(tag, binomial_edges(vrank, m), [&](auto step) {
+      for (int mask = 1; mask < low; mask <<= 1) {
+        if (vrank + mask >= m) continue;
+        step({.recv = incoming, .from = real(vrank + mask)});
+        red(incoming, acc);
       }
+      if (vrank != 0) step({.send = acc, .to = real(vrank - low)});
     });
   }
   if (vrank == 0) copy_bytes(acc, out);
@@ -489,7 +460,7 @@ coll::Algo Communicator::allreduce_over(const std::vector<int>& list, CBytes in,
     const int pos = position_in(list);
     std::vector<std::byte> acc(in.begin(), in.end());
     std::vector<std::byte> incoming(in.size());
-    run_steps(tag, log_rounds(m), [&](Adi3Engine::Steps& step) {
+    run_steps(tag, log_rounds(m), [&](auto step) {
       for (int mask = 1; mask < m; mask <<= 1) {
         const int partner = list[idx(pos ^ mask)];
         step({.send = acc, .to = partner, .recv = incoming, .from = partner,
@@ -519,7 +490,7 @@ void Communicator::reduce_scatter_halving_over(const std::vector<int>& list, CBy
   std::size_t start = 0;  // in blocks
   std::size_t count = idx(m);
   // Each round sends the half it gives up, which it never writes again.
-  run_steps(tag, log_rounds(m), [&](Adi3Engine::Steps& step) {
+  run_steps(tag, log_rounds(m), [&](auto step) {
     for (int mask = m >> 1; mask > 0; mask >>= 1) {
       const int partner = list[idx(pos ^ mask)];
       const std::size_t half = count / 2;
@@ -553,14 +524,7 @@ coll::Algo Communicator::allgather_over(const std::vector<int>& list, CBytes min
     ring_over(list, all, Blocks{block}, tag);
     return coll::Algo::Ring;
   }
-  if (pos == 0) {
-    run_steps(tag, m - 1, [&](Adi3Engine::Steps& step) {
-      for (int q = 1; q < m; ++q)
-        step({.recv = all.subspan(block * idx(q), block), .from = list[idx(q)]});
-    });
-  } else {
-    one_step(tag, {.send = mine, .to = list[0]});
-  }
+  fan_in(list, 0, mine, [&](int q) { return all.subspan(block * idx(q), block); }, tag);
   // A binomial bcast never looks at the element size.
   bcast_over(list, all.first(block * idx(m)), 1, 0, tag + 1, coll::Algo::Binomial);
   return algo;
@@ -573,7 +537,7 @@ void Communicator::ring_over(const std::vector<int>& list, WBytes all,
   const int pos = position_in(list);
   const int right = list[idx((pos + 1) % m)];
   const int left = list[idx((pos - 1 + m) % m)];
-  run_steps(tag, m - 1, [&](Adi3Engine::Steps& step) {
+  run_steps(tag, m - 1, [&](auto step) {
     for (int s = 0; s < m - 1; ++s)
       step({blocks.of(all, (pos - s + m) % m), right, blocks.of(all, (pos - s - 1 + m) % m),
             left});
@@ -607,17 +571,10 @@ void Communicator::gather_bytes(prof::CallKind kind, CBytes mine, WBytes all,
   const int tag = scope.tag;
   CBMPI_REQUIRE(blocks.fits(size()), prof::to_string(kind),
                 " counts/displs must have comm-size entries");
-  if (rank() != root) {
-    one_step(tag, {.send = mine, .to = root});
-    return;
-  }
-  CBMPI_REQUIRE(all.size() >= blocks.extent(size()), prof::to_string(kind),
-                " output buffer too small");
-  copy_bytes(mine, blocks.of(all, root));
-  run_steps(tag, size() - 1, [&](Adi3Engine::Steps& step) {
-    for (int r = 0; r < size(); ++r)
-      if (r != root) step({.recv = blocks.of(all, r), .from = r});
-  });
+  CBMPI_REQUIRE(rank() != root || all.size() >= blocks.extent(size()),
+                prof::to_string(kind), " output buffer too small");
+  if (rank() == root) copy_bytes(mine, blocks.of(all, root));
+  fan_in(all_ranks(), root, mine, [&](int r) { return blocks.of(all, r); }, tag);
 }
 
 void Communicator::scatter_bytes(prof::CallKind kind, CBytes all, const Blocks& blocks,
@@ -637,15 +594,9 @@ void Communicator::scatter_bytes(prof::CallKind kind, CBytes all, const Blocks& 
 
 void Communicator::scatter_over(CBytes all, const Blocks& blocks, WBytes mine, int root,
                                 int tag) {
-  if (rank() != root) {
-    one_step(tag, {.recv = mine.first(blocks.bytes(rank())), .from = root});
-    return;
-  }
-  copy_bytes(blocks.of(all, root), mine);
-  run_steps(tag, size() - 1, [&](Adi3Engine::Steps& step) {
-    for (int r = 0; r < size(); ++r)
-      if (r != root) step({.send = blocks.of(all, r), .to = r});
-  });
+  if (rank() == root) copy_bytes(blocks.of(all, root), mine);
+  fan_out(all_ranks(), root, mine.first(blocks.bytes(rank())),
+          [&](int r) { return blocks.of(all, r); }, tag);
 }
 
 // ---- alltoall -------------------------------------------------------------
@@ -683,7 +634,8 @@ void Communicator::alltoall_bytes(prof::CallKind kind, CBytes send_data,
         alltoall_bruck(send_data, recv_data, block, tag);
         break;
       case coll::Algo::Spread:
-        alltoall_spread(send_data, recv_data, block, tag);
+        // Every block in flight at once, as one exchange call.
+        engine_->alltoall(exchange(), rank(), send_data, recv_data, block, tag);
         break;
       default:
         algo = coll::Algo::Pairwise;
@@ -698,7 +650,7 @@ void Communicator::pairwise_over(CBytes send_data, const Blocks& send_blocks,
                                  WBytes recv_data, const Blocks& recv_blocks, int tag) {
   const int n = size();
   const bool pow2 = is_power_of_two(idx(n));
-  run_steps(tag, n - 1, [&](Adi3Engine::Steps& step) {
+  run_steps(tag, n - 1, [&](auto step) {
     for (int s = 0; s < n - 1; ++s) {
       const int send_to = pow2 ? (rank() ^ (s + 1)) : (rank() + s + 1) % n;
       const int recv_from = pow2 ? (rank() ^ (s + 1)) : (rank() - s - 1 + n) % n;
@@ -724,7 +676,7 @@ void Communicator::alltoall_bruck(CBytes send_data, WBytes recv_data, std::size_
   // rank (rank - i).
   std::vector<std::byte> pack(block * ((n + 1) / 2));
   std::vector<std::byte> unpack(pack.size());
-  run_steps(tag, log_rounds(size()), [&](Adi3Engine::Steps& step) {
+  run_steps(tag, log_rounds(size()), [&](auto step) {
     for (std::size_t pow = 1; pow < n; pow <<= 1) {
       std::size_t cnt = 0;
       for (std::size_t i = 1; i < n; ++i)
@@ -740,13 +692,6 @@ void Communicator::alltoall_bruck(CBytes send_data, WBytes recv_data, std::size_
   // Phase 3: inverse rotation with reversal.
   for (std::size_t i = 0; i < n; ++i)
     std::copy_n(at(tmp.data(), i), block, at(recv_data.data(), (my + n - i) % n));
-}
-
-// Spread: every block in flight at once, as the communicator's exchange in
-// host memory (Adi3Engine::alltoall).
-void Communicator::alltoall_spread(CBytes send_data, WBytes recv_data, std::size_t block,
-                                   int tag) {
-  engine_->alltoall(exchange(), rank(), send_data, recv_data, block, tag);
 }
 
 // ---- reduce_scatter_block, prefix scans -----------------------------------
@@ -789,16 +734,11 @@ void Communicator::scan_bytes(prof::CallKind kind, CBytes in, WBytes out, Reduce
   std::vector<std::byte> partial(in.begin(), in.end());
   std::vector<std::byte> incoming(in.size());
   // A round without a peer on either side (rank + mask >= n > mask > rank)
-  // is no step.
-  int rounds = 0;
-  for (int mask = 1; mask < n; mask <<= 1)
-    if (rank() + mask < n || rank() - mask >= 0) ++rounds;
-  run_steps(tag, rounds, [&](Adi3Engine::Steps& step) {
+  // is an empty step.
+  run_steps(tag, log_rounds(n), [&](auto step) {
     for (int mask = 1; mask < n; mask <<= 1) {
-      const bool sends = rank() + mask < n;
       const bool receives = rank() - mask >= 0;
-      if (!sends && !receives) continue;
-      step({.send = partial, .to = sends ? rank() + mask : -1, .recv = incoming,
+      step({.send = partial, .to = rank() + mask < n ? rank() + mask : -1, .recv = incoming,
             .from = receives ? rank() - mask : -1, .rewritten = true,
             .recv_after_send = true});
       if (!receives) continue;

@@ -36,9 +36,9 @@ enum class Algo : std::uint8_t {
   ReduceBcast,        ///< allreduce: reduce to list head, then bcast
   Ring,               ///< allgather: bandwidth-optimal ring
   GatherBcast,        ///< allgather: linear gather + binomial bcast
-  Pairwise,           ///< alltoall: n-1 sendrecv exchange rounds
+  Pairwise,           ///< alltoall: n-1 pairwise exchange rounds
   Bruck,              ///< alltoall: log2(n) combined-block rounds (small msgs)
-  Spread,             ///< alltoall: all isend/irecv posted at once
+  Spread,             ///< alltoall: every block in flight at once
   Count_,
 };
 

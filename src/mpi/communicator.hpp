@@ -20,38 +20,26 @@
 // selection and collective topology.
 //
 // The six tunable collectives (barrier, bcast, reduce, allreduce, allgather,
-// alltoall) take their algorithm from one lookup in the job's TuningTable,
-// keyed on (collective, message size, rank count, containers-per-host) —
-// see src/mpi/coll/. The available algorithms:
-//   barrier     dissemination | flat-tree       (2-level: gather + release)
-//   bcast       binomial | flat-tree | van de Geijn (2-level: leaders, local)
-//   reduce      binomial | flat-tree (commutative ops)
-//               (2-level: local reduce, leader reduce, hand-off to root)
-//   allreduce   recursive doubling | Rabenseifner | reduce+bcast
-//               (2-level: local reduce, leader allreduce, local bcast)
-//   allgather   ring | gather+bcast             (2-level when groups are
-//                                                uniform and contiguous)
-//   alltoall    pairwise | Bruck | spread (no 2-level variant — consistent
-//               with the paper, where alltoall shows the smallest gain)
-// and the fixed ones: gather(v) linear to the root, scatter(v) linear from
-// the root, allgatherv ring, alltoallv pairwise exchange, reduce_scatter_block
+// alltoall) take their algorithm (coll::Algo; DESIGN.md §11 lists them per
+// collective) from one lookup in the job's TuningTable, keyed on
+// (collective, message size, rank count, containers-per-host). The others
+// run fixed ones: gather(v) and scatter(v) linear through the root,
+// allgatherv ring, alltoallv pairwise exchange, reduce_scatter_block
 // recursive halving (reduce + scatter off powers of two), scan/exscan
-// recursive doubling. Each collective checks its buffer sizes once, at entry,
-// before any algorithm is chosen. Algorithms with structural preconditions
-// (power-of-two list, payload at least one element per rank, zero-identity
-// reduce op) are downgraded deterministically; the algorithm that actually
-// ran is recorded in the rank profile and (when tracing) as a CollAlgo trace
-// event.
+// recursive doubling. Each collective checks its buffer sizes once, at
+// entry, before any algorithm is chosen. Algorithms with structural
+// preconditions (power-of-two list, payload at least one element per rank,
+// zero-identity reduce op) are downgraded deterministically; the algorithm
+// that actually ran is recorded in the rank profile and (when tracing) as a
+// CollAlgo trace event.
 //
-// No collective sends a message: every algorithm runs its phases as step
-// exchanges over the communicator's Exchange (Adi3Engine::exchange_steps),
-// and the spread alltoall as one Adi3Engine::alltoall, so the message path
-// carries only user traffic. Tag discipline: every user-level collective
-// reserves a block of reserved tags (same sequence on every rank, because
-// collectives are called in the same order), and each phase takes a fixed
-// offset within the block as its name, so ranks that skip a phase
-// (non-leaders) stay consistent with ranks that do not, and no rank runs two
-// phases of one call under one name.
+// No collective sends a message: each runs its phases over the
+// communicator's Exchange (mpi/coll/algorithms.cpp). Tag discipline: every
+// user-level collective reserves a block of tags (same sequence on every
+// rank, because collectives are called in the same order), and each phase
+// takes a fixed offset within the block as its name, so ranks that skip a
+// phase (non-leaders) stay consistent with ranks that do not, and no two
+// phases of one call share a name.
 #pragma once
 
 #include <cstddef>
@@ -345,10 +333,14 @@ class Communicator {
   coll::Algo run_two_level(const TunableCall& call, const LocalityGroups& groups,
                            int tag);
   coll::Algo barrier_over(const std::vector<int>& list, int tag, coll::Algo algo);
-  /// One transfer between list[root_pos] and every other member: `data` to
-  /// the root from each (`to_root`), or from the root to each.
-  void linear_over(const std::vector<int>& list, int root_pos, bool to_root,
-                   WBytes data, int tag);
+  /// Linear fan-in to list[root_pos]: each other member's `mine` lands in
+  /// the root's `at(q)`, q the member's list position, in list order.
+  template <typename At>
+  void fan_in(const std::vector<int>& list, int root_pos, CBytes mine, At at, int tag);
+  /// Linear fan-out from list[root_pos]: the root's `at(q)` lands in the
+  /// `mine` of the member at list position q, in list order.
+  template <typename At>
+  void fan_out(const std::vector<int>& list, int root_pos, WBytes mine, At at, int tag);
   /// `elem` matters only to van de Geijn's precondition and partition.
   coll::Algo bcast_over(const std::vector<int>& list, WBytes data, std::size_t elem,
                         int root_pos, int tag, coll::Algo algo);
@@ -375,13 +367,15 @@ class Communicator {
   /// This communicator's exchange, looked up on first use.
   Exchange& exchange();
   /// One phase of `count` steps named `tag` over the exchange
-  /// (Adi3Engine::exchange_steps); `body` runs them through its Steps&.
+  /// (Adi3Engine::exchange_steps); `body(step)` runs them.
   template <typename Body>
-  void run_steps(int tag, int count, Body&& body);
-  /// A phase of one step.
-  void one_step(int tag, const Exchange::Step& step);
+  void run_steps(int tag, int count, Body&& body) {
+    engine_->exchange_steps(exchange(), rank(), tag, count, std::forward<Body>(body));
+  }
+  void one_step(int tag, const Exchange::Step& step) {
+    run_steps(tag, 1, [&](auto run) { run(step); });
+  }
   void alltoall_bruck(CBytes send_data, WBytes recv_data, std::size_t block, int tag);
-  void alltoall_spread(CBytes send_data, WBytes recv_data, std::size_t block, int tag);
 
   std::vector<int> all_ranks() const;
   int position_in(const std::vector<int>& list) const;

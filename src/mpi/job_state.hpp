@@ -89,35 +89,32 @@ struct PhaseAlignment {
 };
 
 /// One communicator's exchange in host memory, shared by its ranks: every
-/// collective moves its blocks through it, and none sends a message. Each
-/// rank owns one slot and is its only writer: it publishes its blocks there
-/// as entries, each an envelope and where its bytes sit, and peers copy each
-/// block from there. A block stays in its owner's send buffer unless the
-/// owner rewrites that range before its reader is done (recursive doubling's
-/// accumulator, Bruck's pack, scan's partial): such an eager block is copied
-/// once into its entry at publish, the copy the message block used to make.
-/// A rank leaves a call or phase only when its readers_left is zero, so no
-/// call overwrites a block still being read.
+/// collective moves its blocks through it. Each rank owns one slot and is
+/// its only writer: it publishes its blocks there as entries (an envelope
+/// and where the bytes sit), and peers copy each block out. A block stays in
+/// its owner's send buffer, unless the owner rewrites that range before its
+/// reader is done (recursive doubling's accumulator, Bruck's pack, scan's
+/// partial): such an eager block is copied once into its entry at publish,
+/// the copy a message block made. A rank leaves a call or phase only when
+/// its readers_left is zero, so no call overwrites a block still being read.
 ///
 /// Two forms share the slots. The alltoall form (Adi3Engine::alltoall)
 /// publishes one entry per peer, stores readers_left and calls, then bumps
 /// `arrived`; a rank that sees `arrived` reach k * size() sees every slot of
 /// call k. The step form (Adi3Engine::exchange_steps) publishes one entry
-/// per step that sends and names its phase by a collective tag: `published`
-/// holds the tag in its high half and the entries published in its low
-/// half. A reader's k-th read from an owner in a phase takes the k-th entry
-/// that owner addressed to it, the per-sender FIFO order of the message
-/// path. Publishing is sequentially consistent, so an owner that sees
-/// readers_left at zero sees every read of its slot done. The arrival that
-/// completes a call pokes every other member's matcher, a publish pokes its
-/// reader's, and the reader that takes readers_left to zero (or pulls a
-/// rendezvous block) pokes the owner's, so every wait parks in
-/// Adi3Engine::block_until and loses no wake-up.
+/// per step that sends, and `published` names its phase by tag: a reader's
+/// k-th read from an owner in a phase takes the k-th entry that owner
+/// addressed to it, the per-sender FIFO order of the message path.
+/// Publishing is sequentially consistent, so an owner that sees readers_left
+/// at zero sees every read of its slot done. The arrival that completes a
+/// call pokes every other member's matcher, a publish pokes its reader's,
+/// and the reader that takes readers_left to zero (or pulls a rendezvous
+/// block) pokes the owner's, so every wait parks in Adi3Engine::block_until
+/// and loses no wake-up.
 ///
-/// The blocks may live in the owner's memory, so an owner that unwinds past
-/// its send buffers withdraws the slot's guard first, and a reader copies
-/// only through the guard, which then refuses. The counters readers write
-/// sit on lines of their own, away from what every reader loads.
+/// An owner that unwinds past its send buffers withdraws the slot's guard
+/// first, and a reader copies only through the guard, which then refuses.
+/// The counters readers write sit on lines of their own.
 struct Exchange {
   /// One step of a collective, in comm ranks: `send` goes to `to`, and the
   /// block from `from` lands in `recv`; a step without a peer (-1) on one

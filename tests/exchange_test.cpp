@@ -1490,19 +1490,20 @@ TEST(CollectiveExchange, MismatchedCollectivesNameBothCalls) {
 }
 
 /// A collective call in which one rank's receive range is longer than the
-/// block it gets, and the error that must name it.
+/// block it gets, and the receive and sizes the error must name.
 struct ShortBlockCase {
   const char* name;
   void (*call)(mpi::Communicator& world);
-  const char* error;
+  const char* receive;  ///< "rank R recv(source=S, "
+  const char* sizes;    ///< ", in KIND #1) got B bytes into a N-byte buffer"
 };
 
 void PrintTo(const ShortBlockCase& c, std::ostream* os) { *os << c.name; }
 
 class ShortCollectiveBlock : public ::testing::TestWithParam<ShortBlockCase> {};
 
-// Four ranks on one host; every case ran to the end at the parent, its
-// receiver left with a tail the block never wrote.
+// Four ranks on one host. Without the check, each case would run to the end
+// with a tail of its receiver's buffer that no block wrote.
 TEST_P(ShortCollectiveBlock, IsAnErrorNamingTheCollectivePeerAndSizes) {
   JobConfig cfg;
   cfg.deployment = DeploymentSpec::native_hosts(1, 4);
@@ -1513,7 +1514,10 @@ TEST_P(ShortCollectiveBlock, IsAnErrorNamingTheCollectivePeerAndSizes) {
     ADD_FAILURE() << e.what();
   } catch (const Error& e) {
     const std::string what = e.what();
-    EXPECT_NE(what.find(GetParam().error), std::string::npos) << what;
+    EXPECT_NE(what.find(std::string("short collective block: ") + GetParam().receive),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find(GetParam().sizes), std::string::npos) << what;
   }
 }
 
@@ -1528,8 +1532,7 @@ INSTANTIATE_TEST_SUITE_P(
                          std::vector<int> all(8, -1);
                          world.gather(std::span<const int>(mine), std::span<int>(all));
                        },
-                       "rank 0 in gather #1 (comm 0) got a 4-byte block from rank 1 "
-                       "for a 8-byte receive"},
+                       "rank 0 recv(source=1, ", ", in gather #1) got 4 bytes into a 8-byte buffer"},
         // Rank 2 passes 1 int where the counts say 2.
         ShortBlockCase{"gatherv",
                        [](mpi::Communicator& world) {
@@ -1542,8 +1545,7 @@ INSTANTIATE_TEST_SUITE_P(
                                        std::span<const int>(counts),
                                        std::span<const int>(displs));
                        },
-                       "rank 0 in gatherv #1 (comm 0) got a 4-byte block from rank 2 "
-                       "for a 8-byte receive"},
+                       "rank 0 recv(source=2, ", ", in gatherv #1) got 4 bytes into a 8-byte buffer"},
         // Rank 3 expects 3 ints of a scatter of 2 per rank.
         ShortBlockCase{"scatter",
                        [](mpi::Communicator& world) {
@@ -1552,8 +1554,8 @@ INSTANTIATE_TEST_SUITE_P(
                          std::vector<int> mine(world.rank() == 3 ? 3 : 2, -1);
                          world.scatter(std::span<const int>(all), std::span<int>(mine));
                        },
-                       "rank 3 in scatter #1 (comm 0) got a 8-byte block from rank 0 "
-                       "for a 12-byte receive"},
+                       "rank 3 recv(source=0, ",
+                       ", in scatter #1) got 8 bytes into a 12-byte buffer"},
         // Rank 3 passes 4 ints to a bcast of 2.
         ShortBlockCase{"bcast",
                        [](mpi::Communicator& world) {
@@ -1561,8 +1563,7 @@ INSTANTIATE_TEST_SUITE_P(
                                                world.rank() == 0 ? 7 : -1);
                          world.bcast(std::span<int>(data), 0);
                        },
-                       "rank 3 in bcast #1 (comm 0) got a 8-byte block from rank 2 "
-                       "for a 16-byte receive"}),
+                       "rank 3 recv(source=2, ", ", in bcast #1) got 8 bytes into a 16-byte buffer"}),
     [](const ::testing::TestParamInfo<ShortBlockCase>& c) { return c.param.name; });
 
 /// Runs `job` under a watchdog, so a lost wake-up fails instead of hanging.
