@@ -18,6 +18,7 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <bit>
 #include <chrono>
 #include <cstddef>
@@ -1461,6 +1462,59 @@ TEST(StepExchange, AlltoallvLargerIncomingBlockRaisesTruncation) {
     } catch (const Error& e) {
       ADD_FAILURE() << e.what();
     }
+  }
+}
+
+// Rank 2 sends rank 0 a block longer than rank 0's receive range, so rank 0
+// fails in its first step, after it published its block for rank 1, and
+// frees that block as it unwinds. Rank 1 enters the call only then: its read
+// of rank 0's block must abort, not copy freed memory (ASan checks it).
+TEST(StepExchange, ReaderOfAFailedOwnerAborts) {
+  for (const std::size_t block : {std::size_t{64}, std::size_t{64} * 1024}) {
+    JobConfig cfg;
+    cfg.deployment = DeploymentSpec::native_hosts(1, 3);
+    struct SetOnExit {
+      std::atomic<bool>* flag;
+      ~SetOnExit() {
+        if (flag != nullptr) flag->store(true);
+      }
+    };
+    std::atomic<bool> owner_gone{false};
+    std::atomic<bool> reader_aborted{false};
+    try {
+      run_job(cfg, [&](mpi::Process& p) {
+        const int me = p.rank();
+        // Declared before `out`, so rank 0 sets the flag once `out` is freed.
+        const SetOnExit gone{me == 0 ? &owner_gone : nullptr};
+        const std::array<int, 3> displs{0, 2 * static_cast<int>(block),
+                                        4 * static_cast<int>(block)};
+        std::array<int, 3> send_counts{};
+        send_counts.fill(static_cast<int>(block));
+        if (me == 2) send_counts[0] = static_cast<int>(2 * block);
+        std::array<int, 3> recv_counts{};
+        recv_counts.fill(static_cast<int>(block));
+        const std::vector<std::byte> out(6 * block, std::byte{7});
+        std::vector<std::byte> in(6 * block);
+        if (me == 1)
+          while (!owner_gone.load()) (void)p.world().iprobe();
+        try {
+          p.world().alltoallv(std::span<const std::byte>(out),
+                              std::span<const int>(send_counts), std::span<const int>(displs),
+                              std::span<std::byte>(in), std::span<const int>(recv_counts),
+                              std::span<const int>(displs));
+        } catch (const AbortedError&) {
+          if (me == 1) reader_aborted = true;
+          throw;
+        }
+      });
+      ADD_FAILURE() << "expected a truncation error for " << block << "-byte blocks";
+    } catch (const TruncationError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("message truncation: rank 0 recv(source=2, tag="),
+                std::string::npos)
+          << what;
+    }
+    EXPECT_TRUE(reader_aborted.load()) << block << "-byte blocks";
   }
 }
 
