@@ -73,6 +73,12 @@ bool parse_size(const std::string& token, Bytes& out) {
   throw Error(os.str());
 }
 
+std::string format_bound(Bytes n) {
+  // Reuses the bench formatter ("8K", "1M", plain "600") — the parser above
+  // accepts all of its outputs, so serialize() round-trips.
+  return format_size(n);
+}
+
 }  // namespace
 
 TuningTable TuningTable::container_defaults() {
@@ -95,20 +101,35 @@ TuningTable TuningTable::container_defaults() {
   // Beneath each two_level row sits the flat algorithm that runs where no
   // hierarchy is available (no co-located ranks, a sub-phase, or flat()).
   TuningTable t;
-  t.add({.coll = Coll::Barrier, .algo = Algo::Dissemination});
-  t.add({.coll = Coll::Barrier, .algo = Algo::TwoLevel});
-  t.add({.coll = Coll::Reduce, .algo = Algo::Binomial});
-  t.add({.coll = Coll::Reduce, .algo = Algo::TwoLevel});
-  t.add({.coll = Coll::Allgather, .algo = Algo::Ring});
-  t.add({.coll = Coll::Alltoall, .algo = Algo::Spread});
-  t.add({.coll = Coll::Bcast, .algo = Algo::Binomial});
-  t.add({.coll = Coll::Bcast, .max_size = kBcastLargeThreshold - 1,
-         .algo = Algo::TwoLevel});
-  t.add({.coll = Coll::Bcast, .min_size = kBcastLargeThreshold, .algo = Algo::VanDeGeijn});
-  t.add({.coll = Coll::Allreduce, .max_size = kAllreduceLargeThreshold - 1,
-         .algo = Algo::RecursiveDoubling});
-  t.add({.coll = Coll::Allreduce, .min_size = kAllreduceLargeThreshold,
-         .algo = Algo::Rabenseifner});
+  const auto all = [](Coll c, Algo a) {
+    TuningEntry e;
+    e.coll = c;
+    e.algo = a;
+    return e;
+  };
+  t.add(all(Coll::Barrier, Algo::Dissemination));
+  t.add(all(Coll::Barrier, Algo::TwoLevel));
+  t.add(all(Coll::Reduce, Algo::Binomial));
+  t.add(all(Coll::Reduce, Algo::TwoLevel));
+  t.add(all(Coll::Allgather, Algo::Ring));
+  t.add(all(Coll::Alltoall, Algo::Spread));
+  t.add(all(Coll::Bcast, Algo::Binomial));
+  {
+    TuningEntry small = all(Coll::Bcast, Algo::TwoLevel);
+    small.max_size = kBcastLargeThreshold - 1;
+    t.add(small);
+    TuningEntry large = all(Coll::Bcast, Algo::VanDeGeijn);
+    large.min_size = kBcastLargeThreshold;
+    t.add(large);
+  }
+  {
+    TuningEntry small = all(Coll::Allreduce, Algo::RecursiveDoubling);
+    small.max_size = kAllreduceLargeThreshold - 1;
+    t.add(small);
+    TuningEntry large = all(Coll::Allreduce, Algo::Rabenseifner);
+    large.min_size = kAllreduceLargeThreshold;
+    t.add(large);
+  }
   return t;
 }
 
@@ -203,24 +224,31 @@ Algo TuningTable::select(Coll coll, Bytes size, int ranks, int cph,
 std::string TuningTable::serialize() const {
   std::ostringstream os;
   os << "# collective  ranks  containers/host  msg-size  algorithm\n";
-  // A range in the grammar parse_range reads; sizes use the bench formatter
-  // ("8K", "1M", plain "600"), whose every output parse_size accepts, so
-  // serialize() round-trips.
-  const auto range = [](auto lo, auto hi, auto format) -> std::string {
-    const auto max = std::numeric_limits<decltype(hi)>::max();
+  const auto int_range = [](int lo, int hi) -> std::string {
+    const int max = std::numeric_limits<int>::max();
     if (lo <= 0 && hi == max) return "*";
-    if (lo == hi) return format(lo);
+    if (lo == hi) return std::to_string(lo);
     std::string out;
-    if (lo > 0) out += format(lo);
+    if (lo > 0) out += std::to_string(lo);
     out += '-';
-    if (hi != max) out += format(hi);
+    if (hi != max) out += std::to_string(hi);
     return out;
   };
-  const auto count = [](int n) { return std::to_string(n); };
+  const auto size_range = [](Bytes lo, Bytes hi) -> std::string {
+    const Bytes max = std::numeric_limits<Bytes>::max();
+    if (lo == 0 && hi == max) return "*";
+    if (lo == hi) return format_bound(lo);
+    std::string out;
+    if (lo != 0) out += format_bound(lo);
+    out += '-';
+    if (hi != max) out += format_bound(hi);
+    return out;
+  };
   for (const TuningEntry& e : entries_) {
-    os << to_string(e.coll) << "  " << range(e.min_ranks, e.max_ranks, count) << "  "
-       << range(e.min_cph, e.max_cph, count) << "  "
-       << range(e.min_size, e.max_size, format_size) << "  " << to_string(e.algo) << "\n";
+    os << to_string(e.coll) << "  " << int_range(e.min_ranks, e.max_ranks)
+       << "  " << int_range(e.min_cph, e.max_cph) << "  "
+       << size_range(e.min_size, e.max_size) << "  " << to_string(e.algo)
+       << "\n";
   }
   return os.str();
 }
