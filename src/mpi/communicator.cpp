@@ -130,14 +130,6 @@ Request Communicator::raw_irecv(WBytes buffer, int src, int tag) {
   return engine_->post_recv(buffer, src_world, tag, id_);
 }
 
-void Communicator::raw_sendrecv(CBytes send_data, int dst, WBytes recv_buffer, int src,
-                                int tag) {
-  const Request recv_request = raw_irecv(recv_buffer, src, tag);
-  const Request send_request = raw_isend(send_data, dst, tag);
-  engine_->wait(recv_request);
-  engine_->wait(send_request);
-}
-
 int Communicator::begin_collective() {
   constexpr std::uint64_t kEpochs =
       (std::uint64_t{1} << 30) / static_cast<std::uint64_t>(kSubTags);

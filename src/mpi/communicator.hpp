@@ -303,10 +303,8 @@ class Communicator {
     Adi3Engine::CollectiveScope scope_;
   };
 
-  // Unprofiled point-to-point transfers under the typed calls.
   Request raw_isend(CBytes data, int dst, int tag);
   Request raw_irecv(WBytes buffer, int src, int tag);
-  void raw_sendrecv(CBytes send_data, int dst, WBytes recv_buffer, int src, int tag);
 
   // Byte-level collectives (mpi/coll/algorithms.cpp). Each entry point opens
   // the profiled call and the Collective and checks buffer sizes first.
@@ -486,8 +484,10 @@ template <typename T>
 void Communicator::sendrecv(std::span<const T> send_data, int dst,
                             std::span<T> recv_buffer, int src, int tag) {
   const ProfiledCall prof_scope(*engine_, prof::CallKind::Send);
-  raw_sendrecv(detail::bytes(send_data), dst, detail::writable_bytes(recv_buffer), src,
-               tag);
+  const Request recv_request = raw_irecv(detail::writable_bytes(recv_buffer), src, tag);
+  const Request send_request = raw_isend(detail::bytes(send_data), dst, tag);
+  engine_->wait(recv_request);
+  engine_->wait(send_request);
 }
 
 template <typename T>
