@@ -49,14 +49,26 @@ class WithdrawGuard {
   /// once the owner has withdrawn.
   template <typename Copy>
   bool read(Copy&& copy) {
+    bool copied = false;
+    hold([&] {
+      if (withdrawn_.load()) return;
+      copy();
+      copied = true;
+    });
+    return copied;
+  }
+
+  /// Reader side, for what outlives a withdraw but not a rewrite (an
+  /// exchange slot's entries): runs look() while drain() waits, withdrawn
+  /// or not.
+  template <typename Look>
+  void hold(Look&& look) {
     reading_.fetch_add(1);
     const struct Leave {
       std::atomic<int>& reading;
       ~Leave() { reading.fetch_sub(1); }
     } leave{reading_};
-    if (withdrawn_.load()) return false;
-    copy();
-    return true;
+    look();
   }
 
   /// Owner side, right before it unwinds and frees the buffer: from here on
@@ -64,12 +76,20 @@ class WithdrawGuard {
   /// unwinding; a read never parks, so the spin is short.
   void withdraw() {
     withdrawn_.store(true);
+    drain();
+  }
+
+  /// Owner side: returns once every read and hold that began before it has
+  /// ended. An owner that first hides what it will rewrite (a sequentially
+  /// consistent store that a hold loads after it counts in) then rewrites it
+  /// with none in progress.
+  void drain() const {
     while (reading_.load() != 0) std::this_thread::yield();
   }
 
  private:
   std::atomic<bool> withdrawn_{false};  ///< set once; it stays set
-  std::atomic<int> reading_{0};         ///< reads in progress
+  std::atomic<int> reading_{0};         ///< reads and holds in progress
 };
 
 /// Shared sender/receiver state of one rendezvous transfer.

@@ -283,8 +283,8 @@ Micros Adi3Engine::read_entry(Exchange& exchange, int from, int entry,
   if (!slot.guard.read(copy))
     throw AbortedError("job aborted: rank " + std::to_string(env.src) +
                        " failed before its exchange send completed");
-  // A rendezvous sender waits for its pull; every owner waits for its last
-  // reader, and may rewrite the slot once it has seen it.
+  // A rendezvous sender waits for its pull, and an owner rewrites its slot
+  // only once its last reader is done.
   const bool rendezvous = env.protocol == fabric::Protocol::Rendezvous;
   const bool last = slot.readers_left.fetch_sub(1) == 1;
   if (last || rendezvous) job_->matcher(exchange.world(from)).poke();
@@ -303,8 +303,7 @@ void Adi3Engine::alltoall(Exchange& exchange, int me, std::span<const std::byte>
   // Sender side, in the message path's send order; every block stays in
   // `send`, where its reader copies it from.
   Exchange::Slot& mine = exchange.slot(me);
-  mine.kind = collective_.kind;
-  mine.entries.resize(static_cast<std::size_t>(n));
+  claim_slot(mine, tag, n);
   for (int step = 1; step < n; ++step) {
     const int peer = peer_at(step);
     Exchange::Entry& entry = mine.entries[static_cast<std::size_t>(peer)];
@@ -358,13 +357,20 @@ void Adi3Engine::alltoall(Exchange& exchange, int me, std::span<const std::byte>
   }
 }
 
+void Adi3Engine::claim_slot(Exchange::Slot& mine, int tag, int entries) {
+  // Copies this rank published earlier may still be read; then a reader of
+  // another call may still be scanning the entries, so they are hidden and
+  // the scans drained before any entry changes.
+  wait_in(-1, -1, [&] { return mine.readers_left.load() == 0; });
+  mine.published.store(static_cast<std::uint64_t>(tag) << 32);
+  mine.guard.drain();
+  mine.kind = collective_.kind;
+  if (mine.entries.size() < static_cast<std::size_t>(entries))
+    mine.entries.resize(static_cast<std::size_t>(entries));
+}
+
 void Adi3Engine::begin_phase(Exchange& exchange, int me, int tag, int count) {
   phase_ = {&exchange, me, tag, count, 0, 0, phase_.number + 1};
-  // The previous phase's readers are done, so nothing reads the slot.
-  Exchange::Slot& mine = exchange.slot(me);
-  mine.kind = collective_.kind;
-  if (mine.entries.size() < static_cast<std::size_t>(count))
-    mine.entries.resize(static_cast<std::size_t>(count));
   if (cursors_.size() < static_cast<std::size_t>(exchange.size()))
     cursors_.resize(static_cast<std::size_t>(exchange.size()));
 }
@@ -372,8 +378,10 @@ void Adi3Engine::begin_phase(Exchange& exchange, int me, int tag, int count) {
 int Adi3Engine::next_entry_from(int from) {
   Cursor& cursor = cursors_[static_cast<std::size_t>(from)];
   if (cursor.phase != phase_.number) cursor = {phase_.number, 0};
-  const Exchange::Slot& owner = phase_.exchange->slot(from);
-  wait_in(from, -1, [&] {
+  Exchange::Slot& owner = phase_.exchange->slot(from);
+  // The scan also reads entries addressed to other ranks, which no read
+  // count covers, so it holds the guard that claim_slot drains.
+  const auto addressed_here = [&] {
     const std::uint64_t word = owner.published.load();
     const int published =
         (word >> 32) == static_cast<std::uint64_t>(phase_.tag) ? static_cast<int>(word) : 0;
@@ -381,6 +389,11 @@ int Adi3Engine::next_entry_from(int from) {
       if (owner.entries[static_cast<std::size_t>(cursor.next)].env.dst == rank_)
         return true;
     return false;
+  };
+  wait_in(from, -1, [&] {
+    bool found = false;
+    owner.guard.hold([&] { found = addressed_here(); });
+    return found;
   });
   return cursor.next++;
 }
@@ -394,12 +407,14 @@ void Adi3Engine::run_step(const Exchange::Step& step) {
   Micros posted_at = clock().now();
   const fabric::Envelope* sent = nullptr;
   if (step.to >= 0) {
+    if (phase.published == 0) claim_slot(mine, phase.tag, phase.count);
     Exchange::Entry& entry = mine.entries[static_cast<std::size_t>(phase.published)];
     entry.env = {};
     entry.send = step.send;
+    phase.in_place = phase.in_place || step.in_place;
     sent = &send_block(step.send, exchange.world(step.to), phase.tag, exchange.comm_id,
                        [&](bool eager) {
-                         if (!eager || !step.rewritten) return SendTarget{entry.env, {}};
+                         if (!eager || step.in_place) return SendTarget{entry.env, {}};
                          entry.copy.resize(step.send.size());
                          entry.send = entry.copy;
                          return SendTarget{entry.env, entry.copy};
@@ -430,6 +445,7 @@ void Adi3Engine::run_step(const Exchange::Step& step) {
 void Adi3Engine::end_phase() {
   CBMPI_REQUIRE(phase_.step == phase_.count, "exchange phase ran ", phase_.step, " of its ",
                 phase_.count, " steps");
+  if (!phase_.in_place) return;
   const Exchange::Slot& mine = phase_.exchange->slot(phase_.me);
   wait_in(-1, -1, [&] { return mine.readers_left.load() == 0; });
 }
@@ -484,6 +500,8 @@ void Adi3Engine::describe_wait(std::ostream& os) const {
       os << "rank " << phase_.from << " has not published it";
     else if (phase_.to >= 0)
       os << "rank " << phase_.to << " has not read it";
+    else if (phase_.count > 0 && phase_.published == 0)
+      os << mine.readers_left.load() << " of its earlier entries not read yet";
     else if (phase_.count > 0 ||
              exchange.arrived.load() >= call * static_cast<std::uint64_t>(exchange.size()))
       os << mine.readers_left.load() << " of its entries not read yet";

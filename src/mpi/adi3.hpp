@@ -107,8 +107,9 @@ class Adi3Engine {
   /// send, receive or sendrecv, at the same virtual times: a receive wait and
   /// a rendezvous send's wait progress posted receives first, an eager
   /// send's does not, and a rendezvous step returns once its block is pulled.
-  /// The phase returns once every block it published has been read, so its
-  /// send buffers must outlive the call.
+  /// An eager block is copied into its entry, as into its message block, so
+  /// the phase returns at once unless a step was `in_place`; then it returns
+  /// once that block has been read. A send buffer need only outlive the phase.
   template <typename Body>
   void exchange_steps(Exchange& exchange, int me, int tag, int count, Body&& body) {
     if (count == 0) return;
@@ -295,9 +296,14 @@ class Adi3Engine {
   /// shorter than `buffer`, and TruncationError when it is longer.
   Micros read_entry(Exchange& exchange, int from, int entry,
                     std::span<std::byte> buffer, Micros posted_at);
-  /// exchange_steps' parts: begin_phase publishes the open collective's
-  /// kind in this rank's slot and sizes its entries, run_step runs one step,
-  /// and end_phase waits until every entry has been read.
+  /// Before this rank's first publish in a call or phase named `tag`: waits
+  /// until every block it published before has been read, hides its entries
+  /// from readers still scanning them, then publishes the open collective's
+  /// kind and sizes the entries to `entries`. So an owner runs at most one
+  /// phase ahead of its slowest reader.
+  void claim_slot(Exchange::Slot& mine, int tag, int entries);
+  /// exchange_steps' parts: begin_phase starts the phase, run_step runs one
+  /// step, and end_phase waits until its in-place blocks have been read.
   void begin_phase(Exchange& exchange, int me, int tag, int count);
   void run_step(const Exchange::Step& step);
   void end_phase();
@@ -331,7 +337,8 @@ class Adi3Engine {
   /// The exchange call or phase this rank is in or last ran: alltoall's
   /// (count 0) or exchange_steps' (its step and the entries it has
   /// published), its number among this rank's phases, which marks the
-  /// cursors valid in it, and, while it waits, what for (wait_in).
+  /// cursors valid in it, what it waits for while it waits (wait_in), and
+  /// whether it published a block in place.
   struct Phase {
     Exchange* exchange = nullptr;
     int me = 0;
@@ -343,6 +350,7 @@ class Adi3Engine {
     bool waiting = false;
     int from = -1;
     int to = -1;
+    bool in_place = false;
   };
   Phase phase_;
   /// Per comm rank of the phase's exchange: the next entry of that owner to

@@ -14,9 +14,11 @@
 // Adi3Engine::alltoall; every other algorithm runs each phase through
 // Adi3Engine::exchange_steps, as the sends, receives and sendrecvs it made on
 // the message path, and does its local work (a reduction, a pack) between
-// steps. A step whose send range the algorithm rewrites before its reader is
-// done is marked `rewritten` (Exchange, job_state.hpp). Every buffer a phase
-// sends from outlives the phase.
+// steps. Eager blocks are copied at publish, so a step may send from a range
+// it rewrites next (recursive doubling's accumulator, Bruck's pack, scan's
+// partial) or from scratch the call frees; the ring and pairwise steps send
+// `in_place` (Exchange, job_state.hpp). Every buffer a phase sends from
+// outlives the phase.
 //
 // Tag budget: each primitive names its phases within [tag, tag+4) (one
 // kSubTags stride-4 slice); composite algorithms document their exact usage
@@ -463,8 +465,7 @@ coll::Algo Communicator::allreduce_over(const std::vector<int>& list, CBytes in,
     run_steps(tag, log_rounds(m), [&](auto step) {
       for (int mask = 1; mask < m; mask <<= 1) {
         const int partner = list[idx(pos ^ mask)];
-        step({.send = acc, .to = partner, .recv = incoming, .from = partner,
-              .rewritten = true});
+        step({.send = acc, .to = partner, .recv = incoming, .from = partner});
         red(incoming, acc);
       }
     });
@@ -540,7 +541,7 @@ void Communicator::ring_over(const std::vector<int>& list, WBytes all,
   run_steps(tag, m - 1, [&](auto step) {
     for (int s = 0; s < m - 1; ++s)
       step({blocks.of(all, (pos - s + m) % m), right, blocks.of(all, (pos - s - 1 + m) % m),
-            left});
+            left, true});
   });
 }
 
@@ -655,7 +656,7 @@ void Communicator::pairwise_over(CBytes send_data, const Blocks& send_blocks,
       const int send_to = pow2 ? (rank() ^ (s + 1)) : (rank() + s + 1) % n;
       const int recv_from = pow2 ? (rank() ^ (s + 1)) : (rank() - s - 1 + n) % n;
       step({send_blocks.of(send_data, send_to), send_to,
-            recv_blocks.of(recv_data, recv_from), recv_from});
+            recv_blocks.of(recv_data, recv_from), recv_from, true});
     }
   });
 }
@@ -683,7 +684,7 @@ void Communicator::alltoall_bruck(CBytes send_data, WBytes recv_data, std::size_
         if (i & pow) std::copy_n(at(tmp.data(), i), block, at(pack.data(), cnt++));
       step({.send = CBytes(pack).first(block * cnt), .to = static_cast<int>((my + pow) % n),
             .recv = WBytes(unpack).first(block * cnt),
-            .from = static_cast<int>((my + n - pow) % n), .rewritten = true});
+            .from = static_cast<int>((my + n - pow) % n)});
       cnt = 0;
       for (std::size_t i = 1; i < n; ++i)
         if (i & pow) std::copy_n(at(unpack.data(), cnt++), block, at(tmp.data(), i));
@@ -739,8 +740,7 @@ void Communicator::scan_bytes(prof::CallKind kind, CBytes in, WBytes out, Reduce
     for (int mask = 1; mask < n; mask <<= 1) {
       const bool receives = rank() - mask >= 0;
       step({.send = partial, .to = rank() + mask < n ? rank() + mask : -1, .recv = incoming,
-            .from = receives ? rank() - mask : -1, .rewritten = true,
-            .recv_after_send = true});
+            .from = receives ? rank() - mask : -1, .recv_after_send = true});
       if (!receives) continue;
       red(incoming, partial);
       if (have_result)

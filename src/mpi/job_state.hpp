@@ -91,12 +91,14 @@ struct PhaseAlignment {
 /// One communicator's exchange in host memory, shared by its ranks: every
 /// collective moves its blocks through it. Each rank owns one slot and is
 /// its only writer: it publishes its blocks there as entries (an envelope
-/// and where the bytes sit), and peers copy each block out. A block stays in
-/// its owner's send buffer, unless the owner rewrites that range before its
-/// reader is done (recursive doubling's accumulator, Bruck's pack, scan's
-/// partial): such an eager block is copied once into its entry at publish,
-/// the copy a message block made. A rank leaves a call or phase only when
-/// its readers_left is zero, so no call overwrites a block still being read.
+/// and where the bytes sit), and peers copy each block out. A step's eager
+/// block is copied once into its entry at publish, the copy a message block
+/// made, so its owner may rewrite or free the range at once. A ring or
+/// pairwise block (Step::in_place), an alltoall block and a rendezvous block
+/// stay in the owner's send buffer, and the owner leaves the call or phase
+/// only once they have been read. An owner
+/// rewrites its slot only when its readers_left is zero
+/// (Adi3Engine::claim_slot), so no call overwrites a block still being read.
 ///
 /// Two forms share the slots. The alltoall form (Adi3Engine::alltoall)
 /// publishes one entry per peer, stores readers_left and calls, then bumps
@@ -120,14 +122,15 @@ struct Exchange {
   /// block from `from` lands in `recv`; a step without a peer (-1) on one
   /// side only receives or only sends. The receive is posted before the
   /// send's clock advance, as a sendrecv posts it, unless `recv_after_send`
-  /// (an isend, then a recv). `rewritten`: the owner rewrites `send` before
-  /// its reader is done, so an eager block is copied into its entry.
+  /// (an isend, then a recv). `in_place`: an eager block stays in `send`,
+  /// which every rank of the phase sends from and receives into (a ring or
+  /// pairwise step), so waiting for its reader ends with the phase.
   struct Step {
     std::span<const std::byte> send{};
     int to = -1;
     std::span<std::byte> recv{};
     int from = -1;
-    bool rewritten = false;
+    bool in_place = false;
     bool recv_after_send = false;
   };
 
@@ -148,12 +151,13 @@ struct Exchange {
     /// the first publish of each call or phase.
     const char* kind = nullptr;
     /// Per comm rank (alltoall, its own unused) or in publish order (step
-    /// form). Sized before the first publish, so no entry moves while read.
+    /// form). Sized by claim_slot, so no entry moves while read.
     std::vector<Entry> entries;
-    /// Reads of the current call or phase not done yet.
+    /// Reads of the blocks this rank published that are not done yet.
     alignas(64) std::atomic<int> readers_left{0};
-    /// Peers copy the owner's blocks through it (Adi3Engine::read_entry);
-    /// the owner withdraws it before it unwinds past them.
+    /// Peers copy the owner's blocks (Adi3Engine::read_entry) and scan its
+    /// entries through it; the owner withdraws it before it unwinds past
+    /// them, and drains it before it rewrites them.
     alignas(64) fabric::WithdrawGuard guard;
   };
 

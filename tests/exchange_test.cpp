@@ -1543,6 +1543,39 @@ TEST(CollectiveExchange, MismatchedCollectivesNameBothCalls) {
   }
 }
 
+// Rank 3 gathers to itself and waits for rank 0's block, while ranks 0-2
+// run binomial bcasts rooted at rank 0, in which rank 0 addresses only ranks
+// 1 and 2 and rank 2 forwards to rank 3. Rank 3 scans rank 0's entries of
+// the first call, which rank 0 rewrites for its next ones: the scan must not
+// overlap the rewrite (TSan checks it). Rank 0 runs one call ahead of rank 2,
+// which waits for rank 3 to read its first block, so every rank parks.
+TEST(CollectiveExchange, ReaderScanningAnOwnerThatMovedOnDeadlocks) {
+  JobConfig cfg;
+  cfg.deployment = DeploymentSpec::native_hosts(1, 4);
+  cfg.coll_tuning.add({.coll = coll::Coll::Bcast, .algo = coll::Algo::Binomial});
+  try {
+    run_job(cfg, [](mpi::Process& p) {
+      auto& world = p.world();
+      int value = 7;
+      if (p.rank() == 3) {
+        std::array<int, 4> all{};
+        world.gather(std::span<const int>(&value, 1), std::span<int>(all), 3);
+        return;
+      }
+      for (int call = 0; call < 8; ++call) world.bcast(std::span<int>(&value, 1), 0);
+    });
+    ADD_FAILURE() << "expected a DeadlockError";
+  } catch (const DeadlockError& e) {
+    const std::string what = e.what();
+    for (const char* wait :
+         {"rank 0 waits in bcast #4 step 1/2 (comm 0): 1 of its earlier entries not read yet",
+          "rank 1 waits in bcast #4 step 1/1 (comm 0): rank 0 has not published it",
+          "rank 2 waits in bcast #2 step 2/2 (comm 0): 1 of its earlier entries not read yet",
+          "rank 3 waits in gather #1 step 1/3 (comm 0): rank 0 has not published it"})
+      EXPECT_NE(what.find(wait), std::string::npos) << wait << "\n" << what;
+  }
+}
+
 /// A collective call in which one rank's receive range is longer than the
 /// block it gets, and the receive and sizes the error must name.
 struct ShortBlockCase {

@@ -314,8 +314,8 @@ TEST(Runtime, AnySourceReceivesBoth) {
   });
 }
 
-// Collective traffic travels in its own context, as in MPI: a user receive
-// or probe with kAnyTag must not take a collective's internal message.
+// A user receive or probe with kAnyTag must not take a collective's block:
+// collectives move their blocks through the exchange, never as messages.
 TEST(Runtime, AnyTagReceiveSkipsCollectiveTraffic) {
   run_job(two_rank_native(), [](mpi::Process& p) {
     auto& world = p.world();
@@ -334,6 +334,29 @@ TEST(Runtime, AnyTagReceiveSkipsCollectiveTraffic) {
 }
 
 TEST(Runtime, AnyTagProbeSkipsCollectiveTraffic) {
+  run_job(two_rank_native(), [](mpi::Process& p) {
+    auto& world = p.world();
+    int value = p.rank() == 1 ? 9 : 0;
+    if (p.rank() == 1) {
+      // Rank 1's part of the bcast is an eager block it publishes before the
+      // user message and does not wait for: rank 0 reads it only after it
+      // has received that message.
+      world.bcast(std::span<int>(&value, 1), 1);
+      world.send_value<int>(42, 0, 5);
+      return;
+    }
+    EXPECT_EQ(world.probe(mpi::kAnySource, mpi::kAnyTag).tag, 5);
+    const auto peek = world.iprobe(1, mpi::kAnyTag);
+    ASSERT_TRUE(peek.has_value());
+    EXPECT_EQ(peek->tag, 5);
+    EXPECT_EQ(world.recv_value<int>(1, 5), 42);
+    EXPECT_FALSE(world.iprobe().has_value());
+    world.bcast(std::span<int>(&value, 1), 1);
+    EXPECT_EQ(value, 9);
+  });
+}
+
+TEST(Runtime, AnyTagReceiveHeldAcrossABcastSkipsItsBlock) {
   // Rank 0 holds a wildcard receive across a bcast whose block reaches it
   // before any user message, then probes with wildcards: neither may see
   // the collective's traffic.
