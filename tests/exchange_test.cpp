@@ -29,6 +29,7 @@
 #include <optional>
 #include <ostream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/error.hpp"
@@ -1546,9 +1547,11 @@ TEST(CollectiveExchange, MismatchedCollectivesNameBothCalls) {
 // Rank 3 gathers to itself and waits for rank 0's block, while ranks 0-2
 // run binomial bcasts rooted at rank 0, in which rank 0 addresses only ranks
 // 1 and 2 and rank 2 forwards to rank 3. Rank 3 scans rank 0's entries of
-// the first call, which rank 0 rewrites for its next ones: the scan must not
-// overlap the rewrite (TSan checks it). Rank 0 runs one call ahead of rank 2,
-// which waits for rank 3 to read its first block, so every rank parks.
+// the first call when rank 2's block wakes it, and rank 0 rewrites them for
+// its second call after a wall-clock pause in which it neither parks nor
+// wakes a rank, so only the scan's hold on the guard orders the two (TSan
+// checks it). Rank 0 runs one call ahead of rank 2, which waits for rank 3
+// to read its first block, so every rank parks.
 TEST(CollectiveExchange, ReaderScanningAnOwnerThatMovedOnDeadlocks) {
   JobConfig cfg;
   cfg.deployment = DeploymentSpec::native_hosts(1, 4);
@@ -1562,7 +1565,12 @@ TEST(CollectiveExchange, ReaderScanningAnOwnerThatMovedOnDeadlocks) {
         world.gather(std::span<const int>(&value, 1), std::span<int>(all), 3);
         return;
       }
-      for (int call = 0; call < 8; ++call) world.bcast(std::span<int>(&value, 1), 0);
+      if (p.rank() != 0) std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      for (int call = 0; call < 8; ++call) {
+        world.bcast(std::span<int>(&value, 1), 0);
+        if (p.rank() == 0 && call == 0)
+          std::this_thread::sleep_for(std::chrono::milliseconds(100));
+      }
     });
     ADD_FAILURE() << "expected a DeadlockError";
   } catch (const DeadlockError& e) {
