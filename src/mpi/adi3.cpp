@@ -284,10 +284,11 @@ Micros Adi3Engine::read_entry(Exchange& exchange, int from, int entry,
     throw AbortedError("job aborted: rank " + std::to_string(env.src) +
                        " failed before its exchange send completed");
   // A rendezvous sender waits for its pull, and an owner rewrites its slot
-  // only once its last reader is done.
+  // only once its last reader is done; an owner not waiting yet needs no wake.
   const bool rendezvous = env.protocol == fabric::Protocol::Rendezvous;
   const bool last = slot.readers_left.fetch_sub(1) == 1;
-  if (last || rendezvous) job_->matcher(exchange.world(from)).poke();
+  if ((last && slot.owner_waits.load()) || rendezvous)
+    job_->matcher(exchange.world(from)).poke();
   return received_at;
 }
 
@@ -349,7 +350,7 @@ void Adi3Engine::alltoall(Exchange& exchange, int me, std::span<const std::byte>
     clock().advance_to(received_at_[static_cast<std::size_t>(peer_at(step))]);
     check_crash();
   }
-  wait_in(-1, -1, [&] { return mine.readers_left.load() == 0; });
+  wait_for_readers(mine);
   for (int step = 1; step < n; ++step) {
     const auto& rndv = mine.entries[static_cast<std::size_t>(peer_at(step))].env.rndv;
     if (rndv != nullptr) clock().advance_to(rndv->sender_complete_at());
@@ -357,11 +358,19 @@ void Adi3Engine::alltoall(Exchange& exchange, int me, std::span<const std::byte>
   }
 }
 
+void Adi3Engine::wait_for_readers(Exchange::Slot& mine) {
+  // A last reader pokes only an owner that waits here; the flag and the
+  // count are sequentially consistent, so one side sees the other.
+  mine.owner_waits.store(true);
+  wait_in(-1, -1, [&] { return mine.readers_left.load() == 0; });
+  mine.owner_waits.store(false);
+}
+
 void Adi3Engine::claim_slot(Exchange::Slot& mine, int tag, int entries) {
   // Copies this rank published earlier may still be read; then a reader of
   // another call may still be scanning the entries, so they are hidden and
   // the scans drained before any entry changes.
-  wait_in(-1, -1, [&] { return mine.readers_left.load() == 0; });
+  wait_for_readers(mine);
   mine.published.store(static_cast<std::uint64_t>(tag) << 32);
   mine.guard.drain();
   mine.kind = collective_.kind;
@@ -446,8 +455,7 @@ void Adi3Engine::end_phase() {
   CBMPI_REQUIRE(phase_.step == phase_.count, "exchange phase ran ", phase_.step, " of its ",
                 phase_.count, " steps");
   if (!phase_.in_place) return;
-  const Exchange::Slot& mine = phase_.exchange->slot(phase_.me);
-  wait_in(-1, -1, [&] { return mine.readers_left.load() == 0; });
+  wait_for_readers(phase_.exchange->slot(phase_.me));
 }
 
 Micros Adi3Engine::align_clocks(const char* what) {

@@ -291,9 +291,10 @@ class Adi3Engine {
   /// Receives the block of entry `entry` of comm rank `from`'s slot into
   /// `buffer` through the slot's guard (AbortedError once the owner withdrew),
   /// counts the read off that slot and pokes the owner when it was the last
-  /// one or a rendezvous pull. Returns the receive's completion time. Throws
-  /// an Error when the owner is in another collective or the block is
-  /// shorter than `buffer`, and TruncationError when it is longer.
+  /// one and the owner waits for it, or a rendezvous pull. Returns the
+  /// receive's completion time. Throws an Error when the owner is in another
+  /// collective or the block is shorter than `buffer`, and TruncationError
+  /// when it is longer.
   Micros read_entry(Exchange& exchange, int from, int entry,
                     std::span<std::byte> buffer, Micros posted_at);
   /// Before this rank's first publish in a call or phase named `tag`: waits
@@ -302,6 +303,8 @@ class Adi3Engine {
   /// kind and sizes the entries to `entries`. So an owner runs at most one
   /// phase ahead of its slowest reader.
   void claim_slot(Exchange::Slot& mine, int tag, int entries);
+  /// Waits until every block this rank published has been read.
+  void wait_for_readers(Exchange::Slot& mine);
   /// exchange_steps' parts: begin_phase starts the phase, run_step runs one
   /// step, and end_phase waits until its in-place blocks have been read.
   void begin_phase(Exchange& exchange, int me, int tag, int count);

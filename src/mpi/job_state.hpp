@@ -110,9 +110,9 @@ struct PhaseAlignment {
 /// Publishing is sequentially consistent, so an owner that sees readers_left
 /// at zero sees every read of its slot done. The arrival that completes a
 /// call pokes every other member's matcher, a publish pokes its reader's,
-/// and the reader that takes readers_left to zero (or pulls a rendezvous
-/// block) pokes the owner's, so every wait parks in Adi3Engine::block_until
-/// and loses no wake-up.
+/// and the reader that takes readers_left to zero while the owner waits for
+/// it (owner_waits), or that pulls a rendezvous block, pokes the owner's, so
+/// every wait parks in Adi3Engine::block_until and loses no wake-up.
 ///
 /// An owner that unwinds past its send buffers withdraws the slot's guard
 /// first, and a reader copies only through the guard, which then refuses.
@@ -155,6 +155,8 @@ struct Exchange {
     std::vector<Entry> entries;
     /// Reads of the blocks this rank published that are not done yet.
     alignas(64) std::atomic<int> readers_left{0};
+    /// Set while the owner waits for readers_left to reach zero.
+    std::atomic<bool> owner_waits{false};
     /// Peers copy the owner's blocks (Adi3Engine::read_entry) and scan its
     /// entries through it; the owner withdraws it before it unwinds past
     /// them, and drains it before it rewrites them.
